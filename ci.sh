@@ -17,6 +17,15 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> oracle-checked perfbench at the held-out seed (digests must match, no failed job)"
+checked_line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload checked --seed 4242 --seconds 2 --trace 0 | tail -1)"
+echo "$checked_line"
+case "$checked_line" in
+  *'"correct": true'*'"failed": 0,'*) ;;
+  *) echo "perfbench checked workload failed at seed 4242" >&2; exit 1 ;;
+esac
+
 echo "==> fault-injection smoke campaign (fixed seed, fails on silent corruption)"
 ./target/release/moesi-sim faults --seed 7 --steps 800
 

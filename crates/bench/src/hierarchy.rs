@@ -228,9 +228,10 @@ fn validate(cfg: &HierarchyBenchConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs one cell: builds the uniform tree, drives the sharing workload on
-/// every leaf cache, and verifies the tree before reading the counters.
-fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> Result<HierarchyRow, String> {
+/// Runs one cell: builds the uniform tree (oracle off — this is a
+/// throughput study), drives the sharing workload on every leaf cache, and
+/// reads the counters.
+fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> HierarchyRow {
     let cache_cfg = CacheConfig::new(cfg.cache_bytes, LINE, 2, ReplacementKind::Lru);
     let cpus = cfg.cpus;
     let mut sys = TreeBuilder::uniform(
@@ -277,8 +278,6 @@ fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> Result<HierarchyRow
     let host = Instant::now();
     sys.run(&mut streams, cfg.steps);
     let host_wall_ns = host.elapsed().as_nanos() as u64;
-    sys.verify()
-        .map_err(|v| format!("hierarchy bench violation: {v}"))?;
 
     let root = *sys.parent_stats();
     let (mut leaf_transactions, mut leaf_busy_ns) = (0u64, 0u64);
@@ -297,7 +296,7 @@ fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> Result<HierarchyRow
         suppressed += s.suppressed;
     }
     let accesses = cfg.steps * caches as u64;
-    Ok(HierarchyRow {
+    HierarchyRow {
         protocol: cell.protocol.clone(),
         discipline: cell.discipline.to_string(),
         depth: cell.depth,
@@ -323,7 +322,7 @@ fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> Result<HierarchyRow
         suppressed,
         phase_p50: hist.p50s(),
         phase_p99: hist.p99s(),
-    })
+    }
 }
 
 /// Runs the full saturation grid, sharding cells over `cfg.jobs` workers.
@@ -331,13 +330,13 @@ fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> Result<HierarchyRow
 ///
 /// # Errors
 ///
-/// Returns an error for an empty or malformed grid, an unknown protocol
-/// name, or a consistency violation in any cell.
+/// Returns an error for an empty or malformed grid or an unknown protocol
+/// name.
 pub fn hierarchy_sweep(cfg: &HierarchyBenchConfig) -> Result<Vec<HierarchyRow>, String> {
     validate(cfg)?;
-    run_jobs(cells(cfg), cfg.jobs, |cell| hierarchy_one(cfg, &cell))
-        .into_iter()
-        .collect()
+    Ok(run_jobs(cells(cfg), cfg.jobs, |cell| {
+        hierarchy_one(cfg, &cell)
+    }))
 }
 
 /// Renders the rows as the `BENCH_hierarchy.json` document. The host fields

@@ -637,7 +637,7 @@ mod tests {
         );
         assert!(out.ch_seen);
         // Intervention does NOT update memory — the Futurebus limitation.
-        assert_eq!(&bus.memory().peek_line(0x40)[..], &[1; 16]);
+        assert_eq!(bus.memory().peek(0x40), &[1; 16]);
     }
 
     #[test]
@@ -663,7 +663,7 @@ mod tests {
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut other];
         let req = TransactionRequest::write(1, 0, MasterSignals::IM, 2, vec![5, 6]);
         bus.execute(&req, &mut mods).unwrap();
-        assert_eq!(bus.memory().peek_line(0)[2..4], [5, 6]);
+        assert_eq!(bus.memory().peek(0)[2..4], [5, 6]);
         // A quiet snooper receives no payload.
         assert_eq!(other.completions[0].1, None);
     }
@@ -680,7 +680,7 @@ mod tests {
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut sharer, &mut bystander];
         let req = TransactionRequest::write(2, 0, MasterSignals::CA_IM_BC, 0, vec![3; 4]);
         let out = bus.execute(&req, &mut mods).unwrap();
-        assert_eq!(bus.memory().peek_line(0)[..4], [3; 4]);
+        assert_eq!(bus.memory().peek(0)[..4], [3; 4]);
         assert_eq!(bus.stats().sl_updates, 1);
         assert!(out.ch_seen);
         assert_eq!(sharer.completions[0].1.as_deref(), Some(&[3u8; 4][..]));
@@ -909,8 +909,8 @@ mod tests {
         assert_eq!(bus.retired(), vec![0]);
         // Its dirty lines were salvaged to memory — including the one the
         // in-flight read wanted, which therefore sees the salvaged data.
-        assert_eq!(&bus.memory().peek_line(0x40)[..], &[0xEE; 16]);
-        assert_eq!(&bus.memory().peek_line(0x80)[..], &[0xEE; 16]);
+        assert_eq!(bus.memory().peek(0x40), &[0xEE; 16]);
+        assert_eq!(bus.memory().peek(0x80), &[0xEE; 16]);
         assert_eq!(&out.data.unwrap()[..], &[0xEE; 16]);
         assert_eq!(bus.stats().watchdog_retirements, 1);
         assert_eq!(bus.stats().salvaged_lines, 2);
@@ -938,7 +938,7 @@ mod tests {
         .unwrap();
         assert_eq!(victim.retired_as, Some(false));
         // Nothing salvaged: the lost line never reached memory.
-        assert_eq!(&bus.memory().peek_line(0x40)[..], &[0u8; 16]);
+        assert_eq!(bus.memory().peek(0x40), &[0u8; 16]);
         assert_eq!(bus.stats().lost_lines, 1);
         assert_eq!(bus.stats().salvaged_lines, 0);
         // The survivor snooped the recovery invalidate for the lost line,
@@ -1175,7 +1175,7 @@ mod tests {
             panic!("expected a corruption record");
         };
         assert_eq!(addr, 0x40, "the only resident line");
-        let line = bus.memory().peek_line(0x40);
+        let line = bus.memory().peek(0x40);
         assert_eq!(line[offset], 7 ^ mask, "exactly one byte flipped");
         assert!(bus.trace().render().contains("CORPT"));
     }

@@ -40,6 +40,39 @@ impl Hasher for LineHasher {
 
 type LineMap = HashMap<LineAddr, Box<[u8]>, BuildHasherDefault<LineHasher>>;
 
+/// The line addresses whose audited state changed since the last drain: what
+/// an incremental consistency audit re-checks. Components keep one only while
+/// an auditor is attached, so unaudited runs pay one untaken branch per
+/// change. A *wholesale* change (a retired cache, a dropped directory) is too
+/// broad to list line by line and asks for a full audit instead.
+#[derive(Clone, Debug, Default)]
+pub struct ChangeLog {
+    lines: Vec<LineAddr>,
+    wholesale: bool,
+}
+
+impl ChangeLog {
+    /// Records a change to the line at `line` (line-aligned). Cold because
+    /// unaudited runs never get here: the logging points then cost their
+    /// hot callers one branch and no code (measured on `flat-write`).
+    #[cold]
+    pub fn line(&mut self, line: LineAddr) {
+        self.lines.push(line);
+    }
+
+    /// Records a change too broad to list line by line.
+    pub fn wholesale(&mut self) {
+        self.wholesale = true;
+    }
+
+    /// Appends the logged lines to `out` and empties the log, keeping its
+    /// capacity. Returns true when a wholesale change was logged.
+    pub fn drain_into(&mut self, out: &mut Vec<LineAddr>) -> bool {
+        out.append(&mut self.lines);
+        std::mem::take(&mut self.wholesale)
+    }
+}
+
 /// A sparse, line-granular main memory. Untouched lines read as zero.
 ///
 /// # Examples
@@ -56,8 +89,11 @@ type LineMap = HashMap<LineAddr, Box<[u8]>, BuildHasherDefault<LineHasher>>;
 pub struct SparseMemory {
     line_size: usize,
     lines: LineMap,
+    /// What an untouched line reads as, so peeks can always lend a slice.
+    zero: Box<[u8]>,
     reads: u64,
     writes: u64,
+    changes: Option<ChangeLog>,
 }
 
 impl SparseMemory {
@@ -76,8 +112,10 @@ impl SparseMemory {
         SparseMemory {
             line_size,
             lines: LineMap::default(),
+            zero: vec![0; line_size].into_boxed_slice(),
             reads: 0,
             writes: 0,
+            changes: None,
         }
     }
 
@@ -114,13 +152,23 @@ impl SparseMemory {
         }
     }
 
-    /// Peeks at a line without counting a memory access (for checkers).
+    /// Borrows the line containing `addr` without counting a memory access
+    /// (for checkers and fallbacks). Untouched lines read as zero.
     #[must_use]
-    pub fn peek_line(&self, addr: LineAddr) -> Box<[u8]> {
-        match self.lines.get(&self.align(addr)) {
-            Some(line) => line.clone(),
-            None => vec![0; self.line_size].into_boxed_slice(),
-        }
+    pub fn peek(&self, addr: u64) -> &[u8] {
+        self.lines.get(&self.align(addr)).unwrap_or(&self.zero)
+    }
+
+    /// Starts (or stops) logging the lines written from here on; see
+    /// [`ChangeLog`].
+    pub fn track_changes(&mut self, on: bool) {
+        self.changes = on.then(ChangeLog::default);
+    }
+
+    /// Moves the lines written since the last drain into `out` (nothing
+    /// unless [`track_changes`](SparseMemory::track_changes) is on).
+    pub fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
+        self.changes.as_mut().is_some_and(|log| log.drain_into(out))
     }
 
     /// Overwrites a full line (a push / write-back).
@@ -132,6 +180,9 @@ impl SparseMemory {
         assert!(self.is_aligned(addr), "unaligned line write at {addr:#x}");
         assert_eq!(data.len(), self.line_size, "line write must be full-size");
         self.writes += 1;
+        if let Some(log) = &mut self.changes {
+            log.line(addr);
+        }
         self.lines.insert(addr, data.into());
     }
 
@@ -153,6 +204,9 @@ impl SparseMemory {
             self.line_size
         );
         self.writes += 1;
+        if let Some(log) = &mut self.changes {
+            log.line(addr);
+        }
         let line = self
             .lines
             .entry(addr)
@@ -237,8 +291,35 @@ mod tests {
         assert_eq!(mem.write_count(), 2);
         assert_eq!(mem.resident_lines(), 2);
         // peek does not count.
-        let _ = mem.peek_line(0);
+        let _ = mem.peek(0);
         assert_eq!(mem.read_count(), 1);
+    }
+
+    #[test]
+    fn peek_borrows_and_reads_untouched_lines_as_zero() {
+        let mut mem = SparseMemory::new(16);
+        assert_eq!(mem.peek(0x40), &[0; 16]);
+        mem.write_bytes(0x40, 2, &[9]);
+        assert_eq!(mem.peek(0x4F)[2], 9, "any address in the line");
+    }
+
+    #[test]
+    fn tracked_writes_are_logged_by_line() {
+        let mut mem = SparseMemory::new(16);
+        mem.write_line(0x10, &[1; 16]); // before tracking: not logged
+        mem.track_changes(true);
+        mem.write_bytes(0x20, 3, &[1]);
+        mem.write_line(0x30, &[2; 16]);
+        let mut out = Vec::new();
+        assert!(!mem.drain_changes(&mut out));
+        assert_eq!(out, vec![0x20, 0x30]);
+        out.clear();
+        mem.drain_changes(&mut out);
+        assert!(out.is_empty(), "a drain empties the log");
+        mem.track_changes(false);
+        mem.write_line(0x40, &[3; 16]);
+        mem.drain_changes(&mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

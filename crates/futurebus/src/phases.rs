@@ -563,7 +563,7 @@ impl Futurebus {
             if let Some(plan) = self.faults.as_mut() {
                 let fault = plan.corrupt_spec(&resident, ctx.req.addr, ctx.line_size);
                 if let InjectedFault::CorruptMemory { addr, offset, mask } = fault {
-                    let mut line = self.memory.peek_line(addr);
+                    let mut line: Box<[u8]> = self.memory.peek(addr).into();
                     line[offset] ^= mask;
                     self.memory.write_line(addr, &line);
                     self.stats.corruptions += 1;

@@ -118,7 +118,7 @@ proptest! {
                         .execute(&TransactionRequest::read(1, addr, signals), &mut mods)
                         .expect("read");
                     // Reads never modify memory.
-                    prop_assert_eq!(&bus.memory().peek_line(addr)[..], &shadow[..], "txn {}", i);
+                    prop_assert_eq!(bus.memory().peek(addr), &shadow[..], "txn {}", i);
                     // Data came from the DI snooper or from memory.
                     let data = out.data.expect("reads return data");
                     if response.di {
@@ -152,7 +152,7 @@ proptest! {
                     } else {
                         shadow[offset..offset + len].copy_from_slice(&bytes);
                     }
-                    prop_assert_eq!(&bus.memory().peek_line(addr)[..], &shadow[..], "txn {}", i);
+                    prop_assert_eq!(bus.memory().peek(addr), &shadow[..], "txn {}", i);
                 }
                 Txn::Invalidate => {
                     bus.execute(
@@ -160,7 +160,7 @@ proptest! {
                         &mut mods,
                     )
                     .expect("invalidate");
-                    prop_assert_eq!(&bus.memory().peek_line(addr)[..], &shadow[..]);
+                    prop_assert_eq!(bus.memory().peek(addr), &shadow[..]);
                 }
             }
         }

@@ -18,9 +18,9 @@
 //! 5. **Exclusive-clean** — an E copy matches main memory ("exclusive data
 //!    must match the copy in main memory").
 
-use futurebus::SparseMemory;
+use futurebus::{ChangeLog, SparseMemory};
 use moesi::LineState;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::controller::CacheController;
@@ -124,11 +124,14 @@ impl std::error::Error for Violation {}
 pub struct Checker {
     line_size: usize,
     golden: HashMap<u64, Box<[u8]>>,
+    /// The golden value of every line never written.
+    zero: Box<[u8]>,
     /// Whether invariant 5 (E matches memory) is enforced. It holds for every
     /// class member, but the adapted Write-Once protocol's E state is entered
     /// by a write-through whose memory update can be captured by an owner in
     /// mixed systems; homogeneous systems keep it on.
     pub check_exclusive_clean: bool,
+    changes: Option<ChangeLog>,
 }
 
 impl Checker {
@@ -139,24 +142,38 @@ impl Checker {
         Checker {
             line_size,
             golden: HashMap::new(),
+            zero: vec![0; line_size].into_boxed_slice(),
             check_exclusive_clean: true,
+            changes: None,
         }
+    }
+
+    fn line_of(&self, addr: u64) -> u64 {
+        addr & !(self.line_size as u64 - 1)
     }
 
     /// Records a committed processor write (the run loop is the serialisation
     /// point, standing in for the bus plus local cache order).
     pub fn record_write(&mut self, addr: u64, bytes: &[u8]) {
-        let line = addr & !(self.line_size as u64 - 1);
+        let line = self.line_of(addr);
         let offset = (addr - line) as usize;
         assert!(
             offset + bytes.len() <= self.line_size,
             "oracle writes must not cross lines"
         );
+        if let Some(log) = &mut self.changes {
+            log.line(line);
+        }
         let entry = self
             .golden
             .entry(line)
             .or_insert_with(|| vec![0; self.line_size].into_boxed_slice());
         entry[offset..offset + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// The golden line containing `addr`, borrowed.
+    pub(crate) fn golden_line(&self, addr: u64) -> &[u8] {
+        self.golden.get(&self.line_of(addr)).unwrap_or(&self.zero)
     }
 
     /// The golden bytes at `addr`; the range may span any number of lines.
@@ -166,13 +183,10 @@ impl Checker {
         let mut cur = addr;
         let mut remaining = len;
         while remaining > 0 {
-            let line = cur & !(self.line_size as u64 - 1);
+            let line = self.line_of(cur);
             let offset = (cur - line) as usize;
             let take = (self.line_size - offset).min(remaining);
-            match self.golden.get(&line) {
-                Some(data) => out.extend_from_slice(&data[offset..offset + take]),
-                None => out.extend(std::iter::repeat_n(0, take)),
-            }
+            out.extend_from_slice(&self.golden_line(line)[offset..offset + take]);
             cur += take as u64;
             remaining -= take;
         }
@@ -198,91 +212,152 @@ impl Checker {
         }
     }
 
+    /// Starts (or stops) logging the lines [`record_write`] touches, for an
+    /// incremental audit.
+    ///
+    /// [`record_write`]: Checker::record_write
+    pub(crate) fn track_changes(&mut self, on: bool) {
+        self.changes = on.then(ChangeLog::default);
+    }
+
+    /// Moves the golden lines written since the last drain into `out`.
+    pub(crate) fn drain_changes(&mut self, out: &mut Vec<u64>) -> bool {
+        self.changes.as_mut().is_some_and(|log| log.drain_into(out))
+    }
+
     /// Verifies all structural invariants over the caches and memory.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
+    /// Returns the first violation found, in line-address order.
     pub fn verify(
         &self,
         controllers: &[CacheController],
         memory: &SparseMemory,
     ) -> Result<(), Violation> {
-        // Collect every line that is cached anywhere or has a golden value.
-        let mut lines: BTreeSet<u64> = self.golden.keys().copied().collect();
+        // Every line that is cached anywhere or has a golden value.
+        let mut lines: Vec<u64> = self.golden.keys().copied().collect();
         for ctrl in controllers {
             if let Some(cache) = ctrl.cache() {
                 lines.extend(cache.iter().map(|(addr, _)| addr));
             }
         }
+        lines.sort_unstable();
+        lines.dedup();
+        self.verify_lines(&lines, controllers, memory)
+    }
 
-        for addr in lines {
-            let golden = self.golden_bytes(addr, self.line_size);
-            let mut owners: Vec<&CacheController> = Vec::new();
-            let mut holders: Vec<(&CacheController, LineState)> = Vec::new();
-            for ctrl in controllers {
-                let state = ctrl.state_of(addr);
-                if state.is_valid() {
-                    holders.push((ctrl, state));
-                    if state.is_owned() {
-                        owners.push(ctrl);
-                    }
-                }
+    /// [`verify`](Checker::verify) restricted to `lines` (sorted, distinct,
+    /// line-aligned): the incremental audit. Lines the full audit would not
+    /// visit — neither golden nor cached anywhere — are skipped, so on the
+    /// lines an access touched the verdict is exactly the full audit's.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation among `lines`.
+    pub(crate) fn verify_lines(
+        &self,
+        lines: &[u64],
+        controllers: &[CacheController],
+        memory: &SparseMemory,
+    ) -> Result<(), Violation> {
+        for &addr in lines {
+            self.check_line(addr, controllers, memory)?;
+        }
+        Ok(())
+    }
+
+    /// Invariants 1–5 for one line. A line neither golden nor resident
+    /// anywhere is outside the audited set and passes.
+    fn check_line(
+        &self,
+        addr: u64,
+        controllers: &[CacheController],
+        memory: &SparseMemory,
+    ) -> Result<(), Violation> {
+        debug_assert_eq!(addr, self.line_of(addr), "audited lines are aligned");
+        let written = self.golden.get(&addr);
+        let golden = written.map_or(&self.zero[..], |g| &g[..]);
+        let mut resident = false;
+        let mut owners = 0usize;
+        let mut exclusive: Option<&CacheController> = None;
+        let mut clean_exclusive: Option<&CacheController> = None;
+        let mut stale: Option<(&CacheController, LineState)> = None;
+        for ctrl in controllers {
+            let Some(entry) = ctrl.cache().and_then(|c| c.lookup(addr)) else {
+                continue;
+            };
+            resident = true;
+            let state = entry.state;
+            if !state.is_valid() {
+                continue;
             }
+            owners += usize::from(state.is_owned());
+            if state.is_exclusive() && exclusive.is_none() {
+                exclusive = Some(ctrl);
+            }
+            if state == LineState::Exclusive && clean_exclusive.is_none() {
+                clean_exclusive = Some(ctrl);
+            }
+            if stale.is_none() && entry.data[..] != *golden {
+                stale = Some((ctrl, state));
+            }
+        }
+        if written.is_none() && !resident {
+            return Ok(());
+        }
 
-            // 1. Unique ownership.
-            if owners.len() > 1 {
-                return Err(Violation::MultipleOwners {
+        // 1. Unique ownership.
+        if owners > 1 {
+            return Err(Violation::MultipleOwners {
+                addr,
+                owners: controllers
+                    .iter()
+                    .filter(|c| c.state_of(addr).is_owned())
+                    .map(|c| c.name().to_string())
+                    .collect(),
+            });
+        }
+
+        // 2. Exclusivity.
+        if let Some(excl) = exclusive {
+            if let Some(other) = controllers
+                .iter()
+                .find(|c| c.id() != excl.id() && c.state_of(addr).is_valid())
+            {
+                return Err(Violation::ExclusivityViolated {
                     addr,
-                    owners: owners.iter().map(|c| c.name().to_string()).collect(),
+                    exclusive_holder: excl.name().to_string(),
+                    other_holder: other.name().to_string(),
                 });
             }
+        }
 
-            // 2. Exclusivity.
-            if let Some((excl, _)) = holders.iter().find(|(_, s)| s.is_exclusive()) {
-                if let Some((other, _)) = holders.iter().find(|(c, _)| c.id() != excl.id()) {
-                    return Err(Violation::ExclusivityViolated {
-                        addr,
-                        exclusive_holder: excl.name().to_string(),
-                        other_holder: other.name().to_string(),
-                    });
-                }
+        // 3. Every valid copy equals the golden image.
+        if let Some((ctrl, state)) = stale {
+            return Err(Violation::StaleCopy {
+                addr,
+                holder: ctrl.name().to_string(),
+                state,
+            });
+        }
+
+        let mem_line = memory.peek(addr);
+
+        // 5. Exclusive-unmodified copies match memory (checked before the
+        // default-owner rule so the more specific violation is reported).
+        if let Some(ctrl) = clean_exclusive {
+            if self.check_exclusive_clean && mem_line != golden {
+                return Err(Violation::ExclusiveUnmodifiedDiffers {
+                    addr,
+                    holder: ctrl.name().to_string(),
+                });
             }
+        }
 
-            // 3. Every valid copy equals the golden image.
-            for (ctrl, state) in &holders {
-                let cached = ctrl
-                    .cache()
-                    .and_then(|c| c.lookup(addr))
-                    .expect("holder has the line");
-                if cached.data[..] != golden[..] {
-                    return Err(Violation::StaleCopy {
-                        addr,
-                        holder: ctrl.name().to_string(),
-                        state: *state,
-                    });
-                }
-            }
-
-            let mem_line = memory.peek_line(addr);
-
-            // 5. Exclusive-unmodified copies match memory (checked before the
-            // default-owner rule so the more specific violation is reported).
-            if self.check_exclusive_clean {
-                for (ctrl, state) in &holders {
-                    if *state == LineState::Exclusive && mem_line[..] != golden[..] {
-                        return Err(Violation::ExclusiveUnmodifiedDiffers {
-                            addr,
-                            holder: ctrl.name().to_string(),
-                        });
-                    }
-                }
-            }
-
-            // 4. Memory is the default owner.
-            if owners.is_empty() && mem_line[..] != golden[..] {
-                return Err(Violation::StaleMemory { addr });
-            }
+        // 4. Memory is the default owner.
+        if owners == 0 && mem_line != golden {
+            return Err(Violation::StaleMemory { addr });
         }
         Ok(())
     }

@@ -12,7 +12,9 @@
 //! [`System`](crate::System), which owns the bus and all controllers.
 
 use cache_array::{CacheArray, CacheConfig, Victim};
-use futurebus::{BusModule, BusObservation, LineAddr, PushWrite, RetireReport, TransactionRequest};
+use futurebus::{
+    BusModule, BusObservation, ChangeLog, LineAddr, PushWrite, RetireReport, TransactionRequest,
+};
 use moesi::protocols::NonCaching;
 use moesi::{
     BusEvent, BusReaction, CacheKind, IllegalCell, LineState, LocalAction, LocalCtx, LocalEvent,
@@ -31,6 +33,7 @@ pub struct CacheController {
     cache: Option<CacheArray<LineState>>,
     stats: CpuStats,
     pending: Option<PendingSnoop>,
+    changes: Option<ChangeLog>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -71,6 +74,7 @@ impl CacheController {
             cache: cache.map(|cfg| CacheArray::new(cfg, seed)),
             stats: CpuStats::new(),
             pending: None,
+            changes: None,
         }
     }
 
@@ -212,10 +216,14 @@ impl CacheController {
 
     /// Writes bytes into the resident line (hit path); false on a miss.
     pub fn write_cached(&mut self, addr: u64, bytes: &[u8]) -> bool {
-        match self.cache.as_mut() {
+        let written = match self.cache.as_mut() {
             Some(cache) => cache.write_touch(addr, bytes),
             None => false,
+        };
+        if written {
+            self.log_change(addr);
         }
+        written
     }
 
     /// Installs a line, returning the evicted victim if any.
@@ -229,10 +237,16 @@ impl CacheController {
         state: LineState,
         data: Box<[u8]>,
     ) -> Option<Victim<LineState>> {
-        self.cache
+        let victim = self
+            .cache
             .as_mut()
             .expect("fill on a cacheless node")
-            .fill(addr, state, data)
+            .fill(addr, state, data);
+        self.log_change(addr);
+        if let (Some(log), Some(v)) = (&mut self.changes, &victim) {
+            log.line(v.addr);
+        }
+        victim
     }
 
     /// Sets a resident line's state; on `Invalid`, removes the line.
@@ -245,12 +259,34 @@ impl CacheController {
         } else {
             cache.set_state(addr, state);
         }
+        self.log_change(addr);
     }
 
     fn line_addr(&self, addr: u64) -> u64 {
         self.cache
             .as_ref()
             .map_or(addr, |c| c.map().line_addr(addr))
+    }
+
+    /// Starts (or stops) logging the lines whose state or data changes, for
+    /// an incremental consistency audit.
+    pub(crate) fn track_changes(&mut self, on: bool) {
+        self.changes = on.then(ChangeLog::default);
+    }
+
+    /// Moves the lines changed since the last drain into `out`; true when
+    /// the whole cache changed at once (the node was retired).
+    pub(crate) fn drain_changes(&mut self, out: &mut Vec<u64>) -> bool {
+        self.changes.as_mut().is_some_and(|log| log.drain_into(out))
+    }
+
+    /// Logs the line containing `addr`. Only a node with a cache can change
+    /// a line, and the cache's map gives the aligned address; a cacheless
+    /// node's `line_addr` would return `addr` unaligned.
+    fn log_change(&mut self, addr: u64) {
+        if let (Some(log), Some(cache)) = (&mut self.changes, &self.cache) {
+            log.line(cache.map().line_addr(addr));
+        }
     }
 }
 
@@ -329,6 +365,7 @@ impl BusModule for CacheController {
         } else {
             cache.set_state(addr, push.result);
         }
+        self.log_change(addr);
         self.stats.pushes += 1;
         self.stats.write_backs += 1;
         Some(PushWrite {
@@ -339,6 +376,9 @@ impl BusModule for CacheController {
 
     fn retire(&mut self, salvage: bool) -> RetireReport {
         self.pending = None;
+        if let Some(log) = &mut self.changes {
+            log.wholesale();
+        }
         let mut report = RetireReport::default();
         if let Some(cache) = self.cache.take() {
             // Only the owned (M/O) lines matter: memory already has an

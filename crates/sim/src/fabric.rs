@@ -90,6 +90,25 @@ impl Fabric {
         &self.controllers
     }
 
+    /// Starts (or stops) logging, in every controller and in memory, the
+    /// lines whose audited state changes — the incremental audit's input.
+    pub(crate) fn track_changes(&mut self, on: bool) {
+        self.bus.memory_mut().track_changes(on);
+        for ctrl in &mut self.controllers {
+            ctrl.track_changes(on);
+        }
+    }
+
+    /// Moves every line changed since the last drain into `out`; true when
+    /// some change was wholesale (a controller retired).
+    pub(crate) fn drain_changes(&mut self, out: &mut Vec<u64>) -> bool {
+        let mut wholesale = self.bus.memory_mut().drain_changes(out);
+        for ctrl in &mut self.controllers {
+            wholesale |= ctrl.drain_changes(out);
+        }
+        wholesale
+    }
+
     /// The line-aligned address containing `addr`.
     #[must_use]
     pub fn line_addr(&self, addr: u64) -> u64 {
@@ -159,7 +178,7 @@ impl Fabric {
         use futurebus::{DataSource, TransactionKind};
         let line = self.line_addr(req.addr);
         let data = match &req.kind {
-            TransactionKind::Read => Some(self.bus.memory().peek_line(line)),
+            TransactionKind::Read => Some(self.bus.memory().peek(line).into()),
             TransactionKind::Write { offset, bytes } => {
                 let bytes = bytes.clone();
                 self.bus.memory_mut().write_bytes(line, *offset, &bytes);
@@ -350,7 +369,7 @@ impl Fabric {
         let offset = (addr - line) as usize;
         let Some(action) = self.try_decide(cpu, line, LocalEvent::Read) else {
             // Degraded: serve from memory without caching the line.
-            let data = self.bus.memory().peek_line(line);
+            let data = self.bus.memory().peek(line);
             return data[offset..offset + len].to_vec();
         };
         let data = self.execute_read_action(cpu, line, &action);
@@ -523,7 +542,7 @@ mod tests {
         f.external_broadcast_write(0x100, 0, vec![9; 4]);
         assert_eq!(f.read(0, 0x100, 4), vec![9; 4]);
         assert_eq!(f.read(1, 0x100, 4), vec![9; 4]);
-        assert_eq!(&f.bus().memory().peek_line(0x100)[..4], &[9; 4]);
+        assert_eq!(&f.bus().memory().peek(0x100)[..4], &[9; 4]);
     }
 
     #[test]

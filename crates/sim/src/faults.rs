@@ -572,8 +572,7 @@ fn audit(
             // The loss is reported: accept the rolled-back memory image as
             // the new truth. Any divergence beyond it is silent corruption.
             for addr in lost {
-                let mem_line = fabric.bus().memory().peek_line(*addr);
-                checker.record_write(*addr, &mem_line);
+                checker.record_write(*addr, fabric.bus().memory().peek(*addr));
             }
             (
                 FaultClass::Detected,
@@ -589,7 +588,7 @@ fn audit(
         ),
         InjectedFault::CorruptMemory { addr, .. } => {
             let golden = checker.golden_bytes(*addr, line_size);
-            let diverged = fabric.bus().memory().peek_line(*addr)[..] != golden[..];
+            let diverged = fabric.bus().memory().peek(*addr) != golden;
             fabric.bus_mut().memory_mut().write_line(*addr, &golden);
             (
                 FaultClass::Detected,

@@ -367,18 +367,17 @@ impl TreeBuilder {
                 bus: Futurebus::new(line_size, parent_timing),
                 children,
             },
-            checker: if checking {
-                Some(Checker::new(line_size))
-            } else {
-                None
-            },
+            checker: checking.then(|| Checker::new(line_size)),
             line_size,
             parent_errors: Vec::new(),
             tolerant: false,
+            audit_lines: Vec::new(),
+            full_audit: false,
         };
         if discipline != Discipline::Priority {
             sys.set_discipline(discipline);
         }
+        sys.track_changes(checking);
         sys
     }
 }

@@ -48,7 +48,7 @@ pub use node::{Bridge, BridgeStats, FabricNode, Segment};
 use crate::checker::{Checker, Violation};
 use crate::fabric::Fabric;
 use crate::metrics::CpuStats;
-use crate::workload::RefStream;
+use crate::workload::{RefStream, WritePayload};
 
 /// Which parent-bus transaction a bridge was running when it failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,6 +132,11 @@ pub struct HierarchicalSystem {
     line_size: usize,
     parent_errors: Vec<ParentError>,
     tolerant: bool,
+    /// Scratch for the incremental audit's line set, kept for its capacity.
+    audit_lines: Vec<u64>,
+    /// Whether the next audit must re-check every line: set by changes too
+    /// broad to log line by line.
+    full_audit: bool,
 }
 
 impl HierarchicalSystem {
@@ -345,8 +350,10 @@ impl HierarchicalSystem {
     }
 
     /// Mutable oracle access — fault campaigns reconcile the golden image
-    /// against *reported* loss through this.
+    /// against *reported* loss through this. The caller may change what the
+    /// oracle enforces, so the next audit is a full one.
     pub fn checker_mut(&mut self) -> Option<&mut Checker> {
+        self.full_audit = true;
         self.checker.as_mut()
     }
 
@@ -369,6 +376,10 @@ impl HierarchicalSystem {
     /// *unreported* corruption counts as silent.
     pub fn tolerate_faults(&mut self, on: bool) {
         self.tolerant = on;
+        // Tolerant runs skip the per-access audit, so they log nothing; the
+        // first audit after them re-checks everything.
+        self.track_changes(!on && self.checker.is_some());
+        self.full_audit |= !on;
         fn walk(children: &mut [Bridge], on: bool) {
             for b in children {
                 match &mut b.node {
@@ -536,17 +547,17 @@ impl HierarchicalSystem {
         let pieces = split_line_crossers(addr, bytes.len(), self.line_size);
         let mut cursor = 0;
         for (piece_addr, piece_len) in pieces {
-            let piece = bytes[cursor..cursor + piece_len].to_vec();
+            let piece = &bytes[cursor..cursor + piece_len];
             cursor += piece_len;
             let line = self.line_addr(piece_addr);
             if let Some(ck) = &mut self.checker {
-                ck.record_write(piece_addr, &piece);
+                ck.record_write(piece_addr, piece);
             }
             self.root.write_piece(
                 path,
                 cpu,
                 piece_addr,
-                &piece,
+                piece,
                 line,
                 0,
                 &mut self.parent_errors,
@@ -579,18 +590,18 @@ impl HierarchicalSystem {
     }
 
     /// Verifies the global shared-memory-image invariants, including the
-    /// inclusion invariant the snoop filter depends on.
+    /// inclusion invariant the snoop filter depends on, over every line.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found; always `Ok` without the oracle.
+    /// Returns the first violation found, in line-address order; always `Ok`
+    /// without the oracle.
     pub fn verify(&self) -> Result<(), Violation> {
         let Some(ck) = &self.checker else {
             return Ok(());
         };
-        // Collect every line cached anywhere or present in a directory.
-        let mut lines: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        fn collect_lines(children: &[Bridge], lines: &mut std::collections::BTreeSet<u64>) {
+        // Every line cached anywhere or present in a directory.
+        fn collect_lines(children: &[Bridge], lines: &mut Vec<u64>) {
             for bridge in children {
                 lines.extend(bridge.directory.keys().copied());
                 match &bridge.node {
@@ -605,28 +616,44 @@ impl HierarchicalSystem {
                 }
             }
         }
+        let mut lines = Vec::new();
         collect_lines(&self.root.children, &mut lines);
+        lines.sort_unstable();
+        lines.dedup();
+        self.verify_lines(ck, &lines)
+    }
 
-        for line in lines {
-            let golden = ck.golden_bytes(line, self.line_size);
+    /// [`verify`](HierarchicalSystem::verify) restricted to `lines` (sorted,
+    /// distinct, line-aligned): the incremental audit.
+    fn verify_lines(&self, ck: &Checker, lines: &[u64]) -> Result<(), Violation> {
+        lines.iter().try_for_each(|&line| self.check_line(ck, line))
+    }
 
-            // (1) Every valid cached copy anywhere equals the golden image.
-            // (2) At most one local owner per leaf cluster.
-            for (i, bridge) in self.root.children.iter().enumerate() {
-                check_cached_copies(bridge, &format!("cluster{i}"), line, &golden)?;
-            }
+    /// Every invariant for one line. Lines the full audit does not visit —
+    /// in no directory and no cache — pass, so the incremental audit can
+    /// hand over any line it logged.
+    fn check_line(&self, ck: &Checker, line: u64) -> Result<(), Violation> {
+        if !self.root.children.iter().any(|b| b.tracks(line)) {
+            return Ok(());
+        }
+        let golden = ck.golden_line(line);
 
-            // (3) At most one owning child; (4) exclusivity between
-            // children; (5) unowned lines are current in segment memory;
-            // (6) the owning child's authoritative data is golden — all on
-            // the root segment, whose memory is true main memory.
-            segment_invariants(&self.root, None, line, &golden)?;
+        // (1) Every valid cached copy anywhere equals the golden image.
+        // (2) At most one local owner per leaf cluster.
+        for (bridge, label) in child_labels(&self.root, None) {
+            check_cached_copies(bridge, &label, line, golden)?;
+        }
 
-            // The same invariants inside every interior segment, plus the
-            // inclusion invariant the snoop filter is sound against.
-            for (i, bridge) in self.root.children.iter().enumerate() {
-                subtree_invariants(bridge, &format!("cluster{i}"), line, &golden)?;
-            }
+        // (3) At most one owning child; (4) exclusivity between children;
+        // (5) unowned lines are current in segment memory; (6) the owning
+        // child's authoritative data is golden — all on the root segment,
+        // whose memory is true main memory.
+        segment_invariants(&self.root, None, line, golden)?;
+
+        // The same invariants inside every interior segment, plus the
+        // inclusion invariant the snoop filter is sound against.
+        for (bridge, label) in child_labels(&self.root, None) {
+            subtree_invariants(bridge, &label, line, golden)?;
         }
         Ok(())
     }
@@ -650,6 +677,7 @@ impl HierarchicalSystem {
             );
         }
         let mut seq: u32 = 0;
+        let mut payload = WritePayload::new();
         // The body needs `&mut self` for the access methods, so indexing is
         // clearer than restructuring around iter_mut.
         #[allow(clippy::needless_range_loop)]
@@ -659,11 +687,8 @@ impl HierarchicalSystem {
                     let access = streams[leaf][cpu].next_access();
                     if access.is_write {
                         seq = seq.wrapping_add(1);
-                        let pattern = seq.to_le_bytes();
-                        let bytes: Vec<u8> = (0..access.size)
-                            .map(|i| pattern[i % pattern.len()])
-                            .collect();
-                        self.write_at(&paths[leaf], cpu, access.addr, &bytes);
+                        let bytes = payload.fill(seq, access.size);
+                        self.write_at(&paths[leaf], cpu, access.addr, bytes);
                     } else {
                         let _ = self.read_at(&paths[leaf], cpu, access.addr, access.size);
                     }
@@ -696,7 +721,7 @@ impl HierarchicalSystem {
             let line = self.line_addr(cur);
             let offset = (cur - line) as usize;
             let take = (self.line_size - offset).min(remaining);
-            let data = self.root.bus.memory().peek_line(line);
+            let data = self.root.bus.memory().peek(line);
             out.extend_from_slice(&data[offset..offset + take]);
             cur += take as u64;
             remaining -= take;
@@ -704,11 +729,46 @@ impl HierarchicalSystem {
         out
     }
 
-    fn audit(&self) {
+    /// Starts (or stops) logging changed lines in the oracle and in every
+    /// bridge, cache and memory of the tree.
+    pub(super) fn track_changes(&mut self, on: bool) {
+        if let Some(ck) = &mut self.checker {
+            ck.track_changes(on);
+        }
+        self.root.track_changes(on);
+    }
+
+    /// The per-access audit. Every invariant of a line depends only on that
+    /// line's golden value, cache entries, memory copies and bridge tags,
+    /// and the previous audit passed, so re-checking the lines logged as
+    /// changed since then reports exactly what a full
+    /// [`verify`](HierarchicalSystem::verify) would. Wholesale changes
+    /// (retirements, oracle edits, leaving tolerant mode) fall back to the
+    /// full audit.
+    fn audit(&mut self) {
         if self.tolerant {
             return;
         }
-        if let Err(v) = self.verify() {
+        let Some(ck) = &mut self.checker else {
+            return;
+        };
+        let mut lines = std::mem::take(&mut self.audit_lines);
+        lines.clear();
+        let mut full = std::mem::take(&mut self.full_audit);
+        full |= ck.drain_changes(&mut lines);
+        full |= self.root.drain_changes(&mut lines);
+        let verdict = if full {
+            self.verify()
+        } else {
+            lines.sort_unstable();
+            lines.dedup();
+            let ck = self.checker.as_ref().expect("checked above");
+            self.verify_lines(ck, &lines)
+        };
+        self.audit_lines = lines;
+        debug_assert_eq!(verdict, self.verify(), "incremental audit diverged");
+        if let Err(v) = verdict {
+            self.full_audit = true;
             panic!("hierarchy consistency violation: {v}");
         }
     }
@@ -815,11 +875,40 @@ impl HierarchicalSystem {
     }
 }
 
+/// A bridge's place in the tree — `cluster{i}` at the root, `{parent}.{j}`
+/// below it — rendered only when a violation names it.
+#[derive(Clone, Copy)]
+struct Label<'a> {
+    parent: Option<&'a Label<'a>>,
+    index: usize,
+}
+
+impl fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.parent {
+            None => write!(f, "cluster{}", self.index),
+            Some(p) => write!(f, "{p}.{}", self.index),
+        }
+    }
+}
+
+/// The labels of `seg`'s children, whose parent bridge is `parent` (`None`
+/// at the root).
+fn child_labels<'a>(
+    seg: &'a Segment,
+    parent: Option<&'a Label<'a>>,
+) -> impl Iterator<Item = (&'a Bridge, Label<'a>)> {
+    seg.children
+        .iter()
+        .enumerate()
+        .map(move |(index, b)| (b, Label { parent, index }))
+}
+
 /// Invariants (1) and (2): every valid cached copy below `bridge` equals
 /// the golden image, and each leaf cluster has at most one local owner.
 fn check_cached_copies(
     bridge: &Bridge,
-    label: &str,
+    label: &Label<'_>,
     line: u64,
     golden: &[u8],
 ) -> Result<(), Violation> {
@@ -827,24 +916,19 @@ fn check_cached_copies(
         FabricNode::Leaf(fabric) => {
             let mut local_owners = 0;
             for ctrl in fabric.controllers() {
-                let state = ctrl.state_of(line);
+                let Some(entry) = ctrl.cache().and_then(|c| c.lookup(line)) else {
+                    continue;
+                };
+                let state = entry.state;
                 if state.is_owned() {
                     local_owners += 1;
                 }
-                if state.is_valid() {
-                    let data = ctrl
-                        .cache()
-                        .and_then(|c| c.lookup(line))
-                        .expect("valid line resident")
-                        .data
-                        .clone();
-                    if data[..] != golden[..] {
-                        return Err(Violation::StaleCopy {
-                            addr: line,
-                            holder: format!("{label}/{}", ctrl.name()),
-                            state,
-                        });
-                    }
+                if state.is_valid() && entry.data[..] != *golden {
+                    return Err(Violation::StaleCopy {
+                        addr: line,
+                        holder: format!("{label}/{}", ctrl.name()),
+                        state,
+                    });
                 }
             }
             if local_owners > 1 {
@@ -855,75 +939,55 @@ fn check_cached_copies(
             }
             Ok(())
         }
-        FabricNode::Interior(seg) => {
-            for (j, child) in seg.children().iter().enumerate() {
-                check_cached_copies(child, &format!("{label}.{j}"), line, golden)?;
-            }
-            Ok(())
-        }
+        FabricNode::Interior(seg) => child_labels(seg, Some(label))
+            .try_for_each(|(child, l)| check_cached_copies(child, &l, line, golden)),
     }
 }
 
 /// Invariants (3)–(6) for one segment: ownership unique among children,
 /// exclusivity respected, unowned lines current in segment memory, and the
-/// owning child's authoritative data golden. `prefix` is `None` at the root
+/// owning child's authoritative data golden. `parent` is `None` at the root
 /// (labels are `cluster{i}`) and the parent bridge's label below it.
 fn segment_invariants(
     seg: &Segment,
-    prefix: Option<&str>,
+    parent: Option<&Label<'_>>,
     line: u64,
     golden: &[u8],
 ) -> Result<(), Violation> {
-    let label = |i: usize| match prefix {
-        None => format!("cluster{i}"),
-        Some(p) => format!("{p}.{i}"),
-    };
-    let owning: Vec<usize> = seg
-        .children
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| b.cluster_state(line).is_owned())
-        .map(|(i, _)| i)
-        .collect();
-    if owning.len() > 1 {
+    let children = || child_labels(seg, parent);
+    let mut owning = children().filter(|(b, _)| b.cluster_state(line).is_owned());
+    let owner = owning.next();
+    if owning.next().is_some() {
         return Err(Violation::MultipleOwners {
             addr: line,
-            owners: owning.iter().map(|&i| label(i)).collect(),
+            owners: children()
+                .filter(|(b, _)| b.cluster_state(line).is_owned())
+                .map(|(_, l)| l.to_string())
+                .collect(),
         });
     }
-    if let Some((excl, _)) = seg
-        .children
-        .iter()
-        .enumerate()
-        .find(|(_, b)| b.cluster_state(line).is_exclusive())
-    {
-        if let Some((other, _)) = seg
-            .children
-            .iter()
-            .enumerate()
-            .find(|(i, b)| *i != excl && b.cluster_state(line).is_valid())
+    if let Some((_, excl)) = children().find(|(b, _)| b.cluster_state(line).is_exclusive()) {
+        if let Some((_, other)) =
+            children().find(|(b, l)| l.index != excl.index && b.cluster_state(line).is_valid())
         {
             return Err(Violation::ExclusivityViolated {
                 addr: line,
-                exclusive_holder: label(excl),
-                other_holder: label(other),
+                exclusive_holder: excl.to_string(),
+                other_holder: other.to_string(),
             });
         }
     }
-    if owning.is_empty() && seg.bus.memory().peek_line(line)[..] != golden[..] {
-        return Err(Violation::StaleMemory { addr: line });
-    }
-    if let Some(&owner) = owning.first() {
-        let data = seg.children[owner].authoritative_line(line);
-        if data[..] != golden[..] {
-            return Err(Violation::StaleCopy {
+    match owner {
+        None if seg.bus.memory().peek(line) != golden => Err(Violation::StaleMemory { addr: line }),
+        Some((bridge, label)) if bridge.authoritative_line(line) != golden => {
+            Err(Violation::StaleCopy {
                 addr: line,
-                holder: format!("{} (authoritative)", label(owner)),
-                state: seg.children[owner].cluster_state(line),
-            });
+                holder: format!("{label} (authoritative)"),
+                state: bridge.cluster_state(line),
+            })
         }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Recursive checks below one bridge: the inclusion invariant (no copy
@@ -931,7 +995,7 @@ fn segment_invariants(
 /// then the segment invariants of every interior segment.
 fn subtree_invariants(
     bridge: &Bridge,
-    label: &str,
+    label: &Label<'_>,
     line: u64,
     golden: &[u8],
 ) -> Result<(), Violation> {
@@ -948,8 +1012,8 @@ fn subtree_invariants(
         if bridge.cluster_state(line).is_valid() {
             segment_invariants(seg, Some(label), line, golden)?;
         }
-        for (j, child) in seg.children().iter().enumerate() {
-            subtree_invariants(child, &format!("{label}.{j}"), line, golden)?;
+        for (child, l) in child_labels(seg, Some(label)) {
+            subtree_invariants(child, &l, line, golden)?;
         }
     }
     Ok(())
@@ -1037,11 +1101,11 @@ fn scrub_at(seg: &mut Segment, victim: usize, line: LineAddr) -> LineState {
     } else {
         let bridge = &seg.children[victim];
         let internal_owner = bridge.subtree_owner_below(line);
-        let mirror = bridge.mirror().peek_line(line);
-        let pmem = seg.bus.memory().peek_line(line);
+        let mirror = bridge.mirror().peek(line);
+        let pmem = seg.bus.memory().peek(line);
         // The subtree is dirty when an internal owner exists or the
         // mirror has drifted from its parent memory.
-        let dirty = internal_owner || mirror[..] != pmem[..];
+        let dirty = internal_owner || mirror != pmem;
         match (dirty, others_valid) {
             (true, true) => LineState::Owned,
             (true, false) => LineState::Modified,

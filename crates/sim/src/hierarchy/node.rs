@@ -8,8 +8,8 @@
 //! machinery applies unchanged at every level.
 
 use futurebus::{
-    BusError, BusModule, BusObservation, Futurebus, LineAddr, RetireReport, SparseMemory,
-    TimingConfig, TransactionOutcome, TransactionRequest,
+    BusError, BusModule, BusObservation, ChangeLog, Futurebus, LineAddr, RetireReport,
+    SparseMemory, TimingConfig, TransactionOutcome, TransactionRequest,
 };
 use moesi::{table, BusEvent, BusReaction, LineState, MasterSignals, ResponseSignals};
 use std::collections::HashMap;
@@ -116,6 +116,25 @@ impl Segment {
         self.children.len()
     }
 
+    /// Starts (or stops) change logging in this segment's memory and in
+    /// every bridge, cache and memory below it.
+    pub(super) fn track_changes(&mut self, on: bool) {
+        self.bus.memory_mut().track_changes(on);
+        for child in &mut self.children {
+            child.track_changes(on);
+        }
+    }
+
+    /// Moves every line changed in this subtree since the last drain into
+    /// `out`; true when some change was wholesale.
+    pub(super) fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
+        let mut wholesale = self.bus.memory_mut().drain_changes(out);
+        for child in &mut self.children {
+            wholesale |= child.drain_changes(out);
+        }
+        wholesale
+    }
+
     /// Executes `req` on this segment's bus with every child snooping.
     pub(super) fn execute_on_children(
         &mut self,
@@ -177,7 +196,7 @@ impl Segment {
                 // a bus that just faulted would be worse.
                 match &need {
                     ParentNeed::Fetch { .. } => TransactionOutcome {
-                        data: Some(self.bus.memory().peek_line(line)),
+                        data: Some(self.bus.memory().peek(line).into()),
                         responses: ResponseSignals::NONE,
                         ch_seen: true,
                         source: futurebus::DataSource::Memory,
@@ -229,7 +248,7 @@ impl Segment {
                     error: e,
                     depth,
                 });
-                let data = self.bus.memory().peek_line(line);
+                let data = self.bus.memory().peek(line);
                 data[offset..offset + len].to_vec()
             }
         }
@@ -354,9 +373,9 @@ impl Segment {
                 self.children[child].sync_subtree(line);
                 // Then the bridge passes the line on this segment's bus: a
                 // full-line write-back with CA (the subtree keeps its copy).
-                let data = self.children[child].authoritative_line(line);
+                let data = self.children[child].authoritative_line(line).to_vec();
                 let req =
-                    TransactionRequest::write(child, line, MasterSignals::CA, 0, data.to_vec());
+                    TransactionRequest::write(child, line, MasterSignals::CA, 0, data.clone());
                 let ch_seen = match self.execute_on_children(&req) {
                     Ok(out) => out.ch_seen,
                     Err(e) => {
@@ -406,6 +425,7 @@ pub struct Bridge {
     pub(super) degraded: bool,
     pub(super) filter: bool,
     pub(super) forward_errors: Vec<ParentError>,
+    changes: Option<ChangeLog>,
 }
 
 impl Bridge {
@@ -420,6 +440,7 @@ impl Bridge {
             degraded: false,
             filter: true,
             forward_errors: Vec::new(),
+            changes: None,
         }
     }
 
@@ -519,6 +540,38 @@ impl Bridge {
         } else {
             self.directory.insert(line, state);
         }
+        if let Some(log) = &mut self.changes {
+            log.line(line);
+        }
+    }
+
+    /// Drops every inclusion tag at once: a wholesale change.
+    fn clear_directory(&mut self) {
+        self.directory.clear();
+        if let Some(log) = &mut self.changes {
+            log.wholesale();
+        }
+    }
+
+    /// Starts (or stops) change logging in this bridge's directory and in
+    /// everything below it.
+    pub(super) fn track_changes(&mut self, on: bool) {
+        self.changes = on.then(ChangeLog::default);
+        match &mut self.node {
+            FabricNode::Leaf(fabric) => fabric.track_changes(on),
+            FabricNode::Interior(seg) => seg.track_changes(on),
+        }
+    }
+
+    /// Moves every line changed at or below this bridge since the last
+    /// drain into `out`; true when some change was wholesale.
+    pub(super) fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
+        let mut wholesale = self.changes.as_mut().is_some_and(|log| log.drain_into(out));
+        wholesale |= match &mut self.node {
+            FabricNode::Leaf(fabric) => fabric.drain_changes(out),
+            FabricNode::Interior(seg) => seg.drain_changes(out),
+        };
+        wholesale
     }
 
     /// This bridge's mirror memory: the leaf fabric's bus memory, or the
@@ -612,32 +665,27 @@ impl Bridge {
         }
     }
 
-    /// The authoritative subtree data for a line: the owner chain's copy if
-    /// one exists (recursing through owning child bridges to the owning
-    /// cache), else the mirror.
-    pub(super) fn authoritative_line(&self, line: LineAddr) -> Box<[u8]> {
+    /// The authoritative subtree data for a line, borrowed: the owner
+    /// chain's copy if one exists (recursing through owning child bridges to
+    /// the owning cache), else the mirror.
+    pub(super) fn authoritative_line(&self, line: LineAddr) -> &[u8] {
         match &self.node {
-            FabricNode::Leaf(fabric) => {
-                for ctrl in fabric.controllers() {
-                    if ctrl.state_of(line).is_owned() {
-                        return ctrl
-                            .cache()
-                            .and_then(|c| c.lookup(line))
-                            .expect("owner is resident")
-                            .data
-                            .clone();
-                    }
-                }
-                fabric.bus().memory().peek_line(line)
-            }
-            FabricNode::Interior(seg) => {
-                for child in &seg.children {
-                    if child.cluster_state(line).is_owned() {
-                        return child.authoritative_line(line);
-                    }
-                }
-                seg.bus.memory().peek_line(line)
-            }
+            FabricNode::Leaf(fabric) => fabric
+                .controllers()
+                .iter()
+                .find_map(|ctrl| {
+                    let entry = ctrl.cache()?.lookup(line)?;
+                    entry.state.is_owned().then_some(&entry.data[..])
+                })
+                .unwrap_or_else(|| fabric.bus().memory().peek(line)),
+            FabricNode::Interior(seg) => seg
+                .children
+                .iter()
+                .find(|child| child.cluster_state(line).is_owned())
+                .map_or_else(
+                    || seg.bus.memory().peek(line),
+                    |c| c.authoritative_line(line),
+                ),
         }
     }
 
@@ -669,6 +717,19 @@ impl Bridge {
                 .any(|c| c.state_of(line).is_valid()),
             FabricNode::Interior(seg) => seg.children.iter().any(|c| c.subtree_holds_valid(line)),
         }
+    }
+
+    /// Whether the full audit visits `line` on this bridge's account: it has
+    /// an inclusion tag here or below, or some cache below holds it.
+    pub(super) fn tracks(&self, line: LineAddr) -> bool {
+        self.directory.contains_key(&line)
+            || match &self.node {
+                FabricNode::Leaf(fabric) => fabric
+                    .controllers()
+                    .iter()
+                    .any(|c| c.cache().is_some_and(|c| c.lookup(line).is_some())),
+                FabricNode::Interior(seg) => seg.children.iter().any(|c| c.tracks(line)),
+            }
     }
 
     /// Whether the subtree contains an owner below this bridge's own tag:
@@ -776,9 +837,9 @@ impl Bridge {
                     .position(|c| c.cluster_state(line).is_owned());
                 if let Some(idx) = owner {
                     seg.children[idx].sync_subtree(line);
-                    let data = seg.children[idx].authoritative_line(line);
+                    let data = seg.children[idx].authoritative_line(line).to_vec();
                     let req =
-                        TransactionRequest::write(idx, line, MasterSignals::CA, 0, data.to_vec());
+                        TransactionRequest::write(idx, line, MasterSignals::CA, 0, data.clone());
                     let ch_seen = match seg.execute_on_children(&req) {
                         Ok(out) => out.ch_seen,
                         Err(e) => {
@@ -826,7 +887,7 @@ fn cold_invalidate(node: &mut FabricNode) {
         }
         FabricNode::Interior(seg) => {
             for child in &mut seg.children {
-                child.directory.clear();
+                child.clear_directory();
                 cold_invalidate(&mut child.node);
             }
         }
@@ -885,7 +946,7 @@ impl BusModule for Bridge {
 
     fn supply_line(&mut self, addr: LineAddr) -> Option<Box<[u8]>> {
         self.stats.supplied += 1;
-        Some(self.authoritative_line(addr))
+        Some(self.authoritative_line(addr).into())
     }
 
     fn complete(&mut self, req: &TransactionRequest, obs: &BusObservation<'_>) {
@@ -968,7 +1029,7 @@ impl BusModule for Bridge {
             RetireReport {
                 salvaged: dirty
                     .iter()
-                    .map(|&line| (line, self.authoritative_line(line)))
+                    .map(|&line| (line, self.authoritative_line(line).into()))
                     .collect(),
                 lost: Vec::new(),
             }
@@ -983,7 +1044,7 @@ impl BusModule for Bridge {
         // no longer keep its caches coherent with the outside world, so every
         // internal copy is cold-invalidated and the directories are dropped.
         self.degraded = true;
-        self.directory.clear();
+        self.clear_directory();
         cold_invalidate(&mut self.node);
         report
     }

@@ -17,7 +17,7 @@ use crate::controller::CacheController;
 use crate::engine::{EventQueue, Popped};
 use crate::fabric::Fabric;
 use crate::metrics::{CpuStats, MachineReport};
-use crate::workload::{Access, RefStream};
+use crate::workload::{Access, RefStream, WritePayload};
 
 /// Builds a [`System`].
 ///
@@ -135,14 +135,19 @@ impl SystemBuilder {
                 CacheController::new(id, protocol, cfg, self.seed.wrapping_add(id as u64))
             })
             .collect();
+        let mut fabric = Fabric::new(self.line_size, self.timing, controllers);
+        let checker = self.checking.then(|| {
+            fabric.track_changes(true);
+            let mut ck = Checker::new(self.line_size);
+            ck.track_changes(true);
+            ck
+        });
         System {
-            fabric: Fabric::new(self.line_size, self.timing, controllers),
-            checker: if self.checking {
-                Some(Checker::new(self.line_size))
-            } else {
-                None
-            },
+            fabric,
+            checker,
             write_seq: 0,
+            audit_lines: Vec::new(),
+            full_audit: false,
         }
     }
 }
@@ -153,6 +158,11 @@ pub struct System {
     fabric: Fabric,
     checker: Option<Checker>,
     write_seq: u32,
+    /// Scratch for the incremental audit's line set, kept for its capacity.
+    audit_lines: Vec<u64>,
+    /// Whether the next audit must re-check every line (set after a failed
+    /// audit, whose lines are no longer known consistent).
+    full_audit: bool,
 }
 
 impl System {
@@ -220,7 +230,7 @@ impl System {
         self.fabric.controller(cpu).state_of(addr)
     }
 
-    /// Verifies the shared-memory-image invariants now.
+    /// Verifies the shared-memory-image invariants now, over every line.
     ///
     /// # Errors
     ///
@@ -355,7 +365,7 @@ impl System {
             let line = self.fabric.line_addr(cur);
             let offset = (cur - line) as usize;
             let take = (line_size - offset).min(remaining);
-            let data = self.fabric.bus().memory().peek_line(line);
+            let data = self.fabric.bus().memory().peek(line);
             out.extend_from_slice(&data[offset..offset + take]);
             cur += take as u64;
             remaining -= take;
@@ -462,26 +472,12 @@ impl System {
     fn dispatch_access(&mut self, cpu: usize, access: &Access) {
         if access.is_write {
             self.write_seq = self.write_seq.wrapping_add(1);
-            let pattern = self.write_seq.to_le_bytes();
+            let mut payload = WritePayload::new();
+            let bytes = payload.fill(self.write_seq, access.size);
             if self.checker.is_none() {
-                let mut buf = [0u8; 64];
-                if access.size <= buf.len() {
-                    for (i, b) in buf[..access.size].iter_mut().enumerate() {
-                        *b = pattern[i % pattern.len()];
-                    }
-                    self.fabric
-                        .write_fast(cpu, access.addr, &buf[..access.size]);
-                } else {
-                    let bytes: Vec<u8> = (0..access.size)
-                        .map(|i| pattern[i % pattern.len()])
-                        .collect();
-                    self.fabric.write_fast(cpu, access.addr, &bytes);
-                }
+                self.fabric.write_fast(cpu, access.addr, bytes);
             } else {
-                let bytes: Vec<u8> = (0..access.size)
-                    .map(|i| pattern[i % pattern.len()])
-                    .collect();
-                self.write(cpu, access.addr, &bytes);
+                self.write(cpu, access.addr, bytes);
             }
         } else if self.checker.is_none() {
             self.fabric.read_dataless(cpu, access.addr, access.size);
@@ -707,11 +703,8 @@ impl System {
             let access = streams[cpu].next_access();
             if access.is_write {
                 self.write_seq = self.write_seq.wrapping_add(1);
-                let pattern = self.write_seq.to_le_bytes();
-                let bytes: Vec<u8> = (0..access.size)
-                    .map(|i| pattern[i % pattern.len()])
-                    .collect();
-                self.write(cpu, access.addr, &bytes);
+                let mut payload = WritePayload::new();
+                self.write(cpu, access.addr, payload.fill(self.write_seq, access.size));
             } else {
                 let _ = self.read(cpu, access.addr, access.size);
             }
@@ -720,8 +713,31 @@ impl System {
         completed
     }
 
-    fn audit(&self) {
-        if let Err(v) = self.verify() {
+    /// The per-access audit. Every invariant of a line depends only on that
+    /// line's golden value, cache entries and memory copy, and the previous
+    /// audit passed, so re-checking the lines logged as changed since then
+    /// reports exactly what a full [`verify`](System::verify) would. A
+    /// wholesale change (a retired controller) falls back to the full audit.
+    fn audit(&mut self) {
+        let Some(ck) = &mut self.checker else {
+            return;
+        };
+        let lines = &mut self.audit_lines;
+        lines.clear();
+        let mut full = std::mem::take(&mut self.full_audit);
+        full |= ck.drain_changes(lines);
+        full |= self.fabric.drain_changes(lines);
+        let (controllers, memory) = (self.fabric.controllers(), self.fabric.bus().memory());
+        let verdict = if full {
+            ck.verify(controllers, memory)
+        } else {
+            lines.sort_unstable();
+            lines.dedup();
+            ck.verify_lines(lines, controllers, memory)
+        };
+        debug_assert_eq!(verdict, self.verify(), "incremental audit diverged");
+        if let Err(v) = verdict {
+            self.full_audit = true;
             panic!("consistency violation: {v}");
         }
     }

@@ -43,6 +43,39 @@ impl Access {
     }
 }
 
+/// The payload of a driven workload write: the little-endian bytes of a
+/// write sequence number, repeated to the access size, so the oracle can
+/// tell lost or reordered updates apart. Accesses up to 64 bytes are built on
+/// the stack; the drivers allocate nothing per write.
+pub(crate) struct WritePayload {
+    buf: [u8; 64],
+    spill: Vec<u8>,
+}
+
+impl WritePayload {
+    pub(crate) fn new() -> Self {
+        WritePayload {
+            buf: [0; 64],
+            spill: Vec::new(),
+        }
+    }
+
+    /// The payload for write number `seq` of `size` bytes.
+    pub(crate) fn fill(&mut self, seq: u32, size: usize) -> &[u8] {
+        let bytes = if size <= self.buf.len() {
+            &mut self.buf[..size]
+        } else {
+            self.spill.resize(size, 0);
+            &mut self.spill[..]
+        };
+        let pattern = seq.to_le_bytes();
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b = pattern[i % pattern.len()];
+        }
+        bytes
+    }
+}
+
 /// An endless per-processor reference stream.
 pub trait RefStream {
     /// Produces the next access for this processor.

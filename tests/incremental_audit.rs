@@ -1,0 +1,364 @@
+//! The per-access audit re-checks only the lines an access could have
+//! changed, and falls back to a full audit after wholesale changes. In a
+//! debug build every audit also asserts that its verdict equals the full
+//! `verify()`, so these scenarios double as differential tests: each drives
+//! one logging point or full-audit trigger with the oracle on and fault
+//! tolerance off, then keeps running so the next audits see the aftermath.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use cache_array::{CacheConfig, ReplacementKind};
+use futurebus::fault::{FaultConfig, FaultPlan};
+use moesi::protocols::{by_name, NonCaching};
+use moesi::{
+    BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalEvent, PolicyTable, TablePolicy,
+};
+use mpsim::hierarchy::{HierarchicalSystem, HierarchyBuilder, TreeBuilder};
+use mpsim::{
+    Access, Checker, DuboisBriggs, RefStream, SharingModel, System, SystemBuilder, TraceReplay,
+};
+
+const LINE: usize = 32;
+
+fn cfg() -> CacheConfig {
+    // Small and 2-way, so fills evict and victims are written back.
+    CacheConfig::new(256, LINE, 2, ReplacementKind::Lru)
+}
+
+fn flat(protocols: &[&str]) -> System {
+    let mut b = SystemBuilder::new(LINE).checking(true);
+    for (i, p) in protocols.iter().enumerate() {
+        b = b.cache(by_name(p, i as u64).expect("known protocol"), cfg());
+    }
+    b.build()
+}
+
+fn two_by_two() -> HierarchicalSystem {
+    HierarchyBuilder::new(LINE)
+        .checking(true)
+        .cluster()
+        .cache(by_name("moesi", 0).unwrap(), cfg())
+        .cache(by_name("moesi", 1).unwrap(), cfg())
+        .cluster()
+        .cache(by_name("dragon", 2).unwrap(), cfg())
+        .cache(by_name("berkeley", 3).unwrap(), cfg())
+        .build()
+}
+
+fn panics<F: FnOnce()>(f: F) -> String {
+    let err = catch_unwind(AssertUnwindSafe(f)).expect_err("the audit must fire");
+    err.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
+#[test]
+fn pass_flush_and_atomics_stay_consistent() {
+    let mut sys = flat(&["moesi", "dragon", "illinois", "berkeley"]);
+    for round in 0..40u64 {
+        let addr = 0x1000 + (round % 12) * LINE as u64;
+        let cpu = (round % 4) as usize;
+        sys.write(cpu, addr + 4, &[round as u8; 4]);
+        let _ = sys.fetch_add_u32((cpu + 1) % 4, addr, 1);
+        if round % 3 == 0 {
+            sys.pass(cpu, addr);
+        }
+        if round % 5 == 0 {
+            sys.flush((cpu + 2) % 4, addr);
+        }
+        assert_eq!(sys.test_and_set(cpu, addr + 16), 0);
+        sys.clear_lock(cpu, addr + 16);
+    }
+    assert!(sys.make_all_consistent() > 0);
+    sys.verify().expect("consistent");
+    assert_eq!(sys.memory_peek(0x1000, 4), sys.read(0, 0x1000, 4));
+}
+
+#[test]
+fn non_caching_and_write_through_nodes_log_aligned_lines() {
+    // A cacheless node changes no line of its own; unaligned and
+    // line-crossing accesses must still be audited line by line.
+    let mut sys = SystemBuilder::new(LINE)
+        .checking(true)
+        .cache(by_name("moesi", 0).unwrap(), cfg())
+        .cache(by_name("write-through", 1).unwrap(), cfg())
+        .uncached(Box::new(NonCaching::new()))
+        .build();
+    for i in 0..60u64 {
+        let addr = 0x2000 + i * 7; // every alignment, some crossing lines
+        sys.write((i % 3) as usize, addr, &[i as u8, 1, 2, 3, 4, 5]);
+        let _ = sys.read(((i + 1) % 3) as usize, addr + 3, 9);
+    }
+    let script = |cpu: u64| -> Box<dyn RefStream + Send> {
+        Box::new(TraceReplay::new(
+            (0..50u64)
+                .map(|i| Access {
+                    addr: 0x2000 + (i * 13 + cpu * 5) % 300,
+                    size: 1 + (i % 8) as usize,
+                    is_write: (i + cpu).is_multiple_of(3),
+                })
+                .collect(),
+        ))
+    };
+    let mut streams: Vec<_> = (0..3).map(script).collect();
+    sys.run(&mut streams, 50);
+    sys.verify().expect("consistent");
+}
+
+#[test]
+fn a_retired_controller_forces_a_full_audit() {
+    let mut sys = flat(&["moesi", "moesi", "dragon"]);
+    sys.write(0, 0x100, &[5; 4]);
+    sys.write(0, 0x200, &[6; 4]);
+    // Cpu 0 hangs during the next transaction it snoops; the watchdog
+    // retires it and salvages its dirty lines to memory.
+    sys.fabric_mut().bus_mut().stall_module(0, true);
+    assert_eq!(sys.read(1, 0x100, 4), vec![5; 4]);
+    assert!(sys.stats(0).retired);
+    assert_eq!(sys.read(2, 0x200, 4), vec![6; 4]);
+    sys.write(0, 0x300, &[7; 4]); // now a non-caching client
+    assert_eq!(sys.read(1, 0x300, 4), vec![7; 4]);
+    sys.verify().expect("salvage preserves the image");
+}
+
+#[test]
+fn a_change_behind_the_oracle_fails_the_next_access() {
+    let mut sys = flat(&["moesi", "moesi"]);
+    sys.write(0, 0x100, &[1; 4]);
+    sys.flush(0, 0x100); // memory is now the owner of the golden data
+    sys.fabric_mut()
+        .bus_mut()
+        .memory_mut()
+        .write_bytes(0x100, 0, &[9]);
+    // The memory write was logged, so an access to another line still
+    // re-checks 0x100.
+    let msg = panics(|| {
+        let _ = sys.read(1, 0x400, 4);
+    });
+    assert!(
+        msg.contains("0x100") && msg.contains("memory is stale"),
+        "{msg}"
+    );
+}
+
+#[test]
+fn bridge_retirement_forces_a_full_audit() {
+    let mut sys = two_by_two();
+    sys.write(0, 0, 0x1000, &[5; 4]);
+    sys.write(0, 1, 0x2000, &[6; 4]);
+    let _ = sys.read(1, 0, 0x1000, 4);
+    sys.retire_bridge(0, true);
+    assert!(sys.bridge(0).degraded());
+    // Degraded traffic keeps being audited after the full re-check.
+    assert_eq!(sys.read(0, 0, 0x2000, 4), vec![6; 4]);
+    sys.write(0, 1, 0x1000, &[8; 4]);
+    assert_eq!(sys.read(1, 1, 0x1000, 4), vec![8; 4]);
+    sys.verify().expect("consistent");
+}
+
+#[test]
+fn lost_lines_reconciled_through_checker_mut_audit_fully() {
+    let mut sys = two_by_two();
+    sys.write(0, 0, 0x1000, &[9; 4]);
+    sys.write(0, 0, 0x2000, &[8; 4]);
+    sys.retire_bridge(0, false);
+    // The loss is reported: accept memory as the new truth.
+    for line in [0x1000u64, 0x2000] {
+        let mem = sys.parent_memory_peek(line, LINE);
+        sys.checker_mut().unwrap().record_write(line, &mem);
+    }
+    let _ = sys.read(1, 0, 0x1000, 4);
+    sys.write(1, 1, 0x2000, &[3; 4]);
+    assert_eq!(sys.read(0, 1, 0x2000, 4), vec![3; 4]);
+    sys.verify().expect("reconciled");
+}
+
+#[test]
+fn corrupted_and_scrubbed_tags_are_audited() {
+    let mut sys = two_by_two();
+    sys.write(0, 0, 0x1000, &[1; 4]);
+    let _ = sys.read(1, 0, 0x1000, 4);
+    let _ = sys.read(1, 1, 0x3000, 4);
+    sys.parent_bus_mut()
+        .inject_faults(FaultPlan::new(FaultConfig {
+            stale_tag_rate: 1.0,
+            ..FaultConfig::default()
+        }));
+    let (bridge, line) = sys.corrupt_inclusion_tag().expect("rate 1.0 fires");
+    sys.scrub_inclusion_tag(bridge, line);
+    assert_eq!(sys.read(1, 1, 0x1000, 4), vec![1; 4]);
+    sys.write(1, 0, 0x3000, &[4; 4]);
+    assert_eq!(sys.read(0, 1, 0x3000, 4), vec![4; 4]);
+    sys.verify().expect("scrubbed");
+}
+
+#[test]
+fn leaving_tolerant_mode_audits_every_line() {
+    let mut sys = two_by_two();
+    let _ = sys.read(0, 0, 0x1000, 4); // cached, so the full audit visits it
+    sys.tolerate_faults(true);
+    // Changes made while tolerant are not logged line by line ...
+    sys.parent_bus_mut()
+        .memory_mut()
+        .write_bytes(0x1000, 0, &[9]);
+    sys.tolerate_faults(false);
+    // ... so the first audit afterwards re-checks everything.
+    let msg = panics(|| {
+        let _ = sys.read(1, 0, 0x5000, 4);
+    });
+    assert!(msg.contains("0x1000"), "{msg}");
+}
+
+#[test]
+fn deep_tree_runs_and_global_sync_stay_consistent() {
+    let protocols = ["moesi", "dragon", "write-through", "berkeley"];
+    let mut sys = TreeBuilder::uniform(LINE, 2, 3, 2, 2, |leaf, cpu| {
+        (
+            by_name(protocols[(leaf + cpu) % protocols.len()], cpu as u64).unwrap(),
+            Some(cfg()),
+        )
+    })
+    .checking(true)
+    .build();
+    let leaves = sys.leaves();
+    let mut streams: Vec<Vec<Box<dyn RefStream + Send>>> = (0..leaves)
+        .map(|leaf| {
+            (0..2)
+                .map(|cpu| -> Box<dyn RefStream + Send> {
+                    Box::new(DuboisBriggs::new(
+                        leaf * 2 + cpu,
+                        SharingModel {
+                            line_size: LINE as u64,
+                            ..SharingModel::default()
+                        },
+                        11,
+                    ))
+                })
+                .collect()
+        })
+        .collect();
+    sys.run(&mut streams, 150);
+    assert!(sys.make_globally_consistent() > 0);
+    sys.run(&mut streams, 50);
+    sys.verify().expect("consistent");
+}
+
+/// One step of the mutant-differential script.
+#[derive(Clone, Copy)]
+enum Op {
+    Read(usize, u64),
+    Write(usize, u64, [u8; 4]),
+    Flush(usize, u64),
+}
+
+/// A fixed access script over eight lines that share two cache sets, so
+/// fills evict, dirty victims write back and every protocol path runs.
+fn script() -> Vec<Op> {
+    let mut x: u64 = 0x9E37_79B9;
+    (0..300u64)
+        .map(|i| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let r = x >> 33;
+            let cpu = (r % 3) as usize;
+            let addr = 0x4000 + (r / 3 % 8) * 128 + (r / 24 % 7) * 4;
+            match r / 168 % 9 {
+                0..=3 => Op::Read(cpu, addr),
+                8 => Op::Flush(cpu, addr),
+                _ => Op::Write(cpu, addr, (i as u32 + 1).to_le_bytes()),
+            }
+        })
+        .collect()
+}
+
+fn mutant_machine(table: PolicyTable, checking: bool) -> System {
+    SystemBuilder::new(LINE)
+        .checking(checking)
+        .cache(Box::new(TablePolicy::new(table)), cfg())
+        .cache(by_name("moesi", 1).unwrap(), cfg())
+        .cache(by_name("berkeley", 2).unwrap(), cfg())
+        .build()
+}
+
+fn panic_message(err: &Box<dyn std::any::Any + Send>) -> String {
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_default()
+}
+
+/// The first failure when the system audits itself after every access.
+fn first_failure_audited(table: PolicyTable) -> Option<(usize, String)> {
+    let mut sys = mutant_machine(table, true);
+    for (step, op) in script().into_iter().enumerate() {
+        let run = catch_unwind(AssertUnwindSafe(|| match op {
+            Op::Read(cpu, addr) => drop(sys.read(cpu, addr, 4)),
+            Op::Write(cpu, addr, v) => sys.write(cpu, addr, &v),
+            Op::Flush(cpu, addr) => drop(sys.flush(cpu, addr)),
+        }));
+        if let Err(err) = run {
+            return Some((step, panic_message(&err)));
+        }
+    }
+    None
+}
+
+/// The first failure of the same script on an unaudited machine, checked by
+/// a separate oracle whose full `verify` runs after every access.
+fn first_failure_full(table: PolicyTable) -> Option<(usize, String)> {
+    let mut sys = mutant_machine(table, false);
+    let mut ck = Checker::new(LINE);
+    for (step, op) in script().into_iter().enumerate() {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            match op {
+                Op::Read(cpu, addr) => ck.check_read(cpu, addr, &sys.read(cpu, addr, 4))?,
+                Op::Write(cpu, addr, v) => {
+                    ck.record_write(addr, &v);
+                    sys.write(cpu, addr, &v);
+                }
+                Op::Flush(cpu, addr) => drop(sys.flush(cpu, addr)),
+            }
+            ck.verify(sys.fabric().controllers(), sys.fabric().bus().memory())
+        }));
+        match run {
+            Err(err) => return Some((step, panic_message(&err))),
+            Ok(Err(v)) => return Some((step, format!("consistency violation: {v}"))),
+            Ok(Ok(())) => {}
+        }
+    }
+    None
+}
+
+#[test]
+fn single_cell_mutants_fail_at_the_same_step_with_the_same_violation() {
+    // The canonical local and snoop bugs of the mutation sweep, one cell at
+    // a time: whatever the incremental audit reports, and when, must be
+    // exactly what a full audit after every access reports.
+    let base = PolicyTable::preferred("mutant", CacheKind::CopyBack);
+    let mut mutants = Vec::new();
+    for state in LineState::ALL {
+        for event in LocalEvent::ALL {
+            let mutation = LocalAction::silent(LineState::Modified);
+            if base.local(state, event).is_some_and(|c| c != mutation) {
+                let mut table = base;
+                table.set_local_unchecked(state, event, mutation);
+                mutants.push(table);
+            }
+        }
+        for event in BusEvent::ALL {
+            let mutation = BusReaction::quiet(state);
+            if base.bus(state, event).is_some_and(|c| c != mutation) {
+                let mut table = base;
+                table.set_bus_unchecked(state, event, mutation);
+                mutants.push(table);
+            }
+        }
+    }
+    let mut violations = 0;
+    for table in mutants {
+        let audited = first_failure_audited(table);
+        assert_eq!(audited, first_failure_full(table));
+        violations += usize::from(audited.is_some_and(|(_, m)| m.starts_with("consistency")));
+    }
+    assert!(
+        violations >= 10,
+        "only {violations} mutants broke an invariant"
+    );
+}
