@@ -2,51 +2,10 @@
 //!
 //! Run with `cargo run -p bench --bin tables`.
 
-use moesi::compat::{check_protocol, reachable_states};
-use moesi::protocols::{by_name, MoesiPreferred};
-use moesi::{table, BusEvent, CacheKind, LineState, LocalCtx, LocalEvent, Protocol, SnoopCtx};
-
-/// Renders one protocol's transition table in the paper's format: local
-/// columns first, then the bus-event columns it can encounter.
-fn render_protocol(p: &mut (dyn Protocol + Send), bus_cols: &[BusEvent]) -> String {
-    let reachable = reachable_states(p);
-    let states: Vec<LineState> = LineState::ALL
-        .into_iter()
-        .filter(|s| reachable.contains(s))
-        .collect();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<7} {:<18} {:<22}",
-        "State", "Read(1)", "Write(2)"
-    ));
-    for ev in bus_cols {
-        out.push_str(&format!(
-            " {:<16}",
-            format!("{}({})", ev.signals(), ev.column())
-        ));
-    }
-    out.push('\n');
-    for state in states {
-        out.push_str(&format!("{:<7}", state.letter()));
-        for event in [LocalEvent::Read, LocalEvent::Write] {
-            let cell = p
-                .try_on_local(state, event, &LocalCtx::default())
-                .map_or_else(|_| "-".to_string(), |a| a.to_string());
-            let w = if event == LocalEvent::Read { 18 } else { 22 };
-            out.push_str(&format!(" {cell:<w$}", w = w));
-        }
-        for ev in bus_cols {
-            // Error-condition cells (`—` in the paper) are structured
-            // IllegalCell errors; render them as dashes.
-            let cell = p
-                .try_on_bus(state, *ev, &SnoopCtx::default())
-                .map_or_else(|_| "-".to_string(), |r| r.to_string());
-            out.push_str(&format!(" {cell:<16}"));
-        }
-        out.push('\n');
-    }
-    out
-}
+use bench::render_policy;
+use moesi::compat::check_protocol;
+use moesi::protocols::by_name;
+use moesi::{table, CacheKind};
 
 fn main() {
     println!("================================================================");
@@ -67,55 +26,24 @@ fn main() {
     print!("{}", table::render_table2());
     println!();
 
-    let specs: &[(&str, &str, &[BusEvent])] = &[
-        (
-            "Table 3 — Berkeley protocol",
-            "berkeley",
-            &[BusEvent::CacheRead, BusEvent::CacheReadInvalidate],
-        ),
-        (
-            "Table 4 — Dragon protocol",
-            "dragon",
-            &[BusEvent::CacheRead, BusEvent::CacheBroadcastWrite],
-        ),
-        (
-            "Table 5 — Write-Once protocol",
-            "write-once",
-            &[BusEvent::CacheRead, BusEvent::CacheReadInvalidate],
-        ),
-        (
-            "Table 6 — Illinois protocol",
-            "illinois",
-            &[BusEvent::CacheRead, BusEvent::CacheReadInvalidate],
-        ),
-        (
-            "Table 7 — Firefly protocol",
-            "firefly",
-            &[BusEvent::CacheRead, BusEvent::CacheBroadcastWrite],
-        ),
+    for (title, name) in [
+        ("Table 3 — Berkeley protocol", "berkeley"),
+        ("Table 4 — Dragon protocol", "dragon"),
+        ("Table 5 — Write-Once protocol", "write-once"),
+        ("Table 6 — Illinois protocol", "illinois"),
+        ("Table 7 — Firefly protocol", "firefly"),
         (
             "Bonus — Synapse protocol (Arch85's sixth, via [Fran84])",
             "synapse",
-            &[BusEvent::CacheRead, BusEvent::CacheReadInvalidate],
         ),
-    ];
-    for (title, name, cols) in specs {
+    ] {
         println!("================================================================");
         println!("{title}");
         println!("================================================================");
-        let mut p = by_name(name, 0).expect("known protocol");
-        print!("{}", render_protocol(p.as_mut(), cols));
-        let report = check_protocol(p.as_mut());
-        if report.is_class_member() {
-            println!("  -> class membership: IN the MOESI compatible class");
-        } else {
-            println!(
-                "  -> class membership: ADAPTED (outside the class; {} deviations, BS used: {})",
-                report.violations().len(),
-                report.violations().iter().any(|v| v.contains("BS")),
-            );
-        }
-        println!();
+        println!(
+            "{}",
+            render_policy(name, 0).expect("shipped protocol table")
+        );
     }
 
     println!("================================================================");
@@ -150,5 +78,4 @@ fn main() {
             }
         );
     }
-    let _ = MoesiPreferred::new();
 }

@@ -1,9 +1,9 @@
 //! Shared harness code for the table/figure regeneration binaries and the
-//! Criterion benchmarks.
+//! `moesi-sim` subcommands that print the same artifacts.
 //!
 //! The experiment index lives in `DESIGN.md`; each experiment id (T1–T7,
 //! F1–F4, E1–E6) maps to a function here, a binary under `src/bin/`, or a
-//! bench under `benches/`.
+//! test under the workspace's `tests/`.
 
 #![warn(missing_docs)]
 
@@ -18,6 +18,34 @@ use mpsim::workload::{
     DuboisBriggs, FalseSharing, Migratory, PingPong, ProducerConsumer, ReadMostly, SharingModel,
 };
 use mpsim::{RefStream, System, SystemBuilder};
+
+/// Renders `name`'s policy table (the paper's Tables 3–7 layout) followed by
+/// its structural class-membership verdict. This is the one renderer behind
+/// `moesi-sim table` and the `tables` binary.
+///
+/// # Errors
+///
+/// Unknown protocol names, and protocols that expose no policy table.
+pub fn render_policy(name: &str, seed: u64) -> Result<String, String> {
+    let p = by_name(name, seed).ok_or_else(|| format!("unknown protocol `{name}`"))?;
+    let table = p
+        .policy_table()
+        .ok_or_else(|| format!("`{name}` exposes no policy table"))?;
+    let mut out = table.render();
+    if !p.table_is_exact() {
+        out.push_str("note: base table only — a stateful hook refines the choice per line\n");
+    }
+    let violations = table.class_violations();
+    if violations.is_empty() {
+        out.push_str("class membership: IN the MOESI compatible class\n");
+    } else {
+        out.push_str(&format!(
+            "class membership: ADAPTED ({} out-of-class entries)\n",
+            violations.len()
+        ));
+    }
+    Ok(out)
+}
 
 /// The standard line size used across the experiments (bytes).
 pub const LINE: usize = 32;

@@ -1,19 +1,17 @@
-//! Bus arbitration: which requesting master gets the next transaction, and
-//! how long it queues for the grant.
+//! Bus arbitration: how long a requesting master queues for the grant.
 //!
 //! §2.1 of the paper describes distributed priority arbitration with an
 //! optional fairness overlay; the Nikolov & Lerato comparison (PAPERS.md)
 //! measures FCFS against priority and round-robin service disciplines on a
-//! shared bus. The simulator models both halves:
+//! shared bus. The simulator models a discipline as the *queueing delay* a
+//! master pays before its grant, in arbitration slots. The pipeline charges
+//! `(slots - 1) * arbitration_ns` to [`Phase::Arbitrate`] (the first slot is
+//! already in the base transaction cost), so the default single-slot
+//! priority discipline is byte-identical to the historical fixed-cost model.
 //!
-//! * [`Arbiter::grant`] — the *choice* among simultaneous requesters (used by
-//!   the fairness tests and the watchdog's retirement bookkeeping);
-//! * [`Arbiter::slots_to_grant`] — the *queueing delay* a master pays before
-//!   its grant, in arbitration slots. The pipeline charges
-//!   `(slots - 1) * arbitration_ns` to [`Phase::Arbitrate`]
-//!   (the first slot is already in the base transaction cost), so the
-//!   default single-slot disciplines are byte-identical to the historical
-//!   fixed-cost model.
+//! Each [`Futurebus`](crate::Futurebus) segment owns its discipline's state
+//! privately: the rotating token for round-robin, the request queue for
+//! FCFS.
 //!
 //! [`Phase::Arbitrate`]: crate::Phase::Arbitrate
 
@@ -21,187 +19,23 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
-/// An arbitration policy over module indices.
-///
-/// The Futurebus arbitrates in parallel with the previous transfer; the
-/// simulator models the *choice* via [`Arbiter::grant`] and the queueing
-/// delay via [`Arbiter::slots_to_grant`], each slot costing the fixed
-/// [`arbitration_ns`](crate::TimingConfig::arbitration_ns).
-pub trait Arbiter {
-    /// Picks the winner among `requesters` (module indices). Returns `None`
-    /// when no one is requesting.
-    fn grant(&mut self, requesters: &[usize]) -> Option<usize>;
-
-    /// How many arbitration slots `master` waits before winning the bus when
-    /// every index in `live` is contending. The default models a purely
-    /// combinational arbiter: one slot, regardless of the winner — exactly
-    /// the historical fixed-cost behaviour.
-    fn slots_to_grant(&mut self, master: usize, live: &[usize]) -> u32 {
-        let _ = (master, live);
-        1
-    }
-}
-
-impl fmt::Debug for dyn Arbiter + Send {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Arbiter")
-    }
-}
-
-/// Fixed-priority arbitration: the lowest module index always wins.
-///
-/// Simple and unfair — a greedy low-numbered master can starve the others,
-/// which the fairness integration tests demonstrate. The grant itself is
-/// combinational (one slot for everyone): the unfairness lives in *who*
-/// wins, not in how long the resolution takes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PriorityArbiter;
-
-impl PriorityArbiter {
-    /// Creates the arbiter.
-    #[must_use]
-    pub fn new() -> Self {
-        PriorityArbiter
-    }
-}
-
-impl Arbiter for PriorityArbiter {
-    fn grant(&mut self, requesters: &[usize]) -> Option<usize> {
-        requesters.iter().copied().min()
-    }
-}
-
-/// Round-robin arbitration: after a grant, that module becomes the lowest
-/// priority, guaranteeing every requester is served eventually.
-///
-/// The queueing model is the rotating token: the master waits one slot for
-/// every contender the token passes over on its way round, so a master that
-/// just transacted pays a full rotation while a master next in turn pays one
-/// slot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundRobinArbiter {
-    last: usize,
-}
-
-impl RoundRobinArbiter {
-    /// Creates the arbiter; module 0 has initial priority.
-    #[must_use]
-    pub fn new() -> Self {
-        RoundRobinArbiter { last: usize::MAX }
-    }
-}
-
-impl Arbiter for RoundRobinArbiter {
-    fn grant(&mut self, requesters: &[usize]) -> Option<usize> {
-        if requesters.is_empty() {
-            return None;
-        }
-        // The winner is the smallest index strictly greater than the previous
-        // winner, wrapping around.
-        let after = requesters
-            .iter()
-            .copied()
-            .filter(|&r| self.last != usize::MAX && r > self.last)
-            .min();
-        let winner = after.or_else(|| requesters.iter().copied().min())?;
-        self.last = winner;
-        Some(winner)
-    }
-
-    fn slots_to_grant(&mut self, master: usize, live: &[usize]) -> u32 {
-        if !live.contains(&master) {
-            return 1;
-        }
-        // Spin the token until it lands on the master, one slot per grant.
-        let mut slots = 0u32;
-        for _ in 0..live.len() {
-            slots += 1;
-            if self.grant(live) == Some(master) {
-                break;
-            }
-        }
-        slots.max(1)
-    }
-}
-
-/// First-come-first-served arbitration: requesters queue in arrival order
-/// and the head of the queue is served next, regardless of index.
-///
-/// Arrival is modelled at the granularity the simulator sees: every live
-/// module not already queued joins the tail (in index order) when a new
-/// transaction arbitrates, and serving the master also serves everyone ahead
-/// of it — one slot each — so the master's delay is its queue depth.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FcfsArbiter {
-    queue: VecDeque<usize>,
-}
-
-impl FcfsArbiter {
-    /// Creates the arbiter with an empty request queue.
-    #[must_use]
-    pub fn new() -> Self {
-        FcfsArbiter {
-            queue: VecDeque::new(),
-        }
-    }
-
-    fn admit(&mut self, candidates: &[usize]) {
-        // Simultaneous arrivals tie-break by index, whatever order the
-        // caller listed them in.
-        let mut sorted: Vec<usize> = candidates.to_vec();
-        sorted.sort_unstable();
-        for m in sorted {
-            if !self.queue.contains(&m) {
-                self.queue.push_back(m);
-            }
-        }
-    }
-}
-
-impl Arbiter for FcfsArbiter {
-    fn grant(&mut self, requesters: &[usize]) -> Option<usize> {
-        if requesters.is_empty() {
-            return None;
-        }
-        self.admit(requesters);
-        // The queued requester closest to the head wins.
-        let winner = self
-            .queue
-            .iter()
-            .copied()
-            .find(|m| requesters.contains(m))?;
-        self.queue.retain(|&m| m != winner);
-        Some(winner)
-    }
-
-    fn slots_to_grant(&mut self, master: usize, live: &[usize]) -> u32 {
-        self.admit(live);
-        if !self.queue.contains(&master) {
-            self.queue.push_back(master);
-        }
-        let pos = self
-            .queue
-            .iter()
-            .position(|&m| m == master)
-            .expect("master enqueued above");
-        // Everyone ahead of the master is served first, one slot each; then
-        // the master's own grant slot.
-        self.queue.drain(..=pos);
-        pos as u32 + 1
-    }
-}
-
 /// The bus service disciplines a segment can run, named after the policies
 /// Nikolov & Lerato compare for a shared-bus multiprocessor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Discipline {
-    /// Fixed priority by module index ([`PriorityArbiter`]); the historical
-    /// default, byte-identical to the fixed-cost arbitration model.
+    /// Fixed priority by module index: the grant is combinational, one slot
+    /// for everyone. The historical default, byte-identical to the
+    /// fixed-cost arbitration model.
     #[default]
     Priority,
-    /// Rotating priority ([`RoundRobinArbiter`]).
+    /// Rotating priority: the master waits one slot for every contender the
+    /// token passes over on its way round, so a master that just transacted
+    /// pays a full rotation while a master next in turn pays one slot.
     RoundRobin,
-    /// Arrival-order queueing ([`FcfsArbiter`]).
+    /// Arrival-order queueing: every live module not already queued joins
+    /// the tail (in index order) when a new transaction arbitrates, and
+    /// serving the master also serves everyone ahead of it — one slot each —
+    /// so the master's delay is its queue depth.
     Fcfs,
 }
 
@@ -212,16 +46,6 @@ impl Discipline {
         Discipline::RoundRobin,
         Discipline::Fcfs,
     ];
-
-    /// A fresh arbiter implementing this discipline.
-    #[must_use]
-    pub fn arbiter(self) -> Box<dyn Arbiter + Send> {
-        match self {
-            Discipline::Priority => Box::new(PriorityArbiter::new()),
-            Discipline::RoundRobin => Box::new(RoundRobinArbiter::new()),
-            Discipline::Fcfs => Box::new(FcfsArbiter::new()),
-        }
-    }
 }
 
 impl fmt::Display for Discipline {
@@ -249,86 +73,165 @@ impl FromStr for Discipline {
     }
 }
 
+/// A segment's discipline together with the state it carries from one
+/// grant to the next.
+#[derive(Debug)]
+pub(crate) enum Arbitration {
+    Priority,
+    /// The previous winner; `None` before the first grant, so module 0 is
+    /// next in turn.
+    RoundRobin {
+        last: Option<usize>,
+    },
+    /// Queued requesters, head first.
+    Fcfs {
+        queue: VecDeque<usize>,
+    },
+}
+
+impl Arbitration {
+    /// Fresh state for `discipline`: token before module 0, empty queue.
+    pub(crate) fn new(discipline: Discipline) -> Self {
+        match discipline {
+            Discipline::Priority => Arbitration::Priority,
+            Discipline::RoundRobin => Arbitration::RoundRobin { last: None },
+            Discipline::Fcfs => Arbitration::Fcfs {
+                queue: VecDeque::new(),
+            },
+        }
+    }
+
+    pub(crate) fn discipline(&self) -> Discipline {
+        match self {
+            Arbitration::Priority => Discipline::Priority,
+            Arbitration::RoundRobin { .. } => Discipline::RoundRobin,
+            Arbitration::Fcfs { .. } => Discipline::Fcfs,
+        }
+    }
+
+    /// How many arbitration slots `master` waits before winning the bus when
+    /// every index in `live` is contending. `live` must be ascending and
+    /// contain `master`; priority never reads it.
+    pub(crate) fn slots_to_grant(
+        &mut self,
+        master: usize,
+        live: impl IntoIterator<Item = usize>,
+    ) -> u32 {
+        let slots = match self {
+            Arbitration::Priority => 1,
+            Arbitration::RoundRobin { last } => {
+                // The token serves contenders in ascending index order after
+                // the previous winner, wrapping round: one slot per grant up
+                // to and including the master's own.
+                let after = |m: usize| last.is_none_or(|l| m > l);
+                let waited = if after(master) {
+                    live.into_iter()
+                        .filter(|&m| after(m) && m <= master)
+                        .count()
+                } else {
+                    live.into_iter()
+                        .filter(|&m| after(m) || m <= master)
+                        .count()
+                };
+                *last = Some(master);
+                waited
+            }
+            Arbitration::Fcfs { queue } => {
+                // Simultaneous arrivals join the tail in index order.
+                for m in live {
+                    if !queue.contains(&m) {
+                        queue.push_back(m);
+                    }
+                }
+                let pos = queue
+                    .iter()
+                    .position(|&m| m == master)
+                    .expect("the master contends");
+                // Everyone ahead of the master is served first, one slot
+                // each; then the master's own grant slot.
+                queue.drain(..=pos);
+                pos + 1
+            }
+        };
+        u32::try_from(slots).expect("slot count fits in u32")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn priority_always_picks_the_lowest() {
-        let mut a = PriorityArbiter::new();
-        assert_eq!(a.grant(&[3, 1, 2]), Some(1));
-        assert_eq!(a.grant(&[3, 1, 2]), Some(1), "no memory, no fairness");
-        assert_eq!(a.grant(&[]), None);
+    fn state(discipline: Discipline) -> Arbitration {
+        Arbitration::new(discipline)
     }
 
     #[test]
     fn priority_grants_in_one_slot_for_everyone() {
-        let mut a = PriorityArbiter::new();
+        let mut a = state(Discipline::Priority);
         for master in 0..4 {
-            assert_eq!(a.slots_to_grant(master, &[0, 1, 2, 3]), 1);
+            assert_eq!(a.slots_to_grant(master, [0, 1, 2, 3]), 1);
         }
     }
 
     #[test]
     fn round_robin_rotates() {
-        let mut a = RoundRobinArbiter::new();
-        assert_eq!(a.grant(&[0, 1, 2]), Some(0));
-        assert_eq!(a.grant(&[0, 1, 2]), Some(1));
-        assert_eq!(a.grant(&[0, 1, 2]), Some(2));
-        assert_eq!(a.grant(&[0, 1, 2]), Some(0), "wraps around");
-        assert_eq!(a.grant(&[]), None);
+        let mut a = state(Discipline::RoundRobin);
+        // Each master is next in turn, so each waits only its own slot.
+        for master in [0, 1, 2] {
+            assert_eq!(a.slots_to_grant(master, [0, 1, 2]), 1);
+        }
+        assert_eq!(a.slots_to_grant(0, [0, 1, 2]), 1, "wraps around");
     }
 
     #[test]
     fn round_robin_skips_non_requesters() {
-        let mut a = RoundRobinArbiter::new();
-        assert_eq!(a.grant(&[1]), Some(1));
-        assert_eq!(a.grant(&[0, 3]), Some(3), "next after 1 among {{0,3}}");
-        assert_eq!(a.grant(&[0, 3]), Some(0));
+        let mut a = state(Discipline::RoundRobin);
+        assert_eq!(a.slots_to_grant(1, [1]), 1);
+        assert_eq!(a.slots_to_grant(3, [0, 3]), 1, "next after 1 among {{0,3}}");
+        assert_eq!(a.slots_to_grant(0, [0, 3]), 1);
     }
 
     #[test]
-    fn round_robin_serves_everyone_within_n_rounds() {
-        let mut a = RoundRobinArbiter::new();
-        let requesters: Vec<usize> = (0..8).collect();
-        let mut served = std::collections::HashSet::new();
-        for _ in 0..8 {
-            served.insert(a.grant(&requesters).unwrap());
+    fn round_robin_serves_everyone_within_one_rotation() {
+        let mut a = state(Discipline::RoundRobin);
+        for master in [5, 2, 7, 7, 0, 3, 6, 1, 4] {
+            let slots = a.slots_to_grant(master, 0..8);
+            assert!((1..=8).contains(&slots), "master {master}: {slots}");
         }
-        assert_eq!(served.len(), 8);
     }
 
     #[test]
     fn round_robin_charges_the_token_distance() {
-        let mut a = RoundRobinArbiter::new();
+        let mut a = state(Discipline::RoundRobin);
         // Token starts before module 0: master 2 waits for 0 and 1.
-        assert_eq!(a.slots_to_grant(2, &[0, 1, 2, 3]), 3);
+        assert_eq!(a.slots_to_grant(2, [0, 1, 2, 3]), 3);
         // Token now at 2; master 3 is next in turn.
-        assert_eq!(a.slots_to_grant(3, &[0, 1, 2, 3]), 1);
+        assert_eq!(a.slots_to_grant(3, [0, 1, 2, 3]), 1);
         // Wrapping: master 3 again pays a full rotation.
-        assert_eq!(a.slots_to_grant(3, &[0, 1, 2, 3]), 4);
+        assert_eq!(a.slots_to_grant(3, [0, 1, 2, 3]), 4);
     }
 
     #[test]
     fn fcfs_serves_in_arrival_order() {
-        let mut a = FcfsArbiter::new();
+        let mut a = state(Discipline::Fcfs);
         // All four arrive together (index order breaks the tie); master 1 is
         // second in line.
-        assert_eq!(a.slots_to_grant(1, &[0, 1, 2, 3]), 2);
+        assert_eq!(a.slots_to_grant(1, [0, 1, 2, 3]), 2);
         // 2 and 3 are still queued from the first round; master 0 re-arrives
         // behind them.
-        assert_eq!(a.slots_to_grant(0, &[0, 1, 2, 3]), 3);
+        assert_eq!(a.slots_to_grant(0, [0, 1, 2, 3]), 3);
         // Only 1 left queued; 0, 2 and 3 re-arrive behind it in index order,
         // so master 3 sits at the tail of a four-deep queue.
-        assert_eq!(a.slots_to_grant(3, &[0, 1, 2, 3]), 4);
+        assert_eq!(a.slots_to_grant(3, [0, 1, 2, 3]), 4);
     }
 
     #[test]
-    fn fcfs_grant_prefers_the_longest_waiter() {
-        let mut a = FcfsArbiter::new();
-        assert_eq!(a.grant(&[2, 1]), Some(1), "index order on simultaneous");
-        assert_eq!(a.grant(&[2, 0]), Some(2), "2 queued before 0 arrived");
-        assert_eq!(a.grant(&[]), None);
+    fn fcfs_serves_the_longest_waiter_first() {
+        let mut a = state(Discipline::Fcfs);
+        assert_eq!(a.slots_to_grant(1, [1, 2]), 1, "index order on arrival");
+        // 2 queued before 0 arrived, so 0 waits behind it.
+        assert_eq!(a.slots_to_grant(0, [0, 2]), 2);
+        assert_eq!(a.slots_to_grant(2, [2]), 1, "2 was served ahead of 0");
     }
 
     #[test]
@@ -342,11 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn every_discipline_builds_a_working_arbiter() {
+    fn every_discipline_keeps_its_name_and_grants() {
         for d in Discipline::ALL {
-            let mut a = d.arbiter();
-            assert_eq!(a.grant(&[0]), Some(0), "{d}");
-            assert!(a.slots_to_grant(0, &[0, 1]) >= 1, "{d}");
+            let mut a = state(d);
+            assert_eq!(a.discipline(), d);
+            assert!(a.slots_to_grant(0, [0, 1]) >= 1, "{d}");
         }
     }
 }

@@ -30,7 +30,7 @@
 //! and retires it from the snoop set — it is treated thereafter as a
 //! non-caching processor, which the class explicitly supports (§3.3).
 
-use crate::arbitration::{Arbiter, Discipline};
+use crate::arbitration::{Arbitration, Discipline};
 use crate::fault::{FaultPlan, TxnFaults};
 use crate::memory::SparseMemory;
 use crate::module::BusModule;
@@ -139,8 +139,7 @@ pub struct Futurebus {
     pub(crate) trace: BusTrace,
     pub(crate) faults: Option<FaultPlan>,
     pub(crate) retired: BTreeSet<usize>,
-    discipline: Discipline,
-    arbiter: Box<dyn Arbiter + Send>,
+    arbitration: Arbitration,
     pending_stall: Option<(usize, bool)>,
     histograms: PhaseHistograms,
     retry_hist: LatencyHistogram,
@@ -168,8 +167,7 @@ impl Futurebus {
             trace: BusTrace::new(0),
             faults: None,
             retired: BTreeSet::new(),
-            discipline: Discipline::default(),
-            arbiter: Discipline::default().arbiter(),
+            arbitration: Arbitration::new(Discipline::default()),
             pending_stall: None,
             histograms: PhaseHistograms::new(),
             retry_hist: LatencyHistogram::new(),
@@ -208,16 +206,15 @@ impl Futurebus {
     /// The arbitration service discipline in force on this segment.
     #[must_use]
     pub fn discipline(&self) -> Discipline {
-        self.discipline
+        self.arbitration.discipline()
     }
 
-    /// Swaps the arbitration service discipline, resetting the arbiter's
+    /// Swaps the arbitration service discipline, resetting its
     /// queue/rotation state. The default [`Discipline::Priority`] is
     /// combinational (one slot) and byte-identical to the historical
     /// fixed-cost arbitration model.
     pub fn set_discipline(&mut self, discipline: Discipline) {
-        self.discipline = discipline;
-        self.arbiter = discipline.arbiter();
+        self.arbitration = Arbitration::new(discipline);
     }
 
     /// Queueing delay (in arbitration slots) `master` pays for the bus under
@@ -227,14 +224,12 @@ impl Futurebus {
     ///
     /// [`Phase::Arbitrate`]: crate::Phase::Arbitrate
     pub(crate) fn queue_slots(&mut self, master: usize, modules: usize) -> u32 {
-        if self.discipline == Discipline::Priority {
-            return 1;
-        }
-        let mut live: Vec<usize> = (0..modules).filter(|i| !self.retired.contains(i)).collect();
-        if !live.contains(&master) {
-            live.push(master);
-        }
-        self.arbiter.slots_to_grant(master, &live)
+        // Every module the watchdog has not retired contends, and so does the
+        // master itself, ascending.
+        let retired = &self.retired;
+        let live = (0..modules.max(master + 1))
+            .filter(|&i| i == master || (i < modules && !retired.contains(&i)));
+        self.arbitration.slots_to_grant(master, live)
     }
 
     /// Main memory, for initialisation and checking.

@@ -12,8 +12,8 @@
 //!   (DI) preempting memory, broadcast writes updating memory and SL-connected
 //!   third parties, BS abort-push-restart, and nanosecond cost accounting;
 //! * [`SparseMemory`] — main memory, the default owner of every line;
-//! * [`arbitration`] — pluggable service disciplines (priority, round-robin,
-//!   FCFS) with per-slot queueing-delay accounting;
+//! * [`arbitration`] — the bus service disciplines (priority, round-robin,
+//!   FCFS) as per-slot queueing delay;
 //! * [`fault`] — a deterministic, seeded fault-injection engine (consistency-
 //!   line glitches, stalled/killed snoopers, abort storms, soft errors) paired
 //!   with the bus watchdog and bounded-retry recovery machinery.
@@ -52,7 +52,7 @@ pub mod trace;
 mod transaction;
 pub mod wire;
 
-pub use arbitration::{Arbiter, Discipline, FcfsArbiter, PriorityArbiter, RoundRobinArbiter};
+pub use arbitration::Discipline;
 pub use bus::{Futurebus, RetryPolicy};
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultRecord, InjectedFault};
 pub use memory::{ChangeLog, SparseMemory};

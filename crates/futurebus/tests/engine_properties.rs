@@ -1,14 +1,16 @@
-//! Property tests of the Futurebus transaction engine's data-path semantics:
-//! the memory-update rules of §2/§4 must hold for arbitrary transaction
-//! sequences against arbitrary snooper responses.
+//! Randomized tests of the Futurebus transaction engine's data-path
+//! semantics: the memory-update rules of §2/§4 must hold for arbitrary
+//! transaction sequences against arbitrary snooper responses. Inputs come
+//! from the in-tree `moesi::rng::SmallRng` with fixed seeds.
 
 use futurebus::{
-    BusModule, BusObservation, Futurebus, PushWrite, TimingConfig, TransactionRequest,
+    BusModule, BusObservation, Futurebus, PushWrite, RetryPolicy, TimingConfig, TransactionRequest,
 };
+use moesi::rng::SmallRng;
 use moesi::{MasterSignals, ResponseSignals};
-use proptest::prelude::*;
 
 const LINE: usize = 16;
+const CASES: u64 = 64;
 
 /// A snooper scripted by a response list, recording everything it observes.
 struct Scripted {
@@ -37,15 +39,15 @@ impl BusModule for Scripted {
         self.cursor += 1;
         r
     }
-    fn supply_line(&mut self, _addr: u64) -> Box<[u8]> {
-        self.line.clone().into_boxed_slice()
+    fn supply_line(&mut self, _addr: u64) -> Option<Box<[u8]>> {
+        Some(self.line.clone().into_boxed_slice())
     }
-    fn prepare_push(&mut self, _addr: u64) -> PushWrite {
+    fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite> {
         self.pushes += 1;
-        PushWrite {
+        Some(PushWrite {
             data: self.line.clone().into_boxed_slice(),
             signals: MasterSignals::CA,
-        }
+        })
     }
     fn complete(&mut self, _req: &TransactionRequest, obs: &BusObservation<'_>) {
         if let Some((_, bytes)) = obs.write_data {
@@ -54,16 +56,19 @@ impl BusModule for Scripted {
     }
 }
 
-fn response_strategy() -> impl Strategy<Value = ResponseSignals> {
-    // No BS here (push loops are tested separately); at most one DI asserted
-    // per transaction is the caller's responsibility, tested below with a
-    // single snooper.
-    (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(ch, di, sl)| ResponseSignals {
-        ch,
-        di,
-        sl,
+fn coin(rng: &mut SmallRng) -> bool {
+    rng.gen_bool(0.5)
+}
+
+/// Any CH/DI/SL combination. No BS here (push loops are tested separately);
+/// at most one DI per transaction holds because there is a single snooper.
+fn random_response(rng: &mut SmallRng) -> ResponseSignals {
+    ResponseSignals {
+        ch: coin(rng),
+        di: coin(rng),
+        sl: coin(rng),
         bs: false,
-    })
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -81,34 +86,38 @@ enum Txn {
     Invalidate,
 }
 
-fn txn_strategy() -> impl Strategy<Value = Txn> {
-    prop_oneof![
-        (any::<bool>(), any::<bool>()).prop_map(|(ca, im)| Txn::Read { ca, im }),
-        (0..LINE, 1..4usize, any::<bool>(), any::<bool>()).prop_map(|(offset, len, bc, ca)| {
+fn random_txn(rng: &mut SmallRng) -> Txn {
+    match rng.gen_range(0u32..3) {
+        0 => Txn::Read {
+            ca: coin(rng),
+            im: coin(rng),
+        },
+        1 => {
+            let offset = rng.gen_range(0..LINE);
+            let len = rng.gen_range(1usize..4);
             Txn::Write {
                 offset: offset.min(LINE - len),
                 len,
-                bc,
-                ca,
+                bc: coin(rng),
+                ca: coin(rng),
             }
-        }),
-        Just(Txn::Invalidate),
-    ]
+        }
+        _ => Txn::Invalidate,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn memory_update_rules_hold_for_any_sequence(
-        txns in proptest::collection::vec((txn_strategy(), response_strategy()), 1..40),
-    ) {
+#[test]
+fn memory_update_rules_hold_for_any_sequence() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
         let mut bus = Futurebus::new(LINE, TimingConfig::default());
         // Shadow of what memory must contain.
         let mut shadow = [0u8; LINE];
         let addr = 0x40;
 
-        for (i, (txn, response)) in txns.into_iter().enumerate() {
+        for i in 0..rng.gen_range(1usize..40) {
+            let txn = random_txn(&mut rng);
+            let response = random_response(&mut rng);
             let mut snooper = Scripted::new(vec![response]);
             let mut mods: Vec<&mut dyn BusModule> = vec![&mut snooper];
             match txn {
@@ -118,17 +127,22 @@ proptest! {
                         .execute(&TransactionRequest::read(1, addr, signals), &mut mods)
                         .expect("read");
                     // Reads never modify memory.
-                    prop_assert_eq!(bus.memory().peek(addr), &shadow[..], "txn {}", i);
+                    assert_eq!(bus.memory().peek(addr), &shadow[..], "case {case} txn {i}");
                     // Data came from the DI snooper or from memory.
                     let data = out.data.expect("reads return data");
                     if response.di {
-                        prop_assert_eq!(&data[..], &[0xAB; LINE][..]);
+                        assert_eq!(&data[..], &[0xAB; LINE][..]);
                     } else {
-                        prop_assert_eq!(&data[..], &shadow[..]);
+                        assert_eq!(&data[..], &shadow[..]);
                     }
-                    prop_assert_eq!(out.ch_seen, response.ch);
+                    assert_eq!(out.ch_seen, response.ch);
                 }
-                Txn::Write { offset, len, bc, ca } => {
+                Txn::Write {
+                    offset,
+                    len,
+                    bc,
+                    ca,
+                } => {
                     let bytes = vec![i as u8; len];
                     let signals = MasterSignals::new(ca, true, bc);
                     bus.execute(
@@ -141,18 +155,15 @@ proptest! {
                         // receive the payload.
                         shadow[offset..offset + len].copy_from_slice(&bytes);
                         if response.sl {
-                            prop_assert_eq!(
-                                snooper.seen_payloads.last(),
-                                Some(&bytes)
-                            );
+                            assert_eq!(snooper.seen_payloads.last(), Some(&bytes));
                         }
                     } else if response.di {
                         // Captured: memory untouched, owner got the payload.
-                        prop_assert_eq!(snooper.seen_payloads.last(), Some(&bytes));
+                        assert_eq!(snooper.seen_payloads.last(), Some(&bytes));
                     } else {
                         shadow[offset..offset + len].copy_from_slice(&bytes);
                     }
-                    prop_assert_eq!(bus.memory().peek(addr), &shadow[..], "txn {}", i);
+                    assert_eq!(bus.memory().peek(addr), &shadow[..], "case {case} txn {i}");
                 }
                 Txn::Invalidate => {
                     bus.execute(
@@ -160,84 +171,85 @@ proptest! {
                         &mut mods,
                     )
                     .expect("invalidate");
-                    prop_assert_eq!(bus.memory().peek(addr), &shadow[..]);
+                    assert_eq!(bus.memory().peek(addr), &shadow[..], "case {case} txn {i}");
                 }
             }
         }
     }
+}
 
-    #[test]
-    fn stats_add_up_for_any_sequence(
-        txns in proptest::collection::vec(txn_strategy(), 1..40),
-    ) {
+#[test]
+fn stats_add_up_for_any_sequence() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case.wrapping_add(1000));
         let mut bus = Futurebus::new(LINE, TimingConfig::default());
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        let mut invals = 0u64;
-        for txn in txns {
-            match txn {
+        let (mut reads, mut writes, mut invals) = (0u64, 0u64, 0u64);
+        for _ in 0..rng.gen_range(1usize..40) {
+            let req = match random_txn(&mut rng) {
                 Txn::Read { ca, im } => {
-                    bus.execute(
-                        &TransactionRequest::read(0, 0, MasterSignals::new(ca, im, false)),
-                        &mut [],
-                    )
-                    .expect("read");
                     reads += 1;
+                    TransactionRequest::read(0, 0, MasterSignals::new(ca, im, false))
                 }
-                Txn::Write { offset, len, bc, ca } => {
-                    bus.execute(
-                        &TransactionRequest::write(
-                            0,
-                            0,
-                            MasterSignals::new(ca, true, bc),
-                            offset,
-                            vec![0; len],
-                        ),
-                        &mut [],
-                    )
-                    .expect("write");
+                Txn::Write {
+                    offset,
+                    len,
+                    bc,
+                    ca,
+                } => {
                     writes += 1;
+                    let signals = MasterSignals::new(ca, true, bc);
+                    TransactionRequest::write(0, 0, signals, offset, vec![0; len])
                 }
                 Txn::Invalidate => {
-                    bus.execute(
-                        &TransactionRequest::address_only(0, 0, MasterSignals::CA_IM),
-                        &mut [],
-                    )
-                    .expect("invalidate");
                     invals += 1;
+                    TransactionRequest::address_only(0, 0, MasterSignals::CA_IM)
                 }
-            }
+            };
+            bus.execute(&req, &mut []).expect("no snooper, no failure");
         }
         let s = bus.stats();
-        prop_assert_eq!(s.reads, reads);
-        prop_assert_eq!(s.writes, writes);
-        prop_assert_eq!(s.address_only, invals);
-        prop_assert_eq!(s.transactions, reads + writes + invals);
-        prop_assert!(s.busy_ns > 0);
+        assert_eq!(s.reads, reads, "case {case}");
+        assert_eq!(s.writes, writes, "case {case}");
+        assert_eq!(s.address_only, invals, "case {case}");
+        assert_eq!(s.transactions, reads + writes + invals, "case {case}");
+        assert!(s.busy_ns > 0);
     }
+}
 
-    #[test]
-    fn bs_push_rounds_always_converge_or_error(
-        pre_aborts in 0usize..6,
-    ) {
+#[test]
+fn bs_push_rounds_always_converge_or_error() {
+    const MAX_RETRIES: usize = 4;
+    for pre_aborts in 0..=MAX_RETRIES + 1 {
         // A snooper that aborts `pre_aborts` times before settling.
-        let mut responses =
-            vec![ResponseSignals { bs: true, ..ResponseSignals::NONE }; pre_aborts];
+        let mut responses = vec![
+            ResponseSignals {
+                bs: true,
+                ..ResponseSignals::NONE
+            };
+            pre_aborts
+        ];
         responses.push(ResponseSignals::CH);
         let mut snooper = Scripted::new(responses);
         let mut bus = Futurebus::new(LINE, TimingConfig::default());
+        bus.set_retry_policy(RetryPolicy {
+            max_retries: MAX_RETRIES as u32,
+            ..RetryPolicy::default()
+        });
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut snooper];
-        let result = bus.execute(&TransactionRequest::read(1, 0, MasterSignals::CA), &mut mods);
-        if pre_aborts <= 4 {
+        let result = bus.execute(
+            &TransactionRequest::read(1, 0, MasterSignals::CA),
+            &mut mods,
+        );
+        if pre_aborts <= MAX_RETRIES {
             let out = result.expect("within the retry limit");
-            prop_assert_eq!(out.aborts as usize, pre_aborts);
-            prop_assert_eq!(snooper.pushes, pre_aborts);
+            assert_eq!(out.aborts as usize, pre_aborts);
+            assert_eq!(snooper.pushes, pre_aborts);
             if pre_aborts > 0 {
                 // The push left the snooper's line in memory.
-                prop_assert_eq!(&out.data.expect("read data")[..], &[0xAB; LINE][..]);
+                assert_eq!(&out.data.expect("read data")[..], &[0xAB; LINE][..]);
             }
         } else {
-            prop_assert!(result.is_err(), "must hit the retry limit");
+            assert!(result.is_err(), "must hit the retry limit");
         }
     }
 }

@@ -674,45 +674,6 @@ impl System {
         }
     }
 
-    /// Drives the streams under explicit bus arbitration: in each of `slots`
-    /// bus slots every node requests, the arbiter grants one, and only the
-    /// winner issues its next access. Returns accesses completed per node —
-    /// the fairness profile of the arbiter (a [`PriorityArbiter`] starves
-    /// high-numbered boards; a [`RoundRobinArbiter`] serves everyone).
-    ///
-    /// [`PriorityArbiter`]: futurebus::PriorityArbiter
-    /// [`RoundRobinArbiter`]: futurebus::RoundRobinArbiter
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream count differs from the node count, or on a
-    /// consistency violation.
-    pub fn run_arbitrated<A: futurebus::Arbiter>(
-        &mut self,
-        streams: &mut [Box<dyn RefStream + Send>],
-        slots: u64,
-        arbiter: &mut A,
-    ) -> Vec<u64> {
-        assert_eq!(streams.len(), self.nodes(), "one stream per node");
-        let requesters: Vec<usize> = (0..self.nodes()).collect();
-        let mut completed = vec![0u64; self.nodes()];
-        for _ in 0..slots {
-            let Some(cpu) = arbiter.grant(&requesters) else {
-                break;
-            };
-            let access = streams[cpu].next_access();
-            if access.is_write {
-                self.write_seq = self.write_seq.wrapping_add(1);
-                let mut payload = WritePayload::new();
-                self.write(cpu, access.addr, payload.fill(self.write_seq, access.size));
-            } else {
-                let _ = self.read(cpu, access.addr, access.size);
-            }
-            completed[cpu] += 1;
-        }
-        completed
-    }
-
     /// The per-access audit. Every invariant of a line depends only on that
     /// line's golden value, cache entries and memory copy, and the previous
     /// audit passed, so re-checking the lines logged as changed since then

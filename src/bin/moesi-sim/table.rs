@@ -1,6 +1,5 @@
 //! The `table` subcommand: print protocol policy tables (Tables 3-7).
 
-use moesi::protocols::by_name;
 use moesi_futurebus::cli::CommonOpts;
 
 pub(crate) const TABLE_USAGE: &str = "\
@@ -75,24 +74,7 @@ pub(crate) fn parse_table_args(args: &[String]) -> Result<TableConfig, String> {
 
 pub(crate) fn run_table(cfg: &TableConfig) -> Result<(), String> {
     for name in &cfg.protocols {
-        let p = by_name(name, cfg.seed).ok_or_else(|| format!("unknown protocol `{name}`"))?;
-        let table = p
-            .policy_table()
-            .ok_or_else(|| format!("`{name}` exposes no policy table"))?;
-        print!("{}", table.render());
-        if !p.table_is_exact() {
-            println!("note: base table only — a stateful hook refines the choice per line");
-        }
-        let violations = table.class_violations();
-        if violations.is_empty() {
-            println!("class membership: IN the MOESI compatible class");
-        } else {
-            println!(
-                "class membership: ADAPTED ({} out-of-class entries)",
-                violations.len()
-            );
-        }
-        println!();
+        println!("{}", bench::render_policy(name, cfg.seed)?);
     }
     Ok(())
 }

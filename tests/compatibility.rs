@@ -139,3 +139,23 @@ fn many_seeds_many_mixes() {
         drive(&mut sys, 200, seed * 31);
     }
 }
+
+#[test]
+fn protocol_trait_objects_are_usable_generically() {
+    // C-OBJECT: the Protocol trait must work as a trait object.
+    let mut protocols: Vec<Box<dyn Protocol + Send>> = vec![
+        Box::new(MoesiPreferred::new()),
+        Box::new(Dragon::new()),
+        Box::new(WriteThrough::new()),
+    ];
+    for p in &mut protocols {
+        let _ = p.name();
+        let _ = p.kind();
+        let a = p.on_local(
+            moesi::LineState::Invalid,
+            moesi::LocalEvent::Read,
+            &moesi::LocalCtx::default(),
+        );
+        assert!(a.bus_op.uses_bus());
+    }
+}

@@ -4,10 +4,9 @@
 //! against homogeneous systems of each protocol and every read is compared.
 
 use cache_array::{CacheConfig, ReplacementKind};
-use futurebus::{PriorityArbiter, RoundRobinArbiter};
+use futurebus::{Discipline, Phase};
 use moesi::protocols::by_name;
-use mpsim::workload::{Access, TraceReplay};
-use mpsim::{RefStream, System, SystemBuilder};
+use mpsim::{System, SystemBuilder};
 
 const LINE: usize = 32;
 const CPUS: usize = 3;
@@ -54,9 +53,8 @@ fn script(seed: u64) -> Vec<(usize, u64, Option<u8>)> {
         .collect()
 }
 
-/// Runs the script and collects every read result.
-fn observe(protocol: &str, seed: u64) -> Vec<Vec<u8>> {
-    let mut sys = homogeneous(protocol);
+/// Replays the script on `sys` and collects every read result.
+fn replay(sys: &mut System, seed: u64) -> Vec<Vec<u8>> {
     let mut reads = Vec::new();
     for (cpu, addr, action) in script(seed) {
         match action {
@@ -66,6 +64,10 @@ fn observe(protocol: &str, seed: u64) -> Vec<Vec<u8>> {
     }
     sys.verify().expect("consistent");
     reads
+}
+
+fn observe(protocol: &str, seed: u64) -> Vec<Vec<u8>> {
+    replay(&mut homogeneous(protocol), seed)
 }
 
 #[test]
@@ -89,14 +91,7 @@ fn protocols_differ_in_traffic_but_not_in_answers() {
     let mut traffic = std::collections::BTreeMap::new();
     for protocol in ["moesi", "moesi-invalidating", "illinois", "write-through"] {
         let mut sys = homogeneous(protocol);
-        for (cpu, addr, action) in script(1) {
-            match action {
-                Some(v) => sys.write(cpu, addr, &[v; 4]),
-                None => {
-                    let _ = sys.read(cpu, addr, 4);
-                }
-            }
-        }
+        replay(&mut sys, 1);
         traffic.insert(protocol, sys.bus_stats().transactions);
     }
     let distinct: std::collections::BTreeSet<u64> = traffic.values().copied().collect();
@@ -108,32 +103,25 @@ fn protocols_differ_in_traffic_but_not_in_answers() {
 
 #[test]
 fn arbitration_policy_changes_fairness_not_values() {
-    // The same trace under priority vs round-robin arbitration: values are
-    // checked by the oracle either way; fairness differs drastically.
-    let trace: Vec<Access> = (0..40)
-        .map(|i| {
-            if i % 4 == 0 {
-                Access::write(0x1000 + (i % 8) * 4, 4)
-            } else {
-                Access::read(0x1000 + (i % 8) * 4, 4)
-            }
-        })
-        .collect();
-    let make_streams = || -> Vec<Box<dyn RefStream + Send>> {
-        (0..CPUS)
-            .map(|_| Box::new(TraceReplay::new(trace.clone())) as _)
-            .collect()
+    // The same script under each service discipline: the discipline decides
+    // how long a master queues for the bus (the Arbitrate-phase charge),
+    // never what any read observes. `replay` verifies the oracle each time.
+    let run = |discipline: Discipline| {
+        let mut sys = homogeneous("moesi");
+        sys.fabric_mut().bus_mut().set_discipline(discipline);
+        let reads = replay(&mut sys, 2);
+        (reads, sys.bus_stats().phase_ns[Phase::Arbitrate as usize])
     };
-
-    let mut sys = homogeneous("moesi");
-    let mut priority = PriorityArbiter::new();
-    let served = sys.run_arbitrated(&mut make_streams(), 60, &mut priority);
-    assert_eq!(served[0], 60, "fixed priority serves only board 0");
-    assert_eq!(served[1] + served[2], 0, "the rest starve");
-
-    let mut sys = homogeneous("moesi");
-    let mut rr = RoundRobinArbiter::new();
-    let served = sys.run_arbitrated(&mut make_streams(), 60, &mut rr);
-    assert_eq!(served, vec![20, 20, 20], "round robin is fair");
-    sys.verify().expect("consistent under arbitration");
+    let (reference, priority_wait) = run(Discipline::Priority);
+    assert_eq!(priority_wait, 0, "priority grants in the base slot");
+    let mut waits = vec![priority_wait];
+    for discipline in [Discipline::RoundRobin, Discipline::Fcfs] {
+        let (reads, wait) = run(discipline);
+        assert_eq!(reads, reference, "{discipline} changed a read");
+        waits.push(wait);
+    }
+    assert!(
+        waits[0] < waits[1] && waits[1] != waits[2] && waits[0] < waits[2],
+        "the disciplines must charge different queueing: {waits:?}"
+    );
 }

@@ -1,12 +1,9 @@
-//! Plain-harness ports of the highest-value property tests.
-//!
-//! The original proptest suites (`tests/properties.rs`,
-//! `tests/hierarchy_properties.rs`) are feature-gated behind `proptest`,
-//! which needs registry access to build. These ports keep the same
-//! properties exercised offline: inputs come from the in-tree
-//! `moesi::rng::SmallRng` instead of proptest strategies, with fixed seeds
-//! for reproducibility and enough iterations to match the original case
-//! counts.
+//! Randomized whole-stack properties: random operation sequences against
+//! mixed-protocol flat machines and §6 hierarchies must preserve the shared
+//! memory image, a hierarchy must be observationally identical to a flat
+//! machine, and the pure layers must uphold their structural invariants
+//! under arbitrary inputs. Inputs come from the in-tree
+//! `moesi::rng::SmallRng` with fixed seeds, so every case is reproducible.
 
 use cache_array::{split_line_crossers, CacheConfig, ReplacementKind};
 use moesi::protocols::{
@@ -14,7 +11,8 @@ use moesi::protocols::{
     WriteThrough,
 };
 use moesi::rng::SmallRng;
-use moesi::{table, BusEvent, CacheKind, LineState, LocalEvent};
+use moesi::{table, BusEvent, CacheKind, LineState, LocalEvent, Protocol};
+use mpsim::hierarchy::{HierarchicalSystem, HierarchyBuilder, TreeBuilder};
 use mpsim::{System, SystemBuilder};
 
 const LINE: usize = 32;
@@ -243,24 +241,148 @@ fn sector_cache_valid_subsectors_never_exceed_capacity() {
     }
 }
 
+/// The hierarchy tests' protocol mix, cycling by node index.
+fn protocol(k: usize) -> Box<dyn Protocol + Send> {
+    match k % 4 {
+        0 => Box::new(MoesiPreferred::new()),
+        1 => Box::new(MoesiInvalidating::new()),
+        2 => Box::new(Dragon::new()),
+        _ => Box::new(WriteThrough::new()),
+    }
+}
+
 /// A depth-3 fabric tree (2 root subtrees x 2 leaf clusters x 2 caches),
-/// protocols cycling, with the bridges' inclusion snoop filters on or off —
-/// the plain-harness port of the deep-tree hierarchy properties.
-fn deep_tree(filter: bool) -> mpsim::hierarchy::HierarchicalSystem {
+/// protocols cycling, with the bridges' inclusion snoop filters on or off.
+fn deep_tree(filter: bool) -> HierarchicalSystem {
     let mut k = 0usize;
-    mpsim::hierarchy::TreeBuilder::uniform(LINE, 2, 3, 2, 2, |_, _| {
-        let p: Box<dyn moesi::Protocol + Send> = match k % 4 {
-            0 => Box::new(MoesiPreferred::new()),
-            1 => Box::new(MoesiInvalidating::new()),
-            2 => Box::new(Dragon::new()),
-            _ => Box::new(WriteThrough::new()),
-        };
+    TreeBuilder::uniform(LINE, 2, 3, 2, 2, |_, _| {
+        let p = protocol(k);
         k += 1;
         (p, Some(cfg()))
     })
     .snoop_filter(filter)
     .checking(true)
     .build()
+}
+
+/// A two-level hierarchy of `shape[c]` nodes per cluster, protocols cycling.
+fn hierarchy(shape: &[usize]) -> HierarchicalSystem {
+    let mut b = HierarchyBuilder::new(LINE).checking(true);
+    let mut k = 0;
+    for &nodes in shape {
+        b = b.cluster();
+        for _ in 0..nodes {
+            b = b.cache(protocol(k), cfg());
+            k += 1;
+        }
+    }
+    b.build()
+}
+
+/// A flat machine with the same nodes as `hierarchy(shape)`, in order.
+fn flat(shape: &[usize]) -> System {
+    let mut b = SystemBuilder::new(LINE).checking(true);
+    for k in 0..shape.iter().sum() {
+        b = b.cache(protocol(k), cfg());
+    }
+    b.build()
+}
+
+/// Maps a flat node index to (cluster, cpu) under `shape`.
+fn locate(shape: &[usize], node: usize) -> (usize, usize) {
+    let mut remaining = node;
+    for (cluster, &n) in shape.iter().enumerate() {
+        if remaining < n {
+            return (cluster, remaining);
+        }
+        remaining -= n;
+    }
+    unreachable!("node index within total");
+}
+
+/// One random hierarchy operation: a 4-byte write of a random value or a
+/// 4-byte read, on one of 6 lines.
+struct NodeOp {
+    node: usize,
+    addr: u64,
+    write: Option<u8>,
+}
+
+fn random_node_op(rng: &mut SmallRng, nodes: usize) -> NodeOp {
+    NodeOp {
+        node: rng.gen_range(0..nodes),
+        addr: 0x1000 + rng.gen_range(0u64..6) * LINE as u64 + rng.gen_range(0u64..7) * 4,
+        write: rng.gen_bool(0.5).then(|| rng.gen_range(0u32..256) as u8),
+    }
+}
+
+#[test]
+fn hierarchy_and_flat_machine_observe_identical_values() {
+    for case in 0..16u64 {
+        let shape: &[usize] = [&[2, 2][..], &[1, 3], &[2, 1, 1]][case as usize % 3];
+        let mut rng = SmallRng::seed_from_u64(case.wrapping_mul(0xA11C));
+        let mut hier = hierarchy(shape);
+        let mut plain = flat(shape);
+        for _ in 0..rng.gen_range(1usize..80) {
+            let op = random_node_op(&mut rng, 4);
+            let (cluster, cpu) = locate(shape, op.node);
+            match op.write {
+                Some(v) => {
+                    hier.write(cluster, cpu, op.addr, &[v; 4]);
+                    plain.write(op.node, op.addr, &[v; 4]);
+                }
+                None => {
+                    let h = hier.read(cluster, cpu, op.addr, 4);
+                    let f = plain.read(op.node, op.addr, 4);
+                    assert_eq!(h, f, "{shape:?}: divergence at {:#x}", op.addr);
+                }
+            }
+        }
+        assert!(hier.verify().is_ok(), "{shape:?}");
+        assert!(plain.verify().is_ok(), "{shape:?}");
+    }
+}
+
+#[test]
+fn random_ops_with_global_sync_stay_consistent() {
+    let shape = &[2usize, 2];
+    for case in 0..16u64 {
+        let mut rng = SmallRng::seed_from_u64(case.wrapping_add(0x5C));
+        let sync_every = rng.gen_range(5usize..20);
+        let mut sys = hierarchy(shape);
+        for i in 0..rng.gen_range(1usize..80) {
+            let op = random_node_op(&mut rng, 4);
+            let (cluster, cpu) = locate(shape, op.node);
+            match op.write {
+                Some(v) => sys.write(cluster, cpu, op.addr, &[v; 4]),
+                None => {
+                    let _ = sys.read(cluster, cpu, op.addr, 4);
+                }
+            }
+            if i % sync_every == 0 {
+                sys.make_globally_consistent();
+            }
+        }
+        assert!(sys.verify().is_ok());
+    }
+}
+
+#[test]
+fn hierarchy_survives_eviction_pressure() {
+    // Tiny caches force evictions inside clusters; write-backs land in the
+    // mirror, ownership stays at cluster level, and everything stays golden.
+    let shape = &[2usize, 2];
+    let mut sys = hierarchy(shape);
+    for i in 0..120u32 {
+        let (cluster, cpu) = locate(shape, (i % 4) as usize);
+        let addr = 0x1000 + u64::from(i % 24) * LINE as u64;
+        if i % 3 == 0 {
+            sys.write(cluster, cpu, addr, &i.to_le_bytes());
+        } else {
+            let _ = sys.read(cluster, cpu, addr, 4);
+        }
+    }
+    sys.verify().expect("consistent under eviction pressure");
 }
 
 #[test]
