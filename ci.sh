@@ -20,14 +20,17 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> oracle-checked perfbench at the held-out seed (digests must match, no failed job)"
-checked_line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload checked --seed 4242 --seconds 2 --trace 0 | tail -1)"
-echo "$checked_line"
-case "$checked_line" in
-  *'"correct": true'*'"failed": 0,'*) ;;
-  *) echo "perfbench checked workload failed at seed 4242" >&2; exit 1 ;;
-esac
+# checked: the oracle path; tree: the fabric tree's access path.
+for workload in checked tree; do
+  echo "==> perfbench $workload at the held-out seed (digests must match, no failed job)"
+  line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 4242 --seconds 2 --trace 0 | tail -1)"
+  echo "$line"
+  case "$line" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *) echo "perfbench $workload workload failed at seed 4242" >&2; exit 1 ;;
+  esac
+done
 
 echo "==> fault-injection smoke campaign (fixed seed, fails on silent corruption)"
 ./target/release/moesi-sim faults --seed 7 --steps 800

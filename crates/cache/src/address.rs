@@ -79,8 +79,8 @@ impl AddressMap {
 /// more lines ... the processor/cache interface must be able to treat this as
 /// a separate transaction for each line involved."
 ///
-/// Returns `(piece_addr, piece_len)` pairs covering the access, each entirely
-/// inside one line.
+/// Yields `(piece_addr, piece_len)` pairs covering the access, each entirely
+/// inside one line, lazily: splitting allocates nothing.
 ///
 /// # Examples
 ///
@@ -88,38 +88,43 @@ impl AddressMap {
 /// use cache_array::split_line_crossers;
 ///
 /// // An 8-byte access starting 4 bytes before a 16-byte line boundary.
-/// let pieces = split_line_crossers(12, 8, 16);
+/// let pieces: Vec<_> = split_line_crossers(12, 8, 16).collect();
 /// assert_eq!(pieces, vec![(12, 4), (16, 4)]);
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if `line_size` is not a power of two.
-#[must_use]
-pub fn split_line_crossers(addr: u64, size: usize, line_size: usize) -> Vec<(u64, usize)> {
+pub fn split_line_crossers(
+    addr: u64,
+    size: usize,
+    line_size: usize,
+) -> impl Iterator<Item = (u64, usize)> {
     assert!(
         line_size.is_power_of_two(),
         "line size must be a power of two"
     );
-    if size == 0 {
-        return Vec::new();
-    }
-    let mut pieces = Vec::new();
     let mut cur = addr;
     let mut remaining = size;
-    while remaining > 0 {
-        let line_end = (cur & !(line_size as u64 - 1)) + line_size as u64;
-        let in_line = ((line_end - cur) as usize).min(remaining);
-        pieces.push((cur, in_line));
-        cur += in_line as u64;
+    std::iter::from_fn(move || {
+        if remaining == 0 {
+            return None;
+        }
+        let in_line = (line_size - (cur & (line_size as u64 - 1)) as usize).min(remaining);
+        let piece = (cur, in_line);
+        cur = cur.wrapping_add(in_line as u64);
         remaining -= in_line;
-    }
-    pieces
+        Some(piece)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn pieces(addr: u64, size: usize, line_size: usize) -> Vec<(u64, usize)> {
+        split_line_crossers(addr, size, line_size).collect()
+    }
 
     #[test]
     fn split_round_trips_through_reassemble() {
@@ -141,29 +146,26 @@ mod tests {
 
     #[test]
     fn aligned_access_does_not_split() {
-        assert_eq!(split_line_crossers(32, 8, 16), vec![(32, 8)]);
-        assert_eq!(split_line_crossers(0, 16, 16), vec![(0, 16)]);
+        assert_eq!(pieces(32, 8, 16), vec![(32, 8)]);
+        assert_eq!(pieces(0, 16, 16), vec![(0, 16)]);
     }
 
     #[test]
     fn crossers_split_at_every_boundary() {
         // 40 bytes spanning three 16-byte lines.
-        assert_eq!(
-            split_line_crossers(8, 40, 16),
-            vec![(8, 8), (16, 16), (32, 16)]
-        );
+        assert_eq!(pieces(8, 40, 16), vec![(8, 8), (16, 16), (32, 16)]);
     }
 
     #[test]
     fn zero_size_access_is_empty() {
-        assert!(split_line_crossers(5, 0, 16).is_empty());
+        assert!(pieces(5, 0, 16).is_empty());
     }
 
     #[test]
     fn pieces_cover_exactly_the_access() {
         for addr in 0..64u64 {
             for size in 1..48usize {
-                let pieces = split_line_crossers(addr, size, 16);
+                let pieces = pieces(addr, size, 16);
                 let total: usize = pieces.iter().map(|&(_, l)| l).sum();
                 assert_eq!(total, size);
                 let mut cur = addr;

@@ -304,21 +304,21 @@ impl<S: Copy> CacheArray<S> {
 }
 
 impl<S> CacheArray<S> {
-    /// Reads `len` bytes at `addr` from a resident line; `None` on a miss.
+    /// The `len` bytes at `addr` in a resident line, borrowed; `None` on a
+    /// miss.
     ///
     /// # Panics
     ///
     /// Panics if the access crosses the end of the line — split line
     /// crossers first ([`split_line_crossers`](crate::split_line_crossers)).
     #[must_use]
-    pub fn read(&self, addr: u64, len: usize) -> Option<Vec<u8>> {
+    pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
         let (_, _, offset) = self.map.split(addr);
         assert!(
             offset + len <= self.config.line_size,
             "read crosses line boundary; split it first"
         );
-        self.lookup(addr)
-            .map(|e| e.data[offset..offset + len].to_vec())
+        self.lookup(addr).map(|e| &e.data[offset..offset + len])
     }
 
     /// Writes bytes at `addr` into a resident line; false on a miss.
@@ -387,7 +387,7 @@ mod tests {
         assert!(c.fill(0x100, 'M', line(1)).is_none());
         assert_eq!(c.state_of(0x100), Some('M'));
         assert_eq!(c.state_of(0x10F), Some('M'), "same line");
-        assert_eq!(c.read(0x104, 4), Some(vec![1; 4]));
+        assert_eq!(c.read(0x104, 4), Some(&[1; 4][..]));
         assert_eq!(c.len(), 1);
     }
 
@@ -397,7 +397,7 @@ mod tests {
         c.fill(0x100, 'S', line(1));
         assert!(c.fill(0x100, 'M', line(2)).is_none());
         assert_eq!(c.len(), 1);
-        assert_eq!(c.read(0x100, 1), Some(vec![2]));
+        assert_eq!(c.read(0x100, 1), Some(&[2][..]));
     }
 
     #[test]
@@ -464,7 +464,7 @@ mod tests {
         let mut c = small();
         c.fill(0x200, 'M', line(0));
         assert!(c.write(0x204, &[0xAA, 0xBB]));
-        assert_eq!(c.read(0x204, 2), Some(vec![0xAA, 0xBB]));
+        assert_eq!(c.read(0x204, 2), Some(&[0xAA, 0xBB][..]));
         assert!(!c.write(0x300, &[1]), "miss returns false");
     }
 

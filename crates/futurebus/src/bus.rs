@@ -149,6 +149,9 @@ pub struct Futurebus {
     /// reclaimed afterwards, so the address-broadcast phase never allocates
     /// on the steady state.
     reply_scratch: Vec<(usize, ResponseSignals)>,
+    /// The stall-candidate buffer lent to the fault plan's roll, so a bus
+    /// with a plan installed does not allocate per transaction either.
+    candidate_scratch: Vec<usize>,
 }
 
 impl Futurebus {
@@ -174,6 +177,7 @@ impl Futurebus {
             liveness: None,
             phase_events: None,
             reply_scratch: Vec::new(),
+            candidate_scratch: Vec::new(),
         }
     }
 
@@ -463,10 +467,12 @@ impl Futurebus {
     fn decide_faults(&mut self, req: &TransactionRequest, module_count: usize) -> TxnFaults {
         let mut faults = match self.faults.as_mut() {
             Some(plan) => {
-                let candidates: Vec<usize> = (0..module_count)
-                    .filter(|&i| i != req.master && !self.retired.contains(&i))
-                    .collect();
-                plan.decide(&candidates)
+                let candidates = &mut self.candidate_scratch;
+                candidates.clear();
+                candidates.extend(
+                    (0..module_count).filter(|&i| i != req.master && !self.retired.contains(&i)),
+                );
+                plan.decide(candidates)
             }
             None => TxnFaults::default(),
         };

@@ -55,7 +55,7 @@ pub mod wire;
 pub use arbitration::Discipline;
 pub use bus::{Futurebus, RetryPolicy};
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultRecord, InjectedFault};
-pub use memory::{ChangeLog, SparseMemory};
+pub use memory::{ChangeLog, LineHasher, LineMap, SparseMemory};
 pub use module::{BusModule, BusObservation, PushWrite, RetireReport};
 pub use observe::{
     ChromeTraceWriter, LatencyHistogram, LivenessMonitor, MasterProgress, PhaseHistograms,

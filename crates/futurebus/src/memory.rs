@@ -11,14 +11,17 @@ use crate::transaction::LineAddr;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A multiplicative hasher for line addresses. Line lookups sit on the bus
-/// engine's per-transaction path, where the default SipHash costs more than
-/// the table probe itself; a Fibonacci multiply with an avalanche shift is
-/// plenty for keys that differ only in their upper (line-number) bits.
-/// Iteration order is never observable — deterministic consumers go through
-/// [`SparseMemory::line_addrs`], which sorts.
+/// A multiplicative hasher for line addresses. Line lookups sit on the
+/// per-access paths (memory on every transaction, bridge directories on every
+/// snoop, the oracle's golden image on every checked access), where the
+/// default SipHash costs more than the table probe itself; a Fibonacci
+/// multiply with an avalanche shift is plenty for keys that differ only in
+/// their upper (line-number) bits. Unlike SipHash it has no per-process
+/// seed, so a map's layout — and its allocation pattern — repeats exactly
+/// from run to run. Consumers whose output depends on order still sort
+/// (e.g. [`SparseMemory::line_addrs`]).
 #[derive(Clone, Copy, Debug, Default)]
-struct LineHasher(u64);
+pub struct LineHasher(u64);
 
 impl Hasher for LineHasher {
     fn finish(&self) -> u64 {
@@ -26,7 +29,7 @@ impl Hasher for LineHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (unused by the line map): FNV-1a.
+        // Fallback for non-u64 keys (unused by line maps): FNV-1a.
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
@@ -38,7 +41,8 @@ impl Hasher for LineHasher {
     }
 }
 
-type LineMap = HashMap<LineAddr, Box<[u8]>, BuildHasherDefault<LineHasher>>;
+/// A map keyed by line address, hashed with [`LineHasher`].
+pub type LineMap<V> = HashMap<LineAddr, V, BuildHasherDefault<LineHasher>>;
 
 /// The line addresses whose audited state changed since the last drain: what
 /// an incremental consistency audit re-checks. Components keep one only while
@@ -88,7 +92,7 @@ impl ChangeLog {
 #[derive(Clone, Debug)]
 pub struct SparseMemory {
     line_size: usize,
-    lines: LineMap,
+    lines: LineMap<Box<[u8]>>,
     /// What an untouched line reads as, so peeks can always lend a slice.
     zero: Box<[u8]>,
     reads: u64,

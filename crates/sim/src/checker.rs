@@ -18,9 +18,9 @@
 //! 5. **Exclusive-clean** — an E copy matches main memory ("exclusive data
 //!    must match the copy in main memory").
 
-use futurebus::{ChangeLog, SparseMemory};
+use cache_array::split_line_crossers;
+use futurebus::{ChangeLog, LineMap, SparseMemory};
 use moesi::LineState;
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::controller::CacheController;
@@ -123,7 +123,7 @@ impl std::error::Error for Violation {}
 #[derive(Clone, Debug)]
 pub struct Checker {
     line_size: usize,
-    golden: HashMap<u64, Box<[u8]>>,
+    golden: LineMap<Box<[u8]>>,
     /// The golden value of every line never written.
     zero: Box<[u8]>,
     /// Whether invariant 5 (E matches memory) is enforced. It holds for every
@@ -141,7 +141,7 @@ impl Checker {
     pub fn new(line_size: usize) -> Self {
         Checker {
             line_size,
-            golden: HashMap::new(),
+            golden: LineMap::default(),
             zero: vec![0; line_size].into_boxed_slice(),
             check_exclusive_clean: true,
             changes: None,
@@ -176,38 +176,46 @@ impl Checker {
         self.golden.get(&self.line_of(addr)).unwrap_or(&self.zero)
     }
 
+    /// The golden bytes of each line-bounded piece of `len` bytes at `addr`,
+    /// borrowed, in address order.
+    fn golden_pieces(&self, addr: u64, len: usize) -> impl Iterator<Item = &[u8]> {
+        split_line_crossers(addr, len, self.line_size).map(|(piece, n)| {
+            let offset = (piece - self.line_of(piece)) as usize;
+            &self.golden_line(piece)[offset..offset + n]
+        })
+    }
+
     /// The golden bytes at `addr`; the range may span any number of lines.
     #[must_use]
     pub fn golden_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        let mut cur = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let line = self.line_of(cur);
-            let offset = (cur - line) as usize;
-            let take = (self.line_size - offset).min(remaining);
-            out.extend_from_slice(&self.golden_line(line)[offset..offset + take]);
-            cur += take as u64;
-            remaining -= take;
+        for piece in self.golden_pieces(addr, len) {
+            out.extend_from_slice(piece);
         }
         out
     }
 
-    /// Checks a completed processor read against the golden image.
+    /// Checks a completed processor read against the golden image. A match
+    /// allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`Violation::ReadMismatch`] when the bytes differ.
     pub fn check_read(&self, cpu: usize, addr: u64, got: &[u8]) -> Result<(), Violation> {
-        let expected = self.golden_bytes(addr, got.len());
-        if got == expected.as_slice() {
+        let mut rest = got;
+        let matches = self.golden_pieces(addr, got.len()).all(|golden| {
+            let (head, tail) = rest.split_at(golden.len());
+            rest = tail;
+            head == golden
+        });
+        if matches {
             Ok(())
         } else {
             Err(Violation::ReadMismatch {
                 cpu,
                 addr,
                 got: got.to_vec(),
-                expected,
+                expected: self.golden_bytes(addr, got.len()),
             })
         }
     }

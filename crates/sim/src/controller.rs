@@ -186,13 +186,13 @@ impl CacheController {
             .try_on_local(state, event, &LocalCtx::default())
     }
 
-    /// Reads bytes from the resident line (hit path).
+    /// The bytes at `addr` in the resident line, borrowed, marking the line
+    /// most-recently-used (hit path); `None` on a miss.
     #[must_use]
-    pub fn read_cached(&mut self, addr: u64, len: usize) -> Option<Vec<u8>> {
+    pub fn read_cached(&mut self, addr: u64, len: usize) -> Option<&[u8]> {
         let cache = self.cache.as_mut()?;
-        let data = cache.read(addr, len)?;
         cache.touch(addr);
-        Some(data)
+        cache.read(addr, len)
     }
 
     /// The dataless hit probe: if the line containing `addr` is resident,
@@ -512,7 +512,7 @@ mod tests {
             },
         );
         assert_eq!(c.state_of(0x100), LineState::Shareable);
-        assert_eq!(c.read_cached(0x104, 2), Some(vec![7, 7]));
+        assert_eq!(c.read_cached(0x104, 2), Some(&[7, 7][..]));
         assert_eq!(c.stats().updates_received, 1);
     }
 

@@ -11,6 +11,7 @@
 use cache_array::{split_line_crossers, Victim};
 use futurebus::{Futurebus, TimingConfig, TransactionOutcome, TransactionRequest};
 use moesi::{BusOp, LineState, LocalAction, LocalEvent, MasterSignals};
+use std::ops::Range;
 
 use crate::controller::CacheController;
 
@@ -200,13 +201,21 @@ impl Fabric {
     }
 
     /// Reads `len` bytes at `addr` for processor `cpu`, splitting line
-    /// crossers (§5.1).
+    /// crossers (§5.1). [`Fabric::read_into`] into a fresh `Vec`.
     pub fn read(&mut self, cpu: usize, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size) {
-            out.extend(self.read_piece(cpu, piece_addr, piece_len));
-        }
+        self.read_into(cpu, addr, len, &mut out);
         out
+    }
+
+    /// Reads `len` bytes at `addr` for processor `cpu`, splitting line
+    /// crossers, and appends them to `out`. A caller that reuses `out` makes
+    /// a read hit allocate nothing: the bytes are copied straight from the
+    /// cache entry.
+    pub fn read_into(&mut self, cpu: usize, addr: u64, len: usize, out: &mut Vec<u8>) {
+        for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size) {
+            self.read_piece(cpu, piece_addr, piece_len, out);
+        }
     }
 
     /// Writes `bytes` at `addr` for processor `cpu`, splitting line crossers.
@@ -219,9 +228,8 @@ impl Fabric {
         bytes: &[u8],
         mut on_piece: F,
     ) {
-        let pieces = split_line_crossers(addr, bytes.len(), self.line_size);
         let mut cursor = 0;
-        for (piece_addr, piece_len) in pieces {
+        for (piece_addr, piece_len) in split_line_crossers(addr, bytes.len(), self.line_size) {
             let piece = &bytes[cursor..cursor + piece_len];
             cursor += piece_len;
             on_piece(piece_addr, piece);
@@ -243,7 +251,8 @@ impl Fabric {
         debug_assert_eq!(action.bus_op, BusOp::Write);
         let data = self.controllers[cpu]
             .read_cached(line, self.line_size)
-            .expect("owned line is resident");
+            .expect("owned line is resident")
+            .to_vec();
         let req = TransactionRequest::write(cpu, line, action.signals, 0, data);
         let out = self.run_txn(&req);
         let result = action.result.resolve(out.ch_seen);
@@ -266,7 +275,8 @@ impl Fabric {
         if action.bus_op == BusOp::Write {
             let data = self.controllers[cpu]
                 .read_cached(line, self.line_size)
-                .expect("resident");
+                .expect("resident")
+                .to_vec();
             let req = TransactionRequest::write(cpu, line, action.signals, 0, data);
             self.run_txn(&req);
             self.controllers[cpu].stats_mut().write_backs += 1;
@@ -354,56 +364,52 @@ impl Fabric {
             // with nobody consuming the bytes there is nothing to do.
             return;
         };
-        self.execute_read_action_dataless(cpu, line, &action);
+        self.execute_read_action(cpu, line, &action, None);
     }
 
-    fn read_piece(&mut self, cpu: usize, addr: u64, len: usize) -> Vec<u8> {
-        self.controllers[cpu].stats_mut().reads += 1;
-        let line = self.line_addr(addr);
-        if self.controllers[cpu].state_of(line).is_valid() {
-            self.controllers[cpu].stats_mut().read_hits += 1;
-            return self.controllers[cpu]
-                .read_cached(addr, len)
-                .expect("valid line is resident");
+    fn read_piece(&mut self, cpu: usize, addr: u64, len: usize, out: &mut Vec<u8>) {
+        let ctrl = &mut self.controllers[cpu];
+        ctrl.stats_mut().reads += 1;
+        // Resident lines are always valid, so residency decides the hit.
+        if let Some(bytes) = ctrl.read_cached(addr, len) {
+            out.extend_from_slice(bytes);
+            ctrl.stats_mut().read_hits += 1;
+            return;
         }
+        let line = self.line_addr(addr);
         let offset = (addr - line) as usize;
+        let range = offset..offset + len;
         let Some(action) = self.try_decide(cpu, line, LocalEvent::Read) else {
             // Degraded: serve from memory without caching the line.
-            let data = self.bus.memory().peek(line);
-            return data[offset..offset + len].to_vec();
+            out.extend_from_slice(&self.bus.memory().peek(line)[range]);
+            return;
         };
-        let data = self.execute_read_action(cpu, line, &action);
-        data[offset..offset + len].to_vec()
+        self.execute_read_action(cpu, line, &action, Some((out, range)));
     }
 
     /// Runs a read-typed local action (a miss): the bus read, the fill, and
-    /// any victim write-back. Returns the full line.
-    fn execute_read_action(&mut self, cpu: usize, line: u64, action: &LocalAction) -> Box<[u8]> {
+    /// any victim write-back. The fill takes the bus's line by move; when
+    /// `copy` names a buffer, the bytes at its range within the line are
+    /// appended to it first. (Copying out of the cache afterwards would be
+    /// wrong: under faults, the victim write-back can invalidate the filled
+    /// line, e.g. when a snooper killed mid-transaction loses it.)
+    fn execute_read_action(
+        &mut self,
+        cpu: usize,
+        line: u64,
+        action: &LocalAction,
+        copy: Option<(&mut Vec<u8>, Range<usize>)>,
+    ) {
         debug_assert_eq!(action.bus_op, BusOp::Read, "read path expects an R action");
         let req = TransactionRequest::read(cpu, line, action.signals);
         let out = self.run_txn(&req);
         let data = out.data.expect("reads return data");
-        let result = action.result.resolve(out.ch_seen);
-        if result.is_valid() {
-            let victim = self.controllers[cpu].fill(line, result, data.clone());
-            if let Some(v) = victim {
-                self.write_back_victim(cpu, v);
-            }
+        if let Some((buf, range)) = copy {
+            buf.extend_from_slice(&data[range]);
         }
-        data
-    }
-
-    /// [`Fabric::execute_read_action`] for callers that discard the line:
-    /// the fill takes the bus data by move instead of cloning it.
-    fn execute_read_action_dataless(&mut self, cpu: usize, line: u64, action: &LocalAction) {
-        debug_assert_eq!(action.bus_op, BusOp::Read, "read path expects an R action");
-        let req = TransactionRequest::read(cpu, line, action.signals);
-        let out = self.run_txn(&req);
-        let data = out.data.expect("reads return data");
         let result = action.result.resolve(out.ch_seen);
         if result.is_valid() {
-            let victim = self.controllers[cpu].fill(line, result, data);
-            if let Some(v) = victim {
+            if let Some(v) = self.controllers[cpu].fill(line, result, data) {
                 self.write_back_victim(cpu, v);
             }
         }
@@ -478,7 +484,7 @@ impl Fabric {
             // Read-for-modify: one transaction reads the line and invalidates
             // other copies, then the write happens locally.
             BusOp::Read => {
-                let _ = self.execute_read_action(cpu, line, &action);
+                self.execute_read_action(cpu, line, &action, None);
                 let ok = self.controllers[cpu].write_cached(addr, bytes);
                 assert!(ok, "read-for-modify must have filled the line");
             }
@@ -489,7 +495,7 @@ impl Fabric {
                     self.bus.memory_mut().write_bytes(line, offset, bytes);
                     return;
                 };
-                let _ = self.execute_read_action(cpu, line, &read_action);
+                self.execute_read_action(cpu, line, &read_action, None);
                 self.write_piece_inner(cpu, addr, bytes);
             }
         }

@@ -495,6 +495,7 @@ impl HierarchicalSystem {
 
     /// Processor `cpu` of the leaf cluster at `path` reads `len` bytes at
     /// `addr`, descending one bus level per path element.
+    /// [`read_into`](HierarchicalSystem::read_into) into a fresh `Vec`.
     ///
     /// # Panics
     ///
@@ -502,9 +503,30 @@ impl HierarchicalSystem {
     /// violation when the oracle is enabled.
     pub fn read_at(&mut self, path: &[usize], cpu: usize, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
+        self.read_into(path, cpu, addr, len, &mut out);
+        out
+    }
+
+    /// Processor `cpu` of the leaf cluster at `path` reads `len` bytes at
+    /// `addr` and appends them to `out`. A caller that reuses `out` makes a
+    /// read hit allocate nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `path` does not reach a leaf cluster, or on a consistency
+    /// violation when the oracle is enabled.
+    pub fn read_into(
+        &mut self,
+        path: &[usize],
+        cpu: usize,
+        addr: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) {
+        let start = out.len();
         for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size) {
             let line = self.line_addr(piece_addr);
-            out.extend(self.root.read_piece(
+            self.root.read_piece(
                 path,
                 cpu,
                 piece_addr,
@@ -512,18 +534,18 @@ impl HierarchicalSystem {
                 line,
                 0,
                 &mut self.parent_errors,
-            ));
+                out,
+            );
         }
         self.hoist_forward_errors();
         if !self.tolerant {
             if let Some(ck) = &self.checker {
-                if let Err(v) = ck.check_read(cpu, addr, &out) {
+                if let Err(v) = ck.check_read(cpu, addr, &out[start..]) {
                     panic!("hierarchy consistency violation: {v}");
                 }
             }
         }
         self.audit();
-        out
     }
 
     /// Processor (`cluster`, `cpu`) writes `bytes` at `addr` (two-level
@@ -544,9 +566,8 @@ impl HierarchicalSystem {
     /// Panics when `path` does not reach a leaf cluster, or on a consistency
     /// violation when the oracle is enabled.
     pub fn write_at(&mut self, path: &[usize], cpu: usize, addr: u64, bytes: &[u8]) {
-        let pieces = split_line_crossers(addr, bytes.len(), self.line_size);
         let mut cursor = 0;
-        for (piece_addr, piece_len) in pieces {
+        for (piece_addr, piece_len) in split_line_crossers(addr, bytes.len(), self.line_size) {
             let piece = &bytes[cursor..cursor + piece_len];
             cursor += piece_len;
             let line = self.line_addr(piece_addr);
@@ -669,6 +690,7 @@ impl HierarchicalSystem {
     pub fn run(&mut self, streams: &mut [Vec<Box<dyn RefStream + Send>>], steps: u64) {
         let paths = self.leaf_paths();
         assert_eq!(streams.len(), paths.len(), "one stream vec per cluster");
+        // The loop walks the streams, so their shape is checked once, here.
         for (leaf, cluster_streams) in streams.iter().enumerate() {
             assert_eq!(
                 cluster_streams.len(),
@@ -678,19 +700,20 @@ impl HierarchicalSystem {
         }
         let mut seq: u32 = 0;
         let mut payload = WritePayload::new();
-        // The body needs `&mut self` for the access methods, so indexing is
-        // clearer than restructuring around iter_mut.
-        #[allow(clippy::needless_range_loop)]
+        // Every read lands in this one buffer, so a read hit allocates
+        // nothing; the bytes are checked (with the oracle on) and dropped.
+        let mut read_buf = Vec::new();
         for _ in 0..steps {
-            for leaf in 0..paths.len() {
-                for cpu in 0..self.leaf_fabric(leaf).nodes() {
-                    let access = streams[leaf][cpu].next_access();
+            for (path, cluster_streams) in paths.iter().zip(streams.iter_mut()) {
+                for (cpu, stream) in cluster_streams.iter_mut().enumerate() {
+                    let access = stream.next_access();
                     if access.is_write {
                         seq = seq.wrapping_add(1);
                         let bytes = payload.fill(seq, access.size);
-                        self.write_at(&paths[leaf], cpu, access.addr, bytes);
+                        self.write_at(path, cpu, access.addr, bytes);
                     } else {
-                        let _ = self.read_at(&paths[leaf], cpu, access.addr, access.size);
+                        read_buf.clear();
+                        self.read_into(path, cpu, access.addr, access.size, &mut read_buf);
                     }
                 }
             }
@@ -826,7 +849,7 @@ impl HierarchicalSystem {
         if keys.is_empty() {
             return None;
         }
-        keys.sort_unstable(); // HashMap order must not leak into the RNG draw
+        keys.sort_unstable(); // map order must not leak into the RNG draw
         let plan = self.root.bus.fault_plan_mut().expect("checked above");
         let line = keys[plan.gen_index(keys.len())];
         let from = bridge_by_flat(&self.root.children, victim)

@@ -8,26 +8,26 @@
 //! machinery applies unchanged at every level.
 
 use futurebus::{
-    BusError, BusModule, BusObservation, ChangeLog, Futurebus, LineAddr, RetireReport,
+    BusError, BusModule, BusObservation, ChangeLog, Futurebus, LineAddr, LineMap, RetireReport,
     SparseMemory, TimingConfig, TransactionOutcome, TransactionRequest,
 };
 use moesi::{table, BusEvent, BusReaction, LineState, MasterSignals, ResponseSignals};
-use std::collections::HashMap;
+use std::ops::Range;
 
 use super::{ParentError, ParentTxnKind};
 use crate::fabric::Fabric;
 
 /// What a bridge needs from its parent bus before an intra-subtree access
 /// may proceed.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum ParentNeed {
     /// Fetch the line (a cluster-level read miss or read-for-modify).
     Fetch {
         signals: MasterSignals,
         for_write: bool,
     },
-    /// Broadcast the written bytes (a cluster-level shared write).
-    Broadcast { offset: usize, bytes: Vec<u8> },
+    /// Broadcast the access's written bytes (a cluster-level shared write).
+    Broadcast,
 }
 
 /// Per-bridge counters.
@@ -135,17 +135,14 @@ impl Segment {
         wholesale
     }
 
-    /// Executes `req` on this segment's bus with every child snooping.
+    /// Executes `req` on this segment's bus with every child snooping. The
+    /// bridges are passed as a flat component array, so the pipeline is
+    /// statically dispatched and builds no per-transaction module list.
     pub(super) fn execute_on_children(
         &mut self,
         req: &TransactionRequest,
     ) -> Result<TransactionOutcome, BusError> {
-        let mut refs: Vec<&mut dyn BusModule> = self
-            .children
-            .iter_mut()
-            .map(|b| b as &mut dyn BusModule)
-            .collect();
-        self.bus.execute(req, &mut refs)
+        self.bus.execute_components(req, &mut self.children)
     }
 
     /// Gates an access descending into `child` on the cluster-level
@@ -162,25 +159,28 @@ impl Segment {
         depth: usize,
         errors: &mut Vec<ParentError>,
     ) {
-        let Some(need) = self.children[child].prepare(line, write) else {
+        let Some(need) = self.children[child].prepare(line, write.is_some()) else {
             return;
         };
-        let req = match &need {
-            ParentNeed::Fetch { signals, .. } => TransactionRequest::read(child, line, *signals),
-            ParentNeed::Broadcast { offset, bytes } => TransactionRequest::write(
-                child,
-                line,
-                MasterSignals::CA_IM_BC,
-                *offset,
-                bytes.clone(),
-            ),
+        let req = match need {
+            ParentNeed::Fetch { signals, .. } => TransactionRequest::read(child, line, signals),
+            ParentNeed::Broadcast => {
+                let (offset, bytes) = write.expect("only a write broadcasts");
+                TransactionRequest::write(
+                    child,
+                    line,
+                    MasterSignals::CA_IM_BC,
+                    offset,
+                    bytes.to_vec(),
+                )
+            }
         };
         let out = match self.execute_on_children(&req) {
             Ok(out) => out,
             Err(e) => {
-                let txn = match &need {
+                let txn = match need {
                     ParentNeed::Fetch { .. } => ParentTxnKind::Fetch,
-                    ParentNeed::Broadcast { .. } => ParentTxnKind::Broadcast,
+                    ParentNeed::Broadcast => ParentTxnKind::Broadcast,
                 };
                 errors.push(ParentError {
                     cluster: child,
@@ -194,7 +194,7 @@ impl Segment {
                 // the conservative answer, since the failed transaction
                 // never resolved the wired-OR, and claiming exclusivity on
                 // a bus that just faulted would be worse.
-                match &need {
+                match need {
                     ParentNeed::Fetch { .. } => TransactionOutcome {
                         data: Some(self.bus.memory().peek(line).into()),
                         responses: ResponseSignals::NONE,
@@ -203,8 +203,9 @@ impl Segment {
                         duration: 0,
                         aborts: 0,
                     },
-                    ParentNeed::Broadcast { offset, bytes } => {
-                        self.bus.memory_mut().write_bytes(line, *offset, bytes);
+                    ParentNeed::Broadcast => {
+                        let (offset, bytes) = write.expect("only a write broadcasts");
+                        self.bus.memory_mut().write_bytes(line, offset, bytes);
                         TransactionOutcome {
                             data: None,
                             responses: ResponseSignals::NONE,
@@ -217,28 +218,29 @@ impl Segment {
                 }
             }
         };
-        self.children[child].commit(line, &need, &out);
+        self.children[child].commit(line, need, write, &out);
     }
 
     /// Memory-direct degraded read: `child`'s bridge is dead, so the access
     /// goes straight onto this segment's bus as an uncached read (no CA —
     /// Table 2 column 7). A live sibling that owns the line intervenes and
-    /// supplies current data; otherwise segment memory answers.
+    /// supplies current data; otherwise segment memory answers. The bytes
+    /// at `range` within the line are appended to `out`.
     pub(super) fn degraded_read(
         &mut self,
         child: usize,
         line: LineAddr,
-        offset: usize,
-        len: usize,
+        range: Range<usize>,
         depth: usize,
         errors: &mut Vec<ParentError>,
-    ) -> Vec<u8> {
+        out: &mut Vec<u8>,
+    ) {
         self.children[child].stats.degraded_accesses += 1;
         let req = TransactionRequest::read(child, line, MasterSignals::NONE);
         match self.execute_on_children(&req) {
-            Ok(out) => {
-                let data = out.data.expect("uncached read returns a line");
-                data[offset..offset + len].to_vec()
+            Ok(done) => {
+                let data = done.data.expect("uncached read returns a line");
+                out.extend_from_slice(&data[range]);
             }
             Err(e) => {
                 errors.push(ParentError {
@@ -248,8 +250,7 @@ impl Segment {
                     error: e,
                     depth,
                 });
-                let data = self.bus.memory().peek(line);
-                data[offset..offset + len].to_vec()
+                out.extend_from_slice(&self.bus.memory().peek(line)[range]);
             }
         }
     }
@@ -282,7 +283,7 @@ impl Segment {
 
     /// Reads one line-bounded piece through the tree: descends along `path`,
     /// gating each level on its cluster-level protocol, until a leaf fabric
-    /// serves the access.
+    /// serves the access. The bytes are appended to `out`.
     ///
     /// # Panics
     ///
@@ -298,15 +299,18 @@ impl Segment {
         line: LineAddr,
         depth: usize,
         errors: &mut Vec<ParentError>,
-    ) -> Vec<u8> {
+        out: &mut Vec<u8>,
+    ) {
         let child = path[0];
         if self.children[child].degraded() {
             let offset = (piece_addr - line) as usize;
-            return self.degraded_read(child, line, offset, piece_len, depth, errors);
+            let range = offset..offset + piece_len;
+            self.degraded_read(child, line, range, depth, errors, out);
+            return;
         }
         self.ensure(child, line, None, depth, errors);
         match &mut self.children[child].node {
-            FabricNode::Leaf(fabric) => fabric.read(cpu, piece_addr, piece_len),
+            FabricNode::Leaf(fabric) => fabric.read_into(cpu, piece_addr, piece_len, out),
             FabricNode::Interior(seg) => {
                 assert!(path.len() > 1, "access path stops at an interior segment");
                 seg.read_piece(
@@ -317,7 +321,8 @@ impl Segment {
                     line,
                     depth + 1,
                     errors,
-                )
+                    out,
+                );
             }
         }
     }
@@ -343,9 +348,7 @@ impl Segment {
         }
         self.ensure(child, line, Some((offset, piece)), depth, errors);
         match &mut self.children[child].node {
-            FabricNode::Leaf(fabric) => {
-                fabric.write_with(cpu, piece_addr, piece, |_, _| {});
-            }
+            FabricNode::Leaf(fabric) => fabric.write_fast(cpu, piece_addr, piece),
             FabricNode::Interior(seg) => {
                 assert!(path.len() > 1, "access path stops at an interior segment");
                 seg.write_piece(&path[1..], cpu, piece_addr, piece, line, depth + 1, errors);
@@ -366,7 +369,7 @@ impl Segment {
                 .filter(|(_, s)| s.is_owned())
                 .map(|(&line, _)| line)
                 .collect();
-            owned.sort_unstable(); // HashMap order must not leak into bus traffic
+            owned.sort_unstable(); // map order must not leak into bus traffic
             for line in owned {
                 // First bring the child's mirror up to date: the owner chain
                 // below passes the line level by level (Table 1, note 3).
@@ -419,7 +422,7 @@ pub struct Bridge {
     /// Depth of the bus this bridge attaches to (root bus = 0).
     pub(super) level: usize,
     pub(super) node: FabricNode,
-    pub(super) directory: HashMap<LineAddr, LineState>,
+    pub(super) directory: LineMap<LineState>,
     pub(super) pending: Option<(LineAddr, Option<BusReaction>)>,
     pub(super) stats: BridgeStats,
     pub(super) degraded: bool,
@@ -434,7 +437,7 @@ impl Bridge {
             id,
             level,
             node,
-            directory: HashMap::new(),
+            directory: LineMap::default(),
             pending: None,
             stats: BridgeStats::default(),
             degraded: false,
@@ -590,51 +593,44 @@ impl Bridge {
         }
     }
 
-    /// Decides what parent-bus traffic must precede an intra-subtree access,
-    /// following Table 1 at cluster granularity.
-    pub(super) fn prepare(
-        &mut self,
-        line: LineAddr,
-        write: Option<(usize, &[u8])>,
-    ) -> Option<ParentNeed> {
+    /// Decides what parent-bus traffic must precede an intra-subtree read
+    /// or write, following Table 1 at cluster granularity.
+    pub(super) fn prepare(&mut self, line: LineAddr, write: bool) -> Option<ParentNeed> {
         let ext = self.cluster_state(line);
-        match write {
-            None => {
-                if ext.is_valid() {
-                    None
-                } else {
-                    // Table 1, I/Read: `CH:S/E,CA,R`.
-                    Some(ParentNeed::Fetch {
-                        signals: MasterSignals::CA,
-                        for_write: false,
-                    })
-                }
+        if !write {
+            // Table 1, I/Read: `CH:S/E,CA,R`; any valid state reads locally.
+            return (!ext.is_valid()).then_some(ParentNeed::Fetch {
+                signals: MasterSignals::CA,
+                for_write: false,
+            });
+        }
+        match ext {
+            // Table 1, M/Write: silent.
+            LineState::Modified => None,
+            // Table 1, E/Write: silent upgrade at cluster level.
+            LineState::Exclusive => {
+                self.set_cluster_state(line, LineState::Modified);
+                None
             }
-            Some((offset, bytes)) => match ext {
-                // Table 1, M/Write: silent.
-                LineState::Modified => None,
-                // Table 1, E/Write: silent upgrade at cluster level.
-                LineState::Exclusive => {
-                    self.set_cluster_state(line, LineState::Modified);
-                    None
-                }
-                // Table 1, O/S Write (preferred): broadcast the change.
-                LineState::Owned | LineState::Shareable => Some(ParentNeed::Broadcast {
-                    offset,
-                    bytes: bytes.to_vec(),
-                }),
-                // Table 1, I/Write (preferred): read-for-modify.
-                LineState::Invalid => Some(ParentNeed::Fetch {
-                    signals: MasterSignals::CA_IM,
-                    for_write: true,
-                }),
-            },
+            // Table 1, O/S Write (preferred): broadcast the change.
+            LineState::Owned | LineState::Shareable => Some(ParentNeed::Broadcast),
+            // Table 1, I/Write (preferred): read-for-modify.
+            LineState::Invalid => Some(ParentNeed::Fetch {
+                signals: MasterSignals::CA_IM,
+                for_write: true,
+            }),
         }
     }
 
     /// Applies the outcome of the parent transaction [`Bridge::prepare`]
-    /// requested.
-    pub(super) fn commit(&mut self, line: LineAddr, need: &ParentNeed, out: &TransactionOutcome) {
+    /// requested for an access writing `write` (`None` for a read).
+    pub(super) fn commit(
+        &mut self,
+        line: LineAddr,
+        need: ParentNeed,
+        write: Option<(usize, &[u8])>,
+        out: &TransactionOutcome,
+    ) {
         self.stats.parent_transactions += 1;
         match need {
             ParentNeed::Fetch { for_write, .. } => {
@@ -642,7 +638,7 @@ impl Bridge {
                 let data = out.data.as_ref().expect("fetch returns a line");
                 // The mirror becomes the subtree's default owner for the line.
                 self.mirror_mut().write_line(line, data);
-                let ext = if *for_write {
+                let ext = if for_write {
                     LineState::Modified
                 } else if out.ch_seen {
                     LineState::Shareable
@@ -651,10 +647,11 @@ impl Bridge {
                 };
                 self.set_cluster_state(line, ext);
             }
-            ParentNeed::Broadcast { offset, bytes } => {
+            ParentNeed::Broadcast => {
                 self.stats.broadcasts += 1;
+                let (offset, bytes) = write.expect("only a write broadcasts");
                 // Keep the mirror in step with what the siblings saw.
-                self.mirror_mut().write_bytes(line, *offset, bytes);
+                self.mirror_mut().write_bytes(line, offset, bytes);
                 let ext = if out.ch_seen {
                     LineState::Owned
                 } else {
@@ -1022,7 +1019,7 @@ impl BusModule for Bridge {
             .filter(|(_, s)| s.is_owned())
             .map(|(&line, _)| line)
             .collect();
-        dirty.sort_unstable(); // HashMap order must not leak into bus traffic
+        dirty.sort_unstable(); // map order must not leak into bus traffic
         self.stats.dirty_at_retire += dirty.len() as u64;
         let report = if salvage {
             self.stats.salvaged_lines += dirty.len() as u64;

@@ -147,6 +147,7 @@ impl SystemBuilder {
             checker,
             write_seq: 0,
             audit_lines: Vec::new(),
+            read_buf: Vec::new(),
             full_audit: false,
         }
     }
@@ -160,6 +161,8 @@ pub struct System {
     write_seq: u32,
     /// Scratch for the incremental audit's line set, kept for its capacity.
     audit_lines: Vec<u64>,
+    /// The buffer checked workload reads land in, kept for its capacity.
+    read_buf: Vec<u8>,
     /// Whether the next audit must re-check every line (set after a failed
     /// audit, whose lines are no longer known consistent).
     full_audit: bool,
@@ -250,14 +253,21 @@ impl System {
     ///
     /// Panics on a consistency violation when the oracle is enabled.
     pub fn read(&mut self, cpu: usize, addr: u64, len: usize) -> Vec<u8> {
-        let out = self.fabric.read(cpu, addr, len);
+        let mut out = Vec::with_capacity(len);
+        self.read_into(cpu, addr, len, &mut out);
+        out
+    }
+
+    /// [`System::read`], appending the bytes to `out`.
+    fn read_into(&mut self, cpu: usize, addr: u64, len: usize, out: &mut Vec<u8>) {
+        let start = out.len();
+        self.fabric.read_into(cpu, addr, len, out);
         if let Some(ck) = &self.checker {
-            if let Err(v) = ck.check_read(cpu, addr, &out) {
+            if let Err(v) = ck.check_read(cpu, addr, &out[start..]) {
                 panic!("consistency violation: {v}");
             }
         }
         self.audit();
-        out
     }
 
     /// Processor `cpu` writes `bytes` at `addr`.
@@ -482,7 +492,10 @@ impl System {
         } else if self.checker.is_none() {
             self.fabric.read_dataless(cpu, access.addr, access.size);
         } else {
-            let _ = self.read(cpu, access.addr, access.size);
+            let mut buf = std::mem::take(&mut self.read_buf);
+            buf.clear();
+            self.read_into(cpu, access.addr, access.size, &mut buf);
+            self.read_buf = buf;
         }
     }
 

@@ -43,7 +43,8 @@ fn main() {
     );
 
     println!("The line-crosser rule (§5.1) applies at subsector granularity too:");
-    let pieces = cache_array::split_line_crossers(0x10C, 8, cache.subsector_size());
+    let pieces: Vec<_> =
+        cache_array::split_line_crossers(0x10C, 8, cache.subsector_size()).collect();
     println!("  an 8B access at 0x10C splits into {pieces:?}");
     println!("  -> one bus transaction per transfer subsector touched.\n");
 

@@ -120,6 +120,34 @@ fn campaigns_reproduce_exactly_from_their_seed() {
 }
 
 #[test]
+fn a_read_miss_returns_the_line_the_bus_delivered() {
+    // `moesi-sim faults --seed 7 --rate 0.2`, every fault kind on. In its
+    // hybrid run a read miss's victim write-back kills a snooper that owned
+    // the line just read; the watchdog reports that line lost and
+    // invalidates the reader's fresh copy. The read must still return the
+    // bytes the bus delivered, taken from the line before it was filled.
+    let rate = 0.2;
+    let cfg = CampaignConfig {
+        seed: 7,
+        faults: FaultConfig {
+            seed: 7 ^ 0xFA_017,
+            glitch_rate: rate,
+            stall_rate: rate / 100.0,
+            kill_rate: rate / 100.0,
+            storm_rate: rate / 2.0,
+            corrupt_rate: rate,
+            stale_tag_rate: rate,
+            max_storm_rounds: 4,
+            ..FaultConfig::default()
+        },
+        ..campaign()
+    };
+    let report = run_campaign(&cfg).expect("campaign runs");
+    assert!(report.retirements() > 0, "the scenario needs a retirement");
+    assert_eq!(report.silent(), 0, "silent corruption observed:\n{report}");
+}
+
+#[test]
 fn abort_storms_stay_within_the_retry_budget_for_every_protocol() {
     // The bounded-retry pin: a BS abort storm shorter than the retry budget
     // must drain for *every* shipped protocol — no transaction may abort

@@ -159,7 +159,7 @@ fn line_crosser_pieces_partition_any_access() {
         let addr = rng.gen_range(0u64..10_000);
         let size = rng.gen_range(0usize..400);
         let line = 1usize << rng.gen_range(3u32..9);
-        let pieces = split_line_crossers(addr, size, line);
+        let pieces: Vec<_> = split_line_crossers(addr, size, line).collect();
         let total: usize = pieces.iter().map(|&(_, l)| l).sum();
         assert_eq!(total, size);
         let mut cursor = addr;
