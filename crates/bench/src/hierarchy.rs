@@ -11,10 +11,10 @@
 //! per-phase latency percentiles from the root bus's histograms, and the
 //! filter ledger summed over every bridge in the tree.
 //!
-//! Cells shard over [`mpsim::run_jobs`], and every reported field is a pure
+//! Cells shard over [`mpsim::run_jobs`], and every simulated field is a pure
 //! function of the cell, so the output is byte-identical for any `--jobs`
-//! value (the host-side wall clock is excluded from row equality and
-//! strippable from the JSON, exactly like the flat sweep).
+//! value once [`crate::strip_host`] drops the host figures, exactly like the
+//! flat sweep.
 
 use std::time::Instant;
 
@@ -26,9 +26,7 @@ use mpsim::hierarchy::TreeBuilder;
 use mpsim::workload::{DuboisBriggs, SharingModel};
 use mpsim::{run_jobs, RefStream};
 
-use crate::LINE;
-
-pub use crate::sweep::strip_host_fields;
+use crate::{bench_document, Host, RunTiming, LINE};
 
 /// The saturation-study grid: every combination of the vectors below is one
 /// cell (with the fan-out axis collapsed at depth 2, where a tree has no
@@ -85,11 +83,7 @@ impl Default for HierarchyBenchConfig {
 }
 
 /// One saturation cell's result.
-///
-/// Equality ignores the host-side measurements (`host_wall_ns`,
-/// `engine_accesses_per_sec`): two rows are "the same result" when the
-/// simulated machine behaved identically.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HierarchyRow {
     /// Protocol name.
     pub protocol: String,
@@ -120,12 +114,6 @@ pub struct HierarchyRow {
     pub leaf_transactions: u64,
     /// Bus-occupied time summed over every leaf-cluster bus (simulated ns).
     pub leaf_busy_ns: u64,
-    /// Host-side wall-clock spent simulating this cell. Varies run to run;
-    /// excluded from equality.
-    pub host_wall_ns: u64,
-    /// References per host second. Excluded from equality, like
-    /// `host_wall_ns`.
-    pub engine_accesses_per_sec: f64,
     /// Snoops observed across every bridge in the tree.
     pub snooped: u64,
     /// Snoops whose inclusion tag hit (subtree holds the line).
@@ -138,32 +126,8 @@ pub struct HierarchyRow {
     pub phase_p50: [u64; 6],
     /// Root-bus per-phase p99 latency (ns), pipeline order.
     pub phase_p99: [u64; 6],
-}
-
-impl PartialEq for HierarchyRow {
-    fn eq(&self, other: &Self) -> bool {
-        // host_wall_ns and engine_accesses_per_sec deliberately excluded;
-        // they are measurements of the host, not of the simulated machine.
-        self.protocol == other.protocol
-            && self.discipline == other.discipline
-            && self.depth == other.depth
-            && self.fanout == other.fanout
-            && self.clusters == other.clusters
-            && self.leaves == other.leaves
-            && self.caches == other.caches
-            && self.accesses == other.accesses
-            && self.root_transactions == other.root_transactions
-            && self.root_busy_ns == other.root_busy_ns
-            && self.root_retries == other.root_retries
-            && self.leaf_transactions == other.leaf_transactions
-            && self.leaf_busy_ns == other.leaf_busy_ns
-            && self.snooped == other.snooped
-            && self.filter_hits == other.filter_hits
-            && self.forwarded == other.forwarded
-            && self.suppressed == other.suppressed
-            && self.phase_p50 == other.phase_p50
-            && self.phase_p99 == other.phase_p99
-    }
+    /// This cell's run on the host.
+    pub host: Host<RunTiming>,
 }
 
 /// One cell of the grid, plain data so it can cross into the worker pool.
@@ -277,7 +241,7 @@ fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> HierarchyRow {
 
     let host = Instant::now();
     sys.run(&mut streams, cfg.steps);
-    let host_wall_ns = host.elapsed().as_nanos() as u64;
+    let host_ns = host.elapsed().as_nanos() as u64;
 
     let root = *sys.parent_stats();
     let (mut leaf_transactions, mut leaf_busy_ns) = (0u64, 0u64);
@@ -310,18 +274,13 @@ fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> HierarchyRow {
         root_retries: root.retries,
         leaf_transactions,
         leaf_busy_ns,
-        host_wall_ns,
-        engine_accesses_per_sec: if host_wall_ns == 0 {
-            0.0
-        } else {
-            accesses as f64 * 1e9 / host_wall_ns as f64
-        },
         snooped,
         filter_hits,
         forwarded,
         suppressed,
         phase_p50: hist.p50s(),
         phase_p99: hist.p99s(),
+        host: Host::run(accesses, host_ns),
     }
 }
 
@@ -339,49 +298,42 @@ pub fn hierarchy_sweep(cfg: &HierarchyBenchConfig) -> Result<Vec<HierarchyRow>, 
     }))
 }
 
-/// Renders the rows as the `BENCH_hierarchy.json` document. The host fields
-/// sit mid-row so [`strip_host_fields`] can consume each of them through its
-/// trailing `", "`.
+/// Renders the rows as the `BENCH_hierarchy.json` document.
 #[must_use]
 pub fn hierarchy_json(cfg: &HierarchyBenchConfig, rows: &[HierarchyRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            JsonObject::new()
+                .string("protocol", &r.protocol)
+                .string("discipline", &r.discipline)
+                .number("depth", r.depth)
+                .number("fanout", r.fanout)
+                .number("clusters", r.clusters)
+                .number("leaves", r.leaves)
+                .number("caches", r.caches)
+                .number("accesses", r.accesses)
+                .number("root_transactions", r.root_transactions)
+                .number("root_busy_ns", r.root_busy_ns)
+                .number("root_retries", r.root_retries)
+                .number("leaf_transactions", r.leaf_transactions)
+                .number("leaf_busy_ns", r.leaf_busy_ns)
+                .number("snooped", r.snooped)
+                .number("filter_hits", r.filter_hits)
+                .number("forwarded", r.forwarded)
+                .number("suppressed", r.suppressed)
+                .raw("phase_p50_ns", &array_u64(&r.phase_p50))
+                .raw("phase_p99_ns", &array_u64(&r.phase_p99))
+                .raw("host", &r.host.json())
+                .finish()
+        })
+        .collect();
+    let header = format!(
         "  \"seed\": {},\n  \"cpus_per_leaf\": {},\n  \"steps_per_cpu\": {},\n  \
          \"cache_bytes\": {},\n",
         cfg.seed, cfg.cpus, cfg.steps, cfg.cache_bytes
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let row = JsonObject::new()
-            .string("protocol", &r.protocol)
-            .string("discipline", &r.discipline)
-            .number("depth", r.depth)
-            .number("fanout", r.fanout)
-            .number("clusters", r.clusters)
-            .number("leaves", r.leaves)
-            .number("caches", r.caches)
-            .number("accesses", r.accesses)
-            .number("root_transactions", r.root_transactions)
-            .number("root_busy_ns", r.root_busy_ns)
-            .number("root_retries", r.root_retries)
-            .number("leaf_transactions", r.leaf_transactions)
-            .number("leaf_busy_ns", r.leaf_busy_ns)
-            .number("host_wall_ns", r.host_wall_ns)
-            .fixed("engine_accesses_per_sec", r.engine_accesses_per_sec, 3)
-            .number("snooped", r.snooped)
-            .number("filter_hits", r.filter_hits)
-            .number("forwarded", r.forwarded)
-            .number("suppressed", r.suppressed)
-            .raw("phase_p50_ns", &array_u64(&r.phase_p50))
-            .raw("phase_p99_ns", &array_u64(&r.phase_p99))
-            .finish();
-        out.push_str(&format!(
-            "    {row}{}\n",
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    );
+    bench_document(&header, &rows)
 }
 
 /// Renders the rows as an aligned text table with the filter-suppression
@@ -488,8 +440,8 @@ mod tests {
         let sharded = hierarchy_sweep(&HierarchyBenchConfig { jobs: 4, ..tiny() }).unwrap();
         assert_eq!(sequential, sharded);
         assert_eq!(
-            strip_host_fields(&hierarchy_json(&tiny(), &sequential)),
-            strip_host_fields(&hierarchy_json(&tiny(), &sharded)),
+            crate::strip_host(&hierarchy_json(&tiny(), &sequential)),
+            crate::strip_host(&hierarchy_json(&tiny(), &sharded)),
         );
     }
 
@@ -538,18 +490,14 @@ mod tests {
     }
 
     #[test]
-    fn json_document_strips_to_simulated_results_only() {
+    fn json_document_and_table_carry_the_study() {
         let cfg = tiny();
         let rows = hierarchy_sweep(&cfg).unwrap();
         let json = hierarchy_json(&cfg, &rows);
         assert!(json.contains("\"cpus_per_leaf\": 2"), "{json}");
         assert!(json.contains("\"depth\": 3"), "{json}");
         assert!(json.contains("\"suppressed\": "), "{json}");
-        assert!(json.contains("\"host_wall_ns\": "), "{json}");
-        let stripped = strip_host_fields(&json);
-        assert!(!stripped.contains("host_wall_ns"), "{stripped}");
-        assert!(!stripped.contains("engine_accesses_per_sec"), "{stripped}");
-        assert!(stripped.contains("\"phase_p99_ns\": ["), "{stripped}");
+        assert!(json.contains("\"phase_p99_ns\": ["), "{json}");
         let text = render_hierarchy(&rows);
         assert!(text.contains("supp%"), "{text}");
         assert!(text.contains("moesi"), "{text}");

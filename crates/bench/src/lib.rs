@@ -12,6 +12,7 @@ pub mod sweep;
 
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::TimingConfig;
+use moesi::json::JsonObject;
 use moesi::protocols::by_name;
 use moesi::{PolicyTable, TablePolicy};
 use mpsim::workload::{
@@ -45,6 +46,107 @@ pub fn render_policy(name: &str, seed: u64) -> Result<String, String> {
         ));
     }
     Ok(out)
+}
+
+/// Host-side figures: measurements of the simulator on this host, never of
+/// the simulated machine. They differ run to run by construction, so they
+/// never tell two results apart — every `Host` equals every other, and a
+/// row deriving `PartialEq` compares only what it simulated. Rendered as
+/// the row's last member, a `"host"` object that [`strip_host`] drops.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Host<T>(pub T);
+
+impl<T> PartialEq for Host<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> std::ops::Deref for Host<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// The host figures of one timed run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RunTiming {
+    /// Host wall-clock nanoseconds the run took.
+    pub wall_ns: u64,
+    /// Engine throughput: simulated accesses per host second.
+    pub accesses_per_sec: f64,
+}
+
+impl Host<RunTiming> {
+    /// The figures of a run that simulated `accesses` in `wall_ns` host
+    /// nanoseconds.
+    #[must_use]
+    pub fn run(accesses: u64, wall_ns: u64) -> Self {
+        Host(RunTiming {
+            wall_ns,
+            accesses_per_sec: per_sec(accesses, wall_ns),
+        })
+    }
+
+    /// The `"host"` object.
+    #[must_use]
+    pub fn json(&self) -> String {
+        JsonObject::new()
+            .number("wall_ns", self.wall_ns)
+            .fixed("accesses_per_sec", self.accesses_per_sec, 3)
+            .finish()
+    }
+}
+
+/// `count` per second of `ns` nanoseconds (0 for an empty interval).
+pub(crate) fn per_sec(count: u64, ns: u64) -> f64 {
+    if ns == 0 {
+        0.0
+    } else {
+        count as f64 * 1e9 / ns as f64
+    }
+}
+
+/// Renders a BENCH document: the `header` lines (each `  "key": value,`),
+/// the `rows` array, and last the file's `"host"` object with the cores
+/// this host offered.
+pub(crate) fn bench_document(header: &str, rows: &[String]) -> String {
+    let mut out = format!("{{\n{header}  \"rows\": [\n");
+    for (i, row) in rows.iter().enumerate() {
+        let sep = if i + 1 == rows.len() { "" } else { "," };
+        out.push_str(&format!("    {row}{sep}\n"));
+    }
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    out.push_str(&format!(
+        "  ],\n  \"host\": {}\n}}\n",
+        JsonObject::new()
+            .number("available_parallelism", cores)
+            .finish()
+    ));
+    out
+}
+
+/// Drops every `"host"` object from a BENCH document — each row's host
+/// figures and the file's — leaving only simulated results, which compare
+/// byte for byte across runs, worker counts and hosts. A `"host"` object
+/// is always the last member of its object and nests nothing, so it goes
+/// together with the separator before it.
+#[must_use]
+pub fn strip_host(json: &str) -> String {
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(at) = rest.find("\"host\": {") {
+        let Some(close) = rest[at..].find('}') else {
+            break;
+        };
+        let kept = rest[..at].trim_end();
+        out.push_str(kept.strip_suffix(',').unwrap_or(kept));
+        rest = &rest[at + close + 1..];
+    }
+    out.push_str(rest);
+    out
 }
 
 /// The standard line size used across the experiments (bytes).

@@ -13,11 +13,11 @@
 //! [`SHARD_REGIONS`] fixed address-interleaved regions, each region runs as
 //! an independent machine, and all cell × region tasks feed one flat worker
 //! pool. [`shard_scaling`] runs that sweep once per worker count and reports
-//! the speedup column committed in `BENCH_shards.json`.
+//! the modelled and measured speedups committed in `BENCH_shards.json`.
 
 use crate::{
-    homogeneous_system, homogeneous_table_system, workload_streams, COMPARED_PROTOCOLS, LINE,
-    WORKLOADS,
+    bench_document, homogeneous_system, homogeneous_table_system, per_sec, workload_streams, Host,
+    RunTiming, COMPARED_PROTOCOLS, LINE, WORKLOADS,
 };
 use cache_array::split_line_crossers;
 use futurebus::{Nanos, Phase, PhaseHistograms, TimingConfig};
@@ -82,11 +82,7 @@ impl Default for SweepConfig {
 }
 
 /// One cell of the sweep: a protocol under a workload.
-///
-/// Equality ignores the host-side measurements (`host_wall_ns`,
-/// `engine_accesses_per_sec`): two rows are "the same result" when the
-/// *simulated* outcome matches, however fast the host happened to run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepRow {
     /// Protocol name.
     pub protocol: String,
@@ -100,17 +96,8 @@ pub struct SweepRow {
     pub busy_ns: u64,
     /// Time spent queued for the bus (ns).
     pub wait_ns: u64,
-    /// Accesses per simulated second. Derived from `accesses` and `wall_ns`,
-    /// so it carries no information equality doesn't already cover.
+    /// Accesses per simulated second (`accesses / wall_ns`).
     pub accesses_per_sec: f64,
-    /// Host wall-clock nanoseconds the cell's timed run took (sharded cells
-    /// sum their region runs). A measurement of the simulator, not the
-    /// simulated machine — excluded from equality and from committed-fixture
-    /// comparisons (see [`strip_host_fields`]).
-    pub host_wall_ns: u64,
-    /// Engine throughput: processor accesses simulated per host second.
-    /// Excluded from equality, like `host_wall_ns`.
-    pub engine_accesses_per_sec: f64,
     /// Cache miss ratio over all nodes.
     pub miss_ratio: f64,
     /// Median latency charged per pipeline phase, in [`Phase::PIPELINE`]
@@ -118,23 +105,9 @@ pub struct SweepRow {
     pub phase_p50: [Nanos; Phase::PIPELINE.len()],
     /// 99th-percentile latency charged per pipeline phase.
     pub phase_p99: [Nanos; Phase::PIPELINE.len()],
-}
-
-impl PartialEq for SweepRow {
-    fn eq(&self, other: &Self) -> bool {
-        // host_wall_ns and engine_accesses_per_sec deliberately excluded;
-        // accesses_per_sec is a pure function of (accesses, wall_ns), which
-        // are compared exactly, so it adds nothing but FP wobble.
-        self.protocol == other.protocol
-            && self.workload == other.workload
-            && self.accesses == other.accesses
-            && self.wall_ns == other.wall_ns
-            && self.busy_ns == other.busy_ns
-            && self.wait_ns == other.wait_ns
-            && self.miss_ratio == other.miss_ratio
-            && self.phase_p50 == other.phase_p50
-            && self.phase_p99 == other.phase_p99
-    }
+    /// The cell's timed run on the host (sharded cells sum their region
+    /// runs).
+    pub host: Host<RunTiming>,
 }
 
 /// Runs one cell.
@@ -194,15 +167,9 @@ fn measure(cfg: &SweepConfig, mut sys: mpsim::System, protocol: &str, workload: 
     let mut streams = workload_streams(workload, cfg.cpus, LINE, cfg.seed);
     let host = Instant::now();
     let timed = sys.run_timed(&mut streams, cfg.steps, CPU_WORK_NS);
-    let host_wall_ns = host.elapsed().as_nanos() as u64;
+    let host_ns = host.elapsed().as_nanos() as u64;
     let total = sys.total_stats();
-    finish_row(
-        protocol,
-        workload,
-        &timed,
-        host_wall_ns,
-        1.0 - total.hit_ratio(),
-    )
+    finish_row(protocol, workload, &timed, host_ns, 1.0 - total.hit_ratio())
 }
 
 /// Shared row assembly for the classic and sharded measurements.
@@ -210,7 +177,7 @@ fn finish_row(
     protocol: &str,
     workload: &str,
     timed: &mpsim::TimedReport,
-    host_wall_ns: u64,
+    host_ns: u64,
     miss_ratio: f64,
 ) -> SweepRow {
     SweepRow {
@@ -220,20 +187,11 @@ fn finish_row(
         wall_ns: timed.wall_ns,
         busy_ns: timed.bus_busy_ns,
         wait_ns: timed.bus_wait_ns,
-        accesses_per_sec: if timed.wall_ns == 0 {
-            0.0
-        } else {
-            timed.total_refs as f64 * 1e9 / timed.wall_ns as f64
-        },
-        host_wall_ns,
-        engine_accesses_per_sec: if host_wall_ns == 0 {
-            0.0
-        } else {
-            timed.total_refs as f64 * 1e9 / host_wall_ns as f64
-        },
+        accesses_per_sec: per_sec(timed.total_refs, timed.wall_ns),
         miss_ratio,
         phase_p50: timed.phase_hist.p50s(),
         phase_p99: timed.phase_hist.p99s(),
+        host: Host::run(timed.total_refs, host_ns),
     }
 }
 
@@ -306,14 +264,14 @@ fn merge_regions(protocol: &str, workload: &str, results: &[RegionResult]) -> Sw
         total_refs: 0,
         phase_hist: PhaseHistograms::new(),
     };
-    let (mut host_wall_ns, mut hits, mut refs) = (0u64, 0u64, 0u64);
-    for (timed, stats, host_ns) in results {
+    let (mut host_ns, mut hits, mut refs) = (0u64, 0u64, 0u64);
+    for (timed, stats, task_ns) in results {
         merged.wall_ns = merged.wall_ns.max(timed.wall_ns);
         merged.bus_busy_ns += timed.bus_busy_ns;
         merged.bus_wait_ns += timed.bus_wait_ns;
         merged.total_refs += timed.total_refs;
         merged.phase_hist.merge(&timed.phase_hist);
-        host_wall_ns += host_ns;
+        host_ns += task_ns;
         hits += stats.read_hits + stats.write_hits;
         refs += stats.reads + stats.writes;
     }
@@ -322,7 +280,7 @@ fn merge_regions(protocol: &str, workload: &str, results: &[RegionResult]) -> Sw
     } else {
         1.0 - hits as f64 / refs as f64
     };
-    finish_row(protocol, workload, &merged, host_wall_ns, miss_ratio)
+    finish_row(protocol, workload, &merged, host_ns, miss_ratio)
 }
 
 /// Runs one cell sharded on its own `cfg.shards`-worker pool — the
@@ -466,11 +424,7 @@ pub fn critical_path_ns(task_ns: &[u64], workers: usize) -> u64 {
 
 /// One per-shard-count row of the scaling sweep: the whole sharded sweep's
 /// simulated totals plus its host-cost schedule at that worker count.
-///
-/// Equality (like [`SweepRow`]'s) ignores every host-side measurement —
-/// `host_cpu_ns`, `host_critical_ns`, `host_elapsed_ns`,
-/// `engine_accesses_per_sec` and `speedup` vary run to run by construction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScalingRow {
     /// Worker count this row ran the sharded sweep on.
     pub shards: usize,
@@ -482,34 +436,56 @@ pub struct ScalingRow {
     pub busy_ns: u64,
     /// Summed bus queueing over cells (ns).
     pub wait_ns: u64,
-    /// Host nanoseconds of simulation work: the sum of every cell × region
-    /// task's measured cost.
-    pub host_cpu_ns: u64,
-    /// The claim schedule's critical path at this worker count
-    /// (see [`critical_path_ns`]).
-    pub host_critical_ns: u64,
-    /// Measured host wall-clock for the whole sharded sweep, scheduling
-    /// overhead and oversubscription included.
-    pub host_elapsed_ns: u64,
-    /// Engine throughput of the parallel schedule: accesses per host second
-    /// at this worker count (`accesses / host_critical_ns`).
-    pub engine_accesses_per_sec: f64,
-    /// Host-throughput speedup of this worker count's schedule over running
-    /// the same measured tasks serially (`host_cpu_ns / host_critical_ns`).
-    /// Exactly 1.0 at one worker.
-    pub speedup: f64,
     /// Accesses per simulated second (`accesses / wall_ns`).
     pub accesses_per_sec: f64,
+    /// The sharded sweep on the host at this worker count.
+    pub host: Host<ScalingTiming>,
 }
 
-impl PartialEq for ScalingRow {
-    fn eq(&self, other: &Self) -> bool {
-        // Host-side measurements deliberately excluded, as in SweepRow.
-        self.shards == other.shards
-            && self.accesses == other.accesses
-            && self.wall_ns == other.wall_ns
-            && self.busy_ns == other.busy_ns
-            && self.wait_ns == other.wait_ns
+/// The host figures of one scaling row.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ScalingTiming {
+    /// Host nanoseconds of simulation work: the sum of every cell × region
+    /// task's measured cost.
+    pub cpu_ns: u64,
+    /// The claim schedule's critical path at this worker count
+    /// (see [`critical_path_ns`]).
+    pub critical_ns: u64,
+    /// Measured host wall-clock for the whole sharded sweep, scheduling
+    /// overhead and oversubscription included.
+    pub elapsed_ns: u64,
+    /// Engine throughput of the modelled schedule: accesses per host second
+    /// of `critical_ns`.
+    pub accesses_per_sec: f64,
+    /// What the schedule would buy on a host with this many free cores:
+    /// the measured tasks replayed through the claim discipline,
+    /// `cpu_ns / critical_ns`. Exactly 1.0 at one worker.
+    pub modelled_speedup: f64,
+    /// What this host's cores delivered: the first row's `elapsed_ns` over
+    /// this row's. Exactly 1.0 on the first row.
+    pub measured_speedup: f64,
+}
+
+impl Host<ScalingTiming> {
+    /// The `"host"` object.
+    #[must_use]
+    pub fn json(&self) -> String {
+        JsonObject::new()
+            .number("cpu_ns", self.cpu_ns)
+            .number("critical_ns", self.critical_ns)
+            .number("elapsed_ns", self.elapsed_ns)
+            .fixed("accesses_per_sec", self.accesses_per_sec, 3)
+            .fixed("modelled_speedup", self.modelled_speedup, 3)
+            .fixed("measured_speedup", self.measured_speedup, 3)
+            .finish()
+    }
+}
+
+fn ratio(numerator: u64, denominator: u64) -> f64 {
+    if denominator == 0 {
+        0.0
+    } else {
+        numerator as f64 / denominator as f64
     }
 }
 
@@ -540,7 +516,7 @@ pub fn shard_scaling(
             shards: workers,
             ..cfg.clone()
         })?;
-        let host_elapsed_ns = elapsed.elapsed().as_nanos() as u64;
+        let elapsed_ns = elapsed.elapsed().as_nanos() as u64;
         match &baseline {
             Some(rows) if *rows != run.rows => {
                 return Err(format!(
@@ -559,32 +535,26 @@ pub fn shard_scaling(
             busy_ns += row.busy_ns;
             wait_ns += row.wait_ns;
         }
-        let host_cpu_ns: u64 = run.task_host_ns.iter().sum();
-        let host_critical_ns = critical_path_ns(&run.task_host_ns, workers);
+        let cpu_ns: u64 = run.task_host_ns.iter().sum();
+        let critical_ns = critical_path_ns(&run.task_host_ns, workers);
+        let first_elapsed_ns = scaling
+            .first()
+            .map_or(elapsed_ns, |r: &ScalingRow| r.host.elapsed_ns);
         scaling.push(ScalingRow {
             shards: workers,
             accesses,
             wall_ns,
             busy_ns,
             wait_ns,
-            host_cpu_ns,
-            host_critical_ns,
-            host_elapsed_ns,
-            engine_accesses_per_sec: if host_critical_ns == 0 {
-                0.0
-            } else {
-                accesses as f64 * 1e9 / host_critical_ns as f64
-            },
-            speedup: if host_critical_ns == 0 {
-                0.0
-            } else {
-                host_cpu_ns as f64 / host_critical_ns as f64
-            },
-            accesses_per_sec: if wall_ns == 0 {
-                0.0
-            } else {
-                accesses as f64 * 1e9 / wall_ns as f64
-            },
+            accesses_per_sec: per_sec(accesses, wall_ns),
+            host: Host(ScalingTiming {
+                cpu_ns,
+                critical_ns,
+                elapsed_ns,
+                accesses_per_sec: per_sec(accesses, critical_ns),
+                modelled_speedup: ratio(cpu_ns, critical_ns),
+                measured_speedup: ratio(first_elapsed_ns, elapsed_ns),
+            }),
         });
     }
     Ok((baseline.expect("at least one count ran"), scaling))
@@ -596,101 +566,54 @@ pub fn shard_scaling(
 /// runs and worker counts.
 #[must_use]
 pub fn sweep_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            JsonObject::new()
+                .string("protocol", &r.protocol)
+                .string("workload", &r.workload)
+                .number("accesses", r.accesses)
+                .number("wall_ns", r.wall_ns)
+                .number("busy_ns", r.busy_ns)
+                .number("wait_ns", r.wait_ns)
+                .fixed("accesses_per_sec", r.accesses_per_sec, 3)
+                .fixed("miss_ratio", r.miss_ratio, 6)
+                .raw("phase_p50_ns", &array_u64(&r.phase_p50))
+                .raw("phase_p99_ns", &array_u64(&r.phase_p99))
+                .raw("host", &r.host.json())
+                .finish()
+        })
+        .collect();
+    let header = format!(
         "  \"seed\": {},\n  \"cpus\": {},\n  \"steps_per_cpu\": {},\n  \"cpu_work_ns\": {},\n",
         cfg.seed, cfg.cpus, cfg.steps, CPU_WORK_NS
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let row = JsonObject::new()
-            .string("protocol", &r.protocol)
-            .string("workload", &r.workload)
-            .number("accesses", r.accesses)
-            .number("wall_ns", r.wall_ns)
-            .number("busy_ns", r.busy_ns)
-            .number("wait_ns", r.wait_ns)
-            .fixed("accesses_per_sec", r.accesses_per_sec, 3)
-            .number("host_wall_ns", r.host_wall_ns)
-            .fixed("engine_accesses_per_sec", r.engine_accesses_per_sec, 3)
-            .fixed("miss_ratio", r.miss_ratio, 6)
-            .raw("phase_p50_ns", &array_u64(&r.phase_p50))
-            .raw("phase_p99_ns", &array_u64(&r.phase_p99))
-            .finish();
-        out.push_str(&format!(
-            "    {row}{}\n",
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    );
+    bench_document(&header, &rows)
 }
 
-/// Renders the scaling rows as the `BENCH_shards.json` document. The host
-/// fields sit mid-row (before the final simulated `accesses_per_sec`) so
-/// [`strip_host_fields`] can consume each of them through its trailing
-/// `", "`.
+/// Renders the scaling rows as the `BENCH_shards.json` document.
 #[must_use]
 pub fn scaling_json(cfg: &SweepConfig, rows: &[ScalingRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            JsonObject::new()
+                .number("shards", r.shards)
+                .number("accesses", r.accesses)
+                .number("wall_ns", r.wall_ns)
+                .number("busy_ns", r.busy_ns)
+                .number("wait_ns", r.wait_ns)
+                .fixed("accesses_per_sec", r.accesses_per_sec, 3)
+                .raw("host", &r.host.json())
+                .finish()
+        })
+        .collect();
+    let header = format!(
         "  \"seed\": {},\n  \"cpus\": {},\n  \"steps_per_cpu\": {},\n  \"cpu_work_ns\": {},\n  \
          \"shard_regions\": {},\n",
         cfg.seed, cfg.cpus, cfg.steps, CPU_WORK_NS, SHARD_REGIONS
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let row = JsonObject::new()
-            .number("shards", r.shards as u64)
-            .number("accesses", r.accesses)
-            .number("wall_ns", r.wall_ns)
-            .number("busy_ns", r.busy_ns)
-            .number("wait_ns", r.wait_ns)
-            .number("host_cpu_ns", r.host_cpu_ns)
-            .number("host_critical_ns", r.host_critical_ns)
-            .number("host_elapsed_ns", r.host_elapsed_ns)
-            .fixed("engine_accesses_per_sec", r.engine_accesses_per_sec, 3)
-            .fixed("speedup", r.speedup, 3)
-            .fixed("accesses_per_sec", r.accesses_per_sec, 3)
-            .finish();
-        out.push_str(&format!(
-            "    {row}{}\n",
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Strips the host-side measurement fields (`host_wall_ns`,
-/// `engine_accesses_per_sec` in [`sweep_json`]; additionally `host_cpu_ns`,
-/// `host_critical_ns`, `host_elapsed_ns` and `speedup` in
-/// [`scaling_json`]) from a document, leaving only the simulated results.
-/// This is the normalisation fixture comparisons and the sharded-baseline
-/// CI stage run through: host timings differ run to run by construction,
-/// simulated results must not.
-#[must_use]
-pub fn strip_host_fields(json: &str) -> String {
-    let mut out = json.to_string();
-    for key in [
-        "\"host_wall_ns\": ",
-        "\"host_cpu_ns\": ",
-        "\"host_critical_ns\": ",
-        "\"host_elapsed_ns\": ",
-        "\"engine_accesses_per_sec\": ",
-        "\"speedup\": ",
-    ] {
-        while let Some(start) = out.find(key) {
-            // Every host field sits mid-row, so the value is always followed
-            // by `, ` — consume through it.
-            let end = match out[start..].find(", ") {
-                Some(comma) => start + comma + 2,
-                None => break,
-            };
-            out.replace_range(start..end, "");
-        }
-    }
-    out
+    );
+    bench_document(&header, &rows)
 }
 
 /// Renders the rows as an aligned text table grouped by workload.
@@ -715,24 +638,32 @@ pub fn render_sweep(rows: &[SweepRow]) -> String {
     out
 }
 
-/// Renders the scaling rows as an aligned text table with the speedup
-/// column.
+/// Renders the scaling rows as an aligned text table with the modelled and
+/// measured speedup columns.
 #[must_use]
 pub fn render_scaling(rows: &[ScalingRow]) -> String {
     let mut out = format!(
-        "{:>6} {:>10} {:>13} {:>13} {:>13} {:>14} {:>8}\n",
-        "shards", "accesses", "host cpu ms", "critical ms", "elapsed ms", "acc/host-sec", "speedup"
+        "{:>6} {:>10} {:>13} {:>13} {:>13} {:>14} {:>9} {:>9}\n",
+        "shards",
+        "accesses",
+        "host cpu ms",
+        "critical ms",
+        "elapsed ms",
+        "acc/host-sec",
+        "modelled",
+        "measured"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:>6} {:>10} {:>13.1} {:>13.1} {:>13.1} {:>14.0} {:>7.2}x\n",
+            "{:>6} {:>10} {:>13.1} {:>13.1} {:>13.1} {:>14.0} {:>8.2}x {:>8.2}x\n",
             r.shards,
             r.accesses,
-            r.host_cpu_ns as f64 / 1e6,
-            r.host_critical_ns as f64 / 1e6,
-            r.host_elapsed_ns as f64 / 1e6,
-            r.engine_accesses_per_sec,
-            r.speedup,
+            r.host.cpu_ns as f64 / 1e6,
+            r.host.critical_ns as f64 / 1e6,
+            r.host.elapsed_ns as f64 / 1e6,
+            r.host.accesses_per_sec,
+            r.host.modelled_speedup,
+            r.host.measured_speedup,
         ));
     }
     out
@@ -741,6 +672,7 @@ pub fn render_scaling(rows: &[ScalingRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strip_host;
 
     fn tiny() -> SweepConfig {
         SweepConfig {
@@ -792,24 +724,9 @@ mod tests {
         .unwrap();
         assert_eq!(seq, par);
         assert_eq!(
-            strip_host_fields(&sweep_json(&cfg, &seq)),
-            strip_host_fields(&sweep_json(&cfg, &par))
+            strip_host(&sweep_json(&cfg, &seq)),
+            strip_host(&sweep_json(&cfg, &par))
         );
-    }
-
-    #[test]
-    fn strip_host_fields_removes_exactly_the_host_measurements() {
-        let cfg = tiny();
-        let rows = sweep(&cfg).unwrap();
-        let json = sweep_json(&cfg, &rows);
-        assert_eq!(json.matches("\"host_wall_ns\"").count(), rows.len());
-        let stripped = strip_host_fields(&json);
-        assert!(!stripped.contains("host_wall_ns"));
-        assert!(!stripped.contains("engine_accesses_per_sec"));
-        // Everything else survives untouched.
-        assert_eq!(stripped.matches("\"accesses_per_sec\"").count(), rows.len());
-        assert_eq!(stripped.matches("\"miss_ratio\"").count(), rows.len());
-        assert!(stripped.ends_with("}\n"));
     }
 
     #[test]
@@ -827,8 +744,8 @@ mod tests {
         assert_eq!(one, two);
         let cfg = tiny();
         assert_eq!(
-            strip_host_fields(&sweep_json(&cfg, &one)),
-            strip_host_fields(&sweep_json(&cfg, &two))
+            strip_host(&sweep_json(&cfg, &one)),
+            strip_host(&sweep_json(&cfg, &two))
         );
         // Sharding preserves the reference count (line-crosser pieces and
         // all) even though the partition changes the contention picture.
@@ -889,19 +806,22 @@ mod tests {
                 rows.iter().map(|r| r.accesses).sum::<u64>(),
                 "aggregate covers every cell"
             );
-            assert!(s.host_cpu_ns > 0);
-            assert!(s.host_critical_ns > 0);
-            assert!(s.host_critical_ns <= s.host_cpu_ns);
+            assert!(s.host.cpu_ns > 0);
+            assert!(s.host.critical_ns > 0);
+            assert!(s.host.critical_ns <= s.host.cpu_ns);
             assert!(
-                s.speedup >= 1.0 - 1e-9,
+                s.host.modelled_speedup >= 1.0 - 1e-9,
                 "shards={}: {}",
                 s.shards,
-                s.speedup
+                s.host.modelled_speedup
             );
+            assert!(s.host.measured_speedup > 0.0, "shards={}", s.shards);
         }
-        // One worker's schedule is exactly serial.
-        assert_eq!(scaling[0].host_cpu_ns, scaling[0].host_critical_ns);
-        assert!((scaling[0].speedup - 1.0).abs() < 1e-9);
+        // One worker's schedule is exactly serial, and the first row is
+        // its own measured baseline.
+        assert_eq!(scaling[0].host.cpu_ns, scaling[0].host.critical_ns);
+        assert!((scaling[0].host.modelled_speedup - 1.0).abs() < 1e-9);
+        assert_eq!(scaling[0].host.measured_speedup, 1.0);
     }
 
     impl ScalingRow {
@@ -913,33 +833,6 @@ mod tests {
                 ..self.clone()
             }
         }
-    }
-
-    #[test]
-    fn scaling_json_strips_to_stable_simulated_columns() {
-        let cfg = tiny();
-        let (_, scaling) = shard_scaling(&cfg, &[1, 2]).unwrap();
-        let json = scaling_json(&cfg, &scaling);
-        assert!(json.contains("\"shard_regions\": 4"));
-        assert_eq!(json.matches("\"speedup\"").count(), scaling.len());
-        let stripped = strip_host_fields(&json);
-        for host_key in [
-            "host_cpu_ns",
-            "host_critical_ns",
-            "host_elapsed_ns",
-            "engine_accesses_per_sec",
-            "speedup",
-        ] {
-            assert!(!stripped.contains(host_key), "{host_key} survived");
-        }
-        assert_eq!(
-            stripped.matches("\"accesses_per_sec\"").count(),
-            scaling.len()
-        );
-        assert!(stripped.ends_with("}\n"));
-        // Two runs' stripped documents are byte-identical.
-        let (_, again) = shard_scaling(&cfg, &[1, 2]).unwrap();
-        assert_eq!(stripped, strip_host_fields(&scaling_json(&cfg, &again)));
     }
 
     #[test]
@@ -993,7 +886,8 @@ mod tests {
         let (_, scaling) = shard_scaling(&tiny(), &[1, 2]).unwrap();
         let text = render_scaling(&scaling);
         assert_eq!(text.lines().count(), scaling.len() + 1);
-        assert!(text.contains("speedup"));
+        assert!(text.contains("modelled"));
+        assert!(text.contains("measured"));
         assert!(text.contains('x'));
     }
 }

@@ -2,38 +2,13 @@
 //! run loops.
 //!
 //! The engine models the machine as a set of *lanes* (one per processor),
-//! each with a private cycle clock, coupled only through the shared bus. An
-//! event queue orders lane wake-ups by `(cycle, seq)`; `seq` encodes the
-//! lane id in its high bits and a per-lane monotonic counter in its low
-//! bits, so ties on the same cycle resolve deterministically by lane id
-//! (FIFO within a lane is guaranteed by the counter). That makes the event
-//! order — and therefore every coherence interleaving — a pure function of
-//! the workload, independent of host scheduling.
-//!
-//! The queue's total order coincides with a `(clock, cpu)` virtual-time
-//! scan, because a lane never has two events in flight and the lane id
-//! occupies the most significant bits of `seq`. The pre-event accounting
-//! loop this engine replaced was kept for one PR as a differential
-//! baseline and has since been deleted; the 7 golden-trace fixtures and
-//! the phase-accounting suite remain the semantic gate.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// One scheduled lane wake-up. Ordering is lexicographic on
-/// `(cycle, seq)` via the derived `Ord` (field declaration order), which the
-/// queue relies on for its determinism contract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Event {
-    cycle: u64,
-    seq: u64,
-}
-
-/// Widest machine the dense slot array serves; wider machines fall back to
-/// the binary heap. Linear min-scans over a flat `u128` key array beat heap
-/// sift costs by a wide margin at these sizes (the scan is branch-predictable
-/// and in-cache; a pop+push pays several cold, branchy sift compares).
-const FLAT_MAX_LANES: usize = 64;
+//! each with a private cycle clock, coupled only through the shared bus. The
+//! event queue holds each lane's next wake-up and pops them in
+//! `(cycle, lane)` order, so ties on the same cycle resolve deterministically
+//! by lane id. That makes the event order — and therefore every coherence
+//! interleaving — a pure function of the workload, independent of host
+//! scheduling. The 7 golden-trace fixtures and the phase-accounting suite
+//! are the semantic gate.
 
 /// A lane-indexed slot key: `(cycle, lane)` packed so integer comparison is
 /// the event order. [`EMPTY`] (all ones) sorts after every real key, so the
@@ -64,129 +39,51 @@ pub(crate) enum Popped {
     Drained,
 }
 
-/// The deterministic event queue, ordered by `(cycle, seq)`.
-///
-/// Two layouts with identical observable order:
-/// - **Flat** (machines up to [`FLAT_MAX_LANES`] lanes): one slot per lane
-///   holding its next wake-up as a packed `(cycle, lane)` key; `pop` is a
-///   linear min-scan. Exact because a lane has at most one event in flight,
-///   so `(cycle, lane)` *is* `(cycle, seq)`.
-/// - **Heap** (wider machines): the classic binary min-heap of [`Event`]s,
-///   `seq = lane << 32 | counter`.
+/// The deterministic event queue, ordered by `(cycle, lane)`: one slot per
+/// lane holding its next wake-up as a packed key, and `pop` is a linear
+/// min-scan. Exact because a lane has at most one event in flight. At the
+/// machine sizes simulated here the flat, in-cache scan beats a binary
+/// heap's branchy sifts.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
-    imp: Imp,
-}
-
-/// Which queue layout an [`EventQueue`] uses. `new` picks by lane count;
-/// tests force one explicitly to pin the two layouts against each other at
-/// the `FLAT_MAX_LANES` boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum QueueLayout {
-    /// Dense slot array (the ≤ [`FLAT_MAX_LANES`] fast path).
-    Flat,
-    /// Binary min-heap (the wide-machine fallback).
-    Heap,
-}
-
-#[derive(Debug)]
-enum Imp {
-    Flat {
-        slots: Vec<u128>,
-        live: usize,
-    },
-    Heap {
-        heap: BinaryHeap<Reverse<Event>>,
-        /// Per-lane schedule counters (the low half of `seq`). A lane has at
-        /// most one event in flight, so the counter only needs to keep FIFO
-        /// order among that lane's *successive* events; wrapping is harmless.
-        counters: Vec<u32>,
-    },
+    slots: Vec<u128>,
+    live: usize,
 }
 
 impl EventQueue {
-    /// A queue with every lane scheduled at cycle 0, in lane order, on the
-    /// layout the lane count selects.
+    /// A queue with every lane scheduled at cycle 0.
     pub(crate) fn new(lanes: usize) -> Self {
-        let layout = if lanes <= FLAT_MAX_LANES {
-            QueueLayout::Flat
-        } else {
-            QueueLayout::Heap
-        };
-        Self::with_layout(lanes, layout)
-    }
-
-    /// A queue on an explicit layout, regardless of lane count. Both
-    /// layouts implement the same `(cycle, lane)` total order — this
-    /// constructor exists so tests can run the *same* machine on both and
-    /// compare byte for byte (see `system.rs`'s boundary tests).
-    pub(crate) fn with_layout(lanes: usize, layout: QueueLayout) -> Self {
-        let mut q = EventQueue {
-            imp: match layout {
-                QueueLayout::Flat => Imp::Flat {
-                    slots: vec![EMPTY; lanes],
-                    live: 0,
-                },
-                QueueLayout::Heap => Imp::Heap {
-                    heap: BinaryHeap::with_capacity(lanes + 1),
-                    counters: vec![0; lanes],
-                },
-            },
-        };
-        for lane in 0..lanes {
-            q.schedule(lane, 0);
+        EventQueue {
+            slots: (0..lanes).map(|lane| key(0, lane)).collect(),
+            live: lanes,
         }
-        q
     }
 
     /// Schedules `lane`'s next wake-up at `cycle`.
     pub(crate) fn schedule(&mut self, lane: usize, cycle: u64) {
-        match &mut self.imp {
-            Imp::Flat { slots, live } => {
-                debug_assert_eq!(slots[lane], EMPTY, "one event in flight per lane");
-                slots[lane] = key(cycle, lane);
-                *live += 1;
-            }
-            Imp::Heap { heap, counters } => {
-                let counter = counters[lane];
-                counters[lane] = counter.wrapping_add(1);
-                heap.push(Reverse(Event {
-                    cycle,
-                    seq: ((lane as u64) << 32) | u64::from(counter),
-                }));
-            }
-        }
+        debug_assert_eq!(self.slots[lane], EMPTY, "one event in flight per lane");
+        self.slots[lane] = key(cycle, lane);
+        self.live += 1;
     }
 
     /// Pops the earliest event, or reports the queue drained.
     pub(crate) fn pop(&mut self) -> Popped {
-        match &mut self.imp {
-            Imp::Flat { slots, live } => {
-                if *live == 0 {
-                    return Popped::Drained;
-                }
-                let mut best = EMPTY;
-                let mut at = 0;
-                for (lane, &k) in slots.iter().enumerate() {
-                    if k < best {
-                        best = k;
-                        at = lane;
-                    }
-                }
-                slots[at] = EMPTY;
-                *live -= 1;
-                Popped::Next {
-                    cycle: (best >> 64) as u64,
-                    lane: at,
-                }
+        if self.live == 0 {
+            return Popped::Drained;
+        }
+        let mut best = EMPTY;
+        let mut at = 0;
+        for (lane, &k) in self.slots.iter().enumerate() {
+            if k < best {
+                best = k;
+                at = lane;
             }
-            Imp::Heap { heap, .. } => match heap.pop() {
-                Some(Reverse(e)) => Popped::Next {
-                    cycle: e.cycle,
-                    lane: (e.seq >> 32) as usize,
-                },
-                None => Popped::Drained,
-            },
+        }
+        self.slots[at] = EMPTY;
+        self.live -= 1;
+        Popped::Next {
+            cycle: (best >> 64) as u64,
+            lane: at,
         }
     }
 
@@ -197,13 +94,7 @@ impl EventQueue {
     /// queue uses (no two queued events share a lane).
     pub(crate) fn lane_still_first(&self, lane: usize, cycle: u64) -> bool {
         let own = key(cycle, lane);
-        match &self.imp {
-            Imp::Flat { slots, .. } => slots.iter().all(|&k| own < k),
-            Imp::Heap { heap, .. } => match heap.peek() {
-                None => true,
-                Some(Reverse(head)) => (cycle, lane) < (head.cycle, (head.seq >> 32) as usize),
-            },
-        }
+        self.slots.iter().all(|&k| own < k)
     }
 }
 
@@ -245,14 +136,12 @@ mod tests {
     #[test]
     fn drained_queue_keeps_reporting_drained() {
         // The structured empty signal is stable: popping a drained queue any
-        // number of times stays `Drained` and never panics, on both layouts.
-        for layout in [QueueLayout::Flat, QueueLayout::Heap] {
-            let mut q = EventQueue::with_layout(2, layout);
-            assert!(matches!(q.pop(), Popped::Next { .. }));
-            assert!(matches!(q.pop(), Popped::Next { .. }));
-            for _ in 0..3 {
-                assert_eq!(q.pop(), Popped::Drained, "{layout:?}");
-            }
+        // number of times stays `Drained` and never panics.
+        let mut q = EventQueue::new(2);
+        assert!(matches!(q.pop(), Popped::Next { .. }));
+        assert!(matches!(q.pop(), Popped::Next { .. }));
+        for _ in 0..3 {
+            assert_eq!(q.pop(), Popped::Drained);
         }
     }
 
@@ -275,44 +164,5 @@ mod tests {
         let mut q = EventQueue::new(1);
         q.pop();
         assert!(q.lane_still_first(0, u64::MAX - 1));
-    }
-
-    /// Drives two queues with the same deterministic reschedule rule and
-    /// asserts every pop agrees — the layouts must be observably identical.
-    fn assert_layouts_agree(lanes: usize, steps: u64) {
-        let mut flat = EventQueue::with_layout(lanes, QueueLayout::Flat);
-        let mut heap = EventQueue::with_layout(lanes, QueueLayout::Heap);
-        for step in 0..steps {
-            let f = next(&mut flat).expect("flat never drains here");
-            let h = next(&mut heap).expect("heap never drains here");
-            assert_eq!(f, h, "lanes={lanes} step={step}");
-            let (cycle, lane) = f;
-            let bump = 1 + (lane as u64 * step) % 7;
-            flat.schedule(lane, cycle + bump);
-            heap.schedule(lane, cycle + bump);
-        }
-    }
-
-    #[test]
-    fn flat_and_heap_layouts_pop_identically_at_the_boundary() {
-        // Exactly at the dense-array cutover (64 lanes) and just past it
-        // (65 lanes, where `new` switches to the heap), the two layouts must
-        // produce the same event sequence — the boundary is a layout choice,
-        // never a semantics choice.
-        assert_layouts_agree(FLAT_MAX_LANES, 2000);
-        assert_layouts_agree(FLAT_MAX_LANES + 1, 2000);
-        assert_layouts_agree(3, 500);
-    }
-
-    #[test]
-    fn new_selects_flat_up_to_64_lanes_and_heap_past_it() {
-        assert!(matches!(
-            EventQueue::new(FLAT_MAX_LANES).imp,
-            Imp::Flat { .. }
-        ));
-        assert!(matches!(
-            EventQueue::new(FLAT_MAX_LANES + 1).imp,
-            Imp::Heap { .. }
-        ));
     }
 }

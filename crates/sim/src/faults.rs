@@ -32,7 +32,7 @@ use std::fmt;
 use crate::checker::Checker;
 use crate::controller::CacheController;
 use crate::fabric::Fabric;
-use crate::hierarchy::{HierarchicalSystem, HierarchyBuilder, ParentError, TreeBuilder};
+use crate::hierarchy::{HierarchicalSystem, ParentError, TreeBuilder};
 
 /// How a campaign classified one injected fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,6 +70,77 @@ pub struct FaultVerdict {
 impl fmt::Display for FaultVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} [{}]: {}", self.record, self.class, self.note)
+    }
+}
+
+/// A fault tally: masked/detected/SILENT verdicts per fault kind, plus the
+/// silent corruptions observed after recovery. Both campaign kinds count
+/// and render their runs and reports through it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Verdict counts per fault kind (by name), indexed by `FaultClass as
+    /// usize`: masked, detected, silent.
+    by_kind: BTreeMap<String, [u64; 3]>,
+    corruptions: u64,
+}
+
+impl Tally {
+    /// Tallies `verdicts`, with `corruptions` violations observed after
+    /// recovery.
+    #[must_use]
+    pub fn new<'a>(
+        verdicts: impl IntoIterator<Item = &'a FaultVerdict>,
+        corruptions: usize,
+    ) -> Self {
+        let mut tally = Tally {
+            corruptions: corruptions as u64,
+            ..Tally::default()
+        };
+        for v in verdicts {
+            let kind = v.record.fault.kind().to_string();
+            tally.by_kind.entry(kind).or_default()[v.class as usize] += 1;
+        }
+        tally
+    }
+
+    /// Faults injected.
+    #[must_use]
+    pub fn injected(&self) -> u64 {
+        self.by_kind.values().flatten().sum()
+    }
+
+    /// Silent corruptions (violations observed after recovery). A graceful
+    /// degradation claim requires this to be zero.
+    #[must_use]
+    pub fn silent(&self) -> u64 {
+        self.corruptions
+    }
+
+    /// Faults in `class`.
+    #[must_use]
+    pub fn class(&self, class: FaultClass) -> u64 {
+        self.by_kind.values().map(|c| c[class as usize]).sum()
+    }
+
+    /// Faults of `kind` in `class`.
+    #[must_use]
+    pub fn count(&self, kind: FaultKind, class: FaultClass) -> u64 {
+        self.by_kind
+            .get(&kind.to_string())
+            .map_or(0, |c| c[class as usize])
+    }
+}
+
+/// One indented line per fault kind, each starting with a newline.
+impl fmt::Display for Tally {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (kind, [masked, detected, silent]) in &self.by_kind {
+            write!(f, "\n    {kind}: {masked} masked, {detected} detected")?;
+            if *silent > 0 {
+                write!(f, ", {silent} SILENT")?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -170,19 +241,10 @@ pub struct ProtocolRun {
 }
 
 impl ProtocolRun {
-    /// Faults in `class`.
+    /// This run's fault tally.
     #[must_use]
-    pub fn count_class(&self, class: FaultClass) -> u64 {
-        self.verdicts.iter().filter(|v| v.class == class).count() as u64
-    }
-
-    /// Faults of `kind` in `class`.
-    #[must_use]
-    pub fn count(&self, kind: FaultKind, class: FaultClass) -> u64 {
-        self.verdicts
-            .iter()
-            .filter(|v| v.record.fault.kind() == kind && v.class == class)
-            .count() as u64
+    pub fn tally(&self) -> Tally {
+        Tally::new(&self.verdicts, self.violations.len())
     }
 }
 
@@ -190,28 +252,12 @@ impl fmt::Display for ProtocolRun {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: {} accesses, {} faults",
+            "{}: {} accesses, {} faults{}",
             self.protocol,
             self.accesses,
-            self.verdicts.len()
+            self.verdicts.len(),
+            self.tally()
         )?;
-        let mut by_kind: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-        for v in &self.verdicts {
-            let slot = by_kind
-                .entry(v.record.fault.kind().to_string())
-                .or_default();
-            match v.class {
-                FaultClass::Masked => slot.0 += 1,
-                FaultClass::Detected => slot.1 += 1,
-                FaultClass::Silent => slot.2 += 1,
-            }
-        }
-        for (kind, (masked, detected, silent)) in &by_kind {
-            write!(f, "\n    {kind}: {masked} masked, {detected} detected")?;
-            if *silent > 0 {
-                write!(f, ", {silent} SILENT")?;
-            }
-        }
         if !self.retired.is_empty() {
             write!(f, "\n    retired modules: {:?}", self.retired)?;
         }
@@ -233,23 +279,13 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Total faults injected across all runs.
+    /// The fault tally across all runs.
     #[must_use]
-    pub fn injected(&self) -> u64 {
-        self.runs.iter().map(|r| r.verdicts.len() as u64).sum()
-    }
-
-    /// Total silent corruptions (violations observed after recovery). A
-    /// graceful degradation claim requires this to be zero.
-    #[must_use]
-    pub fn silent(&self) -> u64 {
-        self.runs.iter().map(|r| r.violations.len() as u64).sum()
-    }
-
-    /// Total faults of `kind` in `class` across all runs.
-    #[must_use]
-    pub fn count(&self, kind: FaultKind, class: FaultClass) -> u64 {
-        self.runs.iter().map(|r| r.count(kind, class)).sum()
+    pub fn tally(&self) -> Tally {
+        Tally::new(
+            self.runs.iter().flat_map(|r| &r.verdicts),
+            self.runs.iter().map(|r| r.violations.len()).sum(),
+        )
     }
 
     /// Total watchdog retirements across all runs.
@@ -268,26 +304,37 @@ impl CampaignReport {
 
 impl fmt::Display for CampaignReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "fault campaign: {} protocols, {} faults injected, {} silent",
-            self.runs.len(),
-            self.injected(),
-            self.silent()
-        )?;
-        for run in &self.runs {
-            writeln!(f, "  {run}")?;
-        }
-        write!(
-            f,
-            "verdict: {}",
-            if self.silent() == 0 {
-                "graceful degradation — every fault masked or detected"
-            } else {
-                "SILENT CORRUPTION OBSERVED"
-            }
-        )
+        write_report(f, "fault campaign", &self.runs, &self.tally())
     }
+}
+
+/// The report text both campaign kinds share: a header line with the
+/// totals, one line per run, and the verdict.
+fn write_report<R: fmt::Display>(
+    f: &mut fmt::Formatter<'_>,
+    title: &str,
+    runs: &[R],
+    tally: &Tally,
+) -> fmt::Result {
+    writeln!(
+        f,
+        "{title}: {} protocols, {} faults injected, {} silent",
+        runs.len(),
+        tally.injected(),
+        tally.silent()
+    )?;
+    for run in runs {
+        writeln!(f, "  {run}")?;
+    }
+    write!(
+        f,
+        "verdict: {}",
+        if tally.silent() == 0 {
+            "graceful degradation — every fault masked or detected"
+        } else {
+            "SILENT CORRUPTION OBSERVED"
+        }
+    )
 }
 
 /// Runs a fault-injection campaign: for each protocol, a seeded workload on a
@@ -722,19 +769,10 @@ pub struct HierarchyRun {
 }
 
 impl HierarchyRun {
-    /// Faults in `class`.
+    /// This run's fault tally.
     #[must_use]
-    pub fn count_class(&self, class: FaultClass) -> u64 {
-        self.verdicts.iter().filter(|v| v.class == class).count() as u64
-    }
-
-    /// Faults of `kind` in `class`.
-    #[must_use]
-    pub fn count(&self, kind: FaultKind, class: FaultClass) -> u64 {
-        self.verdicts
-            .iter()
-            .filter(|v| v.record.fault.kind() == kind && v.class == class)
-            .count() as u64
+    pub fn tally(&self) -> Tally {
+        Tally::new(&self.verdicts, self.violations.len())
     }
 }
 
@@ -742,28 +780,12 @@ impl fmt::Display for HierarchyRun {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: {} accesses, {} faults",
+            "{}: {} accesses, {} faults{}",
             self.protocol,
             self.accesses,
-            self.verdicts.len()
+            self.verdicts.len(),
+            self.tally()
         )?;
-        let mut by_kind: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-        for v in &self.verdicts {
-            let slot = by_kind
-                .entry(v.record.fault.kind().to_string())
-                .or_default();
-            match v.class {
-                FaultClass::Masked => slot.0 += 1,
-                FaultClass::Detected => slot.1 += 1,
-                FaultClass::Silent => slot.2 += 1,
-            }
-        }
-        for (kind, (masked, detected, silent)) in &by_kind {
-            write!(f, "\n    {kind}: {masked} masked, {detected} detected")?;
-            if *silent > 0 {
-                write!(f, ", {silent} SILENT")?;
-            }
-        }
         if !self.retired_bridges.is_empty() {
             write!(
                 f,
@@ -809,23 +831,15 @@ pub struct HierarchyReport {
 }
 
 impl HierarchyReport {
-    /// Total faults injected across all runs.
+    /// The fault tally across all runs. Its `silent()` is the partition/
+    /// recovery oracle's zero-silent-corruption bar: any nonzero value fails
+    /// the campaign.
     #[must_use]
-    pub fn injected(&self) -> u64 {
-        self.runs.iter().map(|r| r.verdicts.len() as u64).sum()
-    }
-
-    /// Total silent corruptions. The zero-silent-corruption bar of the
-    /// partition/recovery oracle: any nonzero value fails the campaign.
-    #[must_use]
-    pub fn silent(&self) -> u64 {
-        self.runs.iter().map(|r| r.violations.len() as u64).sum()
-    }
-
-    /// Total faults of `kind` in `class` across all runs.
-    #[must_use]
-    pub fn count(&self, kind: FaultKind, class: FaultClass) -> u64 {
-        self.runs.iter().map(|r| r.count(kind, class)).sum()
+    pub fn tally(&self) -> Tally {
+        Tally::new(
+            self.runs.iter().flat_map(|r| &r.verdicts),
+            self.runs.iter().map(|r| r.violations.len()).sum(),
+        )
     }
 
     /// Total bridge retirements across all runs.
@@ -849,25 +863,7 @@ impl HierarchyReport {
 
 impl fmt::Display for HierarchyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "hierarchy fault campaign: {} protocols, {} faults injected, {} silent",
-            self.runs.len(),
-            self.injected(),
-            self.silent()
-        )?;
-        for run in &self.runs {
-            writeln!(f, "  {run}")?;
-        }
-        write!(
-            f,
-            "verdict: {}",
-            if self.silent() == 0 {
-                "graceful degradation — every fault masked or detected"
-            } else {
-                "SILENT CORRUPTION OBSERVED"
-            }
-        )
+        write_report(f, "hierarchy fault campaign", &self.runs, &self.tally())
     }
 }
 
@@ -922,57 +918,24 @@ fn run_hierarchy_one(
 ) -> Result<HierarchyRun, String> {
     // Validate the protocol name once, outside the builder closures.
     by_name(name, 0).ok_or_else(|| format!("unknown protocol `{name}`"))?;
-    let mut sys = if cfg.depth == 2 {
-        let mut builder = HierarchyBuilder::new(cfg.line_size)
-            .checking(true)
-            .seed(cfg.seed.wrapping_add(run_idx));
-        for _ in 0..cfg.clusters {
-            builder = builder.cluster();
-            for cpu in 0..cfg.cpus {
-                let protocol =
-                    by_name(name, cfg.seed.wrapping_add(cpu as u64)).expect("validated above");
-                if protocol.kind() == CacheKind::NonCaching {
-                    builder = builder.uncached(protocol);
-                } else {
-                    builder = builder.cache(
-                        protocol,
-                        CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru),
-                    );
-                }
-            }
-        }
-        builder.build()
-    } else {
-        TreeBuilder::uniform(
-            cfg.line_size,
-            cfg.clusters,
-            cfg.depth,
-            cfg.fanout,
-            cfg.cpus,
-            {
-                |_, cpu| {
-                    let protocol =
-                        by_name(name, cfg.seed.wrapping_add(cpu as u64)).expect("validated above");
-                    if protocol.kind() == CacheKind::NonCaching {
-                        (protocol, None)
-                    } else {
-                        (
-                            protocol,
-                            Some(CacheConfig::new(
-                                cfg.cache_bytes,
-                                cfg.line_size,
-                                2,
-                                ReplacementKind::Lru,
-                            )),
-                        )
-                    }
-                }
-            },
-        )
-        .checking(true)
-        .seed(cfg.seed.wrapping_add(run_idx))
-        .build()
-    };
+    let cache = CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru);
+    let mut sys = TreeBuilder::uniform(
+        cfg.line_size,
+        cfg.clusters,
+        cfg.depth,
+        // Unused at depth 2, where it is not validated.
+        cfg.fanout.max(1),
+        cfg.cpus,
+        |_, cpu| {
+            let protocol =
+                by_name(name, cfg.seed.wrapping_add(cpu as u64)).expect("validated above");
+            let cache = (protocol.kind() != CacheKind::NonCaching).then_some(cache);
+            (protocol, cache)
+        },
+    )
+    .checking(true)
+    .seed(cfg.seed.wrapping_add(run_idx))
+    .build();
     let leaves = sys.leaves();
     let leaf_paths = sys.leaf_paths();
     // The campaign owns verification: reported damage is reconciled first,
@@ -1420,13 +1383,14 @@ pub fn campaign_report_json(report: &CampaignReport) -> String {
         .iter()
         .map(|run| {
             let retired: Vec<u64> = run.retired.iter().map(|&m| m as u64).collect();
+            let tally = run.tally();
             JsonObject::new()
                 .string("protocol", &run.protocol)
                 .number("accesses", run.accesses)
                 .number("faults", run.verdicts.len())
-                .number("masked", run.count_class(FaultClass::Masked))
-                .number("detected", run.count_class(FaultClass::Detected))
-                .number("silent", run.count_class(FaultClass::Silent))
+                .number("masked", tally.class(FaultClass::Masked))
+                .number("detected", tally.class(FaultClass::Detected))
+                .number("silent", tally.class(FaultClass::Silent))
                 .raw("retired", &array_u64(&retired))
                 .number("bus_errors", run.bus_errors.len())
                 .number("salvaged_lines", run.bus_stats.salvaged_lines)
@@ -1439,11 +1403,12 @@ pub fn campaign_report_json(report: &CampaignReport) -> String {
                 .finish()
         })
         .collect();
+    let tally = report.tally();
     JsonObject::new()
         .string("campaign", "flat")
         .number("protocols", report.runs.len())
-        .number("injected", report.injected())
-        .number("silent", report.silent())
+        .number("injected", tally.injected())
+        .number("silent", tally.silent())
         .number("retirements", report.retirements())
         .raw("runs", &format!("[{}]", runs.join(", ")))
         .finish()
@@ -1458,13 +1423,14 @@ pub fn hierarchy_report_json(report: &HierarchyReport) -> String {
         .map(|run| {
             let retired: Vec<u64> = run.retired_bridges.iter().map(|&m| m as u64).collect();
             let degraded: Vec<u64> = run.degraded_clusters.iter().map(|&m| m as u64).collect();
+            let tally = run.tally();
             JsonObject::new()
                 .string("protocol", &run.protocol)
                 .number("accesses", run.accesses)
                 .number("faults", run.verdicts.len())
-                .number("masked", run.count_class(FaultClass::Masked))
-                .number("detected", run.count_class(FaultClass::Detected))
-                .number("silent", run.count_class(FaultClass::Silent))
+                .number("masked", tally.class(FaultClass::Masked))
+                .number("detected", tally.class(FaultClass::Detected))
+                .number("silent", tally.class(FaultClass::Silent))
                 .raw("retired_bridges", &array_u64(&retired))
                 .raw("degraded_clusters", &array_u64(&degraded))
                 .number("dirty_at_retire", run.dirty_at_retire)
@@ -1480,6 +1446,7 @@ pub fn hierarchy_report_json(report: &HierarchyReport) -> String {
                 .finish()
         })
         .collect();
+    let tally = report.tally();
     JsonObject::new()
         .string("campaign", "hierarchy")
         .number("depth", report.depth as u64)
@@ -1487,8 +1454,8 @@ pub fn hierarchy_report_json(report: &HierarchyReport) -> String {
         .number("clusters", report.clusters as u64)
         .number("leaves", report.leaves as u64)
         .number("protocols", report.runs.len())
-        .number("injected", report.injected())
-        .number("silent", report.silent())
+        .number("injected", tally.injected())
+        .number("silent", tally.silent())
         .number("retirements", report.retirements())
         .number("liveness_violations", report.liveness_violations())
         .raw("runs", &format!("[{}]", runs.join(", ")))
@@ -1545,9 +1512,10 @@ mod tests {
             ..CampaignConfig::default()
         };
         let report = run_campaign(&cfg).unwrap();
+        let tally = report.tally();
         assert_eq!(report.runs[0].protocol, "loaded-preferred");
-        assert!(report.injected() > 0, "faults must land");
-        assert_eq!(report.silent(), 0, "loaded table corrupted silently");
+        assert!(tally.injected() > 0, "faults must land");
+        assert_eq!(tally.silent(), 0, "loaded table corrupted silently");
         // Without the table, the same name is unknown.
         let missing = CampaignConfig {
             tables: Vec::new(),
@@ -1563,8 +1531,7 @@ mod tests {
         let cfg = quick_cfg();
         let a = run_campaign(&cfg).unwrap();
         let b = run_campaign(&cfg).unwrap();
-        assert_eq!(a.injected(), b.injected());
-        assert_eq!(a.silent(), b.silent());
+        assert_eq!(a.tally(), b.tally());
         assert_eq!(a.runs[0].retired, b.runs[0].retired);
         assert_eq!(a.runs[0].bus_stats, b.runs[0].bus_stats);
     }
@@ -1610,8 +1577,11 @@ mod tests {
             campaign_report_json(&four),
             "fixed partition, merged in region order"
         );
-        assert!(one.injected() > 0, "faults must land on the sharded path");
-        assert_eq!(one.silent(), 0);
+        assert!(
+            one.tally().injected() > 0,
+            "faults must land on the sharded path"
+        );
+        assert_eq!(one.tally().silent(), 0);
         // Each protocol's accesses cover the full schedule: partitioning
         // never drops a step.
         for run in &one.runs {
@@ -1665,8 +1635,9 @@ mod tests {
             ..CampaignConfig::default()
         };
         let report = run_campaign(&cfg).unwrap();
-        assert_eq!(report.injected(), 0);
-        assert_eq!(report.silent(), 0);
+        let tally = report.tally();
+        assert_eq!(tally.injected(), 0);
+        assert_eq!(tally.silent(), 0);
         assert_eq!(report.retirements(), 0);
     }
 
@@ -1706,13 +1677,14 @@ mod tests {
             ..CampaignConfig::default()
         };
         let report = run_campaign(&cfg).unwrap();
-        assert!(report.injected() > 50, "glitches must actually land");
+        let tally = report.tally();
+        assert!(tally.injected() > 50, "glitches must actually land");
         assert_eq!(
-            report.count(FaultKind::Glitch, FaultClass::Masked),
-            report.injected(),
+            tally.count(FaultKind::Glitch, FaultClass::Masked),
+            tally.injected(),
             "every glitch is absorbed by the settle window"
         );
-        assert_eq!(report.silent(), 0);
+        assert_eq!(tally.silent(), 0);
     }
 
     #[test]
@@ -1736,11 +1708,12 @@ mod tests {
             ..CampaignConfig::default()
         };
         let report = run_campaign(&cfg).unwrap();
+        let tally = report.tally();
         assert!(
-            report.count(FaultKind::Kill, FaultClass::Detected) > 0,
+            tally.count(FaultKind::Kill, FaultClass::Detected) > 0,
             "kills must actually land: {report}"
         );
-        assert_eq!(report.silent(), 0, "{report}");
+        assert_eq!(tally.silent(), 0, "{report}");
     }
 
     #[test]
@@ -1762,9 +1735,10 @@ mod tests {
     #[test]
     fn hierarchy_campaign_keeps_every_fault_loud() {
         let report = run_hierarchy_campaign(&quick_hierarchy_cfg()).unwrap();
+        let tally = report.tally();
         let run = &report.runs[0];
-        assert!(report.injected() > 0, "faults must actually land");
-        assert_eq!(report.silent(), 0, "{report}");
+        assert!(tally.injected() > 0, "faults must actually land");
+        assert_eq!(tally.silent(), 0, "{report}");
         assert_eq!(
             run.salvaged_lines + run.lost_lines,
             run.dirty_at_retire,
@@ -1780,14 +1754,15 @@ mod tests {
         // clean (non-adversarial) run.
         let cfg = HierarchyCampaignConfig::default();
         let report = run_hierarchy_campaign(&cfg).unwrap();
+        let tally = report.tally();
         assert!(cfg.protocols.len() >= 4);
         assert_eq!(cfg.clusters, 2);
         assert!(
-            report.injected() >= 1000,
+            tally.injected() >= 1000,
             "only {} faults injected",
-            report.injected()
+            tally.injected()
         );
-        assert_eq!(report.silent(), 0, "{report}");
+        assert_eq!(tally.silent(), 0, "{report}");
         assert_eq!(
             report.liveness_violations(),
             0,
@@ -1836,10 +1811,11 @@ mod tests {
             ..quick_hierarchy_cfg()
         };
         let report = run_hierarchy_campaign(&cfg).unwrap();
+        let tally = report.tally();
         assert_eq!((report.depth, report.fanout), (3, 2));
         assert_eq!(report.leaves, 4, "2 clusters x fanout 2 at depth 3");
-        assert!(report.injected() > 0, "faults must land on the deep tree");
-        assert_eq!(report.silent(), 0, "{report}");
+        assert!(tally.injected() > 0, "faults must land on the deep tree");
+        assert_eq!(tally.silent(), 0, "{report}");
         for run in &report.runs {
             assert_eq!(
                 run.salvaged_lines + run.lost_lines,

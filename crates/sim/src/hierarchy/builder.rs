@@ -1,5 +1,5 @@
-//! Builders for the fabric tree: the general [`TreeBuilder`] and the
-//! two-level [`HierarchyBuilder`] convenience wrapper it grew out of.
+//! The fabric-tree builder: [`TreeBuilder`] and the [`TreeSpec`] subtree
+//! shapes it assembles.
 
 use cache_array::CacheConfig;
 use futurebus::{Discipline, Futurebus, TimingConfig};
@@ -379,150 +379,5 @@ impl TreeBuilder {
         }
         sys.track_changes(checking);
         sys
-    }
-}
-
-/// Builds a two-level [`HierarchicalSystem`]: clusters of caches on private
-/// buses, joined by bridges on one parent bus. A thin wrapper over
-/// [`TreeBuilder`] with every root child a leaf cluster.
-///
-/// # Examples
-///
-/// ```
-/// use cache_array::CacheConfig;
-/// use moesi::protocols::MoesiPreferred;
-/// use mpsim::hierarchy::HierarchyBuilder;
-///
-/// let mut sys = HierarchyBuilder::new(32)
-///     .cluster()
-///     .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
-///     .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
-///     .cluster()
-///     .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
-///     .checking(true)
-///     .build();
-///
-/// sys.write(0, 0, 0x1000, &[1, 2, 3, 4]);        // cluster 0, cpu 0
-/// assert_eq!(sys.read(1, 0, 0x1000, 4), vec![1, 2, 3, 4]); // cluster 1 sees it
-/// ```
-#[derive(Debug)]
-pub struct HierarchyBuilder {
-    line_size: usize,
-    parent_timing: TimingConfig,
-    cluster_timing: TimingConfig,
-    checking: bool,
-    seed: u64,
-    clusters: Vec<Vec<NodeSpec>>,
-}
-
-impl HierarchyBuilder {
-    /// Starts a builder with the system-wide (§5.1) line size.
-    #[must_use]
-    pub fn new(line_size: usize) -> Self {
-        HierarchyBuilder {
-            line_size,
-            parent_timing: TimingConfig::default(),
-            cluster_timing: TimingConfig::default(),
-            checking: false,
-            seed: 0xB0B,
-            clusters: Vec::new(),
-        }
-    }
-
-    /// Sets the parent (inter-cluster) bus timing.
-    #[must_use]
-    pub fn parent_timing(mut self, timing: TimingConfig) -> Self {
-        self.parent_timing = timing;
-        self
-    }
-
-    /// Sets the cluster-bus timing.
-    #[must_use]
-    pub fn cluster_timing(mut self, timing: TimingConfig) -> Self {
-        self.cluster_timing = timing;
-        self
-    }
-
-    /// Enables the global consistency oracle.
-    #[must_use]
-    pub fn checking(mut self, on: bool) -> Self {
-        self.checking = on;
-        self
-    }
-
-    /// Seeds replacement RNGs.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Starts a new (initially empty) cluster; subsequent [`cache`] /
-    /// [`uncached`] calls add nodes to it.
-    ///
-    /// [`cache`]: HierarchyBuilder::cache
-    /// [`uncached`]: HierarchyBuilder::uncached
-    #[must_use]
-    pub fn cluster(mut self) -> Self {
-        self.clusters.push(Vec::new());
-        self
-    }
-
-    /// Adds a caching node to the current cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cluster was started or the line size mismatches (§5.1).
-    #[must_use]
-    pub fn cache(mut self, protocol: Box<dyn Protocol + Send>, config: CacheConfig) -> Self {
-        assert_eq!(
-            config.line_size, self.line_size,
-            "§5.1: all caches must use the system line size"
-        );
-        assert_ne!(protocol.kind(), CacheKind::NonCaching);
-        self.clusters
-            .last_mut()
-            .expect("call .cluster() first")
-            .push((protocol, Some(config)));
-        self
-    }
-
-    /// Adds a non-caching node to the current cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cluster was started.
-    #[must_use]
-    pub fn uncached(mut self, protocol: Box<dyn Protocol + Send>) -> Self {
-        assert_eq!(protocol.kind(), CacheKind::NonCaching);
-        self.clusters
-            .last_mut()
-            .expect("call .cluster() first")
-            .push((protocol, None));
-        self
-    }
-
-    /// Assembles the hierarchy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when there are no clusters or an empty cluster.
-    #[must_use]
-    pub fn build(self) -> HierarchicalSystem {
-        assert!(!self.clusters.is_empty(), "a hierarchy needs clusters");
-        for (cluster_id, nodes) in self.clusters.iter().enumerate() {
-            assert!(!nodes.is_empty(), "cluster {cluster_id} is empty");
-        }
-        let mut b = TreeBuilder::new(self.line_size)
-            .parent_timing(self.parent_timing)
-            .cluster_timing(self.cluster_timing)
-            .checking(self.checking)
-            .seed(self.seed);
-        for nodes in self.clusters {
-            b = b.child(TreeSpec {
-                kind: TreeSpecKind::Leaf(nodes),
-            });
-        }
-        b.build()
     }
 }

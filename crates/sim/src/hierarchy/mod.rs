@@ -42,7 +42,7 @@ use std::fmt;
 mod builder;
 mod node;
 
-pub use builder::{HierarchyBuilder, TreeBuilder, TreeSpec};
+pub use builder::{TreeBuilder, TreeSpec};
 pub use node::{Bridge, BridgeStats, FabricNode, Segment};
 
 use crate::checker::{Checker, Violation};
@@ -123,8 +123,8 @@ impl fmt::Display for ParentError {
 
 /// A hierarchical multiprocessor: a fabric tree of bus segments whose root
 /// bus owns true main memory. The classic shape is two levels (clusters of
-/// caches joined by one parent bus), built by [`HierarchyBuilder`]; deeper
-/// trees come from [`TreeBuilder`].
+/// caches joined by one parent bus); [`TreeBuilder`] builds that and every
+/// deeper tree.
 #[derive(Debug)]
 pub struct HierarchicalSystem {
     root: Segment,
@@ -1150,14 +1150,16 @@ mod tests {
         CacheConfig::new(1024, 32, 2, ReplacementKind::Lru)
     }
 
+    fn moesi_leaf(cpus: usize) -> TreeSpec {
+        (0..cpus).fold(TreeSpec::leaf(), |leaf, _| {
+            leaf.cache(Box::new(MoesiPreferred::new()), cfg())
+        })
+    }
+
     fn two_by_two() -> HierarchicalSystem {
-        HierarchyBuilder::new(32)
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+        TreeBuilder::new(32)
+            .child(moesi_leaf(2))
+            .child(moesi_leaf(2))
             .checking(true)
             .build()
     }
@@ -1253,13 +1255,10 @@ mod tests {
 
     #[test]
     fn three_clusters_ownership_ring() {
-        let mut sys = HierarchyBuilder::new(32)
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+        let mut sys = TreeBuilder::new(32)
+            .child(moesi_leaf(1))
+            .child(moesi_leaf(1))
+            .child(moesi_leaf(1))
             .checking(true)
             .build();
         for round in 0..9u32 {
@@ -1309,13 +1308,17 @@ mod tests {
     #[test]
     fn heterogeneous_clusters_work() {
         use moesi::protocols::{Dragon, NonCaching, WriteThrough};
-        let mut sys = HierarchyBuilder::new(32)
-            .cluster()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cache(Box::new(WriteThrough::new()), cfg())
-            .cluster()
-            .cache(Box::new(Dragon::new()), cfg())
-            .uncached(Box::new(NonCaching::new()))
+        let mut sys = TreeBuilder::new(32)
+            .child(
+                TreeSpec::leaf()
+                    .cache(Box::new(MoesiPreferred::new()), cfg())
+                    .cache(Box::new(WriteThrough::new()), cfg()),
+            )
+            .child(
+                TreeSpec::leaf()
+                    .cache(Box::new(Dragon::new()), cfg())
+                    .uncached(Box::new(NonCaching::new())),
+            )
             .checking(true)
             .build();
         for i in 0..30u32 {
@@ -1352,12 +1355,6 @@ mod tests {
         let before = sys.parent_stats().transactions;
         assert_eq!(sys.read(0, 0, 0x1000, 4), vec![1; 4]);
         assert_eq!(sys.parent_stats().transactions, before);
-    }
-
-    #[test]
-    #[should_panic(expected = "call .cluster() first")]
-    fn nodes_require_a_cluster() {
-        let _ = HierarchyBuilder::new(32).cache(Box::new(MoesiPreferred::new()), cfg());
     }
 
     /// A parent bus that errors every transaction: a full-rate abort storm
@@ -1765,44 +1762,6 @@ mod tests {
         }
         assert_eq!(sys.make_globally_consistent(), 0, "idempotent");
         sys.verify().expect("post-sync tree consistent");
-    }
-
-    #[test]
-    fn tree_builder_two_level_matches_hierarchy_builder() {
-        // The wrapper and the general builder must produce behaviourally
-        // identical two-level machines.
-        let mut a = two_by_two();
-        let mut b = TreeBuilder::new(32)
-            .child(
-                TreeSpec::leaf()
-                    .cache(Box::new(MoesiPreferred::new()), cfg())
-                    .cache(Box::new(MoesiPreferred::new()), cfg()),
-            )
-            .child(
-                TreeSpec::leaf()
-                    .cache(Box::new(MoesiPreferred::new()), cfg())
-                    .cache(Box::new(MoesiPreferred::new()), cfg()),
-            )
-            .checking(true)
-            .build();
-        for i in 0..40u32 {
-            let cluster = (i % 2) as usize;
-            let cpu = ((i / 2) % 2) as usize;
-            let addr = 0x1000 + u64::from(i % 5) * 32;
-            if i % 3 == 0 {
-                a.write(cluster, cpu, addr, &i.to_le_bytes());
-                b.write(cluster, cpu, addr, &i.to_le_bytes());
-            } else {
-                assert_eq!(
-                    a.read(cluster, cpu, addr, 4),
-                    b.read(cluster, cpu, addr, 4),
-                    "step {i}"
-                );
-            }
-        }
-        assert_eq!(a.parent_stats().transactions, b.parent_stats().transactions);
-        a.verify().expect("consistent");
-        b.verify().expect("consistent");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use faults::{
     campaign_report_json, hierarchy_report_json, liveness_probe_json, run_campaign,
     run_hierarchy_campaign, run_liveness_probe, CampaignConfig, CampaignReport, FaultClass,
     FaultVerdict, HierarchyCampaignConfig, HierarchyReport, HierarchyRun, LivenessOutcome,
-    LivenessProbe, ProtocolRun,
+    LivenessProbe, ProtocolRun, Tally,
 };
 pub use metrics::{CpuStats, MachineReport, StateCensus, TimedReport};
 pub use profile::{chrome_trace, trace_run, TraceRunConfig};

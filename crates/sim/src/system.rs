@@ -513,7 +513,7 @@ impl System {
     }
 
     /// The untimed driver: every access costs one cycle, so the
-    /// `(cycle, seq)` queue order reduces to a strict round-robin. The run
+    /// `(cycle, lane)` queue order reduces to a strict round-robin. The run
     /// ends when the queue reports itself drained — a lane whose budget is
     /// spent simply stops rescheduling.
     fn run_event(&mut self, streams: &mut [Box<dyn RefStream + Send>], steps: u64) {
@@ -555,7 +555,6 @@ impl System {
         let n = self.nodes();
         let mut done = vec![0u64; n];
         self.run_timed_event(
-            EventQueue::new(n),
             |cpu| {
                 if done[cpu] >= refs_per_cpu {
                     None
@@ -585,40 +584,10 @@ impl System {
         let n = self.nodes();
         let mut done = vec![0usize; n];
         self.run_timed_event(
-            EventQueue::new(n),
             |cpu| {
                 let access = scripts[cpu].get(done[cpu]).copied();
                 done[cpu] += access.is_some() as usize;
                 access
-            },
-            cpu_work_ns,
-        )
-    }
-
-    /// [`run_timed`](System::run_timed) on an explicitly chosen queue
-    /// layout, lane count notwithstanding — the boundary tests' hook for
-    /// pinning the dense queue and the heap fallback against each other on a
-    /// real machine run.
-    #[cfg(test)]
-    fn run_timed_with_layout(
-        &mut self,
-        streams: &mut [Box<dyn RefStream + Send>],
-        refs_per_cpu: u64,
-        cpu_work_ns: u64,
-        layout: crate::engine::QueueLayout,
-    ) -> crate::TimedReport {
-        assert_eq!(streams.len(), self.nodes(), "one stream per node");
-        let n = self.nodes();
-        let mut done = vec![0u64; n];
-        self.run_timed_event(
-            EventQueue::with_layout(n, layout),
-            |cpu| {
-                if done[cpu] >= refs_per_cpu {
-                    None
-                } else {
-                    done[cpu] += 1;
-                    Some(streams[cpu].next_access())
-                }
             },
             cpu_work_ns,
         )
@@ -632,15 +601,11 @@ impl System {
     /// round-trip. The loop ends when the queue reports [`Popped::Drained`]:
     /// exhausted lanes stop rescheduling, so a stream ending mid-cycle just
     /// drains the queue — it can never panic the engine.
-    fn run_timed_event<F>(
-        &mut self,
-        mut queue: EventQueue,
-        mut next_access: F,
-        cpu_work_ns: u64,
-    ) -> crate::TimedReport
+    fn run_timed_event<F>(&mut self, mut next_access: F, cpu_work_ns: u64) -> crate::TimedReport
     where
         F: FnMut(usize) -> Option<Access>,
     {
+        let mut queue = EventQueue::new(self.nodes());
         let mut bus_free: u64 = 0;
         let mut bus_busy: u64 = 0;
         let mut bus_wait: u64 = 0;
@@ -960,56 +925,28 @@ mod tests {
         );
     }
 
-    /// A homogeneous MOESI machine with `n` nodes plus its per-node
-    /// Dubois–Briggs streams, for the queue-layout boundary tests.
-    fn wide_machine(n: usize, seed: u64) -> (System, Vec<Box<dyn RefStream + Send>>) {
+    #[test]
+    fn a_65_lane_timed_run_completes_every_reference_cleanly() {
         use crate::workload::{DuboisBriggs, SharingModel};
-        let mut b = SystemBuilder::new(32);
+        let n = 65;
+        let mut b = SystemBuilder::new(32).checking(true);
         for _ in 0..n {
             b = b.cache(Box::new(MoesiPreferred::new()), cfg());
         }
+        let mut sys = b.build();
         let model = SharingModel {
             line_size: 32,
             ..SharingModel::default()
         };
-        let streams: Vec<Box<dyn RefStream + Send>> = (0..n)
+        let mut streams: Vec<Box<dyn RefStream + Send>> = (0..n)
             .map(|cpu| {
-                Box::new(DuboisBriggs::new(cpu, model, seed.wrapping_add(cpu as u64)))
+                Box::new(DuboisBriggs::new(cpu, model, 0xB0B + cpu as u64))
                     as Box<dyn RefStream + Send>
             })
             .collect();
-        (b.seed(seed).build(), streams)
-    }
-
-    /// Runs the same `n`-lane machine once per queue layout and demands
-    /// byte-identical timed results — the flat/heap boundary is a layout
-    /// choice, never a semantics choice.
-    fn assert_layouts_run_identically(n: usize, seed: u64) {
-        use crate::engine::QueueLayout;
-        let mut reports = Vec::new();
-        let mut machines = Vec::new();
-        for layout in [QueueLayout::Flat, QueueLayout::Heap] {
-            let (mut sys, mut streams) = wide_machine(n, seed);
-            reports.push(sys.run_timed_with_layout(&mut streams, 60, 50, layout));
-            machines.push(sys.machine_report());
-        }
-        assert_eq!(reports[0], reports[1], "TimedReport diverged at {n} lanes");
-        assert_eq!(
-            machines[0], machines[1],
-            "MachineReport diverged at {n} lanes"
-        );
-    }
-
-    #[test]
-    fn dense_and_heap_queues_agree_at_exactly_64_lanes() {
-        // 64 lanes is the last machine the dense queue serves by default.
-        assert_layouts_run_identically(64, 0xB0B);
-    }
-
-    #[test]
-    fn dense_and_heap_queues_agree_at_65_lanes() {
-        // 65 lanes is the first machine that falls back to the heap; forcing
-        // the dense layout onto it must not change a single byte.
-        assert_layouts_run_identically(65, 0xB0B);
+        let timed = sys.run_timed(&mut streams, 60, 50);
+        assert_eq!(timed.total_refs, 60 * n as u64);
+        assert_eq!(sys.total_stats().references(), 60 * n as u64);
+        assert_eq!(sys.verify(), Ok(()));
     }
 }

@@ -319,8 +319,8 @@ pub fn synthesize(cfg: &SynthConfig) -> Result<SynthReport, String> {
     Ok(SynthReport {
         pool: pool_names,
         outcomes,
-        faults_injected: campaign.injected(),
-        faults_silent: campaign.silent(),
+        faults_injected: campaign.tally().injected(),
+        faults_silent: campaign.tally().silent(),
     })
 }
 

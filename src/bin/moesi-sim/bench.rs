@@ -33,9 +33,10 @@ OPTIONS:
                       regions and run the regions on a worker pool. A single
                       count (`--shards 4`) runs the sharded sweep on that
                       many workers; a comma list (`--shards 1,2,4,8`) runs a
-                      scaling sweep, one row per count, with a host-speedup
-                      column. The partition is fixed, so the simulated rows
-                      are byte-identical for every count [default: off]
+                      scaling sweep, one row per count, with modelled and
+                      measured host-speedup columns. The partition is
+                      fixed, so the simulated rows are byte-identical for
+                      every count [default: off]
     --jobs N          worker threads sharding the cells of an unsharded
                       sweep [default: available cores]
     --json            also write the rows as JSON to --out
@@ -488,7 +489,7 @@ mod tests {
         let json = std::fs::read_to_string(&out).expect("json written");
         assert!(json.contains("\"protocol\": \"moesi\""), "{json}");
         assert!(json.contains("\"phase_p50_ns\": ["), "{json}");
-        assert!(json.contains("\"host_wall_ns\": "), "{json}");
+        assert!(json.contains("\"host\": {\"wall_ns\": "), "{json}");
         let trace = std::fs::read_to_string(&trace_out).expect("trace written");
         assert!(trace.contains("\"traceEvents\""), "{trace}");
         assert!(trace.contains("\"ph\": \"X\""), "{trace}");
@@ -522,7 +523,8 @@ mod tests {
         assert!(json.contains("\"shard_regions\": 4"), "{json}");
         assert!(json.contains("\"shards\": 1"), "{json}");
         assert!(json.contains("\"shards\": 2"), "{json}");
-        assert!(json.contains("\"speedup\": "), "{json}");
+        assert!(json.contains("\"modelled_speedup\": "), "{json}");
+        assert!(json.contains("\"measured_speedup\": "), "{json}");
         let _ = std::fs::remove_file(&out);
     }
 }

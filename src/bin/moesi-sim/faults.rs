@@ -304,6 +304,7 @@ pub(crate) fn run_faults(cfg: &FaultsConfig) -> Result<(), String> {
     }
     let campaign = campaign_config(cfg);
     let report = run_campaign(&campaign)?;
+    let tally = report.tally();
     println!("{report}");
     if cfg.json {
         std::fs::write(&cfg.out, mpsim::campaign_report_json(&report))
@@ -325,10 +326,10 @@ pub(crate) fn run_faults(cfg: &FaultsConfig) -> Result<(), String> {
             },
         )?;
     }
-    if report.silent() > 0 {
+    if tally.silent() > 0 {
         return Err(format!(
             "{} fault(s) caused silent corruption",
-            report.silent()
+            tally.silent()
         ));
     }
     Ok(())
@@ -337,6 +338,7 @@ pub(crate) fn run_faults(cfg: &FaultsConfig) -> Result<(), String> {
 fn run_hierarchy_faults(cfg: &FaultsConfig) -> Result<(), String> {
     let campaign = hierarchy_campaign_config(cfg);
     let report = mpsim::run_hierarchy_campaign(&campaign)?;
+    let tally = report.tally();
     println!("{report}");
     println!();
     let probe = mpsim::run_liveness_probe(cfg.seed, 24)?;
@@ -350,10 +352,10 @@ fn run_hierarchy_faults(cfg: &FaultsConfig) -> Result<(), String> {
         std::fs::write(&cfg.out, json).map_err(|e| format!("cannot write `{}`: {e}", cfg.out))?;
         println!("JSON report written to {}", cfg.out);
     }
-    if report.silent() > 0 {
+    if tally.silent() > 0 {
         return Err(format!(
             "{} fault(s) caused silent corruption",
-            report.silent()
+            tally.silent()
         ));
     }
     if !probe.demonstrates_recovery() {

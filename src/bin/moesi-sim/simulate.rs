@@ -224,13 +224,13 @@ fn build_streams(cfg: &Config) -> Result<Vec<Box<dyn RefStream + Send>>, String>
 }
 
 fn run_hierarchy(cfg: &Config, clusters: usize, per_cluster: usize) -> Result<(), String> {
-    use mpsim::hierarchy::HierarchyBuilder;
+    use mpsim::hierarchy::{TreeBuilder, TreeSpec};
     let cache_cfg = CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru);
-    let mut b = HierarchyBuilder::new(cfg.line_size)
+    let mut b = TreeBuilder::new(cfg.line_size)
         .checking(cfg.check)
         .seed(cfg.seed);
     for c in 0..clusters {
-        b = b.cluster();
+        let mut leaf = TreeSpec::leaf();
         for n in 0..per_cluster {
             let i = c * per_cluster + n;
             let name = cfg
@@ -240,12 +240,13 @@ fn run_hierarchy(cfg: &Config, clusters: usize, per_cluster: usize) -> Result<()
                 .expect("non-empty protocol list");
             let protocol = by_name(name, cfg.seed.wrapping_add(i as u64))
                 .ok_or_else(|| format!("unknown protocol `{name}`"))?;
-            b = if protocol.kind() == moesi::CacheKind::NonCaching {
-                b.uncached(protocol)
+            leaf = if protocol.kind() == moesi::CacheKind::NonCaching {
+                leaf.uncached(protocol)
             } else {
-                b.cache(protocol, cache_cfg)
+                leaf.cache(protocol, cache_cfg)
             };
         }
+        b = b.child(leaf);
     }
     let mut sys = b.build();
     let mut flat_cfg = cfg.clone();

@@ -25,42 +25,40 @@ fn the_class_degrades_gracefully_under_a_thousand_faults() {
     let cfg = campaign();
     assert!(cfg.protocols.len() >= 3, "campaign spans the class");
     let report = run_campaign(&cfg).expect("campaign runs");
+    let tally = report.tally();
 
     assert!(
-        report.injected() >= 1000,
+        tally.injected() >= 1000,
         "campaign must be substantial: only {} faults injected",
-        report.injected()
+        tally.injected()
     );
-    assert_eq!(report.silent(), 0, "silent corruption observed:\n{report}");
+    assert_eq!(tally.silent(), 0, "silent corruption observed:\n{report}");
 
     // Glitches are *always* masked: the wired-OR settle window absorbs them
     // before any protocol logic sees the lines.
-    let glitches = report.count(FaultKind::Glitch, FaultClass::Masked);
+    let glitches = tally.count(FaultKind::Glitch, FaultClass::Masked);
     assert!(glitches > 100, "glitches must land in volume");
     assert_eq!(
-        report.count(FaultKind::Glitch, FaultClass::Detected)
-            + report.count(FaultKind::Glitch, FaultClass::Silent),
+        tally.count(FaultKind::Glitch, FaultClass::Detected)
+            + tally.count(FaultKind::Glitch, FaultClass::Silent),
         0,
         "no glitch may escape the filter"
     );
 
     // Corruption is *never* masked-as-correct: every soft error is detected
     // by the scrubber (and recovered), or the campaign fails.
-    let corrupt_detected = report.count(FaultKind::CorruptMemory, FaultClass::Detected);
+    let corrupt_detected = tally.count(FaultKind::CorruptMemory, FaultClass::Detected);
     assert!(corrupt_detected > 100, "soft errors must land in volume");
     assert_eq!(
-        report.count(FaultKind::CorruptMemory, FaultClass::Masked),
+        tally.count(FaultKind::CorruptMemory, FaultClass::Masked),
         0,
         "a corruption classified as masked would be an unaudited lie"
     );
-    assert_eq!(
-        report.count(FaultKind::CorruptMemory, FaultClass::Silent),
-        0
-    );
+    assert_eq!(tally.count(FaultKind::CorruptMemory, FaultClass::Silent), 0);
 
     // Abort storms drain through bounded retry.
-    assert!(report.count(FaultKind::AbortStorm, FaultClass::Detected) > 20);
-    assert_eq!(report.count(FaultKind::AbortStorm, FaultClass::Silent), 0);
+    assert!(tally.count(FaultKind::AbortStorm, FaultClass::Detected) > 20);
+    assert_eq!(tally.count(FaultKind::AbortStorm, FaultClass::Silent), 0);
 }
 
 #[test]
@@ -76,22 +74,23 @@ fn watchdog_retirements_keep_the_survivors_coherent() {
         ..campaign()
     };
     let report = run_campaign(&cfg).expect("campaign runs");
+    let tally = report.tally();
     assert!(
         report.retirements() >= 3,
         "retirements must actually occur, got {}",
         report.retirements()
     );
     assert_eq!(
-        report.silent(),
+        tally.silent(),
         0,
         "retirement broke an invariant:\n{report}"
     );
-    assert_eq!(report.count(FaultKind::Stall, FaultClass::Silent), 0);
-    assert_eq!(report.count(FaultKind::Kill, FaultClass::Silent), 0);
+    assert_eq!(tally.count(FaultKind::Stall, FaultClass::Silent), 0);
+    assert_eq!(tally.count(FaultKind::Kill, FaultClass::Silent), 0);
     // Stalls salvage; kills report losses; neither is ever masked (the
     // retirement itself is an observable event).
-    assert_eq!(report.count(FaultKind::Stall, FaultClass::Masked), 0);
-    assert_eq!(report.count(FaultKind::Kill, FaultClass::Masked), 0);
+    assert_eq!(tally.count(FaultKind::Stall, FaultClass::Masked), 0);
+    assert_eq!(tally.count(FaultKind::Kill, FaultClass::Masked), 0);
     for run in &report.runs {
         assert_eq!(
             run.retired.len() as u64,
@@ -110,7 +109,7 @@ fn campaigns_reproduce_exactly_from_their_seed() {
     };
     let a = run_campaign(&cfg).expect("first run");
     let b = run_campaign(&cfg).expect("second run");
-    assert_eq!(a.injected(), b.injected());
+    assert_eq!(a.tally().injected(), b.tally().injected());
     assert_eq!(a.retirements(), b.retirements());
     for (ra, rb) in a.runs.iter().zip(&b.runs) {
         assert_eq!(ra.bus_stats, rb.bus_stats, "{} diverged", ra.protocol);
@@ -143,8 +142,9 @@ fn a_read_miss_returns_the_line_the_bus_delivered() {
         ..campaign()
     };
     let report = run_campaign(&cfg).expect("campaign runs");
+    let tally = report.tally();
     assert!(report.retirements() > 0, "the scenario needs a retirement");
-    assert_eq!(report.silent(), 0, "silent corruption observed:\n{report}");
+    assert_eq!(tally.silent(), 0, "silent corruption observed:\n{report}");
 }
 
 #[test]
@@ -179,11 +179,12 @@ fn abort_storms_stay_within_the_retry_budget_for_every_protocol() {
         ..campaign()
     };
     let report = run_campaign(&cfg).expect("campaign runs");
+    let tally = report.tally();
     assert!(
-        report.count(FaultKind::AbortStorm, FaultClass::Detected) > protocols.len() as u64,
+        tally.count(FaultKind::AbortStorm, FaultClass::Detected) > protocols.len() as u64,
         "storms must land in volume on every machine"
     );
-    assert_eq!(report.silent(), 0, "{report}");
+    assert_eq!(tally.silent(), 0, "{report}");
     let bound = u64::from(RetryPolicy::default().abort_bound());
     for run in &report.runs {
         assert!(
@@ -214,13 +215,14 @@ fn hierarchy_campaign_degrades_gracefully_and_balances_the_ledger() {
     // liveness violations on in-budget (non-adversarial) storms.
     let cfg = HierarchyCampaignConfig::default();
     let report = run_hierarchy_campaign(&cfg).expect("campaign runs");
+    let tally = report.tally();
     assert!(cfg.protocols.len() >= 4 && cfg.clusters >= 2);
     assert!(
-        report.injected() >= 1000,
+        tally.injected() >= 1000,
         "only {} faults injected",
-        report.injected()
+        tally.injected()
     );
-    assert_eq!(report.silent(), 0, "silent corruption observed:\n{report}");
+    assert_eq!(tally.silent(), 0, "silent corruption observed:\n{report}");
     assert!(
         report.retirements() > 0,
         "bridge retirements must actually occur"

@@ -13,7 +13,7 @@ use moesi::protocols::{by_name, NonCaching};
 use moesi::{
     BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalEvent, PolicyTable, TablePolicy,
 };
-use mpsim::hierarchy::{HierarchicalSystem, HierarchyBuilder, TreeBuilder};
+use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
 use mpsim::{
     Access, Checker, DuboisBriggs, RefStream, SharingModel, System, SystemBuilder, TraceReplay,
 };
@@ -34,14 +34,18 @@ fn flat(protocols: &[&str]) -> System {
 }
 
 fn two_by_two() -> HierarchicalSystem {
-    HierarchyBuilder::new(LINE)
+    TreeBuilder::new(LINE)
         .checking(true)
-        .cluster()
-        .cache(by_name("moesi", 0).unwrap(), cfg())
-        .cache(by_name("moesi", 1).unwrap(), cfg())
-        .cluster()
-        .cache(by_name("dragon", 2).unwrap(), cfg())
-        .cache(by_name("berkeley", 3).unwrap(), cfg())
+        .child(
+            TreeSpec::leaf()
+                .cache(by_name("moesi", 0).unwrap(), cfg())
+                .cache(by_name("moesi", 1).unwrap(), cfg()),
+        )
+        .child(
+            TreeSpec::leaf()
+                .cache(by_name("dragon", 2).unwrap(), cfg())
+                .cache(by_name("berkeley", 3).unwrap(), cfg()),
+        )
         .build()
 }
 

@@ -7,7 +7,7 @@ use bench::{homogeneous_system, workload_streams, LINE};
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::TimingConfig;
 use moesi::protocols::{by_name, MoesiPreferred};
-use mpsim::hierarchy::HierarchyBuilder;
+use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::workload::{DuboisBriggs, SharingModel};
 use mpsim::{RefStream, Sequential, SystemBuilder, TimedReport};
 
@@ -167,12 +167,13 @@ fn two_level_parent_bus_carries_under_half_the_flat_traffic() {
     flat.run(&mut streams, 200);
     let flat_txns = flat.bus_stats().transactions;
 
-    let mut b = HierarchyBuilder::new(LINE);
+    let mut b = TreeBuilder::new(LINE);
     for _ in 0..4 {
-        b = b.cluster();
+        let mut leaf = TreeSpec::leaf();
         for _ in 0..2 {
-            b = b.cache(Box::new(MoesiPreferred::new()), cfg);
+            leaf = leaf.cache(Box::new(MoesiPreferred::new()), cfg);
         }
+        b = b.child(leaf);
     }
     let mut tree = b.build();
     let mut streams: Vec<Vec<_>> = (0..4)

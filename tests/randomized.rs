@@ -12,7 +12,7 @@ use moesi::protocols::{
 };
 use moesi::rng::SmallRng;
 use moesi::{table, BusEvent, CacheKind, LineState, LocalEvent, Protocol};
-use mpsim::hierarchy::{HierarchicalSystem, HierarchyBuilder, TreeBuilder};
+use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
 use mpsim::{System, SystemBuilder};
 
 const LINE: usize = 32;
@@ -267,14 +267,15 @@ fn deep_tree(filter: bool) -> HierarchicalSystem {
 
 /// A two-level hierarchy of `shape[c]` nodes per cluster, protocols cycling.
 fn hierarchy(shape: &[usize]) -> HierarchicalSystem {
-    let mut b = HierarchyBuilder::new(LINE).checking(true);
+    let mut b = TreeBuilder::new(LINE).checking(true);
     let mut k = 0;
     for &nodes in shape {
-        b = b.cluster();
+        let mut leaf = TreeSpec::leaf();
         for _ in 0..nodes {
-            b = b.cache(protocol(k), cfg());
+            leaf = leaf.cache(protocol(k), cfg());
             k += 1;
         }
+        b = b.child(leaf);
     }
     b.build()
 }

@@ -5,9 +5,13 @@
 //! sweep, the scaling sweep, the fault campaign and the synth fitness
 //! function — over several seeds.
 
+use bench::hierarchy::{hierarchy_json, hierarchy_sweep, HierarchyBenchConfig};
 use bench::sweep::{
-    shard_scaling, strip_host_fields, sweep, sweep_json, table_fitness, SweepConfig,
+    scaling_json, shard_scaling, sweep, sweep_json, table_fitness, ScalingRow, SweepConfig,
+    SweepRow,
 };
+use bench::{strip_host, Host};
+use futurebus::Discipline;
 use moesi::Protocol;
 use mpsim::{campaign_report_json, run_campaign, CampaignConfig};
 
@@ -35,28 +39,111 @@ fn sharded_sweep_is_byte_identical_across_worker_counts() {
         // The full JSON document, host-side measurements stripped, must
         // match to the byte — the same check ci.sh runs on the committed
         // baseline.
-        let json_one = strip_host_fields(&sweep_json(&sharded_config(seed, 1), &one));
-        let json_four = strip_host_fields(&sweep_json(&sharded_config(seed, 4), &four));
+        let json_one = strip_host(&sweep_json(&sharded_config(seed, 1), &one));
+        let json_four = strip_host(&sweep_json(&sharded_config(seed, 4), &four));
         assert_eq!(json_one, json_four, "seed {seed}: JSON diverged");
     }
 }
 
+/// Every key of `json` in document order, except `"host"` objects and
+/// their members: a brace-depth walk, independent of `strip_host`.
+fn simulated_keys(json: &str) -> Vec<&str> {
+    let (mut keys, mut depth, mut host_depth) = (Vec::new(), 0, usize::MAX);
+    let mut rest = json;
+    while let Some(at) = rest.find(['{', '}', '"']) {
+        match rest.as_bytes()[at] {
+            b'{' => depth += 1,
+            b'}' => {
+                if depth == host_depth {
+                    host_depth = usize::MAX;
+                }
+                depth -= 1;
+            }
+            _ => {
+                let end = at + 1 + rest[at + 1..].find('"').expect("strings close");
+                let word = &rest[at + 1..end];
+                if rest[end + 1..].starts_with(": ") && depth < host_depth {
+                    if word == "host" {
+                        host_depth = depth + 1;
+                    } else {
+                        keys.push(word);
+                    }
+                }
+                rest = &rest[end + 1..];
+                continue;
+            }
+        }
+        rest = &rest[at + 1..];
+    }
+    keys
+}
+
 #[test]
 fn stripping_host_fields_removes_every_volatile_key() {
+    // Each BENCH document is rendered from measured rows and again from the
+    // same rows with zeroed host figures.
     let cfg = sharded_config(7, 2);
     let rows = sweep(&cfg).unwrap();
-    let stripped = strip_host_fields(&sweep_json(&cfg, &rows));
-    for key in [
-        "host_wall_ns",
-        "host_cpu_ns",
-        "host_critical_ns",
-        "host_elapsed_ns",
-        "engine_accesses_per_sec",
-        "\"speedup\"",
-    ] {
-        assert!(!stripped.contains(key), "{key} survived stripping");
+    let zeroed_rows: Vec<SweepRow> = rows
+        .iter()
+        .map(|r| SweepRow {
+            host: Host::default(),
+            ..r.clone()
+        })
+        .collect();
+    let (_, scaling) = shard_scaling(&cfg, &[1, 2]).unwrap();
+    let zeroed_scaling: Vec<ScalingRow> = scaling
+        .iter()
+        .map(|r| ScalingRow {
+            host: Host::default(),
+            ..r.clone()
+        })
+        .collect();
+    let hier_cfg = HierarchyBenchConfig {
+        protocols: vec!["moesi".into()],
+        clusters: vec![2],
+        depths: vec![2, 3],
+        fanouts: vec![2],
+        disciplines: vec![Discipline::Priority],
+        cpus: 2,
+        steps: 40,
+        jobs: 1,
+        ..HierarchyBenchConfig::default()
+    };
+    let mut hier = hierarchy_sweep(&hier_cfg).unwrap();
+    let hier_json = hierarchy_json(&hier_cfg, &hier);
+    for row in &mut hier {
+        row.host = Host::default();
     }
-    assert!(stripped.contains("\"protocol\""), "rows were destroyed");
+    let documents = [
+        (sweep_json(&cfg, &rows), sweep_json(&cfg, &zeroed_rows)),
+        (
+            scaling_json(&cfg, &scaling),
+            scaling_json(&cfg, &zeroed_scaling),
+        ),
+        (hier_json, hierarchy_json(&hier_cfg, &hier)),
+    ];
+    for (json, zeroed) in &documents {
+        assert!(json.contains("\"host\": {"), "{json}");
+        let stripped = strip_host(json);
+        assert!(!stripped.contains("\"host\""), "{stripped}");
+        let squeezed: String = stripped.split_whitespace().collect();
+        assert!(!squeezed.contains(",}"), "dangling separator: {stripped}");
+        assert!(!simulated_keys(json).is_empty());
+        assert_eq!(simulated_keys(&stripped), simulated_keys(json));
+        assert_eq!(stripped, strip_host(zeroed));
+    }
+    // The first scaling row is its own measured baseline.
+    assert_eq!(scaling[0].host.measured_speedup, 1.0);
+    let first_row = documents[1]
+        .0
+        .lines()
+        .find(|l| l.contains("\"shards\": 1,"))
+        .expect("a one-worker row");
+    assert!(
+        first_row.contains("\"measured_speedup\": 1.000"),
+        "{first_row}"
+    );
 }
 
 #[test]
@@ -74,10 +161,16 @@ fn scaling_sweep_agrees_with_the_plain_sharded_sweep() {
             assert_eq!(row.wall_ns, scaling[0].wall_ns, "seed {seed}");
             assert_eq!(row.busy_ns, scaling[0].busy_ns, "seed {seed}");
             assert_eq!(row.wait_ns, scaling[0].wait_ns, "seed {seed}");
-            assert!(row.speedup > 0.0, "seed {seed}: empty speedup column");
+            assert!(
+                row.host.modelled_speedup > 0.0,
+                "seed {seed}: empty speedup column"
+            );
         }
         // One worker cannot beat its own serial schedule.
-        assert!((scaling[0].speedup - 1.0).abs() < 1e-9, "seed {seed}");
+        assert!(
+            (scaling[0].host.modelled_speedup - 1.0).abs() < 1e-9,
+            "seed {seed}"
+        );
     }
 }
 

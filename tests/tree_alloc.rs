@@ -15,7 +15,7 @@ use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::MoesiPreferred;
 use moesi::rng::SmallRng;
 use moesi::Protocol;
-use mpsim::hierarchy::{HierarchicalSystem, HierarchyBuilder, TreeBuilder};
+use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
 use mpsim::{Access, Checker, RefStream};
 
 /// Counts this thread's allocations (fresh blocks and reallocations), so
@@ -230,13 +230,14 @@ fn random_reads_at_depth_three_match_the_golden_image() {
 
 #[test]
 fn reads_from_a_degraded_cluster_match_the_golden_image() {
-    let mut sys = HierarchyBuilder::new(LINE)
-        .cluster()
-        .cache(Box::new(MoesiPreferred::new()), cfg())
-        .cache(Box::new(MoesiPreferred::new()), cfg())
-        .cluster()
-        .cache(Box::new(MoesiPreferred::new()), cfg())
-        .cache(Box::new(MoesiPreferred::new()), cfg())
+    let leaf = || {
+        TreeSpec::leaf()
+            .cache(Box::new(MoesiPreferred::new()), cfg())
+            .cache(Box::new(MoesiPreferred::new()), cfg())
+    };
+    let mut sys = TreeBuilder::new(LINE)
+        .child(leaf())
+        .child(leaf())
         .checking(true)
         .build();
     sys.write(0, 0, 0x1000, &[5; 40]);
