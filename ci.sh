@@ -20,8 +20,9 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-# checked: the oracle path; tree: the fabric tree's access path.
-for workload in checked tree; do
+# flat-read/flat-write: System::run_timed; tree: the fabric tree's access
+# path; checked: the oracle path.
+for workload in flat-read flat-write tree checked; do
   echo "==> perfbench $workload at the held-out seed (digests must match, no failed job)"
   line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
       --workload "$workload" --seed 4242 --seconds 2 --trace 0 | tail -1)"

@@ -56,9 +56,8 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics when the geometry is inconsistent: sizes not powers of two,
-    /// capacity not divisible into `associativity` ways of whole lines, or a
-    /// zero anywhere.
+    /// Panics when the geometry is inconsistent; see
+    /// [`try_new`](CacheConfig::try_new).
     #[must_use]
     pub fn new(
         size_bytes: usize,
@@ -66,30 +65,55 @@ impl CacheConfig {
         associativity: usize,
         replacement: ReplacementKind,
     ) -> Self {
-        assert!(
-            line_size.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(
-            size_bytes.is_power_of_two(),
-            "cache size must be a power of two"
-        );
-        assert!(associativity > 0, "associativity must be non-zero");
+        Self::try_new(size_bytes, line_size, associativity, replacement)
+            .unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// Creates a configuration, or says why its geometry is inconsistent.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason when a size is not a power of two (zero included),
+    /// the associativity is zero, or the capacity does not divide into
+    /// `associativity` ways of whole lines over a power-of-two set count.
+    pub fn try_new(
+        size_bytes: usize,
+        line_size: usize,
+        associativity: usize,
+        replacement: ReplacementKind,
+    ) -> Result<Self, String> {
+        if !line_size.is_power_of_two() {
+            return Err(format!("line size must be a power of two, got {line_size}"));
+        }
+        if !size_bytes.is_power_of_two() {
+            return Err(format!(
+                "cache size must be a power of two, got {size_bytes}"
+            ));
+        }
+        if associativity == 0 {
+            return Err("associativity must be non-zero".to_string());
+        }
         let lines = size_bytes / line_size;
-        assert!(lines >= associativity, "fewer lines than ways");
-        assert_eq!(
-            lines % associativity,
-            0,
-            "lines ({lines}) must divide evenly into {associativity} ways"
-        );
-        let sets = lines / associativity;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        CacheConfig {
+        if lines < associativity {
+            return Err(format!(
+                "fewer lines than ways: {size_bytes}B holds {lines} lines of {line_size}B, \
+                 fewer than {associativity}"
+            ));
+        }
+        if !lines.is_multiple_of(associativity) {
+            return Err(format!(
+                "lines ({lines}) must divide evenly into {associativity} ways"
+            ));
+        }
+        if !(lines / associativity).is_power_of_two() {
+            return Err("set count must be a power of two".to_string());
+        }
+        Ok(CacheConfig {
             size_bytes,
             line_size,
             associativity,
             replacement,
-        }
+        })
     }
 
     /// A small default useful in tests and examples: 4 KiB, 32 B lines,
@@ -161,6 +185,25 @@ mod tests {
     #[should_panic(expected = "fewer lines than ways")]
     fn too_many_ways_rejected() {
         let _ = CacheConfig::new(64, 32, 4, ReplacementKind::Lru);
+    }
+
+    #[test]
+    fn try_new_explains_instead_of_panicking() {
+        let bad = [
+            (4096, 12, 2),
+            (4096, 3, 2),
+            (100, 32, 2),
+            (4096, 32, 0),
+            (32, 32, 2),
+        ];
+        for (size, line, ways) in bad {
+            let err = CacheConfig::try_new(size, line, ways, ReplacementKind::Lru).unwrap_err();
+            assert!(!err.is_empty(), "{size}/{line}/{ways}");
+        }
+        assert_eq!(
+            CacheConfig::try_new(4096, 32, 2, ReplacementKind::Lru),
+            Ok(CacheConfig::small())
+        );
     }
 
     #[test]

@@ -163,6 +163,22 @@ impl SparseMemory {
         self.lines.get(&self.align(addr)).unwrap_or(&self.zero)
     }
 
+    /// The `len` bytes at `addr`, across any number of lines, without
+    /// counting a memory access — what a DMA engine reading memory directly
+    /// would observe. Untouched lines read as zero.
+    #[must_use]
+    pub fn peek_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        let mut cur = addr;
+        while out.len() < len {
+            let offset = (cur - self.align(cur)) as usize;
+            let take = (self.line_size - offset).min(len - out.len());
+            out.extend_from_slice(&self.peek(cur)[offset..offset + take]);
+            cur += take as u64;
+        }
+        out
+    }
+
     /// Starts (or stops) logging the lines written from here on; see
     /// [`ChangeLog`].
     pub fn track_changes(&mut self, on: bool) {

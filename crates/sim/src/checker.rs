@@ -119,6 +119,21 @@ impl fmt::Display for Violation {
 
 impl std::error::Error for Violation {}
 
+/// A machine the oracle audits incrementally: the flat bus's
+/// [`Fabric`](crate::Fabric) or a fabric tree's root segment.
+pub(crate) trait Audited {
+    /// Moves the lines the machine changed since the last drain into `out`;
+    /// true when a change was too broad to log line by line.
+    fn drain_changed_lines(&mut self, out: &mut Vec<u64>) -> bool;
+
+    /// Every invariant over `lines` (sorted, distinct, line-aligned). Lines
+    /// the full audit would not visit pass.
+    fn check_lines(&self, ck: &Checker, lines: &[u64]) -> Result<(), Violation>;
+
+    /// Every invariant over every line.
+    fn check_all(&self, ck: &Checker) -> Result<(), Violation>;
+}
+
 /// The golden-image oracle.
 #[derive(Clone, Debug)]
 pub struct Checker {
@@ -132,6 +147,10 @@ pub struct Checker {
     /// mixed systems; homogeneous systems keep it on.
     pub check_exclusive_clean: bool,
     changes: Option<ChangeLog>,
+    /// Scratch for the incremental audit's line set, kept for its capacity.
+    audit_lines: Vec<u64>,
+    /// Whether the next [`audit`](Checker::audit) must re-check every line.
+    full_audit: bool,
 }
 
 impl Checker {
@@ -145,6 +164,8 @@ impl Checker {
             zero: vec![0; line_size].into_boxed_slice(),
             check_exclusive_clean: true,
             changes: None,
+            audit_lines: Vec::new(),
+            full_audit: false,
         }
     }
 
@@ -221,16 +242,55 @@ impl Checker {
     }
 
     /// Starts (or stops) logging the lines [`record_write`] touches, for an
-    /// incremental audit.
+    /// incremental audit. Changes made while the log was off are unknown, so
+    /// the next [`audit`](Checker::audit) re-checks every line.
     ///
     /// [`record_write`]: Checker::record_write
     pub(crate) fn track_changes(&mut self, on: bool) {
         self.changes = on.then(ChangeLog::default);
+        self.full_audit = true;
     }
 
     /// Moves the golden lines written since the last drain into `out`.
     pub(crate) fn drain_changes(&mut self, out: &mut Vec<u64>) -> bool {
         self.changes.as_mut().is_some_and(|log| log.drain_into(out))
+    }
+
+    /// Makes the next [`audit`](Checker::audit) a full one.
+    pub(crate) fn force_full_audit(&mut self) {
+        self.full_audit = true;
+    }
+
+    /// The per-access audit of `machine`, shared by both machines. A line's
+    /// invariants depend only on its own state and the previous audit
+    /// passed, so re-checking the lines the oracle and the machine logged
+    /// reports exactly what a full audit would; unloggable changes and a
+    /// failed audit fall back to the full one. Debug builds assert as much.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation among the audited lines.
+    pub(crate) fn audit(&mut self, machine: &mut impl Audited) -> Result<(), Violation> {
+        let mut lines = std::mem::take(&mut self.audit_lines);
+        lines.clear();
+        let mut full = std::mem::take(&mut self.full_audit);
+        full |= self.drain_changes(&mut lines);
+        full |= machine.drain_changed_lines(&mut lines);
+        let verdict = if full {
+            machine.check_all(self)
+        } else {
+            lines.sort_unstable();
+            lines.dedup();
+            machine.check_lines(self, &lines)
+        };
+        self.audit_lines = lines;
+        debug_assert_eq!(
+            verdict,
+            machine.check_all(self),
+            "incremental audit diverged"
+        );
+        self.full_audit = verdict.is_err();
+        verdict
     }
 
     /// Verifies all structural invariants over the caches and memory.

@@ -1,5 +1,7 @@
-//! The cycle-stamped discrete-event core behind [`System`](crate::System)'s
-//! run loops.
+//! The cycle-stamped discrete-event core that runs every machine: the flat
+//! [`System`](crate::System) and the fabric tree
+//! ([`HierarchicalSystem`](crate::hierarchy::HierarchicalSystem)) both
+//! drive their lanes through [`drive`].
 //!
 //! The engine models the machine as a set of *lanes* (one per processor),
 //! each with a private cycle clock, coupled only through the shared bus. The
@@ -7,8 +9,13 @@
 //! `(cycle, lane)` order, so ties on the same cycle resolve deterministically
 //! by lane id. That makes the event order — and therefore every coherence
 //! interleaving — a pure function of the workload, independent of host
-//! scheduling. The 7 golden-trace fixtures and the phase-accounting suite
-//! are the semantic gate.
+//! scheduling. An untimed run is the same driver with one cycle of work per
+//! access and no bus time, which reduces the order to a strict round-robin.
+//! The 7 golden-trace fixtures and the phase-accounting suite are the
+//! semantic gate.
+
+use crate::metrics::TimedReport;
+use crate::workload::Access;
 
 /// A lane-indexed slot key: `(cycle, lane)` packed so integer comparison is
 /// the event order. [`EMPTY`] (all ones) sorts after every real key, so the
@@ -22,10 +29,10 @@ fn key(cycle: u64, lane: usize) -> u128 {
 
 /// The structured outcome of [`EventQueue::pop`]: either the earliest
 /// pending event, or a definitive signal that the queue is drained — every
-/// lane's stream has ended and nothing was rescheduled. Run loops match on
+/// lane's stream has ended and nothing was rescheduled. [`drive`] matches on
 /// this instead of unwrapping an option, so a lane whose stream ends
 /// mid-cycle can never panic the engine: the queue simply reports
-/// [`Popped::Drained`] and the loop terminates cleanly.
+/// [`Popped::Drained`] and the run terminates cleanly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Popped {
     /// The earliest queued event: `lane` wakes at `cycle`.
@@ -48,6 +55,9 @@ pub(crate) enum Popped {
 pub(crate) struct EventQueue {
     slots: Vec<u128>,
     live: usize,
+    /// One past the last popped key. Time never runs backwards, so no queued
+    /// key is smaller.
+    floor: u128,
 }
 
 impl EventQueue {
@@ -56,12 +66,17 @@ impl EventQueue {
         EventQueue {
             slots: (0..lanes).map(|lane| key(0, lane)).collect(),
             live: lanes,
+            floor: key(0, 0),
         }
     }
 
     /// Schedules `lane`'s next wake-up at `cycle`.
     pub(crate) fn schedule(&mut self, lane: usize, cycle: u64) {
         debug_assert_eq!(self.slots[lane], EMPTY, "one event in flight per lane");
+        debug_assert!(
+            key(cycle, lane) >= self.floor,
+            "events never go back in time"
+        );
         self.slots[lane] = key(cycle, lane);
         self.live += 1;
     }
@@ -71,19 +86,23 @@ impl EventQueue {
         if self.live == 0 {
             return Popped::Drained;
         }
-        let mut best = EMPTY;
-        let mut at = 0;
-        for (lane, &k) in self.slots.iter().enumerate() {
-            if k < best {
-                best = k;
-                at = lane;
-            }
-        }
-        self.slots[at] = EMPTY;
+        // No queued key is below the floor, so the floor itself — the next
+        // lane at the last popped cycle — is the minimum when queued: a
+        // round-robin pops without a scan. Otherwise scan; the key's low
+        // half is its lane, so a plain minimum finds both.
+        let next_lane = self.floor as u64 as usize;
+        let best = if self.slots.get(next_lane) == Some(&self.floor) {
+            self.floor
+        } else {
+            self.slots.iter().copied().min().unwrap_or(EMPTY)
+        };
+        let lane = best as u64 as usize;
+        self.slots[lane] = EMPTY;
         self.live -= 1;
+        self.floor = best + 1;
         Popped::Next {
             cycle: (best >> 64) as u64,
-            lane: at,
+            lane,
         }
     }
 
@@ -96,6 +115,76 @@ impl EventQueue {
         let own = key(cycle, lane);
         self.slots.iter().all(|&k| own < k)
     }
+}
+
+/// `steps` accesses per lane, drawn from `draw(lane)`: the `next_access`
+/// of a stream-fed run.
+pub(crate) fn budget(
+    lanes: usize,
+    steps: u64,
+    mut draw: impl FnMut(usize) -> Access,
+) -> impl FnMut(usize) -> Option<Access> {
+    let mut done = vec![0u64; lanes];
+    move |lane| {
+        (done[lane] < steps).then(|| {
+            done[lane] += 1;
+            draw(lane)
+        })
+    }
+}
+
+/// The run driver of every machine. `next_access(lane)` returns `None` once
+/// that lane's workload is exhausted; `issue(lane, access)` performs the
+/// access and returns the bus nanoseconds it used. Each access first costs
+/// `cpu_work_ns` of the lane's local work, then queues for the single shared
+/// bus — the §1 saturation model.
+///
+/// Events execute in `(cycle, lane)` order; on top of it the driver *runs
+/// ahead*: after an access, if the lane's new cycle still precedes every
+/// queued event it keeps executing the same lane, skipping the schedule/pop
+/// round-trip. Exhausted lanes stop rescheduling, so the run ends when the
+/// queue reports [`Popped::Drained`]. With `cpu_work_ns = 1` and an `issue`
+/// that returns 0 the order is a strict round-robin over the lanes.
+///
+/// Returns the wall time, bus occupancy, queueing and reference totals; the
+/// caller fills in [`TimedReport::phase_hist`].
+pub(crate) fn drive(
+    lanes: usize,
+    mut next_access: impl FnMut(usize) -> Option<Access>,
+    mut issue: impl FnMut(usize, &Access) -> u64,
+    cpu_work_ns: u64,
+) -> TimedReport {
+    let mut queue = EventQueue::new(lanes);
+    let mut report = TimedReport::default();
+    let mut bus_free: u64 = 0;
+    while let Popped::Next {
+        cycle: mut clock,
+        lane,
+    } = queue.pop()
+    {
+        loop {
+            let Some(access) = next_access(lane) else {
+                report.wall_ns = report.wall_ns.max(clock);
+                break;
+            };
+            let bus_used = issue(lane, &access);
+            clock += cpu_work_ns;
+            if bus_used > 0 {
+                let start = clock.max(bus_free);
+                report.bus_wait_ns += start - clock;
+                bus_free = start + bus_used;
+                report.bus_busy_ns += bus_used;
+                clock = bus_free;
+            }
+            report.total_refs += 1;
+            report.wall_ns = report.wall_ns.max(clock);
+            if !queue.lane_still_first(lane, clock) {
+                queue.schedule(lane, clock);
+                break;
+            }
+        }
+    }
+    report
 }
 
 #[cfg(test)]
@@ -164,5 +253,25 @@ mod tests {
         let mut q = EventQueue::new(1);
         q.pop();
         assert!(q.lane_still_first(0, u64::MAX - 1));
+    }
+
+    #[test]
+    fn pops_match_a_plain_minimum_as_time_moves_forward() {
+        // The driver's pattern: a popped lane comes back a cycle or two
+        // later, often tied with other lanes (the floor fast path), or never
+        // (its workload ran out).
+        let mut rng = moesi::rng::SmallRng::seed_from_u64(7);
+        let mut q = EventQueue::new(8);
+        let mut model: Vec<(u64, usize)> = (0..8).map(|lane| (0, lane)).collect();
+        while let Some(&want) = model.iter().min() {
+            assert_eq!(next(&mut q), Some(want));
+            model.retain(|&e| e != want);
+            if rng.gen_range(0..64u64) != 0 {
+                let cycle = want.0 + rng.gen_range(1..3u64);
+                q.schedule(want.1, cycle);
+                model.push((cycle, want.1));
+            }
+        }
+        assert_eq!(q.pop(), Popped::Drained);
     }
 }

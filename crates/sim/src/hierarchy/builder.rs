@@ -371,8 +371,8 @@ impl TreeBuilder {
             line_size,
             parent_errors: Vec::new(),
             tolerant: false,
-            audit_lines: Vec::new(),
-            full_audit: false,
+            write_seq: 0,
+            read_buf: Vec::new(),
         };
         if discipline != Discipline::Priority {
             sys.set_discipline(discipline);

@@ -45,10 +45,11 @@ mod node;
 pub use builder::{TreeBuilder, TreeSpec};
 pub use node::{Bridge, BridgeStats, FabricNode, Segment};
 
-use crate::checker::{Checker, Violation};
+use crate::checker::{Audited, Checker, Violation};
+use crate::engine;
 use crate::fabric::Fabric;
 use crate::metrics::CpuStats;
-use crate::workload::{RefStream, WritePayload};
+use crate::workload::{Access, RefStream, WritePayload};
 
 /// Which parent-bus transaction a bridge was running when it failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,11 +133,10 @@ pub struct HierarchicalSystem {
     line_size: usize,
     parent_errors: Vec<ParentError>,
     tolerant: bool,
-    /// Scratch for the incremental audit's line set, kept for its capacity.
-    audit_lines: Vec<u64>,
-    /// Whether the next audit must re-check every line: set by changes too
-    /// broad to log line by line.
-    full_audit: bool,
+    /// The sequence number of the last workload write, as in `System`.
+    write_seq: u32,
+    /// The buffer workload reads land in, kept for its capacity.
+    read_buf: Vec<u8>,
 }
 
 impl HierarchicalSystem {
@@ -152,16 +152,7 @@ impl HierarchicalSystem {
     /// [`clusters`]: HierarchicalSystem::clusters
     #[must_use]
     pub fn leaves(&self) -> usize {
-        fn count(children: &[Bridge]) -> usize {
-            children
-                .iter()
-                .map(|b| match &b.node {
-                    FabricNode::Leaf(_) => 1,
-                    FabricNode::Interior(seg) => count(&seg.children),
-                })
-                .sum()
-        }
-        count(&self.root.children)
+        self.leaf_paths().len()
     }
 
     /// The number of bus levels on the longest root-to-leaf path: 2 for the
@@ -208,25 +199,7 @@ impl HierarchicalSystem {
     /// Panics when `leaf` is out of range.
     #[must_use]
     pub fn leaf_fabric(&self, leaf: usize) -> &Fabric {
-        fn walk<'a>(children: &'a [Bridge], n: &mut usize, target: usize) -> Option<&'a Fabric> {
-            for b in children {
-                match &b.node {
-                    FabricNode::Leaf(fabric) => {
-                        if *n == target {
-                            return Some(fabric);
-                        }
-                        *n += 1;
-                    }
-                    FabricNode::Interior(seg) => {
-                        if let Some(f) = walk(&seg.children, n, target) {
-                            return Some(f);
-                        }
-                    }
-                }
-            }
-            None
-        }
-        walk(&self.root.children, &mut 0, leaf).expect("leaf index in range")
+        self.bridge_at(&self.leaf_paths()[leaf]).fabric()
     }
 
     /// Mutable access to the `leaf`-th leaf cluster's fabric, for installing
@@ -236,29 +209,8 @@ impl HierarchicalSystem {
     ///
     /// Panics when `leaf` is out of range.
     pub fn leaf_fabric_mut(&mut self, leaf: usize) -> &mut Fabric {
-        fn walk<'a>(
-            children: &'a mut [Bridge],
-            n: &mut usize,
-            target: usize,
-        ) -> Option<&'a mut Fabric> {
-            for b in children {
-                match &mut b.node {
-                    FabricNode::Leaf(fabric) => {
-                        if *n == target {
-                            return Some(fabric);
-                        }
-                        *n += 1;
-                    }
-                    FabricNode::Interior(seg) => {
-                        if let Some(f) = walk(&mut seg.children, n, target) {
-                            return Some(f);
-                        }
-                    }
-                }
-            }
-            None
-        }
-        walk(&mut self.root.children, &mut 0, leaf).expect("leaf index in range")
+        let path = &self.leaf_paths()[leaf];
+        self.bridge_at_mut(path).fabric_mut()
     }
 
     /// A root-level cluster's bridge (directory, stats, fabric or segment).
@@ -353,8 +305,9 @@ impl HierarchicalSystem {
     /// against *reported* loss through this. The caller may change what the
     /// oracle enforces, so the next audit is a full one.
     pub fn checker_mut(&mut self) -> Option<&mut Checker> {
-        self.full_audit = true;
-        self.checker.as_mut()
+        let ck = self.checker.as_mut()?;
+        ck.force_full_audit();
+        Some(ck)
     }
 
     /// Root-level clusters whose bridge the watchdog has retired, ascending.
@@ -379,16 +332,11 @@ impl HierarchicalSystem {
         // Tolerant runs skip the per-access audit, so they log nothing; the
         // first audit after them re-checks everything.
         self.track_changes(!on && self.checker.is_some());
-        self.full_audit |= !on;
-        fn walk(children: &mut [Bridge], on: bool) {
-            for b in children {
-                match &mut b.node {
-                    FabricNode::Leaf(fabric) => fabric.tolerate_bus_errors(on),
-                    FabricNode::Interior(seg) => walk(&mut seg.children, on),
-                }
-            }
+        for path in self.leaf_paths() {
+            self.bridge_at_mut(&path)
+                .fabric_mut()
+                .tolerate_bus_errors(on);
         }
-        walk(&mut self.root.children, on);
     }
 
     /// Sets the arbitration discipline of every bus in the tree: the root
@@ -618,70 +566,15 @@ impl HierarchicalSystem {
     /// Returns the first violation found, in line-address order; always `Ok`
     /// without the oracle.
     pub fn verify(&self) -> Result<(), Violation> {
-        let Some(ck) = &self.checker else {
-            return Ok(());
-        };
-        // Every line cached anywhere or present in a directory.
-        fn collect_lines(children: &[Bridge], lines: &mut Vec<u64>) {
-            for bridge in children {
-                lines.extend(bridge.directory.keys().copied());
-                match &bridge.node {
-                    FabricNode::Leaf(fabric) => {
-                        for ctrl in fabric.controllers() {
-                            if let Some(cache) = ctrl.cache() {
-                                lines.extend(cache.iter().map(|(a, _)| a));
-                            }
-                        }
-                    }
-                    FabricNode::Interior(seg) => collect_lines(&seg.children, lines),
-                }
-            }
-        }
-        let mut lines = Vec::new();
-        collect_lines(&self.root.children, &mut lines);
-        lines.sort_unstable();
-        lines.dedup();
-        self.verify_lines(ck, &lines)
-    }
-
-    /// [`verify`](HierarchicalSystem::verify) restricted to `lines` (sorted,
-    /// distinct, line-aligned): the incremental audit.
-    fn verify_lines(&self, ck: &Checker, lines: &[u64]) -> Result<(), Violation> {
-        lines.iter().try_for_each(|&line| self.check_line(ck, line))
-    }
-
-    /// Every invariant for one line. Lines the full audit does not visit —
-    /// in no directory and no cache — pass, so the incremental audit can
-    /// hand over any line it logged.
-    fn check_line(&self, ck: &Checker, line: u64) -> Result<(), Violation> {
-        if !self.root.children.iter().any(|b| b.tracks(line)) {
-            return Ok(());
-        }
-        let golden = ck.golden_line(line);
-
-        // (1) Every valid cached copy anywhere equals the golden image.
-        // (2) At most one local owner per leaf cluster.
-        for (bridge, label) in child_labels(&self.root, None) {
-            check_cached_copies(bridge, &label, line, golden)?;
-        }
-
-        // (3) At most one owning child; (4) exclusivity between children;
-        // (5) unowned lines are current in segment memory; (6) the owning
-        // child's authoritative data is golden — all on the root segment,
-        // whose memory is true main memory.
-        segment_invariants(&self.root, None, line, golden)?;
-
-        // The same invariants inside every interior segment, plus the
-        // inclusion invariant the snoop filter is sound against.
-        for (bridge, label) in child_labels(&self.root, None) {
-            subtree_invariants(bridge, &label, line, golden)?;
-        }
-        Ok(())
+        self.checker
+            .as_ref()
+            .map_or(Ok(()), |ck| self.root.check_all(ck))
     }
 
     /// Drives one access from each stream per step, for `steps` rounds.
     /// `streams[leaf][cpu]` feeds node `cpu` of the `leaf`-th leaf cluster
-    /// (for a two-level machine, leaf index == cluster index).
+    /// (for a two-level machine, leaf index == cluster index): the engine's
+    /// untimed run over one lane per processor, numbered leaf-major.
     ///
     /// # Panics
     ///
@@ -690,33 +583,43 @@ impl HierarchicalSystem {
     pub fn run(&mut self, streams: &mut [Vec<Box<dyn RefStream + Send>>], steps: u64) {
         let paths = self.leaf_paths();
         assert_eq!(streams.len(), paths.len(), "one stream vec per cluster");
-        // The loop walks the streams, so their shape is checked once, here.
+        // Lane = global processor index: (leaf, cpu) in leaf-major order.
+        let mut lanes = Vec::new();
         for (leaf, cluster_streams) in streams.iter().enumerate() {
-            assert_eq!(
-                cluster_streams.len(),
-                self.leaf_fabric(leaf).nodes(),
-                "one stream per node"
-            );
+            let cpus = cluster_streams.len();
+            assert_eq!(cpus, self.leaf_fabric(leaf).nodes(), "one stream per node");
+            lanes.extend((0..cpus).map(|cpu| (leaf, cpu)));
         }
-        let mut seq: u32 = 0;
-        let mut payload = WritePayload::new();
-        // Every read lands in this one buffer, so a read hit allocates
-        // nothing; the bytes are checked (with the oracle on) and dropped.
-        let mut read_buf = Vec::new();
-        for _ in 0..steps {
-            for (path, cluster_streams) in paths.iter().zip(streams.iter_mut()) {
-                for (cpu, stream) in cluster_streams.iter_mut().enumerate() {
-                    let access = stream.next_access();
-                    if access.is_write {
-                        seq = seq.wrapping_add(1);
-                        let bytes = payload.fill(seq, access.size);
-                        self.write_at(path, cpu, access.addr, bytes);
-                    } else {
-                        read_buf.clear();
-                        self.read_into(path, cpu, access.addr, access.size, &mut read_buf);
-                    }
-                }
-            }
+        let next = engine::budget(lanes.len(), steps, |lane| {
+            let (leaf, cpu) = lanes[lane];
+            streams[leaf][cpu].next_access()
+        });
+        engine::drive(
+            lanes.len(),
+            next,
+            |lane, access| {
+                let (leaf, cpu) = lanes[lane];
+                self.issue(&paths[leaf], cpu, access);
+                0
+            },
+            1,
+        );
+    }
+
+    /// Issues one workload access from processor `cpu` of the leaf at
+    /// `path`. Reads land in one reused buffer, so a read hit allocates
+    /// nothing.
+    fn issue(&mut self, path: &[usize], cpu: usize, access: &Access) {
+        if access.is_write {
+            self.write_seq = self.write_seq.wrapping_add(1);
+            let mut payload = WritePayload::new();
+            let bytes = payload.fill(self.write_seq, access.size);
+            self.write_at(path, cpu, access.addr, bytes);
+        } else {
+            let mut buf = std::mem::take(&mut self.read_buf);
+            buf.clear();
+            self.read_into(path, cpu, access.addr, access.size, &mut buf);
+            self.read_buf = buf;
         }
     }
 
@@ -737,19 +640,7 @@ impl HierarchicalSystem {
     /// [`make_globally_consistent`]: HierarchicalSystem::make_globally_consistent
     #[must_use]
     pub fn parent_memory_peek(&self, addr: u64, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        let mut cur = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let line = self.line_addr(cur);
-            let offset = (cur - line) as usize;
-            let take = (self.line_size - offset).min(remaining);
-            let data = self.root.bus.memory().peek(line);
-            out.extend_from_slice(&data[offset..offset + take]);
-            cur += take as u64;
-            remaining -= take;
-        }
-        out
+        self.root.bus.memory().peek_bytes(addr, len)
     }
 
     /// Starts (or stops) logging changed lines in the oracle and in every
@@ -761,38 +652,16 @@ impl HierarchicalSystem {
         self.root.track_changes(on);
     }
 
-    /// The per-access audit. Every invariant of a line depends only on that
-    /// line's golden value, cache entries, memory copies and bridge tags,
-    /// and the previous audit passed, so re-checking the lines logged as
-    /// changed since then reports exactly what a full
-    /// [`verify`](HierarchicalSystem::verify) would. Wholesale changes
-    /// (retirements, oracle edits, leaving tolerant mode) fall back to the
-    /// full audit.
+    /// The per-access audit (see [`Checker::audit`]); skipped while
+    /// tolerating faults.
     fn audit(&mut self) {
         if self.tolerant {
             return;
         }
-        let Some(ck) = &mut self.checker else {
-            return;
-        };
-        let mut lines = std::mem::take(&mut self.audit_lines);
-        lines.clear();
-        let mut full = std::mem::take(&mut self.full_audit);
-        full |= ck.drain_changes(&mut lines);
-        full |= self.root.drain_changes(&mut lines);
-        let verdict = if full {
-            self.verify()
-        } else {
-            lines.sort_unstable();
-            lines.dedup();
-            let ck = self.checker.as_ref().expect("checked above");
-            self.verify_lines(ck, &lines)
-        };
-        self.audit_lines = lines;
-        debug_assert_eq!(verdict, self.verify(), "incremental audit diverged");
-        if let Err(v) = verdict {
-            self.full_audit = true;
-            panic!("hierarchy consistency violation: {v}");
+        if let Some(ck) = &mut self.checker {
+            if let Err(v) = ck.audit(&mut self.root) {
+                panic!("hierarchy consistency violation: {v}");
+            }
         }
     }
 
@@ -840,8 +709,7 @@ impl HierarchicalSystem {
             return None;
         }
         let victim = plan.gen_index(bridge_count);
-        let mut keys: Vec<LineAddr> = bridge_by_flat(&self.root.children, victim)
-            .expect("flat index in range")
+        let mut keys: Vec<LineAddr> = self.bridges_preorder()[victim]
             .directory
             .keys()
             .copied()
@@ -852,9 +720,7 @@ impl HierarchicalSystem {
         keys.sort_unstable(); // map order must not leak into the RNG draw
         let plan = self.root.bus.fault_plan_mut().expect("checked above");
         let line = keys[plan.gen_index(keys.len())];
-        let from = bridge_by_flat(&self.root.children, victim)
-            .expect("flat index in range")
-            .cluster_state(line);
+        let from = self.bridges_preorder()[victim].cluster_state(line);
         let others: Vec<LineState> = LineState::ALL.into_iter().filter(|s| *s != from).collect();
         let plan = self.root.bus.fault_plan_mut().expect("checked above");
         let to = others[plan.gen_index(others.len())];
@@ -895,6 +761,68 @@ impl HierarchicalSystem {
     pub fn scrub_inclusion_tag(&mut self, bridge: usize, line: LineAddr) -> LineState {
         let mut idx = 0;
         scrub_in_segment(&mut self.root, bridge, &mut idx, line).expect("flat index in range")
+    }
+}
+
+/// The root segment audits the whole tree, its memory as true main memory.
+impl Audited for Segment {
+    fn drain_changed_lines(&mut self, out: &mut Vec<u64>) -> bool {
+        self.drain_changes(out)
+    }
+
+    /// Every invariant for each line. Lines the full audit does not visit —
+    /// in no directory and no cache — pass, so the incremental audit can
+    /// hand over any line it logged.
+    fn check_lines(&self, ck: &Checker, lines: &[u64]) -> Result<(), Violation> {
+        for &line in lines {
+            if !self.children.iter().any(|b| b.tracks(line)) {
+                continue;
+            }
+            let golden = ck.golden_line(line);
+
+            // (1) Every valid cached copy anywhere equals the golden image.
+            // (2) At most one local owner per leaf cluster.
+            for (bridge, label) in child_labels(self, None) {
+                check_cached_copies(bridge, &label, line, golden)?;
+            }
+
+            // (3) At most one owning child; (4) exclusivity between children;
+            // (5) unowned lines are current in segment memory; (6) the owning
+            // child's authoritative data is golden — all on the root segment,
+            // whose memory is true main memory.
+            segment_invariants(self, None, line, golden)?;
+
+            // The same invariants inside every interior segment, plus the
+            // inclusion invariant the snoop filter is sound against.
+            for (bridge, label) in child_labels(self, None) {
+                subtree_invariants(bridge, &label, line, golden)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Every line cached anywhere or present in a directory.
+    fn check_all(&self, ck: &Checker) -> Result<(), Violation> {
+        fn collect_lines(children: &[Bridge], lines: &mut Vec<u64>) {
+            for bridge in children {
+                lines.extend(bridge.directory.keys().copied());
+                match &bridge.node {
+                    FabricNode::Leaf(fabric) => {
+                        for ctrl in fabric.controllers() {
+                            if let Some(cache) = ctrl.cache() {
+                                lines.extend(cache.iter().map(|(a, _)| a));
+                            }
+                        }
+                    }
+                    FabricNode::Interior(seg) => collect_lines(&seg.children, lines),
+                }
+            }
+        }
+        let mut lines = Vec::new();
+        collect_lines(&self.children, &mut lines);
+        lines.sort_unstable();
+        lines.dedup();
+        self.check_lines(ck, &lines)
     }
 }
 
@@ -1043,24 +971,6 @@ fn subtree_invariants(
 }
 
 /// The bridge at pre-order flat index `target`, if in range.
-fn bridge_by_flat(children: &[Bridge], target: usize) -> Option<&Bridge> {
-    fn walk<'a>(children: &'a [Bridge], idx: &mut usize, target: usize) -> Option<&'a Bridge> {
-        for b in children {
-            if *idx == target {
-                return Some(b);
-            }
-            *idx += 1;
-            if let FabricNode::Interior(seg) = &b.node {
-                if let Some(found) = walk(&seg.children, idx, target) {
-                    return Some(found);
-                }
-            }
-        }
-        None
-    }
-    walk(children, &mut 0, target)
-}
-
 fn bridge_by_flat_mut(children: &mut [Bridge], target: usize) -> Option<&mut Bridge> {
     fn walk<'a>(
         children: &'a mut [Bridge],

@@ -12,9 +12,9 @@ use cache_array::CacheConfig;
 use futurebus::{BusStats, TimingConfig};
 use moesi::{CacheKind, LineState, Protocol};
 
-use crate::checker::{Checker, Violation};
+use crate::checker::{Audited, Checker, Violation};
 use crate::controller::CacheController;
-use crate::engine::{EventQueue, Popped};
+use crate::engine;
 use crate::fabric::Fabric;
 use crate::metrics::{CpuStats, MachineReport};
 use crate::workload::{Access, RefStream, WritePayload};
@@ -146,9 +146,7 @@ impl SystemBuilder {
             fabric,
             checker,
             write_seq: 0,
-            audit_lines: Vec::new(),
             read_buf: Vec::new(),
-            full_audit: false,
         }
     }
 }
@@ -159,13 +157,8 @@ pub struct System {
     fabric: Fabric,
     checker: Option<Checker>,
     write_seq: u32,
-    /// Scratch for the incremental audit's line set, kept for its capacity.
-    audit_lines: Vec<u64>,
     /// The buffer checked workload reads land in, kept for its capacity.
     read_buf: Vec<u8>,
-    /// Whether the next audit must re-check every line (set after a failed
-    /// audit, whose lines are no longer known consistent).
-    full_audit: bool,
 }
 
 impl System {
@@ -367,20 +360,7 @@ impl System {
     /// [`make_all_consistent`]: System::make_all_consistent
     #[must_use]
     pub fn memory_peek(&self, addr: u64, len: usize) -> Vec<u8> {
-        let line_size = self.fabric.line_size();
-        let mut out = Vec::with_capacity(len);
-        let mut cur = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let line = self.fabric.line_addr(cur);
-            let offset = (cur - line) as usize;
-            let take = (line_size - offset).min(remaining);
-            let data = self.fabric.bus().memory().peek(line);
-            out.extend_from_slice(&data[offset..offset + take]);
-            cur += take as u64;
-            remaining -= take;
-        }
-        out
+        self.fabric.bus().memory().peek_bytes(addr, len)
     }
 
     /// A census of node `cpu`'s resident lines by MOESI state.
@@ -475,11 +455,13 @@ impl System {
         }
     }
 
-    /// Issues one workload access: the engines' shared dispatch. Writes carry
-    /// the deterministic sequence-number payload; when no oracle is attached
-    /// the access takes the dataless/allocation-free fabric fast paths, which
-    /// have byte-identical observable effects.
-    fn dispatch_access(&mut self, cpu: usize, access: &Access) {
+    /// Issues one workload access and returns the bus nanoseconds it used:
+    /// the engine's `issue`. Writes carry the deterministic sequence-number
+    /// payload; when no oracle is attached the access takes the
+    /// dataless/allocation-free fabric fast paths, which have byte-identical
+    /// observable effects.
+    fn issue(&mut self, cpu: usize, access: &Access) -> u64 {
+        let bus_before = self.stats(cpu).bus_ns;
         if access.is_write {
             self.write_seq = self.write_seq.wrapping_add(1);
             let mut payload = WritePayload::new();
@@ -497,11 +479,13 @@ impl System {
             self.read_into(cpu, access.addr, access.size, &mut buf);
             self.read_buf = buf;
         }
+        self.stats(cpu).bus_ns - bus_before
     }
 
     /// Drives one access from each stream per step, round-robin, for `steps`
-    /// rounds. Writes carry a deterministic sequence-number payload so the
-    /// oracle can detect lost or reordered updates.
+    /// rounds: the engine's untimed run. Writes carry a deterministic
+    /// sequence-number payload so the oracle can detect lost or reordered
+    /// updates.
     ///
     /// # Panics
     ///
@@ -509,26 +493,16 @@ impl System {
     /// consistency violation.
     pub fn run(&mut self, streams: &mut [Box<dyn RefStream + Send>], steps: u64) {
         assert_eq!(streams.len(), self.nodes(), "one reference stream per node");
-        self.run_event(streams, steps);
-    }
-
-    /// The untimed driver: every access costs one cycle, so the
-    /// `(cycle, lane)` queue order reduces to a strict round-robin. The run
-    /// ends when the queue reports itself drained — a lane whose budget is
-    /// spent simply stops rescheduling.
-    fn run_event(&mut self, streams: &mut [Box<dyn RefStream + Send>], steps: u64) {
-        let n = self.nodes();
-        let mut queue = EventQueue::new(n);
-        let mut done = vec![0u64; n];
-        while let Popped::Next { cycle, lane: cpu } = queue.pop() {
-            if done[cpu] >= steps {
-                continue;
-            }
-            let access = streams[cpu].next_access();
-            self.dispatch_access(cpu, &access);
-            done[cpu] += 1;
-            queue.schedule(cpu, cycle + 1);
-        }
+        let next = engine::budget(streams.len(), steps, |cpu| streams[cpu].next_access());
+        engine::drive(
+            self.nodes(),
+            next,
+            |cpu, access| {
+                self.issue(cpu, access);
+                0
+            },
+            1,
+        );
     }
 
     /// A contention-aware timed run: every processor advances a private
@@ -552,19 +526,10 @@ impl System {
         cpu_work_ns: u64,
     ) -> crate::TimedReport {
         assert_eq!(streams.len(), self.nodes(), "one stream per node");
-        let n = self.nodes();
-        let mut done = vec![0u64; n];
-        self.run_timed_event(
-            |cpu| {
-                if done[cpu] >= refs_per_cpu {
-                    None
-                } else {
-                    done[cpu] += 1;
-                    Some(streams[cpu].next_access())
-                }
-            },
-            cpu_work_ns,
-        )
+        let next = engine::budget(streams.len(), refs_per_cpu, |cpu| {
+            streams[cpu].next_access()
+        });
+        self.run_driven(next, cpu_work_ns)
     }
 
     /// A timed run over pre-materialised per-node access scripts instead of
@@ -581,104 +546,49 @@ impl System {
         cpu_work_ns: u64,
     ) -> crate::TimedReport {
         assert_eq!(scripts.len(), self.nodes(), "one script per node");
-        let n = self.nodes();
-        let mut done = vec![0usize; n];
-        self.run_timed_event(
-            |cpu| {
-                let access = scripts[cpu].get(done[cpu]).copied();
-                done[cpu] += access.is_some() as usize;
-                access
-            },
-            cpu_work_ns,
-        )
+        let mut scripts: Vec<_> = scripts.iter().map(|s| s.iter().copied()).collect();
+        self.run_driven(|cpu| scripts[cpu].next(), cpu_work_ns)
     }
 
-    /// The timed driver. `next_access(cpu)` returns `None` when that lane's
-    /// workload is exhausted. Events execute in `(clock, cpu)` virtual-time
-    /// order (see [`crate::engine`]); on top of it the engine *runs ahead* —
-    /// after an access, if the lane's new cycle still precedes every queued
-    /// event it keeps executing the same lane, skipping the schedule/pop
-    /// round-trip. The loop ends when the queue reports [`Popped::Drained`]:
-    /// exhausted lanes stop rescheduling, so a stream ending mid-cycle just
-    /// drains the queue — it can never panic the engine.
-    fn run_timed_event<F>(&mut self, mut next_access: F, cpu_work_ns: u64) -> crate::TimedReport
-    where
-        F: FnMut(usize) -> Option<Access>,
-    {
-        let mut queue = EventQueue::new(self.nodes());
-        let mut bus_free: u64 = 0;
-        let mut bus_busy: u64 = 0;
-        let mut bus_wait: u64 = 0;
-        let mut wall: u64 = 0;
-        let mut total_refs: u64 = 0;
+    /// A timed engine run, reporting the bus's phase histograms with it.
+    fn run_driven(
+        &mut self,
+        next_access: impl FnMut(usize) -> Option<Access>,
+        cpu_work_ns: u64,
+    ) -> crate::TimedReport {
+        let report = engine::drive(
+            self.nodes(),
+            next_access,
+            |cpu, access| self.issue(cpu, access),
+            cpu_work_ns,
+        );
+        crate::TimedReport {
+            phase_hist: *self.fabric.bus().phase_histograms(),
+            ..report
+        }
+    }
 
-        while let Popped::Next {
-            cycle: mut clock,
-            lane: cpu,
-        } = queue.pop()
-        {
-            loop {
-                let Some(access) = next_access(cpu) else {
-                    wall = wall.max(clock);
-                    break;
-                };
-                let bus_before = self.stats(cpu).bus_ns;
-                self.dispatch_access(cpu, &access);
-                let bus_used = self.stats(cpu).bus_ns - bus_before;
-
-                clock += cpu_work_ns;
-                if bus_used > 0 {
-                    let start = clock.max(bus_free);
-                    bus_wait += start - clock;
-                    bus_free = start + bus_used;
-                    bus_busy += bus_used;
-                    clock = bus_free;
-                }
-                total_refs += 1;
-                wall = wall.max(clock);
-                if !queue.lane_still_first(cpu, clock) {
-                    queue.schedule(cpu, clock);
-                    break;
-                }
+    /// The per-access audit (see [`Checker::audit`]).
+    fn audit(&mut self) {
+        if let Some(ck) = &mut self.checker {
+            if let Err(v) = ck.audit(&mut self.fabric) {
+                panic!("consistency violation: {v}");
             }
         }
+    }
+}
 
-        crate::TimedReport {
-            wall_ns: wall,
-            bus_busy_ns: bus_busy,
-            bus_wait_ns: bus_wait,
-            total_refs,
-            phase_hist: *self.fabric.bus().phase_histograms(),
-        }
+impl Audited for Fabric {
+    fn drain_changed_lines(&mut self, out: &mut Vec<u64>) -> bool {
+        self.drain_changes(out)
     }
 
-    /// The per-access audit. Every invariant of a line depends only on that
-    /// line's golden value, cache entries and memory copy, and the previous
-    /// audit passed, so re-checking the lines logged as changed since then
-    /// reports exactly what a full [`verify`](System::verify) would. A
-    /// wholesale change (a retired controller) falls back to the full audit.
-    fn audit(&mut self) {
-        let Some(ck) = &mut self.checker else {
-            return;
-        };
-        let lines = &mut self.audit_lines;
-        lines.clear();
-        let mut full = std::mem::take(&mut self.full_audit);
-        full |= ck.drain_changes(lines);
-        full |= self.fabric.drain_changes(lines);
-        let (controllers, memory) = (self.fabric.controllers(), self.fabric.bus().memory());
-        let verdict = if full {
-            ck.verify(controllers, memory)
-        } else {
-            lines.sort_unstable();
-            lines.dedup();
-            ck.verify_lines(lines, controllers, memory)
-        };
-        debug_assert_eq!(verdict, self.verify(), "incremental audit diverged");
-        if let Err(v) = verdict {
-            self.full_audit = true;
-            panic!("consistency violation: {v}");
-        }
+    fn check_lines(&self, ck: &Checker, lines: &[u64]) -> Result<(), Violation> {
+        ck.verify_lines(lines, self.controllers(), self.bus().memory())
+    }
+
+    fn check_all(&self, ck: &Checker) -> Result<(), Violation> {
+        ck.verify(self.controllers(), self.bus().memory())
     }
 }
 

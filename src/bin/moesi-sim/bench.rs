@@ -2,7 +2,7 @@
 
 use crate::chrome::write_chrome_trace;
 use futurebus::Discipline;
-use moesi_futurebus::cli::{parse_count_list, CommonOpts};
+use moesi_futurebus::cli::{check_cache_geometry, parse_count_list, CommonOpts};
 
 pub(crate) const BENCH_USAGE: &str = "\
 moesi-sim bench: run the protocol x workload benchmark sweep
@@ -161,7 +161,9 @@ pub(crate) fn parse_bench_args(args: &[String]) -> Result<BenchCliConfig, String
             "--cpus" => cfg.cpus = Some(number("--cpus", value("--cpus")?)? as usize),
             "--steps" => cfg.steps = Some(number("--steps", value("--steps")?)?),
             "--cache-bytes" => {
-                cfg.cache_bytes = Some(number("--cache-bytes", value("--cache-bytes")?)? as usize);
+                let bytes = number("--cache-bytes", value("--cache-bytes")?)? as usize;
+                check_cache_geometry(bytes, bench::LINE)?;
+                cfg.cache_bytes = Some(bytes);
             }
             "--shards" => cfg.shards = parse_count_list("--shards", value("--shards")?)?,
             "--hierarchy" => cfg.hierarchy = true,
@@ -526,5 +528,13 @@ mod tests {
         assert!(json.contains("\"modelled_speedup\": "), "{json}");
         assert!(json.contains("\"measured_speedup\": "), "{json}");
         let _ = std::fs::remove_file(&out);
+    }
+
+    #[test]
+    fn bad_cache_geometry_is_a_usage_error() {
+        for flags in ["--cache-bytes 100", "--hierarchy --cache-bytes 100"] {
+            let err = parse_bench_args(&args(flags)).unwrap_err();
+            assert!(err.contains("power of two"), "{flags}: {err}");
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::chrome::write_chrome_trace;
 use futurebus::fault::{FaultConfig, FaultKind};
-use moesi_futurebus::cli::CommonOpts;
+use moesi_futurebus::cli::{check_cache_geometry, CommonOpts};
 use mpsim::{run_campaign, CampaignConfig, HierarchyCampaignConfig};
 
 pub(crate) const FAULTS_USAGE: &str = "\
@@ -182,9 +182,6 @@ pub(crate) fn parse_faults_args(args: &[String]) -> Result<FaultsConfig, String>
             "--lines" => cfg.lines = number("--lines", value("--lines")?)?,
             "--line-size" => {
                 cfg.line_size = number("--line-size", value("--line-size")?)? as usize;
-                if cfg.line_size < 4 {
-                    return Err("--line-size must be at least 4".to_string());
-                }
             }
             "--cache-bytes" => {
                 cfg.cache_bytes = number("--cache-bytes", value("--cache-bytes")?)? as usize;
@@ -215,6 +212,7 @@ pub(crate) fn parse_faults_args(args: &[String]) -> Result<FaultsConfig, String>
             other => return Err(format!("unknown option `{other}`")),
         }
     }
+    check_cache_geometry(cfg.cache_bytes, cfg.line_size)?;
     if let Some(seed) = common.seed {
         cfg.seed = seed;
     }
@@ -539,5 +537,17 @@ mod tests {
         assert!(json.contains("\"recovery_demonstrated\": true"), "{json}");
         assert!(json.contains("\"salvaged_lines\": "), "{json}");
         let _ = std::fs::remove_file(&out);
+    }
+
+    #[test]
+    fn bad_cache_geometry_is_a_usage_error() {
+        for (flags, reason) in [
+            ("--cache-bytes 100", "power of two"),
+            ("--line-size 12", "power of two"),
+            ("--line-size 2", "at least 4"),
+        ] {
+            let err = parse_faults_args(&args(flags)).unwrap_err();
+            assert!(err.contains(reason), "{flags}: {err}");
+        }
     }
 }

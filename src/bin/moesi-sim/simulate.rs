@@ -4,6 +4,7 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::by_name;
+use moesi_futurebus::cli::check_cache_geometry;
 use mpsim::workload::{
     DuboisBriggs, FalseSharing, Migratory, PingPong, ProducerConsumer, ReadMostly, SharingModel,
 };
@@ -160,6 +161,7 @@ pub(crate) fn parse_args(args: &[String]) -> Result<Config, String> {
             other => return Err(format!("unknown option `{other}`")),
         }
     }
+    check_cache_geometry(cfg.cache_bytes, cfg.line_size)?;
     Ok(cfg)
 }
 
@@ -469,5 +471,18 @@ mod tests {
             ..Config::default()
         };
         assert!(run(&cfg).unwrap_err().contains("unknown workload"));
+    }
+
+    #[test]
+    fn bad_cache_geometry_is_a_usage_error() {
+        for (flags, reason) in [
+            ("--line-size 12", "power of two"),
+            ("--line-size 3", "at least 4"),
+            ("--cache-bytes 100", "power of two"),
+            ("--line-size 2 --clusters 2x2", "at least 4"),
+        ] {
+            let err = parse_args(&args(flags)).unwrap_err();
+            assert!(err.contains(reason), "{flags}: {err}");
+        }
     }
 }

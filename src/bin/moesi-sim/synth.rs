@@ -1,7 +1,7 @@
 //! The `synth` subcommand: search the compatibility class for
 //! workload-tuned policy tables.
 
-use moesi_futurebus::cli::CommonOpts;
+use moesi_futurebus::cli::{check_cache_geometry, CommonOpts};
 
 pub(crate) const SYNTH_USAGE: &str = "\
 moesi-sim synth: search the compatibility class for workload-tuned tables
@@ -114,6 +114,7 @@ pub(crate) fn parse_synth_args(args: &[String]) -> Result<SynthCliConfig, String
             "--steps" => cfg.steps = number("--steps", value("--steps")?)?,
             "--cache-bytes" => {
                 cfg.cache_bytes = number("--cache-bytes", value("--cache-bytes")?)? as usize;
+                check_cache_geometry(cfg.cache_bytes, bench::LINE)?;
             }
             "--rounds" => {
                 // 0 is meaningful: no climbing, just pick the best start.
@@ -280,5 +281,11 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("zipfian"), "{err}");
+    }
+
+    #[test]
+    fn bad_cache_geometry_is_a_usage_error() {
+        let err = parse_synth_args(&args("--cache-bytes 100")).unwrap_err();
+        assert!(err.contains("power of two"), "{err}");
     }
 }

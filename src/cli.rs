@@ -6,6 +6,8 @@
 //! place; each subcommand keeps its own loop for the flags only it
 //! understands.
 
+use cache_array::{CacheConfig, ReplacementKind};
+
 /// Parses a comma-separated list of positive counts (the `--shards`,
 /// `--clusters`, `--depth` and `--fanout` flags). Rejects — with a named,
 /// structured error rather than silently repairing — empty lists, empty
@@ -34,6 +36,21 @@ pub fn parse_count_list(name: &str, v: &str) -> Result<Vec<usize>, String> {
         out.push(n);
     }
     Ok(out)
+}
+
+/// Checks the per-node cache every subcommand builds — `cache_bytes` of
+/// `line_size`-byte lines, 2-way LRU — so an inconsistent geometry is a
+/// usage error at parse time instead of a panic inside the run. Lines must
+/// also hold the workloads' 4-byte word.
+pub fn check_cache_geometry(cache_bytes: usize, line_size: usize) -> Result<(), String> {
+    if line_size < 4 {
+        return Err("--line-size must be at least 4".to_string());
+    }
+    CacheConfig::try_new(cache_bytes, line_size, 2, ReplacementKind::Lru)
+        .map(drop)
+        .map_err(|reason| {
+            format!("bad cache geometry ({cache_bytes}B, {line_size}B lines): {reason}")
+        })
 }
 
 /// The flags shared across `moesi-sim` subcommands, each `None` until seen.
