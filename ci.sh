@@ -33,6 +33,26 @@ for workload in flat-read flat-write tree checked; do
   esac
 done
 
+# A traced run counts heap allocations per reference (mpsim.allocs_per_op).
+# The counts repeat exactly from run to run, so these bounds are
+# deterministic: a steady-state bus transaction allocates nothing.
+for gate in tree:0.05 flat-write:0.02; do
+  workload="${gate%%:*}"
+  bound="${gate#*:}"
+  echo "==> perfbench $workload traced allocation gate (mpsim.allocs_per_op <= $bound)"
+  line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 4242 --seconds 1 --trace 1 | tail -1)"
+  allocs="$(printf '%s' "$line" | grep -o '"mpsim.allocs_per_op": {"value": [0-9.]*' \
+      | grep -o '[0-9.]*$' || true)"
+  echo "mpsim.allocs_per_op = ${allocs:-missing}"
+  case "$line" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *) echo "traced perfbench $workload failed at seed 4242" >&2; exit 1 ;;
+  esac
+  awk -v a="$allocs" -v b="$bound" 'BEGIN { exit !(a != "" && a + 0 <= b + 0) }' \
+    || { echo "perfbench $workload allocates ${allocs:-?} per reference (bound $bound)" >&2; exit 1; }
+done
+
 echo "==> fault-injection smoke campaign (fixed seed, fails on silent corruption)"
 ./target/release/moesi-sim faults --seed 7 --steps 800
 

@@ -1,51 +1,28 @@
 //! The set-associative cache array: tags, data, per-line consistency state.
 
+use std::ops::Range;
+
 use crate::address::AddressMap;
 use crate::config::{CacheConfig, ReplacementKind};
 use moesi::rng::SmallRng;
 
-/// One resident line: its tag, protocol state and data.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Entry<S> {
-    /// The address tag.
-    pub tag: u64,
+/// One resident line, borrowed from the array: its protocol state and data.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Entry<'a, S> {
     /// The consistency state attached to the line (e.g. `moesi::LineState`).
     pub state: S,
     /// The line contents.
-    pub data: Box<[u8]>,
+    pub data: &'a [u8],
 }
 
-/// A line evicted to make room for a fill.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A line evicted to make room for a fill. Its bytes went to the buffer the
+/// fill was given.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Victim<S> {
     /// The line-aligned address the victim occupied.
     pub addr: u64,
     /// Its state at eviction (the controller turns M/O victims into flushes).
     pub state: S,
-    /// Its data.
-    pub data: Box<[u8]>,
-}
-
-#[derive(Clone, Debug)]
-struct CacheSet<S> {
-    ways: Vec<Option<Entry<S>>>,
-    /// Occupied way indices; front = most recent (LRU) or newest (FIFO).
-    order: Vec<usize>,
-}
-
-impl<S> CacheSet<S> {
-    fn new(ways: usize) -> Self {
-        CacheSet {
-            ways: (0..ways).map(|_| None).collect(),
-            order: Vec::with_capacity(ways),
-        }
-    }
-
-    fn way_of(&self, tag: u64) -> Option<usize> {
-        self.ways
-            .iter()
-            .position(|w| w.as_ref().is_some_and(|e| e.tag == tag))
-    }
 }
 
 /// A set-associative cache array, generic over the per-line state type.
@@ -54,13 +31,19 @@ impl<S> CacheSet<S> {
 /// The snooping controller in `mpsim` owns the policy; this type owns
 /// geometry, residency, replacement and the §5.2 recency ranks.
 ///
+/// Every way's tag, state and recency rank live together in one flat vector
+/// indexed by *slot*, `set * ways + way` (a snoop reads one set's few
+/// adjacent records and nothing else), and the line bytes in one slab of
+/// `line_size` bytes per slot: building an array allocates two blocks, and
+/// no access allocates at all.
+///
 /// # Examples
 ///
 /// ```
 /// use cache_array::{CacheArray, CacheConfig};
 ///
 /// let mut cache: CacheArray<char> = CacheArray::new(CacheConfig::small(), 1);
-/// assert!(cache.fill(0x1000, 'S', vec![0; 32].into()).is_none());
+/// assert!(cache.fill(0x1000, 'S', &[0; 32], &mut Vec::new()).is_none());
 /// assert_eq!(cache.state_of(0x1010), Some('S')); // same line
 /// assert_eq!(cache.state_of(0x2000), None);
 /// ```
@@ -68,22 +51,41 @@ impl<S> CacheSet<S> {
 pub struct CacheArray<S> {
     config: CacheConfig,
     map: AddressMap,
-    sets: Vec<CacheSet<S>>,
+    /// Per slot: the way's tag, state and rank.
+    slots: Vec<Slot<S>>,
+    /// The line bytes, `line_size` per slot.
+    data: Vec<u8>,
     rng: SmallRng,
     resident: usize,
 }
 
-impl<S> CacheArray<S> {
+/// One way of one set (its bytes live in the slab).
+#[derive(Clone, Copy, Debug)]
+struct Slot<S> {
+    /// The address tag (meaningful while the way is occupied).
+    tag: u64,
+    /// The line's rank among the occupied ways of its set, 0 = most recent
+    /// (LRU) or newest (FIFO).
+    rank: u32,
+    /// The line's state, `None` for an empty way.
+    state: Option<S>,
+}
+
+impl<S: Copy> CacheArray<S> {
     /// Creates an empty array; `seed` drives random replacement (if chosen).
     #[must_use]
     pub fn new(config: CacheConfig, seed: u64) -> Self {
         let map = AddressMap::new(config.line_size, config.sets());
+        let empty = Slot {
+            tag: 0,
+            rank: 0,
+            state: None,
+        };
         CacheArray {
             config,
             map,
-            sets: (0..config.sets())
-                .map(|_| CacheSet::new(config.associativity))
-                .collect(),
+            slots: vec![empty; config.lines()],
+            data: vec![0; config.lines() * config.line_size],
             rng: SmallRng::seed_from_u64(seed),
             resident: 0,
         }
@@ -113,20 +115,42 @@ impl<S> CacheArray<S> {
         self.resident == 0
     }
 
-    /// Looks a line up without touching replacement state.
-    #[must_use]
-    pub fn lookup(&self, addr: u64) -> Option<&Entry<S>> {
-        let (tag, set, _) = self.map.split(addr);
-        let set = &self.sets[set];
-        set.way_of(tag).and_then(|w| set.ways[w].as_ref())
+    /// The slots of `set`.
+    fn set_slots(&self, set: usize) -> Range<usize> {
+        let ways = self.config.associativity;
+        set * ways..(set + 1) * ways
     }
 
-    /// Mutable lookup (data writes); does not touch replacement state.
-    pub fn lookup_mut(&mut self, addr: u64) -> Option<&mut Entry<S>> {
-        let (tag, set_idx, _) = self.map.split(addr);
-        let set = &mut self.sets[set_idx];
-        let way = set.way_of(tag)?;
-        set.ways[way].as_mut()
+    /// The slot holding `tag` in `set`, if resident.
+    fn slot_of(&self, tag: u64, set: usize) -> Option<usize> {
+        let slots = self.set_slots(set);
+        let start = slots.start;
+        self.slots[slots]
+            .iter()
+            .position(|s| s.tag == tag && s.state.is_some())
+            .map(|way| start + way)
+    }
+
+    /// The slot holding the line containing `addr`, if resident.
+    fn find(&self, addr: u64) -> Option<usize> {
+        let (tag, set, _) = self.map.split(addr);
+        self.slot_of(tag, set)
+    }
+
+    /// The byte range of `slot` in the slab.
+    fn span(&self, slot: usize) -> Range<usize> {
+        let size = self.config.line_size;
+        slot * size..(slot + 1) * size
+    }
+
+    /// Looks a line up without touching replacement state.
+    #[must_use]
+    pub fn lookup(&self, addr: u64) -> Option<Entry<'_, S>> {
+        let slot = self.find(addr)?;
+        Some(Entry {
+            state: self.slots[slot].state?,
+            data: &self.data[self.span(slot)],
+        })
     }
 
     /// Marks the line most-recently-used (a hit, for LRU; FIFO and random
@@ -135,144 +159,164 @@ impl<S> CacheArray<S> {
         if self.config.replacement != ReplacementKind::Lru {
             return;
         }
-        let (tag, set_idx, _) = self.map.split(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.way_of(tag) {
-            Self::make_mru(set, way);
+        if let Some(slot) = self.find(addr) {
+            self.promote(slot);
         }
     }
 
-    /// Moves `way` to the front of the set's recency order unless it is
-    /// already there (the common case in access streaks).
-    fn make_mru(set: &mut CacheSet<S>, way: usize) {
-        if set.order.first() == Some(&way) {
+    /// Gives occupied `slot` rank 0, moving the ways that were ahead of it
+    /// back by one — a no-op when it already leads (the common case in
+    /// access streaks).
+    fn promote(&mut self, slot: usize) {
+        let rank = self.slots[slot].rank;
+        if rank == 0 {
             return;
         }
-        if let Some(pos) = set.order.iter().position(|&w| w == way) {
-            set.order.remove(pos);
+        let set = self.set_slots(slot / self.config.associativity);
+        for s in &mut self.slots[set] {
+            if s.state.is_some() && s.rank < rank {
+                s.rank += 1;
+            }
         }
-        set.order.insert(0, way);
+        self.slots[slot].rank = 0;
+    }
+
+    /// Empties occupied `slot`, closing the gap in its set's ranks. Its
+    /// bytes stay in the slab until the next fill.
+    fn remove(&mut self, slot: usize) {
+        let rank = self.slots[slot].rank;
+        self.slots[slot].state = None;
+        let set = self.set_slots(slot / self.config.associativity);
+        for s in &mut self.slots[set] {
+            if s.state.is_some() && s.rank > rank {
+                s.rank -= 1;
+            }
+        }
+        self.resident -= 1;
     }
 
     /// The line's recency rank in its set: 0 = most recent, `ways-1` =
     /// next victim. `None` when not resident.
     #[must_use]
     pub fn recency_rank(&self, addr: u64) -> Option<u32> {
-        let (tag, set_idx, _) = self.map.split(addr);
-        let set = &self.sets[set_idx];
-        let way = set.way_of(tag)?;
-        set.order.iter().position(|&w| w == way).map(|p| p as u32)
+        self.find(addr).map(|slot| self.slots[slot].rank)
     }
 
-    /// Fills (or overwrites) a line, evicting a victim if the set is full.
+    /// Fills (or overwrites) a line with a copy of `data`, evicting a victim
+    /// if the set is full. The victim's bytes replace the contents of
+    /// `victim_data`, so a caller that reuses that buffer allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `data` is not exactly one line.
-    pub fn fill(&mut self, addr: u64, state: S, data: Box<[u8]>) -> Option<Victim<S>> {
+    pub fn fill(
+        &mut self,
+        addr: u64,
+        state: S,
+        data: &[u8],
+        victim_data: &mut Vec<u8>,
+    ) -> Option<Victim<S>> {
         assert_eq!(
             data.len(),
             self.config.line_size,
             "fill must provide a full line"
         );
-        let (tag, set_idx, _) = self.map.split(addr);
-        // Already resident: overwrite in place.
-        if let Some(way) = self.sets[set_idx].way_of(tag) {
-            self.sets[set_idx].ways[way] = Some(Entry { tag, state, data });
-            self.promote(set_idx, way);
-            return None;
-        }
-        // Free way available?
-        if let Some(way) = self.sets[set_idx].ways.iter().position(Option::is_none) {
-            self.sets[set_idx].ways[way] = Some(Entry { tag, state, data });
-            self.sets[set_idx].order.insert(0, way);
+        let (tag, set, _) = self.map.split(addr);
+        let mut victim = None;
+        let slot = if let Some(slot) = self.slot_of(tag, set) {
+            // Already resident: overwrite in place.
+            if self.config.replacement == ReplacementKind::Lru {
+                self.promote(slot);
+            }
+            slot
+        } else if let Some(slot) = self.set_slots(set).find(|&s| self.slots[s].state.is_none()) {
+            // A free way: the newcomer goes in front of every occupied way.
+            let ways = self.set_slots(set);
+            for s in &mut self.slots[ways] {
+                if s.state.is_some() {
+                    s.rank += 1;
+                }
+            }
+            self.slots[slot].rank = 0;
             self.resident += 1;
-            return None;
-        }
-        // Evict per policy.
-        let way = self.pick_victim(set_idx);
-        let old = self.sets[set_idx].ways[way]
-            .take()
-            .expect("victim way must be occupied");
-        let victim = Victim {
-            addr: self.map.reassemble(old.tag, set_idx),
-            state: old.state,
-            data: old.data,
+            slot
+        } else {
+            // Evict per policy; the newcomer takes the victim's way, in
+            // front.
+            let slot = self.pick_victim(set);
+            victim = Some(Victim {
+                addr: self.map.reassemble(self.slots[slot].tag, set),
+                state: self.slots[slot].state.expect("a full set has no empty way"),
+            });
+            victim_data.clear();
+            victim_data.extend_from_slice(&self.data[self.span(slot)]);
+            self.promote(slot);
+            slot
         };
-        self.sets[set_idx].ways[way] = Some(Entry { tag, state, data });
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.order.iter().position(|&w| w == way) {
-            set.order.remove(pos);
+        self.slots[slot].tag = tag;
+        self.slots[slot].state = Some(state);
+        let span = self.span(slot);
+        self.data[span].copy_from_slice(data);
+        victim
+    }
+
+    /// Removes a line, returning its state.
+    pub fn invalidate(&mut self, addr: u64) -> Option<S> {
+        let slot = self.find(addr)?;
+        let state = self.slots[slot].state;
+        self.remove(slot);
+        state
+    }
+
+    /// Sets a resident line's state — `None` removes the line — and lends
+    /// its bytes, which stay intact until the next fill. `None` on a miss.
+    pub fn update(&mut self, addr: u64, state: Option<S>) -> Option<&[u8]> {
+        let slot = self.find(addr)?;
+        match state {
+            Some(state) => self.slots[slot].state = Some(state),
+            None => self.remove(slot),
         }
-        set.order.insert(0, way);
-        Some(victim)
+        Some(&self.data[self.span(slot)])
     }
 
-    /// Removes a line, returning it.
-    pub fn invalidate(&mut self, addr: u64) -> Option<Entry<S>> {
-        let (tag, set_idx, _) = self.map.split(addr);
-        let set = &mut self.sets[set_idx];
-        let way = set.way_of(tag)?;
-        if let Some(pos) = set.order.iter().position(|&w| w == way) {
-            set.order.remove(pos);
-        }
-        self.resident -= 1;
-        set.ways[way].take()
+    /// Iterates over resident lines as `(line_addr, entry)`.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, Entry<'_, S>)> + '_ {
+        let ways = self.config.associativity;
+        self.slots.iter().enumerate().filter_map(move |(slot, s)| {
+            let entry = Entry {
+                state: s.state?,
+                data: &self.data[self.span(slot)],
+            };
+            Some((self.map.reassemble(s.tag, slot / ways), entry))
+        })
     }
 
-    /// Iterates over resident lines as `(line_addr, &entry)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &Entry<S>)> + '_ {
-        self.sets
-            .iter()
-            .enumerate()
-            .flat_map(move |(set_idx, set)| {
-                set.ways.iter().filter_map(move |w| {
-                    w.as_ref().map(|e| (self.map.reassemble(e.tag, set_idx), e))
-                })
-            })
-    }
-
-    fn promote(&mut self, set_idx: usize, way: usize) {
-        if self.config.replacement != ReplacementKind::Lru {
-            return;
-        }
-        Self::make_mru(&mut self.sets[set_idx], way);
-    }
-
-    fn pick_victim(&mut self, set_idx: usize) -> usize {
-        let set = &self.sets[set_idx];
+    /// The way of full `set` to evict.
+    fn pick_victim(&mut self, set: usize) -> usize {
+        let slots = self.set_slots(set);
         match self.config.replacement {
-            // LRU: the back of the order is least recent. FIFO: the back is
-            // the oldest insertion (hits never reorder).
+            // LRU: the last rank is least recent. FIFO: the last rank is the
+            // oldest insertion (hits never reorder).
             ReplacementKind::Lru | ReplacementKind::Fifo => {
-                *set.order.last().expect("full set has order entries")
+                let last = self.config.associativity as u32 - 1;
+                slots
+                    .clone()
+                    .find(|&s| self.slots[s].rank == last)
+                    .expect("a full set ranks every way")
             }
-            ReplacementKind::Random => {
-                let occupied: Vec<usize> = (0..set.ways.len())
-                    .filter(|&w| set.ways[w].is_some())
-                    .collect();
-                occupied[self.rng.gen_range(0..occupied.len())]
-            }
+            ReplacementKind::Random => slots.start + self.rng.gen_range(0..slots.len()),
         }
     }
-}
 
-impl<S: Copy> CacheArray<S> {
     /// The state of the line containing `addr`, if resident.
     #[must_use]
     pub fn state_of(&self, addr: u64) -> Option<S> {
-        self.lookup(addr).map(|e| e.state)
+        self.find(addr).and_then(|slot| self.slots[slot].state)
     }
 
     /// Replaces the state of a resident line; returns false if not resident.
     pub fn set_state(&mut self, addr: u64, state: S) -> bool {
-        match self.lookup_mut(addr) {
-            Some(e) => {
-                e.state = state;
-                true
-            }
-            None => false,
-        }
+        self.update(addr, Some(state)).is_some()
     }
 
     /// Single-pass hit probe: if the line containing `addr` is resident,
@@ -280,30 +324,39 @@ impl<S: Copy> CacheArray<S> {
     /// `state_of` followed by `touch`, in one tag scan — the engine's
     /// dataless read-hit path.
     pub fn touch_state(&mut self, addr: u64) -> Option<S> {
-        let (tag, set_idx, _) = self.map.split(addr);
-        let set = &mut self.sets[set_idx];
-        let way = set.way_of(tag)?;
-        let state = set.ways[way].as_ref()?.state;
+        let slot = self.find(addr)?;
         if self.config.replacement == ReplacementKind::Lru {
-            Self::make_mru(set, way);
+            self.promote(slot);
         }
-        Some(state)
+        self.slots[slot].state
     }
 
     /// Single-pass `state_of` + `recency_rank`: one tag scan for the
     /// protocol-consultation paths that need both.
     #[must_use]
     pub fn state_and_rank(&self, addr: u64) -> Option<(S, u32)> {
-        let (tag, set_idx, _) = self.map.split(addr);
-        let set = &self.sets[set_idx];
-        let way = set.way_of(tag)?;
-        let state = set.ways[way].as_ref()?.state;
-        let rank = set.order.iter().position(|&w| w == way)? as u32;
-        Some((state, rank))
+        let slot = self.find(addr)?;
+        let s = self.slots[slot];
+        Some((s.state?, s.rank))
     }
-}
 
-impl<S> CacheArray<S> {
+    /// The slab range of the `len` bytes at `addr`, when the line is
+    /// resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the access crosses the end of the line.
+    fn bytes_at(&self, addr: u64, len: usize, what: &str) -> Option<(usize, Range<usize>)> {
+        let (tag, set, offset) = self.map.split(addr);
+        assert!(
+            offset + len <= self.config.line_size,
+            "{what} crosses line boundary; split it first"
+        );
+        let slot = self.slot_of(tag, set)?;
+        let start = self.span(slot).start + offset;
+        Some((slot, start..start + len))
+    }
+
     /// The `len` bytes at `addr` in a resident line, borrowed; `None` on a
     /// miss.
     ///
@@ -313,12 +366,8 @@ impl<S> CacheArray<S> {
     /// crossers first ([`split_line_crossers`](crate::split_line_crossers)).
     #[must_use]
     pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
-        let (_, _, offset) = self.map.split(addr);
-        assert!(
-            offset + len <= self.config.line_size,
-            "read crosses line boundary; split it first"
-        );
-        self.lookup(addr).map(|e| &e.data[offset..offset + len])
+        let (_, range) = self.bytes_at(addr, len, "read")?;
+        Some(&self.data[range])
     }
 
     /// Writes bytes at `addr` into a resident line; false on a miss.
@@ -327,14 +376,9 @@ impl<S> CacheArray<S> {
     ///
     /// Panics if the access crosses the end of the line.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> bool {
-        let (_, _, offset) = self.map.split(addr);
-        assert!(
-            offset + bytes.len() <= self.config.line_size,
-            "write crosses line boundary; split it first"
-        );
-        match self.lookup_mut(addr) {
-            Some(e) => {
-                e.data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        match self.bytes_at(addr, bytes.len(), "write") {
+            Some((_, range)) => {
+                self.data[range].copy_from_slice(bytes);
                 true
             }
             None => false,
@@ -348,21 +392,12 @@ impl<S> CacheArray<S> {
     ///
     /// Panics if the access crosses the end of the line.
     pub fn write_touch(&mut self, addr: u64, bytes: &[u8]) -> bool {
-        let (tag, set_idx, offset) = self.map.split(addr);
-        assert!(
-            offset + bytes.len() <= self.config.line_size,
-            "write crosses line boundary; split it first"
-        );
-        let set = &mut self.sets[set_idx];
-        let Some(way) = set.way_of(tag) else {
+        let Some((slot, range)) = self.bytes_at(addr, bytes.len(), "write") else {
             return false;
         };
-        let entry = set.ways[way]
-            .as_mut()
-            .expect("way_of returns occupied ways");
-        entry.data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        self.data[range].copy_from_slice(bytes);
         if self.config.replacement == ReplacementKind::Lru {
-            Self::make_mru(set, way);
+            self.promote(slot);
         }
         true
     }
@@ -377,14 +412,24 @@ mod tests {
         CacheArray::new(CacheConfig::new(128, 16, 2, ReplacementKind::Lru), 1)
     }
 
-    fn line(v: u8) -> Box<[u8]> {
-        vec![v; 16].into_boxed_slice()
+    fn line(v: u8) -> [u8; 16] {
+        [v; 16]
+    }
+
+    /// Fills `data`, discarding any victim's bytes.
+    fn fill(
+        c: &mut CacheArray<char>,
+        addr: u64,
+        state: char,
+        data: [u8; 16],
+    ) -> Option<Victim<char>> {
+        c.fill(addr, state, &data, &mut Vec::new())
     }
 
     #[test]
     fn fill_lookup_round_trip() {
         let mut c = small();
-        assert!(c.fill(0x100, 'M', line(1)).is_none());
+        assert!(fill(&mut c, 0x100, 'M', line(1)).is_none());
         assert_eq!(c.state_of(0x100), Some('M'));
         assert_eq!(c.state_of(0x10F), Some('M'), "same line");
         assert_eq!(c.read(0x104, 4), Some(&[1; 4][..]));
@@ -394,8 +439,8 @@ mod tests {
     #[test]
     fn refill_overwrites_without_eviction() {
         let mut c = small();
-        c.fill(0x100, 'S', line(1));
-        assert!(c.fill(0x100, 'M', line(2)).is_none());
+        fill(&mut c, 0x100, 'S', line(1));
+        assert!(fill(&mut c, 0x100, 'M', line(2)).is_none());
         assert_eq!(c.len(), 1);
         assert_eq!(c.read(0x100, 1), Some(&[2][..]));
     }
@@ -404,13 +449,16 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let mut c = small();
         // 0x000 and 0x040 map to set 0 (16B lines, 4 sets -> set stride 64).
-        c.fill(0x000, 'a', line(0));
-        c.fill(0x040, 'b', line(1));
+        fill(&mut c, 0x000, 'a', line(0));
+        fill(&mut c, 0x040, 'b', line(1));
         c.touch(0x000); // make 0x000 MRU
-        let victim = c.fill(0x080, 'c', line(2)).expect("set is full");
+        let mut bytes = vec![0xEE; 3];
+        let victim = c
+            .fill(0x080, 'c', &line(2), &mut bytes)
+            .expect("set is full");
         assert_eq!(victim.addr, 0x040);
         assert_eq!(victim.state, 'b');
-        assert_eq!(&victim.data[..], &[1; 16]);
+        assert_eq!(bytes, [1; 16], "the victim's bytes replace the buffer");
         assert_eq!(c.state_of(0x000), Some('a'));
         assert_eq!(c.state_of(0x080), Some('c'));
     }
@@ -418,19 +466,19 @@ mod tests {
     #[test]
     fn fifo_ignores_touches() {
         let mut c = CacheArray::new(CacheConfig::new(128, 16, 2, ReplacementKind::Fifo), 1);
-        c.fill(0x000, 'a', line(0));
-        c.fill(0x040, 'b', line(1));
+        fill(&mut c, 0x000, 'a', line(0));
+        fill(&mut c, 0x040, 'b', line(1));
         c.touch(0x000); // should not help under FIFO
-        let victim = c.fill(0x080, 'c', line(2)).unwrap();
+        let victim = fill(&mut c, 0x080, 'c', line(2)).unwrap();
         assert_eq!(victim.addr, 0x000, "oldest insertion evicted");
     }
 
     #[test]
     fn random_evicts_an_occupied_way() {
         let mut c = CacheArray::new(CacheConfig::new(128, 16, 2, ReplacementKind::Random), 7);
-        c.fill(0x000, 'a', line(0));
-        c.fill(0x040, 'b', line(1));
-        let victim = c.fill(0x080, 'c', line(2)).unwrap();
+        fill(&mut c, 0x000, 'a', line(0));
+        fill(&mut c, 0x040, 'b', line(1));
+        let victim = fill(&mut c, 0x080, 'c', line(2)).unwrap();
         assert!(victim.addr == 0x000 || victim.addr == 0x040);
         assert_eq!(c.len(), 2);
     }
@@ -438,8 +486,8 @@ mod tests {
     #[test]
     fn recency_ranks_follow_touches() {
         let mut c = small();
-        c.fill(0x000, 'a', line(0));
-        c.fill(0x040, 'b', line(1));
+        fill(&mut c, 0x000, 'a', line(0));
+        fill(&mut c, 0x040, 'b', line(1));
         assert_eq!(c.recency_rank(0x040), Some(0), "just filled = MRU");
         assert_eq!(c.recency_rank(0x000), Some(1));
         c.touch(0x000);
@@ -451,18 +499,31 @@ mod tests {
     #[test]
     fn invalidate_removes_and_returns() {
         let mut c = small();
-        c.fill(0x100, 'O', line(9));
-        let e = c.invalidate(0x100).expect("resident");
-        assert_eq!(e.state, 'O');
+        fill(&mut c, 0x100, 'O', line(9));
+        assert_eq!(c.invalidate(0x100), Some('O'));
         assert!(c.is_empty());
         assert!(c.invalidate(0x100).is_none());
         assert_eq!(c.recency_rank(0x100), None);
     }
 
     #[test]
+    fn update_lends_the_bytes_of_a_removed_line() {
+        let mut c = small();
+        fill(&mut c, 0x000, 'a', line(3));
+        fill(&mut c, 0x040, 'b', line(4));
+        assert_eq!(c.update(0x040, Some('B')), Some(&[4; 16][..]));
+        assert_eq!(c.state_of(0x040), Some('B'));
+        assert_eq!(c.update(0x000, None), Some(&[3; 16][..]));
+        assert_eq!(c.state_of(0x000), None);
+        assert_eq!(c.recency_rank(0x040), Some(0), "ranks close the gap");
+        assert_eq!(c.update(0x000, None), None, "a miss lends nothing");
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
     fn writes_update_data_in_place() {
         let mut c = small();
-        c.fill(0x200, 'M', line(0));
+        fill(&mut c, 0x200, 'M', line(0));
         assert!(c.write(0x204, &[0xAA, 0xBB]));
         assert_eq!(c.read(0x204, 2), Some(&[0xAA, 0xBB][..]));
         assert!(!c.write(0x300, &[1]), "miss returns false");
@@ -471,9 +532,9 @@ mod tests {
     #[test]
     fn iter_visits_every_resident_line() {
         let mut c = small();
-        c.fill(0x000, 'a', line(0));
-        c.fill(0x050, 'b', line(1));
-        c.fill(0x0A0, 'c', line(2));
+        fill(&mut c, 0x000, 'a', line(0));
+        fill(&mut c, 0x050, 'b', line(1));
+        fill(&mut c, 0x0A0, 'c', line(2));
         let mut addrs: Vec<u64> = c.iter().map(|(a, _)| a).collect();
         addrs.sort_unstable();
         assert_eq!(addrs, vec![0x000, 0x050, 0x0A0]);
@@ -483,7 +544,7 @@ mod tests {
     fn distinct_sets_do_not_interfere() {
         let mut c = small();
         for i in 0..4u64 {
-            assert!(c.fill(i * 16, 'x', line(i as u8)).is_none());
+            assert!(fill(&mut c, i * 16, 'x', line(i as u8)).is_none());
         }
         assert_eq!(c.len(), 4);
     }
@@ -492,14 +553,14 @@ mod tests {
     #[should_panic(expected = "full line")]
     fn short_fills_are_rejected() {
         let mut c = small();
-        c.fill(0, 'x', vec![0; 8].into_boxed_slice());
+        c.fill(0, 'x', &[0; 8], &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "crosses line boundary")]
     fn crossing_reads_are_rejected() {
         let mut c = small();
-        c.fill(0, 'x', line(0));
+        fill(&mut c, 0, 'x', line(0));
         let _ = c.read(12, 8);
     }
 }

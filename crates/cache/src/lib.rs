@@ -19,7 +19,7 @@
 //!
 //! let cfg = CacheConfig::new(8192, 32, 4, ReplacementKind::Lru);
 //! let mut cache: CacheArray<LineState> = CacheArray::new(cfg, 42);
-//! cache.fill(0x80, LineState::Exclusive, vec![0; 32].into());
+//! cache.fill(0x80, LineState::Exclusive, &[0; 32], &mut Vec::new());
 //! assert_eq!(cache.state_of(0x80), Some(LineState::Exclusive));
 //! ```
 

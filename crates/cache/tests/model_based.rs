@@ -118,7 +118,7 @@ fn cache_array_agrees_with_the_reference_model() {
                 Op::Fill { line, state, byte } => {
                     let addr = line * LINE as u64;
                     let data = vec![byte; LINE];
-                    let victim = cache.fill(addr, state, data.clone().into());
+                    let victim = cache.fill(addr, state, &data, &mut Vec::new());
                     let model_victim = model.fill(addr, state, data, sets, ways);
                     assert_eq!(victim.map(|v| v.addr), model_victim, "case {case}");
                 }

@@ -45,7 +45,7 @@ use crate::state::LineState;
 use crate::table;
 use std::fmt;
 
-fn state_idx(state: LineState) -> usize {
+pub(crate) fn state_idx(state: LineState) -> usize {
     LineState::ALL
         .iter()
         .position(|&s| s == state)
@@ -59,7 +59,7 @@ fn local_idx(event: LocalEvent) -> usize {
         .expect("event in ALL")
 }
 
-fn bus_idx(event: BusEvent) -> usize {
+pub(crate) fn bus_idx(event: BusEvent) -> usize {
     BusEvent::ALL
         .iter()
         .position(|&e| e == event)

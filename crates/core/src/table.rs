@@ -22,9 +22,11 @@
 
 use crate::action::{BusOp, BusReaction, LocalAction, ResultState};
 use crate::event::{BusEvent, LocalEvent};
+use crate::policy::{bus_idx, state_idx};
 use crate::protocol::CacheKind;
 use crate::signals::MasterSignals;
 use crate::state::LineState;
+use std::sync::OnceLock;
 
 use BusEvent as BE;
 use LineState::{Exclusive as E, Invalid as I, Modified as M, Owned as O, Shareable as S};
@@ -288,10 +290,16 @@ pub fn permitted_bus(state: LineState, event: BusEvent) -> Vec<BusReaction> {
 }
 
 /// The preferred reaction (the first permitted entry), or `None` for error
-/// cells.
+/// cells: a lookup in a table derived once from [`permitted_bus`], so a
+/// snooper that consults it on every transaction allocates nothing.
 #[must_use]
 pub fn preferred_bus(state: LineState, event: BusEvent) -> Option<BusReaction> {
-    permitted_bus(state, event).into_iter().next()
+    static PREFERRED: OnceLock<[[Option<BusReaction>; 6]; 5]> = OnceLock::new();
+    let table = PREFERRED.get_or_init(|| {
+        LineState::ALL
+            .map(|state| BusEvent::ALL.map(|event| permitted_bus(state, event).first().copied()))
+    });
+    table[state_idx(state)][bus_idx(event)]
 }
 
 /// Iterates every Table 1 cell for one cache kind: `(state, event,
@@ -720,5 +728,25 @@ mod tests {
         }
         assert!(t.contains("O,CH,DI"));
         assert!(t.contains("CH:O/M,DI"));
+    }
+
+    #[test]
+    fn preferred_bus_lookup_is_the_first_permitted_reaction_in_all_30_cells() {
+        let mut cells = 0;
+        let mut errors = 0;
+        for state in LineState::ALL {
+            for event in BusEvent::ALL {
+                let permitted = permitted_bus(state, event);
+                assert_eq!(
+                    preferred_bus(state, event),
+                    permitted.first().copied(),
+                    "({state}, {event})"
+                );
+                cells += 1;
+                errors += usize::from(permitted.is_empty());
+            }
+        }
+        assert_eq!(cells, 30);
+        assert_eq!(errors, 2, "the (M, CBW) and (E, CBW) error cells");
     }
 }

@@ -39,7 +39,9 @@ use crate::phases::TxnContext;
 use crate::stats::BusStats;
 use crate::timing::{Nanos, TimingConfig};
 use crate::trace::{BusTrace, TraceKind};
-use crate::transaction::{BusError, TransactionKind, TransactionOutcome, TransactionRequest};
+use crate::transaction::{
+    BusError, DataSource, TransactionKind, TransactionOutcome, TransactionRequest,
+};
 use moesi::ResponseSignals;
 use std::collections::BTreeSet;
 
@@ -149,6 +151,10 @@ pub struct Futurebus {
     /// reclaimed afterwards, so the address-broadcast phase never allocates
     /// on the steady state.
     reply_scratch: Vec<(usize, ResponseSignals)>,
+    /// The bus line buffer: a read's data phase copies the delivered line
+    /// here (from memory or the intervening owner), and the outcome lends it
+    /// to the master until the next transaction.
+    pub(crate) line: Box<[u8]>,
     /// The stall-candidate buffer lent to the fault plan's roll, so a bus
     /// with a plan installed does not allocate per transaction either.
     candidate_scratch: Vec<usize>,
@@ -177,6 +183,7 @@ impl Futurebus {
             liveness: None,
             phase_events: None,
             reply_scratch: Vec::new(),
+            line: vec![0; line_size].into_boxed_slice(),
             candidate_scratch: Vec::new(),
         }
     }
@@ -406,28 +413,82 @@ impl Futurebus {
     /// paths still account the bus time burned into [`BusStats::busy_ns`].
     pub fn execute(
         &mut self,
-        req: &TransactionRequest,
+        req: &TransactionRequest<'_>,
         modules: &mut [&mut dyn BusModule],
-    ) -> Result<TransactionOutcome, BusError> {
-        self.execute_components(req, modules)
+    ) -> Result<TransactionOutcome<'_>, BusError> {
+        let out = self.transact(req, modules)?;
+        Ok(self.lend_line(req, out))
     }
 
-    /// [`Futurebus::execute`], generic over the module type. Callers that own
-    /// a homogeneous component array (e.g. the simulator's
-    /// `Vec<CacheController>`) pass it directly and get a statically
-    /// dispatched pipeline — no per-transaction `Vec<&mut dyn BusModule>`
-    /// and no virtual calls in the inner loop. The dyn-slice `execute` is
-    /// this function instantiated with `M = &mut dyn BusModule`, so both
-    /// entry points run the identical pipeline.
+    /// [`Futurebus::execute`] for a caller that survives bus errors: a
+    /// failed transaction completes memory-direct instead — a read is served
+    /// from memory, a write is absorbed by it, and no snooper takes part
+    /// (they already saw the failing passes). Whatever staleness the skipped
+    /// snoops cause is the caller's checker's to find. Returns the outcome
+    /// and the error survived, if any.
     ///
-    /// # Errors
+    /// Generic over the module type: a caller that owns a homogeneous
+    /// component array (the simulator's `Vec<CacheController>`, a segment's
+    /// bridges) passes it directly and gets a statically dispatched pipeline
+    /// — no per-transaction `Vec<&mut dyn BusModule>` and no virtual calls
+    /// in the inner loop. The dyn-slice `execute` runs the same pipeline
+    /// with `M = &mut dyn BusModule`.
     ///
-    /// Identical to [`Futurebus::execute`].
-    pub fn execute_components<M: BusModule>(
+    /// A degraded outcome reports CH asserted: the wired-OR never resolved,
+    /// and claiming exclusivity after a failed snoop round would be worse
+    /// than assuming sharers exist.
+    pub fn execute_or_degrade<M: BusModule>(
         &mut self,
-        req: &TransactionRequest,
+        req: &TransactionRequest<'_>,
         modules: &mut [M],
-    ) -> Result<TransactionOutcome, BusError> {
+    ) -> (TransactionOutcome<'_>, Option<BusError>) {
+        let (out, error) = match self.transact(req, modules) {
+            Ok(out) => (out, None),
+            Err(e) => (self.degrade(req), Some(e)),
+        };
+        (self.lend_line(req, out), error)
+    }
+
+    /// Lends a read's outcome the line its data phase left in the line
+    /// buffer.
+    fn lend_line<'s>(
+        &'s self,
+        req: &TransactionRequest<'_>,
+        mut out: TransactionOutcome<'s>,
+    ) -> TransactionOutcome<'s> {
+        if matches!(req.kind, TransactionKind::Read) {
+            out.data = Some(&self.line);
+        }
+        out
+    }
+
+    /// The memory-direct completion of a failed transaction (see
+    /// [`Futurebus::execute_or_degrade`]).
+    fn degrade(&mut self, req: &TransactionRequest<'_>) -> TransactionOutcome<'static> {
+        let line = self.memory.align(req.addr);
+        match req.kind {
+            TransactionKind::Read => self.line.copy_from_slice(self.memory.peek(line)),
+            TransactionKind::Write { offset, bytes } => {
+                self.memory.write_bytes(line, offset, bytes);
+            }
+            TransactionKind::AddressOnly => {}
+        }
+        TransactionOutcome {
+            data: None,
+            responses: ResponseSignals::NONE,
+            ch_seen: true,
+            source: DataSource::Memory,
+            duration: 0,
+            aborts: 0,
+        }
+    }
+
+    /// Runs the pipeline for `req`; the outcome lends no line yet.
+    fn transact<M: BusModule>(
+        &mut self,
+        req: &TransactionRequest<'_>,
+        modules: &mut [M],
+    ) -> Result<TransactionOutcome<'static>, BusError> {
         self.validate(req, modules.len())?;
         let faults = self.decide_faults(req, modules.len());
         let mut ctx = TxnContext::new(req, self.memory.line_size(), faults);
@@ -464,7 +525,7 @@ impl Futurebus {
     /// Rolls the fault plan's dice for this transaction and folds in any
     /// manually armed stall (replay pins), which overrides the plan's roll
     /// but only fires once the victim is actually a live snooper.
-    fn decide_faults(&mut self, req: &TransactionRequest, module_count: usize) -> TxnFaults {
+    fn decide_faults(&mut self, req: &TransactionRequest<'_>, module_count: usize) -> TxnFaults {
         let mut faults = match self.faults.as_mut() {
             Some(plan) => {
                 let candidates = &mut self.candidate_scratch;
@@ -485,7 +546,7 @@ impl Futurebus {
         faults
     }
 
-    fn validate(&self, req: &TransactionRequest, module_count: usize) -> Result<(), BusError> {
+    fn validate(&self, req: &TransactionRequest<'_>, module_count: usize) -> Result<(), BusError> {
         if !req.signals.is_legal() {
             return Err(BusError::IllegalSignals(req.signals));
         }
@@ -558,13 +619,13 @@ mod tests {
             }
             r
         }
-        fn supply_line(&mut self, _addr: u64) -> Option<Box<[u8]>> {
-            Some(self.line.clone().into_boxed_slice())
+        fn supply_line(&mut self, _addr: u64) -> Option<&[u8]> {
+            Some(&self.line)
         }
-        fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite> {
+        fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite<'_>> {
             self.pushes += 1;
             Some(PushWrite {
-                data: self.line.clone().into_boxed_slice(),
+                data: &self.line,
                 signals: MasterSignals::CA,
             })
         }
@@ -609,7 +670,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.source, DataSource::Memory);
-        assert_eq!(&out.data.unwrap()[..], &[7; 16]);
+        assert_eq!(out.data.unwrap(), &[7; 16]);
         assert_eq!(bus.stats().memory_reads, 1);
         assert_eq!(bus.stats().interventions, 0);
     }
@@ -631,11 +692,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.source, DataSource::Intervention(0));
-        assert_eq!(
-            &out.data.unwrap()[..],
-            &[0xEE; 16],
-            "owner's data, not memory's"
-        );
+        assert_eq!(out.data.unwrap(), &[0xEE; 16], "owner's data, not memory's");
         assert!(out.ch_seen);
         // Intervention does NOT update memory — the Futurebus limitation.
         assert_eq!(bus.memory().peek(0x40), &[1; 16]);
@@ -649,7 +706,7 @@ mod tests {
             ..ResponseSignals::NONE
         });
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut owner];
-        let req = TransactionRequest::write(1, 0, MasterSignals::IM, 4, vec![9, 9]);
+        let req = TransactionRequest::write(1, 0, MasterSignals::IM, 4, &[9, 9]);
         bus.execute(&req, &mut mods).unwrap();
         assert_eq!(bus.stats().captures, 1);
         assert_eq!(bus.stats().memory_writes, 0);
@@ -662,7 +719,7 @@ mod tests {
         let mut bus = bus();
         let mut other = Mock::quiet();
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut other];
-        let req = TransactionRequest::write(1, 0, MasterSignals::IM, 2, vec![5, 6]);
+        let req = TransactionRequest::write(1, 0, MasterSignals::IM, 2, &[5, 6]);
         bus.execute(&req, &mut mods).unwrap();
         assert_eq!(bus.memory().peek(0)[2..4], [5, 6]);
         // A quiet snooper receives no payload.
@@ -679,11 +736,11 @@ mod tests {
         });
         let mut bystander = Mock::quiet();
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut sharer, &mut bystander];
-        let req = TransactionRequest::write(2, 0, MasterSignals::CA_IM_BC, 0, vec![3; 4]);
-        let out = bus.execute(&req, &mut mods).unwrap();
+        let req = TransactionRequest::write(2, 0, MasterSignals::CA_IM_BC, 0, &[3; 4]);
+        let ch_seen = bus.execute(&req, &mut mods).unwrap().ch_seen;
         assert_eq!(bus.memory().peek(0)[..4], [3; 4]);
         assert_eq!(bus.stats().sl_updates, 1);
-        assert!(out.ch_seen);
+        assert!(ch_seen);
         assert_eq!(sharer.completions[0].1.as_deref(), Some(&[3u8; 4][..]));
         assert_eq!(bystander.completions[0].1, None);
     }
@@ -707,7 +764,7 @@ mod tests {
         // The push updated memory, so the retried read is served by memory
         // with the pushed contents.
         assert_eq!(out.source, DataSource::Memory);
-        assert_eq!(&out.data.unwrap()[..], &[0xEE; 16]);
+        assert_eq!(out.data.unwrap(), &[0xEE; 16]);
         assert_eq!(bus.stats().aborts, 1);
         assert_eq!(bus.stats().pushes, 1);
         assert_eq!(bus.stats().transactions, 2, "push + retried read");
@@ -726,9 +783,9 @@ mod tests {
                     ..ResponseSignals::NONE
                 }
             }
-            fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite> {
+            fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite<'_>> {
                 Some(PushWrite {
-                    data: vec![0; 16].into_boxed_slice(),
+                    data: &[0; 16],
                     signals: MasterSignals::CA,
                 })
             }
@@ -856,6 +913,32 @@ mod tests {
     }
 
     #[test]
+    fn a_short_supplied_line_is_a_protocol_error_not_a_panic() {
+        // The bus copies a supplied line into its own line buffer; a
+        // snooper lending fewer bytes than a line broke the protocol.
+        let mut bus = bus();
+        let mut short = Mock::with(ResponseSignals {
+            di: true,
+            ..ResponseSignals::NONE
+        });
+        short.line = vec![0xEE; 4];
+        let mut mods: Vec<&mut dyn BusModule> = vec![&mut short];
+        let err = bus
+            .execute(
+                &TransactionRequest::read(1, 0x40, MasterSignals::CA),
+                &mut mods,
+            )
+            .unwrap_err();
+        match err {
+            BusError::ProtocolError { module, detail } => {
+                assert_eq!(module, 0);
+                assert!(detail.contains("supplied 4 bytes"), "{detail}");
+            }
+            other => panic!("expected ProtocolError, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn short_pushes_are_a_protocol_error() {
         struct ShortPusher;
         impl BusModule for ShortPusher {
@@ -865,9 +948,9 @@ mod tests {
                     ..ResponseSignals::NONE
                 }
             }
-            fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite> {
+            fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite<'_>> {
                 Some(PushWrite {
-                    data: vec![0; 4].into_boxed_slice(), // line size is 16
+                    data: &[0; 4], // line size is 16
                     signals: MasterSignals::CA,
                 })
             }
@@ -903,6 +986,9 @@ mod tests {
                 &mut mods,
             )
             .unwrap();
+        // The in-flight read sees the salvaged data (below).
+        assert_eq!(out.data, Some(&[0xEE; 16][..]));
+        let duration = out.duration;
         // The victim was retired before snooping; the survivor completed.
         assert_eq!(victim.retired_as, Some(true));
         assert!(victim.snooped.is_empty(), "a stalled board never answers");
@@ -912,12 +998,11 @@ mod tests {
         // in-flight read wanted, which therefore sees the salvaged data.
         assert_eq!(bus.memory().peek(0x40), &[0xEE; 16]);
         assert_eq!(bus.memory().peek(0x80), &[0xEE; 16]);
-        assert_eq!(&out.data.unwrap()[..], &[0xEE; 16]);
         assert_eq!(bus.stats().watchdog_retirements, 1);
         assert_eq!(bus.stats().salvaged_lines, 2);
         assert_eq!(bus.stats().lost_lines, 0);
         // The watchdog timeout is charged to the transaction.
-        assert!(out.duration >= bus.timing().watchdog_timeout_ns);
+        assert!(duration >= bus.timing().watchdog_timeout_ns);
         let rendered = bus.trace().render();
         assert!(rendered.contains("RETIR"), "{rendered}");
     }
@@ -1002,16 +1087,17 @@ mod tests {
         }));
         let mut quiet = Mock::quiet();
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut quiet];
-        let out = bus
+        let aborts = bus
             .execute(
                 &TransactionRequest::read(1, 0x40, MasterSignals::CA),
                 &mut mods,
             )
-            .unwrap();
-        assert!(out.aborts >= 1 && out.aborts <= 3);
+            .unwrap()
+            .aborts;
+        assert!((1..=3).contains(&aborts));
         assert_eq!(bus.stats().pushes, 0, "phantom BS rounds push nothing");
-        assert_eq!(bus.stats().aborts as u32, out.aborts);
-        assert_eq!(bus.stats().retries as u32, out.aborts);
+        assert_eq!(bus.stats().aborts as u32, aborts);
+        assert_eq!(bus.stats().retries as u32, aborts);
         assert!(bus.stats().backoff_ns > 0);
         let records = bus.fault_plan().unwrap().records();
         assert_eq!(records.len(), 1);
@@ -1109,9 +1195,9 @@ mod tests {
                     ResponseSignals::NONE
                 }
             }
-            fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite> {
+            fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite<'_>> {
                 Some(PushWrite {
-                    data: vec![0xAB; 16].into_boxed_slice(),
+                    data: &[0xAB; 16],
                     signals: MasterSignals::CA,
                 })
             }
@@ -1145,15 +1231,16 @@ mod tests {
         }));
         let mut quiet = Mock::quiet();
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut quiet];
-        let out = bus
+        let aborts = bus
             .execute(
                 &TransactionRequest::read(1, 0x40, MasterSignals::CA),
                 &mut mods,
             )
-            .unwrap();
+            .unwrap()
+            .aborts;
         assert_eq!(bus.retry_histogram().samples(), 1);
-        assert_eq!(bus.retry_histogram().sum_ns(), u64::from(out.aborts));
-        assert_eq!(bus.stats().max_txn_aborts, u64::from(out.aborts));
+        assert_eq!(bus.retry_histogram().sum_ns(), u64::from(aborts));
+        assert_eq!(bus.stats().max_txn_aborts, u64::from(aborts));
     }
 
     #[test]
@@ -1165,7 +1252,7 @@ mod tests {
         ));
         let mut mods: Vec<&mut dyn BusModule> = vec![];
         bus.execute(
-            &TransactionRequest::write(0, 0x40, MasterSignals::IM, 0, vec![7; 16]),
+            &TransactionRequest::write(0, 0x40, MasterSignals::IM, 0, &[7; 16]),
             &mut mods,
         )
         .unwrap();
@@ -1214,7 +1301,7 @@ mod tests {
             bus.execute(&unaligned, &mut mods),
             Err(BusError::UnalignedAddress(3))
         ));
-        let oversized = TransactionRequest::write(0, 0, MasterSignals::IM, 12, vec![0; 8]);
+        let oversized = TransactionRequest::write(0, 0, MasterSignals::IM, 12, &[0; 8]);
         assert!(matches!(
             bus.execute(&oversized, &mut mods),
             Err(BusError::PayloadOutOfRange { .. })
@@ -1330,17 +1417,19 @@ mod tests {
         let mut mods: Vec<&mut dyn BusModule> = vec![];
         let plain = bus
             .execute(
-                &TransactionRequest::write(0, 0, MasterSignals::IM, 0, vec![0; 4]),
+                &TransactionRequest::write(0, 0, MasterSignals::IM, 0, &[0; 4]),
                 &mut mods,
             )
-            .unwrap();
+            .unwrap()
+            .duration;
         let bcast = bus
             .execute(
-                &TransactionRequest::write(0, 0, MasterSignals::IM_BC, 0, vec![0; 4]),
+                &TransactionRequest::write(0, 0, MasterSignals::IM_BC, 0, &[0; 4]),
                 &mut mods,
             )
-            .unwrap();
-        assert_eq!(bcast.duration - plain.duration, t.broadcast_penalty_ns);
+            .unwrap()
+            .duration;
+        assert_eq!(bcast - plain, t.broadcast_penalty_ns);
     }
 
     #[test]
@@ -1377,7 +1466,7 @@ mod tests {
         )
         .unwrap();
         bus.execute(
-            &TransactionRequest::write(1, 0, MasterSignals::IM_BC, 0, vec![3; 4]),
+            &TransactionRequest::write(1, 0, MasterSignals::IM_BC, 0, &[3; 4]),
             &mut mods,
         )
         .unwrap();
@@ -1410,9 +1499,9 @@ mod tests {
                     ..ResponseSignals::NONE
                 }
             }
-            fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite> {
+            fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite<'_>> {
                 Some(PushWrite {
-                    data: vec![0; 16].into_boxed_slice(),
+                    data: &[0; 16],
                     signals: MasterSignals::CA,
                 })
             }
@@ -1450,7 +1539,7 @@ mod tests {
         )
         .unwrap();
         bus.execute(
-            &TransactionRequest::write(1, 0x40, MasterSignals::IM, 0, vec![9; 4]),
+            &TransactionRequest::write(1, 0x40, MasterSignals::IM, 0, &[9; 4]),
             &mut mods,
         )
         .unwrap();

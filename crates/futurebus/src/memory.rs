@@ -79,6 +79,11 @@ impl ChangeLog {
 
 /// A sparse, line-granular main memory. Untouched lines read as zero.
 ///
+/// Written lines live in one growable byte slab, `line_size` bytes each in
+/// first-write order, found through a [`LineMap`] of slab offsets: a write
+/// overwrites its line in place, and only a line's first write grows the
+/// slab.
+///
 /// # Examples
 ///
 /// ```
@@ -92,7 +97,10 @@ impl ChangeLog {
 #[derive(Clone, Debug)]
 pub struct SparseMemory {
     line_size: usize,
-    lines: LineMap<Box<[u8]>>,
+    /// Where each written line starts in `slab`.
+    index: LineMap<usize>,
+    /// The written lines' bytes.
+    slab: Vec<u8>,
     /// What an untouched line reads as, so peeks can always lend a slice.
     zero: Box<[u8]>,
     reads: u64,
@@ -115,7 +123,8 @@ impl SparseMemory {
         );
         SparseMemory {
             line_size,
-            lines: LineMap::default(),
+            index: LineMap::default(),
+            slab: Vec::new(),
             zero: vec![0; line_size].into_boxed_slice(),
             reads: 0,
             writes: 0,
@@ -141,26 +150,37 @@ impl SparseMemory {
         self.align(addr) == addr
     }
 
-    /// Reads a full line. Untouched lines are zero-filled.
+    /// Reads a full line, borrowed. Untouched lines read as zero.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not line-aligned.
     #[must_use]
-    pub fn read_line(&mut self, addr: LineAddr) -> Box<[u8]> {
+    pub fn read_line(&mut self, addr: LineAddr) -> &[u8] {
         assert!(self.is_aligned(addr), "unaligned line read at {addr:#x}");
         self.reads += 1;
-        match self.lines.get(&addr) {
-            Some(line) => line.clone(),
-            None => vec![0; self.line_size].into_boxed_slice(),
-        }
+        self.peek(addr)
     }
 
     /// Borrows the line containing `addr` without counting a memory access
     /// (for checkers and fallbacks). Untouched lines read as zero.
     #[must_use]
     pub fn peek(&self, addr: u64) -> &[u8] {
-        self.lines.get(&self.align(addr)).unwrap_or(&self.zero)
+        match self.index.get(&self.align(addr)) {
+            Some(&start) => &self.slab[start..start + self.line_size],
+            None => &self.zero,
+        }
+    }
+
+    /// The bytes of the line at `addr` for writing, giving a line its slab
+    /// space (zeroed) on its first write.
+    fn line_mut(&mut self, addr: LineAddr) -> &mut [u8] {
+        let end = self.slab.len();
+        let start = *self.index.entry(addr).or_insert(end);
+        if start == end {
+            self.slab.resize(end + self.line_size, 0);
+        }
+        &mut self.slab[start..start + self.line_size]
     }
 
     /// The `len` bytes at `addr`, across any number of lines, without
@@ -203,7 +223,7 @@ impl SparseMemory {
         if let Some(log) = &mut self.changes {
             log.line(addr);
         }
-        self.lines.insert(addr, data.into());
+        self.line_mut(addr).copy_from_slice(data);
     }
 
     /// Writes part of a line (a word write from a write-through or
@@ -227,11 +247,7 @@ impl SparseMemory {
         if let Some(log) = &mut self.changes {
             log.line(addr);
         }
-        let line = self
-            .lines
-            .entry(addr)
-            .or_insert_with(|| vec![0; self.line_size].into_boxed_slice());
-        line[offset..offset + bytes.len()].copy_from_slice(bytes);
+        self.line_mut(addr)[offset..offset + bytes.len()].copy_from_slice(bytes);
     }
 
     /// Number of line reads served.
@@ -249,7 +265,7 @@ impl SparseMemory {
     /// Number of distinct lines ever written.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.lines.len()
+        self.index.len()
     }
 
     /// Addresses of every resident line, sorted ascending. The underlying
@@ -257,7 +273,7 @@ impl SparseMemory {
     /// injection, checkers) must go through this.
     #[must_use]
     pub fn line_addrs(&self) -> Vec<LineAddr> {
-        let mut addrs: Vec<LineAddr> = self.lines.keys().copied().collect();
+        let mut addrs: Vec<LineAddr> = self.index.keys().copied().collect();
         addrs.sort_unstable();
         addrs
     }
@@ -290,7 +306,21 @@ mod tests {
         let mut mem = SparseMemory::new(8);
         mem.write_bytes(0, 0, &[9; 8]);
         mem.write_line(0, &[7; 8]);
-        assert_eq!(&mem.read_line(0)[..], &[7; 8]);
+        assert_eq!(mem.read_line(0), &[7; 8]);
+    }
+
+    #[test]
+    fn rewrites_reuse_the_line_in_place() {
+        let mut mem = SparseMemory::new(8);
+        mem.write_line(0x10, &[1; 8]);
+        mem.write_bytes(0x20, 2, &[5]);
+        mem.write_line(0x10, &[2; 8]);
+        mem.write_bytes(0x20, 3, &[6]);
+        assert_eq!(mem.resident_lines(), 2);
+        assert_eq!(mem.slab.len(), 16, "only first writes grow the slab");
+        assert_eq!(mem.peek(0x10), &[2; 8]);
+        assert_eq!(mem.peek(0x20), &[0, 0, 5, 6, 0, 0, 0, 0]);
+        assert_eq!(mem.peek(0x30), &[0; 8], "untouched");
     }
 
     #[test]

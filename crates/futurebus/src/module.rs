@@ -19,10 +19,10 @@ pub struct BusObservation<'a> {
 /// The write-back a module performs after aborting a transaction with BS
 /// (§3.2.2: "BS is used to abort a transaction and update memory before that
 /// transaction can resume").
-#[derive(Clone, Debug)]
-pub struct PushWrite {
-    /// The full line contents pushed to memory.
-    pub data: Box<[u8]>,
+#[derive(Clone, Copy, Debug)]
+pub struct PushWrite<'a> {
+    /// The full line contents pushed to memory, borrowed from the pusher.
+    pub data: &'a [u8],
     /// The signals the push write drives (e.g. `CA` for `BS;S,CA,W`).
     pub signals: MasterSignals,
 }
@@ -71,17 +71,17 @@ pub trait BusModule {
     ///
     /// [`prepare_push`]: BusModule::prepare_push
     /// [`supply_line`]: BusModule::supply_line
-    fn snoop(&mut self, req: &TransactionRequest) -> ResponseSignals;
+    fn snoop(&mut self, req: &TransactionRequest<'_>) -> ResponseSignals;
 
-    /// Supply the full line for a read this module intervened on, or `None`
-    /// if it cannot.
+    /// Supply the full line for a read this module intervened on, borrowed
+    /// (the bus copies it into its line buffer), or `None` if it cannot.
     ///
     /// Asserting DI without being able to supply the line is a protocol bug,
     /// but it must not crash the machine: the bus turns a `None` here into a
     /// reported [`BusError::ProtocolError`](crate::BusError::ProtocolError)
     /// instead of a process abort. The default implementation returns
     /// `None`, since modules that never assert DI never receive this call.
-    fn supply_line(&mut self, _addr: LineAddr) -> Option<Box<[u8]>> {
+    fn supply_line(&mut self, _addr: LineAddr) -> Option<&[u8]> {
         None
     }
 
@@ -93,7 +93,7 @@ pub trait BusModule {
     /// [`BusError::ProtocolError`](crate::BusError::ProtocolError) instead of
     /// a process abort. The default implementation returns `None`, since
     /// modules that never assert BS never receive this call.
-    fn prepare_push(&mut self, _addr: LineAddr) -> Option<PushWrite> {
+    fn prepare_push(&mut self, _addr: LineAddr) -> Option<PushWrite<'_>> {
         None
     }
 
@@ -109,7 +109,7 @@ pub trait BusModule {
     }
 
     /// Commit the state transition for a snooped transaction.
-    fn complete(&mut self, req: &TransactionRequest, obs: &BusObservation<'_>);
+    fn complete(&mut self, req: &TransactionRequest<'_>, obs: &BusObservation<'_>);
 }
 
 // A mutable reference to a module is itself a module. This is what lets the
@@ -119,15 +119,15 @@ pub trait BusModule {
 // of concrete component arrays (`&mut [CacheController]`) get a statically
 // dispatched instantiation with no per-transaction reference vector.
 impl<T: BusModule + ?Sized> BusModule for &mut T {
-    fn snoop(&mut self, req: &TransactionRequest) -> ResponseSignals {
+    fn snoop(&mut self, req: &TransactionRequest<'_>) -> ResponseSignals {
         (**self).snoop(req)
     }
 
-    fn supply_line(&mut self, addr: LineAddr) -> Option<Box<[u8]>> {
+    fn supply_line(&mut self, addr: LineAddr) -> Option<&[u8]> {
         (**self).supply_line(addr)
     }
 
-    fn prepare_push(&mut self, addr: LineAddr) -> Option<PushWrite> {
+    fn prepare_push(&mut self, addr: LineAddr) -> Option<PushWrite<'_>> {
         (**self).prepare_push(addr)
     }
 
@@ -135,7 +135,7 @@ impl<T: BusModule + ?Sized> BusModule for &mut T {
         (**self).retire(salvage)
     }
 
-    fn complete(&mut self, req: &TransactionRequest, obs: &BusObservation<'_>) {
+    fn complete(&mut self, req: &TransactionRequest<'_>, obs: &BusObservation<'_>) {
         (**self).complete(req, obs)
     }
 }
@@ -147,10 +147,10 @@ mod tests {
 
     struct Dummy;
     impl BusModule for Dummy {
-        fn snoop(&mut self, _req: &TransactionRequest) -> ResponseSignals {
+        fn snoop(&mut self, _req: &TransactionRequest<'_>) -> ResponseSignals {
             ResponseSignals::NONE
         }
-        fn complete(&mut self, _req: &TransactionRequest, _obs: &BusObservation<'_>) {}
+        fn complete(&mut self, _req: &TransactionRequest<'_>, _obs: &BusObservation<'_>) {}
     }
 
     #[test]

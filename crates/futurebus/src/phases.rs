@@ -112,7 +112,7 @@ pub(crate) enum Step {
 #[derive(Debug)]
 pub(crate) struct TxnContext<'r> {
     /// The request being executed.
-    pub(crate) req: &'r TransactionRequest,
+    pub(crate) req: &'r TransactionRequest<'r>,
     /// The system line size, cached off the bus memory.
     pub(crate) line_size: usize,
     /// Bus time consumed so far (sealed into stats at commit, and accounted
@@ -138,15 +138,17 @@ pub(crate) struct TxnContext<'r> {
     pub(crate) combined: ResponseSignals,
     /// The unique DI responder, resolved in the data phase.
     pub(crate) intervener: Option<usize>,
-    /// The line contents, for reads.
-    pub(crate) data: Option<Box<[u8]>>,
     /// Who served the data phase.
     pub(crate) source: DataSource,
 }
 
 impl<'r> TxnContext<'r> {
     /// Starts a context for `req` with the fault decisions already rolled.
-    pub(crate) fn new(req: &'r TransactionRequest, line_size: usize, faults: TxnFaults) -> Self {
+    pub(crate) fn new(
+        req: &'r TransactionRequest<'r>,
+        line_size: usize,
+        faults: TxnFaults,
+    ) -> Self {
         TxnContext {
             req,
             line_size,
@@ -159,7 +161,6 @@ impl<'r> TxnContext<'r> {
             replies: Vec::new(),
             combined: ResponseSignals::NONE,
             intervener: None,
-            data: None,
             source: DataSource::None,
         }
     }
@@ -172,10 +173,11 @@ impl<'r> TxnContext<'r> {
         self.phase_ns[phase as usize] += ns;
     }
 
-    /// Seals the context into the outcome handed back to the master.
-    pub(crate) fn into_outcome(self) -> TransactionOutcome {
+    /// Seals the context into the outcome handed back to the master; the
+    /// caller lends a read its line.
+    pub(crate) fn into_outcome(self) -> TransactionOutcome<'static> {
         TransactionOutcome {
-            data: self.data,
+            data: None,
             responses: self.combined,
             ch_seen: self.combined.ch,
             source: self.source,
@@ -392,7 +394,7 @@ impl Futurebus {
                     ),
                 });
             }
-            self.memory.write_line(ctx.req.addr, &push.data);
+            self.memory.write_line(ctx.req.addr, push.data);
             // The push is itself a write transaction on the bus. No third
             // party needs to snoop it: the pusher held the only owned copy,
             // and unowned S copies are unaffected by a CA,~IM write-back.
@@ -448,56 +450,69 @@ impl Futurebus {
 
         let line_size = ctx.line_size;
         let broadcast = ctx.req.signals.bc;
-        match &ctx.req.kind {
+        match ctx.req.kind {
             TransactionKind::Read => {
-                let (line, source, latency) = match ctx.intervener {
+                // The line moves into the bus's own line buffer, which the
+                // master borrows from the outcome.
+                let (source, latency) = match ctx.intervener {
                     Some(idx) => {
                         // A module that asserts DI must be able to supply
-                        // the line; one that declines broke the protocol,
-                        // reported rather than crashing the machine.
-                        let Some(line) = modules[idx].supply_line(ctx.req.addr) else {
-                            return Err(BusError::ProtocolError {
-                                module: idx,
-                                detail: format!(
-                                    "asserted DI for {:#x} but declined to supply the line",
-                                    ctx.req.addr
-                                ),
-                            });
-                        };
+                        // the line; one that declines (or supplies a short
+                        // line) broke the protocol, reported rather than
+                        // crashing the machine.
+                        match modules[idx].supply_line(ctx.req.addr) {
+                            Some(line) if line.len() == line_size => {
+                                self.line.copy_from_slice(line);
+                            }
+                            supplied => {
+                                let detail = match supplied {
+                                    None => format!(
+                                        "asserted DI for {:#x} but declined to supply the line",
+                                        ctx.req.addr
+                                    ),
+                                    Some(line) => format!(
+                                        "supplied {} bytes for {:#x}, not a full \
+                                         {line_size}-byte line",
+                                        line.len(),
+                                        ctx.req.addr
+                                    ),
+                                };
+                                return Err(BusError::ProtocolError {
+                                    module: idx,
+                                    detail,
+                                });
+                            }
+                        }
                         self.stats.interventions += 1;
                         (
-                            line,
                             DataSource::Intervention(idx),
                             DataSourceLatency::Intervention,
                         )
                     }
                     None => {
                         self.stats.memory_reads += 1;
-                        (
-                            self.memory.read_line(ctx.req.addr),
-                            DataSource::Memory,
-                            DataSourceLatency::Memory,
-                        )
+                        self.line
+                            .copy_from_slice(self.memory.read_line(ctx.req.addr));
+                        (DataSource::Memory, DataSourceLatency::Memory)
                     }
                 };
                 let cost = self.timing.transaction(line_size, latency, broadcast);
                 ctx.charge(Phase::DataTransfer, cost);
                 self.stats.reads += 1;
                 self.stats.bytes_moved += line_size as u64;
-                ctx.data = Some(line);
                 ctx.source = source;
             }
             TransactionKind::Write { offset, bytes } => {
                 if broadcast {
                     // Broadcast writes always reach memory (§4.2); SL
                     // snoopers are updated in the completion phase.
-                    self.memory.write_bytes(ctx.req.addr, *offset, bytes);
+                    self.memory.write_bytes(ctx.req.addr, offset, bytes);
                     self.stats.memory_writes += 1;
                 } else if ctx.intervener.is_some() {
                     // The owner captures the write; memory is preempted.
                     self.stats.captures += 1;
                 } else {
-                    self.memory.write_bytes(ctx.req.addr, *offset, bytes);
+                    self.memory.write_bytes(ctx.req.addr, offset, bytes);
                     self.stats.memory_writes += 1;
                 }
                 let cost =
@@ -506,7 +521,6 @@ impl Futurebus {
                 ctx.charge(Phase::DataTransfer, cost);
                 self.stats.writes += 1;
                 self.stats.bytes_moved += bytes.len() as u64;
-                ctx.data = None;
                 ctx.source = match ctx.intervener {
                     Some(idx) if !broadcast => DataSource::Intervention(idx),
                     _ => DataSource::Memory,
@@ -516,7 +530,6 @@ impl Futurebus {
                 let cost = self.timing.transaction(0, DataSourceLatency::Master, false);
                 ctx.charge(Phase::DataTransfer, cost);
                 self.stats.address_only += 1;
-                ctx.data = None;
                 ctx.source = DataSource::None;
             }
         }
@@ -531,8 +544,8 @@ impl Futurebus {
     /// DI-connected). Post-transaction soft errors land here, then the stats
     /// and trace are sealed.
     fn commit<M: BusModule>(&mut self, ctx: &mut TxnContext<'_>, modules: &mut [M]) -> Step {
-        let payload: Option<(usize, &[u8])> = match &ctx.req.kind {
-            TransactionKind::Write { offset, bytes } => Some((*offset, bytes.as_slice())),
+        let payload = match ctx.req.kind {
+            TransactionKind::Write { offset, bytes } => Some((offset, bytes)),
             _ => None,
         };
         let broadcast = ctx.req.signals.bc;

@@ -7,9 +7,10 @@ use std::fmt;
 /// A line-aligned byte address on the shared bus.
 pub type LineAddr = u64;
 
-/// What a transaction does in its data phase.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TransactionKind {
+/// What a transaction does in its data phase. A write borrows its payload
+/// from whoever issues it, so building a transaction allocates nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TransactionKind<'a> {
     /// Read a full line (the `R` action of the tables). The master receives
     /// the line from memory or from an intervening owner.
     Read,
@@ -20,13 +21,13 @@ pub enum TransactionKind {
         /// Byte offset of the payload within the line.
         offset: usize,
         /// The bytes written.
-        bytes: Vec<u8>,
+        bytes: &'a [u8],
     },
     /// No data phase: the "address only invalidate signal" of table note 6.
     AddressOnly,
 }
 
-impl TransactionKind {
+impl TransactionKind<'_> {
     /// Payload size in bytes (zero for reads and address-only transactions —
     /// for reads the *response* carries the line, accounted separately).
     #[must_use]
@@ -38,7 +39,7 @@ impl TransactionKind {
     }
 }
 
-impl fmt::Display for TransactionKind {
+impl fmt::Display for TransactionKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TransactionKind::Read => f.write_str("read"),
@@ -51,8 +52,8 @@ impl fmt::Display for TransactionKind {
 }
 
 /// A transaction as presented on the bus during the broadcast address cycle.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TransactionRequest {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TransactionRequest<'a> {
     /// Index of the issuing module in the module slice passed to
     /// [`Futurebus::execute`](crate::Futurebus::execute). The master does not
     /// snoop its own transaction.
@@ -60,12 +61,12 @@ pub struct TransactionRequest {
     /// The line-aligned address.
     pub addr: LineAddr,
     /// The data-phase operation.
-    pub kind: TransactionKind,
+    pub kind: TransactionKind<'a>,
     /// The consistency signals the master drives (CA, IM, BC).
     pub signals: MasterSignals,
 }
 
-impl TransactionRequest {
+impl<'a> TransactionRequest<'a> {
     /// A read transaction.
     #[must_use]
     pub fn read(master: usize, addr: LineAddr, signals: MasterSignals) -> Self {
@@ -84,7 +85,7 @@ impl TransactionRequest {
         addr: LineAddr,
         signals: MasterSignals,
         offset: usize,
-        bytes: Vec<u8>,
+        bytes: &'a [u8],
     ) -> Self {
         TransactionRequest {
             master,
@@ -106,7 +107,7 @@ impl TransactionRequest {
     }
 }
 
-impl fmt::Display for TransactionRequest {
+impl fmt::Display for TransactionRequest<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -128,10 +129,11 @@ pub enum DataSource {
 }
 
 /// What the master observes when its transaction completes.
-#[derive(Clone, Debug)]
-pub struct TransactionOutcome {
-    /// The line contents, for reads.
-    pub data: Option<Box<[u8]>>,
+#[derive(Clone, Copy, Debug)]
+pub struct TransactionOutcome<'a> {
+    /// The line contents, for reads: borrowed from the bus's line buffer,
+    /// which the next transaction reuses.
+    pub data: Option<&'a [u8]>,
     /// Wired-OR of every snooper's response lines on the final (non-aborted)
     /// pass.
     pub responses: ResponseSignals,
@@ -236,7 +238,7 @@ mod tests {
         assert_eq!(r.kind, TransactionKind::Read);
         assert_eq!(r.kind.payload_len(), 0);
 
-        let w = TransactionRequest::write(0, 0x40, MasterSignals::IM, 4, vec![1, 2, 3, 4]);
+        let w = TransactionRequest::write(0, 0x40, MasterSignals::IM, 4, &[1, 2, 3, 4]);
         assert_eq!(w.kind.payload_len(), 4);
 
         let a = TransactionRequest::address_only(1, 0, MasterSignals::CA_IM);
@@ -246,7 +248,7 @@ mod tests {
 
     #[test]
     fn display_is_descriptive() {
-        let w = TransactionRequest::write(3, 0x100, MasterSignals::CA_IM_BC, 8, vec![0; 4]);
+        let w = TransactionRequest::write(3, 0x100, MasterSignals::CA_IM_BC, 8, &[0; 4]);
         let s = w.to_string();
         assert!(s.contains("module 3"));
         assert!(s.contains("write 4B@+8"));

@@ -39,13 +39,13 @@ impl BusModule for Scripted {
         self.cursor += 1;
         r
     }
-    fn supply_line(&mut self, _addr: u64) -> Option<Box<[u8]>> {
-        Some(self.line.clone().into_boxed_slice())
+    fn supply_line(&mut self, _addr: u64) -> Option<&[u8]> {
+        Some(&self.line)
     }
-    fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite> {
+    fn prepare_push(&mut self, _addr: u64) -> Option<PushWrite<'_>> {
         self.pushes += 1;
         Some(PushWrite {
-            data: self.line.clone().into_boxed_slice(),
+            data: &self.line,
             signals: MasterSignals::CA,
         })
     }
@@ -126,16 +126,16 @@ fn memory_update_rules_hold_for_any_sequence() {
                     let out = bus
                         .execute(&TransactionRequest::read(1, addr, signals), &mut mods)
                         .expect("read");
-                    // Reads never modify memory.
-                    assert_eq!(bus.memory().peek(addr), &shadow[..], "case {case} txn {i}");
                     // Data came from the DI snooper or from memory.
                     let data = out.data.expect("reads return data");
                     if response.di {
-                        assert_eq!(&data[..], &[0xAB; LINE][..]);
+                        assert_eq!(data, &[0xAB; LINE][..]);
                     } else {
-                        assert_eq!(&data[..], &shadow[..]);
+                        assert_eq!(data, &shadow[..]);
                     }
                     assert_eq!(out.ch_seen, response.ch);
+                    // Reads never modify memory.
+                    assert_eq!(bus.memory().peek(addr), &shadow[..], "case {case} txn {i}");
                 }
                 Txn::Write {
                     offset,
@@ -146,7 +146,7 @@ fn memory_update_rules_hold_for_any_sequence() {
                     let bytes = vec![i as u8; len];
                     let signals = MasterSignals::new(ca, true, bc);
                     bus.execute(
-                        &TransactionRequest::write(1, addr, signals, offset, bytes.clone()),
+                        &TransactionRequest::write(1, addr, signals, offset, &bytes),
                         &mut mods,
                     )
                     .expect("write");
@@ -184,6 +184,7 @@ fn stats_add_up_for_any_sequence() {
         let mut rng = SmallRng::seed_from_u64(case.wrapping_add(1000));
         let mut bus = Futurebus::new(LINE, TimingConfig::default());
         let (mut reads, mut writes, mut invals) = (0u64, 0u64, 0u64);
+        let zeros = [0; LINE];
         for _ in 0..rng.gen_range(1usize..40) {
             let req = match random_txn(&mut rng) {
                 Txn::Read { ca, im } => {
@@ -198,7 +199,7 @@ fn stats_add_up_for_any_sequence() {
                 } => {
                     writes += 1;
                     let signals = MasterSignals::new(ca, true, bc);
-                    TransactionRequest::write(0, 0, signals, offset, vec![0; len])
+                    TransactionRequest::write(0, 0, signals, offset, &zeros[..len])
                 }
                 Txn::Invalidate => {
                     invals += 1;
@@ -246,7 +247,7 @@ fn bs_push_rounds_always_converge_or_error() {
             assert_eq!(snooper.pushes, pre_aborts);
             if pre_aborts > 0 {
                 // The push left the snooper's line in memory.
-                assert_eq!(&out.data.expect("read data")[..], &[0xAB; LINE][..]);
+                assert_eq!(out.data.expect("read data"), &[0xAB; LINE][..]);
             }
         } else {
             assert!(result.is_err(), "must hit the retry limit");

@@ -478,8 +478,8 @@ mod tests {
     fn detects_multiple_owners() {
         let mut a = ctrl(0);
         let mut b = ctrl(1);
-        a.fill(0x100, LineState::Modified, vec![0; 16].into());
-        b.fill(0x100, LineState::Owned, vec![0; 16].into());
+        a.fill(0x100, LineState::Modified, &[0; 16], &mut Vec::new());
+        b.fill(0x100, LineState::Owned, &[0; 16], &mut Vec::new());
         let ck = Checker::new(16);
         let mem = SparseMemory::new(16);
         let err = ck.verify(&[a, b], &mem).unwrap_err();
@@ -492,8 +492,8 @@ mod tests {
         let mut b = ctrl(1);
         // Give the E holder golden (zero) data so the stale-copy check
         // doesn't fire first.
-        a.fill(0x100, LineState::Exclusive, vec![0; 16].into());
-        b.fill(0x100, LineState::Shareable, vec![0; 16].into());
+        a.fill(0x100, LineState::Exclusive, &[0; 16], &mut Vec::new());
+        b.fill(0x100, LineState::Shareable, &[0; 16], &mut Vec::new());
         let ck = Checker::new(16);
         let mem = SparseMemory::new(16);
         let err = ck.verify(&[a, b], &mem).unwrap_err();
@@ -503,7 +503,7 @@ mod tests {
     #[test]
     fn detects_stale_copy_and_stale_memory() {
         let mut a = ctrl(0);
-        a.fill(0x100, LineState::Shareable, vec![0; 16].into());
+        a.fill(0x100, LineState::Shareable, &[0; 16], &mut Vec::new());
         let mut ck = Checker::new(16);
         ck.record_write(0x100, &[1]);
         let mem = SparseMemory::new(16);
@@ -523,7 +523,7 @@ mod tests {
         ck.record_write(0x100, &[7]);
         let mut line = vec![0u8; 16];
         line[0] = 7;
-        a.fill(0x100, LineState::Exclusive, line.into());
+        a.fill(0x100, LineState::Exclusive, &line, &mut Vec::new());
         let mem = SparseMemory::new(16); // memory still zero: E must match it
         let err = ck.verify(std::slice::from_ref(&a), &mem).unwrap_err();
         assert!(matches!(err, Violation::ExclusiveUnmodifiedDiffers { .. }));
@@ -539,13 +539,13 @@ mod tests {
         let mut line = vec![0u8; 16];
         line[0] = 3;
         // One owner with golden data, one sharer, memory stale — legal.
-        a.fill(0x100, LineState::Owned, line.clone().into());
-        b.fill(0x100, LineState::Shareable, line.clone().into());
+        a.fill(0x100, LineState::Owned, &line, &mut Vec::new());
+        b.fill(0x100, LineState::Shareable, &line, &mut Vec::new());
         assert_eq!(ck.verify(&[a, b], &mem), Ok(()));
 
         // An M holder alone is also legal with stale memory.
         let mut c = ctrl(2);
-        c.fill(0x100, LineState::Modified, line.clone().into());
+        c.fill(0x100, LineState::Modified, &line, &mut Vec::new());
         assert_eq!(ck.verify(std::slice::from_ref(&c), &mem), Ok(()));
 
         // With memory updated and the line unowned everywhere: also legal.

@@ -226,7 +226,8 @@ impl CacheController {
         written
     }
 
-    /// Installs a line, returning the evicted victim if any.
+    /// Installs a copy of `data` as the line at `addr`, returning the evicted
+    /// victim if any; the victim's bytes replace `victim_data`'s contents.
     ///
     /// # Panics
     ///
@@ -235,13 +236,15 @@ impl CacheController {
         &mut self,
         addr: u64,
         state: LineState,
-        data: Box<[u8]>,
+        data: &[u8],
+        victim_data: &mut Vec<u8>,
     ) -> Option<Victim<LineState>> {
-        let victim = self
-            .cache
-            .as_mut()
-            .expect("fill on a cacheless node")
-            .fill(addr, state, data);
+        let victim = self.cache.as_mut().expect("fill on a cacheless node").fill(
+            addr,
+            state,
+            data,
+            victim_data,
+        );
         self.log_change(addr);
         if let (Some(log), Some(v)) = (&mut self.changes, &victim) {
             log.line(v.addr);
@@ -339,17 +342,17 @@ impl BusModule for CacheController {
         }
     }
 
-    fn supply_line(&mut self, addr: LineAddr) -> Option<Box<[u8]>> {
+    fn supply_line(&mut self, addr: LineAddr) -> Option<&[u8]> {
         // A cacheless node, or a non-resident line, means this controller
         // asserted DI it cannot honour (or a fault ate the line since the
         // snoop); declining lets the bus report a ProtocolError the fault
         // campaign records as *detected*, instead of killing the process.
         let entry = self.cache.as_ref()?.lookup(addr)?;
         self.stats.interventions_supplied += 1;
-        Some(entry.data.clone())
+        Some(entry.data)
     }
 
-    fn prepare_push(&mut self, addr: LineAddr) -> Option<PushWrite> {
+    fn prepare_push(&mut self, addr: LineAddr) -> Option<PushWrite<'_>> {
         // Any of these being absent means this controller asserted BS it
         // cannot honour; declining lets the bus report a ProtocolError
         // instead of crashing the whole machine.
@@ -358,14 +361,13 @@ impl BusModule for CacheController {
             return None;
         }
         let push = pending.reaction.busy?;
-        let cache = self.cache.as_mut()?;
-        let data = cache.lookup(addr)?.data.clone();
-        if push.result == LineState::Invalid {
-            cache.invalidate(addr);
-        } else {
-            cache.set_state(addr, push.result);
+        // The line leaves (or demotes) with its bytes still in the array,
+        // lent to the bus for the push. `addr` is a bus address, so aligned.
+        let kept = (push.result != LineState::Invalid).then_some(push.result);
+        let data = self.cache.as_mut()?.update(addr, kept)?;
+        if let Some(log) = &mut self.changes {
+            log.line(addr);
         }
-        self.log_change(addr);
         self.stats.pushes += 1;
         self.stats.write_backs += 1;
         Some(PushWrite {
@@ -386,7 +388,7 @@ impl BusModule for CacheController {
             for (addr, entry) in cache.iter() {
                 if entry.state.is_owned() {
                     if salvage {
-                        report.salvaged.push((addr, entry.data.clone()));
+                        report.salvaged.push((addr, entry.data.into()));
                     } else {
                         report.lost.push(addr);
                     }
@@ -451,7 +453,7 @@ mod tests {
         CacheController::new(id, Box::new(MoesiPreferred::new()), Some(cfg()), 1)
     }
 
-    fn read_req(addr: u64) -> TransactionRequest {
+    fn read_req(addr: u64) -> TransactionRequest<'static> {
         TransactionRequest::read(9, addr, MasterSignals::CA)
     }
 
@@ -464,10 +466,10 @@ mod tests {
     #[test]
     fn snoop_hit_in_modified_asserts_ch_and_di_then_downgrades() {
         let mut c = moesi_ctrl(0);
-        c.fill(0x100, LineState::Modified, vec![5; 16].into());
+        c.fill(0x100, LineState::Modified, &[5; 16], &mut Vec::new());
         let r = c.snoop(&read_req(0x100));
         assert!(r.ch && r.di && !r.bs);
-        assert_eq!(&c.supply_line(0x100).unwrap()[..], &[5; 16]);
+        assert_eq!(c.supply_line(0x100).unwrap(), &[5; 16]);
         c.complete(
             &read_req(0x100),
             &BusObservation {
@@ -482,7 +484,7 @@ mod tests {
     #[test]
     fn snooped_invalidate_counts_and_removes() {
         let mut c = moesi_ctrl(0);
-        c.fill(0x100, LineState::Shareable, vec![0; 16].into());
+        c.fill(0x100, LineState::Shareable, &[0; 16], &mut Vec::new());
         let req = TransactionRequest::read(9, 0x100, MasterSignals::CA_IM);
         let r = c.snoop(&req);
         assert!(!r.ch && !r.di);
@@ -500,8 +502,8 @@ mod tests {
     #[test]
     fn snooped_broadcast_write_updates_the_copy() {
         let mut c = moesi_ctrl(0);
-        c.fill(0x100, LineState::Shareable, vec![0; 16].into());
-        let req = TransactionRequest::write(9, 0x100, MasterSignals::CA_IM_BC, 4, vec![7, 7]);
+        c.fill(0x100, LineState::Shareable, &[0; 16], &mut Vec::new());
+        let req = TransactionRequest::write(9, 0x100, MasterSignals::CA_IM_BC, 4, &[7, 7]);
         let r = c.snoop(&req);
         assert!(r.sl && r.ch);
         c.complete(
@@ -521,7 +523,7 @@ mod tests {
         // An O-state holder snooping an uncached read regains M only when no
         // other cache claims a copy.
         let mut c = moesi_ctrl(0);
-        c.fill(0x100, LineState::Owned, vec![1; 16].into());
+        c.fill(0x100, LineState::Owned, &[1; 16], &mut Vec::new());
         let req = TransactionRequest::read(9, 0x100, MasterSignals::NONE);
         let _ = c.snoop(&req);
         c.complete(
@@ -547,12 +549,12 @@ mod tests {
     #[test]
     fn write_once_dirty_snoop_asserts_bs_then_pushes() {
         let mut c = CacheController::new(0, Box::new(WriteOnce::new()), Some(cfg()), 1);
-        c.fill(0x100, LineState::Modified, vec![9; 16].into());
+        c.fill(0x100, LineState::Modified, &[9; 16], &mut Vec::new());
         let r = c.snoop(&read_req(0x100));
         assert!(r.bs);
         assert!(!r.di && !r.ch, "BS suppresses the other lines this pass");
         let push = c.prepare_push(0x100).expect("BS snoop must yield a push");
-        assert_eq!(&push.data[..], &[9; 16]);
+        assert_eq!(push.data, &[9; 16]);
         assert!(push.signals.ca);
         assert_eq!(c.state_of(0x100), LineState::Shareable);
         assert_eq!(c.stats().pushes, 1);
@@ -579,7 +581,7 @@ mod tests {
         use futurebus::{BusError, Futurebus, TimingConfig};
         let mut bus = Futurebus::new(16, TimingConfig::default());
         let mut c = moesi_ctrl(0);
-        c.fill(0x100, LineState::Modified, vec![5; 16].into());
+        c.fill(0x100, LineState::Modified, &[5; 16], &mut Vec::new());
         struct Saboteur<'a>(&'a mut CacheController);
         impl BusModule for Saboteur<'_> {
             fn snoop(&mut self, req: &TransactionRequest) -> ResponseSignals {
@@ -587,7 +589,7 @@ mod tests {
                 self.0.apply_state(req.addr, LineState::Invalid);
                 r
             }
-            fn supply_line(&mut self, addr: LineAddr) -> Option<Box<[u8]>> {
+            fn supply_line(&mut self, addr: LineAddr) -> Option<&[u8]> {
                 self.0.supply_line(addr)
             }
             fn complete(&mut self, req: &TransactionRequest, obs: &BusObservation<'_>) {
@@ -615,7 +617,7 @@ mod tests {
         use moesi::protocols::Synapse;
         let mut bus = Futurebus::new(16, TimingConfig::default());
         let mut c = CacheController::new(0, Box::new(Synapse::new()), Some(cfg()), 1);
-        c.fill(0x100, LineState::Exclusive, vec![5; 16].into());
+        c.fill(0x100, LineState::Exclusive, &[5; 16], &mut Vec::new());
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut c];
         let req = TransactionRequest::read(1, 0x100, MasterSignals::CA);
         let err = bus.execute(&req, &mut mods).unwrap_err();
@@ -655,8 +657,8 @@ mod tests {
     #[test]
     fn retire_salvages_owned_lines_and_degrades_to_non_caching() {
         let mut c = moesi_ctrl(0);
-        c.fill(0x100, LineState::Modified, vec![3; 16].into());
-        c.fill(0x200, LineState::Shareable, vec![4; 16].into());
+        c.fill(0x100, LineState::Modified, &[3; 16], &mut Vec::new());
+        c.fill(0x200, LineState::Shareable, &[4; 16], &mut Vec::new());
         let report = c.retire(true);
         // Only the owned line is salvaged; the S copy is already in memory.
         assert_eq!(report.salvaged.len(), 1);
@@ -674,8 +676,8 @@ mod tests {
     #[test]
     fn retire_without_salvage_reports_owned_lines_lost() {
         let mut c = moesi_ctrl(0);
-        c.fill(0x100, LineState::Owned, vec![1; 16].into());
-        c.fill(0x300, LineState::Modified, vec![2; 16].into());
+        c.fill(0x100, LineState::Owned, &[1; 16], &mut Vec::new());
+        c.fill(0x300, LineState::Modified, &[2; 16], &mut Vec::new());
         let report = c.retire(false);
         assert!(report.salvaged.is_empty());
         assert_eq!(report.lost, vec![0x100, 0x300]);
@@ -685,9 +687,9 @@ mod tests {
     #[test]
     fn decide_local_passes_recency_context() {
         let mut c = moesi_ctrl(0);
-        c.fill(0x000, LineState::Shareable, vec![0; 16].into());
-        c.fill(0x200, LineState::Shareable, vec![0; 16].into()); // same set
-                                                                 // 0x000 is now LRU of a 2-way set.
+        c.fill(0x000, LineState::Shareable, &[0; 16], &mut Vec::new());
+        c.fill(0x200, LineState::Shareable, &[0; 16], &mut Vec::new()); // same set
+                                                                        // 0x000 is now LRU of a 2-way set.
         let a = c.decide_local(0x000, LocalEvent::Read);
         assert_eq!(a.to_string(), "S");
         assert_eq!(c.cache().unwrap().recency_rank(0x000), Some(1));

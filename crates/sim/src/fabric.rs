@@ -10,7 +10,7 @@
 
 use cache_array::{split_line_crossers, Victim};
 use futurebus::{Futurebus, TimingConfig, TransactionOutcome, TransactionRequest};
-use moesi::{BusOp, LineState, LocalAction, LocalEvent, MasterSignals};
+use moesi::{BusOp, LineState, LocalAction, LocalEvent};
 use std::ops::Range;
 
 use crate::controller::CacheController;
@@ -23,6 +23,41 @@ pub struct Fabric {
     line_size: usize,
     tolerate: bool,
     errors: Vec<String>,
+    /// The bytes of a line leaving a cache — a victim, or the copy a pass or
+    /// flush pushes — lent to its write-back; kept for its capacity, so a
+    /// write-back allocates nothing.
+    outgoing: Vec<u8>,
+}
+
+/// Runs `req` on `bus` with `controllers` snooping and charges the master's
+/// stats ([`Fabric::run_txn`]'s body). It borrows only what it uses, so the
+/// bus can lend a read's line into a controller's fill, and a write-back's
+/// payload can sit in [`Fabric`]'s own buffer. `log` is the error log in
+/// tolerant mode and `None` in strict mode.
+fn transact<'b>(
+    bus: &'b mut Futurebus,
+    controllers: &mut [CacheController],
+    log: Option<&mut Vec<String>>,
+    req: &TransactionRequest<'_>,
+) -> TransactionOutcome<'b> {
+    // The controllers are passed as a flat component array: the bus
+    // pipeline monomorphises over `CacheController`, so there is no
+    // per-transaction `Vec<&mut dyn BusModule>` and no virtual dispatch in
+    // the snoop fan-out.
+    let (out, error) = bus.execute_or_degrade(req, controllers);
+    if let Some(e) = error {
+        match log {
+            Some(log) => log.push(format!("{req}: {e}")),
+            None => panic!("bus error on {req}: {e}"),
+        }
+    }
+    if let Some(ctrl) = controllers.get_mut(req.master) {
+        let st = ctrl.stats_mut();
+        st.bus_transactions += 1;
+        st.bus_ns += out.duration;
+        st.aborts_suffered += u64::from(out.aborts);
+    }
+    out
 }
 
 impl Fabric {
@@ -35,6 +70,7 @@ impl Fabric {
             line_size,
             tolerate: false,
             errors: Vec::new(),
+            outgoing: Vec::new(),
         }
     }
 
@@ -132,28 +168,11 @@ impl Fabric {
     ///
     /// Panics on bus errors — they indicate protocol bugs, not user error —
     /// unless [`tolerate_bus_errors`](Fabric::tolerate_bus_errors) is on, in
-    /// which case the error is logged and the access degrades to a
-    /// memory-direct fallback.
-    pub fn run_txn(&mut self, req: &TransactionRequest) -> TransactionOutcome {
-        // The controllers are passed as a flat component array: the bus
-        // pipeline monomorphises over `CacheController`, so there is no
-        // per-transaction `Vec<&mut dyn BusModule>` and no virtual dispatch
-        // in the snoop fan-out.
-        let out = match self.bus.execute_components(req, &mut self.controllers) {
-            Ok(out) => out,
-            Err(e) if self.tolerate => {
-                self.errors.push(format!("{req}: {e}"));
-                self.degraded_outcome(req)
-            }
-            Err(e) => panic!("bus error on {req}: {e}"),
-        };
-        if let Some(ctrl) = self.controllers.get_mut(req.master) {
-            let st = ctrl.stats_mut();
-            st.bus_transactions += 1;
-            st.bus_ns += out.duration;
-            st.aborts_suffered += u64::from(out.aborts);
-        }
-        out
+    /// which case the error is logged and the transaction completes
+    /// memory-direct ([`Futurebus::execute_or_degrade`]).
+    pub fn run_txn(&mut self, req: &TransactionRequest<'_>) -> TransactionOutcome<'_> {
+        let log = self.tolerate.then_some(&mut self.errors);
+        transact(&mut self.bus, &mut self.controllers, log, req)
     }
 
     /// Consults `cpu`'s protocol for `event` on `line`, treating a `—` cell
@@ -168,35 +187,6 @@ impl Fabric {
                 None
             }
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Completes a failed transaction memory-direct: reads are served from
-    /// main memory, writes are absorbed by it, and no snooper is involved
-    /// (they already saw the failing passes). Whatever staleness the skipped
-    /// snoops cause is the campaign checker's to detect and report.
-    fn degraded_outcome(&mut self, req: &TransactionRequest) -> TransactionOutcome {
-        use futurebus::{DataSource, TransactionKind};
-        let line = self.line_addr(req.addr);
-        let data = match &req.kind {
-            TransactionKind::Read => Some(self.bus.memory().peek(line).into()),
-            TransactionKind::Write { offset, bytes } => {
-                let bytes = bytes.clone();
-                self.bus.memory_mut().write_bytes(line, *offset, &bytes);
-                None
-            }
-            TransactionKind::AddressOnly => None,
-        };
-        TransactionOutcome {
-            data,
-            responses: moesi::ResponseSignals::NONE,
-            // Conservative: the wired-OR never resolved, and claiming
-            // exclusivity after a failed snoop round would be worse than
-            // assuming sharers exist.
-            ch_seen: true,
-            source: DataSource::Memory,
-            duration: 0,
-            aborts: 0,
         }
     }
 
@@ -249,12 +239,10 @@ impl Fabric {
             return false;
         };
         debug_assert_eq!(action.bus_op, BusOp::Write);
-        let data = self.controllers[cpu]
-            .read_cached(line, self.line_size)
-            .expect("owned line is resident")
-            .to_vec();
-        let req = TransactionRequest::write(cpu, line, action.signals, 0, data);
-        let out = self.run_txn(&req);
+        self.copy_outgoing(cpu, line);
+        let req = TransactionRequest::write(cpu, line, action.signals, 0, &self.outgoing);
+        let log = self.tolerate.then_some(&mut self.errors);
+        let out = transact(&mut self.bus, &mut self.controllers, log, &req);
         let result = action.result.resolve(out.ch_seen);
         self.controllers[cpu].apply_state(line, result);
         self.controllers[cpu].stats_mut().write_backs += 1;
@@ -273,49 +261,24 @@ impl Fabric {
             return false;
         };
         if action.bus_op == BusOp::Write {
-            let data = self.controllers[cpu]
-                .read_cached(line, self.line_size)
-                .expect("resident")
-                .to_vec();
-            let req = TransactionRequest::write(cpu, line, action.signals, 0, data);
-            self.run_txn(&req);
+            self.copy_outgoing(cpu, line);
+            let req = TransactionRequest::write(cpu, line, action.signals, 0, &self.outgoing);
+            let log = self.tolerate.then_some(&mut self.errors);
+            transact(&mut self.bus, &mut self.controllers, log, &req);
             self.controllers[cpu].stats_mut().write_backs += 1;
         }
         self.controllers[cpu].apply_state(line, LineState::Invalid);
         true
     }
 
-    /// Issues a bus read mastered by the fabric owner (bridge), letting every
-    /// controller snoop — used to extract the current line from an internal
-    /// owner on behalf of an external requester.
-    pub fn external_read(&mut self, line: u64, signals: MasterSignals) -> TransactionOutcome {
-        let req = TransactionRequest::read(self.external_master(), line, signals);
-        self.run_txn(&req)
-    }
-
-    /// Issues an address-only invalidate mastered by the fabric owner.
-    pub fn external_invalidate(&mut self, line: u64) -> TransactionOutcome {
-        let req =
-            TransactionRequest::address_only(self.external_master(), line, MasterSignals::CA_IM);
-        self.run_txn(&req)
-    }
-
-    /// Issues a broadcast write mastered by the fabric owner — propagating an
-    /// external update into this fabric (memory and SL-connected caches).
-    pub fn external_broadcast_write(
-        &mut self,
-        line: u64,
-        offset: usize,
-        bytes: Vec<u8>,
-    ) -> TransactionOutcome {
-        let req = TransactionRequest::write(
-            self.external_master(),
-            line,
-            MasterSignals::IM_BC,
-            offset,
-            bytes,
-        );
-        self.run_txn(&req)
+    /// Copies node `cpu`'s resident `line` into the outgoing buffer, as a pass
+    /// or flush reads it (marking it most-recently-used).
+    fn copy_outgoing(&mut self, cpu: usize, line: u64) {
+        let bytes = self.controllers[cpu]
+            .read_cached(line, self.line_size)
+            .expect("a pushed line is resident");
+        self.outgoing.clear();
+        self.outgoing.extend_from_slice(bytes);
     }
 
     /// [`Fabric::read`] without materialising the bytes: the event engine's
@@ -388,11 +351,12 @@ impl Fabric {
     }
 
     /// Runs a read-typed local action (a miss): the bus read, the fill, and
-    /// any victim write-back. The fill takes the bus's line by move; when
+    /// any victim write-back. The fill copies the line the bus lends; when
     /// `copy` names a buffer, the bytes at its range within the line are
-    /// appended to it first. (Copying out of the cache afterwards would be
-    /// wrong: under faults, the victim write-back can invalidate the filled
-    /// line, e.g. when a snooper killed mid-transaction loses it.)
+    /// appended to it first, straight from the bus line buffer. (Copying out
+    /// of the cache afterwards would be wrong: under faults, the victim
+    /// write-back can invalidate the filled line, e.g. when a snooper killed
+    /// mid-transaction loses it.)
     fn execute_read_action(
         &mut self,
         cpu: usize,
@@ -402,19 +366,21 @@ impl Fabric {
     ) {
         debug_assert_eq!(action.bus_op, BusOp::Read, "read path expects an R action");
         let req = TransactionRequest::read(cpu, line, action.signals);
-        let out = self.run_txn(&req);
+        let log = self.tolerate.then_some(&mut self.errors);
+        let out = transact(&mut self.bus, &mut self.controllers, log, &req);
         let data = out.data.expect("reads return data");
         if let Some((buf, range)) = copy {
             buf.extend_from_slice(&data[range]);
         }
         let result = action.result.resolve(out.ch_seen);
         if result.is_valid() {
-            if let Some(v) = self.controllers[cpu].fill(line, result, data) {
+            if let Some(v) = self.controllers[cpu].fill(line, result, data, &mut self.outgoing) {
                 self.write_back_victim(cpu, v);
             }
         }
     }
 
+    /// Writes back a victim whose bytes are in the outgoing buffer.
     fn write_back_victim(&mut self, cpu: usize, victim: Victim<LineState>) {
         if !victim.state.is_owned() {
             return; // clean victims are dropped silently
@@ -426,15 +392,15 @@ impl Fabric {
                 self.errors.push(format!("cpu {cpu}: {e}"));
                 self.bus
                     .memory_mut()
-                    .write_bytes(victim.addr, 0, &victim.data);
+                    .write_bytes(victim.addr, 0, &self.outgoing);
                 return;
             }
             Err(e) => panic!("{e}"),
         };
         debug_assert_eq!(action.bus_op, BusOp::Write, "dirty victims must write back");
-        let req =
-            TransactionRequest::write(cpu, victim.addr, action.signals, 0, victim.data.into_vec());
-        self.run_txn(&req);
+        let req = TransactionRequest::write(cpu, victim.addr, action.signals, 0, &self.outgoing);
+        let log = self.tolerate.then_some(&mut self.errors);
+        transact(&mut self.bus, &mut self.controllers, log, &req);
         self.controllers[cpu].stats_mut().write_backs += 1;
     }
 
@@ -464,8 +430,7 @@ impl Fabric {
             }
             // Write-through, broadcast update, or write-past.
             BusOp::Write => {
-                let req =
-                    TransactionRequest::write(cpu, line, action.signals, offset, bytes.to_vec());
+                let req = TransactionRequest::write(cpu, line, action.signals, offset, bytes);
                 let out = self.run_txn(&req);
                 let result = action.result.resolve(out.ch_seen);
                 if self.controllers[cpu].write_cached(addr, bytes) {
@@ -507,6 +472,7 @@ mod tests {
     use super::*;
     use cache_array::{CacheConfig, ReplacementKind};
     use moesi::protocols::MoesiPreferred;
+    use moesi::MasterSignals;
 
     fn fabric(n: usize) -> Fabric {
         let cfg = CacheConfig::new(1024, 32, 2, ReplacementKind::Lru);
@@ -522,10 +488,11 @@ mod tests {
         f.write_with(0, 0x100, &[7; 4], |_, _| {});
         assert_eq!(f.controller(0).state_of(0x100), LineState::Modified);
         // An external (bridge) read demotes the owner and extracts the line.
-        let out = f.external_read(0x100, MasterSignals::CA);
+        let req = TransactionRequest::read(f.external_master(), 0x100, MasterSignals::CA);
+        let out = f.run_txn(&req);
         assert_eq!(&out.data.unwrap()[..4], &[7; 4]);
-        assert_eq!(f.controller(0).state_of(0x100), LineState::Owned);
         assert!(out.ch_seen);
+        assert_eq!(f.controller(0).state_of(0x100), LineState::Owned);
     }
 
     #[test]
@@ -533,8 +500,9 @@ mod tests {
         let mut f = fabric(3);
         let _ = f.read(0, 0x100, 4);
         let _ = f.read(1, 0x100, 4);
-        let out = f.external_invalidate(0x100);
-        assert_eq!(out.aborts, 0);
+        let master = f.external_master();
+        let req = TransactionRequest::address_only(master, 0x100, MasterSignals::CA_IM);
+        assert_eq!(f.run_txn(&req).aborts, 0);
         for cpu in 0..3 {
             assert_eq!(f.controller(cpu).state_of(0x100), LineState::Invalid);
         }
@@ -545,7 +513,14 @@ mod tests {
         let mut f = fabric(2);
         let _ = f.read(0, 0x100, 4);
         let _ = f.read(1, 0x100, 4);
-        f.external_broadcast_write(0x100, 0, vec![9; 4]);
+        let master = f.external_master();
+        f.run_txn(&TransactionRequest::write(
+            master,
+            0x100,
+            MasterSignals::IM_BC,
+            0,
+            &[9; 4],
+        ));
         assert_eq!(f.read(0, 0x100, 4), vec![9; 4]);
         assert_eq!(f.read(1, 0x100, 4), vec![9; 4]);
         assert_eq!(&f.bus().memory().peek(0x100)[..4], &[9; 4]);

@@ -2,8 +2,10 @@
 //! shapes it assembles.
 
 use cache_array::CacheConfig;
-use futurebus::{Discipline, Futurebus, TimingConfig};
+use futurebus::{Discipline, TimingConfig};
 use moesi::{CacheKind, Protocol};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 use super::node::{Bridge, FabricNode, Segment};
 use super::HierarchicalSystem;
@@ -290,6 +292,7 @@ impl TreeBuilder {
             cluster_timing: TimingConfig,
             seed: u64,
             filter: bool,
+            forward_logged: &Arc<AtomicBool>,
         ) -> Bridge {
             let node = match spec.kind {
                 TreeSpecKind::Leaf(nodes) => {
@@ -333,18 +336,20 @@ impl TreeBuilder {
                                 cluster_timing,
                                 seed,
                                 filter,
+                                forward_logged,
                             )
                         })
                         .collect();
                     FabricNode::Interior(Segment::new(line_size, parent_timing, children))
                 }
             };
-            let mut bridge = Bridge::new(id, level, node);
+            let mut bridge = Bridge::new(id, level, node, Arc::clone(forward_logged));
             bridge.filter = filter;
             bridge
         }
 
         let mut leaf = 0usize;
+        let forward_logged = Arc::new(AtomicBool::new(false));
         let children: Vec<Bridge> = children
             .into_iter()
             .enumerate()
@@ -359,20 +364,19 @@ impl TreeBuilder {
                     cluster_timing,
                     seed,
                     filter,
+                    &forward_logged,
                 )
             })
             .collect();
         let mut sys = HierarchicalSystem {
-            root: Segment {
-                bus: Futurebus::new(line_size, parent_timing),
-                children,
-            },
+            root: Segment::new(line_size, parent_timing, children),
             checker: checking.then(|| Checker::new(line_size)),
             line_size,
             parent_errors: Vec::new(),
             tolerant: false,
             write_seq: 0,
             read_buf: Vec::new(),
+            forward_logged,
         };
         if discipline != Discipline::Priority {
             sys.set_discipline(discipline);

@@ -38,6 +38,8 @@ use futurebus::fault::InjectedFault;
 use futurebus::{BusError, BusStats, Discipline, Futurebus, LineAddr, Phase, TransactionRequest};
 use moesi::{LineState, MasterSignals};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 mod builder;
 mod node;
@@ -108,6 +110,20 @@ pub struct ParentError {
     pub depth: usize,
 }
 
+impl ParentError {
+    /// The record of `error`, met by `cluster`'s `txn` on the bus at
+    /// `depth`; the phase is the error's own.
+    pub(super) fn new(cluster: usize, txn: ParentTxnKind, error: BusError, depth: usize) -> Self {
+        ParentError {
+            cluster,
+            txn,
+            phase: error.phase(),
+            error,
+            depth,
+        }
+    }
+}
+
 impl fmt::Display for ParentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -137,6 +153,11 @@ pub struct HierarchicalSystem {
     write_seq: u32,
     /// The buffer workload reads land in, kept for its capacity.
     read_buf: Vec<u8>,
+    /// Raised by any bridge that logs a forward error (every bridge holds a
+    /// clone), so the errors are collected only after an access logged one.
+    /// Relaxed ordering suffices: the flag is raised and lowered only under
+    /// `&mut` access to the tree, so one thread orders both.
+    forward_logged: Arc<AtomicBool>,
 }
 
 impl HierarchicalSystem {
@@ -152,7 +173,7 @@ impl HierarchicalSystem {
     /// [`clusters`]: HierarchicalSystem::clusters
     #[must_use]
     pub fn leaves(&self) -> usize {
-        self.leaf_paths().len()
+        self.root.children.iter().map(Bridge::leaves).sum()
     }
 
     /// The number of bus levels on the longest root-to-leaf path: 2 for the
@@ -198,8 +219,14 @@ impl HierarchicalSystem {
     ///
     /// Panics when `leaf` is out of range.
     #[must_use]
-    pub fn leaf_fabric(&self, leaf: usize) -> &Fabric {
-        self.bridge_at(&self.leaf_paths()[leaf]).fabric()
+    pub fn leaf_fabric(&self, mut leaf: usize) -> &Fabric {
+        let mut children = &self.root.children;
+        loop {
+            match &children[leaf_child(children, &mut leaf)].node {
+                FabricNode::Leaf(fabric) => return fabric,
+                FabricNode::Interior(seg) => children = &seg.children,
+            }
+        }
     }
 
     /// Mutable access to the `leaf`-th leaf cluster's fabric, for installing
@@ -208,9 +235,15 @@ impl HierarchicalSystem {
     /// # Panics
     ///
     /// Panics when `leaf` is out of range.
-    pub fn leaf_fabric_mut(&mut self, leaf: usize) -> &mut Fabric {
-        let path = &self.leaf_paths()[leaf];
-        self.bridge_at_mut(path).fabric_mut()
+    pub fn leaf_fabric_mut(&mut self, mut leaf: usize) -> &mut Fabric {
+        let mut children = &mut self.root.children;
+        loop {
+            let child = leaf_child(children, &mut leaf);
+            match &mut children[child].node {
+                FabricNode::Leaf(fabric) => return fabric,
+                FabricNode::Interior(seg) => children = &mut seg.children,
+            }
+        }
     }
 
     /// A root-level cluster's bridge (directory, stats, fabric or segment).
@@ -538,8 +571,11 @@ impl HierarchicalSystem {
 
     /// Collects forwarding errors captured inside bridges (interior-segment
     /// failures during snoop forwarding) into the system error log, in
-    /// pre-order.
+    /// pre-order — walking the tree only when some bridge logged one.
     fn hoist_forward_errors(&mut self) {
+        if !self.forward_logged.swap(false, Ordering::Relaxed) {
+            return;
+        }
         fn walk(children: &mut [Bridge], out: &mut Vec<ParentError>) {
             for b in children {
                 out.append(&mut b.forward_errors);
@@ -587,7 +623,8 @@ impl HierarchicalSystem {
         let mut lanes = Vec::new();
         for (leaf, cluster_streams) in streams.iter().enumerate() {
             let cpus = cluster_streams.len();
-            assert_eq!(cpus, self.leaf_fabric(leaf).nodes(), "one stream per node");
+            let nodes = self.bridge_at(&paths[leaf]).fabric().nodes();
+            assert_eq!(cpus, nodes, "one stream per node");
             lanes.extend((0..cpus).map(|cpu| (leaf, cpu)));
         }
         let next = engine::budget(lanes.len(), steps, |lane| {
@@ -681,14 +718,12 @@ impl HierarchicalSystem {
             !(self.line_size as u64 - 1),
             MasterSignals::NONE,
         );
-        if let Err(e) = self.root.execute_on_children(&trigger) {
-            self.parent_errors.push(ParentError {
-                cluster,
-                txn: ParentTxnKind::DegradedRead,
-                phase: e.phase(),
-                error: e,
-                depth: 0,
-            });
+        let root = &mut self.root;
+        let (_, error) = root.bus.execute_or_degrade(&trigger, &mut root.children);
+        if let Some(error) = error {
+            let txn = ParentTxnKind::DegradedRead;
+            self.parent_errors
+                .push(ParentError::new(cluster, txn, error, 0));
         }
         self.hoist_forward_errors();
     }
@@ -968,6 +1003,24 @@ fn subtree_invariants(
         }
     }
     Ok(())
+}
+
+/// The index of the child in `children` whose subtree holds leaf `leaf`
+/// (counting leaves in traversal order), leaving `leaf` relative to that
+/// child's subtree.
+///
+/// # Panics
+///
+/// Panics when `children` hold fewer leaves.
+fn leaf_child(children: &[Bridge], leaf: &mut usize) -> usize {
+    for (i, child) in children.iter().enumerate() {
+        let leaves = child.leaves();
+        if *leaf < leaves {
+            return i;
+        }
+        *leaf -= leaves;
+    }
+    panic!("leaf index out of range");
 }
 
 /// The bridge at pre-order flat index `target`, if in range.
@@ -1493,6 +1546,55 @@ mod tests {
         // sharing is the root's business, tracked by bridge [1]'s S tag.
         assert_eq!(sys.cluster_state_at(&[1, 0], 0x1000), LineState::Exclusive);
         sys.verify().expect("deep tree consistent");
+    }
+
+    #[test]
+    fn a_borrowed_broadcast_payload_reaches_every_mirror_and_copy() {
+        let mut sys = deep_two_two_two();
+        let paths = sys.leaf_paths();
+        let line = 0x3000;
+        // Every cache of every leaf shares the line.
+        for path in &paths {
+            for cpu in 0..2 {
+                sys.read_at(path, cpu, line, 4);
+            }
+        }
+        // One write from leaf [0, 0] broadcasts on its leaf bus, on its
+        // segment bus and on the root bus, and every bridge that snoops a
+        // broadcast forwards the payload down into its subtree.
+        let payload: Vec<u8> = (0..12).map(|i| 0xC0 + i).collect();
+        sys.write_at(&paths[0], 0, line + 8, &payload);
+        let golden = sys.checker().expect("oracle on").golden_bytes(line, 32);
+        assert_eq!(golden[8..20], payload[..]);
+        assert_eq!(
+            sys.parent_bus().memory().peek(line),
+            &golden[..],
+            "root memory"
+        );
+        for child in 0..2 {
+            let seg = sys.bridge(child).segment().expect("interior");
+            assert_eq!(
+                seg.bus().memory().peek(line),
+                &golden[..],
+                "mirror [{child}]"
+            );
+        }
+        for path in &paths {
+            let fabric = sys.bridge_at(path).fabric();
+            assert_eq!(
+                fabric.bus().memory().peek(line),
+                &golden[..],
+                "mirror {path:?}"
+            );
+            for ctrl in fabric.controllers() {
+                let entry = ctrl.cache().and_then(|c| c.lookup(line));
+                let entry = entry.unwrap_or_else(|| panic!("{path:?} {} lost it", ctrl.name()));
+                assert_eq!(entry.data, &golden[..], "{path:?} {}", ctrl.name());
+            }
+        }
+        let root = sys.parent_bus().stats();
+        assert!(root.broadcasts > 0 && root.sl_updates > 0, "{root:?}");
+        sys.verify().expect("consistent");
     }
 
     #[test]

@@ -9,10 +9,12 @@
 
 use futurebus::{
     BusError, BusModule, BusObservation, ChangeLog, Futurebus, LineAddr, LineMap, RetireReport,
-    SparseMemory, TimingConfig, TransactionOutcome, TransactionRequest,
+    SparseMemory, TimingConfig, TransactionKind, TransactionOutcome, TransactionRequest,
 };
 use moesi::{table, BusEvent, BusReaction, LineState, MasterSignals, ResponseSignals};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use super::{ParentError, ParentTxnKind};
 use crate::fabric::Fabric;
@@ -79,10 +81,18 @@ pub enum FabricNode {
 /// [`Bridge`]s. The root segment's memory is true main memory; an interior
 /// segment's memory plays the mirror (default-owner) role for its subtree,
 /// exactly as a leaf fabric's mirror does for its caches.
+///
+/// Every transaction on a segment bus goes through
+/// [`Futurebus::execute_or_degrade`] with the children as a flat component
+/// array: statically dispatched, with no per-transaction module list, and a
+/// failed transaction completes memory-direct while its error is logged.
 #[derive(Debug)]
 pub struct Segment {
     pub(super) bus: Futurebus,
     pub(super) children: Vec<Bridge>,
+    /// The line a child passes up this bus, copied from its authority; kept
+    /// for its capacity, so a push allocates nothing.
+    outgoing: Vec<u8>,
 }
 
 impl Segment {
@@ -90,6 +100,7 @@ impl Segment {
         Segment {
             bus: Futurebus::new(line_size, timing),
             children,
+            outgoing: Vec::new(),
         }
     }
 
@@ -135,16 +146,6 @@ impl Segment {
         wholesale
     }
 
-    /// Executes `req` on this segment's bus with every child snooping. The
-    /// bridges are passed as a flat component array, so the pipeline is
-    /// statically dispatched and builds no per-transaction module list.
-    pub(super) fn execute_on_children(
-        &mut self,
-        req: &TransactionRequest,
-    ) -> Result<TransactionOutcome, BusError> {
-        self.bus.execute_components(req, &mut self.children)
-    }
-
     /// Gates an access descending into `child` on the cluster-level
     /// protocol: runs whatever transaction the bridge's Table-1 consultation
     /// demands on this segment's bus. A bus error does not kill the
@@ -162,62 +163,23 @@ impl Segment {
         let Some(need) = self.children[child].prepare(line, write.is_some()) else {
             return;
         };
-        let req = match need {
-            ParentNeed::Fetch { signals, .. } => TransactionRequest::read(child, line, signals),
+        let (req, txn) = match need {
+            ParentNeed::Fetch { signals, .. } => (
+                TransactionRequest::read(child, line, signals),
+                ParentTxnKind::Fetch,
+            ),
             ParentNeed::Broadcast => {
                 let (offset, bytes) = write.expect("only a write broadcasts");
-                TransactionRequest::write(
-                    child,
-                    line,
-                    MasterSignals::CA_IM_BC,
-                    offset,
-                    bytes.to_vec(),
+                (
+                    TransactionRequest::write(child, line, MasterSignals::CA_IM_BC, offset, bytes),
+                    ParentTxnKind::Broadcast,
                 )
             }
         };
-        let out = match self.execute_on_children(&req) {
-            Ok(out) => out,
-            Err(e) => {
-                let txn = match need {
-                    ParentNeed::Fetch { .. } => ParentTxnKind::Fetch,
-                    ParentNeed::Broadcast => ParentTxnKind::Broadcast,
-                };
-                errors.push(ParentError {
-                    cluster: child,
-                    txn,
-                    phase: e.phase(),
-                    error: e,
-                    depth,
-                });
-                // Degraded fallback: serve from (or write through to) this
-                // segment's memory directly. `ch_seen` is reported true —
-                // the conservative answer, since the failed transaction
-                // never resolved the wired-OR, and claiming exclusivity on
-                // a bus that just faulted would be worse.
-                match need {
-                    ParentNeed::Fetch { .. } => TransactionOutcome {
-                        data: Some(self.bus.memory().peek(line).into()),
-                        responses: ResponseSignals::NONE,
-                        ch_seen: true,
-                        source: futurebus::DataSource::Memory,
-                        duration: 0,
-                        aborts: 0,
-                    },
-                    ParentNeed::Broadcast => {
-                        let (offset, bytes) = write.expect("only a write broadcasts");
-                        self.bus.memory_mut().write_bytes(line, offset, bytes);
-                        TransactionOutcome {
-                            data: None,
-                            responses: ResponseSignals::NONE,
-                            ch_seen: true,
-                            source: futurebus::DataSource::Memory,
-                            duration: 0,
-                            aborts: 0,
-                        }
-                    }
-                }
-            }
-        };
+        let (out, error) = self.bus.execute_or_degrade(&req, &mut self.children);
+        if let Some(error) = error {
+            errors.push(ParentError::new(child, txn, error, depth));
+        }
         self.children[child].commit(line, need, write, &out);
     }
 
@@ -237,21 +199,15 @@ impl Segment {
     ) {
         self.children[child].stats.degraded_accesses += 1;
         let req = TransactionRequest::read(child, line, MasterSignals::NONE);
-        match self.execute_on_children(&req) {
-            Ok(done) => {
-                let data = done.data.expect("uncached read returns a line");
-                out.extend_from_slice(&data[range]);
-            }
-            Err(e) => {
-                errors.push(ParentError {
-                    cluster: child,
-                    txn: ParentTxnKind::DegradedRead,
-                    phase: e.phase(),
-                    error: e,
-                    depth,
-                });
-                out.extend_from_slice(&self.bus.memory().peek(line)[range]);
-            }
+        let (done, error) = self.bus.execute_or_degrade(&req, &mut self.children);
+        out.extend_from_slice(&done.data.expect("reads return a line")[range]);
+        if let Some(error) = error {
+            errors.push(ParentError::new(
+                child,
+                ParentTxnKind::DegradedRead,
+                error,
+                depth,
+            ));
         }
     }
 
@@ -267,17 +223,15 @@ impl Segment {
         errors: &mut Vec<ParentError>,
     ) {
         self.children[child].stats.degraded_accesses += 1;
-        let req =
-            TransactionRequest::write(child, line, MasterSignals::IM_BC, offset, bytes.to_vec());
-        if let Err(e) = self.execute_on_children(&req) {
-            errors.push(ParentError {
-                cluster: child,
-                txn: ParentTxnKind::DegradedWrite,
-                phase: e.phase(),
-                error: e,
+        let req = TransactionRequest::write(child, line, MasterSignals::IM_BC, offset, bytes);
+        let (_, error) = self.bus.execute_or_degrade(&req, &mut self.children);
+        if let Some(error) = error {
+            errors.push(ParentError::new(
+                child,
+                ParentTxnKind::DegradedWrite,
+                error,
                 depth,
-            });
-            self.bus.memory_mut().write_bytes(line, offset, bytes);
+            ));
         }
     }
 
@@ -371,43 +325,38 @@ impl Segment {
                 .collect();
             owned.sort_unstable(); // map order must not leak into bus traffic
             for line in owned {
-                // First bring the child's mirror up to date: the owner chain
-                // below passes the line level by level (Table 1, note 3).
-                self.children[child].sync_subtree(line);
-                // Then the bridge passes the line on this segment's bus: a
-                // full-line write-back with CA (the subtree keeps its copy).
-                let data = self.children[child].authoritative_line(line).to_vec();
-                let req =
-                    TransactionRequest::write(child, line, MasterSignals::CA, 0, data.clone());
-                let ch_seen = match self.execute_on_children(&req) {
-                    Ok(out) => out.ch_seen,
-                    Err(e) => {
-                        // Degrade instead of dying: the push still reaches
-                        // segment memory, which is the whole point of the
-                        // consistency command; siblings just miss the snoop.
-                        errors.push(ParentError {
-                            cluster: child,
-                            txn: ParentTxnKind::Push,
-                            phase: e.phase(),
-                            error: e,
-                            depth,
-                        });
-                        self.bus.memory_mut().write_line(line, &data);
-                        true
-                    }
-                };
-                // CH from a sibling means shared copies exist (assumed
-                // conservatively when the transaction errored).
-                let ext = if ch_seen {
-                    LineState::Shareable
-                } else {
-                    LineState::Exclusive
-                };
-                self.children[child].set_cluster_state(line, ext);
+                if let Some(error) = self.pass_child(child, line) {
+                    errors.push(ParentError::new(child, ParentTxnKind::Push, error, depth));
+                }
                 pushed += 1;
             }
         }
         pushed
+    }
+
+    /// Passes `child`'s `line` onto this segment's bus (Table 1, note 3, at
+    /// cluster scale). First the owner chain below brings the child's mirror
+    /// up to date, level by level; then the bridge writes the line back with
+    /// CA (the subtree keeps its copy), and its tag becomes S or E by CH. A
+    /// failed push still reaches segment memory — which is the whole point
+    /// of the consistency command; siblings just miss the snoop — and its
+    /// error is returned.
+    fn pass_child(&mut self, child: usize, line: LineAddr) -> Option<BusError> {
+        self.children[child].sync_subtree(line);
+        self.outgoing.clear();
+        self.outgoing
+            .extend_from_slice(self.children[child].authoritative_line(line));
+        let req = TransactionRequest::write(child, line, MasterSignals::CA, 0, &self.outgoing);
+        let (out, error) = self.bus.execute_or_degrade(&req, &mut self.children);
+        // CH from a sibling means shared copies exist (assumed conservatively
+        // when the transaction failed).
+        let ext = if out.ch_seen {
+            LineState::Shareable
+        } else {
+            LineState::Exclusive
+        };
+        self.children[child].set_cluster_state(line, ext);
+        error
     }
 }
 
@@ -428,11 +377,20 @@ pub struct Bridge {
     pub(super) degraded: bool,
     pub(super) filter: bool,
     pub(super) forward_errors: Vec<ParentError>,
+    /// Raised whenever this bridge logs a forward error. Every bridge of a
+    /// tree shares the one flag, so the system collects the errors only
+    /// after an access that logged one.
+    forward_logged: Arc<AtomicBool>,
     changes: Option<ChangeLog>,
 }
 
 impl Bridge {
-    pub(super) fn new(id: usize, level: usize, node: FabricNode) -> Self {
+    pub(super) fn new(
+        id: usize,
+        level: usize,
+        node: FabricNode,
+        forward_logged: Arc<AtomicBool>,
+    ) -> Self {
         Bridge {
             id,
             level,
@@ -443,6 +401,7 @@ impl Bridge {
             degraded: false,
             filter: true,
             forward_errors: Vec::new(),
+            forward_logged,
             changes: None,
         }
     }
@@ -457,6 +416,14 @@ impl Bridge {
     #[must_use]
     pub fn node(&self) -> &FabricNode {
         &self.node
+    }
+
+    /// Number of leaf clusters in this bridge's subtree.
+    pub(super) fn leaves(&self) -> usize {
+        match &self.node {
+            FabricNode::Leaf(_) => 1,
+            FabricNode::Interior(seg) => seg.children.iter().map(Bridge::leaves).sum(),
+        }
     }
 
     /// True when this bridge fronts a leaf cluster of cache controllers.
@@ -672,7 +639,7 @@ impl Bridge {
                 .iter()
                 .find_map(|ctrl| {
                     let entry = ctrl.cache()?.lookup(line)?;
-                    entry.state.is_owned().then_some(&entry.data[..])
+                    entry.state.is_owned().then_some(entry.data)
                 })
                 .unwrap_or_else(|| fabric.bus().memory().peek(line)),
             FabricNode::Interior(seg) => seg
@@ -745,71 +712,43 @@ impl Bridge {
         }
     }
 
-    fn push_forward_error(&mut self, txn: ParentTxnKind, error: BusError) {
-        self.forward_errors.push(ParentError {
-            cluster: self.id,
-            txn,
-            phase: error.phase(),
-            error,
-            depth: self.level + 1,
-        });
+    /// Logs an error met on the interior bus below this bridge (one level
+    /// deeper), recorded against `cluster`.
+    fn log_forward_error(&mut self, cluster: usize, txn: ParentTxnKind, error: BusError) {
+        let depth = self.level + 1;
+        self.forward_errors
+            .push(ParentError::new(cluster, txn, error, depth));
+        self.forward_logged.store(true, Ordering::Relaxed);
     }
 
-    /// Forwards a snooped read into the subtree, demoting internal copies
-    /// exactly as if the read had happened on the internal bus.
-    fn forward_read(&mut self, line: LineAddr) {
+    /// Runs a transaction on the subtree's own bus, mastered by the bridge,
+    /// to carry a snooped parent event inside: a read demotes internal
+    /// copies exactly as if it had happened on the internal bus, an
+    /// invalidation kills them, a broadcast patches the mirror and the
+    /// SL-connected copies. A failed interior transaction still completes
+    /// memory-direct (a broadcast's payload reaches the segment mirror), and
+    /// its error is logged with the *inner* bus's phase and depth.
+    fn forward(&mut self, line: LineAddr, kind: TransactionKind<'_>, signals: MasterSignals) {
         match &mut self.node {
             FabricNode::Leaf(fabric) => {
-                let _ = fabric.external_read(line, MasterSignals::CA);
+                let master = fabric.external_master();
+                fabric.run_txn(&TransactionRequest {
+                    master,
+                    addr: line,
+                    kind,
+                    signals,
+                });
             }
             FabricNode::Interior(seg) => {
-                let req = TransactionRequest::read(seg.external_master(), line, MasterSignals::CA);
-                if let Err(e) = seg.execute_on_children(&req) {
-                    self.push_forward_error(ParentTxnKind::Forward, e);
-                }
-            }
-        }
-    }
-
-    /// Forwards a snooped invalidation into the subtree.
-    fn forward_invalidate(&mut self, line: LineAddr) {
-        match &mut self.node {
-            FabricNode::Leaf(fabric) => {
-                let _ = fabric.external_invalidate(line);
-            }
-            FabricNode::Interior(seg) => {
-                let req = TransactionRequest::address_only(
-                    seg.external_master(),
-                    line,
-                    MasterSignals::CA_IM,
-                );
-                if let Err(e) = seg.execute_on_children(&req) {
-                    self.push_forward_error(ParentTxnKind::Forward, e);
-                }
-            }
-        }
-    }
-
-    /// Forwards a snooped broadcast write into the subtree, patching the
-    /// mirror and internal copies. On an interior-bus error the payload is
-    /// applied to the segment mirror directly so the data is not lost; the
-    /// error is logged with the *inner* bus's phase and depth.
-    fn forward_broadcast(&mut self, line: LineAddr, offset: usize, bytes: &[u8]) {
-        match &mut self.node {
-            FabricNode::Leaf(fabric) => {
-                let _ = fabric.external_broadcast_write(line, offset, bytes.to_vec());
-            }
-            FabricNode::Interior(seg) => {
-                let req = TransactionRequest::write(
-                    seg.external_master(),
-                    line,
-                    MasterSignals::IM_BC,
-                    offset,
-                    bytes.to_vec(),
-                );
-                if let Err(e) = seg.execute_on_children(&req) {
-                    seg.bus.memory_mut().write_bytes(line, offset, bytes);
-                    self.push_forward_error(ParentTxnKind::Forward, e);
+                let req = TransactionRequest {
+                    master: seg.external_master(),
+                    addr: line,
+                    kind,
+                    signals,
+                };
+                let (_, error) = seg.bus.execute_or_degrade(&req, &mut seg.children);
+                if let Some(error) = error {
+                    self.log_forward_error(self.id, ParentTxnKind::Forward, error);
                 }
             }
         }
@@ -832,31 +771,9 @@ impl Bridge {
                     .children
                     .iter()
                     .position(|c| c.cluster_state(line).is_owned());
-                if let Some(idx) = owner {
-                    seg.children[idx].sync_subtree(line);
-                    let data = seg.children[idx].authoritative_line(line).to_vec();
-                    let req =
-                        TransactionRequest::write(idx, line, MasterSignals::CA, 0, data.clone());
-                    let ch_seen = match seg.execute_on_children(&req) {
-                        Ok(out) => out.ch_seen,
-                        Err(e) => {
-                            seg.bus.memory_mut().write_line(line, &data);
-                            self.forward_errors.push(ParentError {
-                                cluster: idx,
-                                txn: ParentTxnKind::Push,
-                                phase: e.phase(),
-                                error: e,
-                                depth: self.level + 1,
-                            });
-                            true
-                        }
-                    };
-                    let ext = if ch_seen {
-                        LineState::Shareable
-                    } else {
-                        LineState::Exclusive
-                    };
-                    seg.children[idx].set_cluster_state(line, ext);
+                let error = owner.and_then(|idx| Some((idx, seg.pass_child(idx, line)?)));
+                if let Some((idx, error)) = error {
+                    self.log_forward_error(idx, ParentTxnKind::Push, error);
                 }
             }
         }
@@ -941,9 +858,9 @@ impl BusModule for Bridge {
         }
     }
 
-    fn supply_line(&mut self, addr: LineAddr) -> Option<Box<[u8]>> {
+    fn supply_line(&mut self, addr: LineAddr) -> Option<&[u8]> {
         self.stats.supplied += 1;
-        Some(self.authoritative_line(addr).into())
+        Some(self.authoritative_line(addr))
     }
 
     fn complete(&mut self, req: &TransactionRequest, obs: &BusObservation<'_>) {
@@ -962,14 +879,14 @@ impl BusModule for Bridge {
             // read had happened on the internal bus.
             BusEvent::CacheRead => {
                 if self.any_local_copy(line) {
-                    self.forward_read(line);
+                    self.forward(line, TransactionKind::Read, MasterSignals::CA);
                 }
             }
             // Another cluster read-for-modify: every internal copy dies.
             BusEvent::CacheReadInvalidate => {
                 if self.any_local_copy(line) {
                     self.stats.invalidations_in += 1;
-                    self.forward_invalidate(line);
+                    self.forward(line, TransactionKind::AddressOnly, MasterSignals::CA_IM);
                 }
             }
             // Another cluster broadcast a write: patch the mirror and update
@@ -977,7 +894,8 @@ impl BusModule for Bridge {
             BusEvent::CacheBroadcastWrite => {
                 if let Some((offset, bytes)) = obs.write_data {
                     self.stats.updates_in += 1;
-                    self.forward_broadcast(line, offset, bytes);
+                    let kind = TransactionKind::Write { offset, bytes };
+                    self.forward(line, kind, MasterSignals::IM_BC);
                 }
             }
             // An uncached read (a degraded cluster, or parent-bus DMA) does
@@ -992,14 +910,15 @@ impl BusModule for Bridge {
                 if let Some((offset, bytes)) = obs.write_data {
                     if self.any_local_copy(line) {
                         self.stats.updates_in += 1;
-                        self.forward_broadcast(line, offset, bytes);
+                        let kind = TransactionKind::Write { offset, bytes };
+                        self.forward(line, kind, MasterSignals::IM_BC);
                     } else {
                         // Keep the mirror in step even with no cached copies.
                         self.mirror_mut().write_bytes(line, offset, bytes);
                     }
                 } else if self.any_local_copy(line) {
                     self.stats.invalidations_in += 1;
-                    self.forward_invalidate(line);
+                    self.forward(line, TransactionKind::AddressOnly, MasterSignals::CA_IM);
                 }
             }
         }

@@ -154,7 +154,7 @@ fn adapted_protocols_never_leave_memory_stale_in_s_or_e() {
                     cache
                         .iter()
                         .filter(|(_, e)| e.state == Shareable)
-                        .map(|(addr, e)| (addr, e.data.clone()))
+                        .map(|(addr, e)| (addr, e.data.into()))
                         .collect()
                 })
                 .unwrap_or_default();

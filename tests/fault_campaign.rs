@@ -7,11 +7,14 @@
 //! must drain abort storms; and the scrubber must catch every soft error.
 //! Zero faults may be silent.
 
-use futurebus::fault::{FaultConfig, FaultKind};
+use cache_array::{CacheConfig, ReplacementKind};
+use futurebus::fault::{FaultConfig, FaultKind, FaultPlan};
 use futurebus::RetryPolicy;
+use moesi::protocols::MoesiPreferred;
+use moesi::LineState;
 use mpsim::{
     run_campaign, run_hierarchy_campaign, run_liveness_probe, CampaignConfig, FaultClass,
-    HierarchyCampaignConfig,
+    HierarchyCampaignConfig, SystemBuilder,
 };
 
 fn campaign() -> CampaignConfig {
@@ -145,6 +148,58 @@ fn a_read_miss_returns_the_line_the_bus_delivered() {
     let tally = report.tally();
     assert!(report.retirements() > 0, "the scenario needs a retirement");
     assert_eq!(tally.silent(), 0, "silent corruption observed:\n{report}");
+}
+
+#[test]
+fn a_read_miss_served_by_intervention_returns_the_supplied_line() {
+    // The same hazard, pinned without a campaign: cpu 1 misses on a line cpu
+    // 0 owns, cpu 0 intervenes, and the fill evicts a dirty victim whose
+    // write-back kills cpu 0. The watchdog reports the line lost and
+    // invalidates cpu 1's fresh copy, so the read's bytes must have been
+    // copied out of the bus line buffer before the write-back ran. Each
+    // seed rolls the kill afresh; the first that kills cpu 0 during the
+    // write-back (not during the read, which memory would then serve) is
+    // the scenario.
+    const LINE: usize = 32;
+    let cfg = CacheConfig::new(1024, LINE, 2, ReplacementKind::Lru);
+    let (owned, victims) = (0x400, [0x000, 0x200]); // one 2-way set
+    let scenario = (0..64).find_map(|seed| {
+        let mut sys = (0..2)
+            .fold(SystemBuilder::new(LINE), |b, _| {
+                b.cache(Box::new(MoesiPreferred::new()), cfg)
+            })
+            .build();
+        sys.write(0, owned, &[0xA5; LINE]);
+        for (i, victim) in victims.into_iter().enumerate() {
+            sys.write(1, victim, &[i as u8 + 1; LINE]);
+        }
+        sys.fabric_mut()
+            .bus_mut()
+            .inject_faults(FaultPlan::new(FaultConfig {
+                seed,
+                kill_rate: 0.5,
+                ..FaultConfig::default()
+            }));
+        let got = sys.read(1, owned, LINE);
+        let bus = sys.bus_stats();
+        (bus.interventions == 1 && bus.watchdog_retirements == 1).then_some((sys, got))
+    });
+    let (sys, got) = scenario.expect("some seed kills the supplier during the write-back");
+    assert_eq!(
+        got, [0xA5; LINE],
+        "the read returns the line cpu 0 supplied"
+    );
+    assert_eq!(sys.bus_stats().lost_lines, 1);
+    assert_eq!(
+        sys.state_of(1, owned),
+        LineState::Invalid,
+        "the lost line's fresh copy was invalidated after the fill"
+    );
+    assert_eq!(
+        sys.stats(1).write_backs,
+        1,
+        "the dirty victim was written back"
+    );
 }
 
 #[test]

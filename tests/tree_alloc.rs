@@ -4,6 +4,10 @@
 //! - A read hit through a depth-3 tree allocates nothing once the caller's
 //!   buffer has grown: `HierarchicalSystem::run` over read-hit streams costs
 //!   its fixed set-up and not one allocation per step.
+//! - Once every line of the working set is in memory, bus transactions
+//!   allocate nothing either — fetches, broadcasts forwarded two levels
+//!   down, CA+IM invalidations, interventions and dirty victim write-backs —
+//!   on a depth-3 tree and on a flat bus alike.
 //! - The buffer path returns what the oracle's golden image says, for line
 //!   crossers, for reads from a degraded (retired-bridge) cluster, and at
 //!   depth 3.
@@ -16,7 +20,7 @@ use moesi::protocols::MoesiPreferred;
 use moesi::rng::SmallRng;
 use moesi::Protocol;
 use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
-use mpsim::{Access, Checker, RefStream};
+use mpsim::{Access, Checker, CpuStats, RefStream, SystemBuilder};
 
 /// Counts this thread's allocations (fresh blocks and reallocations), so
 /// tests running in parallel do not see each other's.
@@ -152,6 +156,90 @@ fn read_hits_through_a_depth_three_tree_allocate_nothing() {
     );
     assert!(reads_after - reads >= 101 * lap * 8);
     assert_eq!(sys.parent_errors(), []);
+}
+
+/// Write sharing over 8 lines that fall into two sets of every cache (4
+/// lines per 2-way set), half the accesses writes: every access misses,
+/// broadcasts, invalidates or intervenes often, and fills keep evicting
+/// dirty lines.
+struct SharingStream {
+    rng: SmallRng,
+}
+
+impl RefStream for SharingStream {
+    fn next_access(&mut self) -> Access {
+        let line = self.rng.gen_range(0u64..8);
+        let addr = 0x4000 + (line % 2) * LINE as u64 + (line / 2) * 0x200;
+        let addr = addr + 4 * self.rng.gen_range(0u64..(LINE as u64 / 4));
+        if self.rng.gen_bool(0.5) {
+            Access::write(addr, 4)
+        } else {
+            Access::read(addr, 4)
+        }
+    }
+}
+
+fn sharing_stream(id: u64) -> Box<dyn RefStream + Send> {
+    Box::new(SharingStream {
+        rng: SmallRng::seed_from_u64(0x5EED + id),
+    })
+}
+
+/// Asserts that `run(k)` allocates exactly what `run(2k)` does, after a
+/// warm-up that puts every line of the working set in every memory and
+/// grows every map and buffer to its steady size.
+fn assert_steady(label: &str, mut run: impl FnMut(u64)) {
+    run(4_000);
+    let one = allocs_during(|| run(500));
+    let two = allocs_during(|| run(1_000));
+    assert_eq!(one, two, "{label}: a run allocated per step");
+}
+
+fn cpu_sum(stats: impl Iterator<Item = CpuStats>, field: fn(&CpuStats) -> u64) -> u64 {
+    stats.map(|s| field(&s)).sum()
+}
+
+#[test]
+fn steady_state_bus_transactions_allocate_nothing() {
+    let mut tree = depth_three(false);
+    let mut streams: Vec<Vec<Box<dyn RefStream + Send>>> = (0..tree.leaves() as u64)
+        .map(|leaf| (0..2).map(|cpu| sharing_stream(2 * leaf + cpu)).collect())
+        .collect();
+    assert_steady("tree", |k| tree.run(&mut streams, k));
+    // Every kind of transaction ran, at every level.
+    let paths = tree.leaf_paths();
+    let leaf_bridges = || paths.iter().map(|p| *tree.bridge_at(p).stats());
+    assert!(leaf_bridges().map(|s| s.fetches).sum::<u64>() > 0);
+    assert!(
+        leaf_bridges().map(|s| s.updates_in).sum::<u64>() > 0,
+        "root broadcasts forwarded two levels down"
+    );
+    assert!(leaf_bridges().map(|s| s.invalidations_in).sum::<u64>() > 0);
+    assert!(tree.parent_bus().stats().interventions > 0);
+    let caches = || {
+        (0..tree.leaves()).flat_map(|leaf| {
+            tree.leaf_fabric(leaf)
+                .controllers()
+                .iter()
+                .map(|c| *c.stats())
+        })
+    };
+    assert!(cpu_sum(caches(), |s| s.interventions_supplied) > 0);
+    assert!(cpu_sum(caches(), |s| s.write_backs) > 0, "dirty victims");
+    assert_eq!(tree.parent_errors(), []);
+
+    let mut flat = (0..4)
+        .fold(SystemBuilder::new(LINE), |b, _| {
+            b.cache(Box::new(MoesiPreferred::new()), cfg())
+        })
+        .build();
+    let mut streams: Vec<_> = (0..4).map(sharing_stream).collect();
+    assert_steady("flat", |k| flat.run(&mut streams, k));
+    let bus = flat.bus_stats();
+    assert!(bus.broadcasts > 0 && bus.interventions > 0 && bus.memory_reads > 0);
+    let cpus = || (0..4).map(|cpu| *flat.stats(cpu));
+    assert!(cpu_sum(cpus(), |s| s.invalidations_received) > 0);
+    assert!(cpu_sum(cpus(), |s| s.write_backs) > 0, "dirty victims");
 }
 
 #[test]
