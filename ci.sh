@@ -221,4 +221,16 @@ head -20 tests/fixtures/synth/best_tables.txt > "$work/first_table"
 grep -q "single-cell mutations of \`synth-general\`" "$work/mutate_out" \
   || { echo "verify --mutate --table failed on the synthesized winner" >&2; exit 1; }
 
+echo "==> model checker output matches the committed fixtures (matrix and mutation sweep)"
+./target/release/moesi-sim verify --matrix --jobs 1 > "$work/verify_matrix"
+cmp "$work/verify_matrix" tests/fixtures/verify/matrix.txt \
+  || { echo "verify --matrix diverged from tests/fixtures/verify/matrix.txt" >&2; exit 1; }
+./target/release/moesi-sim verify --mutate > "$work/verify_mutate"
+cmp "$work/verify_mutate" tests/fixtures/verify/mutate.txt \
+  || { echo "verify --mutate diverged from tests/fixtures/verify/mutate.txt" >&2; exit 1; }
+
+echo "==> model checker state count (4 full-table caches, 1 line)"
+./target/release/moesi-sim verify --caches 4 | grep -q "184 states, 30984 transitions" \
+  || { echo "verify --caches 4 no longer explores 184 states and 30984 transitions" >&2; exit 1; }
+
 echo "ci: all green"

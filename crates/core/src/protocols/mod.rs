@@ -118,7 +118,7 @@ pub use moesi_preferred::MoesiPreferred;
 pub use non_caching::NonCaching;
 pub use puzak::PuzakRefinement;
 pub use random_policy::RandomPolicy;
-pub use scripted::{ScriptHandle, Scripted};
+pub use scripted::{Choices, Offer, Pick, ScriptHandle, Scripted};
 pub use synapse::Synapse;
 pub use write_once::WriteOnce;
 pub use write_through::WriteThrough;

@@ -1,159 +1,339 @@
-//! A protocol that replays a pre-chosen script of actions.
+//! A protocol whose choices come from outside: a script first, then a
+//! recorded choice.
 //!
-//! The exhaustive explorer (`crates/verify`) records, for every step of a
-//! counterexample, exactly which permitted Table 1/2 entry each module chose.
-//! To re-execute such a schedule on the *real* simulator, each module is
-//! driven by a [`Scripted`] policy: `on_local`/`on_bus` pop the next scripted
-//! choice instead of consulting a table, falling back to the preferred entry
-//! if the script runs dry (and recording the underflow, so a replayer can
-//! detect a schedule/machine mismatch).
+//! The exhaustive explorer (`crates/verify`) and the counterexample replayer
+//! (`mpsim::replay`) drive the real simulator through this one protocol.
+//! Every module of a machine is a [`Scripted`] policy attached to one shared
+//! [`ScriptHandle`]. A decision first pops the module's queue of scripted
+//! entries — one step of a replayed schedule. When that queue is empty (an
+//! *underflow*), the module's [`Choices`] name the entries it may pick; the
+//! handle records that choice set as an [`Offer`] and answers with the next
+//! scripted index, or the first entry when no index is queued. The explorer
+//! enumerates every index sequence over the offers it sees; a replayer sees
+//! offers only when its schedule and the machine disagree.
 
 use crate::action::{BusReaction, LocalAction};
 use crate::event::{BusEvent, LocalEvent};
 use crate::policy::{DynamicPolicy, PolicyTable, TablePolicy};
-use crate::protocol::{CacheKind, LocalCtx, SnoopCtx};
+use crate::protocol::{CacheKind, LocalCtx, Protocol, SnoopCtx};
 use crate::state::LineState;
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// The queues a [`Scripted`] protocol consumes, shared with its
-/// [`ScriptHandle`] so a replayer can refill them between steps.
-#[derive(Debug, Default)]
-struct Queues {
-    local: VecDeque<LocalAction>,
-    bus: VecDeque<BusReaction>,
-    underflows: usize,
+/// Recency contexts a [`Choices::Protocol`] is queried under, so decisions
+/// conditioned on `near_replacement()` (Puzak §5.2) contribute every variant
+/// to the choice set.
+const CTX_RANKS: [(Option<u32>, u32); 3] = [(None, 0), (Some(0), 2), (Some(1), 2)];
+
+/// The entries a module may pick at a decision its script does not cover.
+#[derive(Debug)]
+pub enum Choices {
+    /// Every permitted Table 1/2 entry for this client kind: §3.4's class at
+    /// large, covering every member protocol and every selector at once.
+    Permitted(CacheKind),
+    /// Whatever this protocol answers, under each recency context in turn. A
+    /// plain [`TablePolicy`] answers its own cell, corrupted or not.
+    Protocol(Box<dyn Protocol + Send>),
 }
 
-/// A writer-side handle onto a [`Scripted`] protocol's queues.
-///
-/// The protocol itself is boxed away inside a `CacheController`; the handle
-/// stays with the replayer and lets it push the next step's choices.
+impl Choices {
+    /// The client kind the choices belong to.
+    #[must_use]
+    pub fn kind(&self) -> CacheKind {
+        match self {
+            Choices::Permitted(kind) => *kind,
+            Choices::Protocol(p) => p.kind(),
+        }
+    }
+
+    fn local(
+        &mut self,
+        state: LineState,
+        event: LocalEvent,
+        permitted: &[LocalAction],
+    ) -> Vec<LocalAction> {
+        match self {
+            Choices::Permitted(_) => permitted.to_vec(),
+            Choices::Protocol(p) => union(CTX_RANKS.map(|(recency_rank, ways)| {
+                let ctx = LocalCtx {
+                    recency_rank,
+                    ways,
+                    line_addr: None,
+                };
+                p.try_on_local(state, event, &ctx).ok()
+            })),
+        }
+    }
+
+    fn bus(
+        &mut self,
+        state: LineState,
+        event: BusEvent,
+        permitted: &[BusReaction],
+    ) -> Vec<BusReaction> {
+        match self {
+            Choices::Permitted(_) => permitted.to_vec(),
+            Choices::Protocol(p) => union(CTX_RANKS.map(|(recency_rank, ways)| {
+                let ctx = SnoopCtx {
+                    recency_rank,
+                    ways,
+                    line_addr: None,
+                };
+                p.try_on_bus(state, event, &ctx).ok()
+            })),
+        }
+    }
+}
+
+/// The distinct answers, in first-seen order.
+fn union<T: PartialEq, const N: usize>(answers: [Option<T>; N]) -> Vec<T> {
+    let mut out = Vec::with_capacity(N);
+    for a in answers.into_iter().flatten() {
+        if !out.contains(&a) {
+            out.push(a);
+        }
+    }
+    out
+}
+
+/// The entry picked at one recorded decision.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pick {
+    /// A local (Table 1) action.
+    Local(LocalAction),
+    /// A snoop (Table 2) reaction.
+    Bus(BusReaction),
+}
+
+/// One decision made on underflow: who decided, what it picked, and out of
+/// how many entries. An empty choice set (`options == 0`) picks nothing: the
+/// protocol reports an illegal cell instead.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Offer {
+    /// The deciding module.
+    pub module: usize,
+    /// The entry picked, or `None` for an empty choice set.
+    pub pick: Option<Pick>,
+    /// The size of the choice set.
+    pub options: usize,
+}
+
+#[derive(Debug)]
+struct Module {
+    choices: Choices,
+    local: VecDeque<LocalAction>,
+    bus: VecDeque<BusReaction>,
+}
+
+/// The state every [`Scripted`] module of one machine shares.
+#[derive(Debug)]
+struct Script {
+    modules: Vec<Module>,
+    /// Indices answering the next underflowed decisions, in decision order.
+    picks: VecDeque<usize>,
+    offers: Vec<Offer>,
+}
+
+impl Script {
+    /// Records an underflowed decision over `set` and picks from it.
+    fn offer<T: Copy>(&mut self, module: usize, set: &[T], pick: fn(T) -> Pick) -> Option<T> {
+        let index = self.picks.pop_front().unwrap_or(0);
+        let chosen = set.get(index).copied();
+        assert!(
+            chosen.is_some() || set.is_empty(),
+            "scripted index {index} outside a set of {}",
+            set.len()
+        );
+        self.offers.push(Offer {
+            module,
+            pick: chosen.map(pick),
+            options: set.len(),
+        });
+        chosen
+    }
+}
+
+/// The writer side of a machine's [`Scripted`] modules: queues scripted
+/// entries and indices, and collects the [`Offer`]s met on underflow.
 #[derive(Clone, Debug)]
 pub struct ScriptHandle {
-    queues: Arc<Mutex<Queues>>,
+    script: Arc<Mutex<Script>>,
 }
 
 impl ScriptHandle {
-    /// Queues a local-event choice (consumed by the next `on_local`).
-    pub fn push_local(&self, action: LocalAction) {
-        self.queues.lock().unwrap().local.push_back(action);
+    /// A handle for one module per entry of `choices`, in bus order.
+    #[must_use]
+    pub fn new(choices: Vec<Choices>) -> Self {
+        let modules = choices
+            .into_iter()
+            .map(|choices| Module {
+                choices,
+                local: VecDeque::new(),
+                bus: VecDeque::new(),
+            })
+            .collect();
+        ScriptHandle {
+            script: Arc::new(Mutex::new(Script {
+                modules,
+                picks: VecDeque::new(),
+                offers: Vec::new(),
+            })),
+        }
     }
 
-    /// Queues a snoop choice (consumed by the next `on_bus`).
-    pub fn push_bus(&self, reaction: BusReaction) {
-        self.queues.lock().unwrap().bus.push_back(reaction);
+    fn lock(&self) -> std::sync::MutexGuard<'_, Script> {
+        self.script.lock().unwrap()
     }
 
-    /// Drops any unconsumed choices (call between steps for strict replay).
+    /// The number of modules.
+    #[must_use]
+    pub fn modules(&self) -> usize {
+        self.lock().modules.len()
+    }
+
+    /// Module `module`'s client kind.
+    #[must_use]
+    pub fn kind(&self, module: usize) -> CacheKind {
+        self.lock().modules[module].choices.kind()
+    }
+
+    /// The protocol for module `module`. Each call builds a fresh protocol
+    /// on the same queues, so a machine can be rebuilt around one handle.
+    #[must_use]
+    pub fn protocol(&self, module: usize) -> Scripted {
+        let kind = self.kind(module);
+        let hook = ScriptHook {
+            module,
+            script: Arc::clone(&self.script),
+        };
+        // Every cell is `—`: whatever the hook declines is an illegal cell.
+        Scripted {
+            inner: TablePolicy::with_dynamic(
+                PolicyTable::empty("scripted", kind).with_bs(),
+                Box::new(hook),
+            ),
+        }
+    }
+
+    /// Queues a local-event entry for `module` (consumed by its next
+    /// `on_local`).
+    pub fn push_local(&self, module: usize, action: LocalAction) {
+        self.lock().modules[module].local.push_back(action);
+    }
+
+    /// Queues a snoop entry for `module` (consumed by its next `on_bus`).
+    pub fn push_bus(&self, module: usize, reaction: BusReaction) {
+        self.lock().modules[module].bus.push_back(reaction);
+    }
+
+    /// Queues the indices that answer the next underflowed decisions.
+    pub fn push_picks(&self, picks: &[usize]) {
+        self.lock().picks.extend(picks);
+    }
+
+    /// Drops every queued entry and index and every recorded offer.
     pub fn clear(&self) {
-        let mut q = self.queues.lock().unwrap();
-        q.local.clear();
-        q.bus.clear();
+        let mut s = self.lock();
+        for m in &mut s.modules {
+            m.local.clear();
+            m.bus.clear();
+        }
+        s.picks.clear();
+        s.offers.clear();
     }
 
-    /// Unconsumed (local, bus) choices still queued.
+    /// Unconsumed (local, bus) entries still queued, over all modules.
     #[must_use]
     pub fn pending(&self) -> (usize, usize) {
-        let q = self.queues.lock().unwrap();
-        (q.local.len(), q.bus.len())
+        let s = self.lock();
+        s.modules
+            .iter()
+            .fold((0, 0), |(l, b), m| (l + m.local.len(), b + m.bus.len()))
     }
 
-    /// How many times the protocol was consulted with an empty queue and had
-    /// to fall back to the preferred table entry.
+    /// Takes the offers recorded since the last take (or clear).
+    pub fn take_offers(&self) -> Vec<Offer> {
+        std::mem::take(&mut self.lock().offers)
+    }
+
+    /// How many decisions found their module's queue empty since the last
+    /// take (or clear).
     #[must_use]
     pub fn underflows(&self) -> usize {
-        self.queues.lock().unwrap().underflows
+        self.lock().offers.len()
     }
 }
 
-/// The queue-popping selector: scripted choices first, preferred-table cells
-/// (the static base) on underflow.
+/// The queue-popping selector: scripted entries first, then a recorded
+/// choice.
 #[derive(Debug)]
 struct ScriptHook {
-    kind: CacheKind,
-    queues: Arc<Mutex<Queues>>,
+    module: usize,
+    script: Arc<Mutex<Script>>,
 }
 
 impl DynamicPolicy for ScriptHook {
     fn pick_local(
         &mut self,
-        _state: LineState,
-        _event: LocalEvent,
+        state: LineState,
+        event: LocalEvent,
         _ctx: &LocalCtx,
-        _permitted: &[LocalAction],
+        permitted: &[LocalAction],
     ) -> Option<LocalAction> {
-        let mut q = self.queues.lock().unwrap();
-        if let Some(action) = q.local.pop_front() {
+        let mut s = self.script.lock().unwrap();
+        let m = &mut s.modules[self.module];
+        if let Some(action) = m.local.pop_front() {
             return Some(action);
         }
-        q.underflows += 1;
-        None
+        let set = m.choices.local(state, event, permitted);
+        s.offer(self.module, &set, Pick::Local)
     }
 
     fn pick_bus(
         &mut self,
-        _state: LineState,
-        _event: BusEvent,
+        state: LineState,
+        event: BusEvent,
         _ctx: &SnoopCtx,
-        _permitted: &[BusReaction],
+        permitted: &[BusReaction],
     ) -> Option<BusReaction> {
-        if self.kind == CacheKind::NonCaching {
-            return Some(BusReaction::IGNORE);
-        }
-        let mut q = self.queues.lock().unwrap();
-        if let Some(reaction) = q.bus.pop_front() {
+        let mut s = self.script.lock().unwrap();
+        let m = &mut s.modules[self.module];
+        if let Some(reaction) = m.bus.pop_front() {
             return Some(reaction);
         }
-        q.underflows += 1;
-        None
+        let set = m.choices.bus(state, event, permitted);
+        s.offer(self.module, &set, Pick::Bus)
     }
 }
 
-/// A protocol whose choices are scripted externally via a [`ScriptHandle`].
+/// A protocol whose choices come from its [`ScriptHandle`].
 ///
 /// # Examples
 ///
 /// ```
-/// use moesi::protocols::Scripted;
+/// use moesi::protocols::{Choices, Pick, ScriptHandle};
 /// use moesi::{table, CacheKind, LineState, LocalCtx, LocalEvent, Protocol};
 ///
-/// let (mut p, handle) = Scripted::new(CacheKind::CopyBack);
-/// let alt = table::permitted_local(
-///     LineState::Invalid, LocalEvent::Read, CacheKind::CopyBack)[1];
-/// handle.push_local(alt);
-/// let chosen = p.on_local(LineState::Invalid, LocalEvent::Read, &LocalCtx::default());
-/// assert_eq!(chosen, alt);
+/// let handle = ScriptHandle::new(vec![Choices::Permitted(CacheKind::CopyBack)]);
+/// let mut p = handle.protocol(0);
+/// let permitted = table::permitted_local(
+///     LineState::Invalid, LocalEvent::Read, CacheKind::CopyBack);
+/// // A scripted entry is consumed first...
+/// handle.push_local(0, permitted[0]);
+/// let ctx = LocalCtx::default();
+/// assert_eq!(p.on_local(LineState::Invalid, LocalEvent::Read, &ctx), permitted[0]);
 /// assert_eq!(handle.underflows(), 0);
+/// // ...then a scripted index picks from the recorded choice set.
+/// handle.push_picks(&[1]);
+/// assert_eq!(p.on_local(LineState::Invalid, LocalEvent::Read, &ctx), permitted[1]);
+/// let offer = handle.take_offers()[0];
+/// assert_eq!(offer.options, permitted.len());
+/// assert_eq!(offer.pick, Some(Pick::Local(permitted[1])));
 /// ```
 #[derive(Debug)]
 pub struct Scripted {
     inner: TablePolicy,
-}
-
-impl Scripted {
-    /// Creates a scripted protocol of the given kind and its feeding handle.
-    ///
-    /// The base table is the preferred table with BS allowed — scripts may
-    /// contain BS push reactions when replaying adapted-protocol schedules.
-    #[must_use]
-    pub fn new(kind: CacheKind) -> (Self, ScriptHandle) {
-        let queues = Arc::new(Mutex::new(Queues::default()));
-        let handle = ScriptHandle {
-            queues: Arc::clone(&queues),
-        };
-        let hook = ScriptHook { kind, queues };
-        (
-            Scripted {
-                inner: TablePolicy::with_dynamic(
-                    PolicyTable::preferred("scripted", kind).with_bs(),
-                    Box::new(hook),
-                ),
-            },
-            handle,
-        )
-    }
 }
 
 delegate_to_table!(Scripted);
@@ -161,16 +341,21 @@ delegate_to_table!(Scripted);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Protocol;
+    use crate::protocols::PuzakRefinement;
     use crate::table;
 
+    fn copy_back() -> (Scripted, ScriptHandle) {
+        let h = ScriptHandle::new(vec![Choices::Permitted(CacheKind::CopyBack)]);
+        (h.protocol(0), h)
+    }
+
     #[test]
-    fn pops_in_fifo_order_then_falls_back() {
-        let (mut p, h) = Scripted::new(CacheKind::CopyBack);
+    fn pops_in_fifo_order_then_records_the_choice_set() {
+        let (mut p, h) = copy_back();
         let permitted =
             table::permitted_local(LineState::Invalid, LocalEvent::Read, CacheKind::CopyBack);
-        h.push_local(permitted[1]);
-        h.push_local(permitted[0]);
+        h.push_local(0, permitted[1]);
+        h.push_local(0, permitted[0]);
         let ctx = LocalCtx::default();
         assert_eq!(
             p.on_local(LineState::Invalid, LocalEvent::Read, &ctx),
@@ -180,19 +365,28 @@ mod tests {
             p.on_local(LineState::Invalid, LocalEvent::Read, &ctx),
             permitted[0]
         );
-        // Queue empty: preferred entry, underflow recorded.
+        // Queue empty: the first permitted (preferred) entry, offer recorded.
         assert_eq!(
             p.on_local(LineState::Invalid, LocalEvent::Read, &ctx),
             permitted[0]
         );
         assert_eq!(h.underflows(), 1);
+        assert_eq!(
+            h.take_offers(),
+            vec![Offer {
+                module: 0,
+                pick: Some(Pick::Local(permitted[0])),
+                options: permitted.len(),
+            }]
+        );
+        assert_eq!(h.underflows(), 0, "taking the offers resets the count");
     }
 
     #[test]
     fn bus_queue_is_independent_of_local_queue() {
-        let (mut p, h) = Scripted::new(CacheKind::CopyBack);
+        let (mut p, h) = copy_back();
         let reactions = table::permitted_bus(LineState::Shareable, BusEvent::CacheRead);
-        h.push_bus(reactions[reactions.len() - 1]);
+        h.push_bus(0, reactions[reactions.len() - 1]);
         let got = p.on_bus(
             LineState::Shareable,
             BusEvent::CacheRead,
@@ -203,10 +397,11 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_both_queues() {
-        let (_p, h) = Scripted::new(CacheKind::CopyBack);
-        h.push_local(LocalAction::silent(LineState::Modified));
-        h.push_bus(BusReaction::IGNORE);
+    fn clear_empties_every_queue() {
+        let (_p, h) = copy_back();
+        h.push_local(0, LocalAction::silent(LineState::Modified));
+        h.push_bus(0, BusReaction::IGNORE);
+        h.push_picks(&[1]);
         assert_eq!(h.pending(), (1, 1));
         h.clear();
         assert_eq!(h.pending(), (0, 0));
@@ -214,8 +409,39 @@ mod tests {
 
     #[test]
     fn requires_bs_for_adapted_replays() {
-        let (p, _h) = Scripted::new(CacheKind::CopyBack);
+        let (p, _h) = copy_back();
         assert!(p.requires_bs());
         assert!(!p.table_is_exact());
+    }
+
+    #[test]
+    fn a_protocol_offers_its_answers_under_every_recency_context() {
+        let h = ScriptHandle::new(vec![Choices::Protocol(Box::new(PuzakRefinement::new()))]);
+        let mut p = h.protocol(0);
+        h.push_picks(&[1]);
+        let event = BusEvent::CacheBroadcastWrite;
+        let got = p.on_bus(LineState::Shareable, event, &SnoopCtx::default());
+        // Puzak updates a recently used line and drops one near replacement.
+        let offer = h.take_offers()[0];
+        assert_eq!(offer.options, 2, "{offer:?}");
+        assert_eq!(offer.pick, Some(Pick::Bus(got)));
+        assert_eq!(got.result.resolve(false), LineState::Invalid);
+    }
+
+    #[test]
+    fn an_empty_choice_set_is_an_illegal_cell() {
+        let (mut p, h) = copy_back();
+        let err = p
+            .try_on_local(LineState::Exclusive, LocalEvent::Pass, &LocalCtx::default())
+            .unwrap_err();
+        assert!(err.to_string().contains("no action"), "{err}");
+        assert_eq!(
+            h.take_offers(),
+            vec![Offer {
+                module: 0,
+                pick: None,
+                options: 0
+            }]
+        );
     }
 }

@@ -17,6 +17,9 @@
 //!    golden data (memory is the default owner).
 //! 5. **Exclusive-clean** — an E copy matches main memory ("exclusive data
 //!    must match the copy in main memory").
+//!
+//! Each copy must also sit in a state its client kind can hold (§3.3): a
+//! write-through cache never owns, a non-caching one never holds a line.
 
 use cache_array::split_line_crossers;
 use futurebus::{ChangeLog, LineMap, SparseMemory};
@@ -65,6 +68,16 @@ pub enum Violation {
         /// The node holding the E copy.
         holder: String,
     },
+    /// A cache holds the line in a state its client kind never reaches
+    /// (write-through never owns; non-caching never holds).
+    IllegalStateForKind {
+        /// The line address.
+        addr: u64,
+        /// The node holding the line.
+        holder: String,
+        /// Its state.
+        state: LineState,
+    },
     /// A bridge's inclusion tag is Invalid while its subtree still caches
     /// the line — the snoop filter would wrongly suppress forwards.
     InclusionHole {
@@ -105,6 +118,10 @@ impl fmt::Display for Violation {
             Violation::ExclusiveUnmodifiedDiffers { addr, holder } => {
                 write!(f, "line {addr:#x}: E copy at {holder} differs from memory")
             }
+            Violation::IllegalStateForKind { addr, holder, state } => write!(
+                f,
+                "line {addr:#x}: {holder} holds it in {state}, outside its kind's states"
+            ),
             Violation::InclusionHole { addr, bridge } => write!(
                 f,
                 "line {addr:#x}: cached below {bridge} but its inclusion tag is invalid"
@@ -335,8 +352,8 @@ impl Checker {
         Ok(())
     }
 
-    /// Invariants 1–5 for one line. A line neither golden nor resident
-    /// anywhere is outside the audited set and passes.
+    /// Invariants 1–5 and the kind subsets for one line. A line neither
+    /// golden nor resident anywhere is outside the audited set and passes.
     fn check_line(
         &self,
         addr: u64,
@@ -351,6 +368,7 @@ impl Checker {
         let mut exclusive: Option<&CacheController> = None;
         let mut clean_exclusive: Option<&CacheController> = None;
         let mut stale: Option<(&CacheController, LineState)> = None;
+        let mut outside_kind: Option<(&CacheController, LineState)> = None;
         for ctrl in controllers {
             let Some(entry) = ctrl.cache().and_then(|c| c.lookup(addr)) else {
                 continue;
@@ -369,6 +387,9 @@ impl Checker {
             }
             if stale.is_none() && entry.data[..] != *golden {
                 stale = Some((ctrl, state));
+            }
+            if outside_kind.is_none() && !ctrl.kind().reachable_states().contains(&state) {
+                outside_kind = Some((ctrl, state));
             }
         }
         if written.is_none() && !resident {
@@ -426,6 +447,15 @@ impl Checker {
         // 4. Memory is the default owner.
         if owners == 0 && mem_line != golden {
             return Err(Violation::StaleMemory { addr });
+        }
+
+        // Kind subsets: write-through never owns, non-caching never holds.
+        if let Some((ctrl, state)) = outside_kind {
+            return Err(Violation::IllegalStateForKind {
+                addr,
+                holder: ctrl.name().to_string(),
+                state,
+            });
         }
         Ok(())
     }
@@ -527,6 +557,37 @@ mod tests {
         let mem = SparseMemory::new(16); // memory still zero: E must match it
         let err = ck.verify(std::slice::from_ref(&a), &mem).unwrap_err();
         assert!(matches!(err, Violation::ExclusiveUnmodifiedDiffers { .. }));
+    }
+
+    #[test]
+    fn detects_a_write_through_cache_that_owns() {
+        use moesi::protocols::WriteThrough;
+        let mut wt = CacheController::new(
+            0,
+            Box::new(WriteThrough::new()),
+            Some(CacheConfig::new(
+                1024,
+                16,
+                2,
+                cache_array::ReplacementKind::Lru,
+            )),
+            1,
+        );
+        wt.fill(0x100, LineState::Owned, &[0; 16], &mut Vec::new());
+        let ck = Checker::new(16);
+        let err = ck.verify(&[wt], &SparseMemory::new(16)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Violation::IllegalStateForKind {
+                    addr: 0x100,
+                    state: LineState::Owned,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("outside its kind's states"));
     }
 
     #[test]

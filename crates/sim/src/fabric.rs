@@ -11,6 +11,7 @@
 use cache_array::{split_line_crossers, Victim};
 use futurebus::{Futurebus, TimingConfig, TransactionOutcome, TransactionRequest};
 use moesi::{BusOp, LineState, LocalAction, LocalEvent};
+use std::fmt;
 use std::ops::Range;
 
 use crate::controller::CacheController;
@@ -175,19 +176,38 @@ impl Fabric {
         transact(&mut self.bus, &mut self.controllers, log, req)
     }
 
-    /// Consults `cpu`'s protocol for `event` on `line`, treating a `—` cell
-    /// (an [`moesi::IllegalCell`]) like a bus error: panic in strict mode —
-    /// reaching an error-condition cell is a protocol bug — or, in tolerant
-    /// mode, log it and return `None` so the caller degrades memory-direct.
+    /// Reports a table-driven fault at `cpu` like a bus error: a panic in
+    /// strict mode — a protocol bug put it there — or, in tolerant mode, a
+    /// logged error after which the caller degrades memory-direct.
+    fn fault(&mut self, cpu: usize, what: impl fmt::Display) {
+        if !self.tolerate {
+            panic!("{what}");
+        }
+        self.errors.push(format!("cpu {cpu}: {what}"));
+    }
+
+    /// Consults `cpu`'s protocol for `event` on `line`; a `—` cell (an
+    /// [`moesi::IllegalCell`]) is a [`fault`](Fabric::fault), and `None`.
     fn try_decide(&mut self, cpu: usize, line: u64, event: LocalEvent) -> Option<LocalAction> {
         match self.controllers[cpu].try_decide_local(line, event) {
             Ok(action) => Some(action),
-            Err(e) if self.tolerate => {
-                self.errors.push(format!("cpu {cpu}: {e}"));
+            Err(e) => {
+                self.fault(cpu, e);
                 None
             }
-            Err(e) => panic!("{e}"),
         }
+    }
+
+    /// [`try_decide`](Fabric::try_decide) for a read miss, whose action must
+    /// be a bus read; any other is a fault.
+    fn decide_read(&mut self, cpu: usize, line: u64) -> Option<LocalAction> {
+        let action = self.try_decide(cpu, line, LocalEvent::Read)?;
+        if action.bus_op != BusOp::Read {
+            let what = format!("read miss on {line:#x} chose `{action}`, not a bus read");
+            self.fault(cpu, what);
+            return None;
+        }
+        Some(action)
     }
 
     /// Reads `len` bytes at `addr` for processor `cpu`, splitting line
@@ -238,14 +258,17 @@ impl Fabric {
         let Some(action) = self.try_decide(cpu, line, LocalEvent::Pass) else {
             return false;
         };
-        debug_assert_eq!(action.bus_op, BusOp::Write);
-        self.copy_outgoing(cpu, line);
-        let req = TransactionRequest::write(cpu, line, action.signals, 0, &self.outgoing);
-        let log = self.tolerate.then_some(&mut self.errors);
-        let out = transact(&mut self.bus, &mut self.controllers, log, &req);
-        let result = action.result.resolve(out.ch_seen);
-        self.controllers[cpu].apply_state(line, result);
-        self.controllers[cpu].stats_mut().write_backs += 1;
+        // Every permitted pass pushes; an action without a bus write (a
+        // corrupted table's) only changes state, as a silent flush does.
+        let mut ch_seen = false;
+        if action.bus_op == BusOp::Write {
+            self.copy_outgoing(cpu, line);
+            let req = TransactionRequest::write(cpu, line, action.signals, 0, &self.outgoing);
+            let log = self.tolerate.then_some(&mut self.errors);
+            ch_seen = transact(&mut self.bus, &mut self.controllers, log, &req).ch_seen;
+            self.controllers[cpu].stats_mut().write_backs += 1;
+        }
+        self.controllers[cpu].apply_state(line, action.result.resolve(ch_seen));
         true
     }
 
@@ -322,7 +345,7 @@ impl Fabric {
             return;
         }
         let line = self.line_addr(addr);
-        let Some(action) = self.try_decide(cpu, line, LocalEvent::Read) else {
+        let Some(action) = self.decide_read(cpu, line) else {
             // Degraded: the copying path serves from memory without caching;
             // with nobody consuming the bytes there is nothing to do.
             return;
@@ -342,7 +365,7 @@ impl Fabric {
         let line = self.line_addr(addr);
         let offset = (addr - line) as usize;
         let range = offset..offset + len;
-        let Some(action) = self.try_decide(cpu, line, LocalEvent::Read) else {
+        let Some(action) = self.decide_read(cpu, line) else {
             // Degraded: serve from memory without caching the line.
             out.extend_from_slice(&self.bus.memory().peek(line)[range]);
             return;
@@ -387,17 +410,18 @@ impl Fabric {
         }
         let action = match self.controllers[cpu].try_decide_for(victim.state, LocalEvent::Flush) {
             Ok(action) => action,
-            Err(e) if self.tolerate => {
+            Err(e) => {
                 // Degraded: push the dirty data memory-direct so it survives.
-                self.errors.push(format!("cpu {cpu}: {e}"));
+                self.fault(cpu, e);
                 self.bus
                     .memory_mut()
                     .write_bytes(victim.addr, 0, &self.outgoing);
                 return;
             }
-            Err(e) => panic!("{e}"),
         };
-        debug_assert_eq!(action.bus_op, BusOp::Write, "dirty victims must write back");
+        if action.bus_op != BusOp::Write {
+            return; // a corrupted table's silent flush drops the data, as in flush
+        }
         let req = TransactionRequest::write(cpu, victim.addr, action.signals, 0, &self.outgoing);
         let log = self.tolerate.then_some(&mut self.errors);
         transact(&mut self.bus, &mut self.controllers, log, &req);
@@ -410,10 +434,26 @@ impl Fabric {
         if self.controllers[cpu].state_of(line).is_valid() {
             self.controllers[cpu].stats_mut().write_hits += 1;
         }
-        self.write_piece_inner(cpu, addr, bytes);
+        self.write_piece_inner(cpu, addr, bytes, false);
     }
 
-    fn write_piece_inner(&mut self, cpu: usize, addr: u64, bytes: &[u8]) {
+    /// Writes `bytes` into the resident line at `addr`; a line the action
+    /// should have left resident but did not is a fault `what`, and the write
+    /// goes memory-direct.
+    fn write_resident(&mut self, cpu: usize, addr: u64, bytes: &[u8], what: &str) -> bool {
+        if self.controllers[cpu].write_cached(addr, bytes) {
+            return true;
+        }
+        self.fault(cpu, format_args!("{what} needs line {addr:#x} resident"));
+        let line = self.line_addr(addr);
+        let offset = (addr - line) as usize;
+        self.bus.memory_mut().write_bytes(line, offset, bytes);
+        false
+    }
+
+    /// One write decision; `redecided` marks the re-decision after a
+    /// `Read>Write` cell's read, which must not be `Read>Write` again.
+    fn write_piece_inner(&mut self, cpu: usize, addr: u64, bytes: &[u8], redecided: bool) {
         let line = self.line_addr(addr);
         let offset = (addr - line) as usize;
         let Some(action) = self.try_decide(cpu, line, LocalEvent::Write) else {
@@ -424,9 +464,9 @@ impl Fabric {
         match action.bus_op {
             // A silent write: M stays M, E upgrades to M.
             BusOp::None => {
-                let ok = self.controllers[cpu].write_cached(addr, bytes);
-                assert!(ok, "silent write requires a resident line");
-                self.controllers[cpu].apply_state(line, action.result.resolve(false));
+                if self.write_resident(cpu, addr, bytes, "a silent write") {
+                    self.controllers[cpu].apply_state(line, action.result.resolve(false));
+                }
             }
             // Write-through, broadcast update, or write-past.
             BusOp::Write => {
@@ -442,26 +482,31 @@ impl Fabric {
                 let req = TransactionRequest::address_only(cpu, line, action.signals);
                 let out = self.run_txn(&req);
                 let result = action.result.resolve(out.ch_seen);
-                let ok = self.controllers[cpu].write_cached(addr, bytes);
-                assert!(ok, "invalidate-write requires a resident line");
-                self.controllers[cpu].apply_state(line, result);
+                if self.write_resident(cpu, addr, bytes, "an invalidate-write") {
+                    self.controllers[cpu].apply_state(line, result);
+                }
             }
             // Read-for-modify: one transaction reads the line and invalidates
             // other copies, then the write happens locally.
             BusOp::Read => {
                 self.execute_read_action(cpu, line, &action, None);
-                let ok = self.controllers[cpu].write_cached(addr, bytes);
-                assert!(ok, "read-for-modify must have filled the line");
+                self.write_resident(cpu, addr, bytes, "a read-for-modify");
             }
             // Two transactions: a read per the protocol's I/Read row, then
             // the write is re-decided from the new state.
             BusOp::ReadThenWrite => {
-                let Some(read_action) = self.try_decide(cpu, line, LocalEvent::Read) else {
+                let read_action = if redecided {
+                    self.fault(cpu, "a re-decided write chose `Read>Write` again");
+                    None
+                } else {
+                    self.decide_read(cpu, line)
+                };
+                let Some(read_action) = read_action else {
                     self.bus.memory_mut().write_bytes(line, offset, bytes);
                     return;
                 };
                 self.execute_read_action(cpu, line, &read_action, None);
-                self.write_piece_inner(cpu, addr, bytes);
+                self.write_piece_inner(cpu, addr, bytes, true);
             }
         }
     }
@@ -595,6 +640,134 @@ mod tests {
     fn untolerated_illegal_cells_still_panic() {
         let mut f = holey_fabric();
         let _ = f.read(0, 0x100, 4);
+    }
+
+    /// A tolerant one-module fabric over the preferred table with the `(I,
+    /// event)` cells rewritten to `cells` — table entries the fabric cannot
+    /// execute as written.
+    fn corrupted(cells: &[(LocalEvent, LocalAction)]) -> Fabric {
+        use moesi::{CacheKind, PolicyTable, TablePolicy};
+        let mut table = PolicyTable::preferred("corrupted", CacheKind::CopyBack);
+        for &(event, action) in cells {
+            table.set_local_unchecked(LineState::Invalid, event, action);
+        }
+        let cfg = CacheConfig::new(1024, 32, 2, ReplacementKind::Lru);
+        let ctrl = CacheController::new(0, Box::new(TablePolicy::new(table)), Some(cfg), 1);
+        let mut f = Fabric::new(32, TimingConfig::default(), vec![ctrl]);
+        f.tolerate_bus_errors(true);
+        f
+    }
+
+    /// Writes `[9; 4]` at 0x200 on `f`: the write must land in memory, the
+    /// line must stay uncached, and one error naming `what` is logged.
+    fn assert_write_degrades(mut f: Fabric, what: &str) {
+        f.write_with(0, 0x200, &[9; 4], |_, _| {});
+        assert_eq!(&f.bus().memory().peek(0x200)[..4], &[9; 4], "memory-direct");
+        assert_eq!(f.controller(0).state_of(0x200), LineState::Invalid);
+        let errors = f.drain_bus_errors();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains(what), "{errors:?}");
+    }
+
+    #[test]
+    fn a_silent_or_invalidate_write_to_a_missing_line_degrades_to_memory() {
+        use moesi::MasterSignals;
+        let silent = LocalAction::silent(LineState::Modified);
+        assert_write_degrades(
+            corrupted(&[(LocalEvent::Write, silent)]),
+            "silent write needs line 0x200 resident",
+        );
+        let invalidate = LocalAction::new(
+            LineState::Modified,
+            MasterSignals::CA_IM,
+            BusOp::AddressOnly,
+        );
+        assert_write_degrades(
+            corrupted(&[(LocalEvent::Write, invalidate)]),
+            "invalidate-write needs line 0x200 resident",
+        );
+    }
+
+    #[test]
+    fn a_read_for_modify_that_leaves_the_line_unfilled_degrades_to_memory() {
+        use moesi::{MasterSignals, ResultState};
+        let unfilled = LocalAction::new(
+            ResultState::Fixed(LineState::Invalid),
+            MasterSignals::CA_IM,
+            BusOp::Read,
+        );
+        assert_write_degrades(
+            corrupted(&[(LocalEvent::Write, unfilled)]),
+            "read-for-modify needs line 0x200 resident",
+        );
+    }
+
+    #[test]
+    fn a_read_miss_that_is_not_a_bus_read_degrades_to_memory() {
+        let silent = LocalAction::silent(LineState::Modified);
+        let mut f = corrupted(&[(LocalEvent::Read, silent)]);
+        f.bus_mut().memory_mut().write_bytes(0x100, 0, &[7; 4]);
+        assert_eq!(f.read(0, 0x100, 4), vec![7; 4], "memory-direct read");
+        f.read_dataless(0, 0x100, 4);
+        assert_eq!(f.controller(0).state_of(0x100), LineState::Invalid);
+        let errors = f.drain_bus_errors();
+        assert_eq!(errors.len(), 2, "both read paths report it: {errors:?}");
+        assert!(errors[0].contains("not a bus read"), "{errors:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "not a bus read")]
+    fn an_untolerated_read_miss_that_is_not_a_bus_read_still_panics() {
+        let silent = LocalAction::silent(LineState::Modified);
+        let mut f = corrupted(&[(LocalEvent::Read, silent)]);
+        f.tolerate_bus_errors(false);
+        let _ = f.read(0, 0x100, 4);
+    }
+
+    #[test]
+    fn a_read_then_write_that_never_fills_is_redecided_once() {
+        use moesi::{MasterSignals, ResultState};
+        // The read half leaves the line Invalid, so the re-decided write is
+        // `Read>Write` again; the fabric stops there instead of recursing.
+        let no_fill = LocalAction::new(
+            ResultState::Fixed(LineState::Invalid),
+            MasterSignals::CA,
+            BusOp::Read,
+        );
+        let f = corrupted(&[
+            (LocalEvent::Write, LocalAction::read_then_write()),
+            (LocalEvent::Read, no_fill),
+        ]);
+        assert_write_degrades(f, "chose `Read>Write` again");
+    }
+
+    #[test]
+    fn a_pass_without_a_bus_write_only_changes_state() {
+        use moesi::{CacheKind, PolicyTable, TablePolicy};
+        // A corrupted (O, Pass) cell: claim M silently instead of pushing.
+        let mut table = PolicyTable::preferred("corrupted", CacheKind::CopyBack);
+        table.set_local_unchecked(
+            LineState::Owned,
+            LocalEvent::Pass,
+            LocalAction::silent(LineState::Modified),
+        );
+        let mut f = fabric(2);
+        *f.controller_mut(0) = CacheController::new(
+            0,
+            Box::new(TablePolicy::new(table)),
+            Some(CacheConfig::new(1024, 32, 2, ReplacementKind::Lru)),
+            1,
+        );
+        f.write_with(0, 0x100, &[7; 4], |_, _| {});
+        let _ = f.read(1, 0x100, 4);
+        assert_eq!(f.controller(0).state_of(0x100), LineState::Owned);
+        let txns = f.bus().stats().transactions;
+        assert!(f.pass(0, 0x100));
+        assert_eq!(f.bus().stats().transactions, txns, "no bus transaction");
+        // The pass took M while cpu1 still shares the line: the oracle's
+        // exclusivity invariant is what catches such a table.
+        assert_eq!(f.controller(0).state_of(0x100), LineState::Modified);
+        assert_eq!(f.controller(1).state_of(0x100), LineState::Shareable);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use faults::{
 };
 pub use metrics::{CpuStats, MachineReport, StateCensus, TimedReport};
 pub use profile::{chrome_trace, trace_run, TraceRunConfig};
-pub use replay::{replay, ReplayFault, ReplayOp, ReplayOutcome, Trace, TraceStep};
+pub use replay::{replay, Failure, ReplayFault, ReplayOp, ReplayOutcome, Trace, TraceStep};
 pub use system::{System, SystemBuilder};
 pub use workload::{
     Access, DuboisBriggs, FalseSharing, Migratory, ParseTraceError, PingPong, ProducerConsumer,

@@ -1,18 +1,18 @@
-//! Deterministic schedule replay: re-executing a model-checker counterexample
-//! on the real simulator.
+//! Deterministic schedule replay: the concrete machine the model checker
+//! explores, and the re-execution of its counterexamples.
 //!
-//! The exhaustive explorer in `crates/verify` works on an abstract machine.
-//! When it finds an invariant violation it emits a [`Trace`]: the exact
-//! schedule of processor operations together with the Table 1/2 entry every
-//! module chose at every decision point. [`replay`] rebuilds the concrete
-//! machine — real [`CacheController`]s on a real `Futurebus` — with every
-//! module driven by a [`Scripted`](moesi::protocols::Scripted) policy fed
-//! from the trace, executes the schedule step by step, and audits each step
-//! with the [`Checker`]. A genuine counterexample reproduces the violation at
-//! the same step, deterministically, every time.
+//! [`machine`] builds real [`CacheController`]s on a real `Futurebus`, every
+//! module driven by a [`Scripted`](moesi::protocols::Scripted) policy on one
+//! shared [`ScriptHandle`]. The exhaustive explorer in `crates/verify` runs
+//! that machine one [`execute`]d step at a time; when a step fails it emits
+//! a [`Trace`]: the schedule of processor operations together with the
+//! Table 1/2 entry every module chose at every decision point. [`replay`]
+//! rebuilds the same machine, [`load`]s each step's entries and executes the
+//! schedule, auditing every step with the [`Checker`]. A counterexample
+//! reproduces its failure at the same step, deterministically, every time.
 
 use cache_array::{CacheConfig, ReplacementKind};
-use moesi::protocols::{ScriptHandle, Scripted};
+use moesi::protocols::{Choices, ScriptHandle};
 use moesi::{BusReaction, CacheKind, LocalAction};
 
 use futurebus::TimingConfig;
@@ -27,8 +27,8 @@ use crate::fabric::Fabric;
 pub enum ReplayOp {
     /// Read the full line and compare it against the golden image.
     Read,
-    /// Write the line to the single byte value carried here (the abstract
-    /// model's data domain maps value `v` to a line of `v`-bytes).
+    /// Write the line to the single byte value carried here (the explorer's
+    /// data domain maps value `v` to a line of `v`-bytes).
     Write(u8),
     /// Push the dirty line to memory, keeping the copy (Table 1 note 3).
     Pass,
@@ -58,7 +58,7 @@ pub struct TraceStep {
     /// The processor operation.
     pub op: ReplayOp,
     /// The master's local-action choices, in consultation order (one entry
-    /// normally; several for `Read>Write` sequences).
+    /// normally; several for `Read>Write` sequences and victim write-backs).
     pub local_choices: Vec<LocalAction>,
     /// Every snooper's chosen reaction, in bus order: transaction by
     /// transaction (including BS retries), module index ascending within one
@@ -121,7 +121,7 @@ pub struct Trace {
     /// Scripted stall/kill faults to arm during the replay (empty for pure
     /// consistency counterexamples).
     pub faults: Vec<ReplayFault>,
-    /// The violation the explorer observed (display form), for reporting.
+    /// The failure the explorer observed (display form), for reporting.
     pub expected: String,
 }
 
@@ -144,62 +144,147 @@ impl fmt::Display for Trace {
     }
 }
 
+/// What went wrong at a step: the oracle's verdict, or an error the
+/// tolerant fabric logged (a bus error or a table-driven fault, after which
+/// the access completed memory-direct).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Failure {
+    /// A shared-image invariant broke, or a read returned the wrong bytes.
+    Violation(Violation),
+    /// The fabric logged an error.
+    Error(String),
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Violation(v) => v.fmt(f),
+            Failure::Error(e) => write!(f, "fabric error: {e}"),
+        }
+    }
+}
+
 /// The result of replaying a [`Trace`] on the concrete machine.
 #[derive(Debug)]
 pub struct ReplayOutcome {
-    /// The violation hit, with the index of the step that triggered it.
-    pub violation: Option<(usize, Violation)>,
-    /// Steps executed (all of them when no violation fired).
+    /// The failure hit, with the index of the step that triggered it.
+    pub failure: Option<(usize, Failure)>,
+    /// Steps executed (all of them when no failure fired).
     pub steps_executed: usize,
     /// Times a scripted module was consulted beyond its script (a mismatch
-    /// between the abstract and concrete machines; 0 for a faithful replay).
+    /// between the schedule and the machine; 0 for a faithful replay).
     pub script_underflows: usize,
     /// Modules the bus watchdog retired during the replay, ascending.
     pub retired: Vec<usize>,
 }
 
 impl ReplayOutcome {
-    /// True when the replay reproduced a violation.
+    /// True when the replay reproduced a failure.
     #[must_use]
     pub fn reproduced(&self) -> bool {
-        self.violation.is_some()
+        self.failure.is_some()
     }
 }
 
-/// Replays `trace` on a freshly built concrete machine.
+/// Builds the machine replay and exploration run: one [`Scripted`] module
+/// per module of `script`, each caching one with a single 1-way set, so that
+/// two lines compete for it and interact through eviction. The fabric
+/// tolerates errors, logging them for [`execute`] to report.
+#[must_use]
+pub fn machine(script: &ScriptHandle, line_size: usize) -> Fabric {
+    let controllers = (0..script.modules())
+        .map(|id| {
+            let protocol = script.protocol(id);
+            let cfg = (script.kind(id) != CacheKind::NonCaching)
+                .then(|| CacheConfig::new(line_size, line_size, 1, ReplacementKind::Lru));
+            CacheController::new(id, Box::new(protocol), cfg, 1)
+        })
+        .collect();
+    let mut fabric = Fabric::new(line_size, TimingConfig::default(), controllers);
+    fabric.tolerate_bus_errors(true);
+    fabric
+}
+
+/// Queues `step`'s recorded entries on `script`: the master's local
+/// decisions and every snooper's reactions, in the order the bus will
+/// consult them. Unconsumed entries of earlier steps are dropped.
+pub fn load(script: &ScriptHandle, step: &TraceStep) {
+    script.clear();
+    for action in &step.local_choices {
+        script.push_local(step.module, *action);
+    }
+    for (m, reaction) in &step.snoop_choices {
+        script.push_bus(*m, *reaction);
+    }
+}
+
+/// Executes processor operation `op` of `module` on `line` and audits the
+/// result: the first error the fabric logged, else a read mismatch, else
+/// the first broken invariant.
+///
+/// # Errors
+///
+/// Returns the step's [`Failure`].
+pub fn execute(
+    fabric: &mut Fabric,
+    checker: &mut Checker,
+    module: usize,
+    line: u64,
+    op: ReplayOp,
+) -> Result<(), Failure> {
+    let size = fabric.line_size();
+    let addr = line * size as u64;
+    let read = match op {
+        ReplayOp::Read => {
+            let got = fabric.read(module, addr, size);
+            checker.check_read(module, addr, &got)
+        }
+        ReplayOp::Write(v) => {
+            fabric.write_with(module, addr, &vec![v; size], |piece_addr, piece| {
+                checker.record_write(piece_addr, piece);
+            });
+            Ok(())
+        }
+        ReplayOp::Pass => {
+            fabric.pass(module, addr);
+            Ok(())
+        }
+        ReplayOp::Flush => {
+            fabric.flush(module, addr);
+            Ok(())
+        }
+    };
+    if let Some(error) = fabric.drain_bus_errors().into_iter().next() {
+        return Err(Failure::Error(error));
+    }
+    read.and_then(|()| checker.verify(fabric.controllers(), fabric.bus().memory()))
+        .map_err(Failure::Violation)
+}
+
+/// Replays `trace` on a freshly built [`machine`].
 ///
 /// `check_exclusive_clean` mirrors [`Checker::check_exclusive_clean`]; pass
 /// `false` when the trace came from an exploration that relaxed invariant 5
 /// (mixed systems containing the adapted Write-Once protocol).
 #[must_use]
 pub fn replay(trace: &Trace, check_exclusive_clean: bool) -> ReplayOutcome {
-    let line = trace.line_size;
-    let mut handles: Vec<ScriptHandle> = Vec::with_capacity(trace.modules.len());
-    let controllers: Vec<CacheController> = trace
-        .modules
-        .iter()
-        .enumerate()
-        .map(|(id, &kind)| {
-            let (protocol, handle) = Scripted::new(kind);
-            handles.push(handle);
-            let cfg = (kind != CacheKind::NonCaching).then(|| {
-                // Room for 8 lines per way: far more than any explorer config.
-                CacheConfig::new(line * 16, line, 2, ReplacementKind::Lru)
-            });
-            CacheController::new(id, Box::new(protocol), cfg, 1)
-        })
-        .collect();
-    let mut fabric = Fabric::new(line, TimingConfig::default(), controllers);
-    let mut checker = Checker::new(line);
+    let script = ScriptHandle::new(
+        trace
+            .modules
+            .iter()
+            .map(|&kind| Choices::Permitted(kind))
+            .collect(),
+    );
+    let mut fabric = machine(&script, trace.line_size);
+    let mut checker = Checker::new(trace.line_size);
     checker.check_exclusive_clean = check_exclusive_clean;
 
     let mut outcome = ReplayOutcome {
-        violation: None,
+        failure: None,
         steps_executed: 0,
         script_underflows: 0,
         retired: Vec::new(),
     };
-
     for (idx, step) in trace.steps.iter().enumerate() {
         // Arm any fault scheduled for this step: the named module stalls the
         // next time it would snoop, and the watchdog retires it.
@@ -208,51 +293,16 @@ pub fn replay(trace: &Trace, check_exclusive_clean: bool) -> ReplayOutcome {
                 fabric.bus_mut().stall_module(fault.module, fault.salvage);
             }
         }
-        // Load this step's script: the master's local decisions and every
-        // snooper's reactions, in the order the bus will consult them.
-        for h in &handles {
-            h.clear();
-        }
-        for action in &step.local_choices {
-            handles[step.module].push_local(*action);
-        }
-        for (m, reaction) in &step.snoop_choices {
-            handles[*m].push_bus(*reaction);
-        }
-
-        let addr = step.line * line as u64;
-        let result = match step.op {
-            ReplayOp::Read => {
-                let got = fabric.read(step.module, addr, line);
-                checker.check_read(step.module, addr, &got)
-            }
-            ReplayOp::Write(v) => {
-                let bytes = vec![v; line];
-                let ck = &mut checker;
-                fabric.write_with(step.module, addr, &bytes, |piece_addr, piece| {
-                    ck.record_write(piece_addr, piece);
-                });
-                Ok(())
-            }
-            ReplayOp::Pass => {
-                fabric.pass(step.module, addr);
-                Ok(())
-            }
-            ReplayOp::Flush => {
-                fabric.flush(step.module, addr);
-                Ok(())
-            }
-        };
+        outcome.script_underflows += script.underflows();
+        load(&script, step);
+        let verdict = execute(&mut fabric, &mut checker, step.module, step.line, step.op);
         outcome.steps_executed = idx + 1;
-
-        let verdict =
-            result.and_then(|()| checker.verify(fabric.controllers(), fabric.bus().memory()));
-        if let Err(v) = verdict {
-            outcome.violation = Some((idx, v));
+        if let Err(failure) = verdict {
+            outcome.failure = Some((idx, failure));
             break;
         }
     }
-    outcome.script_underflows = handles.iter().map(ScriptHandle::underflows).sum();
+    outcome.script_underflows += script.underflows();
     outcome.retired = fabric.bus().retired();
     outcome
 }
@@ -307,7 +357,7 @@ mod tests {
         assert!(
             !out.reproduced(),
             "legal schedule flagged: {:?}",
-            out.violation
+            out.failure
         );
         assert_eq!(out.steps_executed, 2);
         assert_eq!(out.script_underflows, 0);
@@ -350,15 +400,18 @@ mod tests {
             expected: "cpu1 keeps a copy past cpu0's invalidate".into(),
         };
         let out = replay(&trace, true);
-        let (step, violation) = out.violation.expect("violation reproduced");
+        let (step, violation) = out.failure.expect("violation reproduced");
         assert_eq!(step, 1);
         assert!(
-            matches!(violation, Violation::ExclusivityViolated { .. }),
+            matches!(
+                violation,
+                Failure::Violation(Violation::ExclusivityViolated { .. })
+            ),
             "{violation}"
         );
         // Determinism: run it again, same answer.
         let again = replay(&trace, true);
-        assert_eq!(again.violation.map(|(s, _)| s), Some(1));
+        assert_eq!(again.failure.map(|(s, _)| s), Some(1));
     }
 
     /// cpu0 dirties a line, then stalls mid-snoop of cpu1's read. The
@@ -406,7 +459,7 @@ mod tests {
         assert!(
             !out.reproduced(),
             "salvaged stall must stay coherent: {:?}",
-            out.violation
+            out.failure
         );
         assert_eq!(out.retired, vec![0]);
         assert_eq!(out.steps_executed, 2);
@@ -453,15 +506,18 @@ mod tests {
             expected: "the killed owner's data is lost".into(),
         };
         let out = replay(&trace, true);
-        let (step, violation) = out.violation.expect("data loss must be reported");
+        let (step, violation) = out.failure.expect("data loss must be reported");
         assert_eq!(step, 1, "detected at the very read that missed the data");
         assert!(
-            matches!(violation, Violation::ReadMismatch { cpu: 1, .. }),
+            matches!(
+                violation,
+                Failure::Violation(Violation::ReadMismatch { cpu: 1, .. })
+            ),
             "{violation}"
         );
         assert_eq!(out.retired, vec![0]);
         // Determinism: the loss reproduces identically.
         let again = replay(&trace, true);
-        assert_eq!(again.violation.map(|(s, _)| s), Some(1));
+        assert_eq!(again.failure.map(|(s, _)| s), Some(1));
     }
 }

@@ -2,11 +2,15 @@
 //!
 //! This crate proves — by breadth-first enumeration of **every** reachable
 //! global state — that small configurations of the protocol class from
-//! Sweazey & Smith (ISCA '86) preserve the five shared-image invariants of
-//! `mpsim::Checker`. It complements the randomized simulator tests: where
-//! those sample schedules, the explorer branches on *every* permitted entry
-//! of Tables 1 and 2 at every decision point, so a clean run is a proof over
-//! the modelled configuration, not a statistical statement.
+//! Sweazey & Smith (ISCA '86) preserve the shared-image invariants of
+//! `mpsim::Checker`. The machine it explores is the simulator itself: the
+//! real `Fabric`, `CacheController`s and `Futurebus` that
+//! [`mpsim::replay::machine`] builds, each module a
+//! [`Scripted`](moesi::protocols::Scripted) policy that records the choice
+//! set it is offered at every Table 1/2 decision. The explorer branches on
+//! every entry of every such set, so a clean run is a proof over the
+//! modelled configuration, not a statistical statement. Caches hold one
+//! line, so two modelled lines interact through eviction.
 //!
 //! Three front doors:
 //!
@@ -16,32 +20,28 @@
 //! - the integration tests in `tests/`, which pin "zero violations" for
 //!   every shipped protocol and every protocol pair.
 //!
-//! When a defect *is* found (e.g. via the test-only table-corruption hooks),
-//! the explorer emits a minimal [`mpsim::replay::Trace`] that
-//! [`mpsim::replay::replay`] re-executes step by step on the concrete
-//! simulator, reproducing the violation deterministically.
+//! A defect is a [`Checker`](mpsim::Checker) violation or an error the
+//! tolerant fabric logged. Its counterexample is the BFS path to it: a
+//! minimal [`mpsim::replay::Trace`] that [`mpsim::replay::replay`]
+//! re-executes deterministically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod explorer;
-mod machine;
 
 pub use explorer::{explore, Counterexample, Limits, Report};
-pub use machine::{
-    BusOverride, Defect, LineView, LocalOverride, MachState, Machine, ModLine, ModuleSpec, Policy,
-};
 
-use moesi::{
-    protocols, BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalEvent, PolicyTable,
-    TablePolicy,
-};
+use moesi::protocols::{self, Choices};
+use moesi::{BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalEvent, PolicyTable};
+use mpsim::replay::Failure;
 
 /// Shape of the explored configuration (the per-module policies come
 /// separately).
 #[derive(Clone, Copy, Debug)]
 pub struct Shape {
-    /// Lines modelled (1–2 keeps the space small; lines are independent).
+    /// Lines modelled. Each cache holds one, so two lines interact through
+    /// eviction.
     pub lines: usize,
     /// Size of the write-value domain (2 suffices to distinguish copies).
     pub values: u8,
@@ -77,7 +77,7 @@ pub const MATRIX_PROTOCOLS: [&str; 12] = [
     "full-table",
 ];
 
-/// Builds the module spec for a protocol name.
+/// The choices a module running protocol `name` branches over.
 ///
 /// `full-table`, `full-table-wt` and `full-table-nc` branch over the entire
 /// permitted sets of the corresponding client kind; `random` is folded into
@@ -85,12 +85,12 @@ pub const MATRIX_PROTOCOLS: [&str; 12] = [
 /// branch *is* its exhaustive closure). Every other name resolves through
 /// [`moesi::protocols::by_name`].
 #[must_use]
-pub fn spec_for(name: &str) -> Option<ModuleSpec> {
+pub fn spec_for(name: &str) -> Option<Choices> {
     match name {
-        "full-table" | "random" => Some(ModuleSpec::full_table(CacheKind::CopyBack)),
-        "full-table-wt" => Some(ModuleSpec::full_table(CacheKind::WriteThrough)),
-        "full-table-nc" => Some(ModuleSpec::full_table(CacheKind::NonCaching)),
-        _ => protocols::by_name(name, 0).map(ModuleSpec::protocol),
+        "full-table" | "random" => Some(Choices::Permitted(CacheKind::CopyBack)),
+        "full-table-wt" => Some(Choices::Permitted(CacheKind::WriteThrough)),
+        "full-table-nc" => Some(Choices::Permitted(CacheKind::NonCaching)),
+        _ => protocols::by_name(name, 0).map(Choices::Protocol),
     }
 }
 
@@ -115,8 +115,7 @@ pub fn relaxed_exclusive_clean(names: &[&str]) -> bool {
 /// The value survives only in Write-Once's unowned "Reserved" (E) line, so
 /// invariant 4 (unowned lines live in memory) breaks in three steps. This is
 /// precisely the gap §4.3's BS-based adaptation leaves open; the exhaustive
-/// explorer rediscovers it mechanically, and the concrete simulator
-/// reproduces the counterexample (see `tests/exhaustive.rs`).
+/// explorer rediscovers it mechanically (see `tests/exhaustive.rs`).
 #[must_use]
 pub fn class_compatible(a: &str, b: &str) -> bool {
     const OWNER_CAPABLE: [&str; 7] = [
@@ -137,13 +136,11 @@ pub fn class_compatible(a: &str, b: &str) -> bool {
 /// [`relaxed_exclusive_clean`].
 #[must_use]
 pub fn verify_mix(names: &[&str], shape: &Shape) -> Option<Report> {
-    let mut specs = Vec::with_capacity(names.len());
-    for name in names {
-        specs.push(spec_for(name)?);
-    }
-    let mut machine = Machine::new(specs, shape.lines, shape.values);
-    machine.check_exclusive_clean = !relaxed_exclusive_clean(names);
-    Some(explore(&mut machine, &shape.limits))
+    let specs = names
+        .iter()
+        .map(|name| spec_for(name))
+        .collect::<Option<_>>()?;
+    Some(explore(specs, shape, !relaxed_exclusive_clean(names)))
 }
 
 /// Exhaustively verifies a homogeneous system of `caches` modules all
@@ -165,9 +162,8 @@ pub fn verify_pair(a: &str, b: &str, shape: &Shape) -> Option<Report> {
 /// member protocol — and every mix of member protocols — at once.
 #[must_use]
 pub fn verify_class(kinds: &[CacheKind], shape: &Shape) -> Report {
-    let specs = kinds.iter().map(|&k| ModuleSpec::full_table(k)).collect();
-    let mut machine = Machine::new(specs, shape.lines, shape.values);
-    explore(&mut machine, &shape.limits)
+    let specs = kinds.iter().map(|&k| Choices::Permitted(k)).collect();
+    explore(specs, shape, true)
 }
 
 /// One row of [`mutation_sweep`]: a single corrupted cell of the preferred
@@ -182,7 +178,7 @@ pub struct MutationRow {
     pub structural: bool,
     /// The defect exhaustive exploration finds when the mutated policy shares
     /// a bus with a clean preferred-MOESI module, if any.
-    pub defect: Option<Defect>,
+    pub defect: Option<Failure>,
     /// Global states explored for this mutation.
     pub explored: usize,
 }
@@ -260,11 +256,10 @@ fn run_mutation(cell: String, table: PolicyTable, shape: &Shape) -> MutationRow 
 #[must_use]
 pub fn verify_table(table: PolicyTable, shape: &Shape) -> Report {
     let specs = vec![
-        ModuleSpec::protocol(Box::new(TablePolicy::new(table))),
+        Choices::Protocol(Box::new(moesi::TablePolicy::new(table))),
         spec_for("moesi").expect("moesi is a known protocol"),
     ];
-    let mut machine = Machine::new(specs, shape.lines, shape.values);
-    explore(&mut machine, &shape.limits)
+    explore(specs, shape, true)
 }
 
 /// Runs [`verify_pair`] over every unordered pair from `names` (including
@@ -318,14 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn the_initial_state_round_trips_through_the_encoding() {
-        let a = MachState::initial(3, 2);
-        let b = MachState::initial(3, 2);
-        assert_eq!(a.encode(), b.encode());
-        assert_eq!(a.encode().len(), 2 * (2 + 2 * 3));
-    }
-
-    #[test]
     fn two_full_table_caches_one_line_verify_clean() {
         let report = verify_class(&[CacheKind::CopyBack; 2], &Shape::default());
         assert!(report.verified(), "{report}");
@@ -368,7 +355,13 @@ mod tests {
                 r.cell,
                 r.defect
             );
-            assert!(r.explored > 1, "{}: degenerate space", r.cell);
+            // A clean row explored a real space; a defect may strike at the
+            // very first step (a read miss the fabric cannot execute).
+            assert!(
+                r.defect.is_some() || r.explored > 1,
+                "{}: degenerate space",
+                r.cell
+            );
         }
         // Ignoring a snooped read-invalidate (col 6) leaves a stale copy that
         // the next local read returns: structural AND concrete.
@@ -387,6 +380,38 @@ mod tests {
             .find(|r| r.cell == "local (S, Write)")
             .expect("the (S, Write) cell is populated");
         assert!(claimed.structural && claimed.defect.is_some());
+    }
+
+    #[test]
+    fn mutations_are_executed_as_the_table_says() {
+        let rows = mutation_sweep(&Shape::default());
+        let defect = |cell: &str| {
+            let row = rows.iter().find(|r| r.cell == cell).expect("populated");
+            assert!(row.structural, "{cell}");
+            row.defect
+                .clone()
+                .unwrap_or_else(|| panic!("{cell} is clean"))
+        };
+        // A silent pass from O claims M while the peer keeps its S copy.
+        assert!(
+            matches!(
+                defect("local (O, Pass)"),
+                Failure::Violation(mpsim::Violation::ExclusivityViolated { .. })
+            ),
+            "{:?}",
+            defect("local (O, Pass)")
+        );
+        // A miss the table answers without a bus read, or a silent write to
+        // a line that is not resident, is a fabric error.
+        for (cell, what) in [
+            ("local (I, Read)", "not a bus read"),
+            ("local (I, Write)", "silent write needs line"),
+        ] {
+            match defect(cell) {
+                Failure::Error(e) => assert!(e.contains(what), "{cell}: {e}"),
+                other => panic!("{cell}: {other}"),
+            }
+        }
     }
 
     #[test]

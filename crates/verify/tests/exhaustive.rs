@@ -1,12 +1,21 @@
 //! Exhaustive-verification acceptance tests: every shipped protocol and
 //! every protocol pair explores clean, and a deliberately corrupted table
-//! yields a counterexample the concrete simulator reproduces.
+//! yields a counterexample that replays deterministically.
 
-use moesi::{BusEvent, BusReaction, CacheKind, LineState};
-use verify::{
-    class_compatible, explore, verify_class, verify_matrix, verify_pair, verify_protocol, Defect,
-    Limits, Machine, ModuleSpec, Shape, MATRIX_PROTOCOLS,
+use moesi::protocols::Choices;
+use moesi::{
+    BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalEvent, PolicyTable, TablePolicy,
 };
+use mpsim::replay::Failure;
+use mpsim::Violation;
+use verify::{
+    class_compatible, explore, verify_class, verify_matrix, verify_pair, verify_protocol, Limits,
+    Shape, MATRIX_PROTOCOLS,
+};
+
+fn stale_memory(defect: &Failure) -> bool {
+    matches!(defect, Failure::Violation(Violation::StaleMemory { .. }))
+}
 
 fn small() -> Shape {
     Shape::default() // 1 line, 2 values
@@ -39,31 +48,24 @@ fn the_full_pairwise_matrix_matches_the_compatibility_claims() {
             let cx = report.counterexample.as_ref().unwrap_or_else(|| {
                 panic!("{a} + {b}: expected the known incompatibility, got {report}")
             });
-            assert!(
-                matches!(cx.defect, Defect::StaleMemory),
-                "{a} + {b}: {report}"
-            );
+            assert!(stale_memory(&cx.defect), "{a} + {b}: {report}");
         }
     }
 }
 
-/// The known Write-Once incompatibility is not an artifact of the abstract
-/// machine: the minimal counterexample replays on the concrete simulator and
-/// trips the concrete checker the same way.
+/// The known Write-Once incompatibility is a minimal schedule that replays
+/// on a fresh machine and fails the same way at the same step.
 #[test]
-fn the_write_once_incompatibility_reproduces_on_the_concrete_machine() {
+fn the_write_once_incompatibility_replays() {
     let report = verify_pair("moesi", "write-once", &small()).expect("known names");
     let cx = report.counterexample.expect("known incompatibility");
-    assert!(matches!(cx.defect, Defect::StaleMemory), "{}", cx.defect);
+    assert!(stale_memory(&cx.defect), "{}", cx.defect);
     assert_eq!(cx.trace.steps.len(), 3, "minimal schedule:\n{}", cx.trace);
 
     let outcome = mpsim::replay::replay(&cx.trace, false);
-    let (step, violation) = outcome.violation.expect("concrete machine agrees");
-    assert_eq!(step, 2, "violation at the last step:\n{}", cx.trace);
-    assert!(
-        matches!(violation, mpsim::Violation::StaleMemory { .. }),
-        "{violation}"
-    );
+    let (step, failure) = outcome.failure.expect("the replay agrees");
+    assert_eq!(step, 2, "failure at the last step:\n{}", cx.trace);
+    assert_eq!(failure, cx.defect);
     assert_eq!(outcome.script_underflows, 0);
 }
 
@@ -91,10 +93,11 @@ fn mixed_kind_class_verifies_clean() {
     assert!(report.verified(), "{report}");
 }
 
-/// Two lines double the per-line space independently (lines never interact),
-/// and the invariants hold on both.
+/// Two lines interact: each cache holds one line, so filling one evicts the
+/// other (with a write-back when it is owned). The space grows, but stays
+/// below the product of two independent lines, and the invariants hold.
 #[test]
-fn two_lines_verify_clean() {
+fn two_lines_interact() {
     let shape = Shape {
         lines: 2,
         ..Shape::default()
@@ -103,8 +106,8 @@ fn two_lines_verify_clean() {
     let two = verify_class(&[CacheKind::CopyBack; 2], &shape);
     assert!(two.verified(), "{two}");
     assert!(
-        two.explored > one.explored,
-        "two lines must enlarge the space ({} vs {})",
+        one.explored < two.explored && two.explored < one.explored * one.explored,
+        "two lines: {} states against {} for one",
         two.explored,
         one.explored
     );
@@ -124,28 +127,23 @@ fn the_state_cap_truncates_cleanly() {
     assert!(report.counterexample.is_none());
 }
 
-/// Corrupt Table 2 so a Shareable snooper *keeps its copy* through an
-/// invalidating transaction. The explorer must find a minimal counterexample,
-/// and the concrete simulator must reproduce the violation deterministically
-/// when replaying it.
-#[test]
-fn corrupted_invalidation_row_yields_a_replayable_counterexample() {
-    fn stubborn(state: LineState, event: BusEvent, raw: Vec<BusReaction>) -> Vec<BusReaction> {
-        if state == LineState::Shareable && event == BusEvent::CacheReadInvalidate {
-            vec![BusReaction::hit(LineState::Shareable)]
-        } else {
-            raw
-        }
-    }
+/// `n` modules, each running the preferred copy-back table with one cell
+/// corrupted by `corrupt`.
+fn corrupted(n: usize, corrupt: impl Fn(&mut PolicyTable)) -> Vec<Choices> {
+    (0..n)
+        .map(|_| {
+            let mut table = PolicyTable::preferred("corrupted", CacheKind::CopyBack);
+            corrupt(&mut table);
+            Choices::Protocol(Box::new(TablePolicy::new(table)))
+        })
+        .collect()
+}
 
-    let specs = vec![
-        ModuleSpec::full_table(CacheKind::CopyBack),
-        ModuleSpec::full_table(CacheKind::CopyBack),
-    ];
-    let mut machine = Machine::new(specs, 1, 2);
-    machine.bus_override = Some(stubborn);
-    let report = explore(&mut machine, &Limits::default());
-
+/// Explores `modules`, then checks the counterexample: at most three steps,
+/// and a replay that fails the same way at the same step, run after run,
+/// with every decision scripted.
+fn assert_minimal_and_replayable(modules: Vec<Choices>) {
+    let report = explore(modules, &small(), true);
     let cx = report
         .counterexample
         .expect("the corruption must be caught");
@@ -155,13 +153,12 @@ fn corrupted_invalidation_row_yields_a_replayable_counterexample() {
         cx.trace.steps.len(),
         cx.trace
     );
-
-    // The concrete machine reproduces it, step for step, run after run.
+    let last = cx.trace.steps.len() - 1;
     let first = mpsim::replay::replay(&cx.trace, true);
-    assert!(
-        first.reproduced(),
-        "concrete replay missed: {}\n{}",
-        cx.defect,
+    assert_eq!(
+        first.failure,
+        Some((last, cx.defect.clone())),
+        "replay missed:\n{}",
         cx.trace
     );
     assert_eq!(
@@ -170,39 +167,34 @@ fn corrupted_invalidation_row_yields_a_replayable_counterexample() {
     );
     let second = mpsim::replay::replay(&cx.trace, true);
     assert_eq!(
-        first.violation.as_ref().map(|(s, _)| *s),
-        second.violation.as_ref().map(|(s, _)| *s),
+        first.failure, second.failure,
         "replay must be deterministic"
     );
+}
+
+/// Corrupt Table 2 so a Shareable snooper *keeps its copy* through a
+/// read-invalidate. Three modules: two share the line, and the third's
+/// write miss invalidates neither.
+#[test]
+fn corrupted_invalidation_row_yields_a_replayable_counterexample() {
+    assert_minimal_and_replayable(corrupted(3, |t| {
+        t.set_bus_unchecked(
+            LineState::Shareable,
+            BusEvent::CacheReadInvalidate,
+            BusReaction::hit(LineState::Shareable),
+        );
+    }));
 }
 
 /// A corrupted *local* row: silent writes from Shareable (skipping the
 /// invalidate) leave stale copies elsewhere; the explorer catches it.
 #[test]
 fn corrupted_local_row_is_caught() {
-    fn silent_shared_write(
-        state: LineState,
-        event: moesi::LocalEvent,
-        _kind: CacheKind,
-        raw: Vec<moesi::LocalAction>,
-    ) -> Vec<moesi::LocalAction> {
-        if state == LineState::Shareable && event == moesi::LocalEvent::Write {
-            vec![moesi::LocalAction::silent(LineState::Modified)]
-        } else {
-            raw
-        }
-    }
-
-    let specs = vec![
-        ModuleSpec::full_table(CacheKind::CopyBack),
-        ModuleSpec::full_table(CacheKind::CopyBack),
-    ];
-    let mut machine = Machine::new(specs, 1, 2);
-    machine.local_override = Some(silent_shared_write);
-    let report = explore(&mut machine, &Limits::default());
-    let cx = report
-        .counterexample
-        .expect("silent shared write must be caught");
-    let replayed = mpsim::replay::replay(&cx.trace, true);
-    assert!(replayed.reproduced(), "{}\n{}", cx.defect, cx.trace);
+    assert_minimal_and_replayable(corrupted(2, |t| {
+        t.set_local_unchecked(
+            LineState::Shareable,
+            LocalEvent::Write,
+            LocalAction::silent(LineState::Modified),
+        );
+    }));
 }

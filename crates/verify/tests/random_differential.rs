@@ -2,11 +2,11 @@
 //! explorer: over a long run, every action `RandomPolicy` picks is a member
 //! of the permitted set the explorer branches on for the same table cell.
 //!
-//! The explorer's `full-table` policy enumerates its branch sets through
-//! `table::local_cells`/`table::bus_cells`; building the membership oracle
-//! from those same iterators ties the two enumeration paths together — if
-//! either side drifted (a cell the explorer skips, or a selector reaching
-//! outside the tables), this test catches it.
+//! The explorer's `full-table` modules branch over the permitted sets
+//! `table::permitted_local`/`table::permitted_bus` return; the membership
+//! oracle here is built from `table::local_cells`/`table::bus_cells`, which
+//! enumerate those same sets, so a selector reaching outside the tables is
+//! caught.
 
 use moesi::protocols::RandomPolicy;
 use moesi::{table, BusEvent, CacheKind, LineState, LocalCtx, LocalEvent, Protocol, SnoopCtx};
