@@ -35,8 +35,9 @@ done
 
 # A traced run counts heap allocations per reference (mpsim.allocs_per_op).
 # The counts repeat exactly from run to run, so these bounds are
-# deterministic: a steady-state bus transaction allocates nothing.
-for gate in tree:0.05 flat-write:0.02; do
+# deterministic: a steady-state bus transaction allocates nothing, and
+# neither does feeding a reference from its stream to the machine.
+for gate in tree:0.05 flat-write:0.02 flat-read:0.01; do
   workload="${gate%%:*}"
   bound="${gate#*:}"
   echo "==> perfbench $workload traced allocation gate (mpsim.allocs_per_op <= $bound)"

@@ -40,6 +40,7 @@ impl SmallRng {
     }
 
     /// The next raw 64-bit word of the stream.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -55,6 +56,7 @@ impl SmallRng {
 
     /// A uniform value in `[0, bound)` using Lemire's multiply-shift
     /// rejection method (no modulo bias).
+    #[inline]
     fn bounded(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0, "gen_range over an empty range");
         loop {
@@ -68,21 +70,71 @@ impl SmallRng {
     }
 
     /// A uniform value in the half-open range, like `rand::Rng::gen_range`.
+    #[inline]
     pub fn gen_range<T: UniformInt>(&mut self, range: core::ops::Range<T>) -> T {
         T::sample(self, range)
     }
 
     /// `true` with probability `p`, like `rand::Rng::gen_bool`.
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         debug_assert!((0.0..=1.0).contains(&p), "probability out of range");
-        // 53 random mantissa bits → uniform in [0, 1).
-        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        unit < p
+        self.gen_chance(Chance::new(p))
+    }
+
+    /// `true` with the probability `chance` was built from: the same verdict
+    /// [`gen_bool`](Self::gen_bool) gives on the same word, one integer
+    /// compare per draw.
+    #[inline]
+    pub fn gen_chance(&mut self, chance: Chance) -> bool {
+        chance.hit(self.next_u64())
     }
 
     /// A uniformly random element index for a non-empty slice length.
     pub fn pick<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
         &slice[self.gen_range(0..slice.len())]
+    }
+}
+
+/// A probability `p` as the exact integer threshold of a Bernoulli draw.
+///
+/// A draw takes the top 53 bits of a word, `n = word >> 11`, and succeeds when
+/// the unit value `n / 2^53` is below `p`. Both `n` and `n / 2^53` are exact
+/// in `f64`, and so is `p * 2^53` (a power-of-two scaling), so for an integer
+/// `n` the test `n / 2^53 < p` holds exactly when `n < ceil(p * 2^53)`: one
+/// threshold, computed once per probability, gives every word the float
+/// formula's verdict.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Chance {
+    threshold: u64,
+}
+
+impl Chance {
+    /// The threshold `ceil(p * 2^53)`. A `p` at or below 0 (or NaN) never
+    /// succeeds and a `p` of 1 or more always does, as in the float formula.
+    #[must_use]
+    #[inline]
+    pub fn new(p: f64) -> Self {
+        let scaled = p * (1u64 << 53) as f64;
+        // The cast truncates (saturating, NaN to 0); add one when a fraction
+        // was cut off.
+        let floor = scaled as u64;
+        Chance {
+            threshold: floor.saturating_add(u64::from((floor as f64) < scaled)),
+        }
+    }
+
+    /// The integer threshold: a draw succeeds when `word >> 11` is below it.
+    #[must_use]
+    pub fn threshold(self) -> u64 {
+        self.threshold
+    }
+
+    /// The draw's verdict on the raw word `word`.
+    #[must_use]
+    #[inline]
+    pub fn hit(self, word: u64) -> bool {
+        word >> 11 < self.threshold
     }
 }
 
@@ -95,6 +147,7 @@ pub trait UniformInt: Copy {
 macro_rules! impl_uniform {
     ($($t:ty),*) => {$(
         impl UniformInt for $t {
+            #[inline]
             fn sample(rng: &mut SmallRng, range: core::ops::Range<Self>) -> Self {
                 assert!(range.start < range.end, "gen_range over an empty range");
                 let span = (range.end as u64).wrapping_sub(range.start as u64);
@@ -149,6 +202,50 @@ mod tests {
         assert!((2_000..3_000).contains(&hits), "p=0.25 gave {hits}/10000");
         assert!((0..100).all(|_| !rng.gen_bool(0.0)));
         assert!((0..100).all(|_| rng.gen_bool(1.0)));
+    }
+
+    /// The Bernoulli verdict before integer thresholds: the unit value of
+    /// the word's top 53 bits, compared with `p` in floating point.
+    fn float_verdict(word: u64, p: f64) -> bool {
+        let unit = (word >> 11) as f64 / (1u64 << 53) as f64;
+        unit < p
+    }
+
+    #[test]
+    fn chance_thresholds_give_the_float_formulas_verdict_on_every_word() {
+        let tiny = 1.0 / (1u64 << 53) as f64;
+        let ps = [0.0, tiny, 0.02, 0.2, 0.3, 0.5, 0.75, 1.0 - tiny, 1.0];
+        let mut rng = SmallRng::seed_from_u64(11);
+        let seeded: Vec<u64> = (0..100_000).map(|_| rng.next_u64()).collect();
+        for p in ps {
+            let chance = Chance::new(p);
+            let t = chance.threshold();
+            let edges = [t.wrapping_sub(1), t, t.wrapping_add(1)].map(|n| n << 11);
+            for word in edges
+                .into_iter()
+                .chain([0, u64::MAX])
+                .chain(seeded.iter().copied())
+            {
+                assert_eq!(
+                    chance.hit(word),
+                    float_verdict(word, p),
+                    "p = {p}, threshold {t}, word {word:#x}"
+                );
+            }
+        }
+        assert_eq!(Chance::new(0.0).threshold(), 0);
+        assert_eq!(Chance::new(tiny).threshold(), 1);
+        assert_eq!(Chance::new(1.0).threshold(), 1 << 53);
+    }
+
+    #[test]
+    fn gen_bool_and_gen_chance_draw_the_same_stream() {
+        let mut a = SmallRng::seed_from_u64(5);
+        let mut b = SmallRng::seed_from_u64(5);
+        let chance = Chance::new(0.3);
+        for _ in 0..1000 {
+            assert_eq!(a.gen_bool(0.3), b.gen_chance(chance));
+        }
     }
 
     #[test]

@@ -117,27 +117,33 @@ impl EventQueue {
     }
 }
 
-/// `steps` accesses per lane, drawn from `draw(lane)`: the `next_access`
-/// of a stream-fed run.
+/// `steps` accesses per lane, drawn by `draw(lane, slot)`: the `next` of a
+/// stream-fed run. Each call draws at most one access, into the driver's
+/// slot, so every stream yields exactly `steps` accesses.
 pub(crate) fn budget(
     lanes: usize,
     steps: u64,
-    mut draw: impl FnMut(usize) -> Access,
-) -> impl FnMut(usize) -> Option<Access> {
+    mut draw: impl FnMut(usize, &mut Access),
+) -> impl FnMut(usize, &mut Access) -> bool {
     let mut done = vec![0u64; lanes];
-    move |lane| {
-        (done[lane] < steps).then(|| {
+    move |lane, slot| {
+        let more = done[lane] < steps;
+        if more {
             done[lane] += 1;
-            draw(lane)
-        })
+            draw(lane, slot);
+        }
+        more
     }
 }
 
-/// The run driver of every machine. `next_access(lane)` returns `None` once
-/// that lane's workload is exhausted; `issue(lane, access)` performs the
-/// access and returns the bus nanoseconds it used. Each access first costs
-/// `cpu_work_ns` of the lane's local work, then queues for the single shared
-/// bus — the §1 saturation model.
+/// The run driver of every machine. The driver owns one [`Access`] slot:
+/// `next(lane, slot)` draws that lane's next access into it, returning
+/// `false` once the lane's workload is exhausted, and `issue(lane, slot)`
+/// then performs it and returns the bus nanoseconds it used. Each access is
+/// drawn immediately before its issue — never ahead — so the draw order is
+/// the issue order. Each access first costs `cpu_work_ns` of the lane's
+/// local work, then queues for the single shared bus — the §1 saturation
+/// model.
 ///
 /// Events execute in `(cycle, lane)` order; on top of it the driver *runs
 /// ahead*: after an access, if the lane's new cycle still precedes every
@@ -150,24 +156,25 @@ pub(crate) fn budget(
 /// caller fills in [`TimedReport::phase_hist`].
 pub(crate) fn drive(
     lanes: usize,
-    mut next_access: impl FnMut(usize) -> Option<Access>,
+    mut next: impl FnMut(usize, &mut Access) -> bool,
     mut issue: impl FnMut(usize, &Access) -> u64,
     cpu_work_ns: u64,
 ) -> TimedReport {
     let mut queue = EventQueue::new(lanes);
     let mut report = TimedReport::default();
     let mut bus_free: u64 = 0;
+    let mut slot = Access::read(0, 0);
     while let Popped::Next {
         cycle: mut clock,
         lane,
     } = queue.pop()
     {
         loop {
-            let Some(access) = next_access(lane) else {
+            if !next(lane, &mut slot) {
                 report.wall_ns = report.wall_ns.max(clock);
                 break;
-            };
-            let bus_used = issue(lane, &access);
+            }
+            let bus_used = issue(lane, &slot);
             clock += cpu_work_ns;
             if bus_used > 0 {
                 let start = clock.max(bus_free);

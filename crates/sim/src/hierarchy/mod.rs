@@ -573,9 +573,11 @@ impl HierarchicalSystem {
     /// failures during snoop forwarding) into the system error log, in
     /// pre-order — walking the tree only when some bridge logged one.
     fn hoist_forward_errors(&mut self) {
-        if !self.forward_logged.swap(false, Ordering::Relaxed) {
+        // A plain load per access; the flag is written only when set.
+        if !self.forward_logged.load(Ordering::Relaxed) {
             return;
         }
+        self.forward_logged.store(false, Ordering::Relaxed);
         fn walk(children: &mut [Bridge], out: &mut Vec<ParentError>) {
             for b in children {
                 out.append(&mut b.forward_errors);
@@ -627,9 +629,9 @@ impl HierarchicalSystem {
             assert_eq!(cpus, nodes, "one stream per node");
             lanes.extend((0..cpus).map(|cpu| (leaf, cpu)));
         }
-        let next = engine::budget(lanes.len(), steps, |lane| {
+        let next = engine::budget(lanes.len(), steps, |lane, slot| {
             let (leaf, cpu) = lanes[lane];
-            streams[leaf][cpu].next_access()
+            streams[leaf][cpu].next_into(slot);
         });
         engine::drive(
             lanes.len(),

@@ -493,7 +493,9 @@ impl System {
     /// consistency violation.
     pub fn run(&mut self, streams: &mut [Box<dyn RefStream + Send>], steps: u64) {
         assert_eq!(streams.len(), self.nodes(), "one reference stream per node");
-        let next = engine::budget(streams.len(), steps, |cpu| streams[cpu].next_access());
+        let next = engine::budget(streams.len(), steps, |cpu, slot| {
+            streams[cpu].next_into(slot);
+        });
         engine::drive(
             self.nodes(),
             next,
@@ -526,8 +528,8 @@ impl System {
         cpu_work_ns: u64,
     ) -> crate::TimedReport {
         assert_eq!(streams.len(), self.nodes(), "one stream per node");
-        let next = engine::budget(streams.len(), refs_per_cpu, |cpu| {
-            streams[cpu].next_access()
+        let next = engine::budget(streams.len(), refs_per_cpu, |cpu, slot| {
+            streams[cpu].next_into(slot);
         });
         self.run_driven(next, cpu_work_ns)
     }
@@ -547,18 +549,21 @@ impl System {
     ) -> crate::TimedReport {
         assert_eq!(scripts.len(), self.nodes(), "one script per node");
         let mut scripts: Vec<_> = scripts.iter().map(|s| s.iter().copied()).collect();
-        self.run_driven(|cpu| scripts[cpu].next(), cpu_work_ns)
+        self.run_driven(
+            |cpu, slot| scripts[cpu].next().map(|access| *slot = access).is_some(),
+            cpu_work_ns,
+        )
     }
 
     /// A timed engine run, reporting the bus's phase histograms with it.
     fn run_driven(
         &mut self,
-        next_access: impl FnMut(usize) -> Option<Access>,
+        next: impl FnMut(usize, &mut Access) -> bool,
         cpu_work_ns: u64,
     ) -> crate::TimedReport {
         let report = engine::drive(
             self.nodes(),
-            next_access,
+            next,
             |cpu, access| self.issue(cpu, access),
             cpu_work_ns,
         );

@@ -8,7 +8,7 @@
 //! [`ReadMostly`], [`Sequential`]) exercise the sharing patterns the
 //! coherence literature names.
 
-use moesi::rng::SmallRng;
+use moesi::rng::{Chance, SmallRng};
 
 /// One memory access issued by a processor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,9 +77,24 @@ impl WritePayload {
 }
 
 /// An endless per-processor reference stream.
+///
+/// The run drivers feed each processor through one [`Access`] slot: they call
+/// [`next_into`](Self::next_into) immediately before issuing the access it
+/// draws, so a run of `steps` references draws exactly `steps` accesses from
+/// every stream, in the order the engine issues them, and nothing ahead.
 pub trait RefStream {
-    /// Produces the next access for this processor.
+    /// Produces the next access for this processor: the stream's one
+    /// generator.
     fn next_access(&mut self) -> Access;
+
+    /// Writes the next access into `slot`. Through `dyn RefStream` this is
+    /// the one virtual call per reference, and its body is compiled per
+    /// stream type with [`next_access`](Self::next_access) inlined.
+    /// Generators keep this default; a wrapper stream forwards it.
+    #[inline]
+    fn next_into(&mut self, slot: &mut Access) {
+        *slot = self.next_access();
+    }
 }
 
 impl std::fmt::Debug for dyn RefStream + Send {
@@ -138,6 +153,10 @@ impl Default for SharingModel {
 pub struct DuboisBriggs {
     cpu: usize,
     model: SharingModel,
+    /// `model`'s probabilities as draw thresholds, computed once.
+    p_rereference: Chance,
+    p_shared: Chance,
+    p_write: Chance,
     rng: SmallRng,
     last: Option<u64>,
 }
@@ -167,6 +186,9 @@ impl DuboisBriggs {
         DuboisBriggs {
             cpu,
             model,
+            p_rereference: Chance::new(model.p_rereference),
+            p_shared: Chance::new(model.p_shared),
+            p_write: Chance::new(model.p_write),
             rng: SmallRng::seed_from_u64(seed ^ (cpu as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             last: None,
         }
@@ -174,18 +196,22 @@ impl DuboisBriggs {
 }
 
 impl RefStream for DuboisBriggs {
+    #[inline(always)]
     fn next_access(&mut self) -> Access {
         let m = self.model;
-        let line = if let Some(last) = self.last.filter(|_| self.rng.gen_bool(m.p_rereference)) {
+        let line = if let Some(last) = self
+            .last
+            .filter(|_| self.rng.gen_chance(self.p_rereference))
+        {
             last
-        } else if self.rng.gen_bool(m.p_shared) {
+        } else if self.rng.gen_chance(self.p_shared) {
             SHARED_BASE + self.rng.gen_range(0..m.shared_lines) * m.line_size
         } else {
             private_base(self.cpu) + self.rng.gen_range(0..m.private_lines) * m.line_size
         };
         self.last = Some(line);
         let offset = self.rng.gen_range(0..m.line_size / 4) * 4;
-        let is_write = self.rng.gen_bool(m.p_write);
+        let is_write = self.rng.gen_chance(self.p_write);
         Access {
             addr: line + offset,
             size: 4,
@@ -374,7 +400,7 @@ pub struct Sequential {
     cpu: usize,
     stride: u64,
     span: u64,
-    p_write: f64,
+    p_write: Chance,
     rng: SmallRng,
     cursor: u64,
 }
@@ -389,7 +415,7 @@ impl Sequential {
             cpu,
             stride,
             span,
-            p_write,
+            p_write: Chance::new(p_write),
             rng: SmallRng::seed_from_u64(seed),
             cursor: 0,
         }
@@ -397,10 +423,11 @@ impl Sequential {
 }
 
 impl RefStream for Sequential {
+    #[inline(always)]
     fn next_access(&mut self) -> Access {
         let addr = private_base(self.cpu) + (self.cursor % (self.span / self.stride)) * self.stride;
         self.cursor += 1;
-        let is_write = self.rng.gen_bool(self.p_write);
+        let is_write = self.rng.gen_chance(self.p_write);
         Access {
             addr,
             size: 4,
@@ -430,12 +457,14 @@ impl FalseSharing {
     ///
     /// # Panics
     ///
-    /// Panics when `write_period` is zero.
+    /// Panics when `write_period` is zero, or when `cpu`'s 4-byte word does
+    /// not fit in a `line_size`-byte line (`cpu` must be below
+    /// [`max_cpus`](Self::max_cpus)).
     #[must_use]
     pub fn new(cpu: usize, line: u64, line_size: u64, write_period: u64) -> Self {
         assert!(write_period > 0);
         assert!(
-            (cpu as u64 + 1) * 4 <= line_size,
+            cpu < Self::max_cpus(line_size),
             "cpu {cpu}'s word does not fit in a {line_size}-byte line"
         );
         FalseSharing {
@@ -444,6 +473,12 @@ impl FalseSharing {
             step: 0,
             p_write_period: write_period,
         }
+    }
+
+    /// How many processors a `line_size`-byte line gives a 4-byte word each.
+    #[must_use]
+    pub fn max_cpus(line_size: u64) -> usize {
+        (line_size / 4) as usize
     }
 }
 

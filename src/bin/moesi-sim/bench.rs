@@ -2,7 +2,9 @@
 
 use crate::chrome::write_chrome_trace;
 use futurebus::Discipline;
-use moesi_futurebus::cli::{check_cache_geometry, parse_count_list, CommonOpts};
+use moesi_futurebus::cli::{
+    check_cache_geometry, check_workload_fit, parse_count_list, CommonOpts,
+};
 
 pub(crate) const BENCH_USAGE: &str = "\
 moesi-sim bench: run the protocol x workload benchmark sweep
@@ -222,6 +224,11 @@ pub(crate) fn parse_bench_args(args: &[String]) -> Result<BenchCliConfig, String
         if cfg.trace_out.is_some() {
             return Err("--trace-out traces the flat sweep; drop it with --hierarchy".into());
         }
+    } else {
+        let sweep = sweep_config(&cfg);
+        for workload in &sweep.workloads {
+            check_workload_fit(workload, sweep.cpus, bench::LINE)?;
+        }
     }
     Ok(cfg)
 }
@@ -332,6 +339,22 @@ pub(crate) fn run_bench(cfg: &BenchCliConfig) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::testutil::args;
+
+    #[test]
+    fn false_sharing_beyond_one_word_per_cpu_is_a_usage_error() {
+        // The default workload list includes false-sharing.
+        for flags in ["--workload false-sharing --cpus 9", "--cpus 9"] {
+            let err = parse_bench_args(&args(flags)).unwrap_err();
+            assert!(err.contains("do not fit"), "{flags}: {err}");
+        }
+        for flags in [
+            "--workload false-sharing --cpus 8",
+            "--workload general,ping-pong --cpus 9",
+            "--hierarchy --cpus 9",
+        ] {
+            parse_bench_args(&args(flags)).unwrap_or_else(|e| panic!("{flags}: {e}"));
+        }
+    }
 
     #[test]
     fn bench_defaults_and_full_option_set_parse() {

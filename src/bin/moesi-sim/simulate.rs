@@ -4,7 +4,7 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::by_name;
-use moesi_futurebus::cli::check_cache_geometry;
+use moesi_futurebus::cli::{check_cache_geometry, check_workload_fit};
 use mpsim::workload::{
     DuboisBriggs, FalseSharing, Migratory, PingPong, ProducerConsumer, ReadMostly, SharingModel,
 };
@@ -162,6 +162,13 @@ pub(crate) fn parse_args(args: &[String]) -> Result<Config, String> {
         }
     }
     check_cache_geometry(cfg.cache_bytes, cfg.line_size)?;
+    if cfg.trace_file.is_none() {
+        // Streams are built per node: per cluster in a hierarchy.
+        let nodes = cfg
+            .clusters
+            .map_or(cfg.cpus, |(_, per_cluster)| per_cluster);
+        check_workload_fit(&cfg.workload, nodes, cfg.line_size)?;
+    }
     Ok(cfg)
 }
 
@@ -483,6 +490,26 @@ mod tests {
         ] {
             let err = parse_args(&args(flags)).unwrap_err();
             assert!(err.contains(reason), "{flags}: {err}");
+        }
+    }
+
+    #[test]
+    fn false_sharing_beyond_one_word_per_cpu_is_a_usage_error() {
+        for flags in [
+            "--workload false-sharing --cpus 9",
+            "--workload false-sharing --clusters 2x9",
+            "--workload false-sharing --cpus 4 --line-size 8",
+        ] {
+            let err = parse_args(&args(flags)).unwrap_err();
+            assert!(err.contains("do not fit"), "{flags}: {err}");
+        }
+        for flags in [
+            "--workload false-sharing --cpus 8",
+            "--workload false-sharing --clusters 9x8",
+            "--workload false-sharing --cpus 2 --line-size 8",
+            "--workload general --cpus 9",
+        ] {
+            parse_args(&args(flags)).unwrap_or_else(|e| panic!("{flags}: {e}"));
         }
     }
 }

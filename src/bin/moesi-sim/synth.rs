@@ -1,7 +1,7 @@
 //! The `synth` subcommand: search the compatibility class for
 //! workload-tuned policy tables.
 
-use moesi_futurebus::cli::{check_cache_geometry, CommonOpts};
+use moesi_futurebus::cli::{check_cache_geometry, check_workload_fit, CommonOpts};
 
 pub(crate) const SYNTH_USAGE: &str = "\
 moesi-sim synth: search the compatibility class for workload-tuned tables
@@ -141,6 +141,9 @@ pub(crate) fn parse_synth_args(args: &[String]) -> Result<SynthCliConfig, String
     }
     if let Some(jobs) = common.jobs {
         cfg.jobs = jobs;
+    }
+    for workload in &synth_config(&cfg).workloads {
+        check_workload_fit(workload, cfg.cpus, bench::LINE)?;
     }
     Ok(cfg)
 }
@@ -287,5 +290,15 @@ mod tests {
     fn bad_cache_geometry_is_a_usage_error() {
         let err = parse_synth_args(&args("--cache-bytes 100")).unwrap_err();
         assert!(err.contains("power of two"), "{err}");
+    }
+
+    #[test]
+    fn false_sharing_beyond_one_word_per_cpu_is_a_usage_error() {
+        // The default workload list includes false-sharing.
+        for flags in ["--workload false-sharing --cpus 9", "--cpus 9"] {
+            let err = parse_synth_args(&args(flags)).unwrap_err();
+            assert!(err.contains("do not fit"), "{flags}: {err}");
+        }
+        parse_synth_args(&args("--workload general --cpus 9")).expect("general fits");
     }
 }

@@ -7,6 +7,7 @@
 //! understands.
 
 use cache_array::{CacheConfig, ReplacementKind};
+use mpsim::FalseSharing;
 
 /// Parses a comma-separated list of positive counts (the `--shards`,
 /// `--clusters`, `--depth` and `--fanout` flags). Rejects — with a named,
@@ -51,6 +52,22 @@ pub fn check_cache_geometry(cache_bytes: usize, line_size: usize) -> Result<(), 
         .map_err(|reason| {
             format!("bad cache geometry ({cache_bytes}B, {line_size}B lines): {reason}")
         })
+}
+
+/// Checks that the named workload can drive `cpus` processors on
+/// `line_size`-byte lines, so a workload that cannot be built is a usage
+/// error at parse time instead of a panic inside the run. Only
+/// `false-sharing` has a limit: each processor owns its own 4-byte word of
+/// one shared line.
+pub fn check_workload_fit(workload: &str, cpus: usize, line_size: usize) -> Result<(), String> {
+    let fit = FalseSharing::max_cpus(line_size as u64);
+    if workload == "false-sharing" && cpus > fit {
+        return Err(format!(
+            "the false-sharing workload gives each CPU a 4-byte word of one \
+             {line_size}-byte line: {cpus} CPUs do not fit (at most {fit})"
+        ));
+    }
+    Ok(())
 }
 
 /// The flags shared across `moesi-sim` subcommands, each `None` until seen.

@@ -1,5 +1,6 @@
-//! The one run driver, seen from outside: the order in which a fabric tree's
-//! `run` draws accesses, and the write-payload rule that makes a run split
+//! The one run driver, seen from outside: the order in which `run` draws
+//! accesses on trees and flat buses, the exact per-stream draw budget of a
+//! timed run, and the write-payload rule that makes a run split
 //! in two equal one run of the whole length, on trees and flat buses alike.
 
 use std::sync::{Arc, Mutex};
@@ -114,23 +115,62 @@ fn a_tree_run_split_in_two_equals_one_run() {
 }
 
 fn flat_system() -> System {
-    (0..3)
+    (0..FLAT_CPUS)
         .fold(SystemBuilder::new(LINE).checking(true), |b, _| {
             b.cache(Box::new(MoesiPreferred::new()), cfg())
         })
         .build()
 }
 
+const FLAT_CPUS: usize = 3;
+
 fn flat_streams() -> Vec<Box<dyn RefStream + Send>> {
-    (0..3)
+    logged_flat_streams(None)
+}
+
+/// One stream per CPU of the flat system; with a log, each draw records the
+/// CPU's id.
+fn logged_flat_streams(log: Option<&Arc<Mutex<Vec<usize>>>>) -> Vec<Box<dyn RefStream + Send>> {
+    (0..FLAT_CPUS)
         .map(|id| {
             Box::new(Walk {
                 id,
                 n: 0,
-                log: None,
+                log: log.cloned(),
             }) as Box<dyn RefStream + Send>
         })
         .collect()
+}
+
+#[test]
+fn flat_run_draws_cpu_after_cpu_rounds() {
+    let mut sys = flat_system();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut streams = logged_flat_streams(Some(&log));
+    let steps = 5;
+    sys.run(&mut streams, steps);
+
+    let round: Vec<usize> = (0..FLAT_CPUS).collect();
+    let expected: Vec<usize> = (0..steps).flat_map(|_| round.iter().copied()).collect();
+    assert_eq!(*log.lock().expect("log"), expected);
+    sys.verify().expect("consistent");
+}
+
+#[test]
+fn flat_timed_run_draws_exactly_its_budget_from_every_stream() {
+    let mut sys = flat_system();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut streams = logged_flat_streams(Some(&log));
+    let k = 40;
+    let report = sys.run_timed(&mut streams, k, 3);
+
+    assert_eq!(report.total_refs, k * FLAT_CPUS as u64);
+    let log = log.lock().expect("log");
+    for id in 0..FLAT_CPUS {
+        let draws = log.iter().filter(|&&drawn| drawn == id).count();
+        assert_eq!(draws as u64, k, "cpu {id} drew {draws} accesses, not {k}");
+    }
+    sys.verify().expect("consistent");
 }
 
 #[test]
