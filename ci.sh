@@ -33,25 +33,30 @@ for workload in flat-read flat-write tree checked; do
   esac
 done
 
-# A traced run counts heap allocations per reference (mpsim.allocs_per_op).
-# The counts repeat exactly from run to run, so these bounds are
-# deterministic: a steady-state bus transaction allocates nothing, and
-# neither does feeding a reference from its stream to the machine.
-for gate in tree:0.05 flat-write:0.02 flat-read:0.01; do
+# A traced run counts heap allocations per reference: the simulator's
+# (mpsim.allocs_per_op) and, for the oracle-checked workload, the oracle's
+# own (checker.allocs_per_op, the checked run's count less its unchecked
+# twin's). The counts repeat exactly from run to run, so these bounds are
+# deterministic: a steady-state bus transaction allocates nothing, neither
+# does feeding a reference from its stream to the machine, and the golden
+# image grows one slab instead of allocating per line.
+for gate in tree:mpsim:0.05 flat-write:mpsim:0.02 flat-read:mpsim:0.01 checked:checker:0.06; do
   workload="${gate%%:*}"
-  bound="${gate#*:}"
-  echo "==> perfbench $workload traced allocation gate (mpsim.allocs_per_op <= $bound)"
+  bound="${gate##*:}"
+  metric="${gate#*:}"
+  metric="${metric%%:*}.allocs_per_op"
+  echo "==> perfbench $workload traced allocation gate ($metric <= $bound)"
   line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
       --workload "$workload" --seed 4242 --seconds 1 --trace 1 | tail -1)"
-  allocs="$(printf '%s' "$line" | grep -o '"mpsim.allocs_per_op": {"value": [0-9.]*' \
+  allocs="$(printf '%s' "$line" | grep -o "\"$metric\": {\"value\": [0-9.]*" \
       | grep -o '[0-9.]*$' || true)"
-  echo "mpsim.allocs_per_op = ${allocs:-missing}"
+  echo "$metric = ${allocs:-missing}"
   case "$line" in
     *'"correct": true'*'"failed": 0,'*) ;;
     *) echo "traced perfbench $workload failed at seed 4242" >&2; exit 1 ;;
   esac
   awk -v a="$allocs" -v b="$bound" 'BEGIN { exit !(a != "" && a + 0 <= b + 0) }' \
-    || { echo "perfbench $workload allocates ${allocs:-?} per reference (bound $bound)" >&2; exit 1; }
+    || { echo "perfbench $workload allocates ${allocs:-?} per reference in $metric (bound $bound)" >&2; exit 1; }
 done
 
 echo "==> fault-injection smoke campaign (fixed seed, fails on silent corruption)"

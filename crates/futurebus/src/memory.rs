@@ -70,9 +70,13 @@ impl ChangeLog {
     }
 
     /// Appends the logged lines to `out` and empties the log, keeping its
-    /// capacity. Returns true when a wholesale change was logged.
+    /// capacity. Returns true when a wholesale change was logged. Inlined,
+    /// so draining an empty log costs its caller a branch, not a call.
+    #[inline]
     pub fn drain_into(&mut self, out: &mut Vec<LineAddr>) -> bool {
-        out.append(&mut self.lines);
+        if !self.lines.is_empty() {
+            out.append(&mut self.lines);
+        }
         std::mem::take(&mut self.wholesale)
     }
 }
@@ -166,9 +170,16 @@ impl SparseMemory {
     /// (for checkers and fallbacks). Untouched lines read as zero.
     #[must_use]
     pub fn peek(&self, addr: u64) -> &[u8] {
+        self.peek_written(addr).0
+    }
+
+    /// [`peek`](SparseMemory::peek), also saying whether the line was ever
+    /// written — one probe for both.
+    #[must_use]
+    pub fn peek_written(&self, addr: u64) -> (&[u8], bool) {
         match self.index.get(&self.align(addr)) {
-            Some(&start) => &self.slab[start..start + self.line_size],
-            None => &self.zero,
+            Some(&start) => (&self.slab[start..start + self.line_size], true),
+            None => (&self.zero, false),
         }
     }
 
@@ -207,6 +218,7 @@ impl SparseMemory {
 
     /// Moves the lines written since the last drain into `out` (nothing
     /// unless [`track_changes`](SparseMemory::track_changes) is on).
+    #[inline]
     pub fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
         self.changes.as_mut().is_some_and(|log| log.drain_into(out))
     }
@@ -268,12 +280,18 @@ impl SparseMemory {
         self.index.len()
     }
 
+    /// Addresses of every resident line, in map order: for callers that
+    /// sort what they collect anyway.
+    pub fn lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.index.keys().copied()
+    }
+
     /// Addresses of every resident line, sorted ascending. The underlying
     /// map iterates in hash order, so callers that need determinism (fault
     /// injection, checkers) must go through this.
     #[must_use]
     pub fn line_addrs(&self) -> Vec<LineAddr> {
-        let mut addrs: Vec<LineAddr> = self.index.keys().copied().collect();
+        let mut addrs: Vec<LineAddr> = self.lines().collect();
         addrs.sort_unstable();
         addrs
     }

@@ -22,7 +22,7 @@
 //! write-through cache never owns, a non-caching one never holds a line.
 
 use cache_array::split_line_crossers;
-use futurebus::{ChangeLog, LineMap, SparseMemory};
+use futurebus::SparseMemory;
 use moesi::LineState;
 use std::fmt;
 
@@ -147,24 +147,35 @@ pub(crate) trait Audited {
     /// the full audit would not visit pass.
     fn check_lines(&self, ck: &Checker, lines: &[u64]) -> Result<(), Violation>;
 
-    /// Every invariant over every line.
-    fn check_all(&self, ck: &Checker) -> Result<(), Violation>;
+    /// Appends every line the machine caches or tags (in any order, with
+    /// repeats): with the written golden lines, the full audit's set.
+    fn resident_lines(&self, out: &mut Vec<u64>);
+}
+
+/// Appends every line the caches of `controllers` hold, in any state.
+pub(crate) fn cached_lines(controllers: &[CacheController], out: &mut Vec<u64>) {
+    for ctrl in controllers {
+        if let Some(cache) = ctrl.cache() {
+            out.extend(cache.iter().map(|(addr, _)| addr));
+        }
+    }
 }
 
 /// The golden-image oracle.
 #[derive(Clone, Debug)]
 pub struct Checker {
-    line_size: usize,
-    golden: LineMap<Box<[u8]>>,
-    /// The golden value of every line never written.
-    zero: Box<[u8]>,
+    /// The golden image: every written line in one slab, unwritten lines
+    /// zero.
+    golden: SparseMemory,
     /// Whether invariant 5 (E matches memory) is enforced. It holds for every
     /// class member, but the adapted Write-Once protocol's E state is entered
     /// by a write-through whose memory update can be captured by an owner in
     /// mixed systems; homogeneous systems keep it on.
     pub check_exclusive_clean: bool,
-    changes: Option<ChangeLog>,
-    /// Scratch for the incremental audit's line set, kept for its capacity.
+    /// Whether [`record_write`](Checker::record_write) feeds `audit_lines`.
+    logging: bool,
+    /// The lines the next incremental audit re-checks: the oracle's own
+    /// writes, then the machine's drained logs. Kept for its capacity.
     audit_lines: Vec<u64>,
     /// Whether the next [`audit`](Checker::audit) must re-check every line.
     full_audit: bool,
@@ -173,79 +184,75 @@ pub struct Checker {
 impl Checker {
     /// Creates an oracle for lines of `line_size` bytes (all zero initially,
     /// matching [`SparseMemory`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `line_size` is a non-zero power of two.
     #[must_use]
     pub fn new(line_size: usize) -> Self {
         Checker {
-            line_size,
-            golden: LineMap::default(),
-            zero: vec![0; line_size].into_boxed_slice(),
+            golden: SparseMemory::new(line_size),
             check_exclusive_clean: true,
-            changes: None,
+            logging: false,
             audit_lines: Vec::new(),
             full_audit: false,
         }
     }
 
-    fn line_of(&self, addr: u64) -> u64 {
-        addr & !(self.line_size as u64 - 1)
-    }
-
     /// Records a committed processor write (the run loop is the serialisation
-    /// point, standing in for the bus plus local cache order).
+    /// point, standing in for the bus plus local cache order). A line's first
+    /// write zero-fills the rest of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the write crosses a line boundary.
     pub fn record_write(&mut self, addr: u64, bytes: &[u8]) {
-        let line = self.line_of(addr);
-        let offset = (addr - line) as usize;
-        assert!(
-            offset + bytes.len() <= self.line_size,
-            "oracle writes must not cross lines"
-        );
-        if let Some(log) = &mut self.changes {
-            log.line(line);
+        let line = self.golden.align(addr);
+        if self.logging {
+            self.audit_lines.push(line);
         }
-        let entry = self
-            .golden
-            .entry(line)
-            .or_insert_with(|| vec![0; self.line_size].into_boxed_slice());
-        entry[offset..offset + bytes.len()].copy_from_slice(bytes);
+        self.golden.write_bytes(line, (addr - line) as usize, bytes);
     }
 
-    /// The golden line containing `addr`, borrowed.
-    pub(crate) fn golden_line(&self, addr: u64) -> &[u8] {
-        self.golden.get(&self.line_of(addr)).unwrap_or(&self.zero)
+    /// The golden line containing `addr`, borrowed, and whether it was ever
+    /// written.
+    pub(crate) fn golden_line(&self, addr: u64) -> (&[u8], bool) {
+        self.golden.peek_written(addr)
     }
 
     /// The golden bytes of each line-bounded piece of `len` bytes at `addr`,
     /// borrowed, in address order.
     fn golden_pieces(&self, addr: u64, len: usize) -> impl Iterator<Item = &[u8]> {
-        split_line_crossers(addr, len, self.line_size).map(|(piece, n)| {
-            let offset = (piece - self.line_of(piece)) as usize;
-            &self.golden_line(piece)[offset..offset + n]
+        split_line_crossers(addr, len, self.golden.line_size()).map(|(piece, n)| {
+            let offset = (piece - self.golden.align(piece)) as usize;
+            &self.golden.peek(piece)[offset..offset + n]
         })
     }
 
     /// The golden bytes at `addr`; the range may span any number of lines.
     #[must_use]
     pub fn golden_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        for piece in self.golden_pieces(addr, len) {
-            out.extend_from_slice(piece);
-        }
-        out
+        self.golden.peek_bytes(addr, len)
     }
 
     /// Checks a completed processor read against the golden image. A match
-    /// allocates nothing.
+    /// allocates nothing, and a read within one line costs one lookup.
     ///
     /// # Errors
     ///
     /// Returns [`Violation::ReadMismatch`] when the bytes differ.
     pub fn check_read(&self, cpu: usize, addr: u64, got: &[u8]) -> Result<(), Violation> {
-        let mut rest = got;
-        let matches = self.golden_pieces(addr, got.len()).all(|golden| {
-            let (head, tail) = rest.split_at(golden.len());
-            rest = tail;
-            head == golden
-        });
+        let offset = (addr - self.golden.align(addr)) as usize;
+        let matches = if offset + got.len() <= self.golden.line_size() {
+            self.golden.peek(addr)[offset..offset + got.len()] == *got
+        } else {
+            let mut rest = got;
+            self.golden_pieces(addr, got.len()).all(|golden| {
+                let (head, tail) = rest.split_at(golden.len());
+                rest = tail;
+                head == golden
+            })
+        };
         if matches {
             Ok(())
         } else {
@@ -264,13 +271,9 @@ impl Checker {
     ///
     /// [`record_write`]: Checker::record_write
     pub(crate) fn track_changes(&mut self, on: bool) {
-        self.changes = on.then(ChangeLog::default);
+        self.logging = on;
+        self.audit_lines.clear();
         self.full_audit = true;
-    }
-
-    /// Moves the golden lines written since the last drain into `out`.
-    pub(crate) fn drain_changes(&mut self, out: &mut Vec<u64>) -> bool {
-        self.changes.as_mut().is_some_and(|log| log.drain_into(out))
     }
 
     /// Makes the next [`audit`](Checker::audit) a full one.
@@ -283,31 +286,55 @@ impl Checker {
     /// passed, so re-checking the lines the oracle and the machine logged
     /// reports exactly what a full audit would; unloggable changes and a
     /// failed audit fall back to the full one. Debug builds assert as much.
+    /// An access that changed nothing costs a drain of each empty log, and
+    /// every audit, full or not, reuses one list of lines.
     ///
     /// # Errors
     ///
     /// Returns the first violation among the audited lines.
     pub(crate) fn audit(&mut self, machine: &mut impl Audited) -> Result<(), Violation> {
         let mut lines = std::mem::take(&mut self.audit_lines);
-        lines.clear();
-        let mut full = std::mem::take(&mut self.full_audit);
-        full |= self.drain_changes(&mut lines);
-        full |= machine.drain_changed_lines(&mut lines);
+        let full = std::mem::take(&mut self.full_audit) | machine.drain_changed_lines(&mut lines);
         let verdict = if full {
-            machine.check_all(self)
+            self.check_all(machine, &mut lines)
+        } else if lines.is_empty() {
+            Ok(())
         } else {
-            lines.sort_unstable();
-            lines.dedup();
+            if lines.len() > 1 {
+                lines.sort_unstable();
+                lines.dedup();
+            }
             machine.check_lines(self, &lines)
         };
-        self.audit_lines = lines;
         debug_assert_eq!(
             verdict,
-            machine.check_all(self),
+            self.check_all(machine, &mut lines),
             "incremental audit diverged"
         );
+        lines.clear();
+        self.audit_lines = lines;
         self.full_audit = verdict.is_err();
         verdict
+    }
+
+    /// Every invariant of `machine` over every line: each written golden
+    /// line and each line the machine caches or tags, in address order.
+    /// `lines` is scratch.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation found.
+    pub(crate) fn check_all(
+        &self,
+        machine: &impl Audited,
+        lines: &mut Vec<u64>,
+    ) -> Result<(), Violation> {
+        lines.clear();
+        lines.extend(self.golden.lines());
+        machine.resident_lines(lines);
+        lines.sort_unstable();
+        lines.dedup();
+        machine.check_lines(self, lines)
     }
 
     /// Verifies all structural invariants over the caches and memory.
@@ -320,13 +347,8 @@ impl Checker {
         controllers: &[CacheController],
         memory: &SparseMemory,
     ) -> Result<(), Violation> {
-        // Every line that is cached anywhere or has a golden value.
-        let mut lines: Vec<u64> = self.golden.keys().copied().collect();
-        for ctrl in controllers {
-            if let Some(cache) = ctrl.cache() {
-                lines.extend(cache.iter().map(|(addr, _)| addr));
-            }
-        }
+        let mut lines: Vec<u64> = self.golden.lines().collect();
+        cached_lines(controllers, &mut lines);
         lines.sort_unstable();
         lines.dedup();
         self.verify_lines(&lines, controllers, memory)
@@ -354,17 +376,19 @@ impl Checker {
 
     /// Invariants 1–5 and the kind subsets for one line. A line neither
     /// golden nor resident anywhere is outside the audited set and passes.
+    /// One pass reads each cache entry once and keeps counts and first
+    /// holders; holder names are looked up again only for a violation.
     fn check_line(
         &self,
         addr: u64,
         controllers: &[CacheController],
         memory: &SparseMemory,
     ) -> Result<(), Violation> {
-        debug_assert_eq!(addr, self.line_of(addr), "audited lines are aligned");
-        let written = self.golden.get(&addr);
-        let golden = written.map_or(&self.zero[..], |g| &g[..]);
+        debug_assert_eq!(addr, self.golden.align(addr), "audited lines are aligned");
+        let (golden, written) = self.golden_line(addr);
         let mut resident = false;
         let mut owners = 0usize;
+        let mut holders = 0usize;
         let mut exclusive: Option<&CacheController> = None;
         let mut clean_exclusive: Option<&CacheController> = None;
         let mut stale: Option<(&CacheController, LineState)> = None;
@@ -378,6 +402,7 @@ impl Checker {
             if !state.is_valid() {
                 continue;
             }
+            holders += 1;
             owners += usize::from(state.is_owned());
             if state.is_exclusive() && exclusive.is_none() {
                 exclusive = Some(ctrl);
@@ -385,14 +410,14 @@ impl Checker {
             if state == LineState::Exclusive && clean_exclusive.is_none() {
                 clean_exclusive = Some(ctrl);
             }
-            if stale.is_none() && entry.data[..] != *golden {
+            if stale.is_none() && entry.data != golden {
                 stale = Some((ctrl, state));
             }
             if outside_kind.is_none() && !ctrl.kind().reachable_states().contains(&state) {
                 outside_kind = Some((ctrl, state));
             }
         }
-        if written.is_none() && !resident {
+        if !written && !resident {
             return Ok(());
         }
 
@@ -408,8 +433,8 @@ impl Checker {
             });
         }
 
-        // 2. Exclusivity.
-        if let Some(excl) = exclusive {
+        // 2. Exclusivity: the exclusive copy is one of the valid ones.
+        if let Some(excl) = exclusive.filter(|_| holders > 1) {
             if let Some(other) = controllers
                 .iter()
                 .find(|c| c.id() != excl.id() && c.state_of(addr).is_valid())
@@ -431,12 +456,13 @@ impl Checker {
             });
         }
 
-        let mem_line = memory.peek(addr);
+        // Memory is read only for the rules that need it.
+        let memory_stale = || memory.peek(addr) != golden;
 
         // 5. Exclusive-unmodified copies match memory (checked before the
         // default-owner rule so the more specific violation is reported).
         if let Some(ctrl) = clean_exclusive {
-            if self.check_exclusive_clean && mem_line != golden {
+            if self.check_exclusive_clean && memory_stale() {
                 return Err(Violation::ExclusiveUnmodifiedDiffers {
                     addr,
                     holder: ctrl.name().to_string(),
@@ -445,7 +471,7 @@ impl Checker {
         }
 
         // 4. Memory is the default owner.
-        if owners == 0 && mem_line != golden {
+        if owners == 0 && memory_stale() {
             return Err(Violation::StaleMemory { addr });
         }
 
@@ -495,6 +521,59 @@ mod tests {
     }
 
     #[test]
+    fn a_first_partial_write_zero_fills_the_rest_of_its_line() {
+        let mut ck = Checker::new(16);
+        ck.record_write(0x10, &[0xFF; 16]); // a neighbour, in the slab first
+        ck.record_write(0x26, &[7, 8]);
+        let mut line = [0u8; 16];
+        line[6..8].copy_from_slice(&[7, 8]);
+        assert_eq!(ck.golden_line(0x20), (&line[..], true));
+        assert_eq!(ck.golden_line(0x30), (&[0u8; 16][..], false));
+        ck.record_write(0x2F, &[9]);
+        line[15] = 9;
+        assert_eq!(ck.golden_bytes(0x20, 16), line, "rewrites keep the rest");
+        assert_eq!(ck.golden_bytes(0x10, 16), vec![0xFF; 16]);
+    }
+
+    #[test]
+    fn read_checks_span_a_written_and_an_unwritten_line() {
+        let mut ck = Checker::new(16);
+        ck.record_write(0x1C, &[1, 2, 3, 4]); // the line below 0x20 only
+        let got = [1, 2, 3, 4, 0, 0];
+        assert_eq!(ck.check_read(0, 0x1C, &got), Ok(()));
+        assert_eq!(
+            ck.check_read(2, 0x1C, &[1, 2, 3, 4, 0, 5]),
+            Err(Violation::ReadMismatch {
+                cpu: 2,
+                addr: 0x1C,
+                got: vec![1, 2, 3, 4, 0, 5],
+                expected: got.to_vec(),
+            })
+        );
+        // The same with the written side above the boundary.
+        let mut ck = Checker::new(16);
+        ck.record_write(0x20, &[6, 7]);
+        assert_eq!(ck.check_read(0, 0x1E, &[0, 0, 6, 7]), Ok(()));
+        assert!(ck.check_read(0, 0x1E, &[0, 1, 6, 7]).is_err());
+    }
+
+    #[test]
+    fn the_audit_sees_golden_writes_the_machine_never_logged() {
+        // The oracle's own writes reach the audit list whatever the
+        // machine logs, so a write the machine lost is still audited.
+        let mut fabric = crate::Fabric::new(16, futurebus::TimingConfig::default(), vec![ctrl(0)]);
+        fabric.track_changes(true);
+        let mut ck = Checker::new(16);
+        ck.track_changes(true);
+        assert_eq!(ck.audit(&mut fabric), Ok(()), "the first, full audit");
+        ck.record_write(0x104, &[1]);
+        assert_eq!(
+            ck.audit(&mut fabric),
+            Err(Violation::StaleMemory { addr: 0x100 })
+        );
+    }
+
+    #[test]
     fn read_checks_catch_wrong_values() {
         let mut ck = Checker::new(16);
         ck.record_write(0x10, &[9]);
@@ -528,6 +607,45 @@ mod tests {
         let mem = SparseMemory::new(16);
         let err = ck.verify(&[a, b], &mem).unwrap_err();
         assert!(matches!(err, Violation::ExclusivityViolated { .. }));
+    }
+
+    #[test]
+    fn exclusivity_names_the_exclusive_holder_and_the_first_other_copy() {
+        // Three copies; the E holder is not the first controller, so the
+        // reported other holder comes before it.
+        let mut a = ctrl(0);
+        let mut b = ctrl(1);
+        let mut c = ctrl(2);
+        a.fill(0x100, LineState::Shareable, &[0; 16], &mut Vec::new());
+        b.fill(0x100, LineState::Exclusive, &[0; 16], &mut Vec::new());
+        c.fill(0x100, LineState::Shareable, &[0; 16], &mut Vec::new());
+        let ck = Checker::new(16);
+        assert_eq!(
+            ck.verify(&[a, b, c], &SparseMemory::new(16)),
+            Err(Violation::ExclusivityViolated {
+                addr: 0x100,
+                exclusive_holder: "cpu1:MOESI".into(),
+                other_holder: "cpu0:MOESI".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn multiple_owners_lists_every_owner_in_controller_order() {
+        let mut a = ctrl(0);
+        let mut b = ctrl(1);
+        let mut c = ctrl(2);
+        a.fill(0x100, LineState::Modified, &[0; 16], &mut Vec::new());
+        b.fill(0x100, LineState::Shareable, &[0; 16], &mut Vec::new());
+        c.fill(0x100, LineState::Owned, &[0; 16], &mut Vec::new());
+        let ck = Checker::new(16);
+        assert_eq!(
+            ck.verify(&[a, b, c], &SparseMemory::new(16)),
+            Err(Violation::MultipleOwners {
+                addr: 0x100,
+                owners: vec!["cpu0:MOESI".into(), "cpu2:MOESI".into()],
+            })
+        );
     }
 
     #[test]

@@ -30,6 +30,8 @@ pub struct CacheController {
     id: usize,
     name: String,
     protocol: Box<dyn Protocol + Send>,
+    /// The protocol's client kind, read once: the oracle asks per copy.
+    kind: CacheKind,
     cache: Option<CacheArray<LineState>>,
     stats: CpuStats,
     pending: Option<PendingSnoop>,
@@ -58,7 +60,8 @@ impl CacheController {
         cache: Option<CacheConfig>,
         seed: u64,
     ) -> Self {
-        let caching = protocol.kind() != CacheKind::NonCaching;
+        let kind = protocol.kind();
+        let caching = kind != CacheKind::NonCaching;
         assert_eq!(
             caching,
             cache.is_some(),
@@ -71,6 +74,7 @@ impl CacheController {
             id,
             name,
             protocol,
+            kind,
             cache: cache.map(|cfg| CacheArray::new(cfg, seed)),
             stats: CpuStats::new(),
             pending: None,
@@ -93,7 +97,7 @@ impl CacheController {
     /// The protocol's client kind.
     #[must_use]
     pub fn kind(&self) -> CacheKind {
-        self.protocol.kind()
+        self.kind
     }
 
     /// Whether the protocol needs the BS line.
@@ -401,6 +405,7 @@ impl BusModule for CacheController {
         // class explicitly accommodates those (§3.3), so the survivors keep
         // running the same protocol around it.
         self.protocol = Box::new(NonCaching::new());
+        self.kind = CacheKind::NonCaching;
         self.name.push_str("[retired]");
         self.stats.retired = true;
         report

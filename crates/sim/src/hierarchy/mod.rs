@@ -35,7 +35,9 @@
 
 use cache_array::split_line_crossers;
 use futurebus::fault::InjectedFault;
-use futurebus::{BusError, BusStats, Discipline, Futurebus, LineAddr, Phase, TransactionRequest};
+use futurebus::{
+    BusError, BusStats, Discipline, Futurebus, LineAddr, Phase, SparseMemory, TransactionRequest,
+};
 use moesi::{LineState, MasterSignals};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,7 +49,7 @@ mod node;
 pub use builder::{TreeBuilder, TreeSpec};
 pub use node::{Bridge, BridgeStats, FabricNode, Segment};
 
-use crate::checker::{Audited, Checker, Violation};
+use crate::checker::{cached_lines, Audited, Checker, Violation};
 use crate::engine;
 use crate::fabric::Fabric;
 use crate::metrics::CpuStats;
@@ -606,7 +608,7 @@ impl HierarchicalSystem {
     pub fn verify(&self) -> Result<(), Violation> {
         self.checker
             .as_ref()
-            .map_or(Ok(()), |ck| self.root.check_all(ck))
+            .map_or(Ok(()), |ck| ck.check_all(&self.root, &mut Vec::new()))
     }
 
     /// Drives one access from each stream per step, for `steps` rounds.
@@ -808,58 +810,26 @@ impl Audited for Segment {
     }
 
     /// Every invariant for each line. Lines the full audit does not visit —
-    /// in no directory and no cache — pass, so the incremental audit can
-    /// hand over any line it logged.
+    /// never written, in no directory and no cache — pass, so the
+    /// incremental audit can hand over any line it logged.
     fn check_lines(&self, ck: &Checker, lines: &[u64]) -> Result<(), Violation> {
-        for &line in lines {
-            if !self.children.iter().any(|b| b.tracks(line)) {
-                continue;
-            }
-            let golden = ck.golden_line(line);
-
-            // (1) Every valid cached copy anywhere equals the golden image.
-            // (2) At most one local owner per leaf cluster.
-            for (bridge, label) in child_labels(self, None) {
-                check_cached_copies(bridge, &label, line, golden)?;
-            }
-
-            // (3) At most one owning child; (4) exclusivity between children;
-            // (5) unowned lines are current in segment memory; (6) the owning
-            // child's authoritative data is golden — all on the root segment,
-            // whose memory is true main memory.
-            segment_invariants(self, None, line, golden)?;
-
-            // The same invariants inside every interior segment, plus the
-            // inclusion invariant the snoop filter is sound against.
-            for (bridge, label) in child_labels(self, None) {
-                subtree_invariants(bridge, &label, line, golden)?;
-            }
-        }
-        Ok(())
+        lines
+            .iter()
+            .try_for_each(|&line| check_line(self, ck, line))
     }
 
-    /// Every line cached anywhere or present in a directory.
-    fn check_all(&self, ck: &Checker) -> Result<(), Violation> {
-        fn collect_lines(children: &[Bridge], lines: &mut Vec<u64>) {
+    /// Every line in a directory or cached anywhere.
+    fn resident_lines(&self, out: &mut Vec<u64>) {
+        fn walk(children: &[Bridge], out: &mut Vec<u64>) {
             for bridge in children {
-                lines.extend(bridge.directory.keys().copied());
+                out.extend(bridge.directory.keys().copied());
                 match &bridge.node {
-                    FabricNode::Leaf(fabric) => {
-                        for ctrl in fabric.controllers() {
-                            if let Some(cache) = ctrl.cache() {
-                                lines.extend(cache.iter().map(|(a, _)| a));
-                            }
-                        }
-                    }
-                    FabricNode::Interior(seg) => collect_lines(&seg.children, lines),
+                    FabricNode::Leaf(fabric) => cached_lines(fabric.controllers(), out),
+                    FabricNode::Interior(seg) => walk(&seg.children, out),
                 }
             }
         }
-        let mut lines = Vec::new();
-        collect_lines(&self.children, &mut lines);
-        lines.sort_unstable();
-        lines.dedup();
-        self.check_lines(ck, &lines)
+        walk(&self.children, out);
     }
 }
 
@@ -880,43 +850,95 @@ impl fmt::Display for Label<'_> {
     }
 }
 
-/// The labels of `seg`'s children, whose parent bridge is `parent` (`None`
-/// at the root).
-fn child_labels<'a>(
-    seg: &'a Segment,
-    parent: Option<&'a Label<'a>>,
-) -> impl Iterator<Item = (&'a Bridge, Label<'a>)> {
-    seg.children
-        .iter()
-        .enumerate()
-        .map(move |(index, b)| (b, Label { parent, index }))
+/// Every invariant for one line of the tree rooted at `root`, in one
+/// descent that reads each cache entry and each inclusion tag once:
+///
+/// 1. every valid cached copy equals the golden image, and each leaf
+///    cluster has at most one local owner (checked as the descent meets
+///    each cache);
+/// 2. the root segment's invariants ([`Children::check`]), its memory being
+///    true main memory;
+/// 3. the inclusion invariant the snoop filter is sound against, and the
+///    segment invariants inside every interior segment, in pre-order.
+fn check_line(root: &Segment, ck: &Checker, line: u64) -> Result<(), Violation> {
+    let (golden, written) = ck.golden_line(line);
+    let children = Children::gather(root, None, line, golden)?;
+    if !written && !children.tracked {
+        return Ok(());
+    }
+    children.check(root, None, line, golden)?;
+    children.below
 }
 
-/// Invariants (1) and (2): every valid cached copy below `bridge` equals
-/// the golden image, and each leaf cluster has at most one local owner.
-fn check_cached_copies(
-    bridge: &Bridge,
+/// What one descent learns about a bridge's subtree for one line.
+struct Subtree<'a> {
+    /// The bridge's inclusion tag.
+    tag: LineState,
+    /// Whether the full audit visits the line on this subtree's account: a
+    /// tag here or below, or a cache below holding it in any state.
+    tracked: bool,
+    /// Whether a cache below holds a valid copy — ground truth, not tags.
+    holds_valid: bool,
+    /// The subtree's authoritative data ([`Bridge::authoritative_line`]).
+    authority: Authority<'a>,
+    /// The verdict of the inclusion and interior-segment checks below,
+    /// deferred because the root segment's invariants come first.
+    deferred: Result<(), Violation>,
+}
+
+/// Where a subtree's authoritative copy of a line lives.
+#[derive(Clone, Copy)]
+enum Authority<'a> {
+    /// An owning cache's copy.
+    Cache(&'a [u8]),
+    /// A mirror memory's copy, looked up only when needed.
+    Mirror(&'a SparseMemory),
+}
+
+impl<'a> Authority<'a> {
+    fn data(self, line: u64) -> &'a [u8] {
+        match self {
+            Authority::Cache(data) => data,
+            Authority::Mirror(memory) => memory.peek(line),
+        }
+    }
+}
+
+/// Descends below `bridge` for `line`. A stale cached copy or a second local
+/// owner fails at once, in the order the full audit meets them; every other
+/// fact is gathered, or checked into [`Subtree::deferred`].
+fn descend<'a>(
+    bridge: &'a Bridge,
     label: &Label<'_>,
     line: u64,
     golden: &[u8],
-) -> Result<(), Violation> {
-    match bridge.node() {
+) -> Result<Subtree<'a>, Violation> {
+    let tag = bridge.cluster_state(line);
+    let (tracked, holds_valid, authority, below) = match bridge.node() {
         FabricNode::Leaf(fabric) => {
+            let mut resident = false;
+            let mut holds_valid = false;
             let mut local_owners = 0;
+            let mut owned = None;
             for ctrl in fabric.controllers() {
                 let Some(entry) = ctrl.cache().and_then(|c| c.lookup(line)) else {
                     continue;
                 };
+                resident = true;
                 let state = entry.state;
                 if state.is_owned() {
                     local_owners += 1;
+                    owned.get_or_insert(entry.data);
                 }
-                if state.is_valid() && entry.data[..] != *golden {
-                    return Err(Violation::StaleCopy {
-                        addr: line,
-                        holder: format!("{label}/{}", ctrl.name()),
-                        state,
-                    });
+                if state.is_valid() {
+                    holds_valid = true;
+                    if entry.data != golden {
+                        return Err(Violation::StaleCopy {
+                            addr: line,
+                            holder: format!("{label}/{}", ctrl.name()),
+                            state,
+                        });
+                    }
                 }
             }
             if local_owners > 1 {
@@ -925,86 +947,165 @@ fn check_cached_copies(
                     owners: vec![format!("{label}: {local_owners} owners")],
                 });
             }
-            Ok(())
+            let mirror = Authority::Mirror(fabric.bus().memory());
+            (
+                resident,
+                holds_valid,
+                owned.map_or(mirror, Authority::Cache),
+                Ok(()),
+            )
         }
-        FabricNode::Interior(seg) => child_labels(seg, Some(label))
-            .try_for_each(|(child, l)| check_cached_copies(child, &l, line, golden)),
-    }
+        FabricNode::Interior(seg) => {
+            let children = Children::gather(seg, Some(label), line, golden)?;
+            // Segment memory is only authoritative while the bridge's own
+            // tag is live: once the tag is Invalid the subtree's mirror holds
+            // dead data by design (the next fetch overwrites it).
+            let below = if tag.is_valid() {
+                children.check(seg, Some(label), line, golden)
+            } else {
+                Ok(())
+            };
+            let mirror = Authority::Mirror(seg.bus.memory());
+            (
+                children.tracked,
+                children.holds_valid,
+                children.owner.map_or(mirror, |(_, _, a)| a),
+                below.and(children.below),
+            )
+        }
+    };
+    // The inclusion invariant at this bridge comes first: no valid copy
+    // cached below an Invalid tag (the snoop filter's soundness condition).
+    let hole = !tag.is_valid() && holds_valid;
+    Ok(Subtree {
+        tag,
+        tracked: tracked || tag.is_valid(),
+        holds_valid,
+        authority,
+        deferred: if hole {
+            Err(Violation::InclusionHole {
+                addr: line,
+                bridge: label.to_string(),
+            })
+        } else {
+            below
+        },
+    })
 }
 
-/// Invariants (3)–(6) for one segment: ownership unique among children,
-/// exclusivity respected, unowned lines current in segment memory, and the
-/// owning child's authoritative data golden. `parent` is `None` at the root
-/// (labels are `cluster{i}`) and the parent bridge's label below it.
-fn segment_invariants(
-    seg: &Segment,
-    parent: Option<&Label<'_>>,
-    line: u64,
-    golden: &[u8],
-) -> Result<(), Violation> {
-    let children = || child_labels(seg, parent);
-    let mut owning = children().filter(|(b, _)| b.cluster_state(line).is_owned());
-    let owner = owning.next();
-    if owning.next().is_some() {
-        return Err(Violation::MultipleOwners {
-            addr: line,
-            owners: children()
-                .filter(|(b, _)| b.cluster_state(line).is_owned())
-                .map(|(_, l)| l.to_string())
-                .collect(),
-        });
+/// One segment's children for one line, gathered as the descent visits
+/// them in order.
+struct Children<'a> {
+    /// Whether any child's [`Subtree::tracked`] holds.
+    tracked: bool,
+    /// Whether any child's [`Subtree::holds_valid`] holds.
+    holds_valid: bool,
+    /// The first failing [`Subtree::deferred`] verdict.
+    below: Result<(), Violation>,
+    /// Children with an owned tag.
+    owners: usize,
+    /// The first owning child: its index, tag and authority.
+    owner: Option<(usize, LineState, Authority<'a>)>,
+    /// The first child with an exclusive tag.
+    exclusive: Option<usize>,
+    /// The first two children with valid tags.
+    valid: [Option<usize>; 2],
+}
+
+impl<'a> Children<'a> {
+    /// Descends below every child of `seg`, whose bridge is labelled
+    /// `parent` (`None` at the root).
+    fn gather(
+        seg: &'a Segment,
+        parent: Option<&Label<'_>>,
+        line: u64,
+        golden: &[u8],
+    ) -> Result<Self, Violation> {
+        let mut children = Children {
+            tracked: false,
+            holds_valid: false,
+            below: Ok(()),
+            owners: 0,
+            owner: None,
+            exclusive: None,
+            valid: [None; 2],
+        };
+        for (index, child) in seg.children.iter().enumerate() {
+            let sub = descend(child, &Label { parent, index }, line, golden)?;
+            children.tracked |= sub.tracked;
+            children.holds_valid |= sub.holds_valid;
+            let tag = sub.tag;
+            if tag.is_owned() {
+                children.owners += 1;
+                children.owner.get_or_insert((index, tag, sub.authority));
+            }
+            if tag.is_exclusive() {
+                children.exclusive.get_or_insert(index);
+            }
+            if tag.is_valid() {
+                if let Some(slot) = children.valid.iter_mut().find(|v| v.is_none()) {
+                    *slot = Some(index);
+                }
+            }
+            if children.below.is_ok() {
+                children.below = sub.deferred;
+            }
+        }
+        Ok(children)
     }
-    if let Some((_, excl)) = children().find(|(b, _)| b.cluster_state(line).is_exclusive()) {
-        if let Some((_, other)) =
-            children().find(|(b, l)| l.index != excl.index && b.cluster_state(line).is_valid())
-        {
-            return Err(Violation::ExclusivityViolated {
+
+    /// Invariants (3)–(6) for `seg`: ownership unique among children,
+    /// exclusivity respected, unowned lines current in segment memory, and
+    /// the owning child's authoritative data golden. `parent` is `None` at
+    /// the root (labels are `cluster{i}`) and the parent bridge's label
+    /// below it.
+    fn check(
+        &self,
+        seg: &Segment,
+        parent: Option<&Label<'_>>,
+        line: u64,
+        golden: &[u8],
+    ) -> Result<(), Violation> {
+        let label = |index| Label { parent, index };
+        if self.owners > 1 {
+            return Err(Violation::MultipleOwners {
                 addr: line,
-                exclusive_holder: excl.to_string(),
-                other_holder: other.to_string(),
+                owners: (0..seg.children.len())
+                    .filter(|&i| seg.children[i].cluster_state(line).is_owned())
+                    .map(|i| label(i).to_string())
+                    .collect(),
             });
         }
-    }
-    match owner {
-        None if seg.bus.memory().peek(line) != golden => Err(Violation::StaleMemory { addr: line }),
-        Some((bridge, label)) if bridge.authoritative_line(line) != golden => {
-            Err(Violation::StaleCopy {
-                addr: line,
-                holder: format!("{label} (authoritative)"),
-                state: bridge.cluster_state(line),
-            })
+        if let Some(excl) = self.exclusive {
+            // The exclusive child's own tag is valid: the other holder is
+            // the first valid child that is not it.
+            let other = if self.valid[0] == Some(excl) {
+                self.valid[1]
+            } else {
+                self.valid[0]
+            };
+            if let Some(other) = other {
+                return Err(Violation::ExclusivityViolated {
+                    addr: line,
+                    exclusive_holder: label(excl).to_string(),
+                    other_holder: label(other).to_string(),
+                });
+            }
         }
-        _ => Ok(()),
-    }
-}
-
-/// Recursive checks below one bridge: the inclusion invariant (no copy
-/// cached below an Invalid tag — the snoop filter's soundness condition),
-/// then the segment invariants of every interior segment.
-fn subtree_invariants(
-    bridge: &Bridge,
-    label: &Label<'_>,
-    line: u64,
-    golden: &[u8],
-) -> Result<(), Violation> {
-    if !bridge.cluster_state(line).is_valid() && bridge.subtree_holds_valid(line) {
-        return Err(Violation::InclusionHole {
-            addr: line,
-            bridge: label.to_string(),
-        });
-    }
-    if let FabricNode::Interior(seg) = bridge.node() {
-        // Segment memory is only authoritative while the bridge's own tag
-        // is live: once the tag is Invalid the subtree's mirror holds dead
-        // data by design (the next fetch overwrites it).
-        if bridge.cluster_state(line).is_valid() {
-            segment_invariants(seg, Some(label), line, golden)?;
-        }
-        for (child, l) in child_labels(seg, Some(label)) {
-            subtree_invariants(child, &l, line, golden)?;
+        match self.owner {
+            None if seg.bus.memory().peek(line) != golden => {
+                Err(Violation::StaleMemory { addr: line })
+            }
+            Some((index, tag, authority)) if authority.data(line) != golden => {
+                Err(Violation::StaleCopy {
+                    addr: line,
+                    holder: format!("{} (authoritative)", label(index)),
+                    state: tag,
+                })
+            }
+            _ => Ok(()),
         }
     }
-    Ok(())
 }
 
 /// The index of the child in `children` whose subtree holds leaf `leaf`
@@ -1803,6 +1904,153 @@ mod tests {
         assert!(
             fcfs > 0,
             "queue-position slots must charge the arbitrate phase"
+        );
+    }
+
+    /// Puts `line` in `state` in cache `cpu` of leaf `leaf`, holding `data`.
+    fn plant(sys: &mut HierarchicalSystem, leaf: usize, cpu: usize, state: LineState, data: u8) {
+        sys.leaf_fabric_mut(leaf).controller_mut(cpu).fill(
+            0x100,
+            state,
+            &[data; 32],
+            &mut Vec::new(),
+        );
+    }
+
+    #[test]
+    fn audit_pins_local_and_child_level_multiple_owners() {
+        let mut sys = two_by_two();
+        plant(&mut sys, 1, 0, LineState::Modified, 0);
+        plant(&mut sys, 1, 1, LineState::Owned, 0);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::MultipleOwners {
+                addr: 0x100,
+                owners: vec!["cluster1: 2 owners".into()],
+            })
+        );
+
+        let mut sys = two_by_two();
+        sys.bridge_mut(0)
+            .set_cluster_state(0x100, LineState::Modified);
+        sys.bridge_mut(1).set_cluster_state(0x100, LineState::Owned);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::MultipleOwners {
+                addr: 0x100,
+                owners: vec!["cluster0".into(), "cluster1".into()],
+            })
+        );
+
+        // Inside an interior segment, whose own tag is live.
+        let mut sys = deep_two_two_two();
+        sys.bridge_at_mut(&[1])
+            .set_cluster_state(0x100, LineState::Shareable);
+        sys.bridge_at_mut(&[1, 0])
+            .set_cluster_state(0x100, LineState::Owned);
+        sys.bridge_at_mut(&[1, 1])
+            .set_cluster_state(0x100, LineState::Modified);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::MultipleOwners {
+                addr: 0x100,
+                owners: vec!["cluster1.0".into(), "cluster1.1".into()],
+            })
+        );
+    }
+
+    #[test]
+    fn audit_pins_exclusivity_between_children() {
+        // The exclusive child comes second, so the other holder is reported
+        // from before it.
+        let mut sys = two_by_two();
+        sys.bridge_mut(0)
+            .set_cluster_state(0x100, LineState::Shareable);
+        sys.bridge_mut(1)
+            .set_cluster_state(0x100, LineState::Exclusive);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::ExclusivityViolated {
+                addr: 0x100,
+                exclusive_holder: "cluster1".into(),
+                other_holder: "cluster0".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn audit_pins_stale_copies_in_a_cache_and_in_the_authority() {
+        let mut sys = two_by_two();
+        plant(&mut sys, 0, 1, LineState::Shareable, 0);
+        plant(&mut sys, 1, 1, LineState::Shareable, 3);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::StaleCopy {
+                addr: 0x100,
+                holder: "cluster1/cpu1:MOESI".into(),
+                state: LineState::Shareable,
+            })
+        );
+
+        // Cluster 0 owns the line but no cache below it does: its mirror is
+        // the authority, and the mirror is stale.
+        let mut sys = two_by_two();
+        sys.bridge_mut(0)
+            .set_cluster_state(0x100, LineState::Modified);
+        sys.leaf_fabric_mut(0)
+            .bus_mut()
+            .memory_mut()
+            .write_line(0x100, &[7; 32]);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::StaleCopy {
+                addr: 0x100,
+                holder: "cluster0 (authoritative)".into(),
+                state: LineState::Modified,
+            })
+        );
+    }
+
+    #[test]
+    fn audit_pins_stale_memory_and_inclusion_holes() {
+        let mut sys = two_by_two();
+        sys.bridge_mut(1)
+            .set_cluster_state(0x100, LineState::Shareable);
+        sys.parent_bus_mut()
+            .memory_mut()
+            .write_line(0x100, &[7; 32]);
+        assert_eq!(sys.verify(), Err(Violation::StaleMemory { addr: 0x100 }));
+
+        // The root segment's invariants come before every bridge's: stale
+        // root memory is reported ahead of cluster 0's inclusion hole.
+        let mut sys = two_by_two();
+        plant(&mut sys, 0, 0, LineState::Shareable, 0);
+        sys.parent_bus_mut()
+            .memory_mut()
+            .write_line(0x100, &[7; 32]);
+        assert_eq!(sys.verify(), Err(Violation::StaleMemory { addr: 0x100 }));
+
+        let mut sys = two_by_two();
+        plant(&mut sys, 0, 0, LineState::Shareable, 0);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::InclusionHole {
+                addr: 0x100,
+                bridge: "cluster0".into(),
+            })
+        );
+
+        // Below a live interior tag: leaf 1 is the bridge at [0, 1].
+        let mut sys = deep_two_two_two();
+        sys.bridge_at_mut(&[0])
+            .set_cluster_state(0x100, LineState::Shareable);
+        plant(&mut sys, 1, 0, LineState::Shareable, 0);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::InclusionHole {
+                addr: 0x100,
+                bridge: "cluster0.1".into(),
+            })
         );
     }
 }

@@ -669,33 +669,6 @@ impl Bridge {
         }
     }
 
-    /// Ground truth for the inclusion invariant: does any *cache* anywhere
-    /// in the subtree hold a valid copy? (Unlike
-    /// [`any_local_copy`](Bridge::any_local_copy), this does not trust
-    /// intermediate tags.)
-    pub(super) fn subtree_holds_valid(&self, line: LineAddr) -> bool {
-        match &self.node {
-            FabricNode::Leaf(fabric) => fabric
-                .controllers()
-                .iter()
-                .any(|c| c.state_of(line).is_valid()),
-            FabricNode::Interior(seg) => seg.children.iter().any(|c| c.subtree_holds_valid(line)),
-        }
-    }
-
-    /// Whether the full audit visits `line` on this bridge's account: it has
-    /// an inclusion tag here or below, or some cache below holds it.
-    pub(super) fn tracks(&self, line: LineAddr) -> bool {
-        self.directory.contains_key(&line)
-            || match &self.node {
-                FabricNode::Leaf(fabric) => fabric
-                    .controllers()
-                    .iter()
-                    .any(|c| c.cache().is_some_and(|c| c.lookup(line).is_some())),
-                FabricNode::Interior(seg) => seg.children.iter().any(|c| c.tracks(line)),
-            }
-    }
-
     /// Whether the subtree contains an owner below this bridge's own tag:
     /// an owning cache at a leaf, an owning child tag at an interior
     /// segment.

@@ -12,7 +12,7 @@ use cache_array::CacheConfig;
 use futurebus::{BusStats, TimingConfig};
 use moesi::{CacheKind, LineState, Protocol};
 
-use crate::checker::{Audited, Checker, Violation};
+use crate::checker::{cached_lines, Audited, Checker, Violation};
 use crate::controller::CacheController;
 use crate::engine;
 use crate::fabric::Fabric;
@@ -592,8 +592,8 @@ impl Audited for Fabric {
         ck.verify_lines(lines, self.controllers(), self.bus().memory())
     }
 
-    fn check_all(&self, ck: &Checker) -> Result<(), Violation> {
-        ck.verify(self.controllers(), self.bus().memory())
+    fn resident_lines(&self, out: &mut Vec<u64>) {
+        cached_lines(self.controllers(), out);
     }
 }
 

@@ -9,13 +9,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::fault::{FaultConfig, FaultPlan};
+use futurebus::{BusModule, TransactionRequest};
 use moesi::protocols::{by_name, NonCaching};
 use moesi::{
-    BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalEvent, PolicyTable, TablePolicy,
+    BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalEvent, MasterSignals,
+    PolicyTable, TablePolicy,
 };
 use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
 use mpsim::{
     Access, Checker, DuboisBriggs, RefStream, SharingModel, System, SystemBuilder, TraceReplay,
+    Violation,
 };
 
 const LINE: usize = 32;
@@ -144,6 +147,126 @@ fn a_change_behind_the_oracle_fails_the_next_access() {
 }
 
 #[test]
+fn each_flat_logging_point_reaches_the_next_audit() {
+    // Each change goes behind the oracle's back through one logging point
+    // only. The audit of the next access, to another line, must report it;
+    // had the point not logged, a debug build's differential check would
+    // fire instead, and a release build would not fail at all.
+    type Step = fn(&mut System);
+    let owned: Step = |sys| sys.write(0, 0x100, &[5; 4]); // cpu0 M, memory stale
+    let flushed: Step = |sys| {
+        sys.write(0, 0x100, &[5; 4]);
+        sys.flush(0, 0x100);
+    };
+    let cases: [(&str, Step, Step, &str); 4] = [
+        (
+            "write_cached",
+            owned,
+            |sys| assert!(sys.fabric_mut().controller_mut(0).write_cached(0x100, &[9])),
+            "cpu0:MOESI holds a stale M copy",
+        ),
+        (
+            "fill",
+            owned,
+            |sys| {
+                let cpu1 = sys.fabric_mut().controller_mut(1);
+                cpu1.fill(0x100, LineState::Shareable, &[0; LINE], &mut Vec::new());
+            },
+            "cpu0:MOESI claims exclusivity but cpu1:MOESI holds a copy",
+        ),
+        (
+            "write_line",
+            flushed,
+            |sys| {
+                let memory = sys.fabric_mut().bus_mut().memory_mut();
+                memory.write_line(0x100, &[0; LINE]);
+            },
+            "unowned but memory is stale",
+        ),
+        (
+            "retire",
+            owned,
+            |sys| {
+                let report = sys.fabric_mut().controller_mut(0).retire(false);
+                assert_eq!(report.lost, [0x100]);
+            },
+            "unowned but memory is stale",
+        ),
+    ];
+    for (point, setup, change, expected) in cases {
+        let mut sys = flat(&["moesi", "moesi"]);
+        setup(&mut sys);
+        change(&mut sys);
+        let msg = panics(|| {
+            let _ = sys.read(1, 0x400, 4);
+        });
+        assert!(
+            msg.contains("line 0x100") && msg.contains(expected),
+            "{point}: {msg}"
+        );
+    }
+
+    // An abort-push takes cpu0's copy out of M; the bus, not the pusher,
+    // would write memory.
+    let mut sys = flat(&["illinois", "illinois"]);
+    sys.write(0, 0x100, &[5; 4]);
+    let cpu0 = sys.fabric_mut().controller_mut(0);
+    assert!(
+        cpu0.snoop(&TransactionRequest::read(1, 0x100, MasterSignals::CA))
+            .bs
+    );
+    assert!(cpu0.prepare_push(0x100).is_some());
+    let msg = panics(|| {
+        let _ = sys.read(1, 0x400, 4);
+    });
+    assert!(
+        msg.contains("line 0x100: unowned but memory is stale"),
+        "prepare_push: {msg}"
+    );
+}
+
+#[test]
+fn a_dropped_directory_reaches_the_next_audit() {
+    // Cluster 0 owns 0x100 while no cache below it holds the line: cpu0's
+    // copy was evicted to the cluster mirror. Retiring the bridge without
+    // salvage loses the line; only the cleared directory's wholesale log
+    // says so, and only the golden image still holds the line.
+    let mut sys = two_by_two();
+    sys.write(0, 0, 0x100, &[5; 4]);
+    for evict in [0x180, 0x200] {
+        let _ = sys.read(0, 0, evict, 4); // same set of the 2-way cache
+    }
+    assert_eq!(sys.state_of(0, 0, 0x100), LineState::Invalid);
+    assert_eq!(sys.cluster_state_of(0, 0x100), LineState::Modified);
+    sys.retire_bridge(0, false);
+    let msg = panics(|| {
+        let _ = sys.read(1, 0, 0x400, 4);
+    });
+    assert!(
+        msg.contains("line 0x100: unowned but memory is stale"),
+        "{msg}"
+    );
+}
+
+#[test]
+fn a_corrupted_tag_reaches_the_next_audit() {
+    // The flipped tag is logged by `Bridge::set_cluster_state` alone.
+    let mut sys = two_by_two();
+    sys.write(0, 0, 0x1000, &[1; 4]);
+    sys.parent_bus_mut()
+        .inject_faults(FaultPlan::new(FaultConfig {
+            stale_tag_rate: 1.0,
+            ..FaultConfig::default()
+        }));
+    let (bridge, line) = sys.corrupt_inclusion_tag().expect("rate 1.0 fires");
+    assert_eq!((bridge, line), (0, 0x1000));
+    let msg = panics(|| {
+        let _ = sys.read(1, 0, 0x5000, 4);
+    });
+    assert!(msg.contains("line 0x1000"), "{msg}");
+}
+
+#[test]
 fn bridge_retirement_forces_a_full_audit() {
     let mut sys = two_by_two();
     sys.write(0, 0, 0x1000, &[5; 4]);
@@ -173,6 +296,38 @@ fn lost_lines_reconciled_through_checker_mut_audit_fully() {
     sys.write(1, 1, 0x2000, &[3; 4]);
     assert_eq!(sys.read(0, 1, 0x2000, 4), vec![3; 4]);
     sys.verify().expect("reconciled");
+}
+
+#[test]
+fn a_tree_audits_lines_only_the_golden_image_holds() {
+    // After the salvage, 0x100 is in no cache and no directory: only the
+    // golden image and root memory still hold it. A flat bus audits such a
+    // line; so must the tree.
+    let mut sys = two_by_two();
+    sys.write(0, 0, 0x100, &[5; 4]);
+    sys.retire_bridge(0, true);
+    sys.verify().expect("the salvage reached root memory");
+    sys.parent_bus_mut()
+        .memory_mut()
+        .write_line(0x100, &[0; LINE]);
+    assert_eq!(sys.verify(), Err(Violation::StaleMemory { addr: 0x100 }));
+    // The memory write was logged, so the next access audits the line.
+    let msg = panics(|| {
+        let _ = sys.read(1, 0, 0x400, 4);
+    });
+    assert!(
+        msg.contains("0x100") && msg.contains("memory is stale"),
+        "{msg}"
+    );
+
+    let mut flat = flat(&["moesi", "moesi"]);
+    flat.write(0, 0x100, &[5; 4]);
+    flat.flush(0, 0x100);
+    flat.fabric_mut()
+        .bus_mut()
+        .memory_mut()
+        .write_line(0x100, &[0; LINE]);
+    assert_eq!(flat.verify(), Err(Violation::StaleMemory { addr: 0x100 }));
 }
 
 #[test]

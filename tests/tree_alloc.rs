@@ -8,6 +8,8 @@
 //!   allocate nothing either — fetches, broadcasts forwarded two levels
 //!   down, CA+IM invalidations, interventions and dirty victim write-backs —
 //!   on a depth-3 tree and on a flat bus alike.
+//! - With the consistency oracle on, a warm flat bus and a warm 2×2 tree
+//!   allocate nothing per read hit or per bus transaction either.
 //! - The buffer path returns what the oracle's golden image says, for line
 //!   crossers, for reads from a degraded (retired-bridge) cluster, and at
 //!   depth 3.
@@ -240,6 +242,78 @@ fn steady_state_bus_transactions_allocate_nothing() {
     let cpus = || (0..4).map(|cpu| *flat.stats(cpu));
     assert!(cpu_sum(cpus(), |s| s.invalidations_received) > 0);
     assert!(cpu_sum(cpus(), |s| s.write_backs) > 0, "dirty victims");
+}
+
+/// The oracle-checked shape of the benchmark: 2 leaf clusters × 2 MOESI
+/// caches.
+fn two_by_two_checked() -> HierarchicalSystem {
+    TreeBuilder::uniform(LINE, 2, 2, 1, 2, |_, _| {
+        (
+            Box::new(MoesiPreferred::new()) as Box<dyn Protocol + Send>,
+            Some(cfg()),
+        )
+    })
+    .checking(true)
+    .build()
+}
+
+#[test]
+fn an_audited_warm_machine_allocates_nothing_per_access() {
+    // Bus transactions: once every line of the working set is in the golden
+    // image, every memory and every map, a checked run allocates only its
+    // set-up. Debug builds also run the full differential audit after every
+    // access; it reuses the oracle's line list too.
+    let mut tree = two_by_two_checked();
+    let mut streams: Vec<Vec<Box<dyn RefStream + Send>>> = (0..tree.leaves() as u64)
+        .map(|leaf| (0..2).map(|cpu| sharing_stream(2 * leaf + cpu)).collect())
+        .collect();
+    assert_steady("checked tree", |k| tree.run(&mut streams, k));
+    assert!(tree.parent_stats().transactions > 0);
+    tree.verify().expect("consistent");
+
+    let mut flat = (0..4)
+        .fold(SystemBuilder::new(LINE).checking(true), |b, _| {
+            b.cache(Box::new(MoesiPreferred::new()), cfg())
+        })
+        .build();
+    let mut streams: Vec<_> = (0..4).map(sharing_stream).collect();
+    assert_steady("checked flat", |k| flat.run(&mut streams, k));
+    assert!(flat.bus_stats().broadcasts > 0 && flat.bus_stats().interventions > 0);
+    flat.verify().expect("consistent");
+
+    // Read hits, each checked against the golden image and audited.
+    let mut tree = two_by_two_checked();
+    let mut streams = hit_streams(&tree);
+    tree.run(&mut streams, HIT_READS.len() as u64);
+    let mut buf = Vec::with_capacity(2 * LINE);
+    for path in tree.leaf_paths() {
+        for &(addr, size) in &HIT_READS {
+            buf.clear();
+            let n = allocs_during(|| tree.read_into(&path, 1, addr, size, &mut buf));
+            assert_eq!(n, 0, "checked read hit at {addr:#x} via {path:?} allocated");
+        }
+    }
+    let mut flat = (0..2)
+        .fold(SystemBuilder::new(LINE).checking(true), |b, _| {
+            b.cache(Box::new(MoesiPreferred::new()), cfg())
+        })
+        .build();
+    let mut streams: Vec<Box<dyn RefStream + Send>> = (0..2)
+        .map(|_| Box::new(HitStream { next: 0 }) as Box<dyn RefStream + Send>)
+        .collect();
+    let lap = HIT_READS.len() as u64;
+    flat.run(&mut streams, lap);
+    let before = *flat.stats(0);
+    let one = allocs_during(|| flat.run(&mut streams, lap));
+    let many = allocs_during(|| flat.run(&mut streams, 100 * lap));
+    assert_eq!(one, many, "a checked flat read hit allocated");
+    let after = flat.stats(0);
+    assert_eq!(
+        after.reads - before.reads,
+        after.read_hits - before.read_hits,
+        "every measured read was a hit"
+    );
+    assert!(after.reads - before.reads >= 101 * lap);
 }
 
 #[test]
