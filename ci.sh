@@ -65,6 +65,11 @@ echo "==> fault-injection smoke campaign (fixed seed, fails on silent corruption
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
+echo "==> default fault campaign verdicts match the committed fixture"
+./target/release/moesi-sim faults --seed 7 --json --out "$work/flat" >/dev/null
+cmp "$work/flat" tests/fixtures/faults/flat.json \
+  || { echo "faults --json diverged from tests/fixtures/faults/flat.json" >&2; exit 1; }
+
 # Every host-side figure in a bench JSON document sits in a "host" object,
 # the last member of its row or of the file; those legitimately differ run to
 # run, so every determinism comparison drops them (with the separator before
@@ -129,6 +134,8 @@ grep -q '"silent": 0' "$work/hier.1" \
 grep -q '"recovery_demonstrated": true' "$work/hier.1" \
   || { echo "liveness probe failed to demonstrate livelock recovery" >&2; exit 1; }
 json_ok "$work/hier.1" "hierarchy faults"
+cmp "$work/hier.1" tests/fixtures/faults/hierarchy.json \
+  || { echo "faults --hierarchy --json diverged from tests/fixtures/faults/hierarchy.json" >&2; exit 1; }
 
 echo "==> deep-hierarchy fault smoke (depth 3, 32 caches; --jobs 2 must match --jobs 1)"
 pair --jobs faults --hierarchy --depth 3 --fanout 4 --clusters 4 \
@@ -139,6 +146,8 @@ grep -q '"depth": 3' "$work/deep.1" && grep -q '"leaves": 16' "$work/deep.1" \
 grep -q '"silent": 0' "$work/deep.1" \
   || { echo "deep hierarchy smoke saw silent corruption" >&2; exit 1; }
 json_ok "$work/deep.1" "deep hierarchy faults"
+cmp "$work/deep.1" tests/fixtures/faults/deep.json \
+  || { echo "deep hierarchy faults diverged from tests/fixtures/faults/deep.json" >&2; exit 1; }
 
 echo "==> policy tables match the committed fixture (paper Tables 3-7)"
 ./target/release/moesi-sim table > "$work/tables"

@@ -575,7 +575,7 @@ fn execute_schedule(
             }
         }
         if broken.is_none() {
-            if let Err(v) = checker.verify(fabric.controllers(), fabric.bus().memory()) {
+            if let Err(v) = checker.verify(&fabric) {
                 broken = Some(v);
             }
         }

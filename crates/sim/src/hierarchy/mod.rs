@@ -38,7 +38,7 @@ use futurebus::fault::InjectedFault;
 use futurebus::{
     BusError, BusStats, Discipline, Futurebus, LineAddr, Phase, SparseMemory, TransactionRequest,
 };
-use moesi::{LineState, MasterSignals};
+use moesi::{CacheKind, LineState, MasterSignals};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -49,7 +49,7 @@ mod node;
 pub use builder::{TreeBuilder, TreeSpec};
 pub use node::{Bridge, BridgeStats, FabricNode, Segment};
 
-use crate::checker::{cached_lines, Audited, Checker, Violation};
+use crate::checker::{cached_lines, Audited, Caches, Checker, Holders, LineRule, Violation};
 use crate::engine;
 use crate::fabric::Fabric;
 use crate::metrics::CpuStats;
@@ -523,12 +523,26 @@ impl HierarchicalSystem {
         self.hoist_forward_errors();
         if !self.tolerant {
             if let Some(ck) = &self.checker {
-                if let Err(v) = ck.check_read(cpu, addr, &out[start..]) {
+                if let Err(mut v) = ck.check_read(cpu, addr, &out[start..]) {
+                    if let Violation::ReadMismatch { cpu: lane, .. } = &mut v {
+                        *lane = self.lane(path, cpu);
+                    }
                     panic!("hierarchy consistency violation: {v}");
                 }
             }
         }
         self.audit();
+    }
+
+    /// The global index of processor `cpu` of the leaf at `path`: its lane
+    /// in [`run`](HierarchicalSystem::run), counting processors leaf-major.
+    fn lane(&self, path: &[usize], cpu: usize) -> usize {
+        let paths = self.leaf_paths();
+        let leaf = paths.iter().position(|p| p == path).expect("a leaf path");
+        let before = paths[..leaf]
+            .iter()
+            .map(|p| self.bridge_at(p).fabric().nodes());
+        before.sum::<usize>() + cpu
     }
 
     /// Processor (`cluster`, `cpu`) writes `bytes` at `addr` (two-level
@@ -809,13 +823,22 @@ impl Audited for Segment {
         self.drain_changes(out)
     }
 
-    /// Every invariant for each line. Lines the full audit does not visit —
-    /// never written, in no directory and no cache — pass, so the
-    /// incremental audit can hand over any line it logged.
-    fn check_lines(&self, ck: &Checker, lines: &[u64]) -> Result<(), Violation> {
-        lines
-            .iter()
-            .try_for_each(|&line| check_line(self, ck, line))
+    /// Every invariant for one line of the tree, in one descent that reads
+    /// each cache entry and each inclusion tag once:
+    ///
+    /// 1. the per-line rule ([`LineRule`]) on every segment, the root first
+    ///    and then in pre-order: a leaf's holders are its caches, an interior
+    ///    segment's its child bridges. A segment's memory is read only while
+    ///    the tag above it is valid; the root's is true main memory;
+    /// 2. the inclusion invariant the snoop filter is sound against, at
+    ///    every bridge in pre-order.
+    fn check_line(&self, ck: &Checker, line: u64) -> Result<(), Violation> {
+        let (golden, written) = ck.golden_line(line);
+        let tree = LineCheck { ck, line, golden }.segment(self, None, true);
+        if !written && !tree.tracked {
+            return Ok(());
+        }
+        tree.rules.and(tree.holes)
     }
 
     /// Every line in a directory or cached anywhere.
@@ -850,40 +873,27 @@ impl fmt::Display for Label<'_> {
     }
 }
 
-/// Every invariant for one line of the tree rooted at `root`, in one
-/// descent that reads each cache entry and each inclusion tag once:
-///
-/// 1. every valid cached copy equals the golden image, and each leaf
-///    cluster has at most one local owner (checked as the descent meets
-///    each cache);
-/// 2. the root segment's invariants ([`Children::check`]), its memory being
-///    true main memory;
-/// 3. the inclusion invariant the snoop filter is sound against, and the
-///    segment invariants inside every interior segment, in pre-order.
-fn check_line(root: &Segment, ck: &Checker, line: u64) -> Result<(), Violation> {
-    let (golden, written) = ck.golden_line(line);
-    let children = Children::gather(root, None, line, golden)?;
-    if !written && !children.tracked {
-        return Ok(());
-    }
-    children.check(root, None, line, golden)?;
-    children.below
+/// The oracle, one line and its golden bytes, for one descent.
+struct LineCheck<'c> {
+    ck: &'c Checker,
+    line: u64,
+    golden: &'c [u8],
 }
 
-/// What one descent learns about a bridge's subtree for one line.
+/// What the check of one segment's subtree learns for one line.
 struct Subtree<'a> {
-    /// The bridge's inclusion tag.
-    tag: LineState,
-    /// Whether the full audit visits the line on this subtree's account: a
-    /// tag here or below, or a cache below holding it in any state.
+    /// Whether the line is resident here or below: a tag, or a cache
+    /// holding it in any state.
     tracked: bool,
-    /// Whether a cache below holds a valid copy — ground truth, not tags.
+    /// Whether a cache here or below holds a valid copy — ground truth, not
+    /// tags.
     holds_valid: bool,
     /// The subtree's authoritative data ([`Bridge::authoritative_line`]).
     authority: Authority<'a>,
-    /// The verdict of the inclusion and interior-segment checks below,
-    /// deferred because the root segment's invariants come first.
-    deferred: Result<(), Violation>,
+    /// The rule's verdict on every segment of the subtree, in pre-order.
+    rules: Result<(), Violation>,
+    /// The first inclusion hole among the subtree's bridges, in pre-order.
+    holes: Result<(), Violation>,
 }
 
 /// Where a subtree's authoritative copy of a line lives.
@@ -904,207 +914,108 @@ impl<'a> Authority<'a> {
     }
 }
 
-/// Descends below `bridge` for `line`. A stale cached copy or a second local
-/// owner fails at once, in the order the full audit meets them; every other
-/// fact is gathered, or checked into [`Subtree::deferred`].
-fn descend<'a>(
-    bridge: &'a Bridge,
-    label: &Label<'_>,
-    line: u64,
-    golden: &[u8],
-) -> Result<Subtree<'a>, Violation> {
-    let tag = bridge.cluster_state(line);
-    let (tracked, holds_valid, authority, below) = match bridge.node() {
-        FabricNode::Leaf(fabric) => {
-            let mut resident = false;
-            let mut holds_valid = false;
-            let mut local_owners = 0;
-            let mut owned = None;
-            for ctrl in fabric.controllers() {
-                let Some(entry) = ctrl.cache().and_then(|c| c.lookup(line)) else {
-                    continue;
-                };
-                resident = true;
-                let state = entry.state;
-                if state.is_owned() {
-                    local_owners += 1;
-                    owned.get_or_insert(entry.data);
-                }
-                if state.is_valid() {
-                    holds_valid = true;
-                    if entry.data != golden {
-                        return Err(Violation::StaleCopy {
-                            addr: line,
-                            holder: format!("{label}/{}", ctrl.name()),
-                            state,
-                        });
-                    }
-                }
-            }
-            if local_owners > 1 {
-                return Err(Violation::MultipleOwners {
-                    addr: line,
-                    owners: vec![format!("{label}: {local_owners} owners")],
+impl LineCheck<'_> {
+    /// Checks the interior segment `seg`, below the bridge labelled `label`
+    /// (`None` at the root): the rule over its child bridges, their tags
+    /// the holders' states and their subtrees' authorities the holders'
+    /// data, with the segment memory when `live`.
+    fn segment<'a>(&self, seg: &'a Segment, label: Option<&Label<'_>>, live: bool) -> Subtree<'a> {
+        let bridges = Bridges { seg, parent: label };
+        let mut rule = LineRule::new(self.line, self.golden);
+        let (mut holds_valid, mut owner, mut below, mut holes) = (false, None, Ok(()), Ok(()));
+        for (index, child) in seg.children.iter().enumerate() {
+            let tag = child.cluster_state(self.line);
+            let child_label = bridges.label(index);
+            let sub = self.node(&child.node, &child_label, tag.is_valid());
+            if sub.tracked || tag.is_valid() {
+                rule.add(index, tag, CacheKind::CopyBack, || {
+                    sub.authority.data(self.line)
                 });
             }
-            let mirror = Authority::Mirror(fabric.bus().memory());
-            (
-                resident,
-                holds_valid,
-                owned.map_or(mirror, Authority::Cache),
-                Ok(()),
-            )
-        }
-        FabricNode::Interior(seg) => {
-            let children = Children::gather(seg, Some(label), line, golden)?;
-            // Segment memory is only authoritative while the bridge's own
-            // tag is live: once the tag is Invalid the subtree's mirror holds
-            // dead data by design (the next fetch overwrites it).
-            let below = if tag.is_valid() {
-                children.check(seg, Some(label), line, golden)
-            } else {
-                Ok(())
-            };
-            let mirror = Authority::Mirror(seg.bus.memory());
-            (
-                children.tracked,
-                children.holds_valid,
-                children.owner.map_or(mirror, |(_, _, a)| a),
-                below.and(children.below),
-            )
-        }
-    };
-    // The inclusion invariant at this bridge comes first: no valid copy
-    // cached below an Invalid tag (the snoop filter's soundness condition).
-    let hole = !tag.is_valid() && holds_valid;
-    Ok(Subtree {
-        tag,
-        tracked: tracked || tag.is_valid(),
-        holds_valid,
-        authority,
-        deferred: if hole {
-            Err(Violation::InclusionHole {
-                addr: line,
-                bridge: label.to_string(),
-            })
-        } else {
-            below
-        },
-    })
-}
-
-/// One segment's children for one line, gathered as the descent visits
-/// them in order.
-struct Children<'a> {
-    /// Whether any child's [`Subtree::tracked`] holds.
-    tracked: bool,
-    /// Whether any child's [`Subtree::holds_valid`] holds.
-    holds_valid: bool,
-    /// The first failing [`Subtree::deferred`] verdict.
-    below: Result<(), Violation>,
-    /// Children with an owned tag.
-    owners: usize,
-    /// The first owning child: its index, tag and authority.
-    owner: Option<(usize, LineState, Authority<'a>)>,
-    /// The first child with an exclusive tag.
-    exclusive: Option<usize>,
-    /// The first two children with valid tags.
-    valid: [Option<usize>; 2],
-}
-
-impl<'a> Children<'a> {
-    /// Descends below every child of `seg`, whose bridge is labelled
-    /// `parent` (`None` at the root).
-    fn gather(
-        seg: &'a Segment,
-        parent: Option<&Label<'_>>,
-        line: u64,
-        golden: &[u8],
-    ) -> Result<Self, Violation> {
-        let mut children = Children {
-            tracked: false,
-            holds_valid: false,
-            below: Ok(()),
-            owners: 0,
-            owner: None,
-            exclusive: None,
-            valid: [None; 2],
-        };
-        for (index, child) in seg.children.iter().enumerate() {
-            let sub = descend(child, &Label { parent, index }, line, golden)?;
-            children.tracked |= sub.tracked;
-            children.holds_valid |= sub.holds_valid;
-            let tag = sub.tag;
             if tag.is_owned() {
-                children.owners += 1;
-                children.owner.get_or_insert((index, tag, sub.authority));
+                owner.get_or_insert(sub.authority);
             }
-            if tag.is_exclusive() {
-                children.exclusive.get_or_insert(index);
+            holds_valid |= sub.holds_valid;
+            if below.is_ok() {
+                below = sub.rules;
             }
-            if tag.is_valid() {
-                if let Some(slot) = children.valid.iter_mut().find(|v| v.is_none()) {
-                    *slot = Some(index);
-                }
-            }
-            if children.below.is_ok() {
-                children.below = sub.deferred;
+            if holes.is_ok() {
+                // No valid copy cached below an Invalid tag.
+                holes = if !tag.is_valid() && sub.holds_valid {
+                    let bridge = child_label.to_string();
+                    Err(Violation::InclusionHole {
+                        addr: self.line,
+                        bridge,
+                    })
+                } else {
+                    sub.holes
+                };
             }
         }
-        Ok(children)
+        let memory = seg.bus.memory();
+        Subtree {
+            tracked: rule.resident,
+            holds_valid,
+            authority: owner.unwrap_or(Authority::Mirror(memory)),
+            rules: rule
+                .verdict(self.ck, live.then_some(memory), &bridges)
+                .and(below),
+            holes,
+        }
     }
 
-    /// Invariants (3)–(6) for `seg`: ownership unique among children,
-    /// exclusivity respected, unowned lines current in segment memory, and
-    /// the owning child's authoritative data golden. `parent` is `None` at
-    /// the root (labels are `cluster{i}`) and the parent bridge's label
-    /// below it.
-    fn check(
-        &self,
-        seg: &Segment,
-        parent: Option<&Label<'_>>,
-        line: u64,
-        golden: &[u8],
-    ) -> Result<(), Violation> {
-        let label = |index| Label { parent, index };
-        if self.owners > 1 {
-            return Err(Violation::MultipleOwners {
-                addr: line,
-                owners: (0..seg.children.len())
-                    .filter(|&i| seg.children[i].cluster_state(line).is_owned())
-                    .map(|i| label(i).to_string())
-                    .collect(),
-            });
+    /// Checks the segment below the bridge labelled `label`, whose tag is
+    /// valid when `live`. A leaf is the flat bus's one-segment case: its
+    /// caches are the holders and its mirror the memory.
+    fn node<'a>(&self, node: &'a FabricNode, label: &Label<'_>, live: bool) -> Subtree<'a> {
+        let fabric = match node {
+            FabricNode::Interior(seg) => return self.segment(seg, Some(label), live),
+            FabricNode::Leaf(fabric) => fabric,
+        };
+        let memory = fabric.bus().memory();
+        let mut rule = LineRule::new(self.line, self.golden);
+        let owned = rule.add_caches(fabric.controllers());
+        let caches = Caches {
+            controllers: fabric.controllers(),
+            bridge: Some(label),
+        };
+        Subtree {
+            tracked: rule.resident,
+            holds_valid: rule.holders > 0,
+            authority: owned.map_or(Authority::Mirror(memory), Authority::Cache),
+            rules: rule.verdict(self.ck, live.then_some(memory), &caches),
+            holes: Ok(()),
         }
-        if let Some(excl) = self.exclusive {
-            // The exclusive child's own tag is valid: the other holder is
-            // the first valid child that is not it.
-            let other = if self.valid[0] == Some(excl) {
-                self.valid[1]
-            } else {
-                self.valid[0]
-            };
-            if let Some(other) = other {
-                return Err(Violation::ExclusivityViolated {
-                    addr: line,
-                    exclusive_holder: label(excl).to_string(),
-                    other_holder: label(other).to_string(),
-                });
-            }
+    }
+}
+
+/// A segment's child bridges as the holders of a line: each named by its
+/// label, and its data, the subtree's authority, as `{label} (authoritative)`.
+struct Bridges<'a> {
+    seg: &'a Segment,
+    parent: Option<&'a Label<'a>>,
+}
+
+impl Bridges<'_> {
+    fn label(&self, index: usize) -> Label<'_> {
+        Label {
+            parent: self.parent,
+            index,
         }
-        match self.owner {
-            None if seg.bus.memory().peek(line) != golden => {
-                Err(Violation::StaleMemory { addr: line })
-            }
-            Some((index, tag, authority)) if authority.data(line) != golden => {
-                Err(Violation::StaleCopy {
-                    addr: line,
-                    holder: format!("{} (authoritative)", label(index)),
-                    state: tag,
-                })
-            }
-            _ => Ok(()),
-        }
+    }
+}
+
+impl Holders for Bridges<'_> {
+    fn states(&self, line: u64) -> impl Iterator<Item = LineState> {
+        self.seg.children.iter().map(move |b| b.cluster_state(line))
+    }
+
+    fn name(&self, index: usize) -> String {
+        self.label(index).to_string()
+    }
+
+    fn data_name(&self, index: usize) -> String {
+        format!("{} (authoritative)", self.name(index))
     }
 }
 
@@ -1926,7 +1837,7 @@ mod tests {
             sys.verify(),
             Err(Violation::MultipleOwners {
                 addr: 0x100,
-                owners: vec!["cluster1: 2 owners".into()],
+                owners: vec!["cluster1/cpu0:MOESI".into(), "cluster1/cpu1:MOESI".into()],
             })
         );
 
@@ -2050,6 +1961,117 @@ mod tests {
             Err(Violation::InclusionHole {
                 addr: 0x100,
                 bridge: "cluster0.1".into(),
+            })
+        );
+    }
+
+    // The pins below fail on a per-line audit that checks a leaf only for
+    // stale copies and local owners, and a segment's authority only at its
+    // owning child.
+
+    #[test]
+    fn audit_pins_a_stale_mirror_under_a_live_exclusive_copy() {
+        // The E copy's cluster holds the line unowned, so the stale mirror
+        // is the subtree's authority; the next local read miss returns it.
+        let mut sys = two_by_two();
+        let _ = sys.read(1, 0, 0x100, 4);
+        assert_eq!(sys.state_of(1, 0, 0x100), LineState::Exclusive);
+        sys.leaf_fabric_mut(1)
+            .bus_mut()
+            .memory_mut()
+            .write_line(0x100, &[7; 32]);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::StaleCopy {
+                addr: 0x100,
+                holder: "cluster1 (authoritative)".into(),
+                state: LineState::Exclusive,
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cpu3 read 0x100")]
+    fn a_read_mismatch_names_the_processor_by_its_global_lane() {
+        let mut sys = two_by_two();
+        let _ = sys.read(1, 0, 0x100, 4);
+        sys.leaf_fabric_mut(1)
+            .bus_mut()
+            .memory_mut()
+            .write_line(0x100, &[7; 32]);
+        let _ = sys.read(1, 1, 0x100, 4);
+    }
+
+    #[test]
+    fn audit_pins_exclusivity_inside_a_leaf() {
+        let mut sys = two_by_two();
+        sys.bridge_mut(1)
+            .set_cluster_state(0x100, LineState::Exclusive);
+        plant(&mut sys, 1, 0, LineState::Exclusive, 0);
+        plant(&mut sys, 1, 1, LineState::Shareable, 0);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::ExclusivityViolated {
+                addr: 0x100,
+                exclusive_holder: "cluster1/cpu0:MOESI".into(),
+                other_holder: "cluster1/cpu1:MOESI".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn audit_pins_a_write_through_owner_in_a_leaf() {
+        let mut sys = TreeBuilder::new(32)
+            .child(moesi_leaf(2))
+            .child(moesi_leaf(1).cache(Box::new(moesi::protocols::WriteThrough::new()), cfg()))
+            .checking(true)
+            .build();
+        sys.bridge_mut(1).set_cluster_state(0x100, LineState::Owned);
+        plant(&mut sys, 1, 1, LineState::Owned, 0);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::IllegalStateForKind {
+                addr: 0x100,
+                holder: "cluster1/cpu1:write-through".into(),
+                state: LineState::Owned,
+            })
+        );
+    }
+
+    #[test]
+    fn audit_pins_a_stale_mirror_under_a_valid_non_owning_bridge() {
+        let mut sys = two_by_two();
+        sys.bridge_mut(1)
+            .set_cluster_state(0x100, LineState::Shareable);
+        sys.leaf_fabric_mut(1)
+            .bus_mut()
+            .memory_mut()
+            .write_line(0x100, &[7; 32]);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::StaleCopy {
+                addr: 0x100,
+                holder: "cluster1 (authoritative)".into(),
+                state: LineState::Shareable,
+            })
+        );
+    }
+
+    #[test]
+    fn audit_pins_an_exclusive_bridge_whose_authority_differs_from_memory() {
+        // The subtree's authority (its mirror) is golden, the root memory
+        // under it is not: rule 5 comes before the default-owner rule.
+        let mut sys = two_by_two();
+        sys.bridge_mut(1)
+            .set_cluster_state(0x100, LineState::Exclusive);
+        sys.parent_bus_mut()
+            .memory_mut()
+            .write_line(0x100, &[7; 32]);
+        assert_eq!(
+            sys.verify(),
+            Err(Violation::ExclusiveUnmodifiedDiffers {
+                addr: 0x100,
+                holder: "cluster1 (authoritative)".into(),
             })
         );
     }

@@ -257,7 +257,7 @@ pub fn execute(
     if let Some(error) = fabric.drain_bus_errors().into_iter().next() {
         return Err(Failure::Error(error));
     }
-    read.and_then(|()| checker.verify(fabric.controllers(), fabric.bus().memory()))
+    read.and_then(|()| checker.verify(fabric))
         .map_err(Failure::Violation)
 }
 

@@ -12,7 +12,7 @@ use cache_array::CacheConfig;
 use futurebus::{BusStats, TimingConfig};
 use moesi::{CacheKind, LineState, Protocol};
 
-use crate::checker::{cached_lines, Audited, Checker, Violation};
+use crate::checker::{Checker, Violation};
 use crate::controller::CacheController;
 use crate::engine;
 use crate::fabric::Fabric;
@@ -234,7 +234,7 @@ impl System {
     /// not enabled.
     pub fn verify(&self) -> Result<(), Violation> {
         match &self.checker {
-            Some(ck) => ck.verify(self.fabric.controllers(), self.fabric.bus().memory()),
+            Some(ck) => ck.verify(&self.fabric),
             None => Ok(()),
         }
     }
@@ -580,20 +580,6 @@ impl System {
                 panic!("consistency violation: {v}");
             }
         }
-    }
-}
-
-impl Audited for Fabric {
-    fn drain_changed_lines(&mut self, out: &mut Vec<u64>) -> bool {
-        self.drain_changes(out)
-    }
-
-    fn check_lines(&self, ck: &Checker, lines: &[u64]) -> Result<(), Violation> {
-        ck.verify_lines(lines, self.controllers(), self.bus().memory())
-    }
-
-    fn resident_lines(&self, out: &mut Vec<u64>) {
-        cached_lines(self.controllers(), out);
     }
 }
 

@@ -411,13 +411,18 @@ enum Op {
 /// A fixed access script over eight lines that share two cache sets, so
 /// fills evict, dirty victims write back and every protocol path runs.
 fn script() -> Vec<Op> {
+    script_on(3)
+}
+
+/// [`script`] for `cpus` processors.
+fn script_on(cpus: u64) -> Vec<Op> {
     let mut x: u64 = 0x9E37_79B9;
     (0..300u64)
         .map(|i| {
             x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
             let r = x >> 33;
-            let cpu = (r % 3) as usize;
-            let addr = 0x4000 + (r / 3 % 8) * 128 + (r / 24 % 7) * 4;
+            let cpu = (r % cpus) as usize;
+            let addr = 0x4000 + (r / cpus % 8) * 128 + (r / (cpus * 8) % 7) * 4;
             match r / 168 % 9 {
                 0..=3 => Op::Read(cpu, addr),
                 8 => Op::Flush(cpu, addr),
@@ -474,7 +479,7 @@ fn first_failure_full(table: PolicyTable) -> Option<(usize, String)> {
                 }
                 Op::Flush(cpu, addr) => drop(sys.flush(cpu, addr)),
             }
-            ck.verify(sys.fabric().controllers(), sys.fabric().bus().memory())
+            ck.verify(sys.fabric())
         }));
         match run {
             Err(err) => return Some((step, panic_message(&err))),
@@ -485,11 +490,9 @@ fn first_failure_full(table: PolicyTable) -> Option<(usize, String)> {
     None
 }
 
-#[test]
-fn single_cell_mutants_fail_at_the_same_step_with_the_same_violation() {
-    // The canonical local and snoop bugs of the mutation sweep, one cell at
-    // a time: whatever the incremental audit reports, and when, must be
-    // exactly what a full audit after every access reports.
+/// The canonical local and snoop bugs of the mutation sweep, one cell of
+/// the preferred table at a time.
+fn single_cell_mutants() -> Vec<PolicyTable> {
     let base = PolicyTable::preferred("mutant", CacheKind::CopyBack);
     let mut mutants = Vec::new();
     for state in LineState::ALL {
@@ -510,8 +513,15 @@ fn single_cell_mutants_fail_at_the_same_step_with_the_same_violation() {
             }
         }
     }
+    mutants
+}
+
+#[test]
+fn single_cell_mutants_fail_at_the_same_step_with_the_same_violation() {
+    // Whatever the incremental audit reports, and when, must be exactly
+    // what a full audit after every access reports.
     let mut violations = 0;
-    for table in mutants {
+    for table in single_cell_mutants() {
         let audited = first_failure_audited(table);
         assert_eq!(audited, first_failure_full(table));
         violations += usize::from(audited.is_some_and(|(_, m)| m.starts_with("consistency")));
@@ -520,4 +530,50 @@ fn single_cell_mutants_fail_at_the_same_step_with_the_same_violation() {
         violations >= 10,
         "only {violations} mutants broke an invariant"
     );
+}
+
+/// A 2×2 tree with a mutant cache in each leaf.
+fn mutant_tree(table: PolicyTable) -> HierarchicalSystem {
+    TreeBuilder::new(LINE)
+        .checking(true)
+        .child(
+            TreeSpec::leaf()
+                .cache(Box::new(TablePolicy::new(table)), cfg())
+                .cache(by_name("moesi", 1).unwrap(), cfg()),
+        )
+        .child(
+            TreeSpec::leaf()
+                .cache(by_name("berkeley", 2).unwrap(), cfg())
+                .cache(Box::new(TablePolicy::new(table)), cfg()),
+        )
+        .build()
+}
+
+/// Whether the first failure of the script on [`mutant_tree`] is its own
+/// audit reporting a consistency violation. Processor `p` is cpu `p % 2` of
+/// leaf `p / 2`; a flush pushes every owned line to root memory.
+fn tree_audit_catches(table: PolicyTable) -> bool {
+    let mut sys = mutant_tree(table);
+    for op in script_on(4) {
+        let run = catch_unwind(AssertUnwindSafe(|| match op {
+            Op::Read(p, addr) => drop(sys.read(p / 2, p % 2, addr, 4)),
+            Op::Write(p, addr, v) => sys.write(p / 2, p % 2, addr, &v),
+            Op::Flush(..) => drop(sys.make_globally_consistent()),
+        }));
+        if let Err(err) = run {
+            return panic_message(&err).starts_with("hierarchy consistency");
+        }
+    }
+    false
+}
+
+#[test]
+fn single_cell_mutants_break_the_tree_audit() {
+    // Debug builds assert on every audit that the incremental verdict is
+    // the full one, so this also runs each mutant differentially.
+    let caught = single_cell_mutants()
+        .into_iter()
+        .filter(|&table| tree_audit_catches(table))
+        .count();
+    assert!(caught >= 14, "only {caught} mutants broke a tree invariant");
 }
