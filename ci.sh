@@ -70,6 +70,14 @@ echo "==> default fault campaign verdicts match the committed fixture"
 cmp "$work/flat" tests/fixtures/faults/flat.json \
   || { echo "faults --json diverged from tests/fixtures/faults/flat.json" >&2; exit 1; }
 
+echo "==> default fault campaign reports match the committed text fixtures (flat and hierarchy)"
+./target/release/moesi-sim faults --seed 7 > "$work/flat_text"
+cmp "$work/flat_text" tests/fixtures/faults/flat.txt \
+  || { echo "faults diverged from tests/fixtures/faults/flat.txt" >&2; exit 1; }
+./target/release/moesi-sim faults --hierarchy --seed 7 > "$work/hier_text"
+cmp "$work/hier_text" tests/fixtures/faults/hierarchy.txt \
+  || { echo "faults --hierarchy diverged from tests/fixtures/faults/hierarchy.txt" >&2; exit 1; }
+
 # Every host-side figure in a bench JSON document sits in a "host" object,
 # the last member of its row or of the file; those legitimately differ run to
 # run, so every determinism comparison drops them (with the separator before
@@ -136,6 +144,12 @@ grep -q '"recovery_demonstrated": true' "$work/hier.1" \
 json_ok "$work/hier.1" "hierarchy faults"
 cmp "$work/hier.1" tests/fixtures/faults/hierarchy.json \
   || { echo "faults --hierarchy --json diverged from tests/fixtures/faults/hierarchy.json" >&2; exit 1; }
+
+echo "==> sharded hierarchy fault smoke (--shards 2 must match --shards 1 byte for byte)"
+pair --shards faults --hierarchy --seed 7 --steps 400 --json --out @hshard >/dev/null
+same hshard "hierarchy faults" --shards
+grep -q '"silent": 0' "$work/hshard.1" \
+  || { echo "sharded hierarchy smoke saw silent corruption" >&2; exit 1; }
 
 echo "==> deep-hierarchy fault smoke (depth 3, 32 caches; --jobs 2 must match --jobs 1)"
 pair --jobs faults --hierarchy --depth 3 --fanout 4 --clusters 4 \

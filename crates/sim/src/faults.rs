@@ -1,8 +1,9 @@
 //! Fault-injection campaigns: prove the protocol class degrades gracefully.
 //!
-//! A campaign runs a seeded workload over one machine per protocol with a
-//! [`FaultPlan`] installed on the bus, then audits every injected fault with
-//! the consistency oracle and classifies it:
+//! A campaign runs a seeded workload over one machine per protocol — a flat
+//! bus, or a fabric tree whose root bus targets bridges — with a
+//! [`FaultPlan`] installed on every bus, then audits every injected fault
+//! with the consistency oracle and classifies it:
 //!
 //! * [`FaultClass::Masked`] — the fault had no observable effect at all; the
 //!   hardware absorbed it (the fate of every consistency-line glitch, which
@@ -21,7 +22,7 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::fault::{FaultConfig, FaultKind, FaultPlan, FaultRecord, InjectedFault};
-use futurebus::{BusStats, PhaseHistograms, RetryPolicy, TimingConfig};
+use futurebus::{BusStats, Futurebus, PhaseHistograms, RetryPolicy, SparseMemory, TimingConfig};
 use moesi::json::{array_u64, JsonObject};
 use moesi::protocols::by_name;
 use moesi::rng::SmallRng;
@@ -29,7 +30,7 @@ use moesi::{CacheKind, PolicyTable, Protocol, TablePolicy};
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::checker::Checker;
+use crate::checker::{Checker, Violation};
 use crate::controller::CacheController;
 use crate::fabric::Fabric;
 use crate::hierarchy::{HierarchicalSystem, ParentError, TreeBuilder};
@@ -74,8 +75,8 @@ impl fmt::Display for FaultVerdict {
 }
 
 /// A fault tally: masked/detected/SILENT verdicts per fault kind, plus the
-/// silent corruptions observed after recovery. Both campaign kinds count
-/// and render their runs and reports through it.
+/// silent corruptions observed after recovery. Runs and reports count and
+/// render their faults through it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Tally {
     /// Verdict counts per fault kind (by name), indexed by `FaultClass as
@@ -144,13 +145,55 @@ impl fmt::Display for Tally {
     }
 }
 
+/// The fabric tree a campaign runs instead of one flat bus.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TreeShape {
+    /// Clusters on the root bus.
+    pub clusters: usize,
+    /// Bus levels: 2 is the classic two-level machine; deeper values
+    /// interpose interior segments built by
+    /// [`TreeBuilder::uniform`](crate::hierarchy::TreeBuilder::uniform).
+    pub depth: usize,
+    /// Children per interior segment when `depth > 2` (ignored at depth 2).
+    pub fanout: usize,
+}
+
+impl Default for TreeShape {
+    fn default() -> Self {
+        TreeShape {
+            clusters: 2,
+            depth: 2,
+            fanout: 2,
+        }
+    }
+}
+
+impl TreeShape {
+    /// Leaf clusters in the tree (== `clusters` at depth 2).
+    #[must_use]
+    pub fn leaves(&self) -> usize {
+        self.clusters * self.fanout.pow(self.depth.saturating_sub(2) as u32)
+    }
+}
+
+/// Consecutive root-bus retry-cutoff failures per master before a tree
+/// campaign's liveness watchdog flags starvation.
+const LIVENESS_DEADLINE: u32 = 3;
+
 /// Campaign shape: protocols, machine geometry, workload and fault rates.
+///
+/// On a tree the root bus gets the full plan (`bridges: true`, so stalls
+/// and kills target bridges) and each leaf bus a derived glitch/storm-only
+/// plan: retiring an individual cache is the flat campaign's subject, on a
+/// tree the bridge is the victim.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// Protocol names (see `moesi::protocols::by_name`), one homogeneous
     /// machine per entry.
     pub protocols: Vec<String>,
-    /// Processors per machine.
+    /// `None` runs one flat bus; `Some` runs a fabric tree of that shape.
+    pub tree: Option<TreeShape>,
+    /// Processors per machine, or per leaf cluster on a tree.
     pub cpus: usize,
     /// Bytes per line.
     pub line_size: usize,
@@ -194,6 +237,7 @@ impl Default for CampaignConfig {
                 "berkeley".into(),
                 "hybrid".into(),
             ],
+            tree: None,
             cpus: 4,
             line_size: 16,
             cache_bytes: 1024,
@@ -216,28 +260,80 @@ impl Default for CampaignConfig {
     }
 }
 
-/// One protocol's campaign outcome.
-#[derive(Clone, Debug)]
+impl CampaignConfig {
+    /// The default two-level campaign: four protocols on 2 clusters of 2
+    /// cpus, with bridge stalls and kills and stale inclusion tags.
+    #[must_use]
+    pub fn hierarchy() -> Self {
+        CampaignConfig {
+            protocols: vec![
+                "moesi".into(),
+                "dragon".into(),
+                "write-through".into(),
+                "berkeley".into(),
+            ],
+            tree: Some(TreeShape::default()),
+            cpus: 2,
+            steps: 1500,
+            lines: 48,
+            faults: FaultConfig {
+                glitch_rate: 0.20,
+                stall_rate: 0.002,
+                kill_rate: 0.002,
+                storm_rate: 0.05,
+                corrupt_rate: 0.08,
+                stale_tag_rate: 0.10,
+                max_storm_rounds: 4,
+                ..FaultConfig::default()
+            },
+            ..CampaignConfig::default()
+        }
+    }
+}
+
+/// What a tree run adds to a flat one: the bridge ledger, the degraded
+/// clusters and the root bus's structured errors. Empty on a flat bus.
+#[derive(Clone, Debug, Default)]
+pub struct TreeExtras {
+    /// Clusters running memory-direct degraded mode at the end of the run.
+    pub degraded_clusters: Vec<usize>,
+    /// Structured root-bus errors the tree survived.
+    pub parent_errors: Vec<ParentError>,
+    /// Dirty lines owned by bridges at their retirement instants, summed.
+    pub dirty_at_retire: u64,
+    /// Of those, lines salvaged to root memory by synthetic push rounds.
+    pub salvaged_lines: u64,
+    /// Of those, lines lost with their bridge (reported, never silent).
+    pub lost_lines: u64,
+}
+
+/// One protocol's campaign outcome. A flat bus is its machine's root bus
+/// and only leaf bus.
+#[derive(Clone, Debug, Default)]
 pub struct ProtocolRun {
     /// The protocol name the machine ran.
     pub protocol: String,
     /// Processor accesses executed.
     pub accesses: u64,
-    /// Every injected fault with its verdict, in injection order.
+    /// Every injected fault with its verdict: per access, the root bus's
+    /// first, then each leaf bus's in leaf order.
     pub verdicts: Vec<FaultVerdict>,
-    /// Modules the watchdog retired — ascending for a whole-machine run; a
-    /// sharded run concatenates its region machines' lists in region order.
+    /// Modules the root bus's watchdog retired (caches on a flat bus,
+    /// bridges on a tree) — ascending for a whole-machine run; a sharded
+    /// run concatenates its region machines' lists in region order.
     pub retired: Vec<usize>,
     /// Invariant/read violations observed after recovery (silent corruption;
     /// the run stops at the first one).
     pub violations: Vec<String>,
-    /// Bus errors the fabric survived in tolerant mode (each degraded one
+    /// Errors the leaf buses survived in tolerant mode (each degraded one
     /// access to a memory-direct fallback — detected, not process-fatal).
     pub bus_errors: Vec<String>,
-    /// Bus statistics at the end of the run.
+    /// Root-bus statistics at the end of the run.
     pub bus_stats: BusStats,
-    /// Per-phase latency histograms accumulated over the run.
+    /// Root-bus per-phase latency histograms accumulated over the run.
     pub phase_hist: PhaseHistograms,
+    /// The tree's extras (empty on a flat bus).
+    pub tree: TreeExtras,
 }
 
 impl ProtocolRun {
@@ -246,10 +342,29 @@ impl ProtocolRun {
     pub fn tally(&self) -> Tally {
         Tally::new(&self.verdicts, self.violations.len())
     }
-}
 
-impl fmt::Display for ProtocolRun {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Appends `other`, the next region's run of the same protocol:
+    /// counters and bus statistics sum, lists concatenate, histograms merge
+    /// bucket-wise.
+    fn absorb(&mut self, other: ProtocolRun) {
+        self.accesses += other.accesses;
+        self.verdicts.extend(other.verdicts);
+        self.retired.extend(other.retired);
+        self.violations.extend(other.violations);
+        self.bus_errors.extend(other.bus_errors);
+        self.bus_stats += other.bus_stats;
+        self.phase_hist.merge(&other.phase_hist);
+        let (tree, more) = (&mut self.tree, other.tree);
+        tree.degraded_clusters.extend(more.degraded_clusters);
+        tree.parent_errors.extend(more.parent_errors);
+        tree.dirty_at_retire += more.dirty_at_retire;
+        tree.salvaged_lines += more.salvaged_lines;
+        tree.lost_lines += more.lost_lines;
+    }
+
+    /// One report line plus its indented details; `tree` picks the tree's
+    /// retirement and error lines.
+    fn render(&self, f: &mut fmt::Formatter<'_>, tree: bool) -> fmt::Result {
         write!(
             f,
             "{}: {} accesses, {} faults{}",
@@ -258,11 +373,34 @@ impl fmt::Display for ProtocolRun {
             self.verdicts.len(),
             self.tally()
         )?;
+        let extras = &self.tree;
         if !self.retired.is_empty() {
-            write!(f, "\n    retired modules: {:?}", self.retired)?;
+            if tree {
+                write!(
+                    f,
+                    "\n    retired bridges: {:?} ({} dirty lines: {} salvaged, {} lost)",
+                    self.retired, extras.dirty_at_retire, extras.salvaged_lines, extras.lost_lines
+                )?;
+            } else {
+                write!(f, "\n    retired modules: {:?}", self.retired)?;
+            }
         }
-        if !self.bus_errors.is_empty() {
-            write!(f, "\n    bus errors survived: {}", self.bus_errors.len())?;
+        match (tree, self.bus_errors.len(), extras.parent_errors.len()) {
+            (true, cluster, parent) if cluster + parent > 0 => write!(
+                f,
+                "\n    bus errors survived: {parent} parent, {cluster} cluster"
+            )?,
+            (false, errors, _) if errors > 0 => {
+                write!(f, "\n    bus errors survived: {errors}")?;
+            }
+            _ => {}
+        }
+        if self.bus_stats.liveness_violations > 0 {
+            write!(
+                f,
+                "\n    liveness violations: {}",
+                self.bus_stats.liveness_violations
+            )?;
         }
         for v in &self.violations {
             write!(f, "\n    SILENT CORRUPTION: {v}")?;
@@ -274,12 +412,15 @@ impl fmt::Display for ProtocolRun {
 /// A whole campaign's outcome: one [`ProtocolRun`] per protocol.
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
+    /// The tree every machine ran, or `None` for a flat bus.
+    pub tree: Option<TreeShape>,
     /// Per-protocol results, in configuration order.
     pub runs: Vec<ProtocolRun>,
 }
 
 impl CampaignReport {
-    /// The fault tally across all runs.
+    /// The fault tally across all runs. Its `silent()` is the zero-silent
+    /// bar: any nonzero value fails the campaign.
     #[must_use]
     pub fn tally(&self) -> Tally {
         Tally::new(
@@ -288,10 +429,19 @@ impl CampaignReport {
         )
     }
 
-    /// Total watchdog retirements across all runs.
+    /// Total root-bus watchdog retirements across all runs.
     #[must_use]
     pub fn retirements(&self) -> u64 {
         self.runs.iter().map(|r| r.retired.len() as u64).sum()
+    }
+
+    /// Total liveness violations the root-bus watchdogs flagged.
+    #[must_use]
+    pub fn liveness_violations(&self) -> u64 {
+        self.runs
+            .iter()
+            .map(|r| r.bus_stats.liveness_violations)
+            .sum()
     }
 
     /// Campaign-wide phase latency histograms, merged over the runs in job
@@ -302,48 +452,49 @@ impl CampaignReport {
     }
 }
 
+/// A header line with the totals, one line per run, and the verdict.
 impl fmt::Display for CampaignReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_report(f, "fault campaign", &self.runs, &self.tally())
-    }
-}
-
-/// The report text both campaign kinds share: a header line with the
-/// totals, one line per run, and the verdict.
-fn write_report<R: fmt::Display>(
-    f: &mut fmt::Formatter<'_>,
-    title: &str,
-    runs: &[R],
-    tally: &Tally,
-) -> fmt::Result {
-    writeln!(
-        f,
-        "{title}: {} protocols, {} faults injected, {} silent",
-        runs.len(),
-        tally.injected(),
-        tally.silent()
-    )?;
-    for run in runs {
-        writeln!(f, "  {run}")?;
-    }
-    write!(
-        f,
-        "verdict: {}",
-        if tally.silent() == 0 {
-            "graceful degradation — every fault masked or detected"
-        } else {
-            "SILENT CORRUPTION OBSERVED"
+        let tally = self.tally();
+        writeln!(
+            f,
+            "{}fault campaign: {} protocols, {} faults injected, {} silent",
+            if self.tree.is_some() {
+                "hierarchy "
+            } else {
+                ""
+            },
+            self.runs.len(),
+            tally.injected(),
+            tally.silent()
+        )?;
+        for run in &self.runs {
+            f.write_str("  ")?;
+            run.render(f, self.tree.is_some())?;
+            writeln!(f)?;
         }
-    )
+        write!(
+            f,
+            "verdict: {}",
+            if tally.silent() == 0 {
+                "graceful degradation — every fault masked or detected"
+            } else {
+                "SILENT CORRUPTION OBSERVED"
+            }
+        )
+    }
 }
 
-/// Runs a fault-injection campaign: for each protocol, a seeded workload on a
-/// faulty bus, with every injected fault audited and classified.
+/// Runs a fault-injection campaign: for each protocol, a seeded workload on
+/// a faulty machine (a flat bus, or a fabric tree whose root bus injects
+/// bridge-targeted faults), with every injected fault audited and
+/// classified.
 ///
 /// # Errors
 ///
 /// Returns a message when a protocol name is unknown or the geometry is
-/// unusable (zero cpus/steps/lines).
+/// unusable (zero cpus/steps/lines, or a tree without clusters, below two
+/// levels or without fan-out).
 pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
     if cfg.protocols.is_empty() {
         return Err("no protocols given".into());
@@ -351,112 +502,98 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
     if cfg.cpus == 0 || cfg.steps == 0 || cfg.lines == 0 {
         return Err("cpus, steps and lines must all be non-zero".into());
     }
-    if cfg.shards > 0 {
-        return run_campaign_sharded(cfg);
+    if let Some(t) = cfg.tree {
+        if t.clusters == 0 || t.depth < 2 || (t.depth > 2 && t.fanout == 0) {
+            return Err(
+                "a tree needs clusters, depth at least 2 and, deeper than that, a fanout".into(),
+            );
+        }
     }
-    // Every protocol's machine is independent, so shard them across the
-    // pool; `run_jobs` hands results back in protocol order, keeping the
-    // report identical for any worker count.
-    let jobs: Vec<(u64, String)> = cfg
-        .protocols
-        .iter()
-        .enumerate()
-        .map(|(run_idx, name)| (run_idx as u64, name.clone()))
-        .collect();
-    let runs = crate::campaign::run_jobs(jobs, cfg.jobs, |(run_idx, name)| {
-        let schedule = plan_schedule(cfg, run_idx);
-        execute_schedule(cfg, &name, cfg.faults.seed.wrapping_add(run_idx), &schedule)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, String>>()?;
-    Ok(CampaignReport { runs })
-}
-
-/// The sharded campaign: one flat protocol × region task pool on
-/// `cfg.shards` workers, merged per protocol in region order. The region a
-/// step belongs to is a pure function of its line address, and each region
-/// machine's fault seed is derived from `(run_idx, region)`, so the merged
-/// report is byte-identical for every worker count.
-fn run_campaign_sharded(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
-    let regions = crate::SHARD_REGIONS;
+    // Every (protocol, region) machine is independent, so shard them across
+    // the pool; `run_jobs` hands results back in task order, keeping the
+    // report identical for any worker count. The region a step belongs to
+    // is a pure function of its line address, and each region machine's
+    // fault seed is derived from `(run_idx, region)`. An unsharded campaign
+    // is one region per protocol, whose filter keeps every step.
+    let (regions, workers) = match cfg.shards {
+        0 => (1, cfg.jobs),
+        shards => (crate::SHARD_REGIONS, shards),
+    };
     let mut tasks = Vec::with_capacity(cfg.protocols.len() * regions);
     for (run_idx, name) in cfg.protocols.iter().enumerate() {
         for region in 0..regions {
             tasks.push((run_idx as u64, name.clone(), region as u64));
         }
     }
-    let results = crate::campaign::run_jobs(tasks, cfg.shards, |(run_idx, name, region)| {
-        let schedule: Vec<CampaignStep> = plan_schedule(cfg, run_idx)
-            .into_iter()
-            .filter(|s| (s.addr / cfg.line_size as u64) % regions as u64 == region)
-            .collect();
+    let results = crate::campaign::run_jobs(tasks, workers, |(run_idx, name, region)| {
+        let mut schedule = plan_schedule(cfg, run_idx);
+        schedule.retain(|s| (s.addr / cfg.line_size as u64) % regions as u64 == region);
         let fault_seed = cfg
             .faults
             .seed
             .wrapping_add(run_idx * regions as u64 + region);
-        execute_schedule(cfg, &name, fault_seed, &schedule)
+        execute_schedule(cfg, &name, run_idx, fault_seed, &schedule)
     })
     .into_iter()
     .collect::<Result<Vec<_>, String>>()?;
-    let runs = results.chunks(regions).map(merge_protocol_runs).collect();
-    Ok(CampaignReport { runs })
-}
-
-/// Folds one protocol's region runs into a single [`ProtocolRun`], in
-/// region order: counters and bus statistics sum, verdict/retirement/error
-/// lists concatenate, histograms merge bucket-wise.
-fn merge_protocol_runs(region_runs: &[ProtocolRun]) -> ProtocolRun {
-    let mut merged = ProtocolRun {
-        protocol: region_runs[0].protocol.clone(),
-        accesses: 0,
-        verdicts: Vec::new(),
-        retired: Vec::new(),
-        violations: Vec::new(),
-        bus_errors: Vec::new(),
-        bus_stats: BusStats::new(),
-        phase_hist: PhaseHistograms::new(),
-    };
-    for run in region_runs {
-        merged.accesses += run.accesses;
-        merged.verdicts.extend(run.verdicts.iter().cloned());
-        merged.retired.extend(run.retired.iter().copied());
-        merged.violations.extend(run.violations.iter().cloned());
-        merged.bus_errors.extend(run.bus_errors.iter().cloned());
-        merged.bus_stats += run.bus_stats;
-        merged.phase_hist.merge(&run.phase_hist);
-    }
-    merged
+    let mut results = results.into_iter();
+    let runs = cfg
+        .protocols
+        .iter()
+        .map(|_| {
+            let mut run = results.next().expect("one run per task");
+            results
+                .by_ref()
+                .take(regions - 1)
+                .for_each(|r| run.absorb(r));
+            run
+        })
+        .collect();
+    Ok(CampaignReport {
+        tree: cfg.tree,
+        runs,
+    })
 }
 
 /// One pre-drawn access of the campaign workload.
 #[derive(Clone, Copy, Debug)]
-struct CampaignStep {
+pub(crate) struct CampaignStep {
     /// The original step index (kept so violation messages name the same
     /// step sharded or not).
     step: u64,
-    cpu: usize,
-    addr: u64,
+    /// The leaf cluster issuing the access (0 on a flat bus).
+    leaf: usize,
+    /// The processor within that leaf.
+    pub(crate) cpu: usize,
+    pub(crate) addr: u64,
     /// `Some(byte)` writes `[byte; 4]`; `None` reads 4 bytes.
-    write_byte: Option<u8>,
+    pub(crate) write_byte: Option<u8>,
 }
 
-/// Pre-draws the whole access schedule for one protocol run. The draw order
-/// per step — line, word, read/write coin, then the write byte only on a
-/// write — exactly matches the order the execution loop used before the
-/// schedule was materialised, so the unsharded campaign is byte-identical
-/// to its pre-schedule ancestor; sharding then only *partitions* this list,
-/// never re-draws it.
-fn plan_schedule(cfg: &CampaignConfig, run_idx: u64) -> Vec<CampaignStep> {
+/// Pre-draws the whole access schedule for one protocol run. Per step a
+/// tree draws the leaf, then the cpu (a flat bus takes `step % cpus`), then
+/// line, word, read/write coin, and the write byte only on a write — the
+/// order the campaigns drew in before the schedule was materialised, so
+/// both workload streams are unchanged; sharding then only *partitions*
+/// this list, never re-draws it.
+pub(crate) fn plan_schedule(cfg: &CampaignConfig, run_idx: u64) -> Vec<CampaignStep> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(run_idx));
     (0..cfg.steps)
         .map(|step| {
-            let cpu = (step as usize) % cfg.cpus;
+            let (leaf, cpu) = match cfg.tree {
+                None => (0, (step as usize) % cfg.cpus),
+                Some(t) => {
+                    let leaf = rng.gen_range(0..t.leaves() as u64) as usize;
+                    (leaf, rng.gen_range(0..cfg.cpus as u64) as usize)
+                }
+            };
             let line = rng.gen_range(0..cfg.lines);
             let word = rng.gen_range(0..(cfg.line_size / 4) as u64);
             let addr = line * cfg.line_size as u64 + word * 4;
             let write_byte = rng.gen_bool(0.5).then(|| rng.gen_range(0u16..256) as u8);
             CampaignStep {
                 step,
+                leaf,
                 cpu,
                 addr,
                 write_byte,
@@ -465,22 +602,36 @@ fn plan_schedule(cfg: &CampaignConfig, run_idx: u64) -> Vec<CampaignStep> {
         .collect()
 }
 
-fn execute_schedule(
+/// One node of a campaign machine: `name`'s protocol (a loaded table of
+/// that name first) seeded for processor `id`, with the campaign's cache
+/// unless the protocol is non-caching.
+fn node(
     cfg: &CampaignConfig,
     name: &str,
-    fault_seed: u64,
-    schedule: &[CampaignStep],
-) -> Result<ProtocolRun, String> {
-    let controllers: Vec<CacheController> = (0..cfg.cpus)
+    id: usize,
+) -> Result<(Box<dyn Protocol + Send>, Option<CacheConfig>), String> {
+    let protocol: Box<dyn Protocol + Send> = match cfg.tables.iter().find(|t| t.name() == name) {
+        Some(table) => Box::new(TablePolicy::new(*table)),
+        None => by_name(name, cfg.seed.wrapping_add(id as u64))
+            .ok_or_else(|| format!("unknown protocol `{name}`"))?,
+    };
+    let cache = (protocol.kind() != CacheKind::NonCaching)
+        .then(|| CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru));
+    Ok((protocol, cache))
+}
+
+/// The campaign's flat machine for protocol `name`, without a fault plan:
+/// `cfg.cpus` nodes on one bus that records bus errors as detected damage
+/// instead of dying on them (errored accesses degrade to a memory-direct
+/// fallback and any staleness they cause is the oracle's to flag).
+///
+/// # Errors
+///
+/// Returns a message when `name` is unknown.
+pub(crate) fn flat_fabric(cfg: &CampaignConfig, name: &str) -> Result<Fabric, String> {
+    let controllers = (0..cfg.cpus)
         .map(|id| {
-            let protocol: Box<dyn Protocol + Send> =
-                match cfg.tables.iter().find(|t| t.name() == name) {
-                    Some(table) => Box::new(TablePolicy::new(*table)),
-                    None => by_name(name, cfg.seed.wrapping_add(id as u64))
-                        .ok_or_else(|| format!("unknown protocol `{name}`"))?,
-                };
-            let cache = (protocol.kind() != CacheKind::NonCaching)
-                .then(|| CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru));
+            let (protocol, cache) = node(cfg, name, id)?;
             Ok(CacheController::new(
                 id,
                 protocol,
@@ -490,97 +641,230 @@ fn execute_schedule(
         })
         .collect::<Result<_, String>>()?;
     let mut fabric = Fabric::new(cfg.line_size, TimingConfig::default(), controllers);
-    // A fault campaign must record bus errors as detected damage, not die
-    // on them: errored accesses degrade to a memory-direct fallback and any
-    // staleness they cause is the checker's to flag.
     fabric.tolerate_bus_errors(true);
-    fabric.bus_mut().inject_faults(FaultPlan::new(FaultConfig {
-        seed: fault_seed,
-        ..cfg.faults
-    }));
-    let mut checker = Checker::new(cfg.line_size);
+    Ok(fabric)
+}
 
+/// Issues `s` on the flat `fabric`, returning a read's bytes.
+pub(crate) fn issue(fabric: &mut Fabric, s: &CampaignStep) -> Option<Vec<u8>> {
+    match s.write_byte {
+        Some(byte) => {
+            fabric.write_with(s.cpu, s.addr, &[byte; 4], |_, _| {});
+            None
+        }
+        None => Some(fabric.read(s.cpu, s.addr, 4)),
+    }
+}
+
+/// The machine one campaign run drives: a flat bus, or a fabric tree with
+/// the path of each leaf. The oracle stays outside, with the campaign.
+enum Machine {
+    Flat(Box<Fabric>),
+    Tree(Box<HierarchicalSystem>, Vec<Vec<usize>>),
+}
+
+impl Machine {
+    /// Builds `name`'s machine with its fault plans installed, from the
+    /// plan seed `fault_seed`.
+    fn build(
+        cfg: &CampaignConfig,
+        name: &str,
+        run_idx: u64,
+        fault_seed: u64,
+    ) -> Result<Machine, String> {
+        let plan = FaultConfig {
+            seed: fault_seed,
+            ..cfg.faults
+        };
+        let Some(t) = cfg.tree else {
+            let mut fabric = flat_fabric(cfg, name)?;
+            fabric.bus_mut().inject_faults(FaultPlan::new(plan));
+            return Ok(Machine::Flat(Box::new(fabric)));
+        };
+        node(cfg, name, 0)?;
+        // Tolerant mode: the campaign owns verification — reported damage
+        // is reconciled first, then the oracle runs, so only unreported
+        // divergence counts as silent.
+        let mut sys = TreeBuilder::uniform(
+            cfg.line_size,
+            t.clusters,
+            t.depth,
+            // Unused at depth 2, where it is not validated.
+            t.fanout.max(1),
+            cfg.cpus,
+            |_, cpu| node(cfg, name, cpu).expect("validated above"),
+        )
+        .seed(cfg.seed.wrapping_add(run_idx))
+        .build();
+        sys.tolerate_faults(true);
+        let root = sys.parent_bus_mut();
+        root.inject_faults(FaultPlan::new(FaultConfig {
+            bridges: true,
+            ..plan
+        }));
+        root.enable_liveness(LIVENESS_DEADLINE);
+        for leaf in 0..sys.leaves() {
+            sys.leaf_fabric_mut(leaf)
+                .bus_mut()
+                .inject_faults(FaultPlan::new(FaultConfig {
+                    seed: fault_seed.wrapping_add((leaf as u64 + 1) << 32),
+                    glitch_rate: plan.glitch_rate,
+                    storm_rate: plan.storm_rate,
+                    max_storm_rounds: plan.max_storm_rounds,
+                    ..FaultConfig::default()
+                }));
+        }
+        let paths = sys.leaf_paths();
+        Ok(Machine::Tree(Box::new(sys), paths))
+    }
+
+    /// Buses with a fault plan: the root, then the leaves in leaf order (a
+    /// flat bus is both).
+    fn buses(&self) -> usize {
+        match self {
+            Machine::Flat(_) => 1,
+            Machine::Tree(_, paths) => 1 + paths.len(),
+        }
+    }
+
+    /// Bus `bus` in [`buses`](Machine::buses) order.
+    fn bus_mut(&mut self, bus: usize) -> &mut Futurebus {
+        match (self, bus) {
+            (Machine::Flat(fabric), _) => fabric.bus_mut(),
+            (Machine::Tree(sys, _), 0) => sys.parent_bus_mut(),
+            (Machine::Tree(sys, _), leaf) => sys.leaf_fabric_mut(leaf - 1).bus_mut(),
+        }
+    }
+
+    /// Issues `s`, returning a read's bytes.
+    fn access(&mut self, s: &CampaignStep) -> Option<Vec<u8>> {
+        match self {
+            Machine::Flat(fabric) => issue(fabric, s),
+            Machine::Tree(sys, paths) => {
+                // Inclusion-tag soft errors are injected by the campaign
+                // itself (the directory RAM is not in any transaction's
+                // fault path) and scrubbed immediately: ECC detection
+                // precedes use, so no coherence action ever trusts a corrupt
+                // tag. The scrubber reconstructs the tag from cluster
+                // evidence alone; the record still gets a verdict.
+                if let Some((bridge, line)) = sys.corrupt_inclusion_tag() {
+                    let _ = sys.scrub_inclusion_tag(bridge, line);
+                }
+                let path = &paths[s.leaf];
+                match s.write_byte {
+                    Some(byte) => {
+                        sys.write_at(path, s.cpu, s.addr, &[byte; 4]);
+                        None
+                    }
+                    None => Some(sys.read_at(path, s.cpu, s.addr, 4)),
+                }
+            }
+        }
+    }
+
+    /// The leaf buses' errors since the last drain.
+    fn drain_bus_errors(&mut self) -> Vec<String> {
+        match self {
+            Machine::Flat(fabric) => fabric.drain_bus_errors(),
+            Machine::Tree(sys, _) => sys.drain_cluster_bus_errors(),
+        }
+    }
+
+    /// Every invariant over every line, against `checker`'s golden image.
+    fn verify(&self, checker: &Checker) -> Result<(), Violation> {
+        match self {
+            Machine::Flat(fabric) => checker.verify(fabric),
+            Machine::Tree(sys, _) => sys.verify_against(checker),
+        }
+    }
+
+    /// Fills in `run`'s end-of-run root-bus figures and tree extras.
+    fn finish(&mut self, run: &mut ProtocolRun) {
+        let root = self.bus_mut(0);
+        run.retired = root.retired();
+        run.bus_stats = *root.stats();
+        run.phase_hist = *root.phase_histograms();
+        if let Machine::Tree(sys, _) = self {
+            run.tree.degraded_clusters = sys.degraded_clusters();
+            run.tree.parent_errors = sys.parent_errors().to_vec();
+            for bridge in sys.bridges_preorder() {
+                let stats = bridge.stats();
+                run.tree.dirty_at_retire += stats.dirty_at_retire;
+                run.tree.salvaged_lines += stats.salvaged_lines;
+                run.tree.lost_lines += stats.lost_lines;
+            }
+        }
+    }
+}
+
+/// Runs `schedule` on `name`'s machine, auditing every fault after the
+/// access it landed in.
+fn execute_schedule(
+    cfg: &CampaignConfig,
+    name: &str,
+    run_idx: u64,
+    fault_seed: u64,
+    schedule: &[CampaignStep],
+) -> Result<ProtocolRun, String> {
+    let mut machine = Machine::build(cfg, name, run_idx, fault_seed)?;
+    let mut checker = Checker::new(cfg.line_size);
     let mut run = ProtocolRun {
         protocol: name.to_string(),
-        accesses: 0,
-        verdicts: Vec::new(),
-        retired: Vec::new(),
-        violations: Vec::new(),
-        bus_errors: Vec::new(),
-        bus_stats: BusStats::new(),
-        phase_hist: PhaseHistograms::new(),
+        ..ProtocolRun::default()
     };
-    let mut cursor = 0usize;
-    let mut write_pieces: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut cursors = vec![0usize; machine.buses()];
 
-    for &CampaignStep {
-        step,
-        cpu,
-        addr,
-        write_byte,
-    } in schedule
-    {
-        write_pieces.clear();
-        let read_back = if let Some(byte) = write_byte {
-            let bytes = [byte; 4];
-            let ck = &mut checker;
-            let pieces = &mut write_pieces;
-            fabric.write_with(cpu, addr, &bytes, |piece_addr, piece| {
-                ck.record_write(piece_addr, piece);
-                pieces.push((piece_addr, piece.to_vec()));
-            });
-            None
-        } else {
-            Some(fabric.read(cpu, addr, 4))
-        };
+    for s in schedule {
+        // The run loop is the serialisation point: the oracle records a
+        // write before the machine performs it.
+        if let Some(byte) = s.write_byte {
+            checker.record_write(s.addr, &[byte; 4]);
+        }
+        let read_back = machine.access(s);
         run.accesses += 1;
-        run.bus_errors.extend(fabric.drain_bus_errors());
+        run.bus_errors.extend(machine.drain_bus_errors());
 
-        // Drain faults the bus injected during this access, reconcile the
-        // reported damage, and classify.
-        let new: Vec<FaultRecord> = {
-            let plan = fabric.bus().fault_plan().expect("plan installed above");
-            plan.records()[cursor..].to_vec()
-        };
-        cursor += new.len();
+        // Drain the faults every bus injected during this access, reconcile
+        // the reported damage, and classify.
         let first_new = run.verdicts.len();
-        let mut killed = false;
-        for record in new {
-            killed |= matches!(record.fault, InjectedFault::Kill { .. });
-            let (class, note) = audit(&record.fault, &mut fabric, &mut checker, cfg.line_size);
-            run.verdicts.push(FaultVerdict {
-                record,
-                class,
-                note,
-            });
+        for (bus, cursor) in cursors.iter_mut().enumerate() {
+            let bus = machine.bus_mut(bus);
+            let plan = bus.fault_plan().expect("plan installed at build");
+            let new = plan.records()[*cursor..].to_vec();
+            *cursor += new.len();
+            for record in new {
+                let (class, note) = reconcile(&record, bus.memory_mut(), &mut checker);
+                run.verdicts.push(FaultVerdict {
+                    record,
+                    class,
+                    note: note.into(),
+                });
+            }
         }
         // A kill can land mid-transaction on the very line this step is
         // writing: the master fills from the rolled-back memory and merges
         // its bytes on top, so the write *survives* even though the rest of
         // the line reverted. The kill reconciliation above set the golden
         // line to bare memory; re-apply the step's write on top of it.
-        if killed {
-            for (piece_addr, piece) in &write_pieces {
-                checker.record_write(*piece_addr, piece);
-            }
+        let killed = run.verdicts[first_new..].iter().any(|v| {
+            matches!(
+                v.record.fault,
+                InjectedFault::Kill { .. } | InjectedFault::BridgeKill { .. }
+            )
+        });
+        if let (true, Some(byte)) = (killed, s.write_byte) {
+            checker.record_write(s.addr, &[byte; 4]);
         }
 
         // With all reported damage reconciled, anything still wrong is
         // silent corruption: the read must match the golden image and every
         // structural invariant must hold.
-        let mut broken = None;
-        if let Some(got) = read_back {
-            if let Err(v) = checker.check_read(cpu, addr, &got) {
-                broken = Some(v);
-            }
-        }
-        if broken.is_none() {
-            if let Err(v) = checker.verify(&fabric) {
-                broken = Some(v);
-            }
-        }
+        let lane = s.leaf * cfg.cpus + s.cpu;
+        let broken = read_back
+            .and_then(|got| checker.check_read(lane, s.addr, &got).err())
+            .or_else(|| machine.verify(&checker).err());
         if let Some(v) = broken {
-            run.violations.push(format!("step {step}: {v}"));
+            run.violations.push(format!("step {}: {v}", s.step));
             for verdict in &mut run.verdicts[first_new..] {
                 verdict.class = FaultClass::Silent;
                 verdict.note = format!("post-recovery violation: {v}");
@@ -589,611 +873,69 @@ fn execute_schedule(
         }
     }
 
-    run.retired = fabric.bus().retired();
-    run.bus_stats = *fabric.bus().stats();
-    run.phase_hist = *fabric.bus().phase_histograms();
+    machine.finish(&mut run);
     Ok(run)
 }
 
-/// Reconciles one fault's reported damage and returns its provisional class
-/// (flipped to `Silent` by the caller if the post-recovery audit fails).
-fn audit(
-    fault: &InjectedFault,
-    fabric: &mut Fabric,
+/// Reconciles one fault's reported damage against `memory`, the memory of
+/// the bus that injected it, and returns its provisional class (flipped to
+/// `Silent` by the caller if the post-recovery audit fails) with a note on
+/// the recovery; the record itself names the victim.
+fn reconcile(
+    record: &FaultRecord,
+    memory: &mut SparseMemory,
     checker: &mut Checker,
-    line_size: usize,
-) -> (FaultClass, String) {
-    match fault {
-        InjectedFault::Glitch { .. } => (
-            FaultClass::Masked,
-            "absorbed by the wired-OR settle window".into(),
-        ),
-        InjectedFault::Stall { module, salvaged } => (
+) -> (FaultClass, &'static str) {
+    match &record.fault {
+        InjectedFault::Glitch { .. } => {
+            (FaultClass::Masked, "absorbed by the wired-OR settle window")
+        }
+        InjectedFault::AbortStorm { .. } => (
             FaultClass::Detected,
-            format!(
-                "watchdog retired m{module}; {} dirty lines salvaged to memory",
-                salvaged.len()
-            ),
+            "phantom BS rounds drained by bounded retry with backoff",
         ),
-        InjectedFault::Kill { module, lost } => {
+        InjectedFault::Stall { .. } => (
+            FaultClass::Detected,
+            "watchdog retired the module; its dirty lines salvaged to memory",
+        ),
+        InjectedFault::BridgeStall { .. } => (
+            FaultClass::Detected,
+            "watchdog retired the bridge; its dirty lines salvaged by synthetic push \
+             rounds; cluster degraded to memory-direct",
+        ),
+        InjectedFault::Kill { lost, .. } | InjectedFault::BridgeKill { lost, .. } => {
             // The loss is reported: accept the rolled-back memory image as
-            // the new truth. Any divergence beyond it is silent corruption.
+            // the new truth. Survivor copies were invalidated by the
+            // watchdog; any divergence beyond that is silent corruption.
             for addr in lost {
-                checker.record_write(*addr, fabric.bus().memory().peek(*addr));
+                checker.record_write(*addr, memory.peek(*addr));
             }
             (
                 FaultClass::Detected,
-                format!(
-                    "watchdog retired m{module}; {} dirty lines lost (reported, survivors invalidated)",
-                    lost.len()
-                ),
-            )
-        }
-        InjectedFault::AbortStorm { rounds } => (
-            FaultClass::Detected,
-            format!("{rounds} phantom BS rounds drained by bounded retry with backoff"),
-        ),
-        InjectedFault::CorruptMemory { addr, .. } => {
-            let golden = checker.golden_bytes(*addr, line_size);
-            let diverged = fabric.bus().memory().peek(*addr) != golden;
-            fabric.bus_mut().memory_mut().write_line(*addr, &golden);
-            (
-                FaultClass::Detected,
-                if diverged {
-                    "scrubber found memory diverged from the golden image; restored".into()
-                } else {
-                    "corruption landed on already-stale bytes; scrubbed anyway".into()
-                },
-            )
-        }
-        // Bridge-level faults only arise on a parent bus whose plan carries
-        // `bridges: true`; a flat campaign never configures one. Classify
-        // defensively so a misconfigured plan is visible, not fatal.
-        InjectedFault::BridgeStall { .. }
-        | InjectedFault::BridgeKill { .. }
-        | InjectedFault::StaleTag { .. } => (
-            FaultClass::Detected,
-            "bridge-level fault on a flat (single-bus) campaign".into(),
-        ),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hierarchy campaign: inject bridge-targeted faults into a two-level machine
-// and prove the partition/recovery machinery never corrupts silently.
-// ---------------------------------------------------------------------------
-
-/// Hierarchy campaign shape: protocols, cluster geometry, workload and fault
-/// rates. The parent bus gets the full plan (`bridges: true`, so stalls and
-/// kills target bridges); each cluster bus gets a derived glitch/storm-only
-/// plan — retiring an individual cache is the flat campaign's subject, here
-/// the bridge is the victim.
-#[derive(Clone, Debug)]
-pub struct HierarchyCampaignConfig {
-    /// Protocol names, one homogeneous hierarchy per entry.
-    pub protocols: Vec<String>,
-    /// Clusters per hierarchy (root-bus children).
-    pub clusters: usize,
-    /// Bus levels in the fabric tree: 2 is the classic two-level machine;
-    /// deeper values interpose interior segments built by
-    /// [`TreeBuilder::uniform`](crate::hierarchy::TreeBuilder::uniform).
-    pub depth: usize,
-    /// Children per interior segment when `depth > 2` (ignored at depth 2).
-    pub fanout: usize,
-    /// Caching processors per leaf cluster.
-    pub cpus: usize,
-    /// Bytes per line.
-    pub line_size: usize,
-    /// Cache capacity per node in bytes.
-    pub cache_bytes: usize,
-    /// Processor accesses per hierarchy.
-    pub steps: u64,
-    /// Distinct lines in the working set.
-    pub lines: u64,
-    /// Workload seed (the fault seed lives in
-    /// [`HierarchyCampaignConfig::faults`]).
-    pub seed: u64,
-    /// Fault kinds and rates (see the field doc above for how they are split
-    /// between the parent and cluster buses).
-    pub faults: FaultConfig,
-    /// Consecutive parent-bus retry-cutoff failures per master before the
-    /// liveness watchdog flags starvation.
-    pub liveness_deadline: u32,
-    /// Worker threads sharding the per-protocol runs; the merged report is
-    /// byte-identical for any value.
-    pub jobs: usize,
-}
-
-impl Default for HierarchyCampaignConfig {
-    fn default() -> Self {
-        HierarchyCampaignConfig {
-            protocols: vec![
-                "moesi".into(),
-                "dragon".into(),
-                "write-through".into(),
-                "berkeley".into(),
-            ],
-            clusters: 2,
-            depth: 2,
-            fanout: 2,
-            cpus: 2,
-            line_size: 16,
-            cache_bytes: 1024,
-            steps: 1500,
-            lines: 48,
-            seed: 0xCA_FE,
-            faults: FaultConfig {
-                glitch_rate: 0.20,
-                stall_rate: 0.002,
-                kill_rate: 0.002,
-                storm_rate: 0.05,
-                corrupt_rate: 0.08,
-                stale_tag_rate: 0.10,
-                max_storm_rounds: 4,
-                ..FaultConfig::default()
-            },
-            liveness_deadline: 3,
-            jobs: crate::campaign::default_jobs(),
-        }
-    }
-}
-
-/// One protocol's hierarchy campaign outcome.
-#[derive(Clone, Debug)]
-pub struct HierarchyRun {
-    /// The protocol every cache in the hierarchy ran.
-    pub protocol: String,
-    /// Processor accesses executed.
-    pub accesses: u64,
-    /// Every injected fault (parent and cluster buses) with its verdict.
-    pub verdicts: Vec<FaultVerdict>,
-    /// Bridges the parent-bus watchdog retired, ascending.
-    pub retired_bridges: Vec<usize>,
-    /// Clusters running memory-direct degraded mode at the end of the run.
-    pub degraded_clusters: Vec<usize>,
-    /// Invariant/read violations observed after recovery (silent corruption;
-    /// the run stops at the first one).
-    pub violations: Vec<String>,
-    /// Structured parent-bus errors the hierarchy survived.
-    pub parent_errors: Vec<ParentError>,
-    /// Cluster-bus errors survived in tolerant mode.
-    pub cluster_bus_errors: Vec<String>,
-    /// Parent-bus statistics at the end of the run.
-    pub parent_stats: BusStats,
-    /// Dirty lines owned by bridges at their retirement instants, summed.
-    pub dirty_at_retire: u64,
-    /// Of those, lines salvaged to parent memory by synthetic push rounds.
-    pub salvaged_lines: u64,
-    /// Of those, lines lost with their bridge (reported, never silent).
-    pub lost_lines: u64,
-}
-
-impl HierarchyRun {
-    /// This run's fault tally.
-    #[must_use]
-    pub fn tally(&self) -> Tally {
-        Tally::new(&self.verdicts, self.violations.len())
-    }
-}
-
-impl fmt::Display for HierarchyRun {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} accesses, {} faults{}",
-            self.protocol,
-            self.accesses,
-            self.verdicts.len(),
-            self.tally()
-        )?;
-        if !self.retired_bridges.is_empty() {
-            write!(
-                f,
-                "\n    retired bridges: {:?} ({} dirty lines: {} salvaged, {} lost)",
-                self.retired_bridges, self.dirty_at_retire, self.salvaged_lines, self.lost_lines
-            )?;
-        }
-        if !self.parent_errors.is_empty() || !self.cluster_bus_errors.is_empty() {
-            write!(
-                f,
-                "\n    bus errors survived: {} parent, {} cluster",
-                self.parent_errors.len(),
-                self.cluster_bus_errors.len()
-            )?;
-        }
-        if self.parent_stats.liveness_violations > 0 {
-            write!(
-                f,
-                "\n    liveness violations: {}",
-                self.parent_stats.liveness_violations
-            )?;
-        }
-        for v in &self.violations {
-            write!(f, "\n    SILENT CORRUPTION: {v}")?;
-        }
-        Ok(())
-    }
-}
-
-/// A whole hierarchy campaign's outcome.
-#[derive(Clone, Debug)]
-pub struct HierarchyReport {
-    /// Bus levels in each machine's fabric tree.
-    pub depth: usize,
-    /// Interior fan-out (meaningful when `depth > 2`).
-    pub fanout: usize,
-    /// Root-bus clusters per machine.
-    pub clusters: usize,
-    /// Leaf clusters per machine (== `clusters` at depth 2).
-    pub leaves: usize,
-    /// Per-protocol results, in configuration order.
-    pub runs: Vec<HierarchyRun>,
-}
-
-impl HierarchyReport {
-    /// The fault tally across all runs. Its `silent()` is the partition/
-    /// recovery oracle's zero-silent-corruption bar: any nonzero value fails
-    /// the campaign.
-    #[must_use]
-    pub fn tally(&self) -> Tally {
-        Tally::new(
-            self.runs.iter().flat_map(|r| &r.verdicts),
-            self.runs.iter().map(|r| r.violations.len()).sum(),
-        )
-    }
-
-    /// Total bridge retirements across all runs.
-    #[must_use]
-    pub fn retirements(&self) -> u64 {
-        self.runs
-            .iter()
-            .map(|r| r.retired_bridges.len() as u64)
-            .sum()
-    }
-
-    /// Total liveness violations the parent-bus watchdogs flagged.
-    #[must_use]
-    pub fn liveness_violations(&self) -> u64 {
-        self.runs
-            .iter()
-            .map(|r| r.parent_stats.liveness_violations)
-            .sum()
-    }
-}
-
-impl fmt::Display for HierarchyReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_report(f, "hierarchy fault campaign", &self.runs, &self.tally())
-    }
-}
-
-/// Runs a hierarchy fault campaign: for each protocol, a seeded workload on a
-/// clustered machine whose parent bus injects bridge-targeted faults, with
-/// every fault audited against [`HierarchicalSystem::verify`] and classified
-/// masked / detected / silent.
-///
-/// # Errors
-///
-/// Returns a message when a protocol name is unknown or the geometry is
-/// unusable.
-pub fn run_hierarchy_campaign(cfg: &HierarchyCampaignConfig) -> Result<HierarchyReport, String> {
-    if cfg.protocols.is_empty() {
-        return Err("no protocols given".into());
-    }
-    if cfg.clusters == 0 || cfg.cpus == 0 || cfg.steps == 0 || cfg.lines == 0 {
-        return Err("clusters, cpus, steps and lines must all be non-zero".into());
-    }
-    if cfg.depth < 2 {
-        return Err("depth must be at least 2 (the two-level machine)".into());
-    }
-    if cfg.depth > 2 && cfg.fanout == 0 {
-        return Err("fanout must be non-zero for trees deeper than two levels".into());
-    }
-    let jobs: Vec<(u64, String)> = cfg
-        .protocols
-        .iter()
-        .enumerate()
-        .map(|(run_idx, name)| (run_idx as u64, name.clone()))
-        .collect();
-    let runs = crate::campaign::run_jobs(jobs, cfg.jobs, |(run_idx, name)| {
-        run_hierarchy_one(cfg, &name, run_idx)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, String>>()?;
-    let per_interior = if cfg.depth > 2 { cfg.fanout } else { 1 };
-    let leaves = cfg.clusters * per_interior.pow(cfg.depth.saturating_sub(2) as u32);
-    Ok(HierarchyReport {
-        depth: cfg.depth,
-        fanout: cfg.fanout,
-        clusters: cfg.clusters,
-        leaves,
-        runs,
-    })
-}
-
-fn run_hierarchy_one(
-    cfg: &HierarchyCampaignConfig,
-    name: &str,
-    run_idx: u64,
-) -> Result<HierarchyRun, String> {
-    // Validate the protocol name once, outside the builder closures.
-    by_name(name, 0).ok_or_else(|| format!("unknown protocol `{name}`"))?;
-    let cache = CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru);
-    let mut sys = TreeBuilder::uniform(
-        cfg.line_size,
-        cfg.clusters,
-        cfg.depth,
-        // Unused at depth 2, where it is not validated.
-        cfg.fanout.max(1),
-        cfg.cpus,
-        |_, cpu| {
-            let protocol =
-                by_name(name, cfg.seed.wrapping_add(cpu as u64)).expect("validated above");
-            let cache = (protocol.kind() != CacheKind::NonCaching).then_some(cache);
-            (protocol, cache)
-        },
-    )
-    .checking(true)
-    .seed(cfg.seed.wrapping_add(run_idx))
-    .build();
-    let leaves = sys.leaves();
-    let leaf_paths = sys.leaf_paths();
-    // The campaign owns verification: reported damage is reconciled first,
-    // then the oracle runs — only unreported divergence counts as silent.
-    sys.tolerate_faults(true);
-    sys.parent_bus_mut()
-        .inject_faults(FaultPlan::new(FaultConfig {
-            seed: cfg.faults.seed.wrapping_add(run_idx),
-            bridges: true,
-            ..cfg.faults
-        }));
-    sys.parent_bus_mut().enable_liveness(cfg.liveness_deadline);
-    for leaf in 0..leaves {
-        sys.leaf_fabric_mut(leaf)
-            .bus_mut()
-            .inject_faults(FaultPlan::new(FaultConfig {
-                seed: cfg
-                    .faults
-                    .seed
-                    .wrapping_add(run_idx)
-                    .wrapping_add((leaf as u64 + 1) << 32),
-                glitch_rate: cfg.faults.glitch_rate,
-                storm_rate: cfg.faults.storm_rate,
-                max_storm_rounds: cfg.faults.max_storm_rounds,
-                ..FaultConfig::default()
-            }));
-    }
-    let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(run_idx));
-
-    let mut run = HierarchyRun {
-        protocol: name.to_string(),
-        accesses: 0,
-        verdicts: Vec::new(),
-        retired_bridges: Vec::new(),
-        degraded_clusters: Vec::new(),
-        violations: Vec::new(),
-        parent_errors: Vec::new(),
-        cluster_bus_errors: Vec::new(),
-        parent_stats: BusStats::new(),
-        dirty_at_retire: 0,
-        salvaged_lines: 0,
-        lost_lines: 0,
-    };
-    let mut parent_cursor = 0usize;
-    let mut cluster_cursors = vec![0usize; leaves];
-
-    for step in 0..cfg.steps {
-        // Inclusion-tag soft errors are injected by the campaign itself (the
-        // directory RAM is not in any transaction's fault path) and scrubbed
-        // immediately: ECC detection precedes use, so no coherence action
-        // ever trusts a corrupt tag. The scrubber reconstructs the tag from
-        // cluster evidence alone; the record still gets a verdict below.
-        if let Some((cluster, line)) = sys.corrupt_inclusion_tag() {
-            let _ = sys.scrub_inclusion_tag(cluster, line);
-        }
-
-        // Accesses address leaf clusters (== root clusters at depth 2, so
-        // the draws and the access path are unchanged for the classic
-        // two-level machine).
-        let leaf = rng.gen_range(0..leaves as u64) as usize;
-        let cpu = rng.gen_range(0..cfg.cpus as u64) as usize;
-        let line = rng.gen_range(0..cfg.lines);
-        let word = rng.gen_range(0..(cfg.line_size / 4) as u64);
-        let addr = line * cfg.line_size as u64 + word * 4;
-        let mut write_piece: Option<(u64, Vec<u8>)> = None;
-        let read_back = if rng.gen_bool(0.5) {
-            let bytes = vec![rng.gen_range(0u16..256) as u8; 4];
-            sys.write_at(&leaf_paths[leaf], cpu, addr, &bytes);
-            write_piece = Some((addr, bytes));
-            None
-        } else {
-            Some(sys.read_at(&leaf_paths[leaf], cpu, addr, 4))
-        };
-        run.accesses += 1;
-        run.cluster_bus_errors
-            .extend(sys.drain_cluster_bus_errors());
-
-        // Drain and audit the parent plan's injections from this step.
-        let new: Vec<FaultRecord> = {
-            let plan = sys.parent_bus().fault_plan().expect("plan installed above");
-            plan.records()[parent_cursor..].to_vec()
-        };
-        parent_cursor += new.len();
-        let first_new = run.verdicts.len();
-        let mut killed = false;
-        for record in new {
-            killed |= matches!(record.fault, InjectedFault::BridgeKill { .. });
-            let (class, note) = audit_hierarchy(&record.fault, &mut sys, cfg.line_size);
-            run.verdicts.push(FaultVerdict {
-                record,
-                class,
-                note,
-            });
-        }
-        // Then each cluster bus's glitch/storm injections.
-        for (c, cursor) in cluster_cursors.iter_mut().enumerate() {
-            let new: Vec<FaultRecord> = {
-                let plan = sys
-                    .leaf_fabric(c)
-                    .bus()
-                    .fault_plan()
-                    .expect("plan installed above");
-                plan.records()[*cursor..].to_vec()
-            };
-            *cursor += new.len();
-            for record in new {
-                let (class, note) = match &record.fault {
-                    InjectedFault::Glitch { .. } => (
-                        FaultClass::Masked,
-                        format!("cluster {c}: absorbed by the wired-OR settle window"),
-                    ),
-                    InjectedFault::AbortStorm { rounds } => (
-                        FaultClass::Detected,
-                        format!("cluster {c}: {rounds} phantom BS rounds drained by bounded retry"),
-                    ),
-                    other => (
-                        FaultClass::Detected,
-                        format!("cluster {c}: unexpected fault `{other}`"),
-                    ),
-                };
-                run.verdicts.push(FaultVerdict {
-                    record,
-                    class,
-                    note,
-                });
-            }
-        }
-        // A bridge kill can land mid-transaction on the very line this step
-        // is writing; the kill reconciliation accepted the pre-kill memory as
-        // truth, so re-apply the surviving write on top of it.
-        if killed {
-            if let Some((piece_addr, piece)) = &write_piece {
-                sys.checker_mut()
-                    .expect("campaign hierarchies run checked")
-                    .record_write(*piece_addr, piece);
-            }
-        }
-
-        // The partition/recovery oracle: with all reported damage reconciled,
-        // anything still wrong is silent corruption.
-        let mut broken = None;
-        if let Some(got) = read_back {
-            let global_cpu = leaf * cfg.cpus + cpu;
-            if let Err(v) = sys
-                .checker()
-                .expect("campaign hierarchies run checked")
-                .check_read(global_cpu, addr, &got)
-            {
-                broken = Some(v);
-            }
-        }
-        if broken.is_none() {
-            if let Err(v) = sys.verify() {
-                broken = Some(v);
-            }
-        }
-        if let Some(v) = broken {
-            run.violations.push(format!("step {step}: {v}"));
-            for verdict in &mut run.verdicts[first_new..] {
-                verdict.class = FaultClass::Silent;
-                verdict.note = format!("post-recovery violation: {v}");
-            }
-            break;
-        }
-    }
-
-    run.retired_bridges = sys.parent_bus().retired();
-    run.degraded_clusters = sys.degraded_clusters();
-    run.parent_errors = sys.parent_errors().to_vec();
-    run.parent_stats = *sys.parent_bus().stats();
-    for bridge in sys.bridges_preorder() {
-        let stats = bridge.stats();
-        run.dirty_at_retire += stats.dirty_at_retire;
-        run.salvaged_lines += stats.salvaged_lines;
-        run.lost_lines += stats.lost_lines;
-    }
-    Ok(run)
-}
-
-/// Reconciles one parent-bus fault's reported damage against the hierarchy
-/// and returns its provisional class.
-fn audit_hierarchy(
-    fault: &InjectedFault,
-    sys: &mut HierarchicalSystem,
-    line_size: usize,
-) -> (FaultClass, String) {
-    match fault {
-        InjectedFault::Glitch { .. } => (
-            FaultClass::Masked,
-            "parent bus: absorbed by the wired-OR settle window".into(),
-        ),
-        InjectedFault::AbortStorm { rounds } => (
-            FaultClass::Detected,
-            format!("parent bus: {rounds} phantom BS rounds drained by bounded retry"),
-        ),
-        InjectedFault::BridgeStall { bridge, salvaged } => (
-            FaultClass::Detected,
-            format!(
-                "watchdog retired bridge b{bridge}; {} dirty lines salvaged by synthetic \
-                 push rounds; cluster degraded to memory-direct",
-                salvaged.len()
-            ),
-        ),
-        InjectedFault::BridgeKill { bridge, lost } => {
-            // The loss is reported: accept the pre-kill parent memory as the
-            // new truth for the lost lines. Survivor copies were invalidated
-            // by the watchdog's synthetic invalidate rounds; anything beyond
-            // that is silent corruption.
-            for addr in lost {
-                let mem = sys.parent_memory_peek(*addr, line_size);
-                sys.checker_mut()
-                    .expect("campaign hierarchies run checked")
-                    .record_write(*addr, &mem);
-            }
-            (
-                FaultClass::Detected,
-                format!(
-                    "watchdog retired bridge b{bridge}; {} dirty lines lost (reported, \
-                     survivors invalidated); cluster degraded to memory-direct",
-                    lost.len()
-                ),
+                "watchdog retired the victim; its dirty lines lost (reported, survivors \
+                 invalidated)",
             )
         }
         InjectedFault::CorruptMemory { addr, .. } => {
-            let golden = sys
-                .checker()
-                .expect("campaign hierarchies run checked")
-                .golden_bytes(*addr, line_size);
-            let diverged = sys.parent_memory_peek(*addr, line_size)[..] != golden[..];
-            // The scrubber may restore a line a cluster currently owns — in
-            // that case parent memory is *supposed* to be stale, but golden
+            // On a tree the scrubber may restore a line a cluster currently
+            // owns — root memory is then *supposed* to be stale, but golden
             // is still the safest restoration (the owner's push will
             // overwrite it), and the corruption itself remains reported.
-            sys.parent_bus_mut().memory_mut().write_line(*addr, &golden);
+            let golden = checker.golden_bytes(*addr, memory.line_size());
+            let diverged = memory.peek(*addr) != golden;
+            memory.write_line(*addr, &golden);
             (
                 FaultClass::Detected,
                 if diverged {
-                    "scrubber found parent memory diverged from the golden image; restored".into()
+                    "scrubber found memory diverged from the golden image; restored"
                 } else {
-                    "corruption landed on already-stale bytes; scrubbed anyway".into()
+                    "corruption landed on already-stale bytes; scrubbed anyway"
                 },
             )
         }
-        InjectedFault::StaleTag {
-            bridge,
-            addr,
-            from,
-            to,
-        } => (
+        InjectedFault::StaleTag { .. } => (
             FaultClass::Detected,
-            format!(
-                "directory parity hit on b{bridge} @{addr:#x} ({from}->{to}); tag \
-                 reconstructed from cluster evidence"
-            ),
-        ),
-        InjectedFault::Stall { module, .. } | InjectedFault::Kill { module, .. } => (
-            FaultClass::Detected,
-            format!("flat-style retirement of parent module m{module} (bridges flag unset?)"),
+            "directory parity hit; tag reconstructed from cluster evidence",
         ),
     }
 }
@@ -1317,22 +1059,15 @@ pub fn run_liveness_probe(seed: u64, steps: u64) -> Result<LivenessProbe, String
             },
         ),
     ];
+    // Two MOESI caches on one bus, built as the flat campaign builds them.
+    let machine = CampaignConfig {
+        cpus: 2,
+        seed,
+        ..CampaignConfig::default()
+    };
     let mut outcomes = Vec::new();
     for (label, policy) in configs {
-        let controllers: Vec<CacheController> = (0..2)
-            .map(|id| {
-                let protocol = by_name("moesi", seed.wrapping_add(id as u64))
-                    .expect("moesi is a shipped protocol");
-                CacheController::new(
-                    id,
-                    protocol,
-                    Some(CacheConfig::new(1024, 16, 2, ReplacementKind::Lru)),
-                    seed.wrapping_add(id as u64),
-                )
-            })
-            .collect();
-        let mut fabric = Fabric::new(16, TimingConfig::default(), controllers);
-        fabric.tolerate_bus_errors(true);
+        let mut fabric = flat_fabric(&machine, "moesi")?;
         fabric.bus_mut().set_retry_policy(policy);
         fabric.bus_mut().enable_liveness(2);
         // Every transaction storms for longer than the retry budget.
@@ -1349,8 +1084,8 @@ pub fn run_liveness_probe(seed: u64, steps: u64) -> Result<LivenessProbe, String
             // in the arbitration path of both masters.
             let cpu = (step % 2) as usize;
             let addr = (step % 4) * 16;
-            let bytes = vec![rng.gen_range(0u16..256) as u8; 4];
-            fabric.write_with(cpu, addr, &bytes, |_, _| {});
+            let byte = rng.gen_range(0u16..256) as u8;
+            fabric.write_with(cpu, addr, &[byte; 4], |_, _| {});
         }
         let failed = fabric.drain_bus_errors().len() as u64;
         let stats = fabric.bus().stats();
@@ -1374,92 +1109,67 @@ pub fn run_liveness_probe(seed: u64, steps: u64) -> Result<LivenessProbe, String
 // output for CI gates and trend dashboards.
 // ---------------------------------------------------------------------------
 
-/// Renders a flat campaign report as a JSON object, including the
-/// lost/salvaged-line and retry/backoff counters.
+/// Renders a campaign report as a JSON object, including the
+/// lost/salvaged-line and retry/backoff counters; a tree's report adds its
+/// shape, the bridge ledger and the liveness violations.
 #[must_use]
 pub fn campaign_report_json(report: &CampaignReport) -> String {
+    let ids = |list: &[usize]| array_u64(&list.iter().map(|&m| m as u64).collect::<Vec<_>>());
     let runs: Vec<String> = report
         .runs
         .iter()
         .map(|run| {
-            let retired: Vec<u64> = run.retired.iter().map(|&m| m as u64).collect();
             let tally = run.tally();
-            JsonObject::new()
+            let (stats, tree) = (&run.bus_stats, &run.tree);
+            let json = JsonObject::new()
                 .string("protocol", &run.protocol)
                 .number("accesses", run.accesses)
                 .number("faults", run.verdicts.len())
                 .number("masked", tally.class(FaultClass::Masked))
                 .number("detected", tally.class(FaultClass::Detected))
-                .number("silent", tally.class(FaultClass::Silent))
-                .raw("retired", &array_u64(&retired))
-                .number("bus_errors", run.bus_errors.len())
-                .number("salvaged_lines", run.bus_stats.salvaged_lines)
-                .number("lost_lines", run.bus_stats.lost_lines)
-                .number("retries", run.bus_stats.retries)
-                .number("backoff_ns", run.bus_stats.backoff_ns)
-                .number("max_txn_aborts", run.bus_stats.max_txn_aborts)
-                .number("liveness_violations", run.bus_stats.liveness_violations)
-                .number("aging_promotions", run.bus_stats.aging_promotions)
+                .number("silent", tally.class(FaultClass::Silent));
+            let json = if report.tree.is_some() {
+                json.raw("retired_bridges", &ids(&run.retired))
+                    .raw("degraded_clusters", &ids(&tree.degraded_clusters))
+                    .number("dirty_at_retire", tree.dirty_at_retire)
+                    .number("salvaged_lines", tree.salvaged_lines)
+                    .number("lost_lines", tree.lost_lines)
+                    .number("parent_errors", tree.parent_errors.len())
+                    .number("cluster_bus_errors", run.bus_errors.len())
+            } else {
+                json.raw("retired", &ids(&run.retired))
+                    .number("bus_errors", run.bus_errors.len())
+                    .number("salvaged_lines", stats.salvaged_lines)
+                    .number("lost_lines", stats.lost_lines)
+            };
+            json.number("retries", stats.retries)
+                .number("backoff_ns", stats.backoff_ns)
+                .number("max_txn_aborts", stats.max_txn_aborts)
+                .number("liveness_violations", stats.liveness_violations)
+                .number("aging_promotions", stats.aging_promotions)
                 .finish()
         })
         .collect();
     let tally = report.tally();
-    JsonObject::new()
-        .string("campaign", "flat")
+    let json = match report.tree {
+        None => JsonObject::new().string("campaign", "flat"),
+        Some(t) => JsonObject::new()
+            .string("campaign", "hierarchy")
+            .number("depth", t.depth)
+            .number("fanout", t.fanout)
+            .number("clusters", t.clusters)
+            .number("leaves", t.leaves()),
+    };
+    let json = json
         .number("protocols", report.runs.len())
         .number("injected", tally.injected())
         .number("silent", tally.silent())
-        .number("retirements", report.retirements())
-        .raw("runs", &format!("[{}]", runs.join(", ")))
-        .finish()
-}
-
-/// Renders a hierarchy campaign report as a JSON object.
-#[must_use]
-pub fn hierarchy_report_json(report: &HierarchyReport) -> String {
-    let runs: Vec<String> = report
-        .runs
-        .iter()
-        .map(|run| {
-            let retired: Vec<u64> = run.retired_bridges.iter().map(|&m| m as u64).collect();
-            let degraded: Vec<u64> = run.degraded_clusters.iter().map(|&m| m as u64).collect();
-            let tally = run.tally();
-            JsonObject::new()
-                .string("protocol", &run.protocol)
-                .number("accesses", run.accesses)
-                .number("faults", run.verdicts.len())
-                .number("masked", tally.class(FaultClass::Masked))
-                .number("detected", tally.class(FaultClass::Detected))
-                .number("silent", tally.class(FaultClass::Silent))
-                .raw("retired_bridges", &array_u64(&retired))
-                .raw("degraded_clusters", &array_u64(&degraded))
-                .number("dirty_at_retire", run.dirty_at_retire)
-                .number("salvaged_lines", run.salvaged_lines)
-                .number("lost_lines", run.lost_lines)
-                .number("parent_errors", run.parent_errors.len())
-                .number("cluster_bus_errors", run.cluster_bus_errors.len())
-                .number("retries", run.parent_stats.retries)
-                .number("backoff_ns", run.parent_stats.backoff_ns)
-                .number("max_txn_aborts", run.parent_stats.max_txn_aborts)
-                .number("liveness_violations", run.parent_stats.liveness_violations)
-                .number("aging_promotions", run.parent_stats.aging_promotions)
-                .finish()
-        })
-        .collect();
-    let tally = report.tally();
-    JsonObject::new()
-        .string("campaign", "hierarchy")
-        .number("depth", report.depth as u64)
-        .number("fanout", report.fanout as u64)
-        .number("clusters", report.clusters as u64)
-        .number("leaves", report.leaves as u64)
-        .number("protocols", report.runs.len())
-        .number("injected", tally.injected())
-        .number("silent", tally.silent())
-        .number("retirements", report.retirements())
-        .number("liveness_violations", report.liveness_violations())
-        .raw("runs", &format!("[{}]", runs.join(", ")))
-        .finish()
+        .number("retirements", report.retirements());
+    let json = match report.tree {
+        None => json,
+        Some(_) => json.number("liveness_violations", report.liveness_violations()),
+    };
+    json.raw("runs", &format!("[{}]", runs.join(", "))).finish()
 }
 
 /// Renders a liveness probe as a JSON object.
@@ -1724,24 +1434,24 @@ mod tests {
         assert!(text.contains("graceful degradation"), "{text}");
     }
 
-    fn quick_hierarchy_cfg() -> HierarchyCampaignConfig {
-        HierarchyCampaignConfig {
+    fn quick_hierarchy_cfg() -> CampaignConfig {
+        CampaignConfig {
             protocols: vec!["moesi".into()],
             steps: 400,
-            ..HierarchyCampaignConfig::default()
+            ..CampaignConfig::hierarchy()
         }
     }
 
     #[test]
     fn hierarchy_campaign_keeps_every_fault_loud() {
-        let report = run_hierarchy_campaign(&quick_hierarchy_cfg()).unwrap();
+        let report = run_campaign(&quick_hierarchy_cfg()).unwrap();
         let tally = report.tally();
         let run = &report.runs[0];
         assert!(tally.injected() > 0, "faults must actually land");
         assert_eq!(tally.silent(), 0, "{report}");
         assert_eq!(
-            run.salvaged_lines + run.lost_lines,
-            run.dirty_at_retire,
+            run.tree.salvaged_lines + run.tree.lost_lines,
+            run.tree.dirty_at_retire,
             "every dirty line owned at retirement is salvaged or reported lost"
         );
     }
@@ -1752,11 +1462,11 @@ mod tests {
         // >= 4 protocols x 2 clusters, zero silent, and — because storms
         // stay within the retry budget — zero liveness violations on a
         // clean (non-adversarial) run.
-        let cfg = HierarchyCampaignConfig::default();
-        let report = run_hierarchy_campaign(&cfg).unwrap();
+        let cfg = CampaignConfig::hierarchy();
+        let report = run_campaign(&cfg).unwrap();
         let tally = report.tally();
         assert!(cfg.protocols.len() >= 4);
-        assert_eq!(cfg.clusters, 2);
+        assert_eq!(cfg.tree.map(|t| t.clusters), Some(2));
         assert!(
             tally.injected() >= 1000,
             "only {} faults injected",
@@ -1770,14 +1480,14 @@ mod tests {
         );
         for run in &report.runs {
             assert_eq!(
-                run.salvaged_lines + run.lost_lines,
-                run.dirty_at_retire,
+                run.tree.salvaged_lines + run.tree.lost_lines,
+                run.tree.dirty_at_retire,
                 "{}: dirty-line ledger must balance",
                 run.protocol
             );
-            assert_eq!(run.retired_bridges, run.degraded_clusters);
+            assert_eq!(run.retired, run.tree.degraded_clusters);
             assert!(
-                run.parent_stats.max_txn_aborts <= u64::from(RetryPolicy::default().abort_bound()),
+                run.bus_stats.max_txn_aborts <= u64::from(RetryPolicy::default().abort_bound()),
                 "{}: retry budget exceeded",
                 run.protocol
             );
@@ -1787,65 +1497,68 @@ mod tests {
     #[test]
     fn sharded_hierarchy_campaigns_match_sequential_ones() {
         let base = quick_hierarchy_cfg();
-        let seq = run_hierarchy_campaign(&HierarchyCampaignConfig {
+        let seq = run_campaign(&CampaignConfig {
             jobs: 1,
             protocols: vec!["moesi".into(), "dragon".into()],
             ..base.clone()
         })
         .unwrap();
-        let par = run_hierarchy_campaign(&HierarchyCampaignConfig {
+        let par = run_campaign(&CampaignConfig {
             jobs: 4,
             protocols: vec!["moesi".into(), "dragon".into()],
             ..base
         })
         .unwrap();
-        assert_eq!(hierarchy_report_json(&seq), hierarchy_report_json(&par));
+        assert_eq!(campaign_report_json(&seq), campaign_report_json(&par));
     }
 
     #[test]
     fn deep_hierarchy_campaign_keeps_every_fault_loud() {
-        let cfg = HierarchyCampaignConfig {
-            depth: 3,
-            fanout: 2,
+        let cfg = CampaignConfig {
+            tree: Some(TreeShape {
+                clusters: 2,
+                depth: 3,
+                fanout: 2,
+            }),
             steps: 700,
             ..quick_hierarchy_cfg()
         };
-        let report = run_hierarchy_campaign(&cfg).unwrap();
+        let report = run_campaign(&cfg).unwrap();
         let tally = report.tally();
-        assert_eq!((report.depth, report.fanout), (3, 2));
-        assert_eq!(report.leaves, 4, "2 clusters x fanout 2 at depth 3");
+        let tree = report.tree.expect("a tree campaign");
+        assert_eq!((tree.depth, tree.fanout), (3, 2));
+        assert_eq!(tree.leaves(), 4, "2 clusters x fanout 2 at depth 3");
         assert!(tally.injected() > 0, "faults must land on the deep tree");
         assert_eq!(tally.silent(), 0, "{report}");
         for run in &report.runs {
             assert_eq!(
-                run.salvaged_lines + run.lost_lines,
-                run.dirty_at_retire,
+                run.tree.salvaged_lines + run.tree.lost_lines,
+                run.tree.dirty_at_retire,
                 "{}: dirty-line ledger must balance on the deep tree",
                 run.protocol
             );
         }
-        let json = hierarchy_report_json(&report);
+        let json = campaign_report_json(&report);
         assert!(json.contains("\"depth\": 3"), "{json}");
         assert!(json.contains("\"leaves\": 4"), "{json}");
         // Sharding invariance holds for the deep tree too.
-        let par = run_hierarchy_campaign(&HierarchyCampaignConfig { jobs: 4, ..cfg }).unwrap();
-        assert_eq!(json, hierarchy_report_json(&par));
+        let par = run_campaign(&CampaignConfig { jobs: 4, ..cfg }).unwrap();
+        assert_eq!(json, campaign_report_json(&par));
     }
 
     #[test]
     fn hierarchy_campaign_rejects_bad_geometry() {
-        let err = run_hierarchy_campaign(&HierarchyCampaignConfig {
-            depth: 1,
+        let tree = |depth, fanout| CampaignConfig {
+            tree: Some(TreeShape {
+                clusters: 2,
+                depth,
+                fanout,
+            }),
             ..quick_hierarchy_cfg()
-        })
-        .unwrap_err();
+        };
+        let err = run_campaign(&tree(1, 2)).unwrap_err();
         assert!(err.contains("at least 2"), "{err}");
-        let err = run_hierarchy_campaign(&HierarchyCampaignConfig {
-            depth: 3,
-            fanout: 0,
-            ..quick_hierarchy_cfg()
-        })
-        .unwrap_err();
+        let err = run_campaign(&tree(3, 0)).unwrap_err();
         assert!(err.contains("fanout"), "{err}");
     }
 
@@ -1879,8 +1592,8 @@ mod tests {
         assert!(flat_json.contains("\"retries\": "), "{flat_json}");
         assert!(flat_json.contains("\"salvaged_lines\": "), "{flat_json}");
 
-        let hier = run_hierarchy_campaign(&quick_hierarchy_cfg()).unwrap();
-        let hier_json = hierarchy_report_json(&hier);
+        let hier = run_campaign(&quick_hierarchy_cfg()).unwrap();
+        let hier_json = campaign_report_json(&hier);
         assert!(
             hier_json.contains("\"campaign\": \"hierarchy\""),
             "{hier_json}"

@@ -622,7 +622,13 @@ impl HierarchicalSystem {
     pub fn verify(&self) -> Result<(), Violation> {
         self.checker
             .as_ref()
-            .map_or(Ok(()), |ck| ck.check_all(&self.root, &mut Vec::new()))
+            .map_or(Ok(()), |ck| self.verify_against(ck))
+    }
+
+    /// [`verify`](HierarchicalSystem::verify) against an oracle the caller
+    /// keeps: a fault campaign's, which reconciles reported damage in it.
+    pub(crate) fn verify_against(&self, ck: &Checker) -> Result<(), Violation> {
+        ck.check_all(&self.root, &mut Vec::new())
     }
 
     /// Drives one access from each stream per step, for `steps` rounds.

@@ -45,10 +45,9 @@ pub use checker::{Checker, Violation};
 pub use controller::CacheController;
 pub use fabric::Fabric;
 pub use faults::{
-    campaign_report_json, hierarchy_report_json, liveness_probe_json, run_campaign,
-    run_hierarchy_campaign, run_liveness_probe, CampaignConfig, CampaignReport, FaultClass,
-    FaultVerdict, HierarchyCampaignConfig, HierarchyReport, HierarchyRun, LivenessOutcome,
-    LivenessProbe, ProtocolRun, Tally,
+    campaign_report_json, liveness_probe_json, run_campaign, run_liveness_probe, CampaignConfig,
+    CampaignReport, FaultClass, FaultVerdict, LivenessOutcome, LivenessProbe, ProtocolRun, Tally,
+    TreeExtras, TreeShape,
 };
 pub use metrics::{CpuStats, MachineReport, StateCensus, TimedReport};
 pub use profile::{chrome_trace, trace_run, TraceRunConfig};

@@ -12,15 +12,10 @@
 //! sequential and self-contained, so the emitted JSON is a pure function of
 //! the configuration — `--jobs N` cannot perturb it.
 
-use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::fault::{FaultConfig, FaultPlan};
-use futurebus::{ChromeTraceWriter, Futurebus, Phase, TimingConfig, TraceKind};
-use moesi::protocols::by_name;
-use moesi::rng::SmallRng;
-use moesi::CacheKind;
+use futurebus::{ChromeTraceWriter, Futurebus, Phase, TraceKind};
 
-use crate::controller::CacheController;
-use crate::fabric::Fabric;
+use crate::faults::{flat_fabric, issue, plan_schedule, CampaignConfig};
 
 /// Trace log capacity for [`trace_run`]: large enough that no record of a
 /// CLI-sized run is evicted (eviction would desynchronise the instant-event
@@ -115,40 +110,25 @@ pub fn trace_run(cfg: &TraceRunConfig) -> Result<String, String> {
     if cfg.cpus == 0 || cfg.steps == 0 || cfg.lines == 0 || cfg.line_size < 4 {
         return Err("trace run needs cpus, steps, lines and a >= 4-byte line".into());
     }
-    let controllers: Vec<CacheController> = (0..cfg.cpus)
-        .map(|id| {
-            let protocol = by_name(&cfg.protocol, cfg.seed.wrapping_add(id as u64))
-                .ok_or_else(|| format!("unknown protocol `{}`", cfg.protocol))?;
-            let cache = (protocol.kind() != CacheKind::NonCaching)
-                .then(|| CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru));
-            Ok(CacheController::new(
-                id,
-                protocol,
-                cache,
-                cfg.seed.wrapping_add(id as u64),
-            ))
-        })
-        .collect::<Result<_, String>>()?;
-    let mut fabric = Fabric::new(cfg.line_size, TimingConfig::default(), controllers);
-    fabric.tolerate_bus_errors(true);
+    // The fault campaign's machine and its run-0 schedule.
+    let campaign = CampaignConfig {
+        protocols: vec![cfg.protocol.clone()],
+        cpus: cfg.cpus,
+        line_size: cfg.line_size,
+        cache_bytes: cfg.cache_bytes,
+        steps: cfg.steps,
+        lines: cfg.lines,
+        seed: cfg.seed,
+        ..CampaignConfig::default()
+    };
+    let mut fabric = flat_fabric(&campaign, &cfg.protocol)?;
     fabric.bus_mut().enable_trace(TRACE_CAPACITY);
     fabric.bus_mut().enable_phase_events();
     if let Some(faults) = cfg.faults {
         fabric.bus_mut().inject_faults(FaultPlan::new(faults));
     }
-
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    for step in 0..cfg.steps {
-        let cpu = (step as usize) % cfg.cpus;
-        let line = rng.gen_range(0..cfg.lines);
-        let word = rng.gen_range(0..(cfg.line_size / 4) as u64);
-        let addr = line * cfg.line_size as u64 + word * 4;
-        if rng.gen_bool(0.5) {
-            let bytes = vec![rng.gen_range(0u16..256) as u8; 4];
-            fabric.write_with(cpu, addr, &bytes, |_, _| {});
-        } else {
-            let _ = fabric.read(cpu, addr, 4);
-        }
+    for step in plan_schedule(&campaign, 0) {
+        issue(&mut fabric, &step);
     }
     let _ = fabric.drain_bus_errors();
     Ok(chrome_trace(fabric.bus()))
@@ -222,40 +202,16 @@ mod tests {
     fn phase_events_tile_the_occupancy_timeline() {
         // The last duration event of each transaction ends where the
         // transaction's slice ends; summed phase durations equal busy_ns.
-        let cfg = TraceRunConfig {
+        let campaign = CampaignConfig {
             steps: 60,
-            ..TraceRunConfig::default()
+            seed: 7,
+            ..CampaignConfig::default()
         };
-        let fabric = {
-            // Re-run the workload by hand to inspect the bus afterwards.
-            let cfg = cfg.clone();
-            let controllers: Vec<CacheController> = (0..cfg.cpus)
-                .map(|id| {
-                    let protocol = by_name(&cfg.protocol, cfg.seed + id as u64).unwrap();
-                    let cache = Some(CacheConfig::new(
-                        cfg.cache_bytes,
-                        cfg.line_size,
-                        2,
-                        ReplacementKind::Lru,
-                    ));
-                    CacheController::new(id, protocol, cache, cfg.seed + id as u64)
-                })
-                .collect();
-            let mut fabric = Fabric::new(cfg.line_size, TimingConfig::default(), controllers);
-            fabric.bus_mut().enable_phase_events();
-            let mut rng = SmallRng::seed_from_u64(cfg.seed);
-            for step in 0..cfg.steps {
-                let cpu = (step as usize) % cfg.cpus;
-                let line = rng.gen_range(0..cfg.lines);
-                let addr = line * cfg.line_size as u64;
-                if rng.gen_bool(0.5) {
-                    fabric.write_with(cpu, addr, &[1, 2, 3, 4], |_, _| {});
-                } else {
-                    let _ = fabric.read(cpu, addr, 4);
-                }
-            }
-            fabric
-        };
+        let mut fabric = flat_fabric(&campaign, "moesi").unwrap();
+        fabric.bus_mut().enable_phase_events();
+        for step in plan_schedule(&campaign, 0) {
+            issue(&mut fabric, &step);
+        }
         let charged: u64 = fabric
             .bus()
             .phase_events()

@@ -4,7 +4,7 @@
 use crate::chrome::write_chrome_trace;
 use futurebus::fault::{FaultConfig, FaultKind};
 use moesi_futurebus::cli::{check_cache_geometry, CommonOpts};
-use mpsim::{run_campaign, CampaignConfig, HierarchyCampaignConfig};
+use mpsim::{run_campaign, CampaignConfig, TreeShape};
 
 pub(crate) const FAULTS_USAGE: &str = "\
 moesi-sim faults: run a seeded fault-injection campaign over the class
@@ -55,16 +55,16 @@ OPTIONS:
                       [default: 0.1]
     --kind LIST       fault kinds to enable: glitch, stall, kill, storm,
                       corrupt, bridge-stall, bridge-kill, stale-tag, or all
-                      (the bridge kinds only fire with --hierarchy)
-                      [default: all]
+                      (naming a bridge kind requires --hierarchy; `all`
+                      enables them only there) [default: all]
     --jobs N          worker threads, one protocol machine per job; the
                       report is identical for any N [default: available
                       cores]
     --shards N        run each protocol's campaign sharded: the planned
                       access schedule splits over fixed address regions,
-                      one region machine each, merged on N workers. The
-                      report is byte-identical for any N (flat campaigns
-                      only) [default: off]
+                      one region machine (flat or tree) each, merged on N
+                      workers. The report is byte-identical for any N
+                      [default: off]
     --json            also write the report (with the lost/salvaged-line and
                       retry/backoff ledgers) as JSON to --out
     --out PATH        JSON output path [default: FAULTS_report.json]
@@ -100,12 +100,13 @@ pub(crate) struct FaultsConfig {
 impl Default for FaultsConfig {
     fn default() -> Self {
         let base = CampaignConfig::default();
+        let tree = TreeShape::default();
         FaultsConfig {
             protocols: base.protocols,
             hierarchy: false,
-            clusters: HierarchyCampaignConfig::default().clusters,
-            depth: HierarchyCampaignConfig::default().depth,
-            fanout: HierarchyCampaignConfig::default().fanout,
+            clusters: tree.clusters,
+            depth: tree.depth,
+            fanout: tree.fanout,
             cpus: base.cpus,
             steps: base.steps,
             lines: base.lines,
@@ -151,6 +152,7 @@ pub(crate) fn parse_faults_args(args: &[String]) -> Result<FaultsConfig, String>
     let mut common = CommonOpts::default();
     let mut depth: Option<usize> = None;
     let mut fanout: Option<usize> = None;
+    let mut bridge_kind: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if common.try_consume(arg, &mut it)? {
@@ -194,7 +196,15 @@ pub(crate) fn parse_faults_args(args: &[String]) -> Result<FaultsConfig, String>
                     return Err("--rate must be between 0 and 1".to_string());
                 }
             }
-            "--kind" => cfg.kinds = parse_fault_kinds(value("--kind")?)?,
+            "--kind" => {
+                let list = value("--kind")?;
+                cfg.kinds = parse_fault_kinds(list)?;
+                bridge_kind = list
+                    .split(',')
+                    .map(str::trim)
+                    .find(|k| matches!(*k, "bridge-stall" | "bridge-kill" | "stale-tag"))
+                    .map(str::to_string);
+            }
             "--shards" => cfg.shards = number("--shards", value("--shards")?)? as usize,
             "--hierarchy" => cfg.hierarchy = true,
             "--clusters" => cfg.clusters = number("--clusters", value("--clusters")?)? as usize,
@@ -223,8 +233,10 @@ pub(crate) fn parse_faults_args(args: &[String]) -> Result<FaultsConfig, String>
     if cfg.hierarchy && cfg.trace_out.is_some() {
         return Err("--trace-out traces a flat run; drop it or drop --hierarchy".to_string());
     }
-    if cfg.hierarchy && cfg.shards > 0 {
-        return Err("--shards shards a flat campaign; drop it or drop --hierarchy".to_string());
+    if let (false, Some(kind)) = (cfg.hierarchy, &bridge_kind) {
+        return Err(format!(
+            "--kind {kind} only fires on a fabric tree; add --hierarchy"
+        ));
     }
     if !cfg.hierarchy && (depth.is_some() || fanout.is_some()) {
         return Err("--depth/--fanout shape the fabric tree; add --hierarchy".to_string());
@@ -265,6 +277,11 @@ fn fault_rates(cfg: &FaultsConfig) -> FaultConfig {
 fn campaign_config(cfg: &FaultsConfig) -> CampaignConfig {
     CampaignConfig {
         protocols: cfg.protocols.clone(),
+        tree: cfg.hierarchy.then_some(TreeShape {
+            clusters: cfg.clusters,
+            depth: cfg.depth,
+            fanout: cfg.fanout,
+        }),
         cpus: cfg.cpus,
         line_size: cfg.line_size,
         cache_bytes: cfg.cache_bytes,
@@ -278,35 +295,29 @@ fn campaign_config(cfg: &FaultsConfig) -> CampaignConfig {
     }
 }
 
-fn hierarchy_campaign_config(cfg: &FaultsConfig) -> HierarchyCampaignConfig {
-    HierarchyCampaignConfig {
-        protocols: cfg.protocols.clone(),
-        clusters: cfg.clusters,
-        depth: cfg.depth,
-        fanout: cfg.fanout,
-        cpus: cfg.cpus,
-        line_size: cfg.line_size,
-        cache_bytes: cfg.cache_bytes,
-        steps: cfg.steps,
-        lines: cfg.lines,
-        seed: cfg.seed,
-        faults: fault_rates(cfg),
-        jobs: cfg.jobs,
-        ..HierarchyCampaignConfig::default()
-    }
-}
-
 pub(crate) fn run_faults(cfg: &FaultsConfig) -> Result<(), String> {
-    if cfg.hierarchy {
-        return run_hierarchy_faults(cfg);
-    }
     let campaign = campaign_config(cfg);
     let report = run_campaign(&campaign)?;
-    let tally = report.tally();
     println!("{report}");
+    // A tree campaign ends with the liveness probe.
+    let probe = if cfg.hierarchy {
+        println!();
+        let probe = mpsim::run_liveness_probe(cfg.seed, 24)?;
+        println!("{probe}");
+        Some(probe)
+    } else {
+        None
+    };
     if cfg.json {
-        std::fs::write(&cfg.out, mpsim::campaign_report_json(&report))
-            .map_err(|e| format!("cannot write `{}`: {e}", cfg.out))?;
+        let report = mpsim::campaign_report_json(&report);
+        let json = match &probe {
+            None => report,
+            Some(probe) => format!(
+                "{{\"report\": {report}, \"liveness\": {}}}",
+                mpsim::liveness_probe_json(probe)
+            ),
+        };
+        std::fs::write(&cfg.out, json).map_err(|e| format!("cannot write `{}`: {e}", cfg.out))?;
         println!("JSON report written to {}", cfg.out);
     }
     if let Some(path) = &cfg.trace_out {
@@ -324,39 +335,11 @@ pub(crate) fn run_faults(cfg: &FaultsConfig) -> Result<(), String> {
             },
         )?;
     }
-    if tally.silent() > 0 {
-        return Err(format!(
-            "{} fault(s) caused silent corruption",
-            tally.silent()
-        ));
+    let silent = report.tally().silent();
+    if silent > 0 {
+        return Err(format!("{silent} fault(s) caused silent corruption"));
     }
-    Ok(())
-}
-
-fn run_hierarchy_faults(cfg: &FaultsConfig) -> Result<(), String> {
-    let campaign = hierarchy_campaign_config(cfg);
-    let report = mpsim::run_hierarchy_campaign(&campaign)?;
-    let tally = report.tally();
-    println!("{report}");
-    println!();
-    let probe = mpsim::run_liveness_probe(cfg.seed, 24)?;
-    println!("{probe}");
-    if cfg.json {
-        let json = format!(
-            "{{\"report\": {}, \"liveness\": {}}}",
-            mpsim::hierarchy_report_json(&report),
-            mpsim::liveness_probe_json(&probe)
-        );
-        std::fs::write(&cfg.out, json).map_err(|e| format!("cannot write `{}`: {e}", cfg.out))?;
-        println!("JSON report written to {}", cfg.out);
-    }
-    if tally.silent() > 0 {
-        return Err(format!(
-            "{} fault(s) caused silent corruption",
-            tally.silent()
-        ));
-    }
-    if !probe.demonstrates_recovery() {
+    if probe.is_some_and(|p| !p.demonstrates_recovery()) {
         return Err("liveness probe failed to demonstrate livelock recovery".to_string());
     }
     Ok(())
@@ -402,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn faults_shard_flag_parses_and_rejects_hierarchy() {
+    fn faults_shard_flag_parses_for_both_machines() {
         let cfg = parse_faults_args(&args("--shards 4")).expect("valid");
         assert_eq!(cfg.shards, 4);
         assert_eq!(campaign_config(&cfg).shards, 4);
@@ -414,9 +397,29 @@ mod tests {
         assert!(parse_faults_args(&args("--shards 0"))
             .unwrap_err()
             .contains("at least 1"));
-        assert!(parse_faults_args(&args("--hierarchy --shards 2"))
-            .unwrap_err()
-            .contains("flat campaign"));
+        let tree =
+            campaign_config(&parse_faults_args(&args("--hierarchy --shards 2")).expect("valid"));
+        assert_eq!(
+            (tree.shards, tree.tree, tree.cpus),
+            (2, Some(TreeShape::default()), 4)
+        );
+    }
+
+    #[test]
+    fn bridge_kinds_need_a_tree() {
+        for kind in [
+            "bridge-stall",
+            "bridge-kill",
+            "stale-tag",
+            "glitch,stale-tag",
+        ] {
+            let err = parse_faults_args(&args(&format!("--kind {kind}"))).unwrap_err();
+            assert!(err.contains("add --hierarchy"), "{kind}: {err}");
+            assert!(!err.contains('\n'), "one line: {err}");
+        }
+        // `all` names no bridge kind, and a tree takes every spelling.
+        assert!(parse_faults_args(&args("--kind all")).is_ok());
+        assert!(parse_faults_args(&args("--kind bridge-stall --hierarchy")).is_ok());
     }
 
     #[test]
@@ -483,8 +486,8 @@ mod tests {
     fn faults_depth_and_fanout_parse_and_require_hierarchy() {
         let cfg = parse_faults_args(&args("--hierarchy --depth 3 --fanout 4")).expect("valid");
         assert_eq!((cfg.depth, cfg.fanout), (3, 4));
-        let campaign = hierarchy_campaign_config(&cfg);
-        assert_eq!((campaign.depth, campaign.fanout), (3, 4));
+        let tree = campaign_config(&cfg).tree.expect("a tree campaign");
+        assert_eq!((tree.depth, tree.fanout), (3, 4));
         let defaults = parse_faults_args(&args("--hierarchy")).expect("valid");
         assert_eq!((defaults.depth, defaults.fanout), (2, 2));
         assert!(parse_faults_args(&args("--depth 3"))

@@ -12,10 +12,7 @@ use futurebus::fault::{FaultConfig, FaultKind, FaultPlan};
 use futurebus::RetryPolicy;
 use moesi::protocols::MoesiPreferred;
 use moesi::LineState;
-use mpsim::{
-    run_campaign, run_hierarchy_campaign, run_liveness_probe, CampaignConfig, FaultClass,
-    HierarchyCampaignConfig, SystemBuilder,
-};
+use mpsim::{run_campaign, run_liveness_probe, CampaignConfig, FaultClass, SystemBuilder};
 
 fn campaign() -> CampaignConfig {
     // The default config: moesi, dragon, write-through and berkeley machines
@@ -268,10 +265,10 @@ fn hierarchy_campaign_degrades_gracefully_and_balances_the_ledger() {
     // >= 4 protocols x 2 clusters with zero silent corruption, every dirty
     // line at a bridge kill either salvaged or reported lost, and zero
     // liveness violations on in-budget (non-adversarial) storms.
-    let cfg = HierarchyCampaignConfig::default();
-    let report = run_hierarchy_campaign(&cfg).expect("campaign runs");
+    let cfg = CampaignConfig::hierarchy();
+    let report = run_campaign(&cfg).expect("campaign runs");
     let tally = report.tally();
-    assert!(cfg.protocols.len() >= 4 && cfg.clusters >= 2);
+    assert!(cfg.protocols.len() >= 4 && cfg.tree.is_some_and(|t| t.clusters >= 2));
     assert!(
         tally.injected() >= 1000,
         "only {} faults injected",
@@ -285,8 +282,8 @@ fn hierarchy_campaign_degrades_gracefully_and_balances_the_ledger() {
     assert_eq!(report.liveness_violations(), 0, "{report}");
     for run in &report.runs {
         assert_eq!(
-            run.salvaged_lines + run.lost_lines,
-            run.dirty_at_retire,
+            run.tree.salvaged_lines + run.tree.lost_lines,
+            run.tree.dirty_at_retire,
             "{}: salvaged + lost must equal the dirty lines owned at kill time",
             run.protocol
         );

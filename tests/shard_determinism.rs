@@ -13,7 +13,7 @@ use bench::sweep::{
 use bench::{strip_host, Host};
 use futurebus::Discipline;
 use moesi::Protocol;
-use mpsim::{campaign_report_json, run_campaign, CampaignConfig};
+use mpsim::{campaign_report_json, run_campaign, CampaignConfig, TreeShape};
 
 const SEEDS: [u64; 3] = [1, 7, 42];
 
@@ -176,25 +176,39 @@ fn scaling_sweep_agrees_with_the_plain_sharded_sweep() {
 
 #[test]
 fn sharded_fault_campaign_is_byte_identical_across_worker_counts() {
-    for seed in SEEDS {
-        let base = CampaignConfig {
-            protocols: vec!["moesi".into(), "berkeley".into()],
-            steps: 300,
-            seed,
-            jobs: 1,
-            ..CampaignConfig::default()
-        };
-        let one = run_campaign(&CampaignConfig {
-            shards: 1,
-            ..base.clone()
-        })
-        .unwrap();
-        let four = run_campaign(&CampaignConfig { shards: 4, ..base }).unwrap();
-        assert_eq!(
-            campaign_report_json(&one),
-            campaign_report_json(&four),
-            "seed {seed}: campaign diverged"
-        );
+    // The flat bus, and a 2x2 tree through the same region partition.
+    for tree in [None, Some(TreeShape::default())] {
+        for seed in SEEDS {
+            let base = CampaignConfig {
+                protocols: vec!["moesi".into(), "berkeley".into()],
+                steps: 300,
+                seed,
+                jobs: 1,
+                ..CampaignConfig::default()
+            };
+            let base = match tree {
+                None => base,
+                Some(_) => CampaignConfig {
+                    tree,
+                    cpus: 2,
+                    faults: CampaignConfig::hierarchy().faults,
+                    ..base
+                },
+            };
+            let one = run_campaign(&CampaignConfig {
+                shards: 1,
+                ..base.clone()
+            })
+            .unwrap();
+            let four = run_campaign(&CampaignConfig { shards: 4, ..base }).unwrap();
+            assert_eq!(
+                campaign_report_json(&one),
+                campaign_report_json(&four),
+                "seed {seed}, tree {tree:?}: campaign diverged"
+            );
+            assert!(one.tally().injected() > 0, "seed {seed}, tree {tree:?}");
+            assert_eq!(one.tally().silent(), 0, "seed {seed}, tree {tree:?}");
+        }
     }
 }
 
