@@ -163,6 +163,15 @@ json_ok "$work/deep.1" "deep hierarchy faults"
 cmp "$work/deep.1" tests/fixtures/faults/deep.json \
   || { echo "deep hierarchy faults diverged from tests/fixtures/faults/deep.json" >&2; exit 1; }
 
+echo "==> default simulator output matches the committed fixtures (flat and clusters)"
+./target/release/moesi-sim --protocol moesi,dragon,write-through,non-caching \
+    --workload general --steps 500 --seed 7 --check --census --trace 8 > "$work/sim_flat"
+cmp "$work/sim_flat" tests/fixtures/simulate/flat.txt \
+  || { echo "moesi-sim diverged from tests/fixtures/simulate/flat.txt" >&2; exit 1; }
+./target/release/moesi-sim --clusters 2x2 --steps 300 --seed 7 --check > "$work/sim_clusters"
+cmp "$work/sim_clusters" tests/fixtures/simulate/clusters.txt \
+  || { echo "moesi-sim --clusters diverged from tests/fixtures/simulate/clusters.txt" >&2; exit 1; }
+
 echo "==> policy tables match the committed fixture (paper Tables 3-7)"
 ./target/release/moesi-sim table > "$work/tables"
 cmp "$work/tables" tests/fixtures/tables/paper_tables.txt \

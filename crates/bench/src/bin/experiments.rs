@@ -33,10 +33,10 @@ fn e2_sharing_sweep() {
                 line_size: LINE as u64,
                 ..SharingModel::default()
             };
-            let mut streams: Vec<Box<dyn RefStream + Send>> = (0..CPUS)
+            let streams: Vec<Box<dyn RefStream + Send>> = (0..CPUS)
                 .map(|cpu| Box::new(DuboisBriggs::new(cpu, model, 11)) as _)
                 .collect();
-            sys.run(&mut streams, STEPS);
+            sys.run(&mut [streams], STEPS);
             results.push(sys.bus_stats().busy_ns as f64 / 1000.0);
         }
         let winner = if results[0] <= results[1] {
@@ -93,10 +93,10 @@ fn e4_puzak_ablation() {
             p_rereference: 0.2,
             line_size: LINE as u64,
         };
-        let mut streams: Vec<Box<dyn RefStream + Send>> = (0..CPUS)
+        let streams: Vec<Box<dyn RefStream + Send>> = (0..CPUS)
             .map(|cpu| Box::new(DuboisBriggs::new(cpu, model, 5)) as _)
             .collect();
-        sys.run(&mut streams, STEPS);
+        sys.run(&mut [streams], STEPS);
         let t = sys.total_stats();
         println!(
             "{:>24} {:>10.1} {:>10} {:>12} {:>12}",
@@ -130,8 +130,7 @@ fn e5_timing_sensitivity() {
         let mut results = Vec::new();
         for protocol in ["moesi-invalidating", "illinois"] {
             let mut sys = homogeneous_system(protocol, CPUS, 4096, LINE, timing, true);
-            let mut streams = workload_streams("ping-pong", CPUS, LINE, 3);
-            sys.run(&mut streams, STEPS);
+            sys.run(&mut [workload_streams("ping-pong", CPUS, LINE, 3)], STEPS);
             results.push(sys.bus_stats().busy_ns as f64 / 1000.0);
         }
         println!(
@@ -160,9 +159,9 @@ fn e6_line_size_sweep() {
     );
     for line in [8usize, 16, 32, 64, 128] {
         let mut sys = homogeneous_system("moesi", 1, 4096, line, TimingConfig::default(), true);
-        let mut streams: Vec<Box<dyn RefStream + Send>> =
+        let streams: Vec<Box<dyn RefStream + Send>> =
             vec![Box::new(Sequential::new(0, 4, 8192, 0.2, 9))];
-        sys.run(&mut streams, 4_000);
+        sys.run(&mut [streams], 4_000);
         let t = sys.total_stats();
         println!(
             "{:>10} {:>9.1}% {:>14} {:>12}",

@@ -243,14 +243,14 @@ fn hierarchy_one(cfg: &HierarchyBenchConfig, cell: &Cell) -> HierarchyRow {
     sys.run(&mut streams, cfg.steps);
     let host_ns = host.elapsed().as_nanos() as u64;
 
-    let root = *sys.parent_stats();
+    let root = *sys.bus_stats();
     let (mut leaf_transactions, mut leaf_busy_ns) = (0u64, 0u64);
     for leaf in 0..leaves {
         let s = sys.leaf_fabric(leaf).bus().stats();
         leaf_transactions += s.transactions;
         leaf_busy_ns += s.busy_ns;
     }
-    let hist = sys.parent_bus().phase_histograms();
+    let hist = sys.bus().phase_histograms();
     let (mut snooped, mut filter_hits, mut forwarded, mut suppressed) = (0u64, 0u64, 0u64, 0u64);
     for bridge in sys.bridges_preorder() {
         let s = bridge.stats();

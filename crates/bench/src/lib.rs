@@ -290,8 +290,7 @@ pub struct ComparisonRow {
 #[must_use]
 pub fn compare_one(protocol: &str, workload: &str, cpus: usize, steps: u64) -> ComparisonRow {
     let mut sys = homogeneous_system(protocol, cpus, 4096, LINE, TimingConfig::default(), true);
-    let mut streams = workload_streams(workload, cpus, LINE, 7);
-    sys.run(&mut streams, steps);
+    sys.run(&mut [workload_streams(workload, cpus, LINE, 7)], steps);
     sys.verify().expect("consistent");
     let t = sys.total_stats();
     let b = sys.bus_stats();

@@ -143,8 +143,8 @@ impl fmt::Display for Violation {
 
 impl std::error::Error for Violation {}
 
-/// A machine the oracle audits incrementally: the flat bus's
-/// [`Fabric`](crate::Fabric) or a fabric tree's root segment.
+/// A machine the oracle audits incrementally: a bare
+/// [`Fabric`](crate::Fabric), or a [`System`](crate::System)'s root node.
 pub(crate) trait Audited {
     /// Moves the lines the machine changed since the last drain into `out`;
     /// true when a change was too broad to log line by line.
@@ -184,7 +184,8 @@ pub struct Checker {
     /// The lines the next incremental audit re-checks: the oracle's own
     /// writes, then the machine's drained logs. Kept for its capacity.
     audit_lines: Vec<u64>,
-    /// Whether the next [`audit`](Checker::audit) must re-check every line.
+    /// Whether the next [`check_changes`](Checker::check_changes) must
+    /// re-check every line.
     full_audit: bool,
 }
 
@@ -206,19 +207,21 @@ impl Checker {
         }
     }
 
-    /// Records a committed processor write (the run loop is the serialisation
-    /// point, standing in for the bus plus local cache order). A line's first
-    /// write zero-fills the rest of it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the write crosses a line boundary.
+    /// Records a committed processor write of any alignment (the run loop
+    /// is the serialisation point, standing in for the bus plus local cache
+    /// order). A line's first write zero-fills the rest of it.
     pub fn record_write(&mut self, addr: u64, bytes: &[u8]) {
-        let line = self.golden.align(addr);
-        if self.logging {
-            self.audit_lines.push(line);
+        let mut rest = bytes;
+        for (piece_addr, len) in split_line_crossers(addr, bytes.len(), self.golden.line_size()) {
+            let (piece, tail) = rest.split_at(len);
+            rest = tail;
+            let line = self.golden.align(piece_addr);
+            if self.logging {
+                self.audit_lines.push(line);
+            }
+            self.golden
+                .write_bytes(line, (piece_addr - line) as usize, piece);
         }
-        self.golden.write_bytes(line, (addr - line) as usize, bytes);
     }
 
     /// The golden line containing `addr`, borrowed, and whether it was ever
@@ -274,7 +277,7 @@ impl Checker {
 
     /// Starts (or stops) logging the lines [`record_write`] touches, for an
     /// incremental audit. Changes made while the log was off are unknown, so
-    /// the next [`audit`](Checker::audit) re-checks every line.
+    /// the next [`check_changes`](Checker::check_changes) re-checks every line.
     ///
     /// [`record_write`]: Checker::record_write
     pub(crate) fn track_changes(&mut self, on: bool) {
@@ -283,23 +286,23 @@ impl Checker {
         self.full_audit = true;
     }
 
-    /// Makes the next [`audit`](Checker::audit) a full one.
+    /// Makes the next [`check_changes`](Checker::check_changes) a full one.
     pub(crate) fn force_full_audit(&mut self) {
         self.full_audit = true;
     }
 
-    /// The per-access audit of `machine`, shared by both machines. A line's
-    /// invariants depend only on its own state and the previous audit
-    /// passed, so re-checking the lines the oracle and the machine logged
-    /// reports exactly what a full audit would; unloggable changes and a
-    /// failed audit fall back to the full one. Debug builds assert as much.
+    /// The per-access audit of `machine`. A line's invariants depend only on
+    /// its own state and the previous audit passed, so re-checking the
+    /// lines the oracle and the machine logged reports exactly what a full
+    /// audit would; unloggable changes and a failed audit fall back to the
+    /// full one. Debug builds assert as much.
     /// An access that changed nothing costs a drain of each empty log, and
     /// every audit, full or not, reuses one list of lines.
     ///
     /// # Errors
     ///
     /// Returns the first violation among the audited lines.
-    pub(crate) fn audit(&mut self, machine: &mut impl Audited) -> Result<(), Violation> {
+    pub(crate) fn check_changes(&mut self, machine: &mut impl Audited) -> Result<(), Violation> {
         let mut lines = std::mem::take(&mut self.audit_lines);
         let full = std::mem::take(&mut self.full_audit) | machine.drain_changed_lines(&mut lines);
         let verdict = if full {
@@ -348,7 +351,7 @@ impl Checker {
             .try_for_each(|&line| machine.check_line(self, line))
     }
 
-    /// Every invariant of the flat bus `fabric` over every line.
+    /// Every invariant of the bus `fabric` over every line.
     ///
     /// # Errors
     ///
@@ -559,8 +562,8 @@ impl Holders for Caches<'_> {
     }
 }
 
-/// The flat bus: one segment whose holders are its caches and whose memory
-/// is main memory.
+/// One bus: a segment whose holders are its caches and whose memory is main
+/// memory.
 impl Audited for Fabric {
     fn drain_changed_lines(&mut self, out: &mut Vec<u64>) -> bool {
         self.drain_changes(out)
@@ -681,10 +684,14 @@ mod tests {
         fabric.track_changes(true);
         let mut ck = Checker::new(16);
         ck.track_changes(true);
-        assert_eq!(ck.audit(&mut fabric), Ok(()), "the first, full audit");
+        assert_eq!(
+            ck.check_changes(&mut fabric),
+            Ok(()),
+            "the first, full audit"
+        );
         ck.record_write(0x104, &[1]);
         assert_eq!(
-            ck.audit(&mut fabric),
+            ck.check_changes(&mut fabric),
             Err(Violation::StaleMemory { addr: 0x100 })
         );
     }

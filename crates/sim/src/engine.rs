@@ -1,7 +1,6 @@
-//! The cycle-stamped discrete-event core that runs every machine: the flat
-//! [`System`](crate::System) and the fabric tree
-//! ([`HierarchicalSystem`](crate::hierarchy::HierarchicalSystem)) both
-//! drive their lanes through [`drive`].
+//! The cycle-stamped discrete-event core that runs every machine: a
+//! [`System`](crate::System), one bus or a fabric tree, drives its lanes
+//! through [`drive`].
 //!
 //! The engine models the machine as a set of *lanes* (one per processor),
 //! each with a private cycle clock, coupled only through the shared bus. The

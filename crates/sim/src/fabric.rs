@@ -1,12 +1,11 @@
-//! The access engine shared by [`System`](crate::System) and the §6
-//! multi-bus [`hierarchy`](crate::hierarchy): one Futurebus plus its attached
-//! controllers, and the master-side sequencing that turns processor accesses
-//! into protocol consultations and bus transactions.
+//! The access engine of every bus with caches on it: one Futurebus plus its
+//! attached controllers, and the master-side sequencing that turns processor
+//! accesses into protocol consultations and bus transactions.
 //!
 //! `Fabric` is deliberately oracle-free and workload-free — it is the
-//! machine, not the experiment. `System` wraps it with the consistency
-//! checker; a [`Bridge`](crate::hierarchy::Bridge) wraps it with a cluster
-//! directory.
+//! machine, not the experiment. A [`System`](crate::System) whose root is a
+//! leaf wraps one with the consistency checker; a
+//! [`Bridge`](crate::hierarchy::Bridge) fronts one with a cluster directory.
 
 use cache_array::{split_line_crossers, Victim};
 use futurebus::{Futurebus, TimingConfig, TransactionOutcome, TransactionRequest};
@@ -228,25 +227,6 @@ impl Fabric {
         }
     }
 
-    /// Writes `bytes` at `addr` for processor `cpu`, splitting line crossers.
-    /// Calls `on_piece(line_addr, piece)` before each per-line write — the
-    /// checker's serialisation hook.
-    pub fn write_with<F: FnMut(u64, &[u8])>(
-        &mut self,
-        cpu: usize,
-        addr: u64,
-        bytes: &[u8],
-        mut on_piece: F,
-    ) {
-        let mut cursor = 0;
-        for (piece_addr, piece_len) in split_line_crossers(addr, bytes.len(), self.line_size) {
-            let piece = &bytes[cursor..cursor + piece_len];
-            cursor += piece_len;
-            on_piece(piece_addr, piece);
-            self.write_piece(cpu, piece_addr, piece);
-        }
-    }
-
     /// Pushes a dirty line to memory while keeping the copy (Table 1,
     /// note 3). No-op unless node `cpu` holds the line in an owned state.
     pub fn pass(&mut self, cpu: usize, addr: u64) -> bool {
@@ -294,6 +274,34 @@ impl Fabric {
         true
     }
 
+    /// Passes `line` from whichever cache owns it; false when none does.
+    pub(crate) fn pass_owner(&mut self, line: u64) -> bool {
+        let owner = (0..self.nodes()).find(|&cpu| self.controllers[cpu].state_of(line).is_owned());
+        owner.is_some_and(|cpu| self.pass(cpu, line))
+    }
+
+    /// §6's consistency command on this bus: every owned line, in cache
+    /// order, is passed by its owner, so memory holds the whole shared
+    /// image. Returns the lines pushed.
+    pub(crate) fn push_owned(&mut self) -> usize {
+        // Collect first: pushing changes the caches' states, not residency.
+        let owned: Vec<u64> = self
+            .controllers
+            .iter()
+            .filter_map(CacheController::cache)
+            .flat_map(|cache| {
+                cache
+                    .iter()
+                    .filter(|(_, e)| e.state.is_owned())
+                    .map(|(addr, _)| addr)
+            })
+            .collect();
+        owned
+            .into_iter()
+            .filter(|&line| self.pass_owner(line))
+            .count()
+    }
+
     /// Copies node `cpu`'s resident `line` into the outgoing buffer, as a pass
     /// or flush reads it (marking it most-recently-used).
     fn copy_outgoing(&mut self, cpu: usize, line: u64) {
@@ -322,16 +330,21 @@ impl Fabric {
         }
     }
 
-    /// [`Fabric::write_with`] without the serialisation hook, with the
-    /// single-line case short-circuited: the event engine's hot path when no
-    /// checker is recording writes. Byte-identical side effects.
+    /// Writes `bytes` at `addr` for processor `cpu`, splitting line crossers,
+    /// with the single-line case short-circuited. An oracle records the
+    /// whole write before it is issued
+    /// ([`Checker::record_write`](crate::Checker::record_write)).
     pub fn write_fast(&mut self, cpu: usize, addr: u64, bytes: &[u8]) {
         let line = self.line_addr(addr);
         if addr - line + bytes.len() as u64 <= self.line_size as u64 {
             self.write_piece(cpu, addr, bytes);
             return;
         }
-        self.write_with(cpu, addr, bytes, |_, _| {});
+        let mut cursor = 0;
+        for (piece_addr, piece_len) in split_line_crossers(addr, bytes.len(), self.line_size) {
+            self.write_piece(cpu, piece_addr, &bytes[cursor..cursor + piece_len]);
+            cursor += piece_len;
+        }
     }
 
     fn read_piece_dataless(&mut self, cpu: usize, addr: u64, len: usize) {
@@ -530,7 +543,7 @@ mod tests {
     #[test]
     fn external_master_snoops_everyone() {
         let mut f = fabric(2);
-        f.write_with(0, 0x100, &[7; 4], |_, _| {});
+        f.write_fast(0, 0x100, &[7; 4]);
         assert_eq!(f.controller(0).state_of(0x100), LineState::Modified);
         // An external (bridge) read demotes the owner and extracts the line.
         let req = TransactionRequest::read(f.external_master(), 0x100, MasterSignals::CA);
@@ -585,7 +598,7 @@ mod tests {
             ..FaultConfig::default()
         }));
         assert_eq!(f.read(0, 0x100, 4), vec![7; 4], "memory-direct fallback");
-        f.write_with(1, 0x200, &[9; 4], |_, _| {});
+        f.write_fast(1, 0x200, &[9; 4]);
         assert_eq!(f.read(1, 0x200, 4), vec![9; 4]);
         let errors = f.drain_bus_errors();
         assert!(!errors.is_empty());
@@ -623,7 +636,7 @@ mod tests {
         f.bus_mut().memory_mut().write_bytes(0x100, 0, &[7; 4]);
         f.tolerate_bus_errors(true);
         assert_eq!(f.read(0, 0x100, 4), vec![7; 4], "memory-direct read");
-        f.write_with(0, 0x200, &[9; 4], |_, _| {});
+        f.write_fast(0, 0x200, &[9; 4]);
         assert_eq!(f.read(0, 0x200, 4), vec![9; 4], "memory absorbed the write");
         let errors = f.drain_bus_errors();
         assert!(errors.len() >= 2, "{errors:?}");
@@ -661,7 +674,7 @@ mod tests {
     /// Writes `[9; 4]` at 0x200 on `f`: the write must land in memory, the
     /// line must stay uncached, and one error naming `what` is logged.
     fn assert_write_degrades(mut f: Fabric, what: &str) {
-        f.write_with(0, 0x200, &[9; 4], |_, _| {});
+        f.write_fast(0, 0x200, &[9; 4]);
         assert_eq!(&f.bus().memory().peek(0x200)[..4], &[9; 4], "memory-direct");
         assert_eq!(f.controller(0).state_of(0x200), LineState::Invalid);
         let errors = f.drain_bus_errors();
@@ -758,7 +771,7 @@ mod tests {
             Some(CacheConfig::new(1024, 32, 2, ReplacementKind::Lru)),
             1,
         );
-        f.write_with(0, 0x100, &[7; 4], |_, _| {});
+        f.write_fast(0, 0x100, &[7; 4]);
         let _ = f.read(1, 0x100, 4);
         assert_eq!(f.controller(0).state_of(0x100), LineState::Owned);
         let txns = f.bus().stats().transactions;
@@ -771,13 +784,12 @@ mod tests {
     }
 
     #[test]
-    fn write_with_hook_sees_each_piece() {
+    fn a_line_crossing_write_lands_in_both_lines() {
         let mut f = fabric(1);
-        let mut pieces = Vec::new();
         let bytes: Vec<u8> = (0..40).collect();
-        f.write_with(0, 0x100 - 8, &bytes, |addr, piece| {
-            pieces.push((addr, piece.len()));
-        });
-        assert_eq!(pieces, vec![(0x100 - 8, 8), (0x100, 32)]);
+        f.write_fast(0, 0x100 - 8, &bytes);
+        assert_eq!(f.read(0, 0x100 - 8, 40), bytes);
+        assert!(f.controller(0).state_of(0x100 - 32).is_valid());
+        assert!(f.controller(0).state_of(0x100).is_valid());
     }
 }

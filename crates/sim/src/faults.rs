@@ -22,7 +22,7 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::fault::{FaultConfig, FaultKind, FaultPlan, FaultRecord, InjectedFault};
-use futurebus::{BusStats, Futurebus, PhaseHistograms, RetryPolicy, SparseMemory, TimingConfig};
+use futurebus::{BusStats, Futurebus, PhaseHistograms, RetryPolicy, SparseMemory};
 use moesi::json::{array_u64, JsonObject};
 use moesi::protocols::by_name;
 use moesi::rng::SmallRng;
@@ -30,10 +30,9 @@ use moesi::{CacheKind, PolicyTable, Protocol, TablePolicy};
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::checker::{Checker, Violation};
-use crate::controller::CacheController;
-use crate::fabric::Fabric;
-use crate::hierarchy::{HierarchicalSystem, ParentError, TreeBuilder};
+use crate::checker::Checker;
+use crate::hierarchy::{ParentError, TreeBuilder};
+use crate::system::{System, SystemBuilder};
 
 /// How a campaign classified one injected fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -561,10 +560,8 @@ pub(crate) struct CampaignStep {
     /// The original step index (kept so violation messages name the same
     /// step sharded or not).
     step: u64,
-    /// The leaf cluster issuing the access (0 on a flat bus).
-    leaf: usize,
-    /// The processor within that leaf.
-    pub(crate) cpu: usize,
+    /// The processor issuing the access, by lane.
+    lane: usize,
     pub(crate) addr: u64,
     /// `Some(byte)` writes `[byte; 4]`; `None` reads 4 bytes.
     pub(crate) write_byte: Option<u8>,
@@ -593,8 +590,7 @@ pub(crate) fn plan_schedule(cfg: &CampaignConfig, run_idx: u64) -> Vec<CampaignS
             let write_byte = rng.gen_bool(0.5).then(|| rng.gen_range(0u16..256) as u8);
             CampaignStep {
                 step,
-                leaf,
-                cpu,
+                lane: leaf * cfg.cpus + cpu,
                 addr,
                 write_byte,
             }
@@ -620,180 +616,116 @@ fn node(
     Ok((protocol, cache))
 }
 
-/// The campaign's flat machine for protocol `name`, without a fault plan:
-/// `cfg.cpus` nodes on one bus that records bus errors as detected damage
-/// instead of dying on them (errored accesses degrade to a memory-direct
-/// fallback and any staleness they cause is the oracle's to flag).
+/// The campaign's machine for protocol `name`, without a fault plan:
+/// `cfg.cpus` nodes on one bus, or on each leaf of `cfg.tree`. It runs in
+/// tolerant mode: bus errors are recorded as detected damage instead of
+/// killing the run (errored accesses degrade to a memory-direct fallback and
+/// any staleness they cause is the oracle's to flag), and the oracle stays
+/// outside, with the campaign, which reconciles reported damage first and
+/// then runs it, so only unreported divergence counts as silent.
 ///
 /// # Errors
 ///
 /// Returns a message when `name` is unknown.
-pub(crate) fn flat_fabric(cfg: &CampaignConfig, name: &str) -> Result<Fabric, String> {
-    let controllers = (0..cfg.cpus)
-        .map(|id| {
-            let (protocol, cache) = node(cfg, name, id)?;
-            Ok(CacheController::new(
-                id,
-                protocol,
-                cache,
-                cfg.seed.wrapping_add(id as u64),
-            ))
-        })
-        .collect::<Result<_, String>>()?;
-    let mut fabric = Fabric::new(cfg.line_size, TimingConfig::default(), controllers);
-    fabric.tolerate_bus_errors(true);
-    Ok(fabric)
-}
-
-/// Issues `s` on the flat `fabric`, returning a read's bytes.
-pub(crate) fn issue(fabric: &mut Fabric, s: &CampaignStep) -> Option<Vec<u8>> {
-    match s.write_byte {
-        Some(byte) => {
-            fabric.write_with(s.cpu, s.addr, &[byte; 4], |_, _| {});
-            None
-        }
-        None => Some(fabric.read(s.cpu, s.addr, 4)),
-    }
-}
-
-/// The machine one campaign run drives: a flat bus, or a fabric tree with
-/// the path of each leaf. The oracle stays outside, with the campaign.
-enum Machine {
-    Flat(Box<Fabric>),
-    Tree(Box<HierarchicalSystem>, Vec<Vec<usize>>),
-}
-
-impl Machine {
-    /// Builds `name`'s machine with its fault plans installed, from the
-    /// plan seed `fault_seed`.
-    fn build(
-        cfg: &CampaignConfig,
-        name: &str,
-        run_idx: u64,
-        fault_seed: u64,
-    ) -> Result<Machine, String> {
-        let plan = FaultConfig {
-            seed: fault_seed,
-            ..cfg.faults
-        };
-        let Some(t) = cfg.tree else {
-            let mut fabric = flat_fabric(cfg, name)?;
-            fabric.bus_mut().inject_faults(FaultPlan::new(plan));
-            return Ok(Machine::Flat(Box::new(fabric)));
-        };
-        node(cfg, name, 0)?;
-        // Tolerant mode: the campaign owns verification — reported damage
-        // is reconciled first, then the oracle runs, so only unreported
-        // divergence counts as silent.
-        let mut sys = TreeBuilder::uniform(
+pub(crate) fn campaign_machine(
+    cfg: &CampaignConfig,
+    name: &str,
+    run_idx: u64,
+) -> Result<System, String> {
+    node(cfg, name, 0)?;
+    let mk = |_, cpu| node(cfg, name, cpu).expect("validated above");
+    let mut sys = match cfg.tree {
+        None => (0..cfg.cpus)
+            .fold(
+                SystemBuilder::new(cfg.line_size).seed(cfg.seed),
+                |b, cpu| match mk(0, cpu) {
+                    (protocol, Some(cache)) => b.cache(protocol, cache),
+                    (protocol, None) => b.uncached(protocol),
+                },
+            )
+            .build(),
+        Some(t) => TreeBuilder::uniform(
             cfg.line_size,
             t.clusters,
             t.depth,
             // Unused at depth 2, where it is not validated.
             t.fanout.max(1),
             cfg.cpus,
-            |_, cpu| node(cfg, name, cpu).expect("validated above"),
+            mk,
         )
         .seed(cfg.seed.wrapping_add(run_idx))
-        .build();
-        sys.tolerate_faults(true);
-        let root = sys.parent_bus_mut();
-        root.inject_faults(FaultPlan::new(FaultConfig {
-            bridges: true,
-            ..plan
-        }));
-        root.enable_liveness(LIVENESS_DEADLINE);
-        for leaf in 0..sys.leaves() {
-            sys.leaf_fabric_mut(leaf)
-                .bus_mut()
-                .inject_faults(FaultPlan::new(FaultConfig {
-                    seed: fault_seed.wrapping_add((leaf as u64 + 1) << 32),
-                    glitch_rate: plan.glitch_rate,
-                    storm_rate: plan.storm_rate,
-                    max_storm_rounds: plan.max_storm_rounds,
-                    ..FaultConfig::default()
-                }));
-        }
-        let paths = sys.leaf_paths();
-        Ok(Machine::Tree(Box::new(sys), paths))
-    }
+        .build(),
+    };
+    sys.tolerate_faults(true);
+    Ok(sys)
+}
 
-    /// Buses with a fault plan: the root, then the leaves in leaf order (a
-    /// flat bus is both).
-    fn buses(&self) -> usize {
-        match self {
-            Machine::Flat(_) => 1,
-            Machine::Tree(_, paths) => 1 + paths.len(),
-        }
+/// Builds `name`'s campaign machine with its fault plans installed, from the
+/// plan seed `fault_seed`: one plan on a single bus; on a tree the root's
+/// targets bridges, under a liveness watchdog, and each leaf bus gets a
+/// derived glitch/storm-only plan.
+fn faulty_machine(
+    cfg: &CampaignConfig,
+    name: &str,
+    run_idx: u64,
+    fault_seed: u64,
+) -> Result<System, String> {
+    let mut sys = campaign_machine(cfg, name, run_idx)?;
+    let plan = FaultConfig {
+        seed: fault_seed,
+        ..cfg.faults
+    };
+    if cfg.tree.is_none() {
+        sys.bus_mut().inject_faults(FaultPlan::new(plan));
+        return Ok(sys);
     }
-
-    /// Bus `bus` in [`buses`](Machine::buses) order.
-    fn bus_mut(&mut self, bus: usize) -> &mut Futurebus {
-        match (self, bus) {
-            (Machine::Flat(fabric), _) => fabric.bus_mut(),
-            (Machine::Tree(sys, _), 0) => sys.parent_bus_mut(),
-            (Machine::Tree(sys, _), leaf) => sys.leaf_fabric_mut(leaf - 1).bus_mut(),
-        }
+    let root = sys.bus_mut();
+    root.inject_faults(FaultPlan::new(FaultConfig {
+        bridges: true,
+        ..plan
+    }));
+    root.enable_liveness(LIVENESS_DEADLINE);
+    for leaf in 0..sys.leaves() {
+        sys.leaf_fabric_mut(leaf)
+            .bus_mut()
+            .inject_faults(FaultPlan::new(FaultConfig {
+                seed: fault_seed.wrapping_add((leaf as u64 + 1) << 32),
+                glitch_rate: plan.glitch_rate,
+                storm_rate: plan.storm_rate,
+                max_storm_rounds: plan.max_storm_rounds,
+                ..FaultConfig::default()
+            }));
     }
+    Ok(sys)
+}
 
-    /// Issues `s`, returning a read's bytes.
-    fn access(&mut self, s: &CampaignStep) -> Option<Vec<u8>> {
-        match self {
-            Machine::Flat(fabric) => issue(fabric, s),
-            Machine::Tree(sys, paths) => {
-                // Inclusion-tag soft errors are injected by the campaign
-                // itself (the directory RAM is not in any transaction's
-                // fault path) and scrubbed immediately: ECC detection
-                // precedes use, so no coherence action ever trusts a corrupt
-                // tag. The scrubber reconstructs the tag from cluster
-                // evidence alone; the record still gets a verdict.
-                if let Some((bridge, line)) = sys.corrupt_inclusion_tag() {
-                    let _ = sys.scrub_inclusion_tag(bridge, line);
-                }
-                let path = &paths[s.leaf];
-                match s.write_byte {
-                    Some(byte) => {
-                        sys.write_at(path, s.cpu, s.addr, &[byte; 4]);
-                        None
-                    }
-                    None => Some(sys.read_at(path, s.cpu, s.addr, 4)),
-                }
-            }
-        }
+/// Bus `bus` of `sys` in fault-drain order: the root, then each leaf bus
+/// below it.
+fn fault_bus(sys: &mut System, bus: usize) -> &mut Futurebus {
+    match bus {
+        0 => sys.bus_mut(),
+        leaf => sys.leaf_fabric_mut(leaf - 1).bus_mut(),
     }
+}
 
-    /// The leaf buses' errors since the last drain.
-    fn drain_bus_errors(&mut self) -> Vec<String> {
-        match self {
-            Machine::Flat(fabric) => fabric.drain_bus_errors(),
-            Machine::Tree(sys, _) => sys.drain_cluster_bus_errors(),
-        }
+/// Issues `s` on the campaign machine `sys`, returning a read's bytes.
+///
+/// Inclusion-tag soft errors are injected by the campaign itself (the
+/// directory RAM is not in any transaction's fault path) and scrubbed
+/// immediately: ECC detection precedes use, so no coherence action ever
+/// trusts a corrupt tag. The scrubber reconstructs the tag from cluster
+/// evidence alone; the record still gets a verdict. A single bus has no
+/// tags to corrupt.
+pub(crate) fn access(sys: &mut System, s: &CampaignStep) -> Option<Vec<u8>> {
+    if let Some((bridge, line)) = sys.corrupt_inclusion_tag() {
+        let _ = sys.scrub_inclusion_tag(bridge, line);
     }
-
-    /// Every invariant over every line, against `checker`'s golden image.
-    fn verify(&self, checker: &Checker) -> Result<(), Violation> {
-        match self {
-            Machine::Flat(fabric) => checker.verify(fabric),
-            Machine::Tree(sys, _) => sys.verify_against(checker),
+    match s.write_byte {
+        Some(byte) => {
+            sys.write(s.lane, s.addr, &[byte; 4]);
+            None
         }
-    }
-
-    /// Fills in `run`'s end-of-run root-bus figures and tree extras.
-    fn finish(&mut self, run: &mut ProtocolRun) {
-        let root = self.bus_mut(0);
-        run.retired = root.retired();
-        run.bus_stats = *root.stats();
-        run.phase_hist = *root.phase_histograms();
-        if let Machine::Tree(sys, _) = self {
-            run.tree.degraded_clusters = sys.degraded_clusters();
-            run.tree.parent_errors = sys.parent_errors().to_vec();
-            for bridge in sys.bridges_preorder() {
-                let stats = bridge.stats();
-                run.tree.dirty_at_retire += stats.dirty_at_retire;
-                run.tree.salvaged_lines += stats.salvaged_lines;
-                run.tree.lost_lines += stats.lost_lines;
-            }
-        }
+        None => Some(sys.read(s.lane, s.addr, 4)),
     }
 }
 
@@ -806,13 +738,19 @@ fn execute_schedule(
     fault_seed: u64,
     schedule: &[CampaignStep],
 ) -> Result<ProtocolRun, String> {
-    let mut machine = Machine::build(cfg, name, run_idx, fault_seed)?;
+    let mut sys = faulty_machine(cfg, name, run_idx, fault_seed)?;
     let mut checker = Checker::new(cfg.line_size);
     let mut run = ProtocolRun {
         protocol: name.to_string(),
         ..ProtocolRun::default()
     };
-    let mut cursors = vec![0usize; machine.buses()];
+    // A single bus is both the root and the only leaf.
+    let buses = if sys.depth() == 1 {
+        1
+    } else {
+        1 + sys.leaves()
+    };
+    let mut cursors = vec![0usize; buses];
 
     for s in schedule {
         // The run loop is the serialisation point: the oracle records a
@@ -820,15 +758,15 @@ fn execute_schedule(
         if let Some(byte) = s.write_byte {
             checker.record_write(s.addr, &[byte; 4]);
         }
-        let read_back = machine.access(s);
+        let read_back = access(&mut sys, s);
         run.accesses += 1;
-        run.bus_errors.extend(machine.drain_bus_errors());
+        run.bus_errors.extend(sys.drain_bus_errors());
 
         // Drain the faults every bus injected during this access, reconcile
         // the reported damage, and classify.
         let first_new = run.verdicts.len();
         for (bus, cursor) in cursors.iter_mut().enumerate() {
-            let bus = machine.bus_mut(bus);
+            let bus = fault_bus(&mut sys, bus);
             let plan = bus.fault_plan().expect("plan installed at build");
             let new = plan.records()[*cursor..].to_vec();
             *cursor += new.len();
@@ -859,10 +797,9 @@ fn execute_schedule(
         // With all reported damage reconciled, anything still wrong is
         // silent corruption: the read must match the golden image and every
         // structural invariant must hold.
-        let lane = s.leaf * cfg.cpus + s.cpu;
         let broken = read_back
-            .and_then(|got| checker.check_read(lane, s.addr, &got).err())
-            .or_else(|| machine.verify(&checker).err());
+            .and_then(|got| checker.check_read(s.lane, s.addr, &got).err())
+            .or_else(|| sys.verify_against(&checker).err());
         if let Some(v) = broken {
             run.violations.push(format!("step {}: {v}", s.step));
             for verdict in &mut run.verdicts[first_new..] {
@@ -873,7 +810,17 @@ fn execute_schedule(
         }
     }
 
-    machine.finish(&mut run);
+    run.retired = sys.bus().retired();
+    run.bus_stats = *sys.bus_stats();
+    run.phase_hist = *sys.bus().phase_histograms();
+    run.tree.degraded_clusters = sys.degraded_clusters();
+    run.tree.parent_errors = sys.parent_errors().to_vec();
+    for bridge in sys.bridges_preorder() {
+        let stats = bridge.stats();
+        run.tree.dirty_at_retire += stats.dirty_at_retire;
+        run.tree.salvaged_lines += stats.salvaged_lines;
+        run.tree.lost_lines += stats.lost_lines;
+    }
     Ok(run)
 }
 
@@ -1067,11 +1014,12 @@ pub fn run_liveness_probe(seed: u64, steps: u64) -> Result<LivenessProbe, String
     };
     let mut outcomes = Vec::new();
     for (label, policy) in configs {
-        let mut fabric = flat_fabric(&machine, "moesi")?;
-        fabric.bus_mut().set_retry_policy(policy);
-        fabric.bus_mut().enable_liveness(2);
+        let mut sys = campaign_machine(&machine, "moesi", 0)?;
+        let bus = sys.bus_mut();
+        bus.set_retry_policy(policy);
+        bus.enable_liveness(2);
         // Every transaction storms for longer than the retry budget.
-        fabric.bus_mut().inject_faults(FaultPlan::new(FaultConfig {
+        bus.inject_faults(FaultPlan::new(FaultConfig {
             seed: seed ^ 0x57_0B,
             storm_rate: 1.0,
             max_storm_rounds: 32,
@@ -1085,11 +1033,11 @@ pub fn run_liveness_probe(seed: u64, steps: u64) -> Result<LivenessProbe, String
             let cpu = (step % 2) as usize;
             let addr = (step % 4) * 16;
             let byte = rng.gen_range(0u16..256) as u8;
-            fabric.write_with(cpu, addr, &[byte; 4], |_, _| {});
+            sys.write(cpu, addr, &[byte; 4]);
         }
-        let failed = fabric.drain_bus_errors().len() as u64;
-        let stats = fabric.bus().stats();
-        let monitor = fabric.bus().liveness().expect("liveness enabled above");
+        let failed = sys.drain_bus_errors().len() as u64;
+        let stats = sys.bus_stats();
+        let monitor = sys.bus().liveness().expect("liveness enabled above");
         let committed = (0..2).map(|m| monitor.progress(m).commits).sum();
         outcomes.push(LivenessOutcome {
             label: label.to_string(),

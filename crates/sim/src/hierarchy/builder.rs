@@ -8,10 +8,9 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use super::node::{Bridge, FabricNode, Segment};
-use super::HierarchicalSystem;
-use crate::checker::Checker;
 use crate::controller::CacheController;
 use crate::fabric::Fabric;
+use crate::system::System;
 
 /// One node specification: a protocol and (for caching nodes) its geometry.
 type NodeSpec = (Box<dyn Protocol + Send>, Option<CacheConfig>);
@@ -67,7 +66,11 @@ impl TreeSpec {
     /// protocol.
     #[must_use]
     pub fn cache(mut self, protocol: Box<dyn Protocol + Send>, config: CacheConfig) -> Self {
-        assert_ne!(protocol.kind(), CacheKind::NonCaching);
+        assert_ne!(
+            protocol.kind(),
+            CacheKind::NonCaching,
+            "use `uncached` for non-caching protocols"
+        );
         match &mut self.kind {
             TreeSpecKind::Leaf(nodes) => nodes.push((protocol, Some(config))),
             TreeSpecKind::Interior(_) => panic!("cache nodes belong to leaf clusters"),
@@ -82,7 +85,11 @@ impl TreeSpec {
     /// Panics when called on an interior spec or with a caching protocol.
     #[must_use]
     pub fn uncached(mut self, protocol: Box<dyn Protocol + Send>) -> Self {
-        assert_eq!(protocol.kind(), CacheKind::NonCaching);
+        assert_eq!(
+            protocol.kind(),
+            CacheKind::NonCaching,
+            "use `cache` for caching protocols"
+        );
         match &mut self.kind {
             TreeSpecKind::Leaf(nodes) => nodes.push((protocol, None)),
             TreeSpecKind::Interior(_) => panic!("cache nodes belong to leaf clusters"),
@@ -91,9 +98,9 @@ impl TreeSpec {
     }
 }
 
-/// Builds a [`HierarchicalSystem`] of arbitrary depth and fan-out: a fabric
-/// tree whose interior segments are buses of bridges and whose leaves are
-/// clusters of caches.
+/// Builds a [`System`] of arbitrary depth and fan-out: a fabric tree whose
+/// interior segments are buses of bridges and whose leaves are clusters of
+/// caches. [`SystemBuilder`](crate::SystemBuilder) builds the one-leaf case.
 ///
 /// # Examples
 ///
@@ -120,44 +127,36 @@ impl TreeSpec {
 /// ```
 #[derive(Debug)]
 pub struct TreeBuilder {
-    line_size: usize,
-    parent_timing: TimingConfig,
-    cluster_timing: TimingConfig,
+    pub(crate) line_size: usize,
+    /// Every bus's timing: only a single bus sets it
+    /// ([`SystemBuilder::timing`](crate::SystemBuilder::timing)).
+    pub(crate) timing: TimingConfig,
     checking: bool,
     seed: u64,
     discipline: Discipline,
     filter: bool,
-    children: Vec<TreeSpec>,
+    /// The root: an interior segment, or a single bus's leaf.
+    pub(crate) root: TreeSpec,
 }
 
 impl TreeBuilder {
     /// Starts a builder with the system-wide (§5.1) line size.
     #[must_use]
     pub fn new(line_size: usize) -> Self {
+        TreeBuilder::with_root(line_size, TreeSpec::interior(Vec::new()))
+    }
+
+    /// A builder whose machine's root is `root`.
+    pub(crate) fn with_root(line_size: usize, root: TreeSpec) -> Self {
         TreeBuilder {
             line_size,
-            parent_timing: TimingConfig::default(),
-            cluster_timing: TimingConfig::default(),
+            timing: TimingConfig::default(),
             checking: false,
             seed: 0xB0B,
             discipline: Discipline::Priority,
             filter: true,
-            children: Vec::new(),
+            root,
         }
-    }
-
-    /// Sets the timing of the root bus and every interior segment bus.
-    #[must_use]
-    pub fn parent_timing(mut self, timing: TimingConfig) -> Self {
-        self.parent_timing = timing;
-        self
-    }
-
-    /// Sets the leaf cluster-bus timing.
-    #[must_use]
-    pub fn cluster_timing(mut self, timing: TimingConfig) -> Self {
-        self.cluster_timing = timing;
-        self
     }
 
     /// Enables the global consistency oracle.
@@ -193,7 +192,10 @@ impl TreeBuilder {
     /// Adds a subtree to the root bus.
     #[must_use]
     pub fn child(mut self, spec: TreeSpec) -> Self {
-        self.children.push(spec);
+        match &mut self.root.kind {
+            TreeSpecKind::Interior(children) => children.push(spec),
+            TreeSpecKind::Leaf(_) => unreachable!("only a tree's root takes children"),
+        }
         self
     }
 
@@ -261,127 +263,101 @@ impl TreeBuilder {
         b
     }
 
-    /// Assembles the fabric tree.
+    /// Assembles the machine.
     ///
     /// # Panics
     ///
-    /// Panics when the tree has no children, a cluster is empty, or a cache
-    /// config's line size mismatches the system line size (§5.1).
+    /// Panics when the root or a segment has no children, a leaf has no
+    /// nodes, or a cache config's line size mismatches the system line size
+    /// (§5.1).
     #[must_use]
-    pub fn build(self) -> HierarchicalSystem {
-        let TreeBuilder {
-            line_size,
-            parent_timing,
-            cluster_timing,
-            checking,
-            seed,
-            discipline,
-            filter,
-            children,
-        } = self;
-        assert!(!children.is_empty(), "a hierarchy needs clusters");
-
-        #[allow(clippy::too_many_arguments)]
-        fn build_bridge(
-            spec: TreeSpec,
-            id: usize,
-            level: usize,
-            leaf: &mut usize,
-            line_size: usize,
-            parent_timing: TimingConfig,
-            cluster_timing: TimingConfig,
-            seed: u64,
-            filter: bool,
-            forward_logged: &Arc<AtomicBool>,
-        ) -> Bridge {
-            let node = match spec.kind {
-                TreeSpecKind::Leaf(nodes) => {
-                    assert!(!nodes.is_empty(), "cluster {id} is empty");
-                    let leaf_id = *leaf;
-                    *leaf += 1;
-                    let controllers: Vec<CacheController> = nodes
-                        .into_iter()
-                        .enumerate()
-                        .map(|(cpu, (protocol, cfg))| {
-                            if let Some(cfg) = &cfg {
-                                assert_eq!(
-                                    cfg.line_size, line_size,
-                                    "§5.1: all caches must use the system line size"
-                                );
-                            }
-                            CacheController::new(
-                                cpu,
-                                protocol,
-                                cfg,
-                                seed.wrapping_add((leaf_id as u64) << 16)
-                                    .wrapping_add(cpu as u64),
-                            )
-                        })
-                        .collect();
-                    FabricNode::Leaf(Fabric::new(line_size, cluster_timing, controllers))
-                }
-                TreeSpecKind::Interior(specs) => {
-                    assert!(!specs.is_empty(), "interior segment {id} is empty");
-                    let children: Vec<Bridge> = specs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(child_id, child)| {
-                            build_bridge(
-                                child,
-                                child_id,
-                                level + 1,
-                                leaf,
-                                line_size,
-                                parent_timing,
-                                cluster_timing,
-                                seed,
-                                filter,
-                                forward_logged,
-                            )
-                        })
-                        .collect();
-                    FabricNode::Interior(Segment::new(line_size, parent_timing, children))
-                }
-            };
-            let mut bridge = Bridge::new(id, level, node, Arc::clone(forward_logged));
-            bridge.filter = filter;
-            bridge
-        }
-
-        let mut leaf = 0usize;
-        let forward_logged = Arc::new(AtomicBool::new(false));
-        let children: Vec<Bridge> = children
-            .into_iter()
-            .enumerate()
-            .map(|(id, spec)| {
-                build_bridge(
-                    spec,
-                    id,
-                    0,
-                    &mut leaf,
-                    line_size,
-                    parent_timing,
-                    cluster_timing,
-                    seed,
-                    filter,
-                    &forward_logged,
-                )
-            })
-            .collect();
-        let mut sys = HierarchicalSystem {
-            root: Segment::new(line_size, parent_timing, children),
-            checker: checking.then(|| Checker::new(line_size)),
-            line_size,
-            parent_errors: Vec::new(),
-            tolerant: false,
-            write_seq: 0,
-            read_buf: Vec::new(),
-            forward_logged,
+    pub fn build(self) -> System {
+        let mut assembly = Assembly {
+            line_size: self.line_size,
+            timing: self.timing,
+            seed: self.seed,
+            filter: self.filter,
+            forward_logged: Arc::new(AtomicBool::new(false)),
+            path: Vec::new(),
+            paths: Vec::new(),
+            lanes: Vec::new(),
         };
-        if discipline != Discipline::Priority {
-            sys.set_discipline(discipline);
+        let root = assembly.node(self.root, 0);
+        let Assembly {
+            paths,
+            lanes,
+            forward_logged,
+            ..
+        } = assembly;
+        let (line_size, checking) = (self.line_size, self.checking);
+        let mut sys = System::new(root, paths, lanes, line_size, checking, forward_logged);
+        if self.discipline != Discipline::Priority {
+            sys.set_discipline(self.discipline);
         }
-        sys.track_changes(checking);
         sys
+    }
+}
+
+/// What every node of one tree is built with.
+struct Assembly {
+    line_size: usize,
+    timing: TimingConfig,
+    seed: u64,
+    filter: bool,
+    forward_logged: Arc<AtomicBool>,
+    /// The path from the root to the node being built.
+    path: Vec<usize>,
+    /// The paths of the leaves built so far, in leaf order.
+    paths: Vec<Vec<usize>>,
+    /// Each processor built so far: its leaf and its index there.
+    lanes: Vec<(usize, usize)>,
+}
+
+impl Assembly {
+    /// The node `spec` describes, on a bus at depth `level` (root = 0).
+    fn node(&mut self, spec: TreeSpec, level: usize) -> FabricNode {
+        match spec.kind {
+            TreeSpecKind::Leaf(nodes) => {
+                let leaf = self.paths.len();
+                self.paths.push(self.path.clone());
+                self.lanes.extend((0..nodes.len()).map(|cpu| (leaf, cpu)));
+                assert!(!nodes.is_empty(), "leaf bus {leaf} has no nodes");
+                let controllers: Vec<CacheController> = nodes
+                    .into_iter()
+                    .enumerate()
+                    .map(|(cpu, (protocol, cfg))| {
+                        if let Some(cfg) = &cfg {
+                            assert_eq!(
+                                cfg.line_size, self.line_size,
+                                "§5.1: all caches must use the system line size"
+                            );
+                        }
+                        let seed = self.seed.wrapping_add((leaf as u64) << 16);
+                        CacheController::new(cpu, protocol, cfg, seed.wrapping_add(cpu as u64))
+                    })
+                    .collect();
+                FabricNode::Leaf(Fabric::new(self.line_size, self.timing, controllers))
+            }
+            TreeSpecKind::Interior(specs) => {
+                assert!(
+                    !specs.is_empty(),
+                    "a segment at depth {level} has no children"
+                );
+                let children = specs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(id, spec)| {
+                        self.path.push(id);
+                        let node = self.node(spec, level + 1);
+                        self.path.pop();
+                        let mut bridge =
+                            Bridge::new(id, level, node, Arc::clone(&self.forward_logged));
+                        bridge.filter = self.filter;
+                        bridge
+                    })
+                    .collect();
+                FabricNode::Interior(Segment::new(self.line_size, self.timing, children))
+            }
+        }
     }
 }

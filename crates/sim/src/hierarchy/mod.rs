@@ -3,7 +3,7 @@
 //!
 //! The construction exploits the paper's own recursion: **a cluster is one
 //! big cache**. The machine is a *fabric tree*: leaf clusters are complete
-//! single-bus machines (a [`Fabric`]: caches, mirror memory, one Futurebus),
+//! single-bus machines (a [`Fabric`](crate::Fabric): caches, mirror memory, one Futurebus),
 //! interior [`Segment`]s are buses whose modules are child [`Bridge`]s, and
 //! each bridge attaches its subtree to the bus above as an ordinary MOESI
 //! cache master — holding one cluster-level MOESI state per line in a
@@ -21,6 +21,9 @@
 //!   the default-owner role inside the subtree, exactly as global memory
 //!   does on the root bus.
 //!
+//! The tree is a [`System`] whose root is an interior [`FabricNode`]; the
+//! recursion's base case, a leaf root, is the paper's single bus.
+//!
 //! Because the directory records exactly which lines the subtree holds, it
 //! doubles as an **inclusion-tracking snoop filter**: a bridge snooping a
 //! transaction for a line absent from its directory suppresses the forward
@@ -33,15 +36,12 @@
 //! multiplication a bus hierarchy exists to provide, applied at every level
 //! — while the consistency oracle's invariants keep holding globally.
 
-use cache_array::split_line_crossers;
 use futurebus::fault::InjectedFault;
 use futurebus::{
-    BusError, BusStats, Discipline, Futurebus, LineAddr, Phase, SparseMemory, TransactionRequest,
+    BusError, BusStats, Discipline, LineAddr, Phase, SparseMemory, TransactionRequest,
 };
 use moesi::{CacheKind, LineState, MasterSignals};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 mod builder;
 mod node;
@@ -50,10 +50,10 @@ pub use builder::{TreeBuilder, TreeSpec};
 pub use node::{Bridge, BridgeStats, FabricNode, Segment};
 
 use crate::checker::{cached_lines, Audited, Caches, Checker, Holders, LineRule, Violation};
-use crate::engine;
-use crate::fabric::Fabric;
-use crate::metrics::CpuStats;
-use crate::workload::{Access, RefStream, WritePayload};
+use crate::system::{bridge_in, for_each_bridge, root_bridges_mut, System};
+
+/// perfbench's name for [`System`]; the next benchmark change drops it.
+pub type HierarchicalSystem = System;
 
 /// Which parent-bus transaction a bridge was running when it failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,46 +140,18 @@ impl fmt::Display for ParentError {
     }
 }
 
-/// A hierarchical multiprocessor: a fabric tree of bus segments whose root
-/// bus owns true main memory. The classic shape is two levels (clusters of
-/// caches joined by one parent bus); [`TreeBuilder`] builds that and every
-/// deeper tree.
-#[derive(Debug)]
-pub struct HierarchicalSystem {
-    root: Segment,
-    checker: Option<Checker>,
-    line_size: usize,
-    parent_errors: Vec<ParentError>,
-    tolerant: bool,
-    /// The sequence number of the last workload write, as in `System`.
-    write_seq: u32,
-    /// The buffer workload reads land in, kept for its capacity.
-    read_buf: Vec<u8>,
-    /// Raised by any bridge that logs a forward error (every bridge holds a
-    /// clone), so the errors are collected only after an access logged one.
-    /// Relaxed ordering suffices: the flag is raised and lowered only under
-    /// `&mut` access to the tree, so one thread orders both.
-    forward_logged: Arc<AtomicBool>,
-}
-
-impl HierarchicalSystem {
-    /// Number of root-level clusters (children of the root bus).
+/// The tree's shape, bridges and maintenance commands. On a single bus
+/// there are no bridges: every list is empty and every bridge index is out
+/// of range.
+impl System {
+    /// Number of root-level clusters (bridges on the root bus).
     #[must_use]
     pub fn clusters(&self) -> usize {
-        self.root.children.len()
+        self.root_bridges().len()
     }
 
-    /// Number of leaf clusters in the whole tree (== [`clusters`] for a
-    /// two-level machine).
-    ///
-    /// [`clusters`]: HierarchicalSystem::clusters
-    #[must_use]
-    pub fn leaves(&self) -> usize {
-        self.root.children.iter().map(Bridge::leaves).sum()
-    }
-
-    /// The number of bus levels on the longest root-to-leaf path: 2 for the
-    /// classic two-level machine.
+    /// The number of bus levels on the longest root-to-leaf path: 1 for a
+    /// single bus, 2 for the classic two-level machine.
     #[must_use]
     pub fn depth(&self) -> usize {
         fn below(b: &Bridge) -> usize {
@@ -188,75 +160,18 @@ impl HierarchicalSystem {
                 FabricNode::Interior(seg) => 1 + seg.children.iter().map(below).max().unwrap_or(0),
             }
         }
-        1 + self.root.children.iter().map(below).max().unwrap_or(0)
-    }
-
-    /// The access paths of every leaf cluster, in traversal (leaf-index)
-    /// order. `paths[leaf]` is what [`read_at`] / [`write_at`] expect; for a
-    /// two-level machine each path is just `[cluster]`.
-    ///
-    /// [`read_at`]: HierarchicalSystem::read_at
-    /// [`write_at`]: HierarchicalSystem::write_at
-    #[must_use]
-    pub fn leaf_paths(&self) -> Vec<Vec<usize>> {
-        fn walk(children: &[Bridge], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-            for (i, b) in children.iter().enumerate() {
-                prefix.push(i);
-                match &b.node {
-                    FabricNode::Leaf(_) => out.push(prefix.clone()),
-                    FabricNode::Interior(seg) => walk(&seg.children, prefix, out),
-                }
-                prefix.pop();
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root.children, &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// The `leaf`-th leaf cluster's fabric, in traversal order (== the
-    /// cluster's fabric for a two-level machine).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `leaf` is out of range.
-    #[must_use]
-    pub fn leaf_fabric(&self, mut leaf: usize) -> &Fabric {
-        let mut children = &self.root.children;
-        loop {
-            match &children[leaf_child(children, &mut leaf)].node {
-                FabricNode::Leaf(fabric) => return fabric,
-                FabricNode::Interior(seg) => children = &seg.children,
-            }
-        }
-    }
-
-    /// Mutable access to the `leaf`-th leaf cluster's fabric, for installing
-    /// fault plans or tolerant-mode settings on the leaf bus.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `leaf` is out of range.
-    pub fn leaf_fabric_mut(&mut self, mut leaf: usize) -> &mut Fabric {
-        let mut children = &mut self.root.children;
-        loop {
-            let child = leaf_child(children, &mut leaf);
-            match &mut children[child].node {
-                FabricNode::Leaf(fabric) => return fabric,
-                FabricNode::Interior(seg) => children = &mut seg.children,
-            }
-        }
+        1 + self.root_bridges().iter().map(below).max().unwrap_or(0)
     }
 
     /// A root-level cluster's bridge (directory, stats, fabric or segment).
     #[must_use]
     pub fn bridge(&self, cluster: usize) -> &Bridge {
-        &self.root.children[cluster]
+        &self.root_bridges()[cluster]
     }
 
     /// Mutable access to a root-level cluster's bridge.
     pub fn bridge_mut(&mut self, cluster: usize) -> &mut Bridge {
-        &mut self.root.children[cluster]
+        &mut root_bridges_mut(self.root_mut())[cluster]
     }
 
     /// The bridge at a tree path (`[i]` is root child `i`, `[i, j]` is its
@@ -268,7 +183,7 @@ impl HierarchicalSystem {
     /// below a leaf.
     #[must_use]
     pub fn bridge_at(&self, path: &[usize]) -> &Bridge {
-        let mut bridge = &self.root.children[path[0]];
+        let mut bridge = &self.root_bridges()[path[0]];
         for &i in &path[1..] {
             bridge = match &bridge.node {
                 FabricNode::Interior(seg) => &seg.children[i],
@@ -282,17 +197,9 @@ impl HierarchicalSystem {
     ///
     /// # Panics
     ///
-    /// Panics on an empty path, an out-of-range index, or a path descending
-    /// below a leaf.
+    /// As [`bridge_at`](System::bridge_at).
     pub fn bridge_at_mut(&mut self, path: &[usize]) -> &mut Bridge {
-        let mut bridge = &mut self.root.children[path[0]];
-        for &i in &path[1..] {
-            bridge = match &mut bridge.node {
-                FabricNode::Interior(seg) => &mut seg.children[i],
-                FabricNode::Leaf(_) => panic!("path descends below a leaf cluster"),
-            };
-        }
-        bridge
+        bridge_in(root_bridges_mut(self.root_mut()), path)
     }
 
     /// Every bridge in the tree, pre-order (each root child before its
@@ -301,8 +208,8 @@ impl HierarchicalSystem {
     /// [`scrub_inclusion_tag`]; for a two-level machine it equals the
     /// cluster index.
     ///
-    /// [`corrupt_inclusion_tag`]: HierarchicalSystem::corrupt_inclusion_tag
-    /// [`scrub_inclusion_tag`]: HierarchicalSystem::scrub_inclusion_tag
+    /// [`corrupt_inclusion_tag`]: System::corrupt_inclusion_tag
+    /// [`scrub_inclusion_tag`]: System::scrub_inclusion_tag
     #[must_use]
     pub fn bridges_preorder(&self) -> Vec<&Bridge> {
         fn walk<'a>(children: &'a [Bridge], out: &mut Vec<&'a Bridge>) {
@@ -314,146 +221,84 @@ impl HierarchicalSystem {
             }
         }
         let mut out = Vec::new();
-        walk(&self.root.children, &mut out);
+        walk(self.root_bridges(), &mut out);
         out
-    }
-
-    /// The root (inter-cluster) bus.
-    #[must_use]
-    pub fn parent_bus(&self) -> &Futurebus {
-        &self.root.bus
-    }
-
-    /// Mutable access to the root bus, for fault plans, retry policy and
-    /// the liveness watchdog.
-    pub fn parent_bus_mut(&mut self) -> &mut Futurebus {
-        &mut self.root.bus
-    }
-
-    /// The consistency oracle, if enabled.
-    #[must_use]
-    pub fn checker(&self) -> Option<&Checker> {
-        self.checker.as_ref()
-    }
-
-    /// Mutable oracle access — fault campaigns reconcile the golden image
-    /// against *reported* loss through this. The caller may change what the
-    /// oracle enforces, so the next audit is a full one.
-    pub fn checker_mut(&mut self) -> Option<&mut Checker> {
-        let ck = self.checker.as_mut()?;
-        ck.force_full_audit();
-        Some(ck)
     }
 
     /// Root-level clusters whose bridge the watchdog has retired, ascending.
     #[must_use]
     pub fn degraded_clusters(&self) -> Vec<usize> {
-        self.root
-            .children
+        self.root_bridges()
             .iter()
             .filter(|b| b.degraded())
             .map(|b| b.id)
             .collect()
     }
 
-    /// Switches fault-tolerant mode on or off, for every leaf cluster bus
-    /// and the hierarchy itself. Tolerant mode stops the per-access oracle
-    /// panics (`read`/`write` no longer call
-    /// [`verify`](HierarchicalSystem::verify)); a fault campaign reconciles
-    /// reported damage first and then runs the oracle explicitly, so only
-    /// *unreported* corruption counts as silent.
-    pub fn tolerate_faults(&mut self, on: bool) {
-        self.tolerant = on;
-        // Tolerant runs skip the per-access audit, so they log nothing; the
-        // first audit after them re-checks everything.
-        self.track_changes(!on && self.checker.is_some());
-        for path in self.leaf_paths() {
-            self.bridge_at_mut(&path)
-                .fabric_mut()
-                .tolerate_bus_errors(on);
-        }
-    }
-
-    /// Sets the arbitration discipline of every bus in the tree: the root
-    /// bus, every interior segment bus, and every leaf cluster bus.
+    /// Sets the arbitration discipline of every bus in the machine: the
+    /// root bus, every interior segment bus, and every leaf bus.
     pub fn set_discipline(&mut self, discipline: Discipline) {
-        fn walk(seg: &mut Segment, discipline: Discipline) {
-            seg.bus.set_discipline(discipline);
-            for b in &mut seg.children {
-                match &mut b.node {
-                    FabricNode::Leaf(fabric) => fabric.bus_mut().set_discipline(discipline),
-                    FabricNode::Interior(inner) => walk(inner, discipline),
+        fn walk(node: &mut FabricNode, discipline: Discipline) {
+            match node {
+                FabricNode::Leaf(fabric) => fabric.bus_mut().set_discipline(discipline),
+                FabricNode::Interior(seg) => {
+                    seg.bus.set_discipline(discipline);
+                    for b in &mut seg.children {
+                        walk(&mut b.node, discipline);
+                    }
                 }
             }
         }
-        walk(&mut self.root, discipline);
+        walk(self.root_mut(), discipline);
     }
 
     /// Enables or disables the inclusion snoop filter on every bridge in
     /// the tree. See [`Bridge::set_snoop_filter`].
     pub fn set_snoop_filter(&mut self, on: bool) {
-        fn walk(children: &mut [Bridge], on: bool) {
-            for b in children {
-                b.set_snoop_filter(on);
-                if let FabricNode::Interior(seg) = &mut b.node {
-                    walk(&mut seg.children, on);
-                }
-            }
-        }
-        walk(&mut self.root.children, on);
+        for_each_bridge(self.root_mut(), &mut |b| b.set_snoop_filter(on));
     }
 
-    /// Drains the error logs of every leaf cluster bus, each entry prefixed
-    /// with its cluster path (`cluster0`, or `cluster0.1` below the root).
-    pub fn drain_cluster_bus_errors(&mut self) -> Vec<String> {
-        fn walk(children: &mut [Bridge], prefix: &str, out: &mut Vec<String>) {
-            for b in children {
-                let label = if prefix.is_empty() {
-                    format!("{}", b.id)
-                } else {
-                    format!("{prefix}.{}", b.id)
-                };
-                match &mut b.node {
-                    FabricNode::Leaf(fabric) => out.extend(
-                        fabric
-                            .drain_bus_errors()
-                            .into_iter()
-                            .map(|e| format!("cluster{label}: {e}")),
-                    ),
-                    FabricNode::Interior(seg) => walk(&mut seg.children, &label, out),
+    /// Drains the error logs of every leaf bus, each entry prefixed with its
+    /// cluster path in a tree (`cluster0`, or `cluster0.1` below the root).
+    pub fn drain_bus_errors(&mut self) -> Vec<String> {
+        fn walk(node: &mut FabricNode, label: &str, out: &mut Vec<String>) {
+            match node {
+                FabricNode::Leaf(fabric) => out.extend(
+                    fabric
+                        .drain_bus_errors()
+                        .into_iter()
+                        .map(|e| format!("cluster{label}: {e}")),
+                ),
+                FabricNode::Interior(seg) => {
+                    for b in &mut seg.children {
+                        let label = if label.is_empty() {
+                            format!("{}", b.id)
+                        } else {
+                            format!("{label}.{}", b.id)
+                        };
+                        walk(&mut b.node, &label, out);
+                    }
                 }
             }
         }
+        if let FabricNode::Leaf(fabric) = self.root_mut() {
+            return fabric.drain_bus_errors();
+        }
         let mut out = Vec::new();
-        walk(&mut self.root.children, "", &mut out);
+        walk(self.root_mut(), "", &mut out);
         out
     }
 
-    /// Root-bus statistics.
+    /// perfbench's name for [`bus_stats`](System::bus_stats).
     #[must_use]
     pub fn parent_stats(&self) -> &BusStats {
-        self.root.bus.stats()
-    }
-
-    /// A node's CPU statistics (two-level shape: `cluster` must be a leaf).
-    #[must_use]
-    pub fn stats(&self, cluster: usize, cpu: usize) -> &CpuStats {
-        self.root.children[cluster].fabric().controller(cpu).stats()
-    }
-
-    /// The local cache state a node holds for `addr` (two-level shape).
-    #[must_use]
-    pub fn state_of(&self, cluster: usize, cpu: usize, addr: u64) -> LineState {
-        self.root.children[cluster]
-            .fabric()
-            .controller(cpu)
-            .state_of(addr)
+        self.bus_stats()
     }
 
     /// The cluster-level state a root bridge holds for `addr`.
     #[must_use]
     pub fn cluster_state_of(&self, cluster: usize, addr: u64) -> LineState {
-        self.root.children[cluster].cluster_state(self.line_addr(addr))
+        self.cluster_state_at(&[cluster], addr)
     }
 
     /// The cluster-level state the bridge at `path` holds for `addr`.
@@ -462,267 +307,15 @@ impl HierarchicalSystem {
         self.bridge_at(path).cluster_state(self.line_addr(addr))
     }
 
-    fn line_addr(&self, addr: u64) -> u64 {
-        addr & !(self.line_size as u64 - 1)
-    }
-
-    /// Processor (`cluster`, `cpu`) reads `len` bytes at `addr` (two-level
-    /// shape; see [`read_at`](HierarchicalSystem::read_at) for deep trees).
+    /// The root bus's segment.
     ///
     /// # Panics
     ///
-    /// Panics on a consistency violation when the oracle is enabled.
-    pub fn read(&mut self, cluster: usize, cpu: usize, addr: u64, len: usize) -> Vec<u8> {
-        self.read_at(&[cluster], cpu, addr, len)
-    }
-
-    /// Processor `cpu` of the leaf cluster at `path` reads `len` bytes at
-    /// `addr`, descending one bus level per path element.
-    /// [`read_into`](HierarchicalSystem::read_into) into a fresh `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `path` does not reach a leaf cluster, or on a consistency
-    /// violation when the oracle is enabled.
-    pub fn read_at(&mut self, path: &[usize], cpu: usize, addr: u64, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        self.read_into(path, cpu, addr, len, &mut out);
-        out
-    }
-
-    /// Processor `cpu` of the leaf cluster at `path` reads `len` bytes at
-    /// `addr` and appends them to `out`. A caller that reuses `out` makes a
-    /// read hit allocate nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `path` does not reach a leaf cluster, or on a consistency
-    /// violation when the oracle is enabled.
-    pub fn read_into(
-        &mut self,
-        path: &[usize],
-        cpu: usize,
-        addr: u64,
-        len: usize,
-        out: &mut Vec<u8>,
-    ) {
-        let start = out.len();
-        for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size) {
-            let line = self.line_addr(piece_addr);
-            self.root.read_piece(
-                path,
-                cpu,
-                piece_addr,
-                piece_len,
-                line,
-                0,
-                &mut self.parent_errors,
-                out,
-            );
-        }
-        self.hoist_forward_errors();
-        if !self.tolerant {
-            if let Some(ck) = &self.checker {
-                if let Err(mut v) = ck.check_read(cpu, addr, &out[start..]) {
-                    if let Violation::ReadMismatch { cpu: lane, .. } = &mut v {
-                        *lane = self.lane(path, cpu);
-                    }
-                    panic!("hierarchy consistency violation: {v}");
-                }
-            }
-        }
-        self.audit();
-    }
-
-    /// The global index of processor `cpu` of the leaf at `path`: its lane
-    /// in [`run`](HierarchicalSystem::run), counting processors leaf-major.
-    fn lane(&self, path: &[usize], cpu: usize) -> usize {
-        let paths = self.leaf_paths();
-        let leaf = paths.iter().position(|p| p == path).expect("a leaf path");
-        let before = paths[..leaf]
-            .iter()
-            .map(|p| self.bridge_at(p).fabric().nodes());
-        before.sum::<usize>() + cpu
-    }
-
-    /// Processor (`cluster`, `cpu`) writes `bytes` at `addr` (two-level
-    /// shape; see [`write_at`](HierarchicalSystem::write_at) for deep trees).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a consistency violation when the oracle is enabled.
-    pub fn write(&mut self, cluster: usize, cpu: usize, addr: u64, bytes: &[u8]) {
-        self.write_at(&[cluster], cpu, addr, bytes);
-    }
-
-    /// Processor `cpu` of the leaf cluster at `path` writes `bytes` at
-    /// `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `path` does not reach a leaf cluster, or on a consistency
-    /// violation when the oracle is enabled.
-    pub fn write_at(&mut self, path: &[usize], cpu: usize, addr: u64, bytes: &[u8]) {
-        let mut cursor = 0;
-        for (piece_addr, piece_len) in split_line_crossers(addr, bytes.len(), self.line_size) {
-            let piece = &bytes[cursor..cursor + piece_len];
-            cursor += piece_len;
-            let line = self.line_addr(piece_addr);
-            if let Some(ck) = &mut self.checker {
-                ck.record_write(piece_addr, piece);
-            }
-            self.root.write_piece(
-                path,
-                cpu,
-                piece_addr,
-                piece,
-                line,
-                0,
-                &mut self.parent_errors,
-            );
-        }
-        self.hoist_forward_errors();
-        self.audit();
-    }
-
-    /// Collects forwarding errors captured inside bridges (interior-segment
-    /// failures during snoop forwarding) into the system error log, in
-    /// pre-order — walking the tree only when some bridge logged one.
-    fn hoist_forward_errors(&mut self) {
-        // A plain load per access; the flag is written only when set.
-        if !self.forward_logged.load(Ordering::Relaxed) {
-            return;
-        }
-        self.forward_logged.store(false, Ordering::Relaxed);
-        fn walk(children: &mut [Bridge], out: &mut Vec<ParentError>) {
-            for b in children {
-                out.append(&mut b.forward_errors);
-                if let FabricNode::Interior(seg) = &mut b.node {
-                    walk(&mut seg.children, out);
-                }
-            }
-        }
-        walk(&mut self.root.children, &mut self.parent_errors);
-    }
-
-    /// Fabric-bus errors survived so far: each one degraded the requesting
-    /// bridge to a memory-direct fallback instead of killing the simulation.
-    #[must_use]
-    pub fn parent_errors(&self) -> &[ParentError] {
-        &self.parent_errors
-    }
-
-    /// Verifies the global shared-memory-image invariants, including the
-    /// inclusion invariant the snoop filter depends on, over every line.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation found, in line-address order; always `Ok`
-    /// without the oracle.
-    pub fn verify(&self) -> Result<(), Violation> {
-        self.checker
-            .as_ref()
-            .map_or(Ok(()), |ck| self.verify_against(ck))
-    }
-
-    /// [`verify`](HierarchicalSystem::verify) against an oracle the caller
-    /// keeps: a fault campaign's, which reconciles reported damage in it.
-    pub(crate) fn verify_against(&self, ck: &Checker) -> Result<(), Violation> {
-        ck.check_all(&self.root, &mut Vec::new())
-    }
-
-    /// Drives one access from each stream per step, for `steps` rounds.
-    /// `streams[leaf][cpu]` feeds node `cpu` of the `leaf`-th leaf cluster
-    /// (for a two-level machine, leaf index == cluster index): the engine's
-    /// untimed run over one lane per processor, numbered leaf-major.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream shape does not match the machine, or on a
-    /// consistency violation.
-    pub fn run(&mut self, streams: &mut [Vec<Box<dyn RefStream + Send>>], steps: u64) {
-        let paths = self.leaf_paths();
-        assert_eq!(streams.len(), paths.len(), "one stream vec per cluster");
-        // Lane = global processor index: (leaf, cpu) in leaf-major order.
-        let mut lanes = Vec::new();
-        for (leaf, cluster_streams) in streams.iter().enumerate() {
-            let cpus = cluster_streams.len();
-            let nodes = self.bridge_at(&paths[leaf]).fabric().nodes();
-            assert_eq!(cpus, nodes, "one stream per node");
-            lanes.extend((0..cpus).map(|cpu| (leaf, cpu)));
-        }
-        let next = engine::budget(lanes.len(), steps, |lane, slot| {
-            let (leaf, cpu) = lanes[lane];
-            streams[leaf][cpu].next_into(slot);
-        });
-        engine::drive(
-            lanes.len(),
-            next,
-            |lane, access| {
-                let (leaf, cpu) = lanes[lane];
-                self.issue(&paths[leaf], cpu, access);
-                0
-            },
-            1,
-        );
-    }
-
-    /// Issues one workload access from processor `cpu` of the leaf at
-    /// `path`. Reads land in one reused buffer, so a read hit allocates
-    /// nothing.
-    fn issue(&mut self, path: &[usize], cpu: usize, access: &Access) {
-        if access.is_write {
-            self.write_seq = self.write_seq.wrapping_add(1);
-            let mut payload = WritePayload::new();
-            let bytes = payload.fill(self.write_seq, access.size);
-            self.write_at(path, cpu, access.addr, bytes);
-        } else {
-            let mut buf = std::mem::take(&mut self.read_buf);
-            buf.clear();
-            self.read_into(path, cpu, access.addr, access.size, &mut buf);
-            self.read_buf = buf;
-        }
-    }
-
-    /// The §6 consistency command at global scale: pushes every owned line
-    /// out of every root-level cluster (each push first syncs the owner
-    /// chain below) so *root* main memory holds the complete shared image
-    /// (e.g. before parent-bus DMA). Returns lines pushed.
-    pub fn make_globally_consistent(&mut self) -> usize {
-        let pushed = self.root.push_owned(0, &mut self.parent_errors);
-        self.hoist_forward_errors();
-        self.audit();
-        pushed
-    }
-
-    /// Reads directly from *root* main memory, bypassing all coherence —
-    /// the parent-bus DMA view. Pair with [`make_globally_consistent`].
-    ///
-    /// [`make_globally_consistent`]: HierarchicalSystem::make_globally_consistent
-    #[must_use]
-    pub fn parent_memory_peek(&self, addr: u64, len: usize) -> Vec<u8> {
-        self.root.bus.memory().peek_bytes(addr, len)
-    }
-
-    /// Starts (or stops) logging changed lines in the oracle and in every
-    /// bridge, cache and memory of the tree.
-    pub(super) fn track_changes(&mut self, on: bool) {
-        if let Some(ck) = &mut self.checker {
-            ck.track_changes(on);
-        }
-        self.root.track_changes(on);
-    }
-
-    /// The per-access audit (see [`Checker::audit`]); skipped while
-    /// tolerating faults.
-    fn audit(&mut self) {
-        if self.tolerant {
-            return;
-        }
-        if let Some(ck) = &mut self.checker {
-            if let Err(v) = ck.audit(&mut self.root) {
-                panic!("hierarchy consistency violation: {v}");
-            }
+    /// Panics on a single bus, which has no bridges.
+    fn root_segment(&mut self) -> &mut Segment {
+        match self.root_mut() {
+            FabricNode::Interior(seg) => seg,
+            FabricNode::Leaf(_) => panic!("a single bus has no bridges"),
         }
     }
 
@@ -734,22 +327,19 @@ impl HierarchicalSystem {
     /// pushes the bridge's dirty lines to parent memory in synthetic push
     /// rounds; without it they are lost and every surviving copy is
     /// invalidated.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a single bus.
     pub fn retire_bridge(&mut self, cluster: usize, salvage: bool) {
-        self.root.bus.stall_module(cluster, salvage);
-        let trigger = TransactionRequest::read(
-            self.root.children.len(),
-            // The top line of the address space, never used by workloads.
-            !(self.line_size as u64 - 1),
-            MasterSignals::NONE,
-        );
-        let root = &mut self.root;
+        // The top line of the address space, never used by workloads.
+        let top = self.line_addr(u64::MAX);
+        let root = self.root_segment();
+        root.bus.stall_module(cluster, salvage);
+        let trigger = TransactionRequest::read(root.children.len(), top, MasterSignals::NONE);
         let (_, error) = root.bus.execute_or_degrade(&trigger, &mut root.children);
-        if let Some(error) = error {
-            let txn = ParentTxnKind::DegradedRead;
-            self.parent_errors
-                .push(ParentError::new(cluster, txn, error, 0));
-        }
-        self.hoist_forward_errors();
+        let error = error.map(|e| ParentError::new(cluster, ParentTxnKind::DegradedRead, e, 0));
+        self.log_parent_error(error);
     }
 
     /// Corrupts one resident inclusion tag, driven by the root fault plan:
@@ -757,13 +347,17 @@ impl HierarchicalSystem {
     /// entry of a plan-chosen bridge (any bridge in the tree, interior
     /// bridges included) to a plan-chosen wrong state, recording an
     /// [`InjectedFault::StaleTag`]. Returns the victim `(flat_index, line)`
-    /// — see [`bridges_preorder`](HierarchicalSystem::bridges_preorder); for
-    /// a two-level machine the flat index is the cluster index — so the
-    /// caller can run the scrubber. `None` when the dice miss, no plan is
-    /// installed, or the chosen bridge's directory is empty.
+    /// — see [`bridges_preorder`](System::bridges_preorder); for a
+    /// two-level machine the flat index is the cluster index — so the
+    /// caller can run the scrubber. `None` when the machine has no bridges
+    /// (without touching the plan), the dice miss, no plan is installed, or
+    /// the chosen bridge's directory is empty.
     pub fn corrupt_inclusion_tag(&mut self) -> Option<(usize, LineAddr)> {
         let bridge_count = self.bridges_preorder().len();
-        let plan = self.root.bus.fault_plan_mut()?;
+        if bridge_count == 0 {
+            return None;
+        }
+        let plan = self.bus_mut().fault_plan_mut()?;
         if !plan.decide_stale_tag() {
             return None;
         }
@@ -777,23 +371,26 @@ impl HierarchicalSystem {
             return None;
         }
         keys.sort_unstable(); // map order must not leak into the RNG draw
-        let plan = self.root.bus.fault_plan_mut().expect("checked above");
+        let plan = self.bus_mut().fault_plan_mut().expect("checked above");
         let line = keys[plan.gen_index(keys.len())];
         let from = self.bridges_preorder()[victim].cluster_state(line);
         let others: Vec<LineState> = LineState::ALL.into_iter().filter(|s| *s != from).collect();
-        let plan = self.root.bus.fault_plan_mut().expect("checked above");
+        let plan = self.bus_mut().fault_plan_mut().expect("checked above");
         let to = others[plan.gen_index(others.len())];
-        bridge_by_flat_mut(&mut self.root.children, victim)
-            .expect("flat index in range")
-            .set_cluster_state(line, to);
+        let mut index = 0;
+        for_each_bridge(self.root_mut(), &mut |b| {
+            if index == victim {
+                b.set_cluster_state(line, to);
+            }
+            index += 1;
+        });
         let record = InjectedFault::StaleTag {
             bridge: victim,
             addr: line,
             from: from.letter(),
             to: to.letter(),
         };
-        self.root
-            .bus
+        self.bus_mut()
             .fault_plan_mut()
             .expect("checked above")
             .record(victim, line, record, 0);
@@ -805,7 +402,7 @@ impl HierarchicalSystem {
     /// memory divergence, and the (trusted) sibling directories on its
     /// segment — and installs the reconstructed state. `bridge` is a flat
     /// pre-order index as returned by
-    /// [`corrupt_inclusion_tag`](HierarchicalSystem::corrupt_inclusion_tag).
+    /// [`corrupt_inclusion_tag`](System::corrupt_inclusion_tag).
     /// Models the ECC/parity repair a real directory RAM performs when a
     /// consultation detects a flipped tag: detection precedes use, so no
     /// coherence action ever trusts a corrupt tag.
@@ -819,18 +416,19 @@ impl HierarchicalSystem {
     /// Panics when `bridge` is out of range.
     pub fn scrub_inclusion_tag(&mut self, bridge: usize, line: LineAddr) -> LineState {
         let mut idx = 0;
-        scrub_in_segment(&mut self.root, bridge, &mut idx, line).expect("flat index in range")
+        scrub_in_segment(self.root_segment(), bridge, &mut idx, line).expect("flat index in range")
     }
 }
 
-/// The root segment audits the whole tree, its memory as true main memory.
-impl Audited for Segment {
+/// The root node audits the whole machine, its memory as true main memory.
+impl Audited for FabricNode {
     fn drain_changed_lines(&mut self, out: &mut Vec<u64>) -> bool {
         self.drain_changes(out)
     }
 
-    /// Every invariant for one line of the tree, in one descent that reads
-    /// each cache entry and each inclusion tag once:
+    /// A single bus's rule is [`Fabric`](crate::Fabric)'s. A tree's is every invariant for
+    /// one line, in one descent that reads each cache entry and each
+    /// inclusion tag once:
     ///
     /// 1. the per-line rule ([`LineRule`]) on every segment, the root first
     ///    and then in pre-order: a leaf's holders are its caches, an interior
@@ -839,8 +437,12 @@ impl Audited for Segment {
     /// 2. the inclusion invariant the snoop filter is sound against, at
     ///    every bridge in pre-order.
     fn check_line(&self, ck: &Checker, line: u64) -> Result<(), Violation> {
+        let seg = match self {
+            FabricNode::Leaf(fabric) => return fabric.check_line(ck, line),
+            FabricNode::Interior(seg) => seg,
+        };
         let (golden, written) = ck.golden_line(line);
-        let tree = LineCheck { ck, line, golden }.segment(self, None, true);
+        let tree = LineCheck { ck, line, golden }.segment(seg, None, true);
         if !written && !tree.tracked {
             return Ok(());
         }
@@ -849,16 +451,15 @@ impl Audited for Segment {
 
     /// Every line in a directory or cached anywhere.
     fn resident_lines(&self, out: &mut Vec<u64>) {
-        fn walk(children: &[Bridge], out: &mut Vec<u64>) {
-            for bridge in children {
-                out.extend(bridge.directory.keys().copied());
-                match &bridge.node {
-                    FabricNode::Leaf(fabric) => cached_lines(fabric.controllers(), out),
-                    FabricNode::Interior(seg) => walk(&seg.children, out),
+        match self {
+            FabricNode::Leaf(fabric) => cached_lines(fabric.controllers(), out),
+            FabricNode::Interior(seg) => {
+                for bridge in &seg.children {
+                    out.extend(bridge.directory.keys().copied());
+                    bridge.node.resident_lines(out);
                 }
             }
         }
-        walk(&self.children, out);
     }
 }
 
@@ -1025,47 +626,6 @@ impl Holders for Bridges<'_> {
     }
 }
 
-/// The index of the child in `children` whose subtree holds leaf `leaf`
-/// (counting leaves in traversal order), leaving `leaf` relative to that
-/// child's subtree.
-///
-/// # Panics
-///
-/// Panics when `children` hold fewer leaves.
-fn leaf_child(children: &[Bridge], leaf: &mut usize) -> usize {
-    for (i, child) in children.iter().enumerate() {
-        let leaves = child.leaves();
-        if *leaf < leaves {
-            return i;
-        }
-        *leaf -= leaves;
-    }
-    panic!("leaf index out of range");
-}
-
-/// The bridge at pre-order flat index `target`, if in range.
-fn bridge_by_flat_mut(children: &mut [Bridge], target: usize) -> Option<&mut Bridge> {
-    fn walk<'a>(
-        children: &'a mut [Bridge],
-        idx: &mut usize,
-        target: usize,
-    ) -> Option<&'a mut Bridge> {
-        for b in children {
-            if *idx == target {
-                return Some(b);
-            }
-            *idx += 1;
-            if let FabricNode::Interior(seg) = &mut b.node {
-                if let Some(found) = walk(&mut seg.children, idx, target) {
-                    return Some(found);
-                }
-            }
-        }
-        None
-    }
-    walk(children, &mut 0, target)
-}
-
 /// Walks to the segment containing the flat-index `target` bridge and
 /// scrubs it there (the scrub needs the victim's siblings and its segment's
 /// parent memory as evidence).
@@ -1126,6 +686,7 @@ fn scrub_at(seg: &mut Segment, victim: usize, line: LineAddr) -> LineState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::RefStream;
     use cache_array::{CacheConfig, ReplacementKind};
     use moesi::protocols::MoesiPreferred;
 
@@ -1139,7 +700,7 @@ mod tests {
         })
     }
 
-    fn two_by_two() -> HierarchicalSystem {
+    fn two_by_two() -> System {
         TreeBuilder::new(32)
             .child(moesi_leaf(2))
             .child(moesi_leaf(2))
@@ -1148,7 +709,7 @@ mod tests {
     }
 
     /// 2 root subtrees × 2 clusters × 2 cpus: a depth-3 fabric tree.
-    fn deep_two_two_two() -> HierarchicalSystem {
+    fn deep_two_two_two() -> System {
         TreeBuilder::uniform(32, 2, 3, 2, 2, |_, _| {
             (
                 Box::new(MoesiPreferred::new()) as Box<dyn moesi::Protocol + Send>,
@@ -1162,9 +723,9 @@ mod tests {
     #[test]
     fn cross_cluster_read_after_write() {
         let mut sys = two_by_two();
-        sys.write(0, 0, 0x1000, &[7; 4]);
+        sys.write_at(&[0], 0, 0x1000, &[7; 4]);
         assert_eq!(sys.cluster_state_of(0, 0x1000), LineState::Modified);
-        let v = sys.read(1, 0, 0x1000, 4);
+        let v = sys.read_at(&[1], 0, 0x1000, 4);
         assert_eq!(v, vec![7; 4]);
         // The owning cluster demotes to O; the reader cluster is S.
         assert_eq!(sys.cluster_state_of(0, 0x1000), LineState::Owned);
@@ -1173,18 +734,18 @@ mod tests {
     }
 
     #[test]
-    fn intra_cluster_sharing_stays_off_the_parent_bus() {
+    fn intra_cluster_sharing_stays_off_the_bus() {
         let mut sys = two_by_two();
-        sys.write(0, 0, 0x1000, &[1; 4]);
-        let parent_before = sys.parent_stats().transactions;
+        sys.write_at(&[0], 0, 0x1000, &[1; 4]);
+        let parent_before = sys.bus_stats().transactions;
         // Heavy sharing *within* cluster 0: no parent traffic at all.
         for i in 0..20u32 {
             let cpu = (i % 2) as usize;
-            sys.write(0, cpu, 0x1000, &i.to_le_bytes());
-            let _ = sys.read(0, 1 - cpu, 0x1000, 4);
+            sys.write_at(&[0], cpu, 0x1000, &i.to_le_bytes());
+            let _ = sys.read_at(&[0], 1 - cpu, 0x1000, 4);
         }
         assert_eq!(
-            sys.parent_stats().transactions,
+            sys.bus_stats().transactions,
             parent_before,
             "intra-cluster traffic must not escalate"
         );
@@ -1193,47 +754,43 @@ mod tests {
     #[test]
     fn cross_cluster_write_broadcasts_and_updates() {
         let mut sys = two_by_two();
-        let _ = sys.read(0, 0, 0x1000, 4);
-        let _ = sys.read(1, 0, 0x1000, 4); // both clusters S
+        let _ = sys.read_at(&[0], 0, 0x1000, 4);
+        let _ = sys.read_at(&[1], 0, 0x1000, 4); // both clusters S
         assert_eq!(sys.cluster_state_of(0, 0x1000), LineState::Shareable);
-        sys.write(0, 0, 0x1000, &[9; 4]);
+        sys.write_at(&[0], 0, 0x1000, &[9; 4]);
         // Cluster 0 broadcast at parent level and became the owner.
         assert_eq!(sys.cluster_state_of(0, 0x1000), LineState::Owned);
         assert_eq!(sys.cluster_state_of(1, 0x1000), LineState::Shareable);
         assert_eq!(sys.bridge(1).stats().updates_in, 1);
         // Cluster 1's copy was updated in place — reading is a local hit.
-        let parent_before = sys.parent_stats().transactions;
-        assert_eq!(sys.read(1, 0, 0x1000, 4), vec![9; 4]);
-        assert_eq!(sys.parent_stats().transactions, parent_before);
+        let parent_before = sys.bus_stats().transactions;
+        assert_eq!(sys.read_at(&[1], 0, 0x1000, 4), vec![9; 4]);
+        assert_eq!(sys.bus_stats().transactions, parent_before);
     }
 
     #[test]
     fn cluster_level_exclusive_upgrade_is_silent() {
         let mut sys = two_by_two();
-        let _ = sys.read(0, 0, 0x1000, 4); // only cluster 0: ext E
+        let _ = sys.read_at(&[0], 0, 0x1000, 4); // only cluster 0: ext E
         assert_eq!(sys.cluster_state_of(0, 0x1000), LineState::Exclusive);
-        let parent_before = sys.parent_stats().transactions;
-        sys.write(0, 0, 0x1000, &[3; 4]);
-        assert_eq!(
-            sys.parent_stats().transactions,
-            parent_before,
-            "silent E->M"
-        );
+        let parent_before = sys.bus_stats().transactions;
+        sys.write_at(&[0], 0, 0x1000, &[3; 4]);
+        assert_eq!(sys.bus_stats().transactions, parent_before, "silent E->M");
         assert_eq!(sys.cluster_state_of(0, 0x1000), LineState::Modified);
     }
 
     #[test]
     fn write_miss_invalidates_other_clusters() {
         let mut sys = two_by_two();
-        let _ = sys.read(1, 0, 0x1000, 4);
-        let _ = sys.read(1, 1, 0x1000, 4); // cluster 1 shares internally
-        sys.write(0, 0, 0x1000, &[5; 4]); // cluster 0: RWITM at parent level
+        let _ = sys.read_at(&[1], 0, 0x1000, 4);
+        let _ = sys.read_at(&[1], 1, 0x1000, 4); // cluster 1 shares internally
+        sys.write_at(&[0], 0, 0x1000, &[5; 4]); // cluster 0: RWITM at parent level
         assert_eq!(sys.cluster_state_of(0, 0x1000), LineState::Modified);
         assert_eq!(sys.cluster_state_of(1, 0x1000), LineState::Invalid);
-        assert_eq!(sys.state_of(1, 0, 0x1000), LineState::Invalid);
-        assert_eq!(sys.state_of(1, 1, 0x1000), LineState::Invalid);
+        assert_eq!(sys.state_of(2, 0x1000), LineState::Invalid);
+        assert_eq!(sys.state_of(3, 0x1000), LineState::Invalid);
         assert_eq!(sys.bridge(1).stats().invalidations_in, 1);
-        assert_eq!(sys.read(1, 1, 0x1000, 4), vec![5; 4]);
+        assert_eq!(sys.read_at(&[1], 1, 0x1000, 4), vec![5; 4]);
     }
 
     #[test]
@@ -1246,10 +803,10 @@ mod tests {
             .build();
         for round in 0..9u32 {
             let cluster = (round as usize) % 3;
-            sys.write(cluster, 0, 0x2000, &round.to_le_bytes());
+            sys.write_at(&[cluster], 0, 0x2000, &round.to_le_bytes());
             for reader in 0..3 {
                 assert_eq!(
-                    sys.read(reader, 0, 0x2000, 4),
+                    sys.read_at(&[reader], 0, 0x2000, 4),
                     round.to_le_bytes().to_vec(),
                     "round {round} reader {reader}"
                 );
@@ -1285,7 +842,7 @@ mod tests {
             .collect();
         sys.run(&mut streams, 250);
         sys.verify().expect("hierarchy consistent");
-        assert!(sys.parent_stats().transactions > 0);
+        assert!(sys.bus_stats().transactions > 0);
     }
 
     #[test]
@@ -1309,9 +866,9 @@ mod tests {
             let cpu = ((i / 2) % 2) as usize;
             let addr = 0x1000 + u64::from(i % 4) * 32;
             if i % 3 == 0 {
-                sys.write(cluster, cpu, addr, &i.to_le_bytes());
+                sys.write_at(&[cluster], cpu, addr, &i.to_le_bytes());
             } else {
-                let _ = sys.read(cluster, cpu, addr, 4);
+                let _ = sys.read_at(&[cluster], cpu, addr, 4);
             }
         }
         sys.verify().expect("consistent");
@@ -1320,37 +877,36 @@ mod tests {
     #[test]
     fn global_sync_makes_parent_memory_current() {
         let mut sys = two_by_two();
-        sys.write(0, 0, 0x1000, &[1; 4]);
-        sys.write(1, 1, 0x2000, &[2; 4]);
+        sys.write_at(&[0], 0, 0x1000, &[1; 4]);
+        sys.write_at(&[1], 1, 0x2000, &[2; 4]);
         // Parent memory has neither value yet (cluster-level M).
-        assert_eq!(sys.parent_memory_peek(0x1000, 4), vec![0; 4]);
-        let pushed = sys.make_globally_consistent();
+        assert_eq!(sys.memory_peek(0x1000, 4), vec![0; 4]);
+        let pushed = sys.make_all_consistent();
         assert_eq!(pushed, 2);
-        assert_eq!(sys.parent_memory_peek(0x1000, 4), vec![1; 4]);
-        assert_eq!(sys.parent_memory_peek(0x2000, 4), vec![2; 4]);
+        assert_eq!(sys.memory_peek(0x1000, 4), vec![1; 4]);
+        assert_eq!(sys.memory_peek(0x2000, 4), vec![2; 4]);
         // No cluster owns anything any more.
         for c in 0..2 {
             assert!(!sys.cluster_state_of(c, 0x1000).is_owned());
             assert!(!sys.cluster_state_of(c, 0x2000).is_owned());
         }
-        assert_eq!(sys.make_globally_consistent(), 0, "idempotent");
+        assert_eq!(sys.make_all_consistent(), 0, "idempotent");
         // The clusters kept readable copies: no parent traffic on re-read.
-        let before = sys.parent_stats().transactions;
-        assert_eq!(sys.read(0, 0, 0x1000, 4), vec![1; 4]);
-        assert_eq!(sys.parent_stats().transactions, before);
+        let before = sys.bus_stats().transactions;
+        assert_eq!(sys.read_at(&[0], 0, 0x1000, 4), vec![1; 4]);
+        assert_eq!(sys.bus_stats().transactions, before);
     }
 
     /// A parent bus that errors every transaction: a full-rate abort storm
     /// outlasts the 16-round retry policy, so every execute() returns
     /// `TooManyRetries` deterministically.
-    fn break_parent_bus(sys: &mut HierarchicalSystem) {
+    fn break_parent_bus(sys: &mut System) {
         use futurebus::fault::{FaultConfig, FaultPlan};
-        sys.parent_bus_mut()
-            .inject_faults(FaultPlan::new(FaultConfig {
-                storm_rate: 1.0,
-                max_storm_rounds: 32,
-                ..FaultConfig::default()
-            }));
+        sys.bus_mut().inject_faults(FaultPlan::new(FaultConfig {
+            storm_rate: 1.0,
+            max_storm_rounds: 32,
+            ..FaultConfig::default()
+        }));
     }
 
     #[test]
@@ -1360,7 +916,7 @@ mod tests {
         // The cluster-level fetch errors on the parent bus; the bridge falls
         // back to parent memory (zeros — which is also the golden image, so
         // the oracle stays satisfied) instead of killing the simulation.
-        let v = sys.read(1, 0, 0x1000, 4);
+        let v = sys.read_at(&[1], 0, 0x1000, 4);
         assert_eq!(v, vec![0; 4]);
         assert!(!sys.parent_errors().is_empty());
         let err = &sys.parent_errors()[0];
@@ -1374,22 +930,22 @@ mod tests {
         // exclusivity, on a bus it could not actually snoop.
         assert_eq!(sys.cluster_state_of(1, 0x1000), LineState::Shareable);
         // The machine keeps running.
-        let again = sys.read(1, 0, 0x1000, 4);
+        let again = sys.read_at(&[1], 0, 0x1000, 4);
         assert_eq!(again, vec![0; 4]);
     }
 
     #[test]
     fn faulted_parent_push_still_syncs_parent_memory() {
         let mut sys = two_by_two();
-        sys.write(0, 0, 0x1000, &[1; 4]);
+        sys.write_at(&[0], 0, 0x1000, &[1; 4]);
         assert_eq!(sys.cluster_state_of(0, 0x1000), LineState::Modified);
         break_parent_bus(&mut sys);
         // The consistency command's parent write-back errors; the push is
         // applied to parent memory directly so the command still delivers
         // its contract (parent memory holds the shared image).
-        let pushed = sys.make_globally_consistent();
+        let pushed = sys.make_all_consistent();
         assert_eq!(pushed, 1);
-        assert_eq!(sys.parent_memory_peek(0x1000, 4), vec![1; 4]);
+        assert_eq!(sys.memory_peek(0x1000, 4), vec![1; 4]);
         assert_eq!(sys.parent_errors().len(), 1);
         assert_eq!(sys.parent_errors()[0].txn, ParentTxnKind::Push);
         assert_eq!(sys.parent_errors()[0].cluster, 0);
@@ -1399,11 +955,11 @@ mod tests {
     #[test]
     fn bridge_kill_loses_dirty_lines_and_invalidates_survivors() {
         let mut sys = two_by_two();
-        sys.write(0, 0, 0x1000, &[9; 4]); // cluster 0: M
-        let _ = sys.read(1, 0, 0x1000, 4); // cluster 0: O, cluster 1: S
-        sys.write(0, 0, 0x2000, &[8; 4]); // cluster 0: M, nobody else
-                                          // The checker must accept the reported loss before the oracle runs
-                                          // again, exactly as a fault campaign would.
+        sys.write_at(&[0], 0, 0x1000, &[9; 4]); // cluster 0: M
+        let _ = sys.read_at(&[1], 0, 0x1000, 4); // cluster 0: O, cluster 1: S
+        sys.write_at(&[0], 0, 0x2000, &[8; 4]); // cluster 0: M, nobody else
+                                                // The checker must accept the reported loss before the oracle runs
+                                                // again, exactly as a fault campaign would.
         sys.tolerate_faults(true);
         sys.retire_bridge(0, false);
         let stats = *sys.bridge(0).stats();
@@ -1416,16 +972,16 @@ mod tests {
         );
         assert!(sys.bridge(0).degraded());
         assert_eq!(sys.degraded_clusters(), vec![0]);
-        assert_eq!(sys.parent_bus().retired(), vec![0]);
+        assert_eq!(sys.bus().retired(), vec![0]);
         // Cluster 1's surviving S copy of the lost line was invalidated by
         // the watchdog's synthetic invalidate round: no stale data outlives
         // the owner.
         assert_eq!(sys.cluster_state_of(1, 0x1000), LineState::Invalid);
-        assert_eq!(sys.state_of(1, 0, 0x1000), LineState::Invalid);
+        assert_eq!(sys.state_of(2, 0x1000), LineState::Invalid);
         // Reconcile the golden image to the reported post-loss truth, then
         // the oracle is satisfied again.
         for line in [0x1000u64, 0x2000] {
-            let mem = sys.parent_memory_peek(line, 32);
+            let mem = sys.memory_peek(line, 32);
             sys.checker_mut().unwrap().record_write(line, &mem);
         }
         sys.verify().expect("reported loss reconciled");
@@ -1434,9 +990,9 @@ mod tests {
     #[test]
     fn bridge_stall_salvages_dirty_lines_to_parent_memory() {
         let mut sys = two_by_two();
-        sys.write(0, 0, 0x1000, &[5; 4]);
-        sys.write(0, 1, 0x2000, &[6; 4]);
-        assert_eq!(sys.parent_memory_peek(0x1000, 4), vec![0; 4]);
+        sys.write_at(&[0], 0, 0x1000, &[5; 4]);
+        sys.write_at(&[0], 1, 0x2000, &[6; 4]);
+        assert_eq!(sys.memory_peek(0x1000, 4), vec![0; 4]);
         sys.retire_bridge(0, true);
         let stats = *sys.bridge(0).stats();
         assert_eq!(stats.dirty_at_retire, 2);
@@ -1444,21 +1000,21 @@ mod tests {
         assert_eq!(stats.lost_lines, 0);
         // The synthetic push rounds landed the dirty data in parent memory:
         // nothing was lost, so the oracle stays green with no reconciliation.
-        assert_eq!(sys.parent_memory_peek(0x1000, 4), vec![5; 4]);
-        assert_eq!(sys.parent_memory_peek(0x2000, 4), vec![6; 4]);
+        assert_eq!(sys.memory_peek(0x1000, 4), vec![5; 4]);
+        assert_eq!(sys.memory_peek(0x2000, 4), vec![6; 4]);
         sys.verify().expect("salvage preserves the golden image");
     }
 
     #[test]
     fn degraded_cluster_keeps_running_memory_direct() {
         let mut sys = two_by_two();
-        sys.write(0, 0, 0x1000, &[5; 4]);
+        sys.write_at(&[0], 0, 0x1000, &[5; 4]);
         sys.retire_bridge(0, true);
         // The degraded cluster still reads its old data (now in parent
         // memory) and its writes stay globally visible.
-        assert_eq!(sys.read(0, 0, 0x1000, 4), vec![5; 4]);
-        sys.write(0, 0, 0x1000, &[7; 4]);
-        assert_eq!(sys.read(1, 0, 0x1000, 4), vec![7; 4]);
+        assert_eq!(sys.read_at(&[0], 0, 0x1000, 4), vec![5; 4]);
+        sys.write_at(&[0], 0, 0x1000, &[7; 4]);
+        assert_eq!(sys.read_at(&[1], 0, 0x1000, 4), vec![7; 4]);
         assert!(sys.bridge(0).stats().degraded_accesses >= 2);
         sys.verify().expect("degraded mode stays consistent");
     }
@@ -1466,17 +1022,17 @@ mod tests {
     #[test]
     fn degraded_write_updates_a_live_sibling_owner() {
         let mut sys = two_by_two();
-        sys.write(1, 0, 0x3000, &[3; 4]); // cluster 1 owns the line (M)
+        sys.write_at(&[1], 0, 0x3000, &[3; 4]); // cluster 1 owns the line (M)
         sys.retire_bridge(0, true);
         // Cluster 0's uncached broadcast write reaches cluster 1's copy via
         // SL-connection, and cluster 1's next read sees it with no extra
         // parent traffic.
-        sys.write(0, 0, 0x3000, &[4; 4]);
-        assert_eq!(sys.read(1, 0, 0x3000, 4), vec![4; 4]);
+        sys.write_at(&[0], 0, 0x3000, &[4; 4]);
+        assert_eq!(sys.read_at(&[1], 0, 0x3000, 4), vec![4; 4]);
         // And a degraded read of a sibling-owned dirty line is served by
         // intervention, not stale memory.
-        sys.write(1, 0, 0x3000, &[5; 4]);
-        assert_eq!(sys.read(0, 0, 0x3000, 4), vec![5; 4]);
+        sys.write_at(&[1], 0, 0x3000, &[5; 4]);
+        assert_eq!(sys.read_at(&[0], 0, 0x3000, 4), vec![5; 4]);
         sys.verify().expect("consistent across degraded traffic");
     }
 
@@ -1484,15 +1040,14 @@ mod tests {
     fn stale_tag_corruption_is_injected_and_scrubbed() {
         use futurebus::fault::{FaultConfig, FaultPlan};
         let mut sys = two_by_two();
-        sys.write(0, 0, 0x1000, &[1; 4]);
-        let _ = sys.read(1, 0, 0x1000, 4); // cluster 0: O, cluster 1: S
-        sys.parent_bus_mut()
-            .inject_faults(FaultPlan::new(FaultConfig {
-                stale_tag_rate: 1.0,
-                ..FaultConfig::default()
-            }));
+        sys.write_at(&[0], 0, 0x1000, &[1; 4]);
+        let _ = sys.read_at(&[1], 0, 0x1000, 4); // cluster 0: O, cluster 1: S
+        sys.bus_mut().inject_faults(FaultPlan::new(FaultConfig {
+            stale_tag_rate: 1.0,
+            ..FaultConfig::default()
+        }));
         let (cluster, line) = sys.corrupt_inclusion_tag().expect("rate 1.0 must fire");
-        let record = sys.parent_bus().fault_plan().unwrap().records()[0].clone();
+        let record = sys.bus().fault_plan().unwrap().records()[0].clone();
         assert!(
             matches!(record.fault, InjectedFault::StaleTag { .. }),
             "{record:?}"
@@ -1502,19 +1057,19 @@ mod tests {
         let restored = sys.scrub_inclusion_tag(cluster, line);
         assert!(restored.is_valid(), "a resident line must come back valid");
         sys.verify().expect("scrubbed hierarchy is consistent");
-        assert_eq!(sys.read(1, 0, 0x1000, 4), vec![1; 4]);
-        assert_eq!(sys.read(0, 0, 0x1000, 4), vec![1; 4]);
+        assert_eq!(sys.read_at(&[1], 0, 0x1000, 4), vec![1; 4]);
+        assert_eq!(sys.read_at(&[0], 0, 0x1000, 4), vec![1; 4]);
     }
 
     #[test]
     fn scrub_reconstructs_each_legitimate_tag_soundly() {
         let mut sys = two_by_two();
-        sys.write(0, 0, 0x1000, &[1; 4]); // cluster 0: M
-        let _ = sys.read(1, 0, 0x2000, 4); // cluster 1: E
-        let _ = sys.read(0, 0, 0x3000, 4);
-        let _ = sys.read(1, 0, 0x3000, 4); // both S
-        sys.write(0, 0, 0x4000, &[2; 4]);
-        let _ = sys.read(1, 0, 0x4000, 4); // cluster 0: O, cluster 1: S
+        sys.write_at(&[0], 0, 0x1000, &[1; 4]); // cluster 0: M
+        let _ = sys.read_at(&[1], 0, 0x2000, 4); // cluster 1: E
+        let _ = sys.read_at(&[0], 0, 0x3000, 4);
+        let _ = sys.read_at(&[1], 0, 0x3000, 4); // both S
+        sys.write_at(&[0], 0, 0x4000, &[2; 4]);
+        let _ = sys.read_at(&[1], 0, 0x4000, 4); // cluster 0: O, cluster 1: S
         for (cluster, line, expect) in [
             (0usize, 0x1000u64, LineState::Modified),
             (1, 0x2000, LineState::Exclusive),
@@ -1586,11 +1141,7 @@ mod tests {
         sys.write_at(&paths[0], 0, line + 8, &payload);
         let golden = sys.checker().expect("oracle on").golden_bytes(line, 32);
         assert_eq!(golden[8..20], payload[..]);
-        assert_eq!(
-            sys.parent_bus().memory().peek(line),
-            &golden[..],
-            "root memory"
-        );
+        assert_eq!(sys.bus().memory().peek(line), &golden[..], "root memory");
         for child in 0..2 {
             let seg = sys.bridge(child).segment().expect("interior");
             assert_eq!(
@@ -1612,7 +1163,7 @@ mod tests {
                 assert_eq!(entry.data, &golden[..], "{path:?} {}", ctrl.name());
             }
         }
-        let root = sys.parent_bus().stats();
+        let root = sys.bus().stats();
         assert!(root.broadcasts > 0 && root.sl_updates > 0, "{root:?}");
         sys.verify().expect("consistent");
     }
@@ -1622,7 +1173,7 @@ mod tests {
         let mut sys = deep_two_two_two();
         sys.write_at(&[0, 0], 0, 0x2000, &[1; 4]);
         let _ = sys.read_at(&[0, 1], 0, 0x2000, 4);
-        let root_before = sys.parent_stats().transactions;
+        let root_before = sys.bus_stats().transactions;
         // Sharing between the two clusters *inside* subtree 0 never
         // escalates to the root bus.
         for i in 0..10u32 {
@@ -1630,7 +1181,7 @@ mod tests {
             let _ = sys.read_at(&[0, 1 - (i % 2) as usize], 1, 0x2000, 4);
         }
         assert_eq!(
-            sys.parent_stats().transactions,
+            sys.bus_stats().transactions,
             root_before,
             "intra-subtree traffic must stay on its segment"
         );
@@ -1733,15 +1284,15 @@ mod tests {
         let mut sys = deep_two_two_two();
         sys.write_at(&[0, 0], 0, 0x1000, &[5; 4]);
         sys.write_at(&[0, 1], 1, 0x2000, &[6; 4]);
-        assert_eq!(sys.parent_memory_peek(0x1000, 4), vec![0; 4]);
+        assert_eq!(sys.memory_peek(0x1000, 4), vec![0; 4]);
         // Retire the interior bridge fronting subtree 0: both dirty lines —
         // held in *different* leaf clusters below it — are salvaged.
         sys.retire_bridge(0, true);
         let stats = *sys.bridge(0).stats();
         assert_eq!(stats.dirty_at_retire, 2);
         assert_eq!(stats.salvaged_lines, 2);
-        assert_eq!(sys.parent_memory_peek(0x1000, 4), vec![5; 4]);
-        assert_eq!(sys.parent_memory_peek(0x2000, 4), vec![6; 4]);
+        assert_eq!(sys.memory_peek(0x1000, 4), vec![5; 4]);
+        assert_eq!(sys.memory_peek(0x2000, 4), vec![6; 4]);
         // The subtree is cold: every descendant directory and cache emptied.
         assert_eq!(sys.cluster_state_at(&[0, 0], 0x1000), LineState::Invalid);
         assert_eq!(sys.cluster_state_at(&[0, 1], 0x2000), LineState::Invalid);
@@ -1784,16 +1335,36 @@ mod tests {
         let mut sys = deep_two_two_two();
         sys.write_at(&[0, 0], 0, 0x1000, &[1; 4]);
         sys.write_at(&[1, 1], 1, 0x2000, &[2; 4]);
-        let pushed = sys.make_globally_consistent();
+        let pushed = sys.make_all_consistent();
         assert_eq!(pushed, 2);
-        assert_eq!(sys.parent_memory_peek(0x1000, 4), vec![1; 4]);
-        assert_eq!(sys.parent_memory_peek(0x2000, 4), vec![2; 4]);
+        assert_eq!(sys.memory_peek(0x1000, 4), vec![1; 4]);
+        assert_eq!(sys.memory_peek(0x2000, 4), vec![2; 4]);
         for b in sys.bridges_preorder() {
             assert!(!b.cluster_state(0x1000).is_owned());
             assert!(!b.cluster_state(0x2000).is_owned());
         }
-        assert_eq!(sys.make_globally_consistent(), 0, "idempotent");
+        assert_eq!(sys.make_all_consistent(), 0, "idempotent");
         sys.verify().expect("post-sync tree consistent");
+    }
+
+    #[test]
+    fn a_timed_run_needs_one_bus() {
+        let one_cluster = || TreeBuilder::new(32).child(moesi_leaf(2)).build();
+        for mut sys in [two_by_two(), one_cluster()] {
+            let mut streams: Vec<Box<dyn RefStream + Send>> = (0..sys.nodes())
+                .map(|_| Box::new(crate::PingPong::new(0, 0, 32)) as Box<dyn RefStream + Send>)
+                .collect();
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sys.run_timed(&mut streams, 1, 1)
+            }))
+            .expect_err("a machine with bridges runs untimed");
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .expect("a message");
+            assert!(msg.contains("fabric trees run untimed"), "{msg}");
+        }
     }
 
     #[test]
@@ -1813,7 +1384,7 @@ mod tests {
                 sys.write_at(&[(i % 2) as usize, 0], 0, line, &i.to_le_bytes());
                 let _ = sys.read_at(&[1 - (i % 2) as usize, 1], 0, line, 4);
             }
-            sys.parent_stats().phase_ns[Phase::Arbitrate as usize]
+            sys.bus_stats().phase_ns[Phase::Arbitrate as usize]
         };
         let priority = run(Discipline::Priority);
         let fcfs = run(Discipline::Fcfs);
@@ -1825,7 +1396,7 @@ mod tests {
     }
 
     /// Puts `line` in `state` in cache `cpu` of leaf `leaf`, holding `data`.
-    fn plant(sys: &mut HierarchicalSystem, leaf: usize, cpu: usize, state: LineState, data: u8) {
+    fn plant(sys: &mut System, leaf: usize, cpu: usize, state: LineState, data: u8) {
         sys.leaf_fabric_mut(leaf).controller_mut(cpu).fill(
             0x100,
             state,
@@ -1933,18 +1504,14 @@ mod tests {
         let mut sys = two_by_two();
         sys.bridge_mut(1)
             .set_cluster_state(0x100, LineState::Shareable);
-        sys.parent_bus_mut()
-            .memory_mut()
-            .write_line(0x100, &[7; 32]);
+        sys.bus_mut().memory_mut().write_line(0x100, &[7; 32]);
         assert_eq!(sys.verify(), Err(Violation::StaleMemory { addr: 0x100 }));
 
         // The root segment's invariants come before every bridge's: stale
         // root memory is reported ahead of cluster 0's inclusion hole.
         let mut sys = two_by_two();
         plant(&mut sys, 0, 0, LineState::Shareable, 0);
-        sys.parent_bus_mut()
-            .memory_mut()
-            .write_line(0x100, &[7; 32]);
+        sys.bus_mut().memory_mut().write_line(0x100, &[7; 32]);
         assert_eq!(sys.verify(), Err(Violation::StaleMemory { addr: 0x100 }));
 
         let mut sys = two_by_two();
@@ -1980,8 +1547,8 @@ mod tests {
         // The E copy's cluster holds the line unowned, so the stale mirror
         // is the subtree's authority; the next local read miss returns it.
         let mut sys = two_by_two();
-        let _ = sys.read(1, 0, 0x100, 4);
-        assert_eq!(sys.state_of(1, 0, 0x100), LineState::Exclusive);
+        let _ = sys.read_at(&[1], 0, 0x100, 4);
+        assert_eq!(sys.state_of(2, 0x100), LineState::Exclusive);
         sys.leaf_fabric_mut(1)
             .bus_mut()
             .memory_mut()
@@ -2000,12 +1567,12 @@ mod tests {
     #[should_panic(expected = "cpu3 read 0x100")]
     fn a_read_mismatch_names_the_processor_by_its_global_lane() {
         let mut sys = two_by_two();
-        let _ = sys.read(1, 0, 0x100, 4);
+        let _ = sys.read_at(&[1], 0, 0x100, 4);
         sys.leaf_fabric_mut(1)
             .bus_mut()
             .memory_mut()
             .write_line(0x100, &[7; 32]);
-        let _ = sys.read(1, 1, 0x100, 4);
+        let _ = sys.read_at(&[1], 1, 0x100, 4);
     }
 
     #[test]
@@ -2070,9 +1637,7 @@ mod tests {
         let mut sys = two_by_two();
         sys.bridge_mut(1)
             .set_cluster_state(0x100, LineState::Exclusive);
-        sys.parent_bus_mut()
-            .memory_mut()
-            .write_line(0x100, &[7; 32]);
+        sys.bus_mut().memory_mut().write_line(0x100, &[7; 32]);
         assert_eq!(
             sys.verify(),
             Err(Violation::ExclusiveUnmodifiedDiffers {

@@ -7,6 +7,7 @@
 //! is — seen from above — still one big cache, and the same Table 1/Table 2
 //! machinery applies unchanged at every level.
 
+use cache_array::split_line_crossers;
 use futurebus::{
     BusError, BusModule, BusObservation, ChangeLog, Futurebus, LineAddr, LineMap, RetireReport,
     SparseMemory, TimingConfig, TransactionKind, TransactionOutcome, TransactionRequest,
@@ -77,6 +78,131 @@ pub enum FabricNode {
     Interior(Segment),
 }
 
+impl FabricNode {
+    /// Processor `cpu` of the leaf at `path` below this node reads `len`
+    /// bytes at `addr`, appending them to `out` — or, without `out`, on the
+    /// leaf fabric's dataless path, whose effects are the same. A segment
+    /// on the way splits the access at line boundaries (§5.1); per line, a
+    /// dead child's bridge reads memory-direct and a live one gates the
+    /// access on its cluster-level protocol before it descends. `depth` is
+    /// this node's bus level.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `path` is exhausted before reaching a leaf, or names a
+    /// child that does not exist.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn read(
+        &mut self,
+        path: &[usize],
+        cpu: usize,
+        addr: u64,
+        len: usize,
+        depth: usize,
+        errors: &mut Vec<ParentError>,
+        mut out: Option<&mut Vec<u8>>,
+    ) {
+        let seg = match self {
+            FabricNode::Leaf(fabric) => {
+                return match out {
+                    Some(out) => fabric.read_into(cpu, addr, len, out),
+                    None => fabric.read_dataless(cpu, addr, len),
+                }
+            }
+            FabricNode::Interior(seg) => seg,
+        };
+        let (&child, below) = path
+            .split_first()
+            .expect("access path stops at an interior segment");
+        for (piece_addr, piece_len) in split_line_crossers(addr, len, seg.bus.line_size()) {
+            let line = seg.bus.memory().align(piece_addr);
+            if seg.children[child].degraded() {
+                let offset = (piece_addr - line) as usize;
+                let range = offset..offset + piece_len;
+                seg.degraded_read(child, line, range, depth, errors, out.as_deref_mut());
+                continue;
+            }
+            seg.ensure(child, line, None, depth, errors);
+            let node = &mut seg.children[child].node;
+            node.read(
+                below,
+                cpu,
+                piece_addr,
+                piece_len,
+                depth + 1,
+                errors,
+                out.as_deref_mut(),
+            );
+        }
+    }
+
+    /// Processor `cpu` of the leaf at `path` below this node writes `bytes`
+    /// at `addr` (see [`read`](FabricNode::read)).
+    #[inline]
+    pub(crate) fn write(
+        &mut self,
+        path: &[usize],
+        cpu: usize,
+        addr: u64,
+        bytes: &[u8],
+        depth: usize,
+        errors: &mut Vec<ParentError>,
+    ) {
+        let seg = match self {
+            FabricNode::Leaf(fabric) => return fabric.write_fast(cpu, addr, bytes),
+            FabricNode::Interior(seg) => seg,
+        };
+        let (&child, below) = path
+            .split_first()
+            .expect("access path stops at an interior segment");
+        let mut cursor = 0;
+        for (piece_addr, piece_len) in split_line_crossers(addr, bytes.len(), seg.bus.line_size()) {
+            let piece = &bytes[cursor..cursor + piece_len];
+            cursor += piece_len;
+            let line = seg.bus.memory().align(piece_addr);
+            let offset = (piece_addr - line) as usize;
+            if seg.children[child].degraded() {
+                seg.degraded_write(child, line, offset, piece, depth, errors);
+                continue;
+            }
+            seg.ensure(child, line, Some((offset, piece)), depth, errors);
+            let node = &mut seg.children[child].node;
+            node.write(below, cpu, piece_addr, piece, depth + 1, errors);
+        }
+    }
+
+    /// The §6 consistency command at this node's scale: pushes every owned
+    /// line so this node's memory holds its complete image — a leaf's caches
+    /// pass each owned line in cache order, a segment's children push
+    /// theirs. Returns lines pushed (top-level lines only; descendant
+    /// demotions ride along inside each push).
+    pub(crate) fn push_owned(&mut self, depth: usize, errors: &mut Vec<ParentError>) -> usize {
+        match self {
+            FabricNode::Leaf(fabric) => fabric.push_owned(),
+            FabricNode::Interior(seg) => seg.push_owned(depth, errors),
+        }
+    }
+
+    /// Starts (or stops) change logging in every bridge, cache and memory
+    /// at or below this node.
+    pub(crate) fn track_changes(&mut self, on: bool) {
+        match self {
+            FabricNode::Leaf(fabric) => fabric.track_changes(on),
+            FabricNode::Interior(seg) => seg.track_changes(on),
+        }
+    }
+
+    /// Moves every line changed at or below this node since the last drain
+    /// into `out`; true when some change was wholesale.
+    pub(crate) fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
+        match self {
+            FabricNode::Leaf(fabric) => fabric.drain_changes(out),
+            FabricNode::Interior(seg) => seg.drain_changes(out),
+        }
+    }
+}
+
 /// One bus level of the fabric tree: a Futurebus whose modules are child
 /// [`Bridge`]s. The root segment's memory is true main memory; an interior
 /// segment's memory plays the mirror (default-owner) role for its subtree,
@@ -89,7 +215,7 @@ pub enum FabricNode {
 #[derive(Debug)]
 pub struct Segment {
     pub(super) bus: Futurebus,
-    pub(super) children: Vec<Bridge>,
+    pub(crate) children: Vec<Bridge>,
     /// The line a child passes up this bus, copied from its authority; kept
     /// for its capacity, so a push allocates nothing.
     outgoing: Vec<u8>,
@@ -129,7 +255,7 @@ impl Segment {
 
     /// Starts (or stops) change logging in this segment's memory and in
     /// every bridge, cache and memory below it.
-    pub(super) fn track_changes(&mut self, on: bool) {
+    fn track_changes(&mut self, on: bool) {
         self.bus.memory_mut().track_changes(on);
         for child in &mut self.children {
             child.track_changes(on);
@@ -138,7 +264,7 @@ impl Segment {
 
     /// Moves every line changed in this subtree since the last drain into
     /// `out`; true when some change was wholesale.
-    pub(super) fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
+    fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
         let mut wholesale = self.bus.memory_mut().drain_changes(out);
         for child in &mut self.children {
             wholesale |= child.drain_changes(out);
@@ -152,7 +278,7 @@ impl Segment {
     /// simulation: the bridge degrades to a memory-direct fallback (the
     /// error is logged with this segment's `depth`, and any inconsistency
     /// the skipped snoops cause is the oracle's to report).
-    pub(super) fn ensure(
+    fn ensure(
         &mut self,
         child: usize,
         line: LineAddr,
@@ -187,20 +313,23 @@ impl Segment {
     /// goes straight onto this segment's bus as an uncached read (no CA —
     /// Table 2 column 7). A live sibling that owns the line intervenes and
     /// supplies current data; otherwise segment memory answers. The bytes
-    /// at `range` within the line are appended to `out`.
-    pub(super) fn degraded_read(
+    /// at `range` within the line are appended to `out`, if given.
+    fn degraded_read(
         &mut self,
         child: usize,
         line: LineAddr,
         range: Range<usize>,
         depth: usize,
         errors: &mut Vec<ParentError>,
-        out: &mut Vec<u8>,
+        out: Option<&mut Vec<u8>>,
     ) {
         self.children[child].stats.degraded_accesses += 1;
         let req = TransactionRequest::read(child, line, MasterSignals::NONE);
         let (done, error) = self.bus.execute_or_degrade(&req, &mut self.children);
-        out.extend_from_slice(&done.data.expect("reads return a line")[range]);
+        let data = done.data.expect("reads return a line");
+        if let Some(out) = out {
+            out.extend_from_slice(&data[range]);
+        }
         if let Some(error) = error {
             errors.push(ParentError::new(
                 child,
@@ -213,7 +342,7 @@ impl Segment {
 
     /// Memory-direct degraded write: an uncached broadcast write (IM,BC) so
     /// live siblings holding the line SL-connect and patch their copies.
-    pub(super) fn degraded_write(
+    fn degraded_write(
         &mut self,
         child: usize,
         line: LineAddr,
@@ -235,86 +364,9 @@ impl Segment {
         }
     }
 
-    /// Reads one line-bounded piece through the tree: descends along `path`,
-    /// gating each level on its cluster-level protocol, until a leaf fabric
-    /// serves the access. The bytes are appended to `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `path` is exhausted before reaching a leaf, or names a
-    /// child that does not exist.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn read_piece(
-        &mut self,
-        path: &[usize],
-        cpu: usize,
-        piece_addr: u64,
-        piece_len: usize,
-        line: LineAddr,
-        depth: usize,
-        errors: &mut Vec<ParentError>,
-        out: &mut Vec<u8>,
-    ) {
-        let child = path[0];
-        if self.children[child].degraded() {
-            let offset = (piece_addr - line) as usize;
-            let range = offset..offset + piece_len;
-            self.degraded_read(child, line, range, depth, errors, out);
-            return;
-        }
-        self.ensure(child, line, None, depth, errors);
-        match &mut self.children[child].node {
-            FabricNode::Leaf(fabric) => fabric.read_into(cpu, piece_addr, piece_len, out),
-            FabricNode::Interior(seg) => {
-                assert!(path.len() > 1, "access path stops at an interior segment");
-                seg.read_piece(
-                    &path[1..],
-                    cpu,
-                    piece_addr,
-                    piece_len,
-                    line,
-                    depth + 1,
-                    errors,
-                    out,
-                );
-            }
-        }
-    }
-
-    /// Writes one line-bounded piece through the tree (see
-    /// [`read_piece`](Segment::read_piece)).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn write_piece(
-        &mut self,
-        path: &[usize],
-        cpu: usize,
-        piece_addr: u64,
-        piece: &[u8],
-        line: LineAddr,
-        depth: usize,
-        errors: &mut Vec<ParentError>,
-    ) {
-        let child = path[0];
-        let offset = (piece_addr - line) as usize;
-        if self.children[child].degraded() {
-            self.degraded_write(child, line, offset, piece, depth, errors);
-            return;
-        }
-        self.ensure(child, line, Some((offset, piece)), depth, errors);
-        match &mut self.children[child].node {
-            FabricNode::Leaf(fabric) => fabric.write_fast(cpu, piece_addr, piece),
-            FabricNode::Interior(seg) => {
-                assert!(path.len() > 1, "access path stops at an interior segment");
-                seg.write_piece(&path[1..], cpu, piece_addr, piece, line, depth + 1, errors);
-            }
-        }
-    }
-
-    /// The §6 consistency command at this segment's scale: pushes every
-    /// owned line out of every child so this segment's memory holds the
-    /// subtree's complete image. Returns lines pushed (top-level lines only;
-    /// descendant demotions ride along inside each push).
-    pub(super) fn push_owned(&mut self, depth: usize, errors: &mut Vec<ParentError>) -> usize {
+    /// [`FabricNode::push_owned`] on this segment: every child pushes its
+    /// owned lines, in ascending line order.
+    fn push_owned(&mut self, depth: usize, errors: &mut Vec<ParentError>) -> usize {
         let mut pushed = 0;
         for child in 0..self.children.len() {
             let mut owned: Vec<LineAddr> = self.children[child]
@@ -370,13 +422,13 @@ pub struct Bridge {
     pub(super) id: usize,
     /// Depth of the bus this bridge attaches to (root bus = 0).
     pub(super) level: usize,
-    pub(super) node: FabricNode,
+    pub(crate) node: FabricNode,
     pub(super) directory: LineMap<LineState>,
     pub(super) pending: Option<(LineAddr, Option<BusReaction>)>,
     pub(super) stats: BridgeStats,
     pub(super) degraded: bool,
     pub(super) filter: bool,
-    pub(super) forward_errors: Vec<ParentError>,
+    pub(crate) forward_errors: Vec<ParentError>,
     /// Raised whenever this bridge logs a forward error. Every bridge of a
     /// tree shares the one flag, so the system collects the errors only
     /// after an access that logged one.
@@ -416,14 +468,6 @@ impl Bridge {
     #[must_use]
     pub fn node(&self) -> &FabricNode {
         &self.node
-    }
-
-    /// Number of leaf clusters in this bridge's subtree.
-    pub(super) fn leaves(&self) -> usize {
-        match &self.node {
-            FabricNode::Leaf(_) => 1,
-            FabricNode::Interior(seg) => seg.children.iter().map(Bridge::leaves).sum(),
-        }
     }
 
     /// True when this bridge fronts a leaf cluster of cache controllers.
@@ -525,23 +569,16 @@ impl Bridge {
 
     /// Starts (or stops) change logging in this bridge's directory and in
     /// everything below it.
-    pub(super) fn track_changes(&mut self, on: bool) {
+    fn track_changes(&mut self, on: bool) {
         self.changes = on.then(ChangeLog::default);
-        match &mut self.node {
-            FabricNode::Leaf(fabric) => fabric.track_changes(on),
-            FabricNode::Interior(seg) => seg.track_changes(on),
-        }
+        self.node.track_changes(on);
     }
 
     /// Moves every line changed at or below this bridge since the last
     /// drain into `out`; true when some change was wholesale.
-    pub(super) fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
-        let mut wholesale = self.changes.as_mut().is_some_and(|log| log.drain_into(out));
-        wholesale |= match &mut self.node {
-            FabricNode::Leaf(fabric) => fabric.drain_changes(out),
-            FabricNode::Interior(seg) => seg.drain_changes(out),
-        };
-        wholesale
+    fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
+        let wholesale = self.changes.as_mut().is_some_and(|log| log.drain_into(out));
+        self.node.drain_changes(out) | wholesale
     }
 
     /// This bridge's mirror memory: the leaf fabric's bus memory, or the
@@ -733,11 +770,7 @@ impl Bridge {
     pub(super) fn sync_subtree(&mut self, line: LineAddr) {
         match &mut self.node {
             FabricNode::Leaf(fabric) => {
-                let owner_cpu = (0..fabric.nodes())
-                    .find(|&cpu| fabric.controller(cpu).state_of(line).is_owned());
-                if let Some(cpu) = owner_cpu {
-                    fabric.pass(cpu, line);
-                }
+                fabric.pass_owner(line);
             }
             FabricNode::Interior(seg) => {
                 let owner = seg

@@ -3,7 +3,8 @@
 //! The evaluation vehicle of the Sweazey–Smith (ISCA 1986) reproduction: it
 //! assembles processors (with copy-back caches, write-through caches, or no
 //! cache at all), snooping [`CacheController`]s running any `moesi::Protocol`,
-//! one `futurebus::Futurebus`, and drives synthetic workloads over the whole
+//! one `futurebus::Futurebus` — or §6's tree of them, whose one-leaf case is
+//! the single bus ([`System`]) — and drives synthetic workloads over the whole
 //! machine while a consistency oracle audits the shared memory image.
 //!
 //! ## Quick start
@@ -49,7 +50,7 @@ pub use faults::{
     CampaignReport, FaultClass, FaultVerdict, LivenessOutcome, LivenessProbe, ProtocolRun, Tally,
     TreeExtras, TreeShape,
 };
-pub use metrics::{CpuStats, MachineReport, StateCensus, TimedReport};
+pub use metrics::{CpuStats, StateCensus, TimedReport};
 pub use profile::{chrome_trace, trace_run, TraceRunConfig};
 pub use replay::{replay, Failure, ReplayFault, ReplayOp, ReplayOutcome, Trace, TraceStep};
 pub use system::{System, SystemBuilder};

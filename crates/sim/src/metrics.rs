@@ -1,6 +1,6 @@
 //! Per-processor statistics and state-occupancy censuses.
 
-use futurebus::{BusStats, Nanos, PhaseHistograms};
+use futurebus::{Nanos, PhaseHistograms};
 use moesi::LineState;
 use std::fmt;
 use std::ops::AddAssign;
@@ -127,22 +127,6 @@ impl fmt::Display for TimedReport {
             self.bus_wait_ns,
         )
     }
-}
-
-/// A complete, comparable snapshot of everything a run observably produced:
-/// the bus counters, every node's counters, and the rendered bus trace.
-///
-/// This is the unit of byte-exact comparison across queue layouts, shard
-/// worker counts and golden traces — two runs are equivalent exactly when
-/// their `MachineReport`s compare equal after the same workload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MachineReport {
-    /// Final bus counters.
-    pub bus: BusStats,
-    /// Per-node counters, in node order.
-    pub cpus: Vec<CpuStats>,
-    /// The rendered bus trace (empty when tracing was off).
-    pub trace: String,
 }
 
 /// Everything one processor/cache node did and had done to it.

@@ -15,7 +15,7 @@
 use futurebus::fault::{FaultConfig, FaultPlan};
 use futurebus::{ChromeTraceWriter, Futurebus, Phase, TraceKind};
 
-use crate::faults::{flat_fabric, issue, plan_schedule, CampaignConfig};
+use crate::faults::{access, campaign_machine, plan_schedule, CampaignConfig};
 
 /// Trace log capacity for [`trace_run`]: large enough that no record of a
 /// CLI-sized run is evicted (eviction would desynchronise the instant-event
@@ -121,17 +121,18 @@ pub fn trace_run(cfg: &TraceRunConfig) -> Result<String, String> {
         seed: cfg.seed,
         ..CampaignConfig::default()
     };
-    let mut fabric = flat_fabric(&campaign, &cfg.protocol)?;
-    fabric.bus_mut().enable_trace(TRACE_CAPACITY);
-    fabric.bus_mut().enable_phase_events();
+    let mut sys = campaign_machine(&campaign, &cfg.protocol, 0)?;
+    let bus = sys.bus_mut();
+    bus.enable_trace(TRACE_CAPACITY);
+    bus.enable_phase_events();
     if let Some(faults) = cfg.faults {
-        fabric.bus_mut().inject_faults(FaultPlan::new(faults));
+        bus.inject_faults(FaultPlan::new(faults));
     }
     for step in plan_schedule(&campaign, 0) {
-        issue(&mut fabric, &step);
+        access(&mut sys, &step);
     }
-    let _ = fabric.drain_bus_errors();
-    Ok(chrome_trace(fabric.bus()))
+    let _ = sys.drain_bus_errors();
+    Ok(chrome_trace(sys.bus()))
 }
 
 #[cfg(test)]
@@ -207,17 +208,17 @@ mod tests {
             seed: 7,
             ..CampaignConfig::default()
         };
-        let mut fabric = flat_fabric(&campaign, "moesi").unwrap();
-        fabric.bus_mut().enable_phase_events();
+        let mut sys = campaign_machine(&campaign, "moesi", 0).unwrap();
+        sys.bus_mut().enable_phase_events();
         for step in plan_schedule(&campaign, 0) {
-            issue(&mut fabric, &step);
+            access(&mut sys, &step);
         }
-        let charged: u64 = fabric
+        let charged: u64 = sys
             .bus()
             .phase_events()
             .iter()
             .map(|ev| ev.phase_ns.iter().sum::<u64>())
             .sum();
-        assert_eq!(charged, fabric.bus().stats().busy_ns);
+        assert_eq!(charged, sys.bus_stats().busy_ns);
     }
 }

@@ -240,9 +240,9 @@ pub fn execute(
             checker.check_read(module, addr, &got)
         }
         ReplayOp::Write(v) => {
-            fabric.write_with(module, addr, &vec![v; size], |piece_addr, piece| {
-                checker.record_write(piece_addr, piece);
-            });
+            let bytes = vec![v; size];
+            checker.record_write(addr, &bytes);
+            fabric.write_fast(module, addr, &bytes);
             Ok(())
         }
         ReplayOp::Pass => {

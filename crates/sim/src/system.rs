@@ -1,25 +1,35 @@
-//! The shared-bus multiprocessor: processors, caches, memory, one Futurebus.
+//! The multiprocessor: processors, caches, memory and the Futurebuses that
+//! join them.
 //!
-//! [`SystemBuilder`] assembles a heterogeneous machine — any mixture of
-//! protocols per node, exactly as §3.4 promises ("different boards on the bus
-//! can implement different protocols, provided that each comes from this
-//! class") — and [`System`] drives it: every processor read or write becomes
-//! cache lookups, protocol consultations and Futurebus transactions, with the
-//! [`Checker`] oracle auditing the shared memory image after every access
-//! when enabled. The access engine itself lives in [`Fabric`](crate::Fabric).
+//! [`System`] is the one machine type. Its root is a [`FabricNode`]: a
+//! `Leaf` fabric is the paper's single shared bus, an `Interior` segment of
+//! bridges is §6's fabric tree ("a cluster is one big cache"), so the flat
+//! bus is the one-leaf case of the tree. [`SystemBuilder`] assembles the
+//! one-bus machine — any mixture of protocols per node, exactly as §3.4
+//! promises ("different boards on the bus can implement different
+//! protocols, provided that each comes from this class") — and
+//! [`TreeBuilder`] every deeper one. Processors are numbered by *lane*,
+//! leaf-major, so on one bus a lane is the cpu. Every processor read or
+//! write becomes cache lookups, protocol consultations and Futurebus
+//! transactions, with the [`Checker`] oracle auditing the shared memory
+//! image after every access when enabled. The per-bus access engine lives
+//! in [`Fabric`]; the tree's bridges in [`hierarchy`](crate::hierarchy).
 
 use cache_array::CacheConfig;
-use futurebus::{BusStats, TimingConfig};
-use moesi::{CacheKind, LineState, Protocol};
+use futurebus::{BusStats, Futurebus, TimingConfig};
+use moesi::{LineState, Protocol};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use crate::checker::{Checker, Violation};
 use crate::controller::CacheController;
 use crate::engine;
 use crate::fabric::Fabric;
-use crate::metrics::{CpuStats, MachineReport};
+use crate::hierarchy::{Bridge, FabricNode, ParentError, TreeBuilder, TreeSpec};
+use crate::metrics::CpuStats;
 use crate::workload::{Access, RefStream, WritePayload};
 
-/// Builds a [`System`].
+/// Builds a one-bus [`System`]: the one-leaf case of [`TreeBuilder`].
 ///
 /// # Examples
 ///
@@ -38,47 +48,33 @@ use crate::workload::{Access, RefStream, WritePayload};
 /// assert_eq!(sys.read(2, 0x1000, 4), vec![1, 2, 3, 4]);
 /// ```
 #[derive(Debug)]
-pub struct SystemBuilder {
-    line_size: usize,
-    timing: TimingConfig,
-    nodes: Vec<(Box<dyn Protocol + Send>, Option<CacheConfig>)>,
-    checking: bool,
-    seed: u64,
-}
+pub struct SystemBuilder(TreeBuilder);
 
 impl SystemBuilder {
     /// Starts a builder for a system with the given (standard, §5.1) line
     /// size in bytes.
     #[must_use]
     pub fn new(line_size: usize) -> Self {
-        SystemBuilder {
-            line_size,
-            timing: TimingConfig::default(),
-            nodes: Vec::new(),
-            checking: false,
-            seed: 0x5EED,
-        }
+        SystemBuilder(TreeBuilder::with_root(line_size, TreeSpec::leaf()).seed(0x5EED))
     }
 
     /// Sets the bus timing model.
     #[must_use]
     pub fn timing(mut self, timing: TimingConfig) -> Self {
-        self.timing = timing;
+        self.0.timing = timing;
         self
     }
 
     /// Enables the consistency oracle (verified after every access).
     #[must_use]
-    pub fn checking(mut self, on: bool) -> Self {
-        self.checking = on;
-        self
+    pub fn checking(self, on: bool) -> Self {
+        SystemBuilder(self.0.checking(on))
     }
 
     /// Seeds the replacement-policy RNGs.
     #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    pub fn seed(self, seed: u64) -> Self {
+        SystemBuilder(self.0.seed(seed))
     }
 
     /// Adds a caching node (copy-back or write-through protocol).
@@ -86,20 +82,16 @@ impl SystemBuilder {
     /// # Panics
     ///
     /// Panics if the cache's line size differs from the system's — §5.1: "a
-    /// given system \[must\] standardize on a given line size".
+    /// given system \[must\] standardize on a given line size" — or if the
+    /// protocol is a non-caching one.
     #[must_use]
     pub fn cache(mut self, protocol: Box<dyn Protocol + Send>, config: CacheConfig) -> Self {
         assert_eq!(
-            config.line_size, self.line_size,
+            config.line_size, self.0.line_size,
             "§5.1: all caches must use the system line size ({} != {})",
-            config.line_size, self.line_size
+            config.line_size, self.0.line_size
         );
-        assert_ne!(
-            protocol.kind(),
-            CacheKind::NonCaching,
-            "use `uncached` for non-caching protocols"
-        );
-        self.nodes.push((protocol, Some(config)));
+        self.0.root = self.0.root.cache(protocol, config);
         self
     }
 
@@ -110,12 +102,7 @@ impl SystemBuilder {
     /// Panics if the protocol is a caching one.
     #[must_use]
     pub fn uncached(mut self, protocol: Box<dyn Protocol + Send>) -> Self {
-        assert_eq!(
-            protocol.kind(),
-            CacheKind::NonCaching,
-            "use `cache` for caching protocols"
-        );
-        self.nodes.push((protocol, None));
+        self.0.root = self.0.root.uncached(protocol);
         self
     }
 
@@ -126,157 +113,387 @@ impl SystemBuilder {
     /// Panics when no nodes were added.
     #[must_use]
     pub fn build(self) -> System {
-        assert!(!self.nodes.is_empty(), "a system needs at least one node");
-        let controllers: Vec<CacheController> = self
-            .nodes
-            .into_iter()
-            .enumerate()
-            .map(|(id, (protocol, cfg))| {
-                CacheController::new(id, protocol, cfg, self.seed.wrapping_add(id as u64))
-            })
-            .collect();
-        let mut fabric = Fabric::new(self.line_size, self.timing, controllers);
-        let checker = self.checking.then(|| {
-            fabric.track_changes(true);
-            let mut ck = Checker::new(self.line_size);
-            ck.track_changes(true);
-            ck
-        });
-        System {
-            fabric,
-            checker,
-            write_seq: 0,
-            read_buf: Vec::new(),
-        }
+        self.0.build()
     }
 }
 
-/// A running shared-bus multiprocessor.
+/// A running multiprocessor: one bus, or a fabric tree of bus segments
+/// whose root bus owns true main memory.
 #[derive(Debug)]
 pub struct System {
-    fabric: Fabric,
+    root: FabricNode,
     checker: Option<Checker>,
+    line_size: usize,
+    /// Each leaf's access path from the root, in leaf order: `[[]]` for a
+    /// single bus.
+    paths: Vec<Vec<usize>>,
+    /// Each lane's leaf and the processor's index within it, leaf-major.
+    lanes: Vec<(usize, usize)>,
+    parent_errors: Vec<ParentError>,
+    tolerant: bool,
+    /// The sequence number of the last workload write.
     write_seq: u32,
     /// The buffer checked workload reads land in, kept for its capacity.
     read_buf: Vec<u8>,
+    /// Raised by any bridge that logs a forward error (every bridge holds a
+    /// clone), so the errors are collected only after an access logged one.
+    /// Relaxed ordering suffices: the flag is raised and lowered only under
+    /// `&mut` access to the machine, so one thread orders both.
+    forward_logged: Arc<AtomicBool>,
 }
 
 impl System {
-    /// Number of nodes.
+    /// The machine below `root`, whose leaves are at `paths` and whose
+    /// processors are `lanes`, its oracle on when `checking`.
+    pub(crate) fn new(
+        root: FabricNode,
+        paths: Vec<Vec<usize>>,
+        lanes: Vec<(usize, usize)>,
+        line_size: usize,
+        checking: bool,
+        forward_logged: Arc<AtomicBool>,
+    ) -> Self {
+        let mut sys = System {
+            root,
+            checker: checking.then(|| Checker::new(line_size)),
+            line_size,
+            paths,
+            lanes,
+            parent_errors: Vec::new(),
+            tolerant: false,
+            write_seq: 0,
+            read_buf: Vec::new(),
+            forward_logged,
+        };
+        sys.track_changes(checking);
+        sys
+    }
+
+    /// Number of processors (lanes).
     #[must_use]
     pub fn nodes(&self) -> usize {
-        self.fabric.nodes()
+        self.lanes.len()
     }
 
     /// The system line size.
     #[must_use]
     pub fn line_size(&self) -> usize {
-        self.fabric.line_size()
+        self.line_size
     }
 
-    /// A node's statistics.
+    /// Number of leaf buses: 1 for a single bus.
     #[must_use]
-    pub fn stats(&self, cpu: usize) -> &CpuStats {
-        self.fabric.controller(cpu).stats()
+    pub fn leaves(&self) -> usize {
+        self.paths.len()
     }
 
-    /// Sum of all nodes' statistics.
+    /// The access paths of every leaf, in leaf order: `paths[leaf]` is what
+    /// [`read_at`](System::read_at) / [`write_at`](System::write_at)
+    /// expect — `[cluster]` for a two-level machine, `[]` for a single bus.
+    #[must_use]
+    pub fn leaf_paths(&self) -> Vec<Vec<usize>> {
+        self.paths.clone()
+    }
+
+    /// The fabric of leaf `leaf` (the machine's one fabric on a single bus).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `leaf` is out of range.
+    #[must_use]
+    pub fn leaf_fabric(&self, leaf: usize) -> &Fabric {
+        let node = match self.paths[leaf].as_slice() {
+            [] => &self.root,
+            path => self.bridge_at(path).node(),
+        };
+        match node {
+            FabricNode::Leaf(fabric) => fabric,
+            FabricNode::Interior(_) => unreachable!("a leaf path ends at a leaf"),
+        }
+    }
+
+    /// Mutable access to leaf `leaf`'s fabric, for installing fault plans or
+    /// tolerant-mode settings on the leaf bus.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `leaf` is out of range.
+    pub fn leaf_fabric_mut(&mut self, leaf: usize) -> &mut Fabric {
+        let node = match self.paths[leaf].as_slice() {
+            [] => &mut self.root,
+            path => &mut bridge_in(root_bridges_mut(&mut self.root), path).node,
+        };
+        match node {
+            FabricNode::Leaf(fabric) => fabric,
+            FabricNode::Interior(_) => unreachable!("a leaf path ends at a leaf"),
+        }
+    }
+
+    /// The fabric of a single-bus machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fabric tree, which has one fabric per leaf
+    /// ([`leaf_fabric`](System::leaf_fabric)).
+    #[must_use]
+    pub fn fabric(&self) -> &Fabric {
+        match &self.root {
+            FabricNode::Leaf(fabric) => fabric,
+            FabricNode::Interior(_) => panic!("a fabric tree has one fabric per leaf"),
+        }
+    }
+
+    /// Mutable access to a single-bus machine's fabric. Writes made behind
+    /// the oracle's back will be reported as violations; use
+    /// [`System::write`] for checked accesses.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fabric tree.
+    pub fn fabric_mut(&mut self) -> &mut Fabric {
+        match &mut self.root {
+            FabricNode::Leaf(fabric) => fabric,
+            FabricNode::Interior(_) => panic!("a fabric tree has one fabric per leaf"),
+        }
+    }
+
+    /// The root bus, whose memory is true main memory.
+    #[must_use]
+    pub fn bus(&self) -> &Futurebus {
+        match &self.root {
+            FabricNode::Leaf(fabric) => fabric.bus(),
+            FabricNode::Interior(seg) => seg.bus(),
+        }
+    }
+
+    /// Mutable access to the root bus, for fault plans, retry policy and
+    /// the liveness watchdog.
+    pub fn bus_mut(&mut self) -> &mut Futurebus {
+        match &mut self.root {
+            FabricNode::Leaf(fabric) => fabric.bus_mut(),
+            FabricNode::Interior(seg) => seg.bus_mut(),
+        }
+    }
+
+    /// The root bus's statistics.
+    #[must_use]
+    pub fn bus_stats(&self) -> &BusStats {
+        self.bus().stats()
+    }
+
+    /// Processor `lane`'s statistics.
+    #[must_use]
+    pub fn stats(&self, lane: usize) -> &CpuStats {
+        self.controller(lane).stats()
+    }
+
+    /// Sum of all processors' statistics.
     #[must_use]
     pub fn total_stats(&self) -> CpuStats {
         let mut total = CpuStats::new();
-        for c in self.fabric.controllers() {
-            total += *c.stats();
+        for lane in 0..self.nodes() {
+            total += *self.stats(lane);
         }
         total
     }
 
-    /// The bus statistics.
+    /// Processor `lane`'s controller (for state inspection in tests).
     #[must_use]
-    pub fn bus_stats(&self) -> &BusStats {
-        self.fabric.bus().stats()
+    pub fn controller(&self, lane: usize) -> &CacheController {
+        let (leaf, cpu) = self.lanes[lane];
+        self.leaf_fabric(leaf).controller(cpu)
     }
 
-    /// Per-phase bus latency histograms accumulated so far.
+    /// The consistency state processor `lane` holds for the line containing
+    /// `addr`.
     #[must_use]
-    pub fn phase_histograms(&self) -> &futurebus::PhaseHistograms {
-        self.fabric.bus().phase_histograms()
+    pub fn state_of(&self, lane: usize, addr: u64) -> LineState {
+        self.controller(lane).state_of(addr)
     }
 
-    /// A node's controller (for state inspection in tests).
+    /// A census of processor `lane`'s resident lines by MOESI state.
     #[must_use]
-    pub fn controller(&self, cpu: usize) -> &CacheController {
-        self.fabric.controller(cpu)
+    pub fn state_census(&self, lane: usize) -> crate::StateCensus {
+        let mut census = crate::StateCensus::new();
+        if let Some(cache) = self.controller(lane).cache() {
+            for (_, entry) in cache.iter() {
+                census.record(entry.state);
+            }
+        }
+        census
     }
 
-    /// The underlying fabric (advanced: preloading memory, custom drivers).
+    /// A census across all processors.
     #[must_use]
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
+    pub fn total_state_census(&self) -> crate::StateCensus {
+        let mut census = crate::StateCensus::new();
+        for lane in 0..self.nodes() {
+            census += self.state_census(lane);
+        }
+        census
     }
 
-    /// Mutable fabric access. Writes made behind the oracle's back will be
-    /// reported as violations; use [`System::write`] for checked accesses.
-    pub fn fabric_mut(&mut self) -> &mut Fabric {
-        &mut self.fabric
-    }
-
-    /// The consistency state node `cpu` holds for the line containing `addr`.
+    /// The consistency oracle, if enabled.
     #[must_use]
-    pub fn state_of(&self, cpu: usize, addr: u64) -> LineState {
-        self.fabric.controller(cpu).state_of(addr)
+    pub fn checker(&self) -> Option<&Checker> {
+        self.checker.as_ref()
     }
 
-    /// Verifies the shared-memory-image invariants now, over every line.
+    /// Mutable oracle access — fault campaigns reconcile the golden image
+    /// against *reported* loss through this. The caller may change what the
+    /// oracle enforces, so the next audit is a full one.
+    pub fn checker_mut(&mut self) -> Option<&mut Checker> {
+        let ck = self.checker.as_mut()?;
+        ck.force_full_audit();
+        Some(ck)
+    }
+
+    /// Verifies the shared-memory-image invariants now, over every line —
+    /// on a tree including the inclusion invariant the snoop filter depends
+    /// on.
     ///
     /// # Errors
     ///
-    /// Returns the first violation, if any. Always `Ok` when the oracle was
-    /// not enabled.
+    /// Returns the first violation, in line-address order; always `Ok`
+    /// without the oracle.
     pub fn verify(&self) -> Result<(), Violation> {
-        match &self.checker {
-            Some(ck) => ck.verify(&self.fabric),
-            None => Ok(()),
+        self.checker
+            .as_ref()
+            .map_or(Ok(()), |ck| self.verify_against(ck))
+    }
+
+    /// [`verify`](System::verify) against an oracle the caller keeps: a
+    /// fault campaign's, which reconciles reported damage in it.
+    pub(crate) fn verify_against(&self, ck: &Checker) -> Result<(), Violation> {
+        ck.check_all(&self.root, &mut Vec::new())
+    }
+
+    /// Switches fault-tolerant mode on or off, for every leaf bus and the
+    /// tree itself. Tolerant mode stops the per-access oracle panics; a
+    /// fault campaign reconciles reported damage first and then runs the
+    /// oracle explicitly, so only *unreported* corruption counts as silent.
+    pub fn tolerate_faults(&mut self, on: bool) {
+        self.tolerant = on;
+        // Tolerant runs skip the per-access audit, so they log nothing; the
+        // first audit after them re-checks everything.
+        self.track_changes(!on && self.checker.is_some());
+        for leaf in 0..self.leaves() {
+            self.leaf_fabric_mut(leaf).tolerate_bus_errors(on);
         }
     }
 
-    /// Processor `cpu` reads `len` bytes at `addr` (any alignment; line
+    /// Processor `lane` reads `len` bytes at `addr` (any alignment; line
     /// crossers become one transaction per line, §5.1).
     ///
     /// # Panics
     ///
     /// Panics on a consistency violation when the oracle is enabled.
-    pub fn read(&mut self, cpu: usize, addr: u64, len: usize) -> Vec<u8> {
+    pub fn read(&mut self, lane: usize, addr: u64, len: usize) -> Vec<u8> {
+        let (leaf, cpu) = self.lanes[lane];
         let mut out = Vec::with_capacity(len);
-        self.read_into(cpu, addr, len, &mut out);
+        self.read_leaf(leaf, cpu, addr, len, &mut out);
         out
     }
 
-    /// [`System::read`], appending the bytes to `out`.
-    fn read_into(&mut self, cpu: usize, addr: u64, len: usize, out: &mut Vec<u8>) {
+    /// Processor `cpu` of the leaf at `path` reads `len` bytes at `addr`,
+    /// descending one bus level per path element.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `path` does not reach a leaf, or on a consistency
+    /// violation when the oracle is enabled.
+    pub fn read_at(&mut self, path: &[usize], cpu: usize, addr: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        self.read_into(path, cpu, addr, len, &mut out);
+        out
+    }
+
+    /// [`read_at`](System::read_at), appending the bytes to `out`. A caller
+    /// that reuses `out` makes a read hit allocate nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`read_at`](System::read_at).
+    pub fn read_into(
+        &mut self,
+        path: &[usize],
+        cpu: usize,
+        addr: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) {
+        let leaf = self.leaf_of(path);
+        self.read_leaf(leaf, cpu, addr, len, out);
+    }
+
+    /// Processor `lane` writes `bytes` at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a consistency violation when the oracle is enabled.
+    pub fn write(&mut self, lane: usize, addr: u64, bytes: &[u8]) {
+        let (leaf, cpu) = self.lanes[lane];
+        self.write_leaf(leaf, cpu, addr, bytes);
+    }
+
+    /// Processor `cpu` of the leaf at `path` writes `bytes` at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `path` does not reach a leaf, or on a consistency
+    /// violation when the oracle is enabled.
+    pub fn write_at(&mut self, path: &[usize], cpu: usize, addr: u64, bytes: &[u8]) {
+        let leaf = self.leaf_of(path);
+        self.write_leaf(leaf, cpu, addr, bytes);
+    }
+
+    /// The index of the leaf at `path`.
+    fn leaf_of(&self, path: &[usize]) -> usize {
+        self.paths
+            .iter()
+            .position(|p| p == path)
+            .unwrap_or_else(|| panic!("access path {path:?} does not reach a leaf"))
+    }
+
+    /// Processor `cpu` of leaf `leaf` reads `len` bytes at `addr`, appending
+    /// them to `out`.
+    fn read_leaf(&mut self, leaf: usize, cpu: usize, addr: u64, len: usize, out: &mut Vec<u8>) {
         let start = out.len();
-        self.fabric.read_into(cpu, addr, len, out);
-        if let Some(ck) = &self.checker {
-            if let Err(v) = ck.check_read(cpu, addr, &out[start..]) {
+        let path = &self.paths[leaf];
+        self.root
+            .read(path, cpu, addr, len, 0, &mut self.parent_errors, Some(out));
+        self.hoist_forward_errors();
+        if let (Some(ck), false) = (&self.checker, self.tolerant) {
+            if let Err(mut v) = ck.check_read(cpu, addr, &out[start..]) {
+                if let Violation::ReadMismatch { cpu: lane, .. } = &mut v {
+                    *lane = self
+                        .lanes
+                        .iter()
+                        .position(|&l| l == (leaf, cpu))
+                        .expect("a lane");
+                }
                 panic!("consistency violation: {v}");
             }
         }
         self.audit();
     }
 
-    /// Processor `cpu` writes `bytes` at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a consistency violation when the oracle is enabled.
-    pub fn write(&mut self, cpu: usize, addr: u64, bytes: &[u8]) {
-        let checker = &mut self.checker;
-        self.fabric
-            .write_with(cpu, addr, bytes, |piece_addr, piece| {
-                if let Some(ck) = checker {
-                    ck.record_write(piece_addr, piece);
-                }
-            });
+    /// Processor `cpu` of leaf `leaf` writes `bytes` at `addr`, recorded by
+    /// the oracle first.
+    fn write_leaf(&mut self, leaf: usize, cpu: usize, addr: u64, bytes: &[u8]) {
+        if let Some(ck) = &mut self.checker {
+            ck.record_write(addr, bytes);
+        }
+        let path = &self.paths[leaf];
+        self.root
+            .write(path, cpu, addr, bytes, 0, &mut self.parent_errors);
+        self.hoist_forward_errors();
         self.audit();
+    }
+
+    /// The line-aligned address containing `addr`.
+    pub(crate) fn line_addr(&self, addr: u64) -> u64 {
+        addr & !(self.line_size as u64 - 1)
     }
 
     /// An atomic read-modify-write: reads `len` bytes at `addr`, applies `f`,
@@ -292,19 +509,19 @@ impl System {
     /// Panics if `f` returns a different length than it was given, if the
     /// access crosses a line boundary (locked cycles cannot be split), or on
     /// a consistency violation.
-    pub fn atomic_rmw<F>(&mut self, cpu: usize, addr: u64, len: usize, f: F) -> Vec<u8>
+    pub fn atomic_rmw<F>(&mut self, lane: usize, addr: u64, len: usize, f: F) -> Vec<u8>
     where
         F: FnOnce(&[u8]) -> Vec<u8>,
     {
         assert_eq!(
-            self.fabric.line_addr(addr),
-            self.fabric.line_addr(addr + len as u64 - 1),
+            self.line_addr(addr),
+            self.line_addr(addr + len as u64 - 1),
             "a locked read-modify-write must not cross a line"
         );
-        let old = self.read(cpu, addr, len);
+        let old = self.read(lane, addr, len);
         let new = f(&old);
         assert_eq!(new.len(), len, "rmw must preserve the operand size");
-        self.write(cpu, addr, &new);
+        self.write(lane, addr, &new);
         old
     }
 
@@ -314,8 +531,8 @@ impl System {
     ///
     /// Panics if the word crosses a line boundary or on a consistency
     /// violation.
-    pub fn fetch_add_u32(&mut self, cpu: usize, addr: u64, delta: u32) -> u32 {
-        let old = self.atomic_rmw(cpu, addr, 4, |bytes| {
+    pub fn fetch_add_u32(&mut self, lane: usize, addr: u64, delta: u32) -> u32 {
+        let old = self.atomic_rmw(lane, addr, 4, |bytes| {
             let v = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
             v.wrapping_add(delta).to_le_bytes().to_vec()
         });
@@ -328,179 +545,124 @@ impl System {
     /// # Panics
     ///
     /// Panics on a consistency violation.
-    pub fn test_and_set(&mut self, cpu: usize, addr: u64) -> u8 {
-        self.atomic_rmw(cpu, addr, 1, |_| vec![1])[0]
+    pub fn test_and_set(&mut self, lane: usize, addr: u64) -> u8 {
+        self.atomic_rmw(lane, addr, 1, |_| vec![1])[0]
     }
 
     /// Releases a [`test_and_set`](System::test_and_set) lock.
-    pub fn clear_lock(&mut self, cpu: usize, addr: u64) {
-        self.write(cpu, addr, &[0]);
+    pub fn clear_lock(&mut self, lane: usize, addr: u64) {
+        self.write(lane, addr, &[0]);
     }
 
-    /// Pushes a dirty line to memory while keeping the copy (Table 1, note 3).
-    /// No-op unless node `cpu` holds the line in an owned state.
-    pub fn pass(&mut self, cpu: usize, addr: u64) -> bool {
-        let did = self.fabric.pass(cpu, addr);
+    /// Pushes a dirty line to its bus's memory while keeping the copy
+    /// (Table 1, note 3). No-op unless processor `lane` holds the line in
+    /// an owned state.
+    pub fn pass(&mut self, lane: usize, addr: u64) -> bool {
+        let (leaf, cpu) = self.lanes[lane];
+        let did = self.leaf_fabric_mut(leaf).pass(cpu, addr);
         self.audit();
         did
     }
 
     /// Flushes (pushes if dirty, then discards) the line containing `addr`
-    /// from node `cpu`'s cache (Table 1, note 4). No-op when not resident.
-    pub fn flush(&mut self, cpu: usize, addr: u64) -> bool {
-        let did = self.fabric.flush(cpu, addr);
+    /// from processor `lane`'s cache (Table 1, note 4). No-op when not
+    /// resident.
+    pub fn flush(&mut self, lane: usize, addr: u64) -> bool {
+        let (leaf, cpu) = self.lanes[lane];
+        let did = self.leaf_fabric_mut(leaf).flush(cpu, addr);
         self.audit();
         did
     }
 
-    /// Reads `len` bytes at `addr` directly from main memory, bypassing the
-    /// caches and the coherence machinery entirely — what a dumb DMA engine
-    /// would observe. Pair with [`make_all_consistent`] first.
-    ///
-    /// [`make_all_consistent`]: System::make_all_consistent
-    #[must_use]
-    pub fn memory_peek(&self, addr: u64, len: usize) -> Vec<u8> {
-        self.fabric.bus().memory().peek_bytes(addr, len)
-    }
-
-    /// A census of node `cpu`'s resident lines by MOESI state.
-    #[must_use]
-    pub fn state_census(&self, cpu: usize) -> crate::StateCensus {
-        let mut census = crate::StateCensus::new();
-        if let Some(cache) = self.fabric.controller(cpu).cache() {
-            for (_, entry) in cache.iter() {
-                census.record(entry.state);
-            }
-        }
-        census
-    }
-
-    /// A census across all nodes.
-    #[must_use]
-    pub fn total_state_census(&self) -> crate::StateCensus {
-        let mut census = crate::StateCensus::new();
-        for cpu in 0..self.nodes() {
-            census += self.state_census(cpu);
-        }
-        census
-    }
-
-    /// Enables bus transaction tracing, keeping the most recent `capacity`
-    /// records.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.fabric.bus_mut().enable_trace(capacity);
-    }
-
-    /// The bus transaction trace (empty unless [`enable_trace`] was called).
-    ///
-    /// [`enable_trace`]: System::enable_trace
-    #[must_use]
-    pub fn trace(&self) -> &futurebus::BusTrace {
-        self.fabric.bus().trace()
-    }
-
-    /// §6's consistency command: makes main memory consistent with the caches
-    /// for the line containing `addr` ("issuing commands across the bus to
-    /// cause other caches to become consistent with main memory").
-    ///
-    /// If some cache owns the line, that cache performs a `Pass` (push the
-    /// dirty data, keep the copy unowned); afterwards memory holds the
-    /// current data, as an I/O device doing uncached reads would need.
-    /// Returns true when a push was necessary.
-    pub fn make_memory_consistent(&mut self, addr: u64) -> bool {
-        let line = self.fabric.line_addr(addr);
-        let owner = (0..self.fabric.nodes())
-            .find(|&cpu| self.fabric.controller(cpu).state_of(line).is_owned());
-        match owner {
-            Some(cpu) => self.pass(cpu, line),
-            None => false,
-        }
-    }
-
-    /// §6's consistency command over the whole machine: pushes every owned
-    /// line so main memory holds the complete shared image. Returns the
-    /// number of lines pushed.
+    /// §6's consistency command ("issuing commands across the bus to cause
+    /// other caches to become consistent with main memory"): pushes every
+    /// owned line so *root* main memory holds the complete shared image, as
+    /// an I/O device doing uncached reads needs. On a single bus each owned
+    /// line's owning cache performs a `Pass`, in cache order; on a tree
+    /// every root-level cluster pushes its owned lines, each push first
+    /// syncing the owner chain below. Returns the lines pushed.
     pub fn make_all_consistent(&mut self) -> usize {
-        // Collect first (pushing mutates the caches' states, not residency).
-        let owned: Vec<u64> = self
-            .fabric
-            .controllers()
-            .iter()
-            .filter_map(|c| c.cache())
-            .flat_map(|cache| {
-                cache
-                    .iter()
-                    .filter(|(_, e)| e.state.is_owned())
-                    .map(|(addr, _)| addr)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut pushed = 0;
-        for line in owned {
-            if self.make_memory_consistent(line) {
-                pushed += 1;
-            }
-        }
+        let pushed = self.root.push_owned(0, &mut self.parent_errors);
+        self.hoist_forward_errors();
+        self.audit();
         pushed
     }
 
-    /// A [`MachineReport`] snapshot of the run so far: the unit of
-    /// byte-exact comparison across shard worker counts and golden traces.
+    /// Reads `len` bytes at `addr` directly from root main memory, bypassing
+    /// the caches and the coherence machinery entirely — what a dumb DMA
+    /// engine would observe. Pair with
+    /// [`make_all_consistent`](System::make_all_consistent) first.
     #[must_use]
-    pub fn machine_report(&self) -> MachineReport {
-        MachineReport {
-            bus: *self.bus_stats(),
-            cpus: (0..self.nodes()).map(|cpu| *self.stats(cpu)).collect(),
-            trace: self.trace().render(),
-        }
+    pub fn memory_peek(&self, addr: u64, len: usize) -> Vec<u8> {
+        self.bus().memory().peek_bytes(addr, len)
     }
 
-    /// Issues one workload access and returns the bus nanoseconds it used:
-    /// the engine's `issue`. Writes carry the deterministic sequence-number
-    /// payload; when no oracle is attached the access takes the
-    /// dataless/allocation-free fabric fast paths, which have byte-identical
-    /// observable effects.
-    fn issue(&mut self, cpu: usize, access: &Access) -> u64 {
-        let bus_before = self.stats(cpu).bus_ns;
+    /// Enables transaction tracing on the root bus, keeping the most recent
+    /// `capacity` records.
+    pub fn enable_trace(&mut self, capacity: usize) {
+        self.bus_mut().enable_trace(capacity);
+    }
+
+    /// The root bus's transaction trace (empty unless
+    /// [`enable_trace`](System::enable_trace) was called).
+    #[must_use]
+    pub fn trace(&self) -> &futurebus::BusTrace {
+        self.bus().trace()
+    }
+
+    /// Issues one workload access from processor `lane`: the engine's
+    /// `issue`. Writes carry the deterministic sequence-number payload, so
+    /// the oracle can detect lost or reordered updates; when no oracle is
+    /// attached a read takes the dataless fabric paths, which have
+    /// byte-identical observable effects, and otherwise lands in one reused
+    /// buffer, so a read hit allocates nothing.
+    fn issue(&mut self, lane: usize, access: &Access) {
+        let (leaf, cpu) = self.lanes[lane];
         if access.is_write {
             self.write_seq = self.write_seq.wrapping_add(1);
             let mut payload = WritePayload::new();
             let bytes = payload.fill(self.write_seq, access.size);
-            if self.checker.is_none() {
-                self.fabric.write_fast(cpu, access.addr, bytes);
-            } else {
-                self.write(cpu, access.addr, bytes);
-            }
+            self.write_leaf(leaf, cpu, access.addr, bytes);
         } else if self.checker.is_none() {
-            self.fabric.read_dataless(cpu, access.addr, access.size);
+            // Nothing checks the bytes: the read only drives the machine.
+            let path = &self.paths[leaf];
+            let errors = &mut self.parent_errors;
+            self.root
+                .read(path, cpu, access.addr, access.size, 0, errors, None);
+            self.hoist_forward_errors();
         } else {
             let mut buf = std::mem::take(&mut self.read_buf);
             buf.clear();
-            self.read_into(cpu, access.addr, access.size, &mut buf);
+            self.read_leaf(leaf, cpu, access.addr, access.size, &mut buf);
             self.read_buf = buf;
         }
-        self.stats(cpu).bus_ns - bus_before
     }
 
-    /// Drives one access from each stream per step, round-robin, for `steps`
-    /// rounds: the engine's untimed run. Writes carry a deterministic
-    /// sequence-number payload so the oracle can detect lost or reordered
-    /// updates.
+    /// Drives one access from each stream per step, for `steps` rounds: the
+    /// engine's untimed run over one lane per processor, in lane order.
+    /// `streams[leaf][cpu]` feeds processor `cpu` of leaf `leaf`; a single
+    /// bus passes one leaf.
     ///
     /// # Panics
     ///
-    /// Panics if the stream count differs from the node count, or on a
-    /// consistency violation.
-    pub fn run(&mut self, streams: &mut [Box<dyn RefStream + Send>], steps: u64) {
-        assert_eq!(streams.len(), self.nodes(), "one reference stream per node");
-        let next = engine::budget(streams.len(), steps, |cpu, slot| {
-            streams[cpu].next_into(slot);
+    /// Panics if the stream shape does not match the machine, or on a
+    /// consistency violation when the oracle is enabled.
+    pub fn run(&mut self, streams: &mut [Vec<Box<dyn RefStream + Send>>], steps: u64) {
+        assert_eq!(streams.len(), self.leaves(), "one stream vec per leaf");
+        for (leaf, leaf_streams) in streams.iter().enumerate() {
+            let nodes = self.leaf_fabric(leaf).nodes();
+            assert_eq!(leaf_streams.len(), nodes, "one stream per node");
+        }
+        let lanes = self.lanes.clone();
+        let next = engine::budget(lanes.len(), steps, |lane, slot| {
+            let (leaf, cpu) = lanes[lane];
+            streams[leaf][cpu].next_into(slot);
         });
         engine::drive(
             self.nodes(),
             next,
-            |cpu, access| {
-                self.issue(cpu, access);
+            |lane, access| {
+                self.issue(lane, access);
                 0
             },
             1,
@@ -510,8 +672,9 @@ impl System {
     /// A contention-aware timed run: every processor advances a private
     /// clock (`cpu_work_ns` per reference of local work), and accesses that
     /// need the bus queue for the single shared resource — the §1 saturation
-    /// model. Processors are simulated in virtual-time order, so coherence
-    /// interleavings follow the modelled clocks.
+    /// model. `streams[lane]` feeds processor `lane`. Processors are
+    /// simulated in virtual-time order, so coherence interleavings follow
+    /// the modelled clocks.
     ///
     /// Returns the wall time, bus occupancy and queueing totals from which
     /// the speedup and utilization curves of the bus-saturation experiment
@@ -519,8 +682,9 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the stream count differs from the node count, or on a
-    /// consistency violation when the oracle is enabled.
+    /// Panics on a fabric tree (trees run untimed), if the stream count
+    /// differs from the processor count, or on a consistency violation when
+    /// the oracle is enabled.
     pub fn run_timed(
         &mut self,
         streams: &mut [Box<dyn RefStream + Send>],
@@ -528,20 +692,19 @@ impl System {
         cpu_work_ns: u64,
     ) -> crate::TimedReport {
         assert_eq!(streams.len(), self.nodes(), "one stream per node");
-        let next = engine::budget(streams.len(), refs_per_cpu, |cpu, slot| {
-            streams[cpu].next_into(slot);
+        let next = engine::budget(streams.len(), refs_per_cpu, |lane, slot| {
+            streams[lane].next_into(slot);
         });
         self.run_driven(next, cpu_work_ns)
     }
 
-    /// A timed run over pre-materialised per-node access scripts instead of
-    /// live streams — the shard workers' entry point, where the workload has
-    /// already been partitioned by address region.
+    /// A timed run over pre-materialised per-processor access scripts
+    /// instead of live streams — the shard workers' entry point, where the
+    /// workload has already been partitioned by address region.
     ///
     /// # Panics
     ///
-    /// Panics if the script count differs from the node count, or on a
-    /// consistency violation when the oracle is enabled.
+    /// As [`run_timed`](System::run_timed), for the script count.
     pub fn run_timed_script(
         &mut self,
         scripts: &[Vec<Access>],
@@ -550,36 +713,135 @@ impl System {
         assert_eq!(scripts.len(), self.nodes(), "one script per node");
         let mut scripts: Vec<_> = scripts.iter().map(|s| s.iter().copied()).collect();
         self.run_driven(
-            |cpu, slot| scripts[cpu].next().map(|access| *slot = access).is_some(),
+            |lane, slot| scripts[lane].next().map(|access| *slot = access).is_some(),
             cpu_work_ns,
         )
     }
 
-    /// A timed engine run, reporting the bus's phase histograms with it.
+    /// A timed engine run, each access charged the bus nanoseconds its
+    /// processor used, reporting the bus's phase histograms with it.
     fn run_driven(
         &mut self,
         next: impl FnMut(usize, &mut Access) -> bool,
         cpu_work_ns: u64,
     ) -> crate::TimedReport {
+        assert!(
+            matches!(self.root, FabricNode::Leaf(_)),
+            "a timed run needs one bus: fabric trees run untimed"
+        );
         let report = engine::drive(
             self.nodes(),
             next,
-            |cpu, access| self.issue(cpu, access),
+            |lane, access| {
+                let bus_ns = |sys: &System| sys.fabric().controller(lane).stats().bus_ns;
+                let bus_before = bus_ns(self);
+                self.issue(lane, access);
+                bus_ns(self) - bus_before
+            },
             cpu_work_ns,
         );
         crate::TimedReport {
-            phase_hist: *self.fabric.bus().phase_histograms(),
+            phase_hist: *self.bus().phase_histograms(),
             ..report
         }
     }
 
-    /// The per-access audit (see [`Checker::audit`]).
-    fn audit(&mut self) {
+    /// Starts (or stops) logging changed lines in the oracle and in every
+    /// bridge, cache and memory of the machine.
+    fn track_changes(&mut self, on: bool) {
         if let Some(ck) = &mut self.checker {
-            if let Err(v) = ck.audit(&mut self.fabric) {
+            ck.track_changes(on);
+        }
+        self.root.track_changes(on);
+    }
+
+    /// The per-access audit (see [`Checker::check_changes`]); skipped while
+    /// tolerating faults.
+    fn audit(&mut self) {
+        if self.tolerant {
+            return;
+        }
+        if let Some(ck) = &mut self.checker {
+            if let Err(v) = ck.check_changes(&mut self.root) {
                 panic!("consistency violation: {v}");
             }
         }
+    }
+
+    /// Collects forwarding errors captured inside bridges (interior-segment
+    /// failures during snoop forwarding) into the system error log, in
+    /// pre-order — walking the tree only when some bridge logged one.
+    fn hoist_forward_errors(&mut self) {
+        // A plain load per access; the flag is written only when set.
+        if !self.forward_logged.load(Ordering::Relaxed) {
+            return;
+        }
+        self.forward_logged.store(false, Ordering::Relaxed);
+        let errors = &mut self.parent_errors;
+        for_each_bridge(&mut self.root, &mut |b| {
+            errors.append(&mut b.forward_errors)
+        });
+    }
+
+    /// Logs `error`, if any, then collects the bridges' forward errors: the
+    /// bookkeeping after a tree maintenance command.
+    pub(crate) fn log_parent_error(&mut self, error: Option<ParentError>) {
+        self.parent_errors.extend(error);
+        self.hoist_forward_errors();
+    }
+
+    /// Fabric-bus errors survived so far: each one degraded the requesting
+    /// bridge to a memory-direct fallback instead of killing the simulation.
+    /// Empty on a single bus.
+    #[must_use]
+    pub fn parent_errors(&self) -> &[ParentError] {
+        &self.parent_errors
+    }
+
+    /// The bridges on the root bus: none on a single bus.
+    pub(crate) fn root_bridges(&self) -> &[Bridge] {
+        match &self.root {
+            FabricNode::Leaf(_) => &[],
+            FabricNode::Interior(seg) => seg.children(),
+        }
+    }
+
+    /// Mutable access to the root, for the tree's maintenance commands.
+    pub(crate) fn root_mut(&mut self) -> &mut FabricNode {
+        &mut self.root
+    }
+}
+
+/// The bridges on `node`'s bus: none on a leaf.
+pub(crate) fn root_bridges_mut(node: &mut FabricNode) -> &mut [Bridge] {
+    match node {
+        FabricNode::Leaf(_) => &mut [],
+        FabricNode::Interior(seg) => &mut seg.children,
+    }
+}
+
+/// The bridge at `path` below `bridges`.
+///
+/// # Panics
+///
+/// Panics on an empty path, an out-of-range index, or a path descending
+/// below a leaf.
+pub(crate) fn bridge_in<'a>(bridges: &'a mut [Bridge], path: &[usize]) -> &'a mut Bridge {
+    let mut bridge = &mut bridges[path[0]];
+    for &i in &path[1..] {
+        bridge = match &mut bridge.node {
+            FabricNode::Interior(seg) => &mut seg.children[i],
+            FabricNode::Leaf(_) => panic!("path descends below a leaf cluster"),
+        };
+    }
+    bridge
+}
+
+/// Calls `f` on every bridge below `node`, pre-order.
+pub(crate) fn for_each_bridge(node: &mut FabricNode, f: &mut impl FnMut(&mut Bridge)) {
+    for bridge in root_bridges_mut(node) {
+        f(bridge);
+        for_each_bridge(&mut bridge.node, f);
     }
 }
 
@@ -806,15 +1068,26 @@ mod tests {
             line_size: 32,
             ..SharingModel::default()
         };
-        let mut streams: Vec<Box<dyn RefStream + Send>> = vec![
+        let mut streams: Vec<Vec<Box<dyn RefStream + Send>>> = vec![vec![
             Box::new(DuboisBriggs::new(0, model, 1)),
             Box::new(DuboisBriggs::new(1, model, 2)),
-        ];
+        ]];
         sys.run(&mut streams, 200);
         let total = sys.total_stats();
         // 2 cpus x 200 steps, one single-line word access each.
         assert_eq!(total.references(), 400);
         assert!(total.hits() > 0, "locality produces hits");
+    }
+
+    #[test]
+    fn a_single_bus_is_the_one_leaf_tree() {
+        let sys = two_moesi();
+        assert_eq!(sys.leaves(), 1);
+        assert_eq!(sys.leaf_paths(), vec![Vec::<usize>::new()]);
+        assert_eq!(sys.depth(), 1);
+        assert!(sys.bridges_preorder().is_empty());
+        assert!(sys.degraded_clusters().is_empty());
+        assert!(sys.parent_errors().is_empty());
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn main() {
         p_rereference: 0.3,
         line_size: line_size as u64,
     };
-    let mut streams: Vec<Box<dyn RefStream + Send>> = (0..sys.nodes())
+    let streams: Vec<Box<dyn RefStream + Send>> = (0..sys.nodes())
         .map(|cpu| Box::new(DuboisBriggs::new(cpu, model, 42)) as Box<dyn RefStream + Send>)
         .collect();
 
@@ -51,7 +51,7 @@ fn main() {
         steps * sys.nodes(),
         sys.nodes()
     );
-    sys.run(&mut streams, steps as u64);
+    sys.run(&mut [streams], steps as u64);
     sys.verify().expect("the class is compatible");
 
     println!(

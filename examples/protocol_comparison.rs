@@ -67,8 +67,7 @@ fn main() {
         );
         for name in PROTOCOLS {
             let mut sys = build(name);
-            let mut ws = streams(key);
-            sys.run(&mut ws, STEPS);
+            sys.run(&mut [streams(key)], STEPS);
             sys.verify().expect("consistent");
             let t = sys.total_stats();
             let b = sys.bus_stats();

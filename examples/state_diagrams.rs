@@ -37,10 +37,10 @@ fn main() {
         .checking(true)
         .build();
     let model = SharingModel::default();
-    let mut streams: Vec<Box<dyn RefStream + Send>> = (0..4)
+    let streams: Vec<Box<dyn RefStream + Send>> = (0..4)
         .map(|cpu| Box::new(DuboisBriggs::new(cpu, model, 31)) as _)
         .collect();
-    sys.run(&mut streams, 500);
+    sys.run(&mut [streams], 500);
     for cpu in 0..sys.nodes() {
         println!("// cpu{cpu}: {}", sys.state_census(cpu));
     }

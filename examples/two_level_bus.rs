@@ -9,9 +9,9 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::MoesiPreferred;
-use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
+use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::workload::{DuboisBriggs, SharingModel};
-use mpsim::{RefStream, SystemBuilder};
+use mpsim::{RefStream, System, SystemBuilder};
 
 const LINE: usize = 32;
 const CLUSTERS: usize = 4;
@@ -22,7 +22,7 @@ fn cfg() -> CacheConfig {
     CacheConfig::new(2048, LINE, 2, ReplacementKind::Lru)
 }
 
-fn build_hierarchy() -> HierarchicalSystem {
+fn build_hierarchy() -> System {
     let mut b = TreeBuilder::new(LINE).checking(true);
     for _ in 0..CLUSTERS {
         let mut leaf = TreeSpec::leaf();
@@ -38,7 +38,7 @@ fn main() {
     println!("— A walking tour of cluster-level MOESI —\n");
     let mut sys = build_hierarchy();
     let addr = 0x4000;
-    sys.write(0, 0, addr, &[42; 4]);
+    sys.write_at(&[0], 0, addr, &[42; 4]);
     println!(
         "cluster0/cpu0 writes: cluster states = {}",
         (0..CLUSTERS)
@@ -46,7 +46,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(" ")
     );
-    let v = sys.read(2, 1, addr, 4);
+    let v = sys.read_at(&[2], 1, addr, 4);
     println!(
         "cluster2/cpu1 reads {v:?}: cluster states = {}",
         (0..CLUSTERS)
@@ -54,7 +54,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(" ")
     );
-    sys.write(2, 0, addr, &[43; 4]);
+    sys.write_at(&[2], 0, addr, &[43; 4]);
     println!(
         "cluster2/cpu0 writes: cluster states = {}",
         (0..CLUSTERS)
@@ -85,11 +85,11 @@ fn main() {
         }
         b.build()
     };
-    let mut flat_streams: Vec<Box<dyn RefStream + Send>> = (0..CLUSTERS * CPUS_PER_CLUSTER)
+    let flat_streams: Vec<Box<dyn RefStream + Send>> = (0..CLUSTERS * CPUS_PER_CLUSTER)
         // Pair up CPUs onto shared \"private\" pools to emulate cluster locality.
         .map(|cpu| Box::new(DuboisBriggs::new(cpu / CPUS_PER_CLUSTER, model, 5)) as _)
         .collect();
-    flat.run(&mut flat_streams, STEPS);
+    flat.run(&mut [flat_streams], STEPS);
 
     // Hierarchical machine: 4 clusters x 2 CPUs.
     let mut hier = build_hierarchy();
@@ -106,7 +106,7 @@ fn main() {
     hier.verify().expect("consistent");
 
     let flat_txns = flat.bus_stats().transactions;
-    let parent_txns = hier.parent_stats().transactions;
+    let parent_txns = hier.bus_stats().transactions;
     let cluster_txns: u64 = (0..CLUSTERS)
         .map(|c| hier.bridge(c).fabric().bus().stats().transactions)
         .sum();

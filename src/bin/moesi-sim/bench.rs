@@ -267,10 +267,10 @@ fn hierarchy_config(cfg: &BenchCliConfig) -> bench::hierarchy::HierarchyBenchCon
 fn run_hierarchy_bench(cfg: &BenchCliConfig) -> Result<(), String> {
     let hier_cfg = hierarchy_config(cfg);
     let rows = bench::hierarchy::hierarchy_sweep(&hier_cfg)?;
-    print!("{}", bench::hierarchy::render_hierarchy(&rows));
+    out!("{}", bench::hierarchy::render_hierarchy(&rows));
     let total: u64 = rows.iter().map(|r| r.accesses).sum();
     let peak = rows.iter().map(|r| r.caches).max().unwrap_or(0);
-    println!(
+    outln!(
         "\ntotal {total} accesses across {} cells (peak machine {peak} caches, jobs={})",
         rows.len(),
         hier_cfg.jobs,
@@ -279,7 +279,7 @@ fn run_hierarchy_bench(cfg: &BenchCliConfig) -> Result<(), String> {
         let json = bench::hierarchy::hierarchy_json(&hier_cfg, &rows);
         let out = cfg.out_path();
         std::fs::write(out, json).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-        println!("wrote {out}");
+        outln!("wrote {out}");
     }
     Ok(())
 }
@@ -291,20 +291,20 @@ pub(crate) fn run_bench(cfg: &BenchCliConfig) -> Result<(), String> {
     let sweep_cfg = sweep_config(cfg);
     if cfg.is_scaling() {
         let (rows, scaling) = bench::sweep::shard_scaling(&sweep_cfg, &cfg.shards)?;
-        print!("{}", bench::sweep::render_sweep(&rows));
-        println!();
-        print!("{}", bench::sweep::render_scaling(&scaling));
+        out!("{}", bench::sweep::render_sweep(&rows));
+        outln!();
+        out!("{}", bench::sweep::render_scaling(&scaling));
         if cfg.json {
             let json = bench::sweep::scaling_json(&sweep_cfg, &scaling);
             let out = cfg.out_path();
             std::fs::write(out, json).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-            println!("wrote {out}");
+            outln!("wrote {out}");
         }
     } else {
         let rows = bench::sweep::sweep(&sweep_cfg)?;
-        print!("{}", bench::sweep::render_sweep(&rows));
+        out!("{}", bench::sweep::render_sweep(&rows));
         let total: u64 = rows.iter().map(|r| r.accesses).sum();
-        println!(
+        outln!(
             "\ntotal {total} accesses across {} cells ({} protocols x {} workloads, jobs={})",
             rows.len(),
             sweep_cfg.protocols.len(),
@@ -315,7 +315,7 @@ pub(crate) fn run_bench(cfg: &BenchCliConfig) -> Result<(), String> {
             let json = bench::sweep::sweep_json(&sweep_cfg, &rows);
             let out = cfg.out_path();
             std::fs::write(out, json).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-            println!("wrote {out}");
+            outln!("wrote {out}");
         }
     }
     if let Some(path) = &cfg.trace_out {

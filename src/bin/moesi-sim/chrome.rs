@@ -5,6 +5,6 @@
 pub(crate) fn write_chrome_trace(path: &str, cfg: &mpsim::TraceRunConfig) -> Result<(), String> {
     let json = mpsim::trace_run(cfg)?;
     std::fs::write(path, json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!("wrote {path} (load it in chrome://tracing or Perfetto)");
+    outln!("wrote {path} (load it in chrome://tracing or Perfetto)");
     Ok(())
 }

@@ -298,12 +298,12 @@ fn campaign_config(cfg: &FaultsConfig) -> CampaignConfig {
 pub(crate) fn run_faults(cfg: &FaultsConfig) -> Result<(), String> {
     let campaign = campaign_config(cfg);
     let report = run_campaign(&campaign)?;
-    println!("{report}");
+    outln!("{report}");
     // A tree campaign ends with the liveness probe.
     let probe = if cfg.hierarchy {
-        println!();
+        outln!();
         let probe = mpsim::run_liveness_probe(cfg.seed, 24)?;
-        println!("{probe}");
+        outln!("{probe}");
         Some(probe)
     } else {
         None
@@ -318,7 +318,7 @@ pub(crate) fn run_faults(cfg: &FaultsConfig) -> Result<(), String> {
             ),
         };
         std::fs::write(&cfg.out, json).map_err(|e| format!("cannot write `{}`: {e}", cfg.out))?;
-        println!("JSON report written to {}", cfg.out);
+        outln!("JSON report written to {}", cfg.out);
     }
     if let Some(path) = &cfg.trace_out {
         write_chrome_trace(

@@ -19,6 +19,23 @@
 //! flag-driven simulation), [`verify`], [`faults`], [`bench`], [`synth`]
 //! and [`table`]. [`chrome`] holds the shared Chrome-trace writer.
 
+/// `print!` for the subcommands' reports: see [`out`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for the subcommands' reports: see [`out`].
+macro_rules! outln {
+    () => {
+        $crate::out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod bench;
 mod chrome;
 mod faults;
@@ -27,7 +44,29 @@ mod synth;
 mod table;
 mod verify;
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once stdout has been found closed.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes a report to stdout. A closed stdout (`moesi-sim ... | head`)
+/// means the reader has stopped reading, which is not an error: later
+/// writes are dropped, and the subcommand runs to its end, so it still
+/// writes its files and its result still sets the exit code. Any other
+/// write error panics, as `print!` does.
+fn out(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
 
 /// Parses `args` with `parse` and hands the config to `run`, mapping the
 /// three outcomes every subcommand shares onto exit codes: success, a
@@ -48,7 +87,7 @@ fn dispatch<C>(
             }
         },
         Err(msg) if msg.is_empty() => {
-            print!("{usage}");
+            out!("{usage}");
             ExitCode::SUCCESS
         }
         Err(msg) => {

@@ -4,7 +4,9 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::by_name;
+use moesi::Protocol;
 use moesi_futurebus::cli::{check_cache_geometry, check_workload_fit};
+use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::workload::{
     DuboisBriggs, FalseSharing, Migratory, PingPong, ProducerConsumer, ReadMostly, SharingModel,
 };
@@ -163,21 +165,22 @@ pub(crate) fn parse_args(args: &[String]) -> Result<Config, String> {
     }
     check_cache_geometry(cfg.cache_bytes, cfg.line_size)?;
     if cfg.trace_file.is_none() {
-        // Streams are built per node: per cluster in a hierarchy.
+        // Every processor, on one bus or across clusters, has a word of one
+        // shared line.
         let nodes = cfg
             .clusters
-            .map_or(cfg.cpus, |(_, per_cluster)| per_cluster);
+            .map_or(cfg.cpus, |(clusters, per_cluster)| clusters * per_cluster);
         check_workload_fit(&cfg.workload, nodes, cfg.line_size)?;
     }
     Ok(cfg)
 }
 
+/// The machine the flags describe: `--cpus` nodes on one bus, or
+/// `--clusters` leaf clusters behind bridges on a root bus. Processor `i`
+/// (by lane, leaf-major) runs the `i`-th protocol, the last repeating.
 fn build_system(cfg: &Config) -> Result<System, String> {
     let cache_cfg = CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru);
-    let mut builder = SystemBuilder::new(cfg.line_size)
-        .checking(cfg.check)
-        .seed(cfg.seed);
-    for i in 0..cfg.cpus {
+    let node = |i: usize| -> Result<(Box<dyn Protocol + Send>, Option<CacheConfig>), String> {
         let name = cfg
             .protocols
             .get(i)
@@ -185,26 +188,50 @@ fn build_system(cfg: &Config) -> Result<System, String> {
             .expect("non-empty protocol list");
         let protocol = by_name(name, cfg.seed.wrapping_add(i as u64))
             .ok_or_else(|| format!("unknown protocol `{name}`"))?;
-        builder = if protocol.kind() == moesi::CacheKind::NonCaching {
-            builder.uncached(protocol)
-        } else {
-            builder.cache(protocol, cache_cfg)
-        };
+        let cache = (protocol.kind() != moesi::CacheKind::NonCaching).then_some(cache_cfg);
+        Ok((protocol, cache))
+    };
+    let Some((clusters, per_cluster)) = cfg.clusters else {
+        let mut b = SystemBuilder::new(cfg.line_size)
+            .checking(cfg.check)
+            .seed(cfg.seed);
+        for i in 0..cfg.cpus {
+            b = match node(i)? {
+                (protocol, Some(cache)) => b.cache(protocol, cache),
+                (protocol, None) => b.uncached(protocol),
+            };
+        }
+        return Ok(b.build());
+    };
+    let mut b = TreeBuilder::new(cfg.line_size)
+        .checking(cfg.check)
+        .seed(cfg.seed);
+    for c in 0..clusters {
+        let mut leaf = TreeSpec::leaf();
+        for n in 0..per_cluster {
+            leaf = match node(c * per_cluster + n)? {
+                (protocol, Some(cache)) => leaf.cache(protocol, cache),
+                (protocol, None) => leaf.uncached(protocol),
+            };
+        }
+        b = b.child(leaf);
     }
-    Ok(builder.build())
+    Ok(b.build())
 }
 
-fn build_streams(cfg: &Config) -> Result<Vec<Box<dyn RefStream + Send>>, String> {
+/// One reference stream per processor, by lane. False-sharing gives each
+/// processor its own word of one shared line.
+fn build_streams(cfg: &Config, lanes: usize) -> Result<Vec<Box<dyn RefStream + Send>>, String> {
     if let Some(path) = &cfg.trace_file {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read trace file `{path}`: {e}"))?;
         let replay = TraceReplay::from_text(&text).map_err(|e| e.to_string())?;
-        return Ok((0..cfg.cpus)
+        return Ok((0..lanes)
             .map(|_| Box::new(replay.clone()) as Box<dyn RefStream + Send>)
             .collect());
     }
     let line = cfg.line_size as u64;
-    (0..cfg.cpus)
+    (0..lanes)
         .map(|cpu| -> Result<Box<dyn RefStream + Send>, String> {
             Ok(match cfg.workload.as_str() {
                 "general" => Box::new(DuboisBriggs::new(
@@ -217,7 +244,7 @@ fn build_streams(cfg: &Config) -> Result<Vec<Box<dyn RefStream + Send>>, String>
                 )),
                 "ping-pong" => Box::new(PingPong::new(cpu, 0, line)),
                 "read-mostly" => Box::new(ReadMostly::new(cpu, 0, 16, line, 8)),
-                "migratory" => Box::new(Migratory::new(cpu, cfg.cpus, 8, line)),
+                "migratory" => Box::new(Migratory::new(cpu, lanes, 8, line)),
                 "producer-consumer" => {
                     if cpu == 0 {
                         Box::new(ProducerConsumer::producer(8, line))
@@ -232,91 +259,56 @@ fn build_streams(cfg: &Config) -> Result<Vec<Box<dyn RefStream + Send>>, String>
         .collect()
 }
 
-fn run_hierarchy(cfg: &Config, clusters: usize, per_cluster: usize) -> Result<(), String> {
-    use mpsim::hierarchy::{TreeBuilder, TreeSpec};
-    let cache_cfg = CacheConfig::new(cfg.cache_bytes, cfg.line_size, 2, ReplacementKind::Lru);
-    let mut b = TreeBuilder::new(cfg.line_size)
-        .checking(cfg.check)
-        .seed(cfg.seed);
-    for c in 0..clusters {
-        let mut leaf = TreeSpec::leaf();
-        for n in 0..per_cluster {
-            let i = c * per_cluster + n;
-            let name = cfg
-                .protocols
-                .get(i)
-                .or_else(|| cfg.protocols.last())
-                .expect("non-empty protocol list");
-            let protocol = by_name(name, cfg.seed.wrapping_add(i as u64))
-                .ok_or_else(|| format!("unknown protocol `{name}`"))?;
-            leaf = if protocol.kind() == moesi::CacheKind::NonCaching {
-                leaf.uncached(protocol)
-            } else {
-                leaf.cache(protocol, cache_cfg)
-            };
-        }
-        b = b.child(leaf);
+/// The name of processor `lane`: its controller's, behind its cluster's.
+fn node_name(cfg: &Config, sys: &System, lane: usize) -> String {
+    let name = sys.controller(lane).name();
+    match cfg.clusters {
+        None => name.to_string(),
+        Some((_, per_cluster)) => format!("cluster{}/{name}", lane / per_cluster),
     }
-    let mut sys = b.build();
-    let mut flat_cfg = cfg.clone();
-    flat_cfg.cpus = per_cluster; // streams built per cluster
-    let mut streams = Vec::new();
-    for _ in 0..clusters {
-        streams.push(build_streams(&flat_cfg)?);
-    }
-    sys.run(&mut streams, cfg.steps);
-    if cfg.check {
-        sys.verify()
-            .map_err(|v| format!("consistency violation: {v}"))?;
-    }
-    println!(
-        "{clusters} clusters x {per_cluster} nodes x {} steps, workload `{}`{}\n",
-        cfg.steps,
-        cfg.workload,
-        if cfg.check { " [oracle: OK]" } else { "" },
-    );
-    println!(
-        "{:<10} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "cluster", "parent-txns", "fetches", "bcasts", "supplied", "inv-in"
-    );
-    for c in 0..clusters {
-        let b = sys.bridge(c).stats();
-        println!(
-            "{:<10} {:>12} {:>10} {:>10} {:>10} {:>10}",
-            format!("cluster{c}"),
-            b.parent_transactions,
-            b.fetches,
-            b.broadcasts,
-            b.supplied,
-            b.invalidations_in,
-        );
-    }
-    println!(
-        "\nparent bus: {} txns; cluster buses: {} txns total",
-        sys.parent_stats().transactions,
-        (0..clusters)
-            .map(|c| sys.bridge(c).fabric().bus().stats().transactions)
-            .sum::<u64>(),
-    );
-    Ok(())
 }
 
 pub(crate) fn run(cfg: &Config) -> Result<(), String> {
-    if let Some((clusters, per_cluster)) = cfg.clusters {
-        return run_hierarchy(cfg, clusters, per_cluster);
-    }
     let mut sys = build_system(cfg)?;
     if cfg.trace > 0 {
         sys.enable_trace(cfg.trace);
     }
-    let mut streams = build_streams(cfg)?;
+    let mut lanes = build_streams(cfg, sys.nodes())?.into_iter();
+    let mut streams: Vec<Vec<_>> = (0..sys.leaves())
+        .map(|leaf| lanes.by_ref().take(sys.leaf_fabric(leaf).nodes()).collect())
+        .collect();
     sys.run(&mut streams, cfg.steps);
     if cfg.check {
         sys.verify()
             .map_err(|v| format!("consistency violation: {v}"))?;
     }
 
-    println!(
+    match cfg.clusters {
+        None => print_nodes(cfg, &sys),
+        Some((clusters, per_cluster)) => print_clusters(cfg, &sys, clusters, per_cluster),
+    }
+    if cfg.census {
+        outln!("\nMOESI state census:");
+        for lane in 0..sys.nodes() {
+            outln!(
+                "  {:<24} {}",
+                node_name(cfg, &sys, lane),
+                sys.state_census(lane)
+            );
+        }
+    }
+    if cfg.trace > 0 {
+        outln!("\nlast {} bus transactions:", sys.trace().len());
+        for line in sys.trace().render().lines() {
+            outln!("  {line}");
+        }
+    }
+    Ok(())
+}
+
+/// A single bus's report: per-node statistics, then the bus's.
+fn print_nodes(cfg: &Config, sys: &System) {
+    outln!(
         "{} nodes x {} steps, workload `{}`, line {}B{}\n",
         sys.nodes(),
         cfg.steps,
@@ -324,13 +316,20 @@ pub(crate) fn run(cfg: &Config) -> Result<(), String> {
         cfg.line_size,
         if cfg.check { " [oracle: OK]" } else { "" },
     );
-    println!(
+    outln!(
         "{:<24} {:>8} {:>7} {:>9} {:>9} {:>9} {:>8} {:>7}",
-        "node", "refs", "hit%", "bus txns", "inv-recv", "upd-recv", "interv", "pushes"
+        "node",
+        "refs",
+        "hit%",
+        "bus txns",
+        "inv-recv",
+        "upd-recv",
+        "interv",
+        "pushes"
     );
     for cpu in 0..sys.nodes() {
         let s = sys.stats(cpu);
-        println!(
+        outln!(
             "{:<24} {:>8} {:>6.1}% {:>9} {:>9} {:>9} {:>8} {:>7}",
             sys.controller(cpu).name(),
             s.references(),
@@ -342,25 +341,46 @@ pub(crate) fn run(cfg: &Config) -> Result<(), String> {
             s.pushes,
         );
     }
-    println!("\n{}", sys.bus_stats());
+    outln!("\n{}", sys.bus_stats());
+}
 
-    if cfg.census {
-        println!("\nMOESI state census:");
-        for cpu in 0..sys.nodes() {
-            println!(
-                "  {:<24} {}",
-                sys.controller(cpu).name(),
-                sys.state_census(cpu)
-            );
-        }
+/// A two-level machine's report: per-cluster bridge statistics, then the
+/// root and cluster buses' traffic.
+fn print_clusters(cfg: &Config, sys: &System, clusters: usize, per_cluster: usize) {
+    outln!(
+        "{clusters} clusters x {per_cluster} nodes x {} steps, workload `{}`{}\n",
+        cfg.steps,
+        cfg.trace_file.as_deref().unwrap_or(&cfg.workload),
+        if cfg.check { " [oracle: OK]" } else { "" },
+    );
+    outln!(
+        "{:<10} {:>12} {:>10} {:>10} {:>10} {:>10}",
+        "cluster",
+        "parent-txns",
+        "fetches",
+        "bcasts",
+        "supplied",
+        "inv-in"
+    );
+    for c in 0..clusters {
+        let b = sys.bridge(c).stats();
+        outln!(
+            "{:<10} {:>12} {:>10} {:>10} {:>10} {:>10}",
+            format!("cluster{c}"),
+            b.parent_transactions,
+            b.fetches,
+            b.broadcasts,
+            b.supplied,
+            b.invalidations_in,
+        );
     }
-    if cfg.trace > 0 {
-        println!("\nlast {} bus transactions:", sys.trace().len());
-        for line in sys.trace().render().lines() {
-            println!("  {line}");
-        }
-    }
-    Ok(())
+    outln!(
+        "\nparent bus: {} txns; cluster buses: {} txns total",
+        sys.bus_stats().transactions,
+        (0..clusters)
+            .map(|c| sys.leaf_fabric(c).bus().stats().transactions)
+            .sum::<u64>(),
+    );
 }
 
 #[cfg(test)]
@@ -498,6 +518,7 @@ mod tests {
         for flags in [
             "--workload false-sharing --cpus 9",
             "--workload false-sharing --clusters 2x9",
+            "--workload false-sharing --clusters 2x8",
             "--workload false-sharing --cpus 4 --line-size 8",
         ] {
             let err = parse_args(&args(flags)).unwrap_err();
@@ -505,7 +526,7 @@ mod tests {
         }
         for flags in [
             "--workload false-sharing --cpus 8",
-            "--workload false-sharing --clusters 9x8",
+            "--workload false-sharing --clusters 2x4",
             "--workload false-sharing --cpus 2 --line-size 8",
             "--workload general --cpus 9",
         ] {

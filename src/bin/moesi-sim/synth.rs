@@ -167,10 +167,10 @@ fn synth_config(cfg: &SynthCliConfig) -> synth::SynthConfig {
 pub(crate) fn run_synth(cfg: &SynthCliConfig) -> Result<(), String> {
     let synth_cfg = synth_config(cfg);
     let report = synth::synthesize(&synth_cfg)?;
-    print!("{}", synth::render_report(&report));
+    out!("{}", synth::render_report(&report));
     let sens = if cfg.sensitivity {
         let rows = synth::sensitivity(&synth_cfg, &report)?;
-        print!("{}", synth::render_sensitivity(&rows));
+        out!("{}", synth::render_sensitivity(&rows));
         Some(rows)
     } else {
         None
@@ -178,12 +178,12 @@ pub(crate) fn run_synth(cfg: &SynthCliConfig) -> Result<(), String> {
     if let Some(path) = &cfg.out {
         std::fs::write(path, synth::tables_document(&report))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if let Some(path) = &cfg.json_out {
         let json = synth::report_json(&synth_cfg, &report, sens.as_deref());
         std::fs::write(path, json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if let Some(bad) = report
         .outcomes

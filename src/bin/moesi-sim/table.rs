@@ -74,7 +74,7 @@ pub(crate) fn parse_table_args(args: &[String]) -> Result<TableConfig, String> {
 
 pub(crate) fn run_table(cfg: &TableConfig) -> Result<(), String> {
     for name in &cfg.protocols {
-        println!("{}", bench::render_policy(name, cfg.seed)?);
+        outln!("{}", bench::render_policy(name, cfg.seed)?);
     }
     Ok(())
 }

@@ -165,9 +165,10 @@ fn verify_shape(cfg: &VerifyConfig) -> verify::Shape {
 }
 
 fn run_verify_matrix(shape: &verify::Shape, jobs: usize) -> Result<(), String> {
-    println!(
+    outln!(
         "pair-wise compatibility matrix: 2 modules x {} line(s) x {} values\n",
-        shape.lines, shape.values
+        shape.lines,
+        shape.values
     );
     let mut surprises = 0usize;
     for (a, b, report) in verify::verify_matrix_jobs(&verify::MATRIX_PROTOCOLS, shape, jobs) {
@@ -184,14 +185,14 @@ fn run_verify_matrix(shape: &verify::Shape, jobs: usize) -> Result<(), String> {
                 ("VIOLATION", format!("{}\n{}", cx.defect, cx.trace))
             }
         };
-        println!("{a:>20} + {b:<20} {tag:<24} {detail}");
+        outln!("{a:>20} + {b:<20} {tag:<24} {detail}");
     }
     if surprises > 0 {
         return Err(format!(
             "{surprises} pair(s) contradict the documented compatibility claims"
         ));
     }
-    println!("\nall pairs match the documented compatibility claims");
+    outln!("\nall pairs match the documented compatibility claims");
     Ok(())
 }
 
@@ -201,14 +202,14 @@ fn run_verify_mutations(shape: &verify::Shape, table: Option<&str>) -> Result<()
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
             let base = moesi::parse_table(&text).map_err(|e| format!("{path}: {e}"))?;
-            println!(
+            outln!(
                 "single-cell mutations of `{}` (from {path}), next to a clean MOESI module\n",
                 base.name()
             );
             verify::mutation_sweep_of(base, shape)
         }
         None => {
-            println!(
+            outln!(
                 "single-cell mutations of the preferred copy-back table, next to a clean MOESI module\n"
             );
             verify::mutation_sweep(shape)
@@ -228,10 +229,10 @@ fn run_verify_mutations(shape: &verify::Shape, table: Option<&str>) -> Result<()
         if !row.structural && row.defect.is_some() {
             missed += 1;
         }
-        println!("{:<20} {structural:<10} {dynamic}", row.cell);
+        outln!("{:<20} {structural:<10} {dynamic}", row.cell);
     }
     let caught = rows.iter().filter(|r| r.defect.is_some()).count();
-    println!(
+    outln!(
         "\n{} mutations: {caught} produce concrete counterexamples; every in-class one verifies clean",
         rows.len(),
     );
@@ -273,7 +274,7 @@ pub(crate) fn run_verify(cfg: &VerifyConfig) -> Result<(), String> {
     } else {
         cfg.protocols.iter().map(String::as_str).collect()
     };
-    println!(
+    outln!(
         "exhaustive exploration: [{}] x {} line(s) x {} values",
         names.join(", "),
         shape.lines,
@@ -281,7 +282,7 @@ pub(crate) fn run_verify(cfg: &VerifyConfig) -> Result<(), String> {
     );
     let report = verify::verify_mix(&names, &shape)
         .ok_or_else(|| format!("unknown protocol in `{}`", cfg.protocols.join(",")))?;
-    println!("{report}");
+    outln!("{report}");
     match &report.counterexample {
         None if report.truncated => Err(format!(
             "state cap hit after {} states; raise --max-states for a full proof",
@@ -290,7 +291,7 @@ pub(crate) fn run_verify(cfg: &VerifyConfig) -> Result<(), String> {
         None => Ok(()),
         Some(cx) => {
             let step = cx.trace.steps.len() - 1;
-            println!("the concrete machine fails at step {step}: {}", cx.defect);
+            outln!("the concrete machine fails at step {step}: {}", cx.defect);
             Err(format!("invariant violated: {}", cx.defect))
         }
     }

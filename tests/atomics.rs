@@ -3,6 +3,8 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::by_name;
+use moesi::Protocol;
+use mpsim::hierarchy::TreeBuilder;
 use mpsim::{System, SystemBuilder};
 
 const LINE: usize = 32;
@@ -16,15 +18,31 @@ fn mixed(protocols: &[&str]) -> System {
     b.build()
 }
 
+/// Two clusters of two MOESI caches, oracle on.
+fn two_by_two() -> System {
+    let cfg = CacheConfig::new(1024, LINE, 2, ReplacementKind::Lru);
+    TreeBuilder::uniform(LINE, 2, 2, 1, 2, |leaf, cpu| {
+        let protocol: Box<dyn Protocol + Send> =
+            by_name("moesi", (2 * leaf + cpu) as u64).expect("known");
+        (protocol, Some(cfg))
+    })
+    .checking(true)
+    .build()
+}
+
 #[test]
 fn fetch_add_never_loses_updates_across_protocols() {
-    for protocols in [
+    let machines = [
         &["moesi", "moesi-invalidating", "dragon"][..],
         &["berkeley", "write-through", "moesi"][..],
         &["illinois", "illinois", "illinois"][..],
         &["synapse", "synapse"][..],
-    ] {
-        let mut sys = mixed(protocols);
+    ]
+    .map(|protocols| (format!("{protocols:?}"), mixed(protocols)));
+    for (protocols, mut sys) in machines
+        .into_iter()
+        .chain([("2x2 tree".into(), two_by_two())])
+    {
         let addr = 0x1000;
         let mut expected = 0u32;
         for round in 0..100u32 {

@@ -54,10 +54,10 @@ fn drive(sys: &mut System, steps: u64, seed: u64) {
         p_rereference: 0.3,
         line_size: LINE as u64,
     };
-    let mut streams: Vec<Box<dyn RefStream + Send>> = (0..sys.nodes())
+    let streams: Vec<Box<dyn RefStream + Send>> = (0..sys.nodes())
         .map(|cpu| Box::new(DuboisBriggs::new(cpu, model, seed)) as _)
         .collect();
-    sys.run(&mut streams, steps);
+    sys.run(&mut [streams], steps);
     sys.verify().expect("class members must stay consistent");
 }
 

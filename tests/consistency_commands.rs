@@ -1,7 +1,7 @@
 //! §6: "Proper mechanisms must also be defined for issuing commands across
 //! the bus to cause other caches to become consistent with main memory."
-//! These tests exercise `System::make_memory_consistent` /
-//! `make_all_consistent` — the DMA-preparation commands — and the bus trace.
+//! These tests exercise `System::make_all_consistent` — the DMA-preparation
+//! command — and the bus trace.
 
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::TraceKind;
@@ -29,11 +29,11 @@ fn make_memory_consistent_pushes_the_owner() {
     let mut sys = sys(2);
     sys.write(0, 0x100, &[7; 4]); // cpu0: M, memory stale
     let mem_writes = sys.bus_stats().memory_writes;
-    assert!(sys.make_memory_consistent(0x100));
+    assert_eq!(sys.make_all_consistent(), 1);
     assert_eq!(sys.bus_stats().memory_writes, mem_writes + 1);
     // The copy is retained, now unowned and clean.
     assert_eq!(sys.state_of(0, 0x100), Exclusive);
-    assert!(!sys.make_memory_consistent(0x100), "already consistent");
+    assert_eq!(sys.make_all_consistent(), 0, "already consistent");
     sys.verify().expect("consistent");
 }
 
@@ -43,7 +43,7 @@ fn make_memory_consistent_handles_owned_with_sharers() {
     sys.write(0, 0x100, &[1; 4]);
     sys.read(1, 0x100, 4); // cpu0: O, cpu1: S
     assert_eq!(sys.state_of(0, 0x100), Owned);
-    assert!(sys.make_memory_consistent(0x100));
+    assert_eq!(sys.make_all_consistent(), 1);
     // Pass with CH from cpu1 resolves CH:S/E to S.
     assert_eq!(sys.state_of(0, 0x100), Shareable);
     assert_eq!(sys.state_of(1, 0x100), Shareable);
@@ -143,10 +143,10 @@ fn long_run_with_commands_interleaved_stays_consistent() {
         ..SharingModel::default()
     };
     for round in 0..10 {
-        let mut streams: Vec<Box<dyn RefStream + Send>> = (0..4)
+        let streams: Vec<Box<dyn RefStream + Send>> = (0..4)
             .map(|cpu| Box::new(DuboisBriggs::new(cpu, model, round)) as _)
             .collect();
-        sys.run(&mut streams, 50);
+        sys.run(&mut [streams], 50);
         sys.make_all_consistent();
         sys.verify().expect("consistent after sweep");
     }

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::MoesiPreferred;
-use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
+use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::{Access, RefStream, System, SystemBuilder};
 
 const LINE: usize = 16;
@@ -24,7 +24,7 @@ fn leaf(cpus: usize) -> TreeSpec {
 
 /// A ragged tree: the root holds an interior segment over leaves of 1 and 3
 /// CPUs, and a leaf of 2 CPUs — leaves of uneven size at uneven depths.
-fn ragged_tree() -> HierarchicalSystem {
+fn ragged_tree() -> System {
     TreeBuilder::new(LINE)
         .checking(true)
         .child(TreeSpec::interior(vec![leaf(1), leaf(3)]))
@@ -94,9 +94,9 @@ fn tree_run_draws_leaf_major_cpu_minor_rounds() {
 }
 
 /// Root memory over every word the walks touch, after a global sync.
-fn tree_image(sys: &mut HierarchicalSystem) -> Vec<u8> {
-    sys.make_globally_consistent();
-    sys.parent_memory_peek(0x1000, 32)
+fn tree_image(sys: &mut System) -> Vec<u8> {
+    sys.make_all_consistent();
+    sys.memory_peek(0x1000, 32)
 }
 
 #[test]
@@ -146,9 +146,9 @@ fn logged_flat_streams(log: Option<&Arc<Mutex<Vec<usize>>>>) -> Vec<Box<dyn RefS
 fn flat_run_draws_cpu_after_cpu_rounds() {
     let mut sys = flat_system();
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut streams = logged_flat_streams(Some(&log));
+    let streams = logged_flat_streams(Some(&log));
     let steps = 5;
-    sys.run(&mut streams, steps);
+    sys.run(&mut [streams], steps);
 
     let round: Vec<usize> = (0..FLAT_CPUS).collect();
     let expected: Vec<usize> = (0..steps).flat_map(|_| round.iter().copied()).collect();
@@ -177,12 +177,12 @@ fn flat_timed_run_draws_exactly_its_budget_from_every_stream() {
 fn a_flat_run_split_in_two_equals_one_run() {
     let k = 7;
     let mut split = flat_system();
-    let mut streams = flat_streams();
+    let mut streams = [flat_streams()];
     split.run(&mut streams, k);
     split.run(&mut streams, k);
 
     let mut whole = flat_system();
-    whole.run(&mut flat_streams(), 2 * k);
+    whole.run(&mut [flat_streams()], 2 * k);
 
     assert_eq!(split.verify(), whole.verify());
     split.make_all_consistent();

@@ -119,8 +119,7 @@ fn assert_matches_fixture(name: &str, got: &str) {
 fn run_clean(protocol: &str) -> String {
     let mut sys = build(protocol);
     sys.enable_trace(1 << 16);
-    let mut streams = streams();
-    sys.run(&mut streams, STEPS);
+    sys.run(&mut [streams()], STEPS);
     snapshot(&sys)
 }
 
@@ -155,8 +154,7 @@ fn golden_trace_under_faults_is_stable() {
             max_storm_rounds: 3,
             ..FaultConfig::default()
         }));
-    let mut streams = streams();
-    sys.run(&mut streams, STEPS);
+    sys.run(&mut [streams()], STEPS);
     let got = snapshot(&sys);
     for marker in ["GLTCH", "CORPT"] {
         assert!(got.contains(marker), "faulty scenario never hit {marker}");

@@ -15,7 +15,7 @@ use moesi::{
     BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalEvent, MasterSignals,
     PolicyTable, TablePolicy,
 };
-use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
+use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::{
     Access, Checker, DuboisBriggs, RefStream, SharingModel, System, SystemBuilder, TraceReplay,
     Violation,
@@ -36,7 +36,7 @@ fn flat(protocols: &[&str]) -> System {
     b.build()
 }
 
-fn two_by_two() -> HierarchicalSystem {
+fn two_by_two() -> System {
     TreeBuilder::new(LINE)
         .checking(true)
         .child(
@@ -105,8 +105,7 @@ fn non_caching_and_write_through_nodes_log_aligned_lines() {
                 .collect(),
         ))
     };
-    let mut streams: Vec<_> = (0..3).map(script).collect();
-    sys.run(&mut streams, 50);
+    sys.run(&mut [(0..3).map(script).collect()], 50);
     sys.verify().expect("consistent");
 }
 
@@ -232,15 +231,15 @@ fn a_dropped_directory_reaches_the_next_audit() {
     // salvage loses the line; only the cleared directory's wholesale log
     // says so, and only the golden image still holds the line.
     let mut sys = two_by_two();
-    sys.write(0, 0, 0x100, &[5; 4]);
+    sys.write_at(&[0], 0, 0x100, &[5; 4]);
     for evict in [0x180, 0x200] {
-        let _ = sys.read(0, 0, evict, 4); // same set of the 2-way cache
+        let _ = sys.read_at(&[0], 0, evict, 4); // same set of the 2-way cache
     }
-    assert_eq!(sys.state_of(0, 0, 0x100), LineState::Invalid);
+    assert_eq!(sys.state_of(0, 0x100), LineState::Invalid);
     assert_eq!(sys.cluster_state_of(0, 0x100), LineState::Modified);
     sys.retire_bridge(0, false);
     let msg = panics(|| {
-        let _ = sys.read(1, 0, 0x400, 4);
+        let _ = sys.read_at(&[1], 0, 0x400, 4);
     });
     assert!(
         msg.contains("line 0x100: unowned but memory is stale"),
@@ -252,16 +251,15 @@ fn a_dropped_directory_reaches_the_next_audit() {
 fn a_corrupted_tag_reaches_the_next_audit() {
     // The flipped tag is logged by `Bridge::set_cluster_state` alone.
     let mut sys = two_by_two();
-    sys.write(0, 0, 0x1000, &[1; 4]);
-    sys.parent_bus_mut()
-        .inject_faults(FaultPlan::new(FaultConfig {
-            stale_tag_rate: 1.0,
-            ..FaultConfig::default()
-        }));
+    sys.write_at(&[0], 0, 0x1000, &[1; 4]);
+    sys.bus_mut().inject_faults(FaultPlan::new(FaultConfig {
+        stale_tag_rate: 1.0,
+        ..FaultConfig::default()
+    }));
     let (bridge, line) = sys.corrupt_inclusion_tag().expect("rate 1.0 fires");
     assert_eq!((bridge, line), (0, 0x1000));
     let msg = panics(|| {
-        let _ = sys.read(1, 0, 0x5000, 4);
+        let _ = sys.read_at(&[1], 0, 0x5000, 4);
     });
     assert!(msg.contains("line 0x1000"), "{msg}");
 }
@@ -269,32 +267,32 @@ fn a_corrupted_tag_reaches_the_next_audit() {
 #[test]
 fn bridge_retirement_forces_a_full_audit() {
     let mut sys = two_by_two();
-    sys.write(0, 0, 0x1000, &[5; 4]);
-    sys.write(0, 1, 0x2000, &[6; 4]);
-    let _ = sys.read(1, 0, 0x1000, 4);
+    sys.write_at(&[0], 0, 0x1000, &[5; 4]);
+    sys.write_at(&[0], 1, 0x2000, &[6; 4]);
+    let _ = sys.read_at(&[1], 0, 0x1000, 4);
     sys.retire_bridge(0, true);
     assert!(sys.bridge(0).degraded());
     // Degraded traffic keeps being audited after the full re-check.
-    assert_eq!(sys.read(0, 0, 0x2000, 4), vec![6; 4]);
-    sys.write(0, 1, 0x1000, &[8; 4]);
-    assert_eq!(sys.read(1, 1, 0x1000, 4), vec![8; 4]);
+    assert_eq!(sys.read_at(&[0], 0, 0x2000, 4), vec![6; 4]);
+    sys.write_at(&[0], 1, 0x1000, &[8; 4]);
+    assert_eq!(sys.read_at(&[1], 1, 0x1000, 4), vec![8; 4]);
     sys.verify().expect("consistent");
 }
 
 #[test]
 fn lost_lines_reconciled_through_checker_mut_audit_fully() {
     let mut sys = two_by_two();
-    sys.write(0, 0, 0x1000, &[9; 4]);
-    sys.write(0, 0, 0x2000, &[8; 4]);
+    sys.write_at(&[0], 0, 0x1000, &[9; 4]);
+    sys.write_at(&[0], 0, 0x2000, &[8; 4]);
     sys.retire_bridge(0, false);
     // The loss is reported: accept memory as the new truth.
     for line in [0x1000u64, 0x2000] {
-        let mem = sys.parent_memory_peek(line, LINE);
+        let mem = sys.memory_peek(line, LINE);
         sys.checker_mut().unwrap().record_write(line, &mem);
     }
-    let _ = sys.read(1, 0, 0x1000, 4);
-    sys.write(1, 1, 0x2000, &[3; 4]);
-    assert_eq!(sys.read(0, 1, 0x2000, 4), vec![3; 4]);
+    let _ = sys.read_at(&[1], 0, 0x1000, 4);
+    sys.write_at(&[1], 1, 0x2000, &[3; 4]);
+    assert_eq!(sys.read_at(&[0], 1, 0x2000, 4), vec![3; 4]);
     sys.verify().expect("reconciled");
 }
 
@@ -304,16 +302,14 @@ fn a_tree_audits_lines_only_the_golden_image_holds() {
     // golden image and root memory still hold it. A flat bus audits such a
     // line; so must the tree.
     let mut sys = two_by_two();
-    sys.write(0, 0, 0x100, &[5; 4]);
+    sys.write_at(&[0], 0, 0x100, &[5; 4]);
     sys.retire_bridge(0, true);
     sys.verify().expect("the salvage reached root memory");
-    sys.parent_bus_mut()
-        .memory_mut()
-        .write_line(0x100, &[0; LINE]);
+    sys.bus_mut().memory_mut().write_line(0x100, &[0; LINE]);
     assert_eq!(sys.verify(), Err(Violation::StaleMemory { addr: 0x100 }));
     // The memory write was logged, so the next access audits the line.
     let msg = panics(|| {
-        let _ = sys.read(1, 0, 0x400, 4);
+        let _ = sys.read_at(&[1], 0, 0x400, 4);
     });
     assert!(
         msg.contains("0x100") && msg.contains("memory is stale"),
@@ -333,35 +329,32 @@ fn a_tree_audits_lines_only_the_golden_image_holds() {
 #[test]
 fn corrupted_and_scrubbed_tags_are_audited() {
     let mut sys = two_by_two();
-    sys.write(0, 0, 0x1000, &[1; 4]);
-    let _ = sys.read(1, 0, 0x1000, 4);
-    let _ = sys.read(1, 1, 0x3000, 4);
-    sys.parent_bus_mut()
-        .inject_faults(FaultPlan::new(FaultConfig {
-            stale_tag_rate: 1.0,
-            ..FaultConfig::default()
-        }));
+    sys.write_at(&[0], 0, 0x1000, &[1; 4]);
+    let _ = sys.read_at(&[1], 0, 0x1000, 4);
+    let _ = sys.read_at(&[1], 1, 0x3000, 4);
+    sys.bus_mut().inject_faults(FaultPlan::new(FaultConfig {
+        stale_tag_rate: 1.0,
+        ..FaultConfig::default()
+    }));
     let (bridge, line) = sys.corrupt_inclusion_tag().expect("rate 1.0 fires");
     sys.scrub_inclusion_tag(bridge, line);
-    assert_eq!(sys.read(1, 1, 0x1000, 4), vec![1; 4]);
-    sys.write(1, 0, 0x3000, &[4; 4]);
-    assert_eq!(sys.read(0, 1, 0x3000, 4), vec![4; 4]);
+    assert_eq!(sys.read_at(&[1], 1, 0x1000, 4), vec![1; 4]);
+    sys.write_at(&[1], 0, 0x3000, &[4; 4]);
+    assert_eq!(sys.read_at(&[0], 1, 0x3000, 4), vec![4; 4]);
     sys.verify().expect("scrubbed");
 }
 
 #[test]
 fn leaving_tolerant_mode_audits_every_line() {
     let mut sys = two_by_two();
-    let _ = sys.read(0, 0, 0x1000, 4); // cached, so the full audit visits it
+    let _ = sys.read_at(&[0], 0, 0x1000, 4); // cached, so the full audit visits it
     sys.tolerate_faults(true);
     // Changes made while tolerant are not logged line by line ...
-    sys.parent_bus_mut()
-        .memory_mut()
-        .write_bytes(0x1000, 0, &[9]);
+    sys.bus_mut().memory_mut().write_bytes(0x1000, 0, &[9]);
     sys.tolerate_faults(false);
     // ... so the first audit afterwards re-checks everything.
     let msg = panics(|| {
-        let _ = sys.read(1, 0, 0x5000, 4);
+        let _ = sys.read_at(&[1], 0, 0x5000, 4);
     });
     assert!(msg.contains("0x1000"), "{msg}");
 }
@@ -395,7 +388,7 @@ fn deep_tree_runs_and_global_sync_stay_consistent() {
         })
         .collect();
     sys.run(&mut streams, 150);
-    assert!(sys.make_globally_consistent() > 0);
+    assert!(sys.make_all_consistent() > 0);
     sys.run(&mut streams, 50);
     sys.verify().expect("consistent");
 }
@@ -533,7 +526,7 @@ fn single_cell_mutants_fail_at_the_same_step_with_the_same_violation() {
 }
 
 /// A 2×2 tree with a mutant cache in each leaf.
-fn mutant_tree(table: PolicyTable) -> HierarchicalSystem {
+fn mutant_tree(table: PolicyTable) -> System {
     TreeBuilder::new(LINE)
         .checking(true)
         .child(
@@ -556,12 +549,12 @@ fn tree_audit_catches(table: PolicyTable) -> bool {
     let mut sys = mutant_tree(table);
     for op in script_on(4) {
         let run = catch_unwind(AssertUnwindSafe(|| match op {
-            Op::Read(p, addr) => drop(sys.read(p / 2, p % 2, addr, 4)),
-            Op::Write(p, addr, v) => sys.write(p / 2, p % 2, addr, &v),
-            Op::Flush(..) => drop(sys.make_globally_consistent()),
+            Op::Read(p, addr) => drop(sys.read_at(&[p / 2], p % 2, addr, 4)),
+            Op::Write(p, addr, v) => sys.write_at(&[p / 2], p % 2, addr, &v),
+            Op::Flush(..) => drop(sys.make_all_consistent()),
         }));
         if let Err(err) = run {
-            return panic_message(&err).starts_with("hierarchy consistency");
+            return panic_message(&err).starts_with("consistency violation");
         }
     }
     false

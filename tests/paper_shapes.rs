@@ -68,7 +68,7 @@ fn caches_prevent_bus_saturation() {
 /// Simulated bus time of a 4-CPU ping-pong run of `protocol` under `timing`.
 fn ping_pong_busy_ns(protocol: &str, timing: TimingConfig, steps: u64, seed: u64) -> u64 {
     let mut sys = homogeneous_system(protocol, 4, 4096, LINE, timing, false);
-    sys.run(&mut workload_streams("ping-pong", 4, LINE, seed), steps);
+    sys.run(&mut [workload_streams("ping-pong", 4, LINE, seed)], steps);
     sys.bus_stats().busy_ns
 }
 
@@ -100,8 +100,8 @@ fn larger_lines_hit_more_and_move_more_bytes() {
     // E6, §5.1's line-size trade-off on a sequential stream.
     let run = |line: usize| {
         let mut sys = homogeneous_system("moesi", 1, 4096, line, TimingConfig::default(), false);
-        let mut streams: Vec<Box<dyn RefStream + Send>> =
-            vec![Box::new(Sequential::new(0, 4, 4096, 0.2, 9))];
+        let mut streams: Vec<Vec<Box<dyn RefStream + Send>>> =
+            vec![vec![Box::new(Sequential::new(0, 4, 4096, 0.2, 9))]];
         sys.run(&mut streams, 1_000);
         (sys.total_stats().hit_ratio(), sys.bus_stats().bytes_moved)
     };
@@ -131,7 +131,7 @@ fn refined_update_policy_receives_fewer_updates() {
     };
     let updates = |protocol: &str| {
         let mut sys = homogeneous_system(protocol, 4, 1024, LINE, TimingConfig::default(), false);
-        sys.run(&mut dubois_briggs(4, model, 5), 300);
+        sys.run(&mut [dubois_briggs(4, model, 5)], 300);
         sys.total_stats().updates_received
     };
     let (always, refined) = (updates("moesi"), updates("puzak"));
@@ -163,8 +163,7 @@ fn two_level_parent_bus_carries_under_half_the_flat_traffic() {
         b = b.cache(Box::new(MoesiPreferred::new()), cfg);
     }
     let mut flat = b.build();
-    let mut streams: Vec<_> = (0..8).map(|cpu| stream(cpu / 2)).collect();
-    flat.run(&mut streams, 200);
+    flat.run(&mut [(0..8).map(|cpu| stream(cpu / 2)).collect()], 200);
     let flat_txns = flat.bus_stats().transactions;
 
     let mut b = TreeBuilder::new(LINE);
@@ -180,7 +179,7 @@ fn two_level_parent_bus_carries_under_half_the_flat_traffic() {
         .map(|cluster| (0..2).map(|_| stream(cluster)).collect())
         .collect();
     tree.run(&mut streams, 200);
-    let parent_txns = tree.parent_stats().transactions;
+    let parent_txns = tree.bus_stats().transactions;
 
     assert!(
         parent_txns * 2 < flat_txns,

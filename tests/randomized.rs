@@ -12,7 +12,7 @@ use moesi::protocols::{
 };
 use moesi::rng::SmallRng;
 use moesi::{table, BusEvent, CacheKind, LineState, LocalEvent, Protocol};
-use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
+use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::{System, SystemBuilder};
 
 const LINE: usize = 32;
@@ -253,7 +253,7 @@ fn protocol(k: usize) -> Box<dyn Protocol + Send> {
 
 /// A depth-3 fabric tree (2 root subtrees x 2 leaf clusters x 2 caches),
 /// protocols cycling, with the bridges' inclusion snoop filters on or off.
-fn deep_tree(filter: bool) -> HierarchicalSystem {
+fn deep_tree(filter: bool) -> System {
     let mut k = 0usize;
     TreeBuilder::uniform(LINE, 2, 3, 2, 2, |_, _| {
         let p = protocol(k);
@@ -266,7 +266,7 @@ fn deep_tree(filter: bool) -> HierarchicalSystem {
 }
 
 /// A two-level hierarchy of `shape[c]` nodes per cluster, protocols cycling.
-fn hierarchy(shape: &[usize]) -> HierarchicalSystem {
+fn hierarchy(shape: &[usize]) -> System {
     let mut b = TreeBuilder::new(LINE).checking(true);
     let mut k = 0;
     for &nodes in shape {
@@ -329,11 +329,11 @@ fn hierarchy_and_flat_machine_observe_identical_values() {
             let (cluster, cpu) = locate(shape, op.node);
             match op.write {
                 Some(v) => {
-                    hier.write(cluster, cpu, op.addr, &[v; 4]);
+                    hier.write_at(&[cluster], cpu, op.addr, &[v; 4]);
                     plain.write(op.node, op.addr, &[v; 4]);
                 }
                 None => {
-                    let h = hier.read(cluster, cpu, op.addr, 4);
+                    let h = hier.read_at(&[cluster], cpu, op.addr, 4);
                     let f = plain.read(op.node, op.addr, 4);
                     assert_eq!(h, f, "{shape:?}: divergence at {:#x}", op.addr);
                 }
@@ -355,13 +355,13 @@ fn random_ops_with_global_sync_stay_consistent() {
             let op = random_node_op(&mut rng, 4);
             let (cluster, cpu) = locate(shape, op.node);
             match op.write {
-                Some(v) => sys.write(cluster, cpu, op.addr, &[v; 4]),
+                Some(v) => sys.write_at(&[cluster], cpu, op.addr, &[v; 4]),
                 None => {
-                    let _ = sys.read(cluster, cpu, op.addr, 4);
+                    let _ = sys.read_at(&[cluster], cpu, op.addr, 4);
                 }
             }
             if i % sync_every == 0 {
-                sys.make_globally_consistent();
+                sys.make_all_consistent();
             }
         }
         assert!(sys.verify().is_ok());
@@ -378,9 +378,9 @@ fn hierarchy_survives_eviction_pressure() {
         let (cluster, cpu) = locate(shape, (i % 4) as usize);
         let addr = 0x1000 + u64::from(i % 24) * LINE as u64;
         if i % 3 == 0 {
-            sys.write(cluster, cpu, addr, &i.to_le_bytes());
+            sys.write_at(&[cluster], cpu, addr, &i.to_le_bytes());
         } else {
-            let _ = sys.read(cluster, cpu, addr, 4);
+            let _ = sys.read_at(&[cluster], cpu, addr, 4);
         }
     }
     sys.verify().expect("consistent under eviction pressure");

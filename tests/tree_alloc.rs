@@ -2,7 +2,7 @@
 //! of its own because it installs a counting `#[global_allocator]`.
 //!
 //! - A read hit through a depth-3 tree allocates nothing once the caller's
-//!   buffer has grown: `HierarchicalSystem::run` over read-hit streams costs
+//!   buffer has grown: `System::run` over read-hit streams costs
 //!   its fixed set-up and not one allocation per step.
 //! - Once every line of the working set is in memory, bus transactions
 //!   allocate nothing either — fetches, broadcasts forwarded two levels
@@ -21,8 +21,8 @@ use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::MoesiPreferred;
 use moesi::rng::SmallRng;
 use moesi::Protocol;
-use mpsim::hierarchy::{HierarchicalSystem, TreeBuilder, TreeSpec};
-use mpsim::{Access, Checker, CpuStats, RefStream, SystemBuilder};
+use mpsim::hierarchy::{TreeBuilder, TreeSpec};
+use mpsim::{Access, Checker, CpuStats, RefStream, System, SystemBuilder};
 
 /// Counts this thread's allocations (fresh blocks and reallocations), so
 /// tests running in parallel do not see each other's.
@@ -76,7 +76,7 @@ fn cfg() -> CacheConfig {
 }
 
 /// 2 root subtrees × 2 leaf clusters × 2 MOESI caches: a depth-3 tree.
-fn depth_three(checking: bool) -> HierarchicalSystem {
+fn depth_three(checking: bool) -> System {
     TreeBuilder::uniform(LINE, 2, 3, 2, 2, |_, _| {
         (
             Box::new(MoesiPreferred::new()) as Box<dyn Protocol + Send>,
@@ -103,7 +103,7 @@ impl RefStream for HitStream {
     }
 }
 
-fn hit_streams(sys: &HierarchicalSystem) -> Vec<Vec<Box<dyn RefStream + Send>>> {
+fn hit_streams(sys: &System) -> Vec<Vec<Box<dyn RefStream + Send>>> {
     (0..sys.leaves())
         .map(|leaf| {
             (0..sys.leaf_fabric(leaf).nodes())
@@ -114,7 +114,7 @@ fn hit_streams(sys: &HierarchicalSystem) -> Vec<Vec<Box<dyn RefStream + Send>>> 
 }
 
 /// (reads, read hits) summed over every cache in the tree.
-fn read_counts(sys: &HierarchicalSystem) -> (u64, u64) {
+fn read_counts(sys: &System) -> (u64, u64) {
     (0..sys.leaves())
         .flat_map(|leaf| sys.leaf_fabric(leaf).controllers())
         .fold((0, 0), |(r, h), c| {
@@ -217,7 +217,7 @@ fn steady_state_bus_transactions_allocate_nothing() {
         "root broadcasts forwarded two levels down"
     );
     assert!(leaf_bridges().map(|s| s.invalidations_in).sum::<u64>() > 0);
-    assert!(tree.parent_bus().stats().interventions > 0);
+    assert!(tree.bus().stats().interventions > 0);
     let caches = || {
         (0..tree.leaves()).flat_map(|leaf| {
             tree.leaf_fabric(leaf)
@@ -235,7 +235,7 @@ fn steady_state_bus_transactions_allocate_nothing() {
             b.cache(Box::new(MoesiPreferred::new()), cfg())
         })
         .build();
-    let mut streams: Vec<_> = (0..4).map(sharing_stream).collect();
+    let mut streams: [Vec<_>; 1] = [(0..4).map(sharing_stream).collect()];
     assert_steady("flat", |k| flat.run(&mut streams, k));
     let bus = flat.bus_stats();
     assert!(bus.broadcasts > 0 && bus.interventions > 0 && bus.memory_reads > 0);
@@ -246,7 +246,7 @@ fn steady_state_bus_transactions_allocate_nothing() {
 
 /// The oracle-checked shape of the benchmark: 2 leaf clusters × 2 MOESI
 /// caches.
-fn two_by_two_checked() -> HierarchicalSystem {
+fn two_by_two_checked() -> System {
     TreeBuilder::uniform(LINE, 2, 2, 1, 2, |_, _| {
         (
             Box::new(MoesiPreferred::new()) as Box<dyn Protocol + Send>,
@@ -268,7 +268,7 @@ fn an_audited_warm_machine_allocates_nothing_per_access() {
         .map(|leaf| (0..2).map(|cpu| sharing_stream(2 * leaf + cpu)).collect())
         .collect();
     assert_steady("checked tree", |k| tree.run(&mut streams, k));
-    assert!(tree.parent_stats().transactions > 0);
+    assert!(tree.bus_stats().transactions > 0);
     tree.verify().expect("consistent");
 
     let mut flat = (0..4)
@@ -276,7 +276,7 @@ fn an_audited_warm_machine_allocates_nothing_per_access() {
             b.cache(Box::new(MoesiPreferred::new()), cfg())
         })
         .build();
-    let mut streams: Vec<_> = (0..4).map(sharing_stream).collect();
+    let mut streams: [Vec<_>; 1] = [(0..4).map(sharing_stream).collect()];
     assert_steady("checked flat", |k| flat.run(&mut streams, k));
     assert!(flat.bus_stats().broadcasts > 0 && flat.bus_stats().interventions > 0);
     flat.verify().expect("consistent");
@@ -298,9 +298,9 @@ fn an_audited_warm_machine_allocates_nothing_per_access() {
             b.cache(Box::new(MoesiPreferred::new()), cfg())
         })
         .build();
-    let mut streams: Vec<Box<dyn RefStream + Send>> = (0..2)
+    let mut streams: [Vec<Box<dyn RefStream + Send>>; 1] = [(0..2)
         .map(|_| Box::new(HitStream { next: 0 }) as Box<dyn RefStream + Send>)
-        .collect();
+        .collect()];
     let lap = HIT_READS.len() as u64;
     flat.run(&mut streams, lap);
     let before = *flat.stats(0);
@@ -335,13 +335,7 @@ fn a_matching_read_check_allocates_nothing() {
 
 /// Reads `len` bytes at `addr` through the buffer path, after a prefix the
 /// read must leave alone, and checks the appended bytes against the oracle.
-fn assert_golden_read(
-    sys: &mut HierarchicalSystem,
-    path: &[usize],
-    cpu: usize,
-    addr: u64,
-    len: usize,
-) {
+fn assert_golden_read(sys: &mut System, path: &[usize], cpu: usize, addr: u64, len: usize) {
     let mut buf = vec![0xEE; 3];
     sys.read_into(path, cpu, addr, len, &mut buf);
     assert_eq!(buf[..3], [0xEE; 3], "the read must append");
@@ -402,8 +396,8 @@ fn reads_from_a_degraded_cluster_match_the_golden_image() {
         .child(leaf())
         .checking(true)
         .build();
-    sys.write(0, 0, 0x1000, &[5; 40]);
-    sys.write(1, 1, 0x1030, &[6; 8]); // cluster 1 owns the second line
+    sys.write_at(&[0], 0, 0x1000, &[5; 40]);
+    sys.write_at(&[1], 1, 0x1030, &[6; 8]); // cluster 1 owns the second line
     sys.retire_bridge(0, true);
     assert!(sys.bridge(0).degraded());
     let degraded_before = sys.bridge(0).stats().degraded_accesses;
