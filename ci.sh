@@ -172,10 +172,13 @@ cmp "$work/sim_flat" tests/fixtures/simulate/flat.txt \
 cmp "$work/sim_clusters" tests/fixtures/simulate/clusters.txt \
   || { echo "moesi-sim --clusters diverged from tests/fixtures/simulate/clusters.txt" >&2; exit 1; }
 
-echo "==> policy tables match the committed fixture (paper Tables 3-7)"
+echo "==> policy tables match the committed fixtures (paper Tables 3-7, then every shipped protocol)"
 ./target/release/moesi-sim table > "$work/tables"
 cmp "$work/tables" tests/fixtures/tables/paper_tables.txt \
   || { echo "rendered policy tables diverged from tests/fixtures/tables/paper_tables.txt" >&2; exit 1; }
+./target/release/moesi-sim table --protocol moesi,moesi-invalidating,puzak,hybrid,write-through,non-caching,berkeley,dragon,write-once,illinois,firefly,synapse,random > "$work/all_tables"
+cmp "$work/all_tables" tests/fixtures/tables/all_tables.txt \
+  || { echo "rendered policy tables diverged from tests/fixtures/tables/all_tables.txt" >&2; exit 1; }
 
 echo "==> hybrid bench smoke (fixed seed; sharded run must match the sequential one)"
 pair --jobs bench --protocol hybrid --seed 7 --steps 500 --json --out @hybrid >/dev/null

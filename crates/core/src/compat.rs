@@ -26,10 +26,10 @@ const SAMPLES_PER_CELL: usize = 32;
 ///
 /// ```
 /// use moesi::compat::check_protocol;
-/// use moesi::protocols::{Berkeley, WriteOnce};
+/// use moesi::protocols::{berkeley, write_once};
 ///
-/// assert!(check_protocol(&mut Berkeley::new()).is_class_member());
-/// assert!(!check_protocol(&mut WriteOnce::new()).is_class_member());
+/// assert!(check_protocol(&mut berkeley()).is_class_member());
+/// assert!(!check_protocol(&mut write_once()).is_class_member());
 /// ```
 #[derive(Clone, Debug)]
 pub struct CompatReport {
@@ -196,11 +196,11 @@ fn table_reachable(table: &PolicyTable) -> BTreeSet<LineState> {
 ///
 /// ```
 /// use moesi::compat::check_table;
-/// use moesi::protocols::{Berkeley, Illinois};
+/// use moesi::protocols::{berkeley, illinois};
 /// use moesi::Protocol;
 ///
-/// assert!(check_table(Berkeley::new().policy_table().unwrap()).is_class_member());
-/// assert!(!check_table(Illinois::new().policy_table().unwrap()).is_class_member());
+/// assert!(check_table(berkeley().policy_table().unwrap()).is_class_member());
+/// assert!(!check_table(illinois().policy_table().unwrap()).is_class_member());
 /// ```
 #[must_use]
 pub fn check_table(table: &PolicyTable) -> CompatReport {
@@ -316,29 +316,30 @@ pub fn check_protocol<P: Protocol + ?Sized>(protocol: &mut P) -> CompatReport {
 mod tests {
     use super::*;
     use crate::protocols::{
-        Berkeley, Dragon, Firefly, Illinois, MoesiInvalidating, MoesiPreferred, NonCaching,
-        PuzakRefinement, RandomPolicy, WriteOnce, WriteThrough,
+        berkeley, dragon, firefly, illinois, moesi_invalidating, moesi_preferred, non_caching,
+        non_caching_broadcasting, puzak, random, write_once, write_once_always_pushing,
+        write_through, write_through_non_broadcasting,
     };
     use crate::CacheKind;
 
     #[test]
     fn class_members_pass() {
-        assert!(check_protocol(&mut MoesiPreferred::new()).is_class_member());
-        assert!(check_protocol(&mut MoesiInvalidating::new()).is_class_member());
-        assert!(check_protocol(&mut PuzakRefinement::new()).is_class_member());
-        assert!(check_protocol(&mut Berkeley::new()).is_class_member());
-        assert!(check_protocol(&mut Dragon::new()).is_class_member());
-        assert!(check_protocol(&mut WriteThrough::new()).is_class_member());
-        assert!(check_protocol(&mut WriteThrough::non_broadcasting()).is_class_member());
-        assert!(check_protocol(&mut NonCaching::new()).is_class_member());
-        assert!(check_protocol(&mut NonCaching::broadcasting()).is_class_member());
+        assert!(check_protocol(&mut moesi_preferred()).is_class_member());
+        assert!(check_protocol(&mut moesi_invalidating()).is_class_member());
+        assert!(check_protocol(&mut puzak()).is_class_member());
+        assert!(check_protocol(&mut berkeley()).is_class_member());
+        assert!(check_protocol(&mut dragon()).is_class_member());
+        assert!(check_protocol(&mut write_through()).is_class_member());
+        assert!(check_protocol(&mut write_through_non_broadcasting()).is_class_member());
+        assert!(check_protocol(&mut non_caching()).is_class_member());
+        assert!(check_protocol(&mut non_caching_broadcasting()).is_class_member());
     }
 
     #[test]
     fn the_random_policy_is_a_class_member_by_construction() {
         for kind in CacheKind::ALL {
             for seed in 0..4 {
-                let report = check_protocol(&mut RandomPolicy::new(kind, seed));
+                let report = check_protocol(&mut random(kind, seed));
                 assert!(report.is_class_member(), "{report}");
             }
         }
@@ -347,10 +348,10 @@ mod tests {
     #[test]
     fn adapted_protocols_fail() {
         for report in [
-            check_protocol(&mut WriteOnce::new()),
-            check_protocol(&mut WriteOnce::always_pushing()),
-            check_protocol(&mut Illinois::new()),
-            check_protocol(&mut Firefly::new()),
+            check_protocol(&mut write_once()),
+            check_protocol(&mut write_once_always_pushing()),
+            check_protocol(&mut illinois()),
+            check_protocol(&mut firefly()),
         ] {
             assert!(!report.is_class_member(), "{report}");
         }
@@ -359,32 +360,31 @@ mod tests {
     #[test]
     fn reachable_states_match_protocol_structure() {
         use LineState::{Exclusive, Invalid, Modified, Owned, Shareable};
-        let berkeley = reachable_states(&mut Berkeley::new());
+        let berkeley = reachable_states(&mut berkeley());
         assert!(!berkeley.contains(&Exclusive), "Berkeley has no E state");
         assert!(berkeley.contains(&Owned));
 
-        let write_once = reachable_states(&mut WriteOnce::new());
+        let write_once = reachable_states(&mut write_once());
         assert!(!write_once.contains(&Owned), "Write-Once has no O state");
         assert!(write_once.contains(&Exclusive));
 
-        let moesi = reachable_states(&mut MoesiPreferred::new());
+        let moesi = reachable_states(&mut moesi_preferred());
         assert_eq!(
             moesi,
             BTreeSet::from([Modified, Owned, Exclusive, Shareable, Invalid])
         );
 
-        let wt = reachable_states(&mut WriteThrough::new());
+        let wt = reachable_states(&mut write_through());
         assert_eq!(wt, BTreeSet::from([Shareable, Invalid]));
 
-        let nc = reachable_states(&mut NonCaching::new());
+        let nc = reachable_states(&mut non_caching());
         assert_eq!(nc, BTreeSet::from([Invalid]));
     }
 
     #[test]
     fn structural_and_sampled_checks_agree_for_every_protocol() {
-        for p in crate::protocols::all_protocols(7) {
-            let mut p = p;
-            let sampled = check_protocol(p.as_mut()).is_class_member();
+        for mut p in crate::protocols::all_protocols(7) {
+            let sampled = check_protocol(&mut p).is_class_member();
             if let Some(table) = p.policy_table() {
                 assert_eq!(
                     check_table(table).is_class_member(),
@@ -433,7 +433,7 @@ mod tests {
     fn the_fast_path_preserves_the_report_shape() {
         // MOESI preferred takes the structural fast path; its report must
         // still show full reachability and a sensible cell count.
-        let report = check_protocol(&mut MoesiPreferred::new());
+        let report = check_protocol(&mut moesi_preferred());
         assert!(report.is_class_member());
         assert_eq!(report.reachable_states().len(), 5);
         assert_eq!(report.cells_checked(), 44);
@@ -441,11 +441,11 @@ mod tests {
 
     #[test]
     fn report_display_is_informative() {
-        let ok = check_protocol(&mut MoesiPreferred::new());
+        let ok = check_protocol(&mut moesi_preferred());
         assert!(ok.to_string().contains("class member"));
         assert!(ok.cells_checked() > 10);
 
-        let bad = check_protocol(&mut Firefly::new());
+        let bad = check_protocol(&mut firefly());
         let text = bad.to_string();
         assert!(text.contains("NOT a class member"));
         assert!(text.contains("BS"));

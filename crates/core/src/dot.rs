@@ -22,9 +22,9 @@ use std::fmt::Write as _;
 ///
 /// ```
 /// use moesi::dot::render;
-/// use moesi::protocols::Berkeley;
+/// use moesi::protocols::berkeley;
 ///
-/// let dot = render(&mut Berkeley::new());
+/// let dot = render(&mut berkeley());
 /// assert!(dot.starts_with("digraph Berkeley"));
 /// assert!(dot.contains("M -> O"));
 /// assert!(!dot.contains('E'), "Berkeley has no E state");
@@ -147,11 +147,11 @@ pub fn render<P: Protocol + ?Sized>(protocol: &mut P) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::{Dragon, Firefly, MoesiPreferred, WriteOnce};
+    use crate::protocols::{dragon, firefly, moesi_preferred, write_once};
 
     #[test]
     fn moesi_diagram_has_all_five_states_and_key_edges() {
-        let dot = render(&mut MoesiPreferred::new());
+        let dot = render(&mut moesi_preferred());
         assert!(dot.starts_with("digraph MOESI {"));
         for s in ["M;", "O;", "E;", "S;", "I;"] {
             assert!(dot.contains(s), "missing node {s}\n{dot}");
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn write_once_diagram_shows_bs_pushes() {
-        let dot = render(&mut WriteOnce::new());
+        let dot = render(&mut write_once());
         assert!(dot.contains("BS push"));
         assert!(dot.contains("color=red"));
         assert!(!dot.contains(" O;"), "Write-Once has no O state");
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn dragon_diagram_shows_read_then_write() {
-        let dot = render(&mut Dragon::new());
+        let dot = render(&mut dragon());
         assert!(dot.contains("Read>Write"));
     }
 
@@ -199,6 +199,6 @@ mod tests {
             assert_eq!(dot.matches('{').count(), 1, "{name}");
             assert!(dot.lines().count() > 10, "{name} diagram is too sparse");
         }
-        let _ = Firefly::new();
+        let _ = firefly();
     }
 }

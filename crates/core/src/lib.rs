@@ -16,10 +16,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use moesi::protocols::MoesiPreferred;
+//! use moesi::protocols::moesi_preferred;
 //! use moesi::{LineState, LocalCtx, LocalEvent, Protocol};
 //!
-//! let mut cache = MoesiPreferred::new();
+//! let mut cache = moesi_preferred();
 //!
 //! // A read miss: Table 1, row I, column Read — `CH:S/E,CA,R`.
 //! let action = cache.on_local(LineState::Invalid, LocalEvent::Read, &LocalCtx::default());
@@ -35,11 +35,11 @@
 //!
 //! ```
 //! use moesi::compat::check_protocol;
-//! use moesi::protocols::{Dragon, Illinois};
+//! use moesi::protocols::{dragon, illinois};
 //!
-//! assert!(check_protocol(&mut Dragon::new()).is_class_member());
+//! assert!(check_protocol(&mut dragon()).is_class_member());
 //! // Illinois needs the BS abort: supported by the bus, but outside the class.
-//! assert!(!check_protocol(&mut Illinois::new()).is_class_member());
+//! assert!(!check_protocol(&mut illinois()).is_class_member());
 //! ```
 
 #![warn(missing_docs)]
@@ -61,7 +61,7 @@ pub mod table;
 
 pub use action::{BusOp, BusReaction, BusyPush, LocalAction, ResultState};
 pub use event::{BusEvent, LocalEvent};
-pub use policy::{CellEvent, DynamicPolicy, IllegalCell, PolicyTable, TablePolicy};
+pub use policy::{CellEvent, IllegalCell, PolicyTable, TablePolicy};
 pub use protocol::{CacheKind, LocalCtx, Protocol, SnoopCtx};
 pub use serialize::{parse_member_tables, parse_table, parse_tables, TableParseError};
 pub use signals::{ConsistencyLine, MasterSignals, ResponseSignals};

@@ -14,9 +14,9 @@
 //!   `table::permitted_local` / `table::permitted_bus` without running the
 //!   protocol at all.
 //! * Stateful selection (the §3.4 random picker, the §5.2 Puzak recency
-//!   refinement, scripted replays, the hybrid update/invalidate switcher)
-//!   plugs in through the [`DynamicPolicy`] hook; the static table remains
-//!   the documented base policy and the fallback.
+//!   refinement, scripted replays, the hybrid update/invalidate switcher) is
+//!   a closed set of refinements a [`TablePolicy`] may carry; the static
+//!   table remains the documented base policy and the fallback.
 //!
 //! # Examples
 //!
@@ -41,8 +41,11 @@
 use crate::action::{BusReaction, LocalAction};
 use crate::event::{BusEvent, LocalEvent};
 use crate::protocol::{CacheKind, LocalCtx, Protocol, SnoopCtx};
+use crate::protocols::{self, ScriptHook};
+use crate::rng::SmallRng;
 use crate::state::LineState;
 use crate::table;
+use std::collections::HashMap;
 use std::fmt;
 
 pub(crate) fn state_idx(state: LineState) -> usize {
@@ -476,69 +479,89 @@ impl PolicyTable {
     }
 }
 
-/// A stateful selection hook for a [`TablePolicy`].
+/// The stateful part of a [`TablePolicy`], if any: one variant per shipped
+/// selector, each refining the table's choice from the cell's permitted set.
 ///
 /// §3.4: a board "can change the protocol it is using, either statically,
-/// dynamically, or can use protocols selectively". The hook sees the full
-/// permitted set for the queried cell and may pick any member of it (or
-/// return `None` to fall back to the static table cell). The random policy,
-/// the Puzak recency refinement, scripted replays and the hybrid
-/// update/invalidate switcher are all such hooks over an ordinary base table.
-pub trait DynamicPolicy: fmt::Debug + Send {
-    /// Picks a local action, or `None` to use the static table cell.
+/// dynamically, or can use protocols selectively". A variant answers a
+/// decision, or declines and the table cell answers. Each variant's logic
+/// lives next to its protocol; the permitted set is built only on the
+/// branch that reads it.
+#[derive(Clone, Debug)]
+pub(crate) enum Refinement {
+    /// Every decision is the table cell.
+    None,
+    /// Puzak's §5.2 replacement-status check on snooped broadcasts.
+    Recency,
+    /// The hybrid's consecutive foreign broadcast writes per line address.
+    Sharing { writes_since_use: HashMap<u64, u32> },
+    /// The §3.4 uniform random pick.
+    Uniform { rng: SmallRng },
+    /// Scripted entries and recorded choices.
+    Script(ScriptHook),
+}
+
+impl Refinement {
     fn pick_local(
         &mut self,
         state: LineState,
         event: LocalEvent,
         ctx: &LocalCtx,
-        permitted: &[LocalAction],
+        kind: CacheKind,
     ) -> Option<LocalAction> {
-        let _ = (state, event, ctx, permitted);
-        None
+        match self {
+            Refinement::None | Refinement::Recency => None,
+            Refinement::Sharing { writes_since_use } => {
+                protocols::sharing_local(writes_since_use, ctx);
+                None
+            }
+            Refinement::Uniform { rng } => protocols::uniform_local(rng, state, event, kind),
+            Refinement::Script(hook) => hook.pick_local(state, event),
+        }
     }
 
-    /// Picks a bus reaction, or `None` to use the static table cell.
     fn pick_bus(
         &mut self,
         state: LineState,
         event: BusEvent,
         ctx: &SnoopCtx,
-        permitted: &[BusReaction],
+        kind: CacheKind,
     ) -> Option<BusReaction> {
-        let _ = (state, event, ctx, permitted);
-        None
+        match self {
+            Refinement::None => None,
+            Refinement::Recency => protocols::recency_bus(state, event, ctx),
+            Refinement::Sharing { writes_since_use } => {
+                protocols::sharing_bus(writes_since_use, state, event, ctx)
+            }
+            Refinement::Uniform { rng } => protocols::uniform_bus(rng, state, event, kind),
+            Refinement::Script(hook) => hook.pick_bus(state, event),
+        }
     }
 }
 
-/// The generic interpreter: a [`PolicyTable`] (plus an optional
-/// [`DynamicPolicy`] hook) behind the [`Protocol`] trait.
+/// The generic interpreter: a [`PolicyTable`], refined by at most one
+/// stateful selector, behind the [`Protocol`] trait.
 ///
-/// Every shipped protocol is a table constructor over this engine; the
-/// simulator, the model checker and the benchmarks only ever see the
-/// [`Protocol`] API.
-#[derive(Debug)]
+/// Every shipped protocol is a value of this type, built by a constructor in
+/// [`protocols`]; the simulator, the model checker and the benchmarks only
+/// ever see the [`Protocol`] API. A clone starts from the original's state
+/// and evolves on its own, except that a scripted policy's clone shares its
+/// [`ScriptHandle`](crate::protocols::ScriptHandle).
+#[derive(Clone, Debug)]
 pub struct TablePolicy {
     table: PolicyTable,
-    dynamic: Option<Box<dyn DynamicPolicy>>,
+    refinement: Refinement,
 }
 
 impl TablePolicy {
     /// A purely static policy: every decision is the table cell.
     #[must_use]
     pub fn new(table: PolicyTable) -> Self {
-        TablePolicy {
-            table,
-            dynamic: None,
-        }
+        TablePolicy::refined(table, Refinement::None)
     }
 
-    /// A policy with a stateful selection hook over `table`.
-    #[must_use]
-    pub fn with_dynamic(table: PolicyTable, dynamic: Box<dyn DynamicPolicy>) -> Self {
-        TablePolicy {
-            table,
-            dynamic: Some(dynamic),
-        }
+    pub(crate) fn refined(table: PolicyTable, refinement: Refinement) -> Self {
+        TablePolicy { table, refinement }
     }
 
     /// The base table (the protocol's own Table 3–7).
@@ -577,11 +600,11 @@ impl Protocol for TablePolicy {
         event: LocalEvent,
         ctx: &LocalCtx,
     ) -> Result<LocalAction, IllegalCell> {
-        if let Some(dynamic) = &mut self.dynamic {
-            let permitted = table::permitted_local(state, event, self.table.kind);
-            if let Some(action) = dynamic.pick_local(state, event, ctx, &permitted) {
-                return Ok(action);
-            }
+        if let Some(action) = self
+            .refinement
+            .pick_local(state, event, ctx, self.table.kind)
+        {
+            return Ok(action);
         }
         self.table
             .local(state, event)
@@ -594,11 +617,8 @@ impl Protocol for TablePolicy {
         event: BusEvent,
         ctx: &SnoopCtx,
     ) -> Result<BusReaction, IllegalCell> {
-        if let Some(dynamic) = &mut self.dynamic {
-            let permitted = table::permitted_bus(state, event);
-            if let Some(reaction) = dynamic.pick_bus(state, event, ctx, &permitted) {
-                return Ok(reaction);
-            }
+        if let Some(reaction) = self.refinement.pick_bus(state, event, ctx, self.table.kind) {
+            return Ok(reaction);
         }
         self.table
             .bus(state, event)
@@ -610,14 +630,13 @@ impl Protocol for TablePolicy {
     }
 
     fn table_is_exact(&self) -> bool {
-        self.dynamic.is_none()
+        matches!(self.refinement, Refinement::None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::ResultState;
     use LineState::{Exclusive, Invalid, Modified, Owned, Shareable};
 
     #[test]
@@ -746,33 +765,6 @@ mod tests {
         });
         let msg = *r.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("no action for"), "{msg}");
-    }
-
-    #[test]
-    fn dynamic_hook_overrides_and_falls_back() {
-        #[derive(Debug)]
-        struct SecondChoice;
-        impl DynamicPolicy for SecondChoice {
-            fn pick_local(
-                &mut self,
-                _state: LineState,
-                _event: LocalEvent,
-                _ctx: &LocalCtx,
-                permitted: &[LocalAction],
-            ) -> Option<LocalAction> {
-                permitted.get(1).copied()
-            }
-        }
-        let table = PolicyTable::preferred("t", CacheKind::CopyBack);
-        let mut p = TablePolicy::with_dynamic(table, Box::new(SecondChoice));
-        // (I, Read) has an alternative: the hook picks it.
-        let a = p.on_local(Invalid, LocalEvent::Read, &LocalCtx::default());
-        assert_eq!(a.result, ResultState::Fixed(Shareable));
-        // (M, Read) has only the preferred entry: the hook falls back.
-        let a = p.on_local(Modified, LocalEvent::Read, &LocalCtx::default());
-        assert_eq!(a, LocalAction::silent(Modified));
-        assert!(!p.table_is_exact());
-        assert!(p.policy_table().is_some());
     }
 
     #[test]

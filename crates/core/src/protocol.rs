@@ -105,16 +105,16 @@ impl SnoopCtx {
 /// one of the protocol-specific Tables 3–7).
 ///
 /// Implementations must be deterministic *given their own internal state*;
-/// [`RandomPolicy`](crate::protocols::RandomPolicy) carries its RNG
+/// the [`random`](crate::protocols::random) policy carries its RNG
 /// internally, which is why the methods take `&mut self`.
 ///
 /// # Examples
 ///
 /// ```
-/// use moesi::protocols::MoesiPreferred;
+/// use moesi::protocols::moesi_preferred;
 /// use moesi::{LineState, LocalEvent, LocalCtx, Protocol};
 ///
-/// let mut p = MoesiPreferred::new();
+/// let mut p = moesi_preferred();
 /// let action = p.on_local(LineState::Invalid, LocalEvent::Read, &LocalCtx::default());
 /// assert_eq!(action.to_string(), "CH:S/E,CA,R"); // Table 1, I/Read, preferred
 /// ```
@@ -179,8 +179,7 @@ pub trait Protocol {
 
     /// The declarative [`PolicyTable`] behind this protocol, if it is
     /// table-driven (all shipped protocols are). For stateful policies this is
-    /// the *base* table the [`DynamicPolicy`](crate::policy::DynamicPolicy)
-    /// hook deviates from.
+    /// the *base* table their refinement deviates from.
     fn policy_table(&self) -> Option<&PolicyTable> {
         None
     }

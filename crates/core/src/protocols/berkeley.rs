@@ -7,26 +7,6 @@ use crate::protocol::CacheKind;
 use crate::signals::MasterSignals;
 use crate::state::LineState;
 
-/// The Berkeley ownership protocol as mapped onto the Futurebus (Table 3).
-///
-/// "The states in that protocol map into M, O, S and I; there is no state
-/// that corresponds to E. The facilities of Futurebus are sufficient to
-/// implement the Berkeley Protocol" (§4.1). Every cell below is an entry of
-/// Tables 1–2 (using the note 10 weakening `S` for `CH:S/E`), so Berkeley
-/// is a member of the compatible class; the CH signal is generated for
-/// compatibility with the MOESI mechanism even though \[Katz85\] does not use
-/// it.
-///
-/// Cells Table 3 leaves unspecified (events from write-through and non-caching
-/// masters, columns 7–10) are completed in the protocol's invalidation-based
-/// spirit: reads are answered per the MOESI preferred entries, snooped
-/// broadcast writes discard unowned copies, and owners capture or update as
-/// Table 2 requires. The E row is cleared — Berkeley can never reach it.
-#[derive(Debug)]
-pub struct Berkeley {
-    inner: TablePolicy,
-}
-
 /// Table 3 as data: the preferred table, minus the E row, with Berkeley's
 /// invalidation-flavoured choices.
 fn berkeley_table() -> PolicyTable {
@@ -72,23 +52,25 @@ fn berkeley_table() -> PolicyTable {
     t
 }
 
-impl Berkeley {
-    /// Creates the protocol.
-    #[must_use]
-    pub fn new() -> Self {
-        Berkeley {
-            inner: TablePolicy::new(berkeley_table()),
-        }
-    }
+/// The Berkeley ownership protocol as mapped onto the Futurebus (Table 3).
+///
+/// "The states in that protocol map into M, O, S and I; there is no state
+/// that corresponds to E. The facilities of Futurebus are sufficient to
+/// implement the Berkeley Protocol" (§4.1). Every cell of its table is an
+/// entry of Tables 1–2 (using the note 10 weakening `S` for `CH:S/E`), so
+/// Berkeley is a member of the compatible class; the CH signal is generated for
+/// compatibility with the MOESI mechanism even though \[Katz85\] does not use
+/// it.
+///
+/// Cells Table 3 leaves unspecified (events from write-through and non-caching
+/// masters, columns 7–10) are completed in the protocol's invalidation-based
+/// spirit: reads are answered per the MOESI preferred entries, snooped
+/// broadcast writes discard unowned copies, and owners capture or update as
+/// Table 2 requires. The E row is cleared — Berkeley can never reach it.
+#[must_use]
+pub fn berkeley() -> TablePolicy {
+    TablePolicy::new(berkeley_table())
 }
-
-impl Default for Berkeley {
-    fn default() -> Self {
-        Berkeley::new()
-    }
-}
-
-delegate_to_table!(Berkeley);
 
 #[cfg(test)]
 mod tests {
@@ -98,53 +80,23 @@ mod tests {
     use crate::protocol::{LocalCtx, Protocol, SnoopCtx};
     use LineState::{Invalid, Modified, Owned, Shareable};
 
-    fn local(state: LineState, event: LocalEvent) -> String {
-        Berkeley::new()
-            .on_local(state, event, &LocalCtx::default())
-            .to_string()
-    }
-
     fn bus(state: LineState, event: BusEvent) -> String {
-        Berkeley::new()
+        berkeley()
             .on_bus(state, event, &SnoopCtx::default())
             .to_string()
-    }
-
-    #[test]
-    fn table3_local_cells() {
-        assert_eq!(local(Modified, LocalEvent::Read), "M");
-        assert_eq!(local(Owned, LocalEvent::Read), "O");
-        assert_eq!(local(Shareable, LocalEvent::Read), "S");
-        assert_eq!(local(Invalid, LocalEvent::Read), "S,CA,R");
-        assert_eq!(local(Modified, LocalEvent::Write), "M");
-        assert_eq!(local(Owned, LocalEvent::Write), "M,CA,IM,A");
-        assert_eq!(local(Shareable, LocalEvent::Write), "M,CA,IM,A");
-        assert_eq!(local(Invalid, LocalEvent::Write), "M,CA,IM,R");
-    }
-
-    #[test]
-    fn table3_bus_cells() {
-        assert_eq!(bus(Modified, BusEvent::CacheRead), "O,CH,DI");
-        assert_eq!(bus(Owned, BusEvent::CacheRead), "O,CH,DI");
-        assert_eq!(bus(Shareable, BusEvent::CacheRead), "S,CH");
-        assert_eq!(bus(Invalid, BusEvent::CacheRead), "I");
-        assert_eq!(bus(Modified, BusEvent::CacheReadInvalidate), "I,DI");
-        assert_eq!(bus(Owned, BusEvent::CacheReadInvalidate), "I,DI");
-        assert_eq!(bus(Shareable, BusEvent::CacheReadInvalidate), "I");
-        assert_eq!(bus(Invalid, BusEvent::CacheReadInvalidate), "I");
     }
 
     #[test]
     fn never_reads_into_exclusive() {
         // Berkeley has no E state: a read miss lands in S even when no other
         // cache holds the line.
-        let a = Berkeley::new().on_local(Invalid, LocalEvent::Read, &LocalCtx::default());
+        let a = berkeley().on_local(Invalid, LocalEvent::Read, &LocalCtx::default());
         assert_eq!(a.result, ResultState::Fixed(Shareable));
     }
 
     #[test]
     fn berkeley_is_a_class_member() {
-        let report = compat::check_protocol(&mut Berkeley::new());
+        let report = compat::check_protocol(&mut berkeley());
         assert!(report.is_class_member(), "{report}");
     }
 
@@ -163,7 +115,7 @@ mod tests {
 
     #[test]
     fn the_exclusive_row_is_cleared() {
-        let p = Berkeley::new();
+        let p = berkeley();
         assert!(p.table_is_exact());
         let t = p.policy_table().unwrap();
         assert!(t.is_class_member());

@@ -6,6 +6,18 @@ use crate::policy::{PolicyTable, TablePolicy};
 use crate::protocol::CacheKind;
 use crate::state::LineState;
 
+/// Table 4 as data.
+fn dragon_table() -> PolicyTable {
+    let mut t = PolicyTable::preferred("Dragon", CacheKind::CopyBack);
+    // `Read>Write`: a write miss is a read miss followed by a write.
+    t.set_local(
+        LineState::Invalid,
+        LocalEvent::Write,
+        LocalAction::read_then_write(),
+    );
+    t
+}
+
 /// The Dragon update protocol as mapped onto the Futurebus (Table 4).
 ///
 /// "The Dragon protocol is implementable almost exactly using the Futurebus
@@ -24,40 +36,10 @@ use crate::state::LineState;
 /// miss uses the two-transaction `Read>Write` instead of read-for-modify —
 /// the Dragon write miss first obtains the line like any read miss, then
 /// performs the (possibly broadcast) write.
-#[derive(Debug)]
-pub struct Dragon {
-    inner: TablePolicy,
+#[must_use]
+pub fn dragon() -> TablePolicy {
+    TablePolicy::new(dragon_table())
 }
-
-/// Table 4 as data.
-fn dragon_table() -> PolicyTable {
-    let mut t = PolicyTable::preferred("Dragon", CacheKind::CopyBack);
-    // `Read>Write`: a write miss is a read miss followed by a write.
-    t.set_local(
-        LineState::Invalid,
-        LocalEvent::Write,
-        LocalAction::read_then_write(),
-    );
-    t
-}
-
-impl Dragon {
-    /// Creates the protocol.
-    #[must_use]
-    pub fn new() -> Self {
-        Dragon {
-            inner: TablePolicy::new(dragon_table()),
-        }
-    }
-}
-
-impl Default for Dragon {
-    fn default() -> Self {
-        Dragon::new()
-    }
-}
-
-delegate_to_table!(Dragon);
 
 #[cfg(test)]
 mod tests {
@@ -66,52 +48,19 @@ mod tests {
     use crate::compat;
     use crate::event::BusEvent;
     use crate::protocol::{LocalCtx, Protocol, SnoopCtx};
-    use LineState::{Exclusive, Invalid, Modified, Owned, Shareable};
-
-    fn local(state: LineState, event: LocalEvent) -> String {
-        Dragon::new()
-            .on_local(state, event, &LocalCtx::default())
-            .to_string()
-    }
+    use LineState::Shareable;
 
     fn bus(state: LineState, event: BusEvent) -> String {
-        Dragon::new()
+        dragon()
             .on_bus(state, event, &SnoopCtx::default())
             .to_string()
-    }
-
-    #[test]
-    fn table4_local_cells() {
-        assert_eq!(local(Modified, LocalEvent::Read), "M");
-        assert_eq!(local(Owned, LocalEvent::Read), "O");
-        assert_eq!(local(Exclusive, LocalEvent::Read), "E");
-        assert_eq!(local(Shareable, LocalEvent::Read), "S");
-        assert_eq!(local(Invalid, LocalEvent::Read), "CH:S/E,CA,R");
-        assert_eq!(local(Modified, LocalEvent::Write), "M");
-        assert_eq!(local(Owned, LocalEvent::Write), "CH:O/M,CA,IM,BC,W");
-        assert_eq!(local(Exclusive, LocalEvent::Write), "M");
-        assert_eq!(local(Shareable, LocalEvent::Write), "CH:O/M,CA,IM,BC,W");
-        assert_eq!(local(Invalid, LocalEvent::Write), "Read>Write");
-    }
-
-    #[test]
-    fn table4_bus_cells() {
-        assert_eq!(bus(Modified, BusEvent::CacheRead), "O,CH,DI");
-        assert_eq!(bus(Owned, BusEvent::CacheRead), "O,CH,DI");
-        assert_eq!(bus(Exclusive, BusEvent::CacheRead), "S,CH");
-        assert_eq!(bus(Shareable, BusEvent::CacheRead), "S,CH");
-        assert_eq!(bus(Owned, BusEvent::CacheBroadcastWrite), "S,CH,SL");
-        assert_eq!(bus(Shareable, BusEvent::CacheBroadcastWrite), "S,CH,SL");
-        for ev in BusEvent::ALL {
-            assert_eq!(bus(Invalid, ev), "I");
-        }
     }
 
     #[test]
     fn dragon_never_invalidates_other_caches_on_a_write() {
         // Every local write either stays silent or broadcasts (BC asserted);
         // no address-only invalidates, no read-for-modify.
-        let mut p = Dragon::new();
+        let mut p = dragon();
         for s in LineState::ALL {
             let a = p.on_local(s, LocalEvent::Write, &LocalCtx::default());
             if a.bus_op.uses_bus() && a.bus_op != BusOp::ReadThenWrite {
@@ -122,7 +71,7 @@ mod tests {
 
     #[test]
     fn dragon_is_a_class_member() {
-        let report = compat::check_protocol(&mut Dragon::new());
+        let report = compat::check_protocol(&mut dragon());
         assert!(report.is_class_member(), "{report}");
     }
 
@@ -133,7 +82,7 @@ mod tests {
 
     #[test]
     fn the_table_is_exact_and_in_class() {
-        let p = Dragon::new();
+        let p = dragon();
         assert!(p.table_is_exact());
         assert!(p.policy_table().unwrap().is_class_member());
     }

@@ -7,25 +7,6 @@ use crate::protocol::CacheKind;
 use crate::signals::MasterSignals;
 use crate::state::LineState;
 
-/// The Firefly update protocol, adapted to the Futurebus with BS (Table 7).
-///
-/// Firefly broadcasts writes to shared lines and relies on memory being
-/// updated by the broadcast (which the Futurebus does), so a shared write
-/// leaves the writer clean: `CH:S/E,CA,IM,BC,W`. When an intervenient cache
-/// would have to provide data, memory must be updated at the same time, which
-/// the Futurebus cannot do — so M holders abort with BS, push, and let the
-/// restarted transaction be served by memory (§4.5). After the push the
-/// holder is in E (`BS;E,CA,W`); the restarted read then demotes it to S
-/// through the normal E-row reaction.
-///
-/// Not a member of the MOESI compatible class (requires BS, and its S/E
-/// states are defined as consistent with memory); the table is built with
-/// the unchecked setters.
-#[derive(Debug)]
-pub struct Firefly {
-    inner: TablePolicy,
-}
-
 fn push() -> BusReaction {
     BusReaction::busy_push(LineState::Exclusive, MasterSignals::CA)
 }
@@ -114,70 +95,36 @@ fn firefly_table() -> PolicyTable {
     t
 }
 
-impl Firefly {
-    /// Creates the protocol.
-    #[must_use]
-    pub fn new() -> Self {
-        Firefly {
-            inner: TablePolicy::new(firefly_table()),
-        }
-    }
+/// The Firefly update protocol, adapted to the Futurebus with BS (Table 7).
+///
+/// Firefly broadcasts writes to shared lines and relies on memory being
+/// updated by the broadcast (which the Futurebus does), so a shared write
+/// leaves the writer clean: `CH:S/E,CA,IM,BC,W`. When an intervenient cache
+/// would have to provide data, memory must be updated at the same time, which
+/// the Futurebus cannot do — so M holders abort with BS, push, and let the
+/// restarted transaction be served by memory (§4.5). After the push the
+/// holder is in E (`BS;E,CA,W`); the restarted read then demotes it to S
+/// through the normal E-row reaction.
+///
+/// Not a member of the MOESI compatible class (requires BS, and its S/E
+/// states are defined as consistent with memory); the table is built with
+/// the unchecked setters.
+#[must_use]
+pub fn firefly() -> TablePolicy {
+    TablePolicy::new(firefly_table())
 }
-
-impl Default for Firefly {
-    fn default() -> Self {
-        Firefly::new()
-    }
-}
-
-delegate_to_table!(Firefly);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compat;
     use crate::protocol::{LocalCtx, Protocol, SnoopCtx};
-    use LineState::{Exclusive, Invalid, Modified, Shareable};
-
-    fn local(state: LineState, event: LocalEvent) -> String {
-        Firefly::new()
-            .on_local(state, event, &LocalCtx::default())
-            .to_string()
-    }
-
-    fn bus(state: LineState, event: BusEvent) -> String {
-        Firefly::new()
-            .on_bus(state, event, &SnoopCtx::default())
-            .to_string()
-    }
-
-    #[test]
-    fn table7_local_cells() {
-        assert_eq!(local(Modified, LocalEvent::Read), "M");
-        assert_eq!(local(Exclusive, LocalEvent::Read), "E");
-        assert_eq!(local(Shareable, LocalEvent::Read), "S");
-        assert_eq!(local(Invalid, LocalEvent::Read), "CH:S/E,CA,R");
-        assert_eq!(local(Modified, LocalEvent::Write), "M");
-        assert_eq!(local(Exclusive, LocalEvent::Write), "M");
-        assert_eq!(local(Shareable, LocalEvent::Write), "CH:S/E,CA,IM,BC,W");
-        assert_eq!(local(Invalid, LocalEvent::Write), "Read>Write");
-    }
-
-    #[test]
-    fn table7_bus_cells() {
-        assert_eq!(bus(Modified, BusEvent::CacheRead), "BS;E,CA,W");
-        assert_eq!(bus(Exclusive, BusEvent::CacheRead), "S,CH");
-        assert_eq!(bus(Shareable, BusEvent::CacheRead), "S,CH");
-        assert_eq!(bus(Shareable, BusEvent::CacheBroadcastWrite), "S,CH,SL");
-        for ev in BusEvent::ALL {
-            assert_eq!(bus(Invalid, ev), "I");
-        }
-    }
+    use LineState::{Exclusive, Modified, Shareable};
 
     #[test]
     fn shared_write_stays_clean_because_memory_is_updated() {
         // The writer ends in S or E — never M or O — after a broadcast write.
-        let mut p = Firefly::new();
+        let mut p = firefly();
         let a = p.on_local(Shareable, LocalEvent::Write, &LocalCtx::default());
         for r in a.result.possible() {
             assert!(!r.is_owned(), "{r}");
@@ -187,7 +134,7 @@ mod tests {
 
     #[test]
     fn push_lands_in_e_so_the_retried_read_demotes_to_s() {
-        let mut p = Firefly::new();
+        let mut p = firefly();
         let r = p.on_bus(Modified, BusEvent::CacheRead, &SnoopCtx::default());
         let push = r.busy.expect("Firefly M/CacheRead aborts");
         assert_eq!(push.result, Exclusive);
@@ -198,13 +145,13 @@ mod tests {
 
     #[test]
     fn firefly_is_not_a_class_member() {
-        let report = compat::check_protocol(&mut Firefly::new());
+        let report = compat::check_protocol(&mut firefly());
         assert!(!report.is_class_member());
-        assert!(!Firefly::new().policy_table().unwrap().is_class_member());
+        assert!(!firefly().policy_table().unwrap().is_class_member());
     }
 
     #[test]
     fn requires_bs() {
-        assert!(Firefly::new().requires_bs());
+        assert!(firefly().requires_bs());
     }
 }

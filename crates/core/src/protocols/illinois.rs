@@ -7,27 +7,6 @@ use crate::protocol::CacheKind;
 use crate::signals::MasterSignals;
 use crate::state::LineState;
 
-/// The Illinois (MESI) protocol, adapted to the Futurebus with BS (Table 6).
-///
-/// Two adaptations were necessary (§4.4): dirty lines passed between caches
-/// must update memory — done here by aborting with BS, pushing, and
-/// restarting — and the original's "all caches respond, bus priority
-/// resolves" cannot be permitted, so only an intervenient cache or memory
-/// responds.
-///
-/// "It is possible to map the states of the Illinois protocol into our
-/// states, but we note that the S state has a different meaning. The Illinois
-/// protocol defines the S state as consistent with memory; that is not the
-/// case for the protocol as we have defined it."
-///
-/// Not a member of the MOESI compatible class (requires BS): the table is
-/// built with the unchecked setters and `class_violations` reports the BS
-/// cells.
-#[derive(Debug)]
-pub struct Illinois {
-    inner: TablePolicy,
-}
-
 fn push() -> BusReaction {
     BusReaction::busy_push(LineState::Shareable, MasterSignals::CA)
 }
@@ -105,80 +84,46 @@ fn illinois_table() -> PolicyTable {
     t
 }
 
-impl Illinois {
-    /// Creates the protocol.
-    #[must_use]
-    pub fn new() -> Self {
-        Illinois {
-            inner: TablePolicy::new(illinois_table()),
-        }
-    }
+/// The Illinois (MESI) protocol, adapted to the Futurebus with BS (Table 6).
+///
+/// Two adaptations were necessary (§4.4): dirty lines passed between caches
+/// must update memory — done here by aborting with BS, pushing, and
+/// restarting — and the original's "all caches respond, bus priority
+/// resolves" cannot be permitted, so only an intervenient cache or memory
+/// responds.
+///
+/// "It is possible to map the states of the Illinois protocol into our
+/// states, but we note that the S state has a different meaning. The Illinois
+/// protocol defines the S state as consistent with memory; that is not the
+/// case for the protocol as we have defined it."
+///
+/// Not a member of the MOESI compatible class (requires BS): the table is
+/// built with the unchecked setters and `class_violations` reports the BS
+/// cells.
+#[must_use]
+pub fn illinois() -> TablePolicy {
+    TablePolicy::new(illinois_table())
 }
-
-impl Default for Illinois {
-    fn default() -> Self {
-        Illinois::new()
-    }
-}
-
-delegate_to_table!(Illinois);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compat;
-    use crate::protocol::{LocalCtx, Protocol, SnoopCtx};
-    use LineState::{Exclusive, Invalid, Modified, Shareable};
-
-    fn local(state: LineState, event: LocalEvent) -> String {
-        Illinois::new()
-            .on_local(state, event, &LocalCtx::default())
-            .to_string()
-    }
-
-    fn bus(state: LineState, event: BusEvent) -> String {
-        Illinois::new()
-            .on_bus(state, event, &SnoopCtx::default())
-            .to_string()
-    }
-
-    #[test]
-    fn table6_local_cells() {
-        assert_eq!(local(Modified, LocalEvent::Read), "M");
-        assert_eq!(local(Exclusive, LocalEvent::Read), "E");
-        assert_eq!(local(Shareable, LocalEvent::Read), "S");
-        assert_eq!(local(Invalid, LocalEvent::Read), "CH:S/E,CA,R");
-        assert_eq!(local(Modified, LocalEvent::Write), "M");
-        assert_eq!(local(Exclusive, LocalEvent::Write), "M");
-        assert_eq!(local(Shareable, LocalEvent::Write), "M,CA,IM,A");
-        assert_eq!(local(Invalid, LocalEvent::Write), "M,CA,IM,R");
-    }
-
-    #[test]
-    fn table6_bus_cells() {
-        assert_eq!(bus(Modified, BusEvent::CacheRead), "BS;S,CA,W");
-        assert_eq!(bus(Modified, BusEvent::CacheReadInvalidate), "BS;S,CA,W");
-        assert_eq!(bus(Exclusive, BusEvent::CacheRead), "S,CH");
-        assert_eq!(bus(Shareable, BusEvent::CacheRead), "S,CH");
-        assert_eq!(bus(Exclusive, BusEvent::CacheReadInvalidate), "I");
-        assert_eq!(bus(Shareable, BusEvent::CacheReadInvalidate), "I");
-        for ev in BusEvent::ALL {
-            assert_eq!(bus(Invalid, ev), "I");
-        }
-    }
+    use crate::protocol::{Protocol, SnoopCtx};
+    use LineState::Modified;
 
     #[test]
     fn illinois_is_not_a_class_member() {
-        let report = compat::check_protocol(&mut Illinois::new());
+        let report = compat::check_protocol(&mut illinois());
         assert!(!report.is_class_member());
-        assert!(!Illinois::new().policy_table().unwrap().is_class_member());
+        assert!(!illinois().policy_table().unwrap().is_class_member());
     }
 
     #[test]
     fn dirty_lines_never_intervene_directly() {
         // Unlike MOESI, Illinois memory must always end up current: every
         // reaction from M uses BS, never DI.
-        let mut p = Illinois::new();
+        let mut p = illinois();
         for ev in BusEvent::ALL {
             let r = p.on_bus(Modified, ev, &SnoopCtx::default());
             assert!(r.busy.is_some(), "({ev}): {r}");
@@ -188,6 +133,6 @@ mod tests {
 
     #[test]
     fn requires_bs() {
-        assert!(Illinois::new().requires_bs());
+        assert!(illinois().requires_bs());
     }
 }

@@ -1,14 +1,13 @@
-//! Concrete consistency protocols — every one a [`PolicyTable`] constructor.
+//! Concrete consistency protocols — every one a [`TablePolicy`] value.
 //!
 //! * In-class (members of the Tables 1–2 compatible class, §3.3–3.4):
-//!   [`MoesiPreferred`], [`MoesiInvalidating`], [`PuzakRefinement`],
-//!   [`HybridUpdateInvalidate`], [`WriteThrough`], [`NonCaching`],
-//!   [`Berkeley`] (Table 3), [`Dragon`] (Table 4), and [`RandomPolicy`] — the
-//!   paper's "extreme case" that picks a permitted action at random on every
-//!   event.
+//!   [`moesi_preferred`], [`moesi_invalidating`], [`puzak`], [`hybrid`],
+//!   [`write_through`], [`non_caching`], [`berkeley`] (Table 3), [`dragon`]
+//!   (Table 4), and [`random`] — the paper's "extreme case" that picks a
+//!   permitted action at random on every event.
 //! * Adapted (require the BS abort-and-push mechanism, §4.3–4.5):
-//!   [`WriteOnce`] (Table 5), [`Illinois`] (Table 6), [`Firefly`] (Table 7),
-//!   and [`Synapse`] — the sixth protocol of the Archibald & Baer comparison
+//!   [`write_once`] (Table 5), [`illinois`] (Table 6), [`firefly`] (Table 7),
+//!   and [`synapse`] — the sixth protocol of the Archibald & Baer comparison
 //!   §5.2 builds on, reached through the paper's \[Fran84\] reference.
 //!
 //! §4 of the paper defines Tables 3–7 "only to the extent necessary to define
@@ -19,79 +18,13 @@
 //! — each file documents its completion policy — so every protocol can run on
 //! a shared bus next to any other.
 //!
-//! Since the table-driven refactor each protocol is **data**: a
-//! [`PolicyTable`](crate::policy::PolicyTable) built once in the constructor
-//! and interpreted by [`TablePolicy`](crate::policy::TablePolicy). The public
-//! structs remain (they document provenance and carry variant constructors);
-//! [`delegate_to_table!`] generates their [`Protocol`](crate::Protocol) impls.
-//! Stateful selectors ([`RandomPolicy`], [`PuzakRefinement`], [`Scripted`],
-//! [`HybridUpdateInvalidate`]) layer a
-//! [`DynamicPolicy`](crate::policy::DynamicPolicy) hook over their base table.
-
-/// Implements [`Protocol`](crate::Protocol) for a wrapper struct whose
-/// `inner` field is a [`TablePolicy`](crate::policy::TablePolicy), forwarding
-/// every method — including the fallible and introspection forms.
-macro_rules! delegate_to_table {
-    ($ty:ty) => {
-        impl crate::Protocol for $ty {
-            fn name(&self) -> &str {
-                crate::Protocol::name(&self.inner)
-            }
-
-            fn kind(&self) -> crate::CacheKind {
-                crate::Protocol::kind(&self.inner)
-            }
-
-            fn requires_bs(&self) -> bool {
-                crate::Protocol::requires_bs(&self.inner)
-            }
-
-            fn on_local(
-                &mut self,
-                state: crate::LineState,
-                event: crate::LocalEvent,
-                ctx: &crate::LocalCtx,
-            ) -> crate::LocalAction {
-                self.inner.on_local(state, event, ctx)
-            }
-
-            fn on_bus(
-                &mut self,
-                state: crate::LineState,
-                event: crate::BusEvent,
-                ctx: &crate::SnoopCtx,
-            ) -> crate::BusReaction {
-                self.inner.on_bus(state, event, ctx)
-            }
-
-            fn try_on_local(
-                &mut self,
-                state: crate::LineState,
-                event: crate::LocalEvent,
-                ctx: &crate::LocalCtx,
-            ) -> Result<crate::LocalAction, crate::IllegalCell> {
-                self.inner.try_on_local(state, event, ctx)
-            }
-
-            fn try_on_bus(
-                &mut self,
-                state: crate::LineState,
-                event: crate::BusEvent,
-                ctx: &crate::SnoopCtx,
-            ) -> Result<crate::BusReaction, crate::IllegalCell> {
-                self.inner.try_on_bus(state, event, ctx)
-            }
-
-            fn policy_table(&self) -> Option<&crate::PolicyTable> {
-                crate::Protocol::policy_table(&self.inner)
-            }
-
-            fn table_is_exact(&self) -> bool {
-                crate::Protocol::table_is_exact(&self.inner)
-            }
-        }
-    };
-}
+//! §3.4 defines a protocol as a choice of cells from Tables 1–2, and so does
+//! this module: each file holds one protocol's
+//! [`PolicyTable`](crate::PolicyTable) builder, its provenance, and a
+//! constructor returning the [`TablePolicy`] that interprets it. Variants
+//! are sibling constructors. The stateful selectors ([`puzak`], [`hybrid`],
+//! [`random`] and the [`ScriptHandle`]'s policies) add one refinement over
+//! their base table, whose logic lives in the same file.
 
 mod berkeley;
 mod dragon;
@@ -108,70 +41,84 @@ mod synapse;
 mod write_once;
 mod write_through;
 
-pub use berkeley::Berkeley;
-pub use dragon::Dragon;
-pub use firefly::Firefly;
-pub use hybrid::HybridUpdateInvalidate;
-pub use illinois::Illinois;
-pub use moesi_invalidating::MoesiInvalidating;
-pub use moesi_preferred::MoesiPreferred;
-pub use non_caching::NonCaching;
-pub use puzak::PuzakRefinement;
-pub use random_policy::RandomPolicy;
-pub use scripted::{Choices, Offer, Pick, ScriptHandle, Scripted};
-pub use synapse::Synapse;
-pub use write_once::WriteOnce;
-pub use write_through::WriteThrough;
+pub use berkeley::berkeley;
+pub use dragon::dragon;
+pub use firefly::firefly;
+pub use hybrid::hybrid;
+pub use illinois::illinois;
+pub use moesi_invalidating::moesi_invalidating;
+pub use moesi_preferred::moesi_preferred;
+pub use non_caching::{non_caching, non_caching_broadcasting};
+pub use puzak::puzak;
+pub use random_policy::random;
+pub use scripted::{Choices, Offer, Pick, ScriptHandle};
+pub use synapse::synapse;
+pub use write_once::{write_once, write_once_always_pushing};
+pub use write_through::{write_through, write_through_allocating, write_through_non_broadcasting};
 
+pub(crate) use hybrid::{sharing_bus, sharing_local};
+pub(crate) use puzak::recency_bus;
+pub(crate) use random_policy::{uniform_bus, uniform_local};
+pub(crate) use scripted::ScriptHook;
+
+use crate::action::{BusReaction, ResultState};
+use crate::event::BusEvent;
 use crate::protocol::CacheKind;
+use crate::state::LineState;
+use crate::{table, TablePolicy};
 
-/// Every built-in protocol, boxed, for exhaustive testing and benchmarking.
+/// The invalidating choice of a snooped bus cell: its last permitted entry
+/// that drops the copy without intervening. `None` where the cell has none
+/// (an owner must keep its line on an uncached broadcast).
+fn discard(state: LineState, event: BusEvent) -> Option<BusReaction> {
+    table::permitted_bus(state, event)
+        .into_iter()
+        .rev()
+        .find(|r| r.result == ResultState::Fixed(LineState::Invalid) && !r.di)
+}
+
+/// Every built-in protocol and variant, for exhaustive testing and
+/// benchmarking.
 ///
 /// The list is deterministic; random-policy members are seeded with `seed`.
 #[must_use]
-pub fn all_protocols(seed: u64) -> Vec<Box<dyn crate::Protocol + Send>> {
+pub fn all_protocols(seed: u64) -> Vec<TablePolicy> {
     vec![
-        Box::new(MoesiPreferred::new()),
-        Box::new(MoesiInvalidating::new()),
-        Box::new(PuzakRefinement::new()),
-        Box::new(HybridUpdateInvalidate::new()),
-        Box::new(WriteThrough::new()),
-        Box::new(WriteThrough::non_broadcasting()),
-        Box::new(NonCaching::new()),
-        Box::new(NonCaching::broadcasting()),
-        Box::new(Berkeley::new()),
-        Box::new(Dragon::new()),
-        Box::new(WriteOnce::new()),
-        Box::new(Illinois::new()),
-        Box::new(Firefly::new()),
-        Box::new(Synapse::new()),
-        Box::new(RandomPolicy::new(CacheKind::CopyBack, seed)),
+        moesi_preferred(),
+        moesi_invalidating(),
+        puzak(),
+        hybrid(),
+        write_through(),
+        write_through_non_broadcasting(),
+        non_caching(),
+        non_caching_broadcasting(),
+        berkeley(),
+        dragon(),
+        write_once(),
+        illinois(),
+        firefly(),
+        synapse(),
+        random(CacheKind::CopyBack, seed),
     ]
 }
 
 /// The in-class protocols only (safe to mix arbitrarily on one bus).
 #[must_use]
-pub fn class_member_protocols(seed: u64) -> Vec<Box<dyn crate::Protocol + Send>> {
+pub fn class_member_protocols(seed: u64) -> Vec<TablePolicy> {
     vec![
-        Box::new(MoesiPreferred::new()),
-        Box::new(MoesiInvalidating::new()),
-        Box::new(PuzakRefinement::new()),
-        Box::new(HybridUpdateInvalidate::new()),
-        Box::new(WriteThrough::new()),
-        Box::new(WriteThrough::non_broadcasting()),
-        Box::new(NonCaching::new()),
-        Box::new(NonCaching::broadcasting()),
-        Box::new(Berkeley::new()),
-        Box::new(Dragon::new()),
-        Box::new(RandomPolicy::new(CacheKind::CopyBack, seed)),
-        Box::new(RandomPolicy::new(
-            CacheKind::WriteThrough,
-            seed.wrapping_add(1),
-        )),
-        Box::new(RandomPolicy::new(
-            CacheKind::NonCaching,
-            seed.wrapping_add(2),
-        )),
+        moesi_preferred(),
+        moesi_invalidating(),
+        puzak(),
+        hybrid(),
+        write_through(),
+        write_through_non_broadcasting(),
+        non_caching(),
+        non_caching_broadcasting(),
+        berkeley(),
+        dragon(),
+        random(CacheKind::CopyBack, seed),
+        random(CacheKind::WriteThrough, seed.wrapping_add(1)),
+        random(CacheKind::NonCaching, seed.wrapping_add(2)),
     ]
 }
 
@@ -182,39 +129,49 @@ pub fn class_member_protocols(seed: u64) -> Vec<Box<dyn crate::Protocol + Send>>
 /// `illinois`, `firefly`, `synapse`, `random`.
 #[must_use]
 pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn crate::Protocol + Send>> {
-    let p: Box<dyn crate::Protocol + Send> = match name.to_ascii_lowercase().as_str() {
-        "moesi" | "moesi-preferred" => Box::new(MoesiPreferred::new()),
-        "moesi-invalidating" => Box::new(MoesiInvalidating::new()),
-        "puzak" => Box::new(PuzakRefinement::new()),
-        "hybrid" | "moesi-hybrid" => Box::new(HybridUpdateInvalidate::new()),
-        "write-through" | "wt" => Box::new(WriteThrough::new()),
-        "non-caching" | "none" => Box::new(NonCaching::new()),
-        "berkeley" => Box::new(Berkeley::new()),
-        "dragon" => Box::new(Dragon::new()),
-        "write-once" => Box::new(WriteOnce::new()),
-        "illinois" => Box::new(Illinois::new()),
-        "firefly" => Box::new(Firefly::new()),
-        "synapse" => Box::new(Synapse::new()),
-        "random" => Box::new(RandomPolicy::new(CacheKind::CopyBack, seed)),
+    let p = match name.to_ascii_lowercase().as_str() {
+        "moesi" | "moesi-preferred" => moesi_preferred(),
+        "moesi-invalidating" => moesi_invalidating(),
+        "puzak" => puzak(),
+        "hybrid" | "moesi-hybrid" => hybrid(),
+        "write-through" | "wt" => write_through(),
+        "non-caching" | "none" => non_caching(),
+        "berkeley" => berkeley(),
+        "dragon" => dragon(),
+        "write-once" => write_once(),
+        "illinois" => illinois(),
+        "firefly" => firefly(),
+        "synapse" => synapse(),
+        "random" => random(CacheKind::CopyBack, seed),
         _ => return None,
     };
-    Some(p)
+    Some(Box::new(p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Protocol;
 
     #[test]
     fn all_protocols_have_distinct_names() {
         let protocols = all_protocols(7);
-        let mut names: Vec<String> = protocols.iter().map(|p| p.name().to_string()).collect();
-        let before = names.len();
-        names.sort();
-        names.dedup();
-        // WriteThrough and NonCaching appear in two flavours with the same
-        // name; everything else is unique.
-        assert!(names.len() >= before - 2);
+        assert_eq!(protocols.len(), 15);
+        for (i, a) in protocols.iter().enumerate() {
+            for b in &protocols[i + 1..] {
+                assert_ne!(a.table(), b.table(), "{} is listed twice", a.name());
+            }
+        }
+        // Only the two flavours of write-through and of non-caching share a
+        // name; every other entry is unique.
+        let mut names: Vec<&str> = protocols.iter().map(|p| p.name()).collect();
+        names.sort_unstable();
+        let shared: Vec<&str> = names
+            .windows(2)
+            .filter(|w| w[0] == w[1])
+            .map(|w| w[0])
+            .collect();
+        assert_eq!(shared, ["non-caching", "write-through"]);
     }
 
     #[test]
@@ -285,7 +242,7 @@ mod tests {
         for name in ["puzak", "hybrid", "random"] {
             assert!(
                 !by_name(name, 1).unwrap().table_is_exact(),
-                "{name} has a dynamic hook"
+                "{name} carries a refinement"
             );
         }
     }

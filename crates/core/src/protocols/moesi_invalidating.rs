@@ -1,26 +1,10 @@
 //! An invalidation-flavoured member of the MOESI class.
 
-use crate::action::ResultState;
 use crate::event::{BusEvent, LocalEvent};
 use crate::policy::{PolicyTable, TablePolicy};
 use crate::protocol::CacheKind;
 use crate::state::LineState;
 use crate::table;
-
-/// A copy-back MOESI cache that invalidates rather than updates.
-///
-/// Where [`MoesiPreferred`](crate::protocols::MoesiPreferred) broadcasts
-/// writes to shared lines (`CH:O/M,CA,IM,BC,W`), this protocol takes the
-/// listed alternative `M,CA,IM` — an address-only invalidate — and, when
-/// snooping another master's broadcast write, takes the `I` alternative
-/// instead of updating. Both choices are cells of Tables 1–2, so this protocol
-/// is a class member and can share a bus with updating caches; §5.2's
-/// discussion of invalidate-versus-broadcast is exactly the comparison between
-/// this protocol and the preferred one.
-#[derive(Debug)]
-pub struct MoesiInvalidating {
-    inner: TablePolicy,
-}
 
 /// The invalidating table: the preferred table with the `M,CA,IM` write
 /// alternative on non-exclusive states and the trailing `I` alternative on
@@ -38,51 +22,43 @@ fn invalidating_table() -> PolicyTable {
             if !(event.is_broadcast() && state.is_valid()) {
                 continue;
             }
-            let permitted = table::permitted_bus(state, event);
-            if let Some(inv) = permitted
-                .iter()
-                .rev()
-                .find(|r| r.result == ResultState::Fixed(LineState::Invalid) && !r.di)
-            {
-                t.set_bus(state, event, *inv);
+            if let Some(inv) = super::discard(state, event) {
+                t.set_bus(state, event, inv);
             }
         }
     }
     t
 }
 
-impl MoesiInvalidating {
-    /// Creates the protocol.
-    #[must_use]
-    pub fn new() -> Self {
-        MoesiInvalidating {
-            inner: TablePolicy::new(invalidating_table()),
-        }
-    }
+/// A copy-back MOESI cache that invalidates rather than updates.
+///
+/// Where [`moesi_preferred`](crate::protocols::moesi_preferred) broadcasts
+/// writes to shared lines (`CH:O/M,CA,IM,BC,W`), this protocol takes the
+/// listed alternative `M,CA,IM` — an address-only invalidate — and, when
+/// snooping another master's broadcast write, takes the `I` alternative
+/// instead of updating. Both choices are cells of Tables 1–2, so this protocol
+/// is a class member and can share a bus with updating caches; §5.2's
+/// discussion of invalidate-versus-broadcast is exactly the comparison between
+/// this protocol and the preferred one.
+#[must_use]
+pub fn moesi_invalidating() -> TablePolicy {
+    TablePolicy::new(invalidating_table())
 }
-
-impl Default for MoesiInvalidating {
-    fn default() -> Self {
-        MoesiInvalidating::new()
-    }
-}
-
-delegate_to_table!(MoesiInvalidating);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::{BusOp, BusReaction, LocalAction};
+    use crate::action::{BusOp, BusReaction, LocalAction, ResultState};
     use crate::protocol::{LocalCtx, Protocol, SnoopCtx};
     use crate::signals::MasterSignals;
     use LineState::{Invalid, Modified, Owned, Shareable};
 
     fn local(state: LineState, event: LocalEvent) -> LocalAction {
-        MoesiInvalidating::new().on_local(state, event, &LocalCtx::default())
+        moesi_invalidating().on_local(state, event, &LocalCtx::default())
     }
 
     fn bus(state: LineState, event: BusEvent) -> BusReaction {
-        MoesiInvalidating::new().on_bus(state, event, &SnoopCtx::default())
+        moesi_invalidating().on_bus(state, event, &SnoopCtx::default())
     }
 
     #[test]
@@ -112,9 +88,9 @@ mod tests {
 
     #[test]
     fn everything_else_matches_the_preferred_protocol() {
-        use crate::protocols::MoesiPreferred;
-        let mut pref = MoesiPreferred::new();
-        let mut inv = MoesiInvalidating::new();
+        use crate::protocols::moesi_preferred;
+        let mut pref = moesi_preferred();
+        let mut inv = moesi_invalidating();
         let ctx = SnoopCtx::default();
         for s in LineState::ALL {
             for ev in [
@@ -150,7 +126,7 @@ mod tests {
 
     #[test]
     fn the_table_is_exact_and_in_class() {
-        let p = MoesiInvalidating::new();
+        let p = moesi_invalidating();
         assert!(p.table_is_exact());
         assert!(p.policy_table().unwrap().is_class_member());
     }

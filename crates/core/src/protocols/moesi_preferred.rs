@@ -17,35 +17,17 @@ use crate::protocol::CacheKind;
 /// # Examples
 ///
 /// ```
-/// use moesi::protocols::MoesiPreferred;
+/// use moesi::protocols::moesi_preferred;
 /// use moesi::{BusEvent, LineState, Protocol, SnoopCtx};
 ///
-/// let mut p = MoesiPreferred::new();
+/// let mut p = moesi_preferred();
 /// let r = p.on_bus(LineState::Modified, BusEvent::CacheRead, &SnoopCtx::default());
 /// assert_eq!(r.to_string(), "O,CH,DI");
 /// ```
-#[derive(Debug)]
-pub struct MoesiPreferred {
-    inner: TablePolicy,
+#[must_use]
+pub fn moesi_preferred() -> TablePolicy {
+    TablePolicy::new(PolicyTable::preferred("MOESI", CacheKind::CopyBack))
 }
-
-impl MoesiPreferred {
-    /// Creates the protocol.
-    #[must_use]
-    pub fn new() -> Self {
-        MoesiPreferred {
-            inner: TablePolicy::new(PolicyTable::preferred("MOESI", CacheKind::CopyBack)),
-        }
-    }
-}
-
-impl Default for MoesiPreferred {
-    fn default() -> Self {
-        MoesiPreferred::new()
-    }
-}
-
-delegate_to_table!(MoesiPreferred);
 
 #[cfg(test)]
 mod tests {
@@ -58,11 +40,11 @@ mod tests {
     use LineState::{Exclusive, Invalid, Modified, Owned, Shareable};
 
     fn local(state: LineState, event: LocalEvent) -> LocalAction {
-        MoesiPreferred::new().on_local(state, event, &LocalCtx::default())
+        moesi_preferred().on_local(state, event, &LocalCtx::default())
     }
 
     fn bus(state: LineState, event: BusEvent) -> BusReaction {
-        MoesiPreferred::new().on_bus(state, event, &SnoopCtx::default())
+        moesi_preferred().on_bus(state, event, &SnoopCtx::default())
     }
 
     #[test]
@@ -144,14 +126,14 @@ mod tests {
 
     #[test]
     fn never_requires_bs() {
-        assert!(!MoesiPreferred::new().requires_bs());
-        assert_eq!(MoesiPreferred::new().kind(), CacheKind::CopyBack);
-        assert_eq!(MoesiPreferred::new().name(), "MOESI");
+        assert!(!moesi_preferred().requires_bs());
+        assert_eq!(moesi_preferred().kind(), CacheKind::CopyBack);
+        assert_eq!(moesi_preferred().name(), "MOESI");
     }
 
     #[test]
     fn is_an_exact_table() {
-        let p = MoesiPreferred::new();
+        let p = moesi_preferred();
         assert!(p.table_is_exact());
         let t = p.policy_table().unwrap();
         assert!(t.is_class_member());

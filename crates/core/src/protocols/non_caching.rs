@@ -6,21 +6,6 @@ use crate::protocol::CacheKind;
 use crate::state::LineState;
 use crate::table;
 
-/// A processor (or I/O device) without a cache.
-///
-/// "Such a processor writes with or without broadcast (as with a write
-/// through cache), and reads without asserting CA. A non-caching unit never
-/// responds to bus events" (§3.3) — its only populated bus row is the
-/// Invalid one, and every cell of it is `I` (ignore).
-///
-/// [`NonCaching::new`] writes without broadcast (column 9 to snoopers);
-/// [`NonCaching::broadcasting`] asserts BC so caching snoopers can update
-/// instead of invalidating (column 10).
-#[derive(Debug)]
-pub struct NonCaching {
-    inner: TablePolicy,
-}
-
 /// The non-caching table: only the Invalid row exists; the `broadcast` flag
 /// picks which write entry (`I,IM,BC,W` vs `I,IM,W`) is used.
 fn non_caching_table(broadcast: bool) -> PolicyTable {
@@ -35,31 +20,26 @@ fn non_caching_table(broadcast: bool) -> PolicyTable {
     t
 }
 
-impl NonCaching {
-    /// A non-caching unit whose writes are not broadcast (`I,IM,W`).
-    #[must_use]
-    pub fn new() -> Self {
-        NonCaching {
-            inner: TablePolicy::new(non_caching_table(false)),
-        }
-    }
-
-    /// A non-caching unit that broadcasts its writes (`I,IM,BC,W`).
-    #[must_use]
-    pub fn broadcasting() -> Self {
-        NonCaching {
-            inner: TablePolicy::new(non_caching_table(true)),
-        }
-    }
+/// A processor (or I/O device) without a cache.
+///
+/// "Such a processor writes with or without broadcast (as with a write
+/// through cache), and reads without asserting CA. A non-caching unit never
+/// responds to bus events" (§3.3) — its only populated bus row is the
+/// Invalid one, and every cell of it is `I` (ignore).
+///
+/// This one writes without broadcast (`I,IM,W`: column 9 to snoopers);
+/// [`non_caching_broadcasting`] asserts BC so caching snoopers can update
+/// instead of invalidating (column 10).
+#[must_use]
+pub fn non_caching() -> TablePolicy {
+    TablePolicy::new(non_caching_table(false))
 }
 
-impl Default for NonCaching {
-    fn default() -> Self {
-        NonCaching::new()
-    }
+/// A non-caching unit that broadcasts its writes (`I,IM,BC,W`).
+#[must_use]
+pub fn non_caching_broadcasting() -> TablePolicy {
+    TablePolicy::new(non_caching_table(true))
 }
-
-delegate_to_table!(NonCaching);
 
 #[cfg(test)]
 mod tests {
@@ -71,7 +51,7 @@ mod tests {
 
     #[test]
     fn reads_do_not_assert_ca() {
-        let mut p = NonCaching::new();
+        let mut p = non_caching();
         let a = p.on_local(Invalid, LocalEvent::Read, &LocalCtx::default());
         assert_eq!(a.to_string(), "I,R");
         assert!(!a.signals.ca && !a.signals.im);
@@ -79,14 +59,14 @@ mod tests {
 
     #[test]
     fn writes_with_and_without_broadcast() {
-        let mut plain = NonCaching::new();
+        let mut plain = non_caching();
         assert_eq!(
             plain
                 .on_local(Invalid, LocalEvent::Write, &LocalCtx::default())
                 .to_string(),
             "I,IM,W"
         );
-        let mut bcast = NonCaching::broadcasting();
+        let mut bcast = non_caching_broadcasting();
         assert_eq!(
             bcast
                 .on_local(Invalid, LocalEvent::Write, &LocalCtx::default())
@@ -97,7 +77,7 @@ mod tests {
 
     #[test]
     fn never_responds_to_bus_events() {
-        let mut p = NonCaching::new();
+        let mut p = non_caching();
         for ev in BusEvent::ALL {
             assert_eq!(
                 p.on_bus(Invalid, ev, &SnoopCtx::default()),
@@ -109,12 +89,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "no action")]
     fn flush_makes_no_sense_without_a_cache() {
-        NonCaching::new().on_local(Invalid, LocalEvent::Flush, &LocalCtx::default());
+        non_caching().on_local(Invalid, LocalEvent::Flush, &LocalCtx::default());
     }
 
     #[test]
     fn the_table_only_populates_the_invalid_row() {
-        let p = NonCaching::new();
+        let p = non_caching();
         assert!(p.table_is_exact());
         let t = p.policy_table().unwrap();
         assert!(t.is_class_member());

@@ -1,9 +1,9 @@
 //! The §5.2 replacement-status refinement (after Puzak, Rechtschaffen & So).
 
-use crate::action::{BusReaction, LocalAction, ResultState};
-use crate::event::{BusEvent, LocalEvent};
-use crate::policy::{DynamicPolicy, PolicyTable, TablePolicy};
-use crate::protocol::{CacheKind, LocalCtx, SnoopCtx};
+use crate::action::BusReaction;
+use crate::event::BusEvent;
+use crate::policy::{PolicyTable, Refinement, TablePolicy};
+use crate::protocol::{CacheKind, SnoopCtx};
 use crate::state::LineState;
 
 /// A MOESI cache that chooses update-versus-invalidate by replacement status.
@@ -17,80 +17,43 @@ use crate::state::LineState;
 /// Both choices are listed alternatives of the same Table 2 cells, so the
 /// refinement is itself a class member. Locally it behaves like the preferred
 /// protocol (broadcasting writes to shared lines). As a table policy the
-/// preferred table is the base and the recency check is a [`DynamicPolicy`]
-/// hook over the snoop side only.
-#[derive(Debug)]
-pub struct PuzakRefinement {
-    inner: TablePolicy,
+/// preferred table is the base and the recency check refines the snoop side
+/// only.
+#[must_use]
+pub fn puzak() -> TablePolicy {
+    TablePolicy::refined(
+        PolicyTable::preferred("MOESI-puzak", CacheKind::CopyBack),
+        Refinement::Recency,
+    )
 }
 
-/// The recency hook: on a snooped broadcast to an unowned valid line that is
-/// nearing replacement, take the trailing `I` alternative of the permitted
-/// set instead of the preferred update.
-#[derive(Debug)]
-struct RecencyHook;
-
-impl DynamicPolicy for RecencyHook {
-    fn pick_local(
-        &mut self,
-        _state: LineState,
-        _event: LocalEvent,
-        _ctx: &LocalCtx,
-        _permitted: &[LocalAction],
-    ) -> Option<LocalAction> {
-        None // local side: always the preferred table cell
+/// The recency check: on a snooped broadcast to an unowned valid line that
+/// is nearing replacement, take the trailing `I` alternative of the
+/// permitted set instead of the preferred update. `None` leaves the choice
+/// to the table cell.
+pub(crate) fn recency_bus(
+    state: LineState,
+    event: BusEvent,
+    ctx: &SnoopCtx,
+) -> Option<BusReaction> {
+    if !(event.is_broadcast() && state.is_valid() && !state.is_owned() && ctx.near_replacement()) {
+        return None;
     }
-
-    fn pick_bus(
-        &mut self,
-        state: LineState,
-        event: BusEvent,
-        ctx: &SnoopCtx,
-        permitted: &[BusReaction],
-    ) -> Option<BusReaction> {
-        if event.is_broadcast() && state.is_valid() && !state.is_owned() && ctx.near_replacement() {
-            // The line is about to be evicted anyway: take the `I` alternative
-            // instead of spending an update on it.
-            return permitted
-                .iter()
-                .rev()
-                .find(|r| r.result == ResultState::Fixed(LineState::Invalid) && !r.di)
-                .copied();
-        }
-        None
-    }
+    // The line is about to be evicted anyway: take the `I` alternative
+    // instead of spending an update on it.
+    super::discard(state, event)
 }
-
-impl PuzakRefinement {
-    /// Creates the protocol.
-    #[must_use]
-    pub fn new() -> Self {
-        PuzakRefinement {
-            inner: TablePolicy::with_dynamic(
-                PolicyTable::preferred("MOESI-puzak", CacheKind::CopyBack),
-                Box::new(RecencyHook),
-            ),
-        }
-    }
-}
-
-impl Default for PuzakRefinement {
-    fn default() -> Self {
-        PuzakRefinement::new()
-    }
-}
-
-delegate_to_table!(PuzakRefinement);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::ResultState;
     use crate::protocol::Protocol;
     use LineState::{Invalid, Shareable};
 
     #[test]
     fn mru_lines_are_updated() {
-        let mut p = PuzakRefinement::new();
+        let mut p = puzak();
         let ctx = SnoopCtx {
             recency_rank: Some(0),
             ways: 2,
@@ -103,7 +66,7 @@ mod tests {
 
     #[test]
     fn lru_lines_are_discarded() {
-        let mut p = PuzakRefinement::new();
+        let mut p = puzak();
         let ctx = SnoopCtx {
             recency_rank: Some(1),
             ways: 2,
@@ -118,7 +81,7 @@ mod tests {
     fn owners_never_discard_on_uncached_broadcasts() {
         // An O holder snooping column 10 must keep updating: it stays the
         // owner. The refinement only applies to unowned copies.
-        let mut p = PuzakRefinement::new();
+        let mut p = puzak();
         let ctx = SnoopCtx {
             recency_rank: Some(3),
             ways: 4,
@@ -131,7 +94,7 @@ mod tests {
 
     #[test]
     fn non_broadcast_events_are_unaffected() {
-        let mut p = PuzakRefinement::new();
+        let mut p = puzak();
         let lru = SnoopCtx {
             recency_rank: Some(1),
             ways: 2,
@@ -144,8 +107,8 @@ mod tests {
 
     #[test]
     fn the_base_table_is_preferred_but_not_exact() {
-        let p = PuzakRefinement::new();
-        assert!(!p.table_is_exact(), "the recency hook is stateful");
+        let p = puzak();
+        assert!(!p.table_is_exact(), "the recency check is stateful");
         let t = p.policy_table().unwrap();
         assert!(t.is_class_member());
         assert_eq!(t.name(), "MOESI-puzak");

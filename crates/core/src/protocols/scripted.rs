@@ -3,8 +3,8 @@
 //!
 //! The exhaustive explorer (`crates/verify`) and the counterexample replayer
 //! (`mpsim::replay`) drive the real simulator through this one protocol.
-//! Every module of a machine is a [`Scripted`] policy attached to one shared
-//! [`ScriptHandle`]. A decision first pops the module's queue of scripted
+//! Every module of a machine is a scripted policy, a [`TablePolicy`] built by
+//! [`ScriptHandle::protocol`], attached to one shared [`ScriptHandle`]. A decision first pops the module's queue of scripted
 //! entries — one step of a replayed schedule. When that queue is empty (an
 //! *underflow*), the module's [`Choices`] name the entries it may pick; the
 //! handle records that choice set as an [`Offer`] and answers with the next
@@ -14,9 +14,10 @@
 
 use crate::action::{BusReaction, LocalAction};
 use crate::event::{BusEvent, LocalEvent};
-use crate::policy::{DynamicPolicy, PolicyTable, TablePolicy};
+use crate::policy::{PolicyTable, Refinement, TablePolicy};
 use crate::protocol::{CacheKind, LocalCtx, Protocol, SnoopCtx};
 use crate::state::LineState;
+use crate::table;
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -47,14 +48,9 @@ impl Choices {
         }
     }
 
-    fn local(
-        &mut self,
-        state: LineState,
-        event: LocalEvent,
-        permitted: &[LocalAction],
-    ) -> Vec<LocalAction> {
+    fn local(&mut self, state: LineState, event: LocalEvent) -> Vec<LocalAction> {
         match self {
-            Choices::Permitted(_) => permitted.to_vec(),
+            Choices::Permitted(kind) => table::permitted_local(state, event, *kind),
             Choices::Protocol(p) => union(CTX_RANKS.map(|(recency_rank, ways)| {
                 let ctx = LocalCtx {
                     recency_rank,
@@ -66,14 +62,9 @@ impl Choices {
         }
     }
 
-    fn bus(
-        &mut self,
-        state: LineState,
-        event: BusEvent,
-        permitted: &[BusReaction],
-    ) -> Vec<BusReaction> {
+    fn bus(&mut self, state: LineState, event: BusEvent) -> Vec<BusReaction> {
         match self {
-            Choices::Permitted(_) => permitted.to_vec(),
+            Choices::Permitted(_) => table::permitted_bus(state, event),
             Choices::Protocol(p) => union(CTX_RANKS.map(|(recency_rank, ways)| {
                 let ctx = SnoopCtx {
                     recency_rank,
@@ -126,7 +117,7 @@ struct Module {
     bus: VecDeque<BusReaction>,
 }
 
-/// The state every [`Scripted`] module of one machine shares.
+/// The state every scripted module of one machine shares.
 #[derive(Debug)]
 struct Script {
     modules: Vec<Module>,
@@ -154,8 +145,31 @@ impl Script {
     }
 }
 
-/// The writer side of a machine's [`Scripted`] modules: queues scripted
-/// entries and indices, and collects the [`Offer`]s met on underflow.
+/// The writer side of a machine's scripted modules: queues scripted entries
+/// and indices, and collects the [`Offer`]s met on underflow.
+///
+/// # Examples
+///
+/// ```
+/// use moesi::protocols::{Choices, Pick, ScriptHandle};
+/// use moesi::{table, CacheKind, LineState, LocalCtx, LocalEvent, Protocol};
+///
+/// let handle = ScriptHandle::new(vec![Choices::Permitted(CacheKind::CopyBack)]);
+/// let mut p = handle.protocol(0);
+/// let permitted = table::permitted_local(
+///     LineState::Invalid, LocalEvent::Read, CacheKind::CopyBack);
+/// // A scripted entry is consumed first...
+/// handle.push_local(0, permitted[0]);
+/// let ctx = LocalCtx::default();
+/// assert_eq!(p.on_local(LineState::Invalid, LocalEvent::Read, &ctx), permitted[0]);
+/// assert_eq!(handle.underflows(), 0);
+/// // ...then a scripted index picks from the recorded choice set.
+/// handle.push_picks(&[1]);
+/// assert_eq!(p.on_local(LineState::Invalid, LocalEvent::Read, &ctx), permitted[1]);
+/// let offer = handle.take_offers()[0];
+/// assert_eq!(offer.options, permitted.len());
+/// assert_eq!(offer.pick, Some(Pick::Local(permitted[1])));
+/// ```
 #[derive(Clone, Debug)]
 pub struct ScriptHandle {
     script: Arc<Mutex<Script>>,
@@ -199,21 +213,20 @@ impl ScriptHandle {
     }
 
     /// The protocol for module `module`. Each call builds a fresh protocol
-    /// on the same queues, so a machine can be rebuilt around one handle.
+    /// on the same queues, so a machine can be rebuilt around one handle. A
+    /// clone of the protocol shares this handle's queues too.
     #[must_use]
-    pub fn protocol(&self, module: usize) -> Scripted {
+    pub fn protocol(&self, module: usize) -> TablePolicy {
         let kind = self.kind(module);
         let hook = ScriptHook {
             module,
             script: Arc::clone(&self.script),
         };
-        // Every cell is `—`: whatever the hook declines is an illegal cell.
-        Scripted {
-            inner: TablePolicy::with_dynamic(
-                PolicyTable::empty("scripted", kind).with_bs(),
-                Box::new(hook),
-            ),
-        }
+        // Every cell is `—`: whatever the script declines is an illegal cell.
+        TablePolicy::refined(
+            PolicyTable::empty("scripted", kind).with_bs(),
+            Refinement::Script(hook),
+        )
     }
 
     /// Queues a local-event entry for `module` (consumed by its next
@@ -266,85 +279,41 @@ impl ScriptHandle {
 }
 
 /// The queue-popping selector: scripted entries first, then a recorded
-/// choice.
-#[derive(Debug)]
-struct ScriptHook {
+/// choice. Clones share the script.
+#[derive(Clone, Debug)]
+pub(crate) struct ScriptHook {
     module: usize,
     script: Arc<Mutex<Script>>,
 }
 
-impl DynamicPolicy for ScriptHook {
-    fn pick_local(
-        &mut self,
-        state: LineState,
-        event: LocalEvent,
-        _ctx: &LocalCtx,
-        permitted: &[LocalAction],
-    ) -> Option<LocalAction> {
-        let mut s = self.script.lock().unwrap();
+impl ScriptHook {
+    pub(crate) fn pick_local(&self, state: LineState, event: LocalEvent) -> Option<LocalAction> {
+        let mut s = self.script.lock().expect("script lock poisoned");
         let m = &mut s.modules[self.module];
         if let Some(action) = m.local.pop_front() {
             return Some(action);
         }
-        let set = m.choices.local(state, event, permitted);
+        let set = m.choices.local(state, event);
         s.offer(self.module, &set, Pick::Local)
     }
 
-    fn pick_bus(
-        &mut self,
-        state: LineState,
-        event: BusEvent,
-        _ctx: &SnoopCtx,
-        permitted: &[BusReaction],
-    ) -> Option<BusReaction> {
-        let mut s = self.script.lock().unwrap();
+    pub(crate) fn pick_bus(&self, state: LineState, event: BusEvent) -> Option<BusReaction> {
+        let mut s = self.script.lock().expect("script lock poisoned");
         let m = &mut s.modules[self.module];
         if let Some(reaction) = m.bus.pop_front() {
             return Some(reaction);
         }
-        let set = m.choices.bus(state, event, permitted);
+        let set = m.choices.bus(state, event);
         s.offer(self.module, &set, Pick::Bus)
     }
 }
 
-/// A protocol whose choices come from its [`ScriptHandle`].
-///
-/// # Examples
-///
-/// ```
-/// use moesi::protocols::{Choices, Pick, ScriptHandle};
-/// use moesi::{table, CacheKind, LineState, LocalCtx, LocalEvent, Protocol};
-///
-/// let handle = ScriptHandle::new(vec![Choices::Permitted(CacheKind::CopyBack)]);
-/// let mut p = handle.protocol(0);
-/// let permitted = table::permitted_local(
-///     LineState::Invalid, LocalEvent::Read, CacheKind::CopyBack);
-/// // A scripted entry is consumed first...
-/// handle.push_local(0, permitted[0]);
-/// let ctx = LocalCtx::default();
-/// assert_eq!(p.on_local(LineState::Invalid, LocalEvent::Read, &ctx), permitted[0]);
-/// assert_eq!(handle.underflows(), 0);
-/// // ...then a scripted index picks from the recorded choice set.
-/// handle.push_picks(&[1]);
-/// assert_eq!(p.on_local(LineState::Invalid, LocalEvent::Read, &ctx), permitted[1]);
-/// let offer = handle.take_offers()[0];
-/// assert_eq!(offer.options, permitted.len());
-/// assert_eq!(offer.pick, Some(Pick::Local(permitted[1])));
-/// ```
-#[derive(Debug)]
-pub struct Scripted {
-    inner: TablePolicy,
-}
-
-delegate_to_table!(Scripted);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols::PuzakRefinement;
-    use crate::table;
+    use crate::protocols::puzak;
 
-    fn copy_back() -> (Scripted, ScriptHandle) {
+    fn copy_back() -> (TablePolicy, ScriptHandle) {
         let h = ScriptHandle::new(vec![Choices::Permitted(CacheKind::CopyBack)]);
         (h.protocol(0), h)
     }
@@ -408,6 +377,22 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_shares_its_handle() {
+        let (mut p, h) = copy_back();
+        let mut q = p.clone();
+        h.push_local(0, LocalAction::silent(LineState::Modified));
+        let ctx = LocalCtx::default();
+        // The clone consumes the entry queued for the original's module...
+        assert_eq!(
+            q.on_local(LineState::Invalid, LocalEvent::Read, &ctx),
+            LocalAction::silent(LineState::Modified)
+        );
+        // ...so the original underflows.
+        p.on_local(LineState::Invalid, LocalEvent::Read, &ctx);
+        assert_eq!(h.underflows(), 1);
+    }
+
+    #[test]
     fn requires_bs_for_adapted_replays() {
         let (p, _h) = copy_back();
         assert!(p.requires_bs());
@@ -416,7 +401,7 @@ mod tests {
 
     #[test]
     fn a_protocol_offers_its_answers_under_every_recency_context() {
-        let h = ScriptHandle::new(vec![Choices::Protocol(Box::new(PuzakRefinement::new()))]);
+        let h = ScriptHandle::new(vec![Choices::Protocol(Box::new(puzak()))]);
         let mut p = h.protocol(0);
         h.push_picks(&[1]);
         let event = BusEvent::CacheBroadcastWrite;

@@ -8,29 +8,6 @@ use crate::protocol::CacheKind;
 use crate::signals::MasterSignals;
 use crate::state::LineState;
 
-/// The Synapse ownership protocol, adapted to the Futurebus with BS.
-///
-/// Synapse N+1 \[Fran84\] is the simplest of the classic ownership protocols:
-/// three states (Invalid, Valid ≡ S, Dirty ≡ M), no cache-to-cache
-/// transfers, and no invalidate-only transaction. Its two signature
-/// behaviours:
-///
-/// * a dirty holder never supplies data — it rejects the access (the N+1's
-///   bus NAK, our BS abort), writes back, and lets memory serve the retry;
-/// * a write to a *Valid* line cannot simply invalidate the other copies —
-///   lacking an invalidation transaction, the cache performs a full
-///   read-for-ownership on the bus even though it already holds the data,
-///   which is Synapse's well-known inefficiency in the Archibald & Baer
-///   results.
-///
-/// Not a member of the MOESI compatible class: it needs BS, and its
-/// V-write re-fetch is not a Table 1 entry — the table is built with the
-/// unchecked setters, and both the O and E rows are empty.
-#[derive(Debug)]
-pub struct Synapse {
-    inner: TablePolicy,
-}
-
 /// On a snooped read: NAK, write back, keep the copy as Valid.
 fn push_to_valid() -> BusReaction {
     BusReaction::busy_push(LineState::Shareable, MasterSignals::CA)
@@ -98,62 +75,50 @@ fn synapse_table() -> PolicyTable {
     t
 }
 
-impl Synapse {
-    /// Creates the protocol.
-    #[must_use]
-    pub fn new() -> Self {
-        Synapse {
-            inner: TablePolicy::new(synapse_table()),
-        }
-    }
+/// The Synapse ownership protocol, adapted to the Futurebus with BS.
+///
+/// Synapse N+1 \[Fran84\] is the simplest of the classic ownership protocols:
+/// three states (Invalid, Valid ≡ S, Dirty ≡ M), no cache-to-cache
+/// transfers, and no invalidate-only transaction. Its two signature
+/// behaviours:
+///
+/// * a dirty holder never supplies data — it rejects the access (the N+1's
+///   bus NAK, our BS abort), writes back, and lets memory serve the retry;
+/// * a write to a *Valid* line cannot simply invalidate the other copies —
+///   lacking an invalidation transaction, the cache performs a full
+///   read-for-ownership on the bus even though it already holds the data,
+///   which is Synapse's well-known inefficiency in the Archibald & Baer
+///   results.
+///
+/// Not a member of the MOESI compatible class: it needs BS, and its
+/// V-write re-fetch is not a Table 1 entry — the table is built with the
+/// unchecked setters, and both the O and E rows are empty.
+#[must_use]
+pub fn synapse() -> TablePolicy {
+    TablePolicy::new(synapse_table())
 }
-
-impl Default for Synapse {
-    fn default() -> Self {
-        Synapse::new()
-    }
-}
-
-delegate_to_table!(Synapse);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compat;
-    use crate::protocol::{LocalCtx, Protocol, SnoopCtx};
+    use crate::protocol::{Protocol, SnoopCtx};
     use LineState::{Invalid, Modified, Shareable};
 
-    fn local(state: LineState, event: LocalEvent) -> String {
-        Synapse::new()
-            .on_local(state, event, &LocalCtx::default())
-            .to_string()
-    }
-
     fn bus(state: LineState, event: BusEvent) -> String {
-        Synapse::new()
+        synapse()
             .on_bus(state, event, &SnoopCtx::default())
             .to_string()
     }
 
     #[test]
     fn three_states_only() {
-        let reachable = compat::reachable_states(&mut Synapse::new());
+        let reachable = compat::reachable_states(&mut synapse());
         assert!(reachable.contains(&Modified));
         assert!(reachable.contains(&Shareable));
         assert!(reachable.contains(&Invalid));
         assert!(!reachable.contains(&LineState::Owned));
         assert!(!reachable.contains(&LineState::Exclusive));
-    }
-
-    #[test]
-    fn local_cells() {
-        assert_eq!(local(Modified, LocalEvent::Read), "M");
-        assert_eq!(local(Shareable, LocalEvent::Read), "S");
-        assert_eq!(local(Invalid, LocalEvent::Read), "S,CA,R");
-        assert_eq!(local(Modified, LocalEvent::Write), "M");
-        // The signature inefficiency: a hit-write still re-reads the line.
-        assert_eq!(local(Shareable, LocalEvent::Write), "M,CA,IM,R");
-        assert_eq!(local(Invalid, LocalEvent::Write), "M,CA,IM,R");
     }
 
     #[test]
@@ -178,7 +143,7 @@ mod tests {
 
     #[test]
     fn synapse_is_not_a_class_member() {
-        let report = compat::check_protocol(&mut Synapse::new());
+        let report = compat::check_protocol(&mut synapse());
         assert!(!report.is_class_member());
         // Its V-write action is outside Table 1 as well as needing BS.
         assert!(
@@ -189,7 +154,7 @@ mod tests {
 
     #[test]
     fn the_o_and_e_rows_are_empty() {
-        let p = Synapse::new();
+        let p = synapse();
         assert!(p.table_is_exact());
         let t = p.policy_table().unwrap();
         assert!(!t.is_class_member());
@@ -205,6 +170,6 @@ mod tests {
 
     #[test]
     fn requires_bs() {
-        assert!(Synapse::new().requires_bs());
+        assert!(synapse().requires_bs());
     }
 }

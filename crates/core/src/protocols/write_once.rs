@@ -7,36 +7,6 @@ use crate::protocol::CacheKind;
 use crate::signals::MasterSignals;
 use crate::state::LineState;
 
-/// The Write-Once protocol, adapted to the Futurebus with BS (Table 5).
-///
-/// "The write-once protocol requires that on an intervenient action, memory
-/// be updated at the same time that the intervenient cache supplies the data
-/// to the active cache. This is not possible with Futurebus, so an exact
-/// implementation is not possible. We replace intervention with an abort
-/// (BS), followed by an immediate write back ('push') to main memory; when
-/// the transaction is restarted, memory is up to date and intervention is no
-/// longer required" (§4.3).
-///
-/// States: M, E, S, I (no O — dirty data never stays shared). The name comes
-/// from the first write to an S line being written through (`E,CA,IM,W`),
-/// invalidating other copies; subsequent writes are local (E → M).
-///
-/// The paper notes the original definition is ambiguous for the M column-6
-/// cell ("I,DI or BS;S,CA,W"); [`WriteOnce::new`] takes the first (direct
-/// intervention), [`WriteOnce::always_pushing`] the second.
-///
-/// This protocol is **not** a member of the MOESI compatible class: its S
-/// state means "consistent with memory", it relies on writes-through updating
-/// memory beneath CA,IM signalling, and it needs BS — so its table is built
-/// with the unchecked setters and `class_violations` reports the
-/// out-of-class cells. It is safe among caches running Write-Once (and with
-/// non-caching masters via the completion cells below), which is how §4
-/// frames all of Tables 3–7.
-#[derive(Debug)]
-pub struct WriteOnce {
-    inner: TablePolicy,
-}
-
 fn push() -> BusReaction {
     BusReaction::busy_push(LineState::Shareable, MasterSignals::CA)
 }
@@ -136,79 +106,59 @@ fn write_once_table(push_on_read_invalidate: bool) -> PolicyTable {
     t
 }
 
-impl WriteOnce {
-    /// Creates the protocol with direct intervention on read-for-modify
-    /// (`I,DI`, the first alternative of the ambiguous cell).
-    #[must_use]
-    pub fn new() -> Self {
-        WriteOnce {
-            inner: TablePolicy::new(write_once_table(false)),
-        }
-    }
-
-    /// Creates the variant that aborts and pushes on read-for-modify as well
-    /// (`BS;S,CA,W`, the second alternative).
-    #[must_use]
-    pub fn always_pushing() -> Self {
-        WriteOnce {
-            inner: TablePolicy::new(write_once_table(true)),
-        }
-    }
+/// The Write-Once protocol, adapted to the Futurebus with BS (Table 5).
+///
+/// "The write-once protocol requires that on an intervenient action, memory
+/// be updated at the same time that the intervenient cache supplies the data
+/// to the active cache. This is not possible with Futurebus, so an exact
+/// implementation is not possible. We replace intervention with an abort
+/// (BS), followed by an immediate write back ('push') to main memory; when
+/// the transaction is restarted, memory is up to date and intervention is no
+/// longer required" (§4.3).
+///
+/// States: M, E, S, I (no O — dirty data never stays shared). The name comes
+/// from the first write to an S line being written through (`E,CA,IM,W`),
+/// invalidating other copies; subsequent writes are local (E → M).
+///
+/// The paper notes the original definition is ambiguous for the M column-6
+/// cell ("I,DI or BS;S,CA,W"); this constructor takes the first (direct
+/// intervention), [`write_once_always_pushing`] the second.
+///
+/// This protocol is **not** a member of the MOESI compatible class: its S
+/// state means "consistent with memory", it relies on writes-through updating
+/// memory beneath CA,IM signalling, and it needs BS — so its table is built
+/// with the unchecked setters and `class_violations` reports the
+/// out-of-class cells. It is safe among caches running Write-Once (and with
+/// non-caching masters via its completion cells), which is how §4 frames all
+/// of Tables 3–7.
+#[must_use]
+pub fn write_once() -> TablePolicy {
+    TablePolicy::new(write_once_table(false))
 }
 
-impl Default for WriteOnce {
-    fn default() -> Self {
-        WriteOnce::new()
-    }
+/// The Write-Once variant that aborts and pushes on read-for-modify as well
+/// (`BS;S,CA,W`, the second alternative of the ambiguous cell).
+#[must_use]
+pub fn write_once_always_pushing() -> TablePolicy {
+    TablePolicy::new(write_once_table(true))
 }
-
-delegate_to_table!(WriteOnce);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compat;
     use crate::protocol::{LocalCtx, Protocol, SnoopCtx};
-    use LineState::{Exclusive, Invalid, Modified, Shareable};
-
-    fn local(state: LineState, event: LocalEvent) -> String {
-        WriteOnce::new()
-            .on_local(state, event, &LocalCtx::default())
-            .to_string()
-    }
+    use LineState::{Exclusive, Modified, Shareable};
 
     fn bus(state: LineState, event: BusEvent) -> String {
-        WriteOnce::new()
+        write_once()
             .on_bus(state, event, &SnoopCtx::default())
             .to_string()
     }
 
     #[test]
-    fn table5_local_cells() {
-        assert_eq!(local(Modified, LocalEvent::Read), "M");
-        assert_eq!(local(Exclusive, LocalEvent::Read), "E");
-        assert_eq!(local(Shareable, LocalEvent::Read), "S");
-        assert_eq!(local(Invalid, LocalEvent::Read), "S,CA,R");
-        assert_eq!(local(Modified, LocalEvent::Write), "M");
-        assert_eq!(local(Exclusive, LocalEvent::Write), "M");
-        assert_eq!(local(Shareable, LocalEvent::Write), "E,CA,IM,W");
-        assert_eq!(local(Invalid, LocalEvent::Write), "M,CA,IM,R");
-    }
-
-    #[test]
-    fn table5_bus_cells() {
-        assert_eq!(bus(Modified, BusEvent::CacheRead), "BS;S,CA,W");
-        assert_eq!(bus(Exclusive, BusEvent::CacheRead), "S,CH");
-        assert_eq!(bus(Shareable, BusEvent::CacheRead), "S,CH");
-        assert_eq!(bus(Invalid, BusEvent::CacheRead), "I");
-        assert_eq!(bus(Modified, BusEvent::CacheReadInvalidate), "I,DI");
-        assert_eq!(bus(Exclusive, BusEvent::CacheReadInvalidate), "I");
-        assert_eq!(bus(Shareable, BusEvent::CacheReadInvalidate), "I");
-    }
-
-    #[test]
     fn ambiguous_cell_alternative() {
-        let mut p = WriteOnce::always_pushing();
+        let mut p = write_once_always_pushing();
         let r = p.on_bus(
             Modified,
             BusEvent::CacheReadInvalidate,
@@ -219,14 +169,14 @@ mod tests {
 
     #[test]
     fn requires_bs() {
-        assert!(WriteOnce::new().requires_bs());
+        assert!(write_once().requires_bs());
     }
 
     #[test]
     fn write_once_is_not_a_class_member() {
         // Its signature S/Write action (`E,CA,IM,W`) is not a Table 1 cell,
         // and its M/CacheRead reaction needs BS.
-        let report = compat::check_protocol(&mut WriteOnce::new());
+        let report = compat::check_protocol(&mut write_once());
         assert!(!report.is_class_member());
         assert!(
             report.violations().iter().any(|v| v.contains("(S, Write)")),
@@ -240,7 +190,7 @@ mod tests {
 
     #[test]
     fn the_table_agrees_it_is_out_of_class() {
-        let p = WriteOnce::new();
+        let p = write_once();
         assert!(p.table_is_exact());
         let t = p.policy_table().unwrap();
         assert!(!t.is_class_member());
@@ -256,7 +206,7 @@ mod tests {
 
     #[test]
     fn first_write_goes_through_the_bus_second_is_silent() {
-        let mut p = WriteOnce::new();
+        let mut p = write_once();
         let first = p.on_local(Shareable, LocalEvent::Write, &LocalCtx::default());
         assert_eq!(first.bus_op, BusOp::Write);
         assert!(

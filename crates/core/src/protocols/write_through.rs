@@ -6,22 +6,6 @@ use crate::protocol::CacheKind;
 use crate::state::LineState;
 use crate::table;
 
-/// A write-through cache: two states, V (≡ S) and I.
-///
-/// "A write through cache is not capable of ownership" (§3.3); it writes
-/// through on every write, asserts CA on reads, and invalidates on any
-/// non-broadcast write it snoops. On snooped broadcast writes it may either
-/// update itself or invalidate; this implementation updates.
-///
-/// Two flavours differ in whether writes assert BC:
-/// [`WriteThrough::new`] broadcasts its writes (column 10 for snoopers,
-/// letting them update), [`WriteThrough::non_broadcasting`] does not
-/// (column 9, forcing them to invalidate).
-#[derive(Debug)]
-pub struct WriteThrough {
-    inner: TablePolicy,
-}
-
 /// The write-through table: the preferred write-through-kind table with the
 /// write cells picked by the `broadcast` / `allocate_on_write` flags.
 fn write_through_table(broadcast: bool, allocate_on_write: bool) -> PolicyTable {
@@ -51,45 +35,35 @@ fn write_through_table(broadcast: bool, allocate_on_write: bool) -> PolicyTable 
     t
 }
 
-impl WriteThrough {
-    /// A write-through cache that broadcasts its writes (`S,IM,BC,W`).
-    #[must_use]
-    pub fn new() -> Self {
-        WriteThrough {
-            inner: TablePolicy::new(write_through_table(true, false)),
-        }
-    }
-
-    /// A write-through cache whose writes are not broadcast (`S,IM,W`).
-    #[must_use]
-    pub fn non_broadcasting() -> Self {
-        WriteThrough {
-            inner: TablePolicy::new(write_through_table(false, false)),
-        }
-    }
-
-    /// Enables write-allocate: a write miss reads the line first
-    /// (`Read>Write`, §3.3 item 6).
-    #[must_use]
-    pub fn with_write_allocate(self) -> Self {
-        let broadcast = self
-            .inner
-            .table()
-            .local(LineState::Shareable, LocalEvent::Write)
-            .is_some_and(|a| a.signals.bc);
-        WriteThrough {
-            inner: TablePolicy::new(write_through_table(broadcast, true)),
-        }
-    }
+/// A write-through cache: two states, V (≡ S) and I.
+///
+/// "A write through cache is not capable of ownership" (§3.3); it writes
+/// through on every write, asserts CA on reads, and invalidates on any
+/// non-broadcast write it snoops. On snooped broadcast writes it may either
+/// update itself or invalidate; this implementation updates.
+///
+/// Two flavours differ in whether writes assert BC: this one broadcasts its
+/// writes (`S,IM,BC,W`: column 10 for snoopers, letting them update),
+/// [`write_through_non_broadcasting`] does not (column 9, forcing them to
+/// invalidate). [`write_through_allocating`] reads the line in on a write
+/// miss.
+#[must_use]
+pub fn write_through() -> TablePolicy {
+    TablePolicy::new(write_through_table(true, false))
 }
 
-impl Default for WriteThrough {
-    fn default() -> Self {
-        WriteThrough::new()
-    }
+/// A write-through cache whose writes are not broadcast (`S,IM,W`).
+#[must_use]
+pub fn write_through_non_broadcasting() -> TablePolicy {
+    TablePolicy::new(write_through_table(false, false))
 }
 
-delegate_to_table!(WriteThrough);
+/// A broadcasting write-through cache with write-allocate: a write miss
+/// reads the line first (`Read>Write`, §3.3 item 6).
+#[must_use]
+pub fn write_through_allocating() -> TablePolicy {
+    TablePolicy::new(write_through_table(true, true))
+}
 
 #[cfg(test)]
 mod tests {
@@ -102,18 +76,18 @@ mod tests {
 
     #[test]
     fn writes_go_through_retaining_the_copy() {
-        let mut p = WriteThrough::new();
+        let mut p = write_through();
         let a = p.on_local(Shareable, LocalEvent::Write, &LocalCtx::default());
         assert_eq!(a.to_string(), "S,IM,BC,W");
         assert!(!a.signals.ca, "write-through writes do not assert CA");
-        let mut q = WriteThrough::non_broadcasting();
+        let mut q = write_through_non_broadcasting();
         let a = q.on_local(Shareable, LocalEvent::Write, &LocalCtx::default());
         assert_eq!(a.to_string(), "S,IM,W");
     }
 
     #[test]
     fn read_miss_asserts_ca_and_enters_v() {
-        let mut p = WriteThrough::new();
+        let mut p = write_through();
         let a = p.on_local(Invalid, LocalEvent::Read, &LocalCtx::default());
         assert_eq!(a.signals, MasterSignals::CA);
         assert_eq!(a.result, ResultState::Fixed(Shareable));
@@ -122,18 +96,18 @@ mod tests {
 
     #[test]
     fn write_miss_writes_past_unless_allocating() {
-        let mut p = WriteThrough::new();
+        let mut p = write_through();
         let a = p.on_local(Invalid, LocalEvent::Write, &LocalCtx::default());
         assert_eq!(a.to_string(), "I,IM,BC,W");
 
-        let mut alloc = WriteThrough::new().with_write_allocate();
+        let mut alloc = write_through_allocating();
         let a = alloc.on_local(Invalid, LocalEvent::Write, &LocalCtx::default());
         assert_eq!(a.bus_op, BusOp::ReadThenWrite);
     }
 
     #[test]
     fn non_broadcasting_allocate_keeps_the_read_then_write() {
-        let mut alloc = WriteThrough::non_broadcasting().with_write_allocate();
+        let mut alloc = TablePolicy::new(write_through_table(false, true));
         let a = alloc.on_local(Invalid, LocalEvent::Write, &LocalCtx::default());
         assert_eq!(a.bus_op, BusOp::ReadThenWrite);
         let a = alloc.on_local(Shareable, LocalEvent::Write, &LocalCtx::default());
@@ -144,7 +118,7 @@ mod tests {
     fn snooped_non_broadcast_writes_invalidate() {
         // §3.3 item 8: "On a non-broadcast write (cols. 6, 9), it must become
         // invalid, since it is not capable of intervention or ownership."
-        let mut p = WriteThrough::new();
+        let mut p = write_through();
         for ev in [BusEvent::CacheReadInvalidate, BusEvent::UncachedWrite] {
             let r = p.on_bus(Shareable, ev, &SnoopCtx::default());
             assert_eq!(r.result, ResultState::Fixed(Invalid), "{ev}");
@@ -154,7 +128,7 @@ mod tests {
 
     #[test]
     fn snooped_reads_leave_the_copy_valid() {
-        let mut p = WriteThrough::new();
+        let mut p = write_through();
         for ev in [BusEvent::CacheRead, BusEvent::UncachedRead] {
             let r = p.on_bus(Shareable, ev, &SnoopCtx::default());
             assert_eq!(r.result, ResultState::Fixed(Shareable), "{ev}");
@@ -164,7 +138,7 @@ mod tests {
 
     #[test]
     fn snooped_broadcast_writes_update() {
-        let mut p = WriteThrough::new();
+        let mut p = write_through();
         for ev in [
             BusEvent::CacheBroadcastWrite,
             BusEvent::UncachedBroadcastWrite,
@@ -177,7 +151,7 @@ mod tests {
 
     #[test]
     fn flush_is_silent() {
-        let mut p = WriteThrough::new();
+        let mut p = write_through();
         let a = p.on_local(Shareable, LocalEvent::Flush, &LocalCtx::default());
         assert_eq!(a, LocalAction::silent(Invalid));
     }
@@ -185,9 +159,9 @@ mod tests {
     #[test]
     fn every_flavour_is_an_exact_class_member_table() {
         for p in [
-            WriteThrough::new(),
-            WriteThrough::non_broadcasting(),
-            WriteThrough::new().with_write_allocate(),
+            write_through(),
+            write_through_non_broadcasting(),
+            write_through_allocating(),
         ] {
             assert!(p.table_is_exact());
             assert!(p.policy_table().unwrap().is_class_member());

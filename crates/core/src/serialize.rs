@@ -357,7 +357,7 @@ fn parse_bus_reaction(token: &str) -> Result<BusReaction, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocols;
+    use crate::{protocols, Protocol};
 
     /// Every shipped exact table round-trips: parse(render) == table and
     /// render(parse(text)) == text, byte for byte.

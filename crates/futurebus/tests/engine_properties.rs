@@ -13,7 +13,7 @@ const LINE: usize = 16;
 const CASES: u64 = 64;
 
 /// A snooper scripted by a response list, recording everything it observes.
-struct Scripted {
+struct CannedSnooper {
     responses: Vec<ResponseSignals>,
     cursor: usize,
     line: Vec<u8>,
@@ -21,9 +21,9 @@ struct Scripted {
     pushes: usize,
 }
 
-impl Scripted {
+impl CannedSnooper {
     fn new(responses: Vec<ResponseSignals>) -> Self {
-        Scripted {
+        CannedSnooper {
             responses,
             cursor: 0,
             line: vec![0xAB; LINE],
@@ -33,7 +33,7 @@ impl Scripted {
     }
 }
 
-impl BusModule for Scripted {
+impl BusModule for CannedSnooper {
     fn snoop(&mut self, _req: &TransactionRequest) -> ResponseSignals {
         let r = self.responses[self.cursor % self.responses.len()];
         self.cursor += 1;
@@ -118,7 +118,7 @@ fn memory_update_rules_hold_for_any_sequence() {
         for i in 0..rng.gen_range(1usize..40) {
             let txn = random_txn(&mut rng);
             let response = random_response(&mut rng);
-            let mut snooper = Scripted::new(vec![response]);
+            let mut snooper = CannedSnooper::new(vec![response]);
             let mut mods: Vec<&mut dyn BusModule> = vec![&mut snooper];
             match txn {
                 Txn::Read { ca, im } => {
@@ -230,7 +230,7 @@ fn bs_push_rounds_always_converge_or_error() {
             pre_aborts
         ];
         responses.push(ResponseSignals::CH);
-        let mut snooper = Scripted::new(responses);
+        let mut snooper = CannedSnooper::new(responses);
         let mut bus = Futurebus::new(LINE, TimingConfig::default());
         bus.set_retry_policy(RetryPolicy {
             max_retries: MAX_RETRIES as u32,

@@ -593,12 +593,12 @@ impl Audited for Fabric {
 mod tests {
     use super::*;
     use cache_array::CacheConfig;
-    use moesi::protocols::MoesiPreferred;
+    use moesi::protocols::moesi_preferred;
 
     fn ctrl(id: usize) -> CacheController {
         CacheController::new(
             id,
-            Box::new(MoesiPreferred::new()),
+            Box::new(moesi_preferred()),
             Some(CacheConfig::new(
                 1024,
                 16,
@@ -802,10 +802,10 @@ mod tests {
 
     #[test]
     fn detects_a_write_through_cache_that_owns() {
-        use moesi::protocols::WriteThrough;
+        use moesi::protocols::write_through;
         let mut wt = CacheController::new(
             0,
-            Box::new(WriteThrough::new()),
+            Box::new(write_through()),
             Some(CacheConfig::new(
                 1024,
                 16,

@@ -15,7 +15,7 @@ use cache_array::{CacheArray, CacheConfig, Victim};
 use futurebus::{
     BusModule, BusObservation, ChangeLog, LineAddr, PushWrite, RetireReport, TransactionRequest,
 };
-use moesi::protocols::NonCaching;
+use moesi::protocols::non_caching;
 use moesi::{
     BusEvent, BusReaction, CacheKind, IllegalCell, LineState, LocalAction, LocalCtx, LocalEvent,
     Protocol, ResponseSignals, SnoopCtx,
@@ -404,7 +404,7 @@ impl BusModule for CacheController {
         // The board is degraded to a non-caching client from here on — the
         // class explicitly accommodates those (§3.3), so the survivors keep
         // running the same protocol around it.
-        self.protocol = Box::new(NonCaching::new());
+        self.protocol = Box::new(non_caching());
         self.kind = CacheKind::NonCaching;
         self.name.push_str("[retired]");
         self.stats.retired = true;
@@ -447,7 +447,7 @@ impl BusModule for CacheController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moesi::protocols::{MoesiPreferred, NonCaching, WriteOnce};
+    use moesi::protocols::{moesi_preferred, non_caching, write_once};
     use moesi::MasterSignals;
 
     fn cfg() -> CacheConfig {
@@ -455,7 +455,7 @@ mod tests {
     }
 
     fn moesi_ctrl(id: usize) -> CacheController {
-        CacheController::new(id, Box::new(MoesiPreferred::new()), Some(cfg()), 1)
+        CacheController::new(id, Box::new(moesi_preferred()), Some(cfg()), 1)
     }
 
     fn read_req(addr: u64) -> TransactionRequest<'static> {
@@ -553,7 +553,7 @@ mod tests {
 
     #[test]
     fn write_once_dirty_snoop_asserts_bs_then_pushes() {
-        let mut c = CacheController::new(0, Box::new(WriteOnce::new()), Some(cfg()), 1);
+        let mut c = CacheController::new(0, Box::new(write_once()), Some(cfg()), 1);
         c.fill(0x100, LineState::Modified, &[9; 16], &mut Vec::new());
         let r = c.snoop(&read_req(0x100));
         assert!(r.bs);
@@ -572,7 +572,7 @@ mod tests {
     fn supplying_a_non_resident_line_declines_instead_of_panicking() {
         let mut c = moesi_ctrl(0);
         assert!(c.supply_line(0x100).is_none(), "nothing resident");
-        let mut cacheless = CacheController::new(1, Box::new(NonCaching::new()), None, 1);
+        let mut cacheless = CacheController::new(1, Box::new(non_caching()), None, 1);
         assert!(cacheless.supply_line(0x100).is_none());
         assert_eq!(c.stats().interventions_supplied, 0);
     }
@@ -619,9 +619,9 @@ mod tests {
         // controller asserts BS with no push staged, so the bus reports a
         // ProtocolError against this module.
         use futurebus::{BusError, Futurebus, TimingConfig};
-        use moesi::protocols::Synapse;
+        use moesi::protocols::synapse;
         let mut bus = Futurebus::new(16, TimingConfig::default());
-        let mut c = CacheController::new(0, Box::new(Synapse::new()), Some(cfg()), 1);
+        let mut c = CacheController::new(0, Box::new(synapse()), Some(cfg()), 1);
         c.fill(0x100, LineState::Exclusive, &[5; 16], &mut Vec::new());
         let mut mods: Vec<&mut dyn BusModule> = vec![&mut c];
         let req = TransactionRequest::read(1, 0x100, MasterSignals::CA);
@@ -634,7 +634,7 @@ mod tests {
 
     #[test]
     fn non_caching_controller_never_responds() {
-        let mut c = CacheController::new(0, Box::new(NonCaching::new()), None, 1);
+        let mut c = CacheController::new(0, Box::new(non_caching()), None, 1);
         assert_eq!(c.snoop(&read_req(0)), ResponseSignals::NONE);
         assert_eq!(c.state_of(0), LineState::Invalid);
         c.complete(
@@ -650,13 +650,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a cache")]
     fn caching_protocol_without_cache_is_rejected() {
-        let _ = CacheController::new(0, Box::new(MoesiPreferred::new()), None, 1);
+        let _ = CacheController::new(0, Box::new(moesi_preferred()), None, 1);
     }
 
     #[test]
     #[should_panic(expected = "must not have")]
     fn non_caching_protocol_with_cache_is_rejected() {
-        let _ = CacheController::new(0, Box::new(NonCaching::new()), Some(cfg()), 1);
+        let _ = CacheController::new(0, Box::new(non_caching()), Some(cfg()), 1);
     }
 
     #[test]

@@ -529,13 +529,13 @@ impl Fabric {
 mod tests {
     use super::*;
     use cache_array::{CacheConfig, ReplacementKind};
-    use moesi::protocols::MoesiPreferred;
+    use moesi::protocols::moesi_preferred;
     use moesi::MasterSignals;
 
     fn fabric(n: usize) -> Fabric {
         let cfg = CacheConfig::new(1024, 32, 2, ReplacementKind::Lru);
         let controllers = (0..n)
-            .map(|id| CacheController::new(id, Box::new(MoesiPreferred::new()), Some(cfg), 1))
+            .map(|id| CacheController::new(id, Box::new(moesi_preferred()), Some(cfg), 1))
             .collect();
         Fabric::new(32, TimingConfig::default(), controllers)
     }

@@ -108,13 +108,13 @@ impl TreeSpec {
 ///
 /// ```
 /// use cache_array::CacheConfig;
-/// use moesi::protocols::MoesiPreferred;
+/// use moesi::protocols::moesi_preferred;
 /// use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 ///
 /// let leaf = || {
 ///     TreeSpec::leaf()
-///         .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
-///         .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
+///         .cache(Box::new(moesi_preferred()), CacheConfig::small())
+///         .cache(Box::new(moesi_preferred()), CacheConfig::small())
 /// };
 /// let mut sys = TreeBuilder::new(32)
 ///     .child(TreeSpec::interior(vec![leaf(), leaf()]))

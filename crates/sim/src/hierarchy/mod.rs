@@ -688,7 +688,7 @@ mod tests {
     use super::*;
     use crate::workload::RefStream;
     use cache_array::{CacheConfig, ReplacementKind};
-    use moesi::protocols::MoesiPreferred;
+    use moesi::protocols::moesi_preferred;
 
     fn cfg() -> CacheConfig {
         CacheConfig::new(1024, 32, 2, ReplacementKind::Lru)
@@ -696,7 +696,7 @@ mod tests {
 
     fn moesi_leaf(cpus: usize) -> TreeSpec {
         (0..cpus).fold(TreeSpec::leaf(), |leaf, _| {
-            leaf.cache(Box::new(MoesiPreferred::new()), cfg())
+            leaf.cache(Box::new(moesi_preferred()), cfg())
         })
     }
 
@@ -712,7 +712,7 @@ mod tests {
     fn deep_two_two_two() -> System {
         TreeBuilder::uniform(32, 2, 3, 2, 2, |_, _| {
             (
-                Box::new(MoesiPreferred::new()) as Box<dyn moesi::Protocol + Send>,
+                Box::new(moesi_preferred()) as Box<dyn moesi::Protocol + Send>,
                 Some(cfg()),
             )
         })
@@ -847,17 +847,17 @@ mod tests {
 
     #[test]
     fn heterogeneous_clusters_work() {
-        use moesi::protocols::{Dragon, NonCaching, WriteThrough};
+        use moesi::protocols::{dragon, non_caching, write_through};
         let mut sys = TreeBuilder::new(32)
             .child(
                 TreeSpec::leaf()
-                    .cache(Box::new(MoesiPreferred::new()), cfg())
-                    .cache(Box::new(WriteThrough::new()), cfg()),
+                    .cache(Box::new(moesi_preferred()), cfg())
+                    .cache(Box::new(write_through()), cfg()),
             )
             .child(
                 TreeSpec::leaf()
-                    .cache(Box::new(Dragon::new()), cfg())
-                    .uncached(Box::new(NonCaching::new())),
+                    .cache(Box::new(dragon()), cfg())
+                    .uncached(Box::new(non_caching())),
             )
             .checking(true)
             .build();
@@ -1222,7 +1222,7 @@ mod tests {
     fn disabled_filter_floods_but_stays_consistent() {
         let mut sys = TreeBuilder::uniform(32, 2, 3, 2, 2, |_, _| {
             (
-                Box::new(MoesiPreferred::new()) as Box<dyn moesi::Protocol + Send>,
+                Box::new(moesi_preferred()) as Box<dyn moesi::Protocol + Send>,
                 Some(cfg()),
             )
         })
@@ -1373,7 +1373,7 @@ mod tests {
         let run = |discipline: Discipline| {
             let mut sys = TreeBuilder::uniform(32, 2, 3, 2, 2, |_, _| {
                 (
-                    Box::new(MoesiPreferred::new()) as Box<dyn moesi::Protocol + Send>,
+                    Box::new(moesi_preferred()) as Box<dyn moesi::Protocol + Send>,
                     Some(cfg()),
                 )
             })
@@ -1596,7 +1596,7 @@ mod tests {
     fn audit_pins_a_write_through_owner_in_a_leaf() {
         let mut sys = TreeBuilder::new(32)
             .child(moesi_leaf(2))
-            .child(moesi_leaf(1).cache(Box::new(moesi::protocols::WriteThrough::new()), cfg()))
+            .child(moesi_leaf(1).cache(Box::new(moesi::protocols::write_through()), cfg()))
             .checking(true)
             .build();
         sys.bridge_mut(1).set_cluster_state(0x100, LineState::Owned);

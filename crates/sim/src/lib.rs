@@ -11,12 +11,12 @@
 //!
 //! ```
 //! use cache_array::CacheConfig;
-//! use moesi::protocols::{MoesiPreferred, WriteThrough};
+//! use moesi::protocols::{moesi_preferred, write_through};
 //! use mpsim::SystemBuilder;
 //!
 //! let mut sys = SystemBuilder::new(32)
-//!     .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
-//!     .cache(Box::new(WriteThrough::new()), CacheConfig::small())
+//!     .cache(Box::new(moesi_preferred()), CacheConfig::small())
+//!     .cache(Box::new(write_through()), CacheConfig::small())
 //!     .checking(true) // panic on any consistency violation
 //!     .build();
 //!

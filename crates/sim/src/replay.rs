@@ -2,7 +2,7 @@
 //! explores, and the re-execution of its counterexamples.
 //!
 //! [`machine`] builds real [`CacheController`]s on a real `Futurebus`, every
-//! module driven by a [`Scripted`](moesi::protocols::Scripted) policy on one
+//! module driven by a scripted policy ([`ScriptHandle::protocol`]) on one
 //! shared [`ScriptHandle`]. The exhaustive explorer in `crates/verify` runs
 //! that machine one [`execute`]d step at a time; when a step fails it emits
 //! a [`Trace`]: the schedule of processor operations together with the
@@ -186,7 +186,7 @@ impl ReplayOutcome {
     }
 }
 
-/// Builds the machine replay and exploration run: one [`Scripted`] module
+/// Builds the machine replay and exploration run: one scripted module
 /// per module of `script`, each caching one with a single 1-way set, so that
 /// two lines compete for it and interact through eviction. The fabric
 /// tolerates errors, logging them for [`execute`] to report.

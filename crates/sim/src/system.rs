@@ -35,13 +35,13 @@ use crate::workload::{Access, RefStream, WritePayload};
 ///
 /// ```
 /// use mpsim::SystemBuilder;
-/// use moesi::protocols::{Dragon, MoesiPreferred, NonCaching};
+/// use moesi::protocols::{dragon, moesi_preferred, non_caching};
 /// use cache_array::CacheConfig;
 ///
 /// let mut sys = SystemBuilder::new(32)
-///     .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
-///     .cache(Box::new(Dragon::new()), CacheConfig::small())
-///     .uncached(Box::new(NonCaching::new()))
+///     .cache(Box::new(moesi_preferred()), CacheConfig::small())
+///     .cache(Box::new(dragon()), CacheConfig::small())
+///     .uncached(Box::new(non_caching()))
 ///     .checking(true)
 ///     .build();
 /// sys.write(0, 0x1000, &[1, 2, 3, 4]);
@@ -850,7 +850,7 @@ mod tests {
     use super::*;
     use cache_array::ReplacementKind;
     use moesi::protocols::{
-        Berkeley, Dragon, MoesiInvalidating, MoesiPreferred, NonCaching, WriteThrough,
+        berkeley, dragon, moesi_invalidating, moesi_preferred, non_caching, write_through,
     };
 
     fn cfg() -> CacheConfig {
@@ -859,8 +859,8 @@ mod tests {
 
     fn two_moesi() -> System {
         SystemBuilder::new(32)
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+            .cache(Box::new(moesi_preferred()), cfg())
+            .cache(Box::new(moesi_preferred()), cfg())
             .checking(true)
             .build()
     }
@@ -922,8 +922,8 @@ mod tests {
     #[test]
     fn invalidating_write_kills_the_sharer() {
         let mut sys = SystemBuilder::new(32)
-            .cache(Box::new(MoesiInvalidating::new()), cfg())
-            .cache(Box::new(MoesiInvalidating::new()), cfg())
+            .cache(Box::new(moesi_invalidating()), cfg())
+            .cache(Box::new(moesi_invalidating()), cfg())
             .checking(true)
             .build();
         sys.read(0, 0x100, 4);
@@ -942,8 +942,8 @@ mod tests {
     #[test]
     fn write_through_cache_keeps_memory_current() {
         let mut sys = SystemBuilder::new(32)
-            .cache(Box::new(WriteThrough::new()), cfg())
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+            .cache(Box::new(write_through()), cfg())
+            .cache(Box::new(moesi_preferred()), cfg())
             .checking(true)
             .build();
         sys.read(0, 0x200, 4);
@@ -958,8 +958,8 @@ mod tests {
     #[test]
     fn non_caching_node_reads_and_writes_past() {
         let mut sys = SystemBuilder::new(32)
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .uncached(Box::new(NonCaching::new()))
+            .cache(Box::new(moesi_preferred()), cfg())
+            .uncached(Box::new(non_caching()))
             .checking(true)
             .build();
         sys.write(1, 0x300, &[3; 4]);
@@ -975,8 +975,8 @@ mod tests {
     #[test]
     fn uncached_write_is_captured_by_the_owner() {
         let mut sys = SystemBuilder::new(32)
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .uncached(Box::new(NonCaching::new()))
+            .cache(Box::new(moesi_preferred()), cfg())
+            .uncached(Box::new(non_caching()))
             .checking(true)
             .build();
         sys.write(0, 0x300, &[1; 4]); // cpu0 owns the line (M)
@@ -1039,11 +1039,11 @@ mod tests {
     #[test]
     fn mixed_protocol_system_stays_consistent() {
         let mut sys = SystemBuilder::new(32)
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cache(Box::new(Berkeley::new()), cfg())
-            .cache(Box::new(Dragon::new()), cfg())
-            .cache(Box::new(WriteThrough::new()), cfg())
-            .uncached(Box::new(NonCaching::new()))
+            .cache(Box::new(moesi_preferred()), cfg())
+            .cache(Box::new(berkeley()), cfg())
+            .cache(Box::new(dragon()), cfg())
+            .cache(Box::new(write_through()), cfg())
+            .uncached(Box::new(non_caching()))
             .checking(true)
             .build();
         // Interleave writers and readers over a few shared lines; the oracle
@@ -1094,7 +1094,7 @@ mod tests {
     #[should_panic(expected = "§5.1")]
     fn mismatched_line_sizes_are_rejected() {
         let _ = SystemBuilder::new(32).cache(
-            Box::new(MoesiPreferred::new()),
+            Box::new(moesi_preferred()),
             CacheConfig::new(1024, 16, 2, ReplacementKind::Lru),
         );
     }
@@ -1105,7 +1105,7 @@ mod tests {
         let n = 65;
         let mut b = SystemBuilder::new(32).checking(true);
         for _ in 0..n {
-            b = b.cache(Box::new(MoesiPreferred::new()), cfg());
+            b = b.cache(Box::new(moesi_preferred()), cfg());
         }
         let mut sys = b.build();
         let model = SharingModel {

@@ -39,7 +39,7 @@
 use bench::sweep::{table_fitness, SweepConfig};
 use futurebus::{Nanos, TimingConfig};
 use moesi::json::{escape, JsonObject};
-use moesi::{protocols, CacheKind, PolicyTable};
+use moesi::{protocols, CacheKind, PolicyTable, Protocol};
 use mpsim::campaign::run_jobs;
 use mpsim::{run_campaign, CampaignConfig};
 use verify::Shape;
@@ -184,7 +184,7 @@ pub fn starting_pool(seed: u64) -> Vec<PolicyTable> {
     protocols::all_protocols(seed)
         .iter()
         .filter(|p| p.table_is_exact() && p.kind() == CacheKind::CopyBack)
-        .filter_map(|p| p.policy_table().copied())
+        .map(|p| *p.table())
         .filter(PolicyTable::is_class_member)
         .collect()
 }

@@ -5,8 +5,8 @@
 //! Sweazey & Smith (ISCA '86) preserve the shared-image invariants of
 //! `mpsim::Checker`. The machine it explores is the simulator itself: the
 //! real `Fabric`, `CacheController`s and `Futurebus` that
-//! [`mpsim::replay::machine`] builds, each module a
-//! [`Scripted`](moesi::protocols::Scripted) policy that records the choice
+//! [`mpsim::replay::machine`] builds, each module a scripted policy
+//! ([`moesi::protocols::ScriptHandle::protocol`]) that records the choice
 //! set it is offered at every Table 1/2 decision. The explorer branches on
 //! every entry of every such set, so a clean run is a proof over the
 //! modelled configuration, not a statistical statement. Caches hold one

@@ -1,5 +1,5 @@
 //! Differential test between the §3.4 random selector and the exhaustive
-//! explorer: over a long run, every action `RandomPolicy` picks is a member
+//! explorer: over a long run, every action the `random` policy picks is a member
 //! of the permitted set the explorer branches on for the same table cell.
 //!
 //! The explorer's `full-table` modules branch over the permitted sets
@@ -8,7 +8,7 @@
 //! enumerate those same sets, so a selector reaching outside the tables is
 //! caught.
 
-use moesi::protocols::RandomPolicy;
+use moesi::protocols::random;
 use moesi::{table, BusEvent, CacheKind, LineState, LocalCtx, LocalEvent, Protocol, SnoopCtx};
 use std::collections::HashMap;
 
@@ -27,7 +27,7 @@ fn every_random_choice_is_in_the_explored_set() {
             .map(|(s, e, set)| ((s, e), set))
             .collect();
 
-        let mut policy = RandomPolicy::new(kind, 0xC0FFEE);
+        let mut policy = random(kind, 0xC0FFEE);
         for round in 0..500u32 {
             for state in LineState::ALL {
                 for event in LocalEvent::ALL {

@@ -7,8 +7,8 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::{
-    Berkeley, Dragon, MoesiInvalidating, MoesiPreferred, NonCaching, PuzakRefinement, RandomPolicy,
-    WriteThrough,
+    berkeley, dragon, moesi_invalidating, moesi_preferred, non_caching, puzak, random,
+    write_through,
 };
 use moesi::CacheKind;
 use mpsim::workload::{DuboisBriggs, SharingModel};
@@ -19,17 +19,14 @@ fn main() {
     let cfg = CacheConfig::new(2048, line_size, 2, ReplacementKind::Lru);
 
     let mut sys = SystemBuilder::new(line_size)
-        .cache(Box::new(MoesiPreferred::new()), cfg)
-        .cache(Box::new(MoesiInvalidating::new()), cfg)
-        .cache(Box::new(Berkeley::new()), cfg)
-        .cache(Box::new(Dragon::new()), cfg)
-        .cache(Box::new(PuzakRefinement::new()), cfg)
-        .cache(Box::new(WriteThrough::new()), cfg)
-        .cache(
-            Box::new(RandomPolicy::new(CacheKind::CopyBack, 0xC0FFEE)),
-            cfg,
-        )
-        .uncached(Box::new(NonCaching::new()))
+        .cache(Box::new(moesi_preferred()), cfg)
+        .cache(Box::new(moesi_invalidating()), cfg)
+        .cache(Box::new(berkeley()), cfg)
+        .cache(Box::new(dragon()), cfg)
+        .cache(Box::new(puzak()), cfg)
+        .cache(Box::new(write_through()), cfg)
+        .cache(Box::new(random(CacheKind::CopyBack, 0xC0FFEE)), cfg)
+        .uncached(Box::new(non_caching()))
         .checking(true)
         .build();
 

@@ -3,7 +3,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use cache_array::CacheConfig;
-use moesi::protocols::MoesiPreferred;
+use moesi::protocols::moesi_preferred;
 use moesi::LineState;
 use mpsim::SystemBuilder;
 
@@ -16,8 +16,8 @@ fn states(sys: &mpsim::System, addr: u64) -> String {
 
 fn main() {
     let mut sys = SystemBuilder::new(32)
-        .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
-        .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
+        .cache(Box::new(moesi_preferred()), CacheConfig::small())
+        .cache(Box::new(moesi_preferred()), CacheConfig::small())
         .checking(true)
         .build();
 

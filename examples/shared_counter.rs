@@ -7,7 +7,7 @@
 //! Run with `cargo run --example shared_counter`.
 
 use cache_array::CacheConfig;
-use moesi::protocols::{Berkeley, Dragon, MoesiInvalidating, MoesiPreferred};
+use moesi::protocols::{berkeley, dragon, moesi_invalidating, moesi_preferred};
 use mpsim::SystemBuilder;
 
 const COUNTER: u64 = 0x1000;
@@ -16,10 +16,10 @@ const ROUNDS: u32 = 250;
 
 fn main() {
     let mut sys = SystemBuilder::new(32)
-        .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
-        .cache(Box::new(MoesiInvalidating::new()), CacheConfig::small())
-        .cache(Box::new(Berkeley::new()), CacheConfig::small())
-        .cache(Box::new(Dragon::new()), CacheConfig::small())
+        .cache(Box::new(moesi_preferred()), CacheConfig::small())
+        .cache(Box::new(moesi_invalidating()), CacheConfig::small())
+        .cache(Box::new(berkeley()), CacheConfig::small())
+        .cache(Box::new(dragon()), CacheConfig::small())
         .checking(true)
         .build();
     let cpus = sys.nodes();

@@ -8,7 +8,7 @@
 //! Run with `cargo run --example two_level_bus`.
 
 use cache_array::{CacheConfig, ReplacementKind};
-use moesi::protocols::MoesiPreferred;
+use moesi::protocols::moesi_preferred;
 use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::workload::{DuboisBriggs, SharingModel};
 use mpsim::{RefStream, System, SystemBuilder};
@@ -27,7 +27,7 @@ fn build_hierarchy() -> System {
     for _ in 0..CLUSTERS {
         let mut leaf = TreeSpec::leaf();
         for _ in 0..CPUS_PER_CLUSTER {
-            leaf = leaf.cache(Box::new(MoesiPreferred::new()), cfg());
+            leaf = leaf.cache(Box::new(moesi_preferred()), cfg());
         }
         b = b.child(leaf);
     }
@@ -81,7 +81,7 @@ fn main() {
     let mut flat = {
         let mut b = SystemBuilder::new(LINE).checking(true);
         for _ in 0..CLUSTERS * CPUS_PER_CLUSTER {
-            b = b.cache(Box::new(MoesiPreferred::new()), cfg());
+            b = b.cache(Box::new(moesi_preferred()), cfg());
         }
         b.build()
     };

@@ -6,14 +6,14 @@
 //! Run with `cargo run --example write_once_walkthrough`.
 
 use cache_array::CacheConfig;
-use moesi::protocols::WriteOnce;
+use moesi::protocols::write_once;
 use moesi::LineState;
 use mpsim::SystemBuilder;
 
 fn main() {
     let mut sys = SystemBuilder::new(32)
-        .cache(Box::new(WriteOnce::new()), CacheConfig::small())
-        .cache(Box::new(WriteOnce::new()), CacheConfig::small())
+        .cache(Box::new(write_once()), CacheConfig::small())
+        .cache(Box::new(write_once()), CacheConfig::small())
         .checking(true)
         .build();
     sys.enable_trace(64);

@@ -24,15 +24,15 @@
 //!
 //! ```
 //! use cache_array::CacheConfig;
-//! use moesi::protocols::{Dragon, MoesiPreferred, RandomPolicy, WriteThrough};
+//! use moesi::protocols::{dragon, moesi_preferred, random, write_through};
 //! use moesi::CacheKind;
 //! use moesi_futurebus::mpsim::SystemBuilder;
 //!
 //! let mut sys = SystemBuilder::new(32)
-//!     .cache(Box::new(MoesiPreferred::new()), CacheConfig::small())
-//!     .cache(Box::new(Dragon::new()), CacheConfig::small())
-//!     .cache(Box::new(WriteThrough::new()), CacheConfig::small())
-//!     .cache(Box::new(RandomPolicy::new(CacheKind::CopyBack, 7)), CacheConfig::small())
+//!     .cache(Box::new(moesi_preferred()), CacheConfig::small())
+//!     .cache(Box::new(dragon()), CacheConfig::small())
+//!     .cache(Box::new(write_through()), CacheConfig::small())
+//!     .cache(Box::new(random(CacheKind::CopyBack, 7)), CacheConfig::small())
 //!     .checking(true) // the oracle panics on any inconsistency
 //!     .build();
 //!

@@ -182,12 +182,12 @@ fn homogeneous_adapted_systems_survive_random_workloads() {
 
 #[test]
 fn write_once_always_pushing_variant_works_too() {
-    use moesi::protocols::WriteOnce;
+    use moesi::protocols::write_once_always_pushing;
     let cfg = CacheConfig::new(2048, LINE, 2, ReplacementKind::Lru);
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(WriteOnce::always_pushing()), cfg)
-        .cache(Box::new(WriteOnce::always_pushing()), cfg)
+        .cache(Box::new(write_once_always_pushing()), cfg)
+        .cache(Box::new(write_once_always_pushing()), cfg)
         .build();
     sys.write(0, 0x100, &[1; 4]);
     sys.write(1, 0x100, &[2; 4]); // write miss on dirty: BS push, then retry

@@ -3,7 +3,9 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::{TimingConfig, BROADCAST_PENALTY_NS};
-use moesi::protocols::{MoesiInvalidating, MoesiPreferred, NonCaching, WriteThrough};
+use moesi::protocols::{
+    moesi_invalidating, moesi_preferred, non_caching, write_through, write_through_non_broadcasting,
+};
 use mpsim::{System, SystemBuilder};
 
 const LINE: usize = 32;
@@ -15,8 +17,8 @@ fn cfg() -> CacheConfig {
 fn sys2() -> System {
     SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(MoesiPreferred::new()), cfg())
-        .cache(Box::new(MoesiPreferred::new()), cfg())
+        .cache(Box::new(moesi_preferred()), cfg())
+        .cache(Box::new(moesi_preferred()), cfg())
         .build()
 }
 
@@ -44,9 +46,9 @@ fn broadcast_write_updates_memory_and_third_parties() {
     // caches holding the line and also main memory."
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(MoesiPreferred::new()), cfg())
-        .cache(Box::new(MoesiPreferred::new()), cfg())
-        .cache(Box::new(MoesiPreferred::new()), cfg())
+        .cache(Box::new(moesi_preferred()), cfg())
+        .cache(Box::new(moesi_preferred()), cfg())
+        .cache(Box::new(moesi_preferred()), cfg())
         .build();
     sys.read(0, 0x100, 4);
     sys.read(1, 0x100, 4);
@@ -68,8 +70,8 @@ fn broadcast_write_updates_memory_and_third_parties() {
 fn non_broadcast_uncached_write_without_owner_reaches_memory() {
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .uncached(Box::new(NonCaching::new()))
-        .cache(Box::new(MoesiPreferred::new()), cfg())
+        .uncached(Box::new(non_caching()))
+        .cache(Box::new(moesi_preferred()), cfg())
         .build();
     sys.write(0, 0x100, &[4; 4]);
     assert_eq!(sys.bus_stats().memory_writes, 1);
@@ -81,8 +83,8 @@ fn non_broadcast_uncached_write_without_owner_reaches_memory() {
 fn non_broadcast_uncached_write_with_owner_is_captured() {
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .uncached(Box::new(NonCaching::new()))
-        .cache(Box::new(MoesiPreferred::new()), cfg())
+        .uncached(Box::new(non_caching()))
+        .cache(Box::new(moesi_preferred()), cfg())
         .build();
     sys.write(1, 0x100, &[5; 4]); // cache owns it (M)
     let mem_w = sys.bus_stats().memory_writes;
@@ -96,8 +98,8 @@ fn non_broadcast_uncached_write_with_owner_is_captured() {
 fn address_only_invalidate_moves_no_data() {
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(MoesiInvalidating::new()), cfg())
-        .cache(Box::new(MoesiInvalidating::new()), cfg())
+        .cache(Box::new(moesi_invalidating()), cfg())
+        .cache(Box::new(moesi_invalidating()), cfg())
         .build();
     sys.read(0, 0x100, 4);
     sys.read(1, 0x100, 4);
@@ -113,11 +115,11 @@ fn broadcast_transactions_pay_the_25ns_penalty() {
     // transaction is exactly the wired-OR filter penalty.
     let mut bcast = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(WriteThrough::new()), cfg())
+        .cache(Box::new(write_through()), cfg())
         .build();
     let mut plain = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(WriteThrough::non_broadcasting()), cfg())
+        .cache(Box::new(write_through_non_broadcasting()), cfg())
         .build();
     bcast.read(0, 0x100, 4);
     plain.read(0, 0x100, 4);
@@ -142,8 +144,8 @@ fn timing_config_scales_simulated_time_not_behaviour() {
         let mut sys = SystemBuilder::new(LINE)
             .checking(true)
             .timing(timing)
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+            .cache(Box::new(moesi_preferred()), cfg())
+            .cache(Box::new(moesi_preferred()), cfg())
             .build();
         for i in 0..20u32 {
             sys.write(

@@ -4,8 +4,8 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use moesi::protocols::{
-    Berkeley, Dragon, MoesiInvalidating, MoesiPreferred, NonCaching, PuzakRefinement, RandomPolicy,
-    WriteThrough,
+    berkeley, dragon, moesi_invalidating, moesi_preferred, non_caching, puzak, random,
+    write_through, write_through_non_broadcasting,
 };
 use moesi::{CacheKind, Protocol};
 use mpsim::workload::{DuboisBriggs, SharingModel};
@@ -20,15 +20,15 @@ fn cfg() -> CacheConfig {
 fn class_member(i: usize, seed: u64) -> (Box<dyn Protocol + Send>, bool) {
     // Cycle deterministically through every class member; bool = caching.
     match i % 9 {
-        0 => (Box::new(MoesiPreferred::new()), true),
-        1 => (Box::new(MoesiInvalidating::new()), true),
-        2 => (Box::new(Berkeley::new()), true),
-        3 => (Box::new(Dragon::new()), true),
-        4 => (Box::new(PuzakRefinement::new()), true),
-        5 => (Box::new(WriteThrough::new()), true),
-        6 => (Box::new(WriteThrough::non_broadcasting()), true),
-        7 => (Box::new(RandomPolicy::new(CacheKind::CopyBack, seed)), true),
-        _ => (Box::new(NonCaching::new()), false),
+        0 => (Box::new(moesi_preferred()), true),
+        1 => (Box::new(moesi_invalidating()), true),
+        2 => (Box::new(berkeley()), true),
+        3 => (Box::new(dragon()), true),
+        4 => (Box::new(puzak()), true),
+        5 => (Box::new(write_through()), true),
+        6 => (Box::new(write_through_non_broadcasting()), true),
+        7 => (Box::new(random(CacheKind::CopyBack, seed)), true),
+        _ => (Box::new(non_caching()), false),
     }
 }
 
@@ -86,10 +86,7 @@ fn all_random_policies_is_consistent() {
     // The extreme of the extreme case: every cache rolls dice on every event.
     let mut b = SystemBuilder::new(LINE).checking(true);
     for i in 0..5u64 {
-        b = b.cache(
-            Box::new(RandomPolicy::new(CacheKind::CopyBack, 100 + i)),
-            cfg(),
-        );
+        b = b.cache(Box::new(random(CacheKind::CopyBack, 100 + i)), cfg());
     }
     let mut sys = b.build();
     for seed in 0..3 {
@@ -101,13 +98,10 @@ fn all_random_policies_is_consistent() {
 fn random_write_through_and_non_caching_randoms_mix() {
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(RandomPolicy::new(CacheKind::CopyBack, 1)), cfg())
-        .cache(
-            Box::new(RandomPolicy::new(CacheKind::WriteThrough, 2)),
-            cfg(),
-        )
-        .uncached(Box::new(RandomPolicy::new(CacheKind::NonCaching, 3)))
-        .cache(Box::new(MoesiPreferred::new()), cfg())
+        .cache(Box::new(random(CacheKind::CopyBack, 1)), cfg())
+        .cache(Box::new(random(CacheKind::WriteThrough, 2)), cfg())
+        .uncached(Box::new(random(CacheKind::NonCaching, 3)))
+        .cache(Box::new(moesi_preferred()), cfg())
         .build();
     drive(&mut sys, 400, 11);
 }
@@ -144,9 +138,9 @@ fn many_seeds_many_mixes() {
 fn protocol_trait_objects_are_usable_generically() {
     // C-OBJECT: the Protocol trait must work as a trait object.
     let mut protocols: Vec<Box<dyn Protocol + Send>> = vec![
-        Box::new(MoesiPreferred::new()),
-        Box::new(Dragon::new()),
-        Box::new(WriteThrough::new()),
+        Box::new(moesi_preferred()),
+        Box::new(dragon()),
+        Box::new(write_through()),
     ];
     for p in &mut protocols {
         let _ = p.name();

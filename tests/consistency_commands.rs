@@ -5,7 +5,7 @@
 
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::TraceKind;
-use moesi::protocols::{MoesiInvalidating, MoesiPreferred};
+use moesi::protocols::{moesi_invalidating, moesi_preferred};
 use moesi::LineState::{Exclusive, Owned, Shareable};
 use mpsim::workload::{DuboisBriggs, SharingModel};
 use mpsim::{RefStream, System, SystemBuilder};
@@ -19,7 +19,7 @@ fn cfg() -> CacheConfig {
 fn sys(n: usize) -> System {
     let mut b = SystemBuilder::new(LINE).checking(true);
     for _ in 0..n {
-        b = b.cache(Box::new(MoesiPreferred::new()), cfg());
+        b = b.cache(Box::new(moesi_preferred()), cfg());
     }
     b.build()
 }
@@ -54,8 +54,8 @@ fn make_memory_consistent_handles_owned_with_sharers() {
 fn make_all_consistent_sweeps_every_owned_line() {
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(MoesiPreferred::new()), cfg())
-        .cache(Box::new(MoesiInvalidating::new()), cfg())
+        .cache(Box::new(moesi_preferred()), cfg())
+        .cache(Box::new(moesi_invalidating()), cfg())
         .build();
     // Dirty a handful of lines from both CPUs.
     for i in 0..6u64 {

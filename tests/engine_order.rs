@@ -6,7 +6,7 @@
 use std::sync::{Arc, Mutex};
 
 use cache_array::{CacheConfig, ReplacementKind};
-use moesi::protocols::MoesiPreferred;
+use moesi::protocols::moesi_preferred;
 use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::{Access, RefStream, System, SystemBuilder};
 
@@ -18,7 +18,7 @@ fn cfg() -> CacheConfig {
 
 fn leaf(cpus: usize) -> TreeSpec {
     (0..cpus).fold(TreeSpec::leaf(), |spec, _| {
-        spec.cache(Box::new(MoesiPreferred::new()), cfg())
+        spec.cache(Box::new(moesi_preferred()), cfg())
     })
 }
 
@@ -117,7 +117,7 @@ fn a_tree_run_split_in_two_equals_one_run() {
 fn flat_system() -> System {
     (0..FLAT_CPUS)
         .fold(SystemBuilder::new(LINE).checking(true), |b, _| {
-            b.cache(Box::new(MoesiPreferred::new()), cfg())
+            b.cache(Box::new(moesi_preferred()), cfg())
         })
         .build()
 }

@@ -10,7 +10,7 @@
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::fault::{FaultConfig, FaultKind, FaultPlan};
 use futurebus::RetryPolicy;
-use moesi::protocols::MoesiPreferred;
+use moesi::protocols::moesi_preferred;
 use moesi::LineState;
 use mpsim::{run_campaign, run_liveness_probe, CampaignConfig, FaultClass, SystemBuilder};
 
@@ -163,7 +163,7 @@ fn a_read_miss_served_by_intervention_returns_the_supplied_line() {
     let scenario = (0..64).find_map(|seed| {
         let mut sys = (0..2)
             .fold(SystemBuilder::new(LINE), |b, _| {
-                b.cache(Box::new(MoesiPreferred::new()), cfg)
+                b.cache(Box::new(moesi_preferred()), cfg)
             })
             .build();
         sys.write(0, owned, &[0xA5; LINE]);

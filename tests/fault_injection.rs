@@ -4,10 +4,10 @@
 //! corresponding way.
 
 use cache_array::{CacheConfig, ReplacementKind};
-use moesi::protocols::MoesiPreferred;
+use moesi::protocols::moesi_preferred;
 use moesi::{
     BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalCtx, LocalEvent, Protocol,
-    SnoopCtx,
+    SnoopCtx, TablePolicy,
 };
 use mpsim::{System, SystemBuilder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,18 +21,18 @@ fn cfg() -> CacheConfig {
 /// Wraps the preferred protocol, overriding one behaviour to break it.
 struct Broken<F, G>
 where
-    F: FnMut(&mut MoesiPreferred, LineState, LocalEvent) -> LocalAction,
-    G: FnMut(&mut MoesiPreferred, LineState, BusEvent) -> BusReaction,
+    F: FnMut(&mut TablePolicy, LineState, LocalEvent) -> LocalAction,
+    G: FnMut(&mut TablePolicy, LineState, BusEvent) -> BusReaction,
 {
-    inner: MoesiPreferred,
+    inner: TablePolicy,
     local: F,
     bus: G,
 }
 
 impl<F, G> Protocol for Broken<F, G>
 where
-    F: FnMut(&mut MoesiPreferred, LineState, LocalEvent) -> LocalAction,
-    G: FnMut(&mut MoesiPreferred, LineState, BusEvent) -> BusReaction,
+    F: FnMut(&mut TablePolicy, LineState, LocalEvent) -> LocalAction,
+    G: FnMut(&mut TablePolicy, LineState, BusEvent) -> BusReaction,
 {
     fn name(&self) -> &str {
         "broken"
@@ -48,11 +48,11 @@ where
     }
 }
 
-fn default_local(p: &mut MoesiPreferred, s: LineState, e: LocalEvent) -> LocalAction {
+fn default_local(p: &mut TablePolicy, s: LineState, e: LocalEvent) -> LocalAction {
     p.on_local(s, e, &LocalCtx::default())
 }
 
-fn default_bus(p: &mut MoesiPreferred, s: LineState, e: BusEvent) -> BusReaction {
+fn default_bus(p: &mut TablePolicy, s: LineState, e: BusEvent) -> BusReaction {
     p.on_bus(s, e, &SnoopCtx::default())
 }
 
@@ -70,9 +70,9 @@ fn ignoring_invalidations_is_caught() {
     // the writer then holds M next to a surviving (stale) copy, so the oracle
     // reports either the exclusivity breach or the stale copy — both correct.
     let broken = Broken {
-        inner: MoesiPreferred::new(),
+        inner: moesi_preferred(),
         local: default_local,
-        bus: |p: &mut MoesiPreferred, s: LineState, e: BusEvent| {
+        bus: |p: &mut TablePolicy, s: LineState, e: BusEvent| {
             if e == BusEvent::CacheReadInvalidate && s.is_unowned_valid() {
                 // "I keep my copy, thanks."
                 BusReaction::hit(LineState::Shareable)
@@ -85,7 +85,7 @@ fn ignoring_invalidations_is_caught() {
         let mut sys = SystemBuilder::new(LINE)
             .checking(true)
             .cache(Box::new(broken), cfg())
-            .cache(Box::new(moesi::protocols::MoesiInvalidating::new()), cfg())
+            .cache(Box::new(moesi::protocols::moesi_invalidating()), cfg())
             .build();
         sys.read(0, 0x100, 4); // broken board caches the line
         sys.write(1, 0x100, &[9; 4]); // RWITM; broken board keeps its copy
@@ -101,8 +101,8 @@ fn ignoring_invalidations_is_caught() {
 fn claiming_exclusivity_next_to_a_sharer_is_caught() {
     // The board answers a read miss with E even though CH was asserted.
     let broken = Broken {
-        inner: MoesiPreferred::new(),
-        local: |p: &mut MoesiPreferred, s: LineState, e: LocalEvent| {
+        inner: moesi_preferred(),
+        local: |p: &mut TablePolicy, s: LineState, e: LocalEvent| {
             if s == LineState::Invalid && e == LocalEvent::Read {
                 LocalAction::new(
                     LineState::Exclusive, // unconditionally E: wrong
@@ -118,7 +118,7 @@ fn claiming_exclusivity_next_to_a_sharer_is_caught() {
     let msg = violation_of(AssertUnwindSafe(move || {
         let mut sys = SystemBuilder::new(LINE)
             .checking(true)
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+            .cache(Box::new(moesi_preferred()), cfg())
             .cache(Box::new(broken), cfg())
             .build();
         sys.read(0, 0x100, 4); // honest board holds the line
@@ -135,8 +135,8 @@ fn double_ownership_is_caught() {
     // The board grabs ownership on a read miss (result M instead of S/E)
     // while the previous owner legitimately keeps O.
     let broken = Broken {
-        inner: MoesiPreferred::new(),
-        local: |p: &mut MoesiPreferred, s: LineState, e: LocalEvent| {
+        inner: moesi_preferred(),
+        local: |p: &mut TablePolicy, s: LineState, e: LocalEvent| {
             if s == LineState::Invalid && e == LocalEvent::Read {
                 LocalAction::new(
                     LineState::Owned, // steals ownership without the right
@@ -152,7 +152,7 @@ fn double_ownership_is_caught() {
     let msg = violation_of(AssertUnwindSafe(move || {
         let mut sys = SystemBuilder::new(LINE)
             .checking(true)
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+            .cache(Box::new(moesi_preferred()), cfg())
             .cache(Box::new(broken), cfg())
             .build();
         sys.write(0, 0x100, &[1; 4]); // cpu0: M
@@ -168,8 +168,8 @@ fn double_ownership_is_caught() {
 fn dropping_dirty_data_is_caught_as_stale_memory() {
     // The board silently discards a Modified line instead of writing back.
     let broken = Broken {
-        inner: MoesiPreferred::new(),
-        local: |p: &mut MoesiPreferred, s: LineState, e: LocalEvent| {
+        inner: moesi_preferred(),
+        local: |p: &mut TablePolicy, s: LineState, e: LocalEvent| {
             if s == LineState::Modified && e == LocalEvent::Flush {
                 LocalAction::silent(LineState::Invalid) // data loss!
             } else {
@@ -197,7 +197,7 @@ fn refusing_to_update_on_a_connected_broadcast_is_caught() {
     // The board asserts SL (so the writer believes it updated) but throws the
     // payload away and keeps its old data.
     struct KeepStale {
-        inner: MoesiPreferred,
+        inner: TablePolicy,
     }
     impl Protocol for KeepStale {
         fn name(&self) -> &str {
@@ -222,10 +222,10 @@ fn refusing_to_update_on_a_connected_broadcast_is_caught() {
     let msg = violation_of(AssertUnwindSafe(move || {
         let mut sys = SystemBuilder::new(LINE)
             .checking(true)
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+            .cache(Box::new(moesi_preferred()), cfg())
             .cache(
                 Box::new(KeepStale {
-                    inner: MoesiPreferred::new(),
+                    inner: moesi_preferred(),
                 }),
                 cfg(),
             )
@@ -243,8 +243,8 @@ fn honest_systems_never_trip_these_alarms() {
     // Sanity: the identical scenarios with honest boards pass.
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(MoesiPreferred::new()), cfg())
-        .cache(Box::new(MoesiPreferred::new()), cfg())
+        .cache(Box::new(moesi_preferred()), cfg())
+        .cache(Box::new(moesi_preferred()), cfg())
         .build();
     sys.read(0, 0x100, 4);
     sys.read(1, 0x100, 4);

@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::fault::{FaultConfig, FaultPlan};
 use futurebus::{BusModule, TransactionRequest};
-use moesi::protocols::{by_name, NonCaching};
+use moesi::protocols::{by_name, non_caching};
 use moesi::{
     BusEvent, BusReaction, CacheKind, LineState, LocalAction, LocalEvent, MasterSignals,
     PolicyTable, TablePolicy,
@@ -87,7 +87,7 @@ fn non_caching_and_write_through_nodes_log_aligned_lines() {
         .checking(true)
         .cache(by_name("moesi", 0).unwrap(), cfg())
         .cache(by_name("write-through", 1).unwrap(), cfg())
-        .uncached(Box::new(NonCaching::new()))
+        .uncached(Box::new(non_caching()))
         .build();
     for i in 0..60u64 {
         let addr = 0x2000 + i * 7; // every alignment, some crossing lines

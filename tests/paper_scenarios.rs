@@ -2,7 +2,7 @@
 //! plus the ownership-transfer chains the state model implies.
 
 use cache_array::{CacheConfig, ReplacementKind};
-use moesi::protocols::{MoesiInvalidating, MoesiPreferred, NonCaching, WriteThrough};
+use moesi::protocols::{moesi_invalidating, moesi_preferred, non_caching, write_through};
 use moesi::LineState::{Exclusive, Invalid, Modified, Owned, Shareable};
 use mpsim::{System, SystemBuilder};
 
@@ -15,7 +15,7 @@ fn cfg() -> CacheConfig {
 fn moesi_system(n: usize) -> System {
     let mut b = SystemBuilder::new(LINE).checking(true);
     for _ in 0..n {
-        b = b.cache(Box::new(MoesiPreferred::new()), cfg());
+        b = b.cache(Box::new(moesi_preferred()), cfg());
     }
     b.build()
 }
@@ -50,8 +50,8 @@ fn item2_shared_write_broadcast_or_invalidate() {
     // Invalidate flavour.
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(MoesiInvalidating::new()), cfg())
-        .cache(Box::new(MoesiInvalidating::new()), cfg())
+        .cache(Box::new(moesi_invalidating()), cfg())
+        .cache(Box::new(moesi_invalidating()), cfg())
         .build();
     sys.read(0, 0x100, 4);
     sys.read(1, 0x100, 4);
@@ -114,8 +114,8 @@ fn item4_intervenient_duties() {
 fn item5_non_intervenient_reactions() {
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(MoesiPreferred::new()), cfg())
-        .uncached(Box::new(NonCaching::new()))
+        .cache(Box::new(moesi_preferred()), cfg())
+        .uncached(Box::new(non_caching()))
         .build();
     sys.read(0, 0x100, 4);
     assert_eq!(sys.state_of(0, 0x100), Exclusive);
@@ -133,8 +133,8 @@ fn item5_non_intervenient_reactions() {
 fn items6_to_8_write_through() {
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(WriteThrough::new()), cfg())
-        .cache(Box::new(MoesiPreferred::new()), cfg())
+        .cache(Box::new(write_through()), cfg())
+        .cache(Box::new(moesi_preferred()), cfg())
         .build();
     // Item 7: read miss asserts CA and enters V(=S).
     sys.read(0, 0x100, 4);
@@ -160,8 +160,8 @@ fn items6_to_8_write_through() {
 fn item8_non_broadcast_write_kills_the_v_copy() {
     let mut sys = SystemBuilder::new(LINE)
         .checking(true)
-        .cache(Box::new(WriteThrough::new()), cfg())
-        .cache(Box::new(MoesiInvalidating::new()), cfg())
+        .cache(Box::new(write_through()), cfg())
+        .cache(Box::new(moesi_invalidating()), cfg())
         .build();
     sys.read(0, 0x100, 4);
     assert_eq!(sys.state_of(0, 0x100), Shareable);

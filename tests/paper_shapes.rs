@@ -6,7 +6,7 @@
 use bench::{homogeneous_system, workload_streams, LINE};
 use cache_array::{CacheConfig, ReplacementKind};
 use futurebus::TimingConfig;
-use moesi::protocols::{by_name, MoesiPreferred};
+use moesi::protocols::{by_name, moesi_preferred};
 use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::workload::{DuboisBriggs, SharingModel};
 use mpsim::{RefStream, Sequential, SystemBuilder, TimedReport};
@@ -160,7 +160,7 @@ fn two_level_parent_bus_carries_under_half_the_flat_traffic() {
 
     let mut b = SystemBuilder::new(LINE);
     for _ in 0..8 {
-        b = b.cache(Box::new(MoesiPreferred::new()), cfg);
+        b = b.cache(Box::new(moesi_preferred()), cfg);
     }
     let mut flat = b.build();
     flat.run(&mut [(0..8).map(|cpu| stream(cpu / 2)).collect()], 200);
@@ -170,7 +170,7 @@ fn two_level_parent_bus_carries_under_half_the_flat_traffic() {
     for _ in 0..4 {
         let mut leaf = TreeSpec::leaf();
         for _ in 0..2 {
-            leaf = leaf.cache(Box::new(MoesiPreferred::new()), cfg);
+            leaf = leaf.cache(Box::new(moesi_preferred()), cfg);
         }
         b = b.child(leaf);
     }

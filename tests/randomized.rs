@@ -7,8 +7,8 @@
 
 use cache_array::{split_line_crossers, CacheConfig, ReplacementKind};
 use moesi::protocols::{
-    Berkeley, Dragon, MoesiInvalidating, MoesiPreferred, NonCaching, PuzakRefinement, RandomPolicy,
-    WriteThrough,
+    berkeley, dragon, moesi_invalidating, moesi_preferred, non_caching, puzak, random,
+    write_through,
 };
 use moesi::rng::SmallRng;
 use moesi::{table, BusEvent, CacheKind, LineState, LocalEvent, Protocol};
@@ -104,17 +104,14 @@ fn mixed_system(seed: u64) -> System {
     SystemBuilder::new(LINE)
         .checking(true)
         .seed(seed)
-        .cache(Box::new(MoesiPreferred::new()), cfg())
-        .cache(Box::new(MoesiInvalidating::new()), cfg())
-        .cache(Box::new(Berkeley::new()), cfg())
-        .cache(Box::new(Dragon::new()), cfg())
-        .cache(Box::new(PuzakRefinement::new()), cfg())
-        .cache(Box::new(WriteThrough::new()), cfg())
-        .cache(
-            Box::new(RandomPolicy::new(CacheKind::CopyBack, seed)),
-            cfg(),
-        )
-        .uncached(Box::new(NonCaching::new()))
+        .cache(Box::new(moesi_preferred()), cfg())
+        .cache(Box::new(moesi_invalidating()), cfg())
+        .cache(Box::new(berkeley()), cfg())
+        .cache(Box::new(dragon()), cfg())
+        .cache(Box::new(puzak()), cfg())
+        .cache(Box::new(write_through()), cfg())
+        .cache(Box::new(random(CacheKind::CopyBack, seed)), cfg())
+        .uncached(Box::new(non_caching()))
         .build()
 }
 
@@ -219,7 +216,7 @@ fn random_policy_is_always_in_class() {
     for _ in 0..16 {
         let seed = rng.next_u64();
         for kind in CacheKind::ALL {
-            let mut p = RandomPolicy::new(kind, seed);
+            let mut p = random(kind, seed);
             let report = moesi::compat::check_protocol(&mut p);
             assert!(report.is_class_member(), "{report}");
         }
@@ -244,10 +241,10 @@ fn sector_cache_valid_subsectors_never_exceed_capacity() {
 /// The hierarchy tests' protocol mix, cycling by node index.
 fn protocol(k: usize) -> Box<dyn Protocol + Send> {
     match k % 4 {
-        0 => Box::new(MoesiPreferred::new()),
-        1 => Box::new(MoesiInvalidating::new()),
-        2 => Box::new(Dragon::new()),
-        _ => Box::new(WriteThrough::new()),
+        0 => Box::new(moesi_preferred()),
+        1 => Box::new(moesi_invalidating()),
+        2 => Box::new(dragon()),
+        _ => Box::new(write_through()),
     }
 }
 

@@ -214,7 +214,7 @@ fn sharded_fault_campaign_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn sharded_fitness_is_byte_identical_across_worker_counts() {
-    let table = *moesi::protocols::MoesiPreferred::new()
+    let table = *moesi::protocols::moesi_preferred()
         .policy_table()
         .expect("moesi ships a policy table");
     for seed in SEEDS {

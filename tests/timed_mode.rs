@@ -4,7 +4,7 @@
 //! bus-free workload.
 
 use cache_array::{CacheConfig, ReplacementKind};
-use moesi::protocols::{MoesiPreferred, NonCaching};
+use moesi::protocols::{moesi_preferred, non_caching};
 use mpsim::workload::{Access, Sequential, TraceReplay};
 use mpsim::{RefStream, System, SystemBuilder};
 
@@ -17,7 +17,7 @@ fn cfg() -> CacheConfig {
 fn moesi_system(n: usize) -> System {
     let mut b = SystemBuilder::new(LINE).checking(true);
     for _ in 0..n {
-        b = b.cache(Box::new(MoesiPreferred::new()), cfg());
+        b = b.cache(Box::new(moesi_preferred()), cfg());
     }
     b.build()
 }
@@ -46,7 +46,7 @@ fn utilization_is_bounded_and_waiting_appears_under_contention() {
     // Four uncached processors: every access needs the bus.
     let mut b = SystemBuilder::new(LINE).checking(true);
     for _ in 0..4 {
-        b = b.uncached(Box::new(NonCaching::new()));
+        b = b.uncached(Box::new(non_caching()));
     }
     let mut sys = b.build();
     let trace = TraceReplay::new(vec![Access::read(0x1000, 4), Access::write(0x1000, 4)]);

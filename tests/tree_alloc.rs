@@ -13,14 +13,17 @@
 //! - The buffer path returns what the oracle's golden image says, for line
 //!   crossers, for reads from a degraded (retired-bridge) cluster, and at
 //!   depth 3.
+//! - A Puzak or Hybrid decision that falls back to its table cell allocates
+//!   nothing: the refinement builds a cell's permitted set only on the
+//!   branch that picks from it.
 
 use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::cell::Cell;
 
 use cache_array::{CacheConfig, ReplacementKind};
-use moesi::protocols::MoesiPreferred;
+use moesi::protocols::{hybrid, moesi_preferred, puzak};
 use moesi::rng::SmallRng;
-use moesi::Protocol;
+use moesi::{BusEvent, LineState, LocalCtx, LocalEvent, Protocol, SnoopCtx};
 use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::{Access, Checker, CpuStats, RefStream, System, SystemBuilder};
 
@@ -79,7 +82,7 @@ fn cfg() -> CacheConfig {
 fn depth_three(checking: bool) -> System {
     TreeBuilder::uniform(LINE, 2, 3, 2, 2, |_, _| {
         (
-            Box::new(MoesiPreferred::new()) as Box<dyn Protocol + Send>,
+            Box::new(moesi_preferred()) as Box<dyn Protocol + Send>,
             Some(cfg()),
         )
     })
@@ -232,7 +235,7 @@ fn steady_state_bus_transactions_allocate_nothing() {
 
     let mut flat = (0..4)
         .fold(SystemBuilder::new(LINE), |b, _| {
-            b.cache(Box::new(MoesiPreferred::new()), cfg())
+            b.cache(Box::new(moesi_preferred()), cfg())
         })
         .build();
     let mut streams: [Vec<_>; 1] = [(0..4).map(sharing_stream).collect()];
@@ -249,7 +252,7 @@ fn steady_state_bus_transactions_allocate_nothing() {
 fn two_by_two_checked() -> System {
     TreeBuilder::uniform(LINE, 2, 2, 1, 2, |_, _| {
         (
-            Box::new(MoesiPreferred::new()) as Box<dyn Protocol + Send>,
+            Box::new(moesi_preferred()) as Box<dyn Protocol + Send>,
             Some(cfg()),
         )
     })
@@ -273,7 +276,7 @@ fn an_audited_warm_machine_allocates_nothing_per_access() {
 
     let mut flat = (0..4)
         .fold(SystemBuilder::new(LINE).checking(true), |b, _| {
-            b.cache(Box::new(MoesiPreferred::new()), cfg())
+            b.cache(Box::new(moesi_preferred()), cfg())
         })
         .build();
     let mut streams: [Vec<_>; 1] = [(0..4).map(sharing_stream).collect()];
@@ -295,7 +298,7 @@ fn an_audited_warm_machine_allocates_nothing_per_access() {
     }
     let mut flat = (0..2)
         .fold(SystemBuilder::new(LINE).checking(true), |b, _| {
-            b.cache(Box::new(MoesiPreferred::new()), cfg())
+            b.cache(Box::new(moesi_preferred()), cfg())
         })
         .build();
     let mut streams: [Vec<Box<dyn RefStream + Send>>; 1] = [(0..2)
@@ -331,6 +334,54 @@ fn a_matching_read_check_allocates_nothing() {
             .contains("expected [9, 9, 9, 9, 1, 2, 3, 4]"),
         "{err}"
     );
+}
+
+#[test]
+fn refined_decisions_that_keep_the_table_cell_allocate_nothing() {
+    use BusEvent::{CacheBroadcastWrite, CacheRead, UncachedWrite};
+    use LineState::{Exclusive, Invalid, Modified, Owned, Shareable};
+    let local = LocalCtx {
+        recency_rank: Some(0),
+        ways: 2,
+        line_addr: Some(0x40),
+    };
+    // Recently used, so Puzak keeps the update.
+    let snoop = SnoopCtx {
+        recency_rank: Some(0),
+        ways: 2,
+        line_addr: Some(0x40),
+    };
+    for mut p in [puzak(), hybrid()] {
+        // Give Hybrid's per-line counters their first (and only) block.
+        p.on_bus(Shareable, CacheBroadcastWrite, &snoop);
+        p.on_local(Shareable, LocalEvent::Read, &local);
+        let table = *p.table();
+        let n = allocs_during(|| {
+            for state in [Modified, Owned, Exclusive, Shareable, Invalid] {
+                for event in [LocalEvent::Read, LocalEvent::Write] {
+                    let a = p.on_local(state, event, &local);
+                    assert_eq!(Some(a), table.local(state, event));
+                }
+            }
+            // Non-broadcasts, an owner, and Hybrid's first foreign write
+            // since the line's last local use.
+            for (state, event) in [
+                (Shareable, CacheRead),
+                (Exclusive, UncachedWrite),
+                (Owned, CacheBroadcastWrite),
+                (Shareable, CacheBroadcastWrite),
+            ] {
+                let r = p.on_bus(state, event, &snoop);
+                assert_eq!(
+                    Some(r),
+                    table.bus(state, event),
+                    "{} ({state}, {event})",
+                    p.name()
+                );
+            }
+        });
+        assert_eq!(n, 0, "{} allocated on a table-cell decision", p.name());
+    }
 }
 
 /// Reads `len` bytes at `addr` through the buffer path, after a prefix the
@@ -388,8 +439,8 @@ fn random_reads_at_depth_three_match_the_golden_image() {
 fn reads_from_a_degraded_cluster_match_the_golden_image() {
     let leaf = || {
         TreeSpec::leaf()
-            .cache(Box::new(MoesiPreferred::new()), cfg())
-            .cache(Box::new(MoesiPreferred::new()), cfg())
+            .cache(Box::new(moesi_preferred()), cfg())
+            .cache(Box::new(moesi_preferred()), cfg())
     };
     let mut sys = TreeBuilder::new(LINE)
         .child(leaf())
