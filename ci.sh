@@ -11,6 +11,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied: broken or private doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo check --workspace --all-targets --all-features --offline (every target builds)"
 cargo check --workspace --all-targets --all-features --offline
 

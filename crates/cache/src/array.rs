@@ -145,6 +145,7 @@ impl<S: Copy> CacheArray<S> {
 
     /// Looks a line up without touching replacement state.
     #[must_use]
+    #[inline]
     pub fn lookup(&self, addr: u64) -> Option<Entry<'_, S>> {
         let slot = self.find(addr)?;
         Some(Entry {
@@ -367,6 +368,20 @@ impl<S: Copy> CacheArray<S> {
     #[must_use]
     pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
         let (_, range) = self.bytes_at(addr, len, "read")?;
+        Some(&self.data[range])
+    }
+
+    /// [`touch`](CacheArray::touch) then [`read`](CacheArray::read), in one
+    /// tag scan: the copying read-hit path.
+    ///
+    /// # Panics
+    ///
+    /// As [`read`](CacheArray::read).
+    pub fn touch_read(&mut self, addr: u64, len: usize) -> Option<&[u8]> {
+        let (slot, range) = self.bytes_at(addr, len, "read")?;
+        if self.config.replacement == ReplacementKind::Lru {
+            self.promote(slot);
+        }
         Some(&self.data[range])
     }
 

@@ -40,7 +40,7 @@ impl CacheKind {
 
     /// The line states this kind of client can hold.
     #[must_use]
-    pub fn reachable_states(self) -> &'static [LineState] {
+    pub const fn reachable_states(self) -> &'static [LineState] {
         match self {
             CacheKind::CopyBack => &LineState::ALL,
             CacheKind::WriteThrough => &[LineState::Shareable, LineState::Invalid],

@@ -10,6 +10,9 @@
 use crate::transaction::LineAddr;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::sync::Arc;
 
 /// A multiplicative hasher for line addresses. Line lookups sit on the
 /// per-access paths (memory on every transaction, bridge directories on every
@@ -45,39 +48,70 @@ impl Hasher for LineHasher {
 pub type LineMap<V> = HashMap<LineAddr, V, BuildHasherDefault<LineHasher>>;
 
 /// The line addresses whose audited state changed since the last drain: what
-/// an incremental consistency audit re-checks. Components keep one only while
-/// an auditor is attached, so unaudited runs pay one untaken branch per
-/// change. A *wholesale* change (a retired cache, a dropped directory) is too
-/// broad to list line by line and asks for a full audit instead.
+/// an incremental consistency audit re-checks.
+///
+/// One log serves a whole machine: a clone is a handle to the same lines,
+/// which the auditor hands to every component only while it audits, so
+/// unaudited runs pay one untaken branch per change, and the audit drains
+/// one list instead of visiting every component. A machine's components
+/// change one access at a time, so relaxed atomics are all the sharing
+/// needs, and a fixed capacity means logging never allocates. A change too
+/// broad to list line by line — a retired cache, a dropped directory, or
+/// more lines than the log holds — is *wholesale* and asks for a full audit
+/// instead.
 #[derive(Clone, Debug, Default)]
-pub struct ChangeLog {
-    lines: Vec<LineAddr>,
-    wholesale: bool,
+pub struct ChangeLog(Arc<LogLines>);
+
+/// The shared storage of a [`ChangeLog`].
+#[derive(Debug, Default)]
+struct LogLines {
+    len: AtomicUsize,
+    wholesale: AtomicBool,
+    lines: [AtomicU64; ChangeLog::CAPACITY],
 }
 
 impl ChangeLog {
-    /// Records a change to the line at `line` (line-aligned). Cold because
+    /// The lines a log holds between drains; one more is a wholesale change.
+    pub const CAPACITY: usize = 32;
+
+    /// Records a change to the line at `line` (line-aligned), unless it
+    /// repeats the last line logged: an access usually changes one line in
+    /// several places, and the audit re-checks it once. Cold because
     /// unaudited runs never get here: the logging points then cost their
     /// hot callers one branch and no code (measured on `flat-write`).
     #[cold]
-    pub fn line(&mut self, line: LineAddr) {
-        self.lines.push(line);
+    pub fn line(&self, line: LineAddr) {
+        let log = &*self.0;
+        let len = log.len.load(Relaxed);
+        if len > 0 && log.lines[len - 1].load(Relaxed) == line {
+            return;
+        }
+        match log.lines.get(len) {
+            Some(slot) => {
+                slot.store(line, Relaxed);
+                log.len.store(len + 1, Relaxed);
+            }
+            None => log.wholesale.store(true, Relaxed),
+        }
     }
 
     /// Records a change too broad to list line by line.
-    pub fn wholesale(&mut self) {
-        self.wholesale = true;
+    pub fn wholesale(&self) {
+        self.0.wholesale.store(true, Relaxed);
     }
 
-    /// Appends the logged lines to `out` and empties the log, keeping its
-    /// capacity. Returns true when a wholesale change was logged. Inlined,
-    /// so draining an empty log costs its caller a branch, not a call.
-    #[inline]
-    pub fn drain_into(&mut self, out: &mut Vec<LineAddr>) -> bool {
-        if !self.lines.is_empty() {
-            out.append(&mut self.lines);
+    /// Appends the logged lines to `out`, in logging order, and empties the
+    /// log. Returns true when a wholesale change was logged.
+    pub fn drain_into(&self, out: &mut Vec<LineAddr>) -> bool {
+        let log = &*self.0;
+        let len = log.len.load(Relaxed);
+        out.extend(log.lines[..len].iter().map(|line| line.load(Relaxed)));
+        log.len.store(0, Relaxed);
+        let wholesale = log.wholesale.load(Relaxed);
+        if wholesale {
+            log.wholesale.store(false, Relaxed);
         }
-        std::mem::take(&mut self.wholesale)
+        wholesale
     }
 }
 
@@ -170,28 +204,37 @@ impl SparseMemory {
     /// (for checkers and fallbacks). Untouched lines read as zero.
     #[must_use]
     pub fn peek(&self, addr: u64) -> &[u8] {
-        self.peek_written(addr).0
+        self.slot_line(self.slot(addr))
     }
 
-    /// [`peek`](SparseMemory::peek), also saying whether the line was ever
-    /// written — one probe for both.
+    /// The slot of the line containing `addr`: where its bytes start in the
+    /// slab, or `None` for a line never written. A line keeps its slot from
+    /// its first write on, so a caller may keep the slot instead of probing
+    /// again.
     #[must_use]
-    pub fn peek_written(&self, addr: u64) -> (&[u8], bool) {
-        match self.index.get(&self.align(addr)) {
-            Some(&start) => (&self.slab[start..start + self.line_size], true),
-            None => (&self.zero, false),
+    pub fn slot(&self, addr: u64) -> Option<usize> {
+        self.index.get(&self.align(addr)).copied()
+    }
+
+    /// The line in `slot` (see [`slot`](SparseMemory::slot)), borrowed;
+    /// `None` is an unwritten line, all zero.
+    #[must_use]
+    pub fn slot_line(&self, slot: Option<usize>) -> &[u8] {
+        match slot {
+            Some(start) => &self.slab[start..start + self.line_size],
+            None => &self.zero,
         }
     }
 
-    /// The bytes of the line at `addr` for writing, giving a line its slab
-    /// space (zeroed) on its first write.
-    fn line_mut(&mut self, addr: LineAddr) -> &mut [u8] {
+    /// The bytes of the line at `addr` for writing, and its slot, giving a
+    /// line its slab space (zeroed) on its first write.
+    fn line_mut(&mut self, addr: LineAddr) -> (&mut [u8], usize) {
         let end = self.slab.len();
         let start = *self.index.entry(addr).or_insert(end);
         if start == end {
             self.slab.resize(end + self.line_size, 0);
         }
-        &mut self.slab[start..start + self.line_size]
+        (&mut self.slab[start..start + self.line_size], start)
     }
 
     /// The `len` bytes at `addr`, across any number of lines, without
@@ -210,17 +253,10 @@ impl SparseMemory {
         out
     }
 
-    /// Starts (or stops) logging the lines written from here on; see
+    /// Logs the lines written from here on in `log` (none for `None`); see
     /// [`ChangeLog`].
-    pub fn track_changes(&mut self, on: bool) {
-        self.changes = on.then(ChangeLog::default);
-    }
-
-    /// Moves the lines written since the last drain into `out` (nothing
-    /// unless [`track_changes`](SparseMemory::track_changes) is on).
-    #[inline]
-    pub fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
-        self.changes.as_mut().is_some_and(|log| log.drain_into(out))
+    pub fn track_changes(&mut self, log: Option<&ChangeLog>) {
+        self.changes = log.cloned();
     }
 
     /// Overwrites a full line (a push / write-back).
@@ -232,19 +268,20 @@ impl SparseMemory {
         assert!(self.is_aligned(addr), "unaligned line write at {addr:#x}");
         assert_eq!(data.len(), self.line_size, "line write must be full-size");
         self.writes += 1;
-        if let Some(log) = &mut self.changes {
+        if let Some(log) = &self.changes {
             log.line(addr);
         }
-        self.line_mut(addr).copy_from_slice(data);
+        self.line_mut(addr).0.copy_from_slice(data);
     }
 
     /// Writes part of a line (a word write from a write-through or
-    /// non-caching master, or a broadcast update).
+    /// non-caching master, or a broadcast update). Returns the line's
+    /// [`slot`](SparseMemory::slot).
     ///
     /// # Panics
     ///
     /// Panics if the write would cross the end of the line.
-    pub fn write_bytes(&mut self, addr: LineAddr, offset: usize, bytes: &[u8]) {
+    pub fn write_bytes(&mut self, addr: LineAddr, offset: usize, bytes: &[u8]) -> usize {
         assert!(
             self.is_aligned(addr),
             "unaligned partial write at {addr:#x}"
@@ -256,10 +293,12 @@ impl SparseMemory {
             self.line_size
         );
         self.writes += 1;
-        if let Some(log) = &mut self.changes {
+        if let Some(log) = &self.changes {
             log.line(addr);
         }
-        self.line_mut(addr)[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let (line, slot) = self.line_mut(addr);
+        line[offset..offset + bytes.len()].copy_from_slice(bytes);
+        slot
     }
 
     /// Number of line reads served.
@@ -375,19 +414,65 @@ mod tests {
     fn tracked_writes_are_logged_by_line() {
         let mut mem = SparseMemory::new(16);
         mem.write_line(0x10, &[1; 16]); // before tracking: not logged
-        mem.track_changes(true);
+        let log = ChangeLog::default();
+        mem.track_changes(Some(&log));
         mem.write_bytes(0x20, 3, &[1]);
         mem.write_line(0x30, &[2; 16]);
         let mut out = Vec::new();
-        assert!(!mem.drain_changes(&mut out));
+        assert!(!log.drain_into(&mut out));
         assert_eq!(out, vec![0x20, 0x30]);
         out.clear();
-        mem.drain_changes(&mut out);
+        log.drain_into(&mut out);
         assert!(out.is_empty(), "a drain empties the log");
-        mem.track_changes(false);
+        mem.track_changes(None);
         mem.write_line(0x40, &[3; 16]);
-        mem.drain_changes(&mut out);
+        log.drain_into(&mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_log_skips_only_consecutive_repeats() {
+        let log = ChangeLog::default();
+        for line in [0xA0, 0xA0, 0xB0, 0xA0] {
+            log.line(line);
+        }
+        let mut out = Vec::new();
+        assert!(!log.drain_into(&mut out));
+        assert_eq!(
+            out,
+            vec![0xA0, 0xB0, 0xA0],
+            "a distinct line is never hidden"
+        );
+        // A drain forgets the last line: logged again, it is drained again.
+        log.line(0xA0);
+        assert!(!log.drain_into(&mut out));
+        assert_eq!(out, vec![0xA0, 0xB0, 0xA0, 0xA0]);
+    }
+
+    #[test]
+    fn clones_share_one_log_and_overflow_is_wholesale() {
+        let log = ChangeLog::default();
+        let clone = log.clone();
+        log.line(0x10);
+        clone.line(0x10);
+        clone.line(0x20);
+        let mut out = Vec::new();
+        assert!(!clone.drain_into(&mut out));
+        assert_eq!(
+            out,
+            vec![0x10, 0x20],
+            "one list, repeats skipped across clones"
+        );
+        for line in 0..=ChangeLog::CAPACITY as u64 {
+            log.line(line * 0x10);
+        }
+        out.clear();
+        assert!(
+            log.drain_into(&mut out),
+            "one line too many asks for a full audit"
+        );
+        assert_eq!(out.len(), ChangeLog::CAPACITY);
+        assert!(!log.drain_into(&mut out), "the drain cleared the flag");
     }
 
     #[test]

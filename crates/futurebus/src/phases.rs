@@ -5,7 +5,7 @@
 //! the BS abort-and-push restart (§3.2.2), the data transfer, and the
 //! completion handshake in which every snooper commits its transition. The
 //! engine mirrors that structure literally — [`Futurebus::execute`] walks a
-//! [`TxnContext`] through the six [`Phase`]s in order, and every recovery
+//! `TxnContext` through the six [`Phase`]s in order, and every recovery
 //! concern from the fault model lives inside exactly one phase:
 //!
 //! * [`Phase::Arbitrate`] — bus acquisition; the watchdog times out a stalled
@@ -26,8 +26,8 @@
 //!   commits its state transition; post-transaction soft errors land, the
 //!   stats and trace are sealed.
 //!
-//! A phase returns [`Step::Restart`] to re-enter arbitration (watchdog
-//! recovery, BS abort) and [`Step::Advance`] to proceed; errors abort the
+//! A phase returns `Step::Restart` to re-enter arbitration (watchdog
+//! recovery, BS abort) and `Step::Advance` to proceed; errors abort the
 //! pipeline with the bus time burned still accounted by the caller.
 
 use crate::bus::Futurebus;

@@ -25,7 +25,7 @@
 //! caches.
 
 use cache_array::split_line_crossers;
-use futurebus::SparseMemory;
+use futurebus::{ChangeLog, SparseMemory};
 use moesi::{CacheKind, LineState};
 use std::fmt;
 
@@ -143,16 +143,27 @@ impl fmt::Display for Violation {
 
 impl std::error::Error for Violation {}
 
+/// One line under audit, as the per-line rule reads it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct AuditLine<'a> {
+    /// The line address (line-aligned).
+    pub(crate) addr: u64,
+    /// Its golden bytes.
+    pub(crate) golden: &'a [u8],
+    /// Whether the golden image was ever written there.
+    pub(crate) written: bool,
+    /// Whether rule 5 (an E copy matches memory) is enforced.
+    pub(crate) exclusive_clean: bool,
+}
+
 /// A machine the oracle audits incrementally: a bare
 /// [`Fabric`](crate::Fabric), or a [`System`](crate::System)'s root node.
+/// Its components log their changes in the oracle's [`ChangeLog`].
 pub(crate) trait Audited {
-    /// Moves the lines the machine changed since the last drain into `out`;
-    /// true when a change was too broad to log line by line.
-    fn drain_changed_lines(&mut self, out: &mut Vec<u64>) -> bool;
-
-    /// Every invariant for one line (line-aligned). A line the full audit
-    /// would not visit — never written, resident nowhere — passes.
-    fn check_line(&self, ck: &Checker, line: u64) -> Result<(), Violation>;
+    /// Every invariant for one line. A line the full audit would not visit
+    /// — never written, resident nowhere — passes. Adds each cache entry,
+    /// inclusion tag and memory line it reads to `reads`.
+    fn check_line(&self, line: AuditLine<'_>, reads: &mut u64) -> Result<(), Violation>;
 
     /// Appends every line the machine caches or tags (in any order, with
     /// repeats): with the written golden lines, the full audit's set.
@@ -168,25 +179,57 @@ pub(crate) fn cached_lines(controllers: &[CacheController], out: &mut Vec<u64>) 
     }
 }
 
+/// What the oracle's per-access audits have done: deterministic counts,
+/// the same on every host and in every build. A full audit that
+/// [`verify`](Checker::verify) runs on request is not counted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OracleWork {
+    /// Audits that had at least one line to re-check. An access that
+    /// logged nothing costs a drain of the empty log and no audit.
+    pub audits: u64,
+    /// Lines those audits re-checked.
+    pub audited_lines: u64,
+    /// Probes of the golden image's line index: one per line a write
+    /// records, and one per line a read checks or an audit re-checks unless
+    /// it is the line last looked up.
+    pub golden_probes: u64,
+    /// Cache entries, inclusion tags and memory lines the audits read.
+    pub holder_reads: u64,
+}
+
 /// The golden-image oracle.
 #[derive(Clone, Debug)]
 pub struct Checker {
-    /// The golden image: every written line in one slab, unwritten lines
-    /// zero.
-    golden: SparseMemory,
+    golden: Golden,
     /// Whether invariant 5 (E matches memory) is enforced. It holds for every
     /// class member, but the adapted Write-Once protocol's E state is entered
     /// by a write-through whose memory update can be captured by an owner in
     /// mixed systems; homogeneous systems keep it on.
     pub check_exclusive_clean: bool,
-    /// Whether [`record_write`](Checker::record_write) feeds `audit_lines`.
-    logging: bool,
-    /// The lines the next incremental audit re-checks: the oracle's own
-    /// writes, then the machine's drained logs. Kept for its capacity.
+    /// The machine's change log, shared with every component while the
+    /// oracle audits incrementally; [`record_write`](Checker::record_write)
+    /// logs its lines here too.
+    log: Option<ChangeLog>,
+    /// The lines an audit re-checks, drained from the log. Kept for its
+    /// capacity.
     audit_lines: Vec<u64>,
     /// Whether the next [`check_changes`](Checker::check_changes) must
     /// re-check every line.
     full_audit: bool,
+    work: OracleWork,
+}
+
+/// The golden image, and the line last looked up in it.
+#[derive(Clone, Debug)]
+struct Golden {
+    /// Every written line in one slab, unwritten lines zero.
+    image: SparseMemory,
+    /// The last line a write recorded or a read checked, and its slot in
+    /// `image` (`None`: never written). The access's audit finds that line
+    /// here instead of probing again. Only
+    /// [`record_write`](Checker::record_write) changes the image, and it
+    /// sets the memo, so the memo is never stale.
+    memo: Option<(u64, Option<usize>)>,
 }
 
 impl Checker {
@@ -199,69 +242,86 @@ impl Checker {
     #[must_use]
     pub fn new(line_size: usize) -> Self {
         Checker {
-            golden: SparseMemory::new(line_size),
+            golden: Golden {
+                image: SparseMemory::new(line_size),
+                memo: None,
+            },
             check_exclusive_clean: true,
-            logging: false,
+            log: None,
             audit_lines: Vec::new(),
             full_audit: false,
+            work: OracleWork::default(),
         }
     }
 
     /// Records a committed processor write of any alignment (the run loop
     /// is the serialisation point, standing in for the bus plus local cache
-    /// order). A line's first write zero-fills the rest of it.
+    /// order). A line's first write zero-fills the rest of it. Each line
+    /// costs one probe of the golden index, which inserts it only on its
+    /// first write.
     pub fn record_write(&mut self, addr: u64, bytes: &[u8]) {
-        let mut rest = bytes;
-        for (piece_addr, len) in split_line_crossers(addr, bytes.len(), self.golden.line_size()) {
-            let (piece, tail) = rest.split_at(len);
-            rest = tail;
-            let line = self.golden.align(piece_addr);
-            if self.logging {
-                self.audit_lines.push(line);
+        let image = &self.golden.image;
+        let line_size = image.line_size();
+        if addr - image.align(addr) + bytes.len() as u64 <= line_size as u64 {
+            self.record_piece(addr, bytes);
+        } else {
+            let mut rest = bytes;
+            for (piece_addr, len) in split_line_crossers(addr, bytes.len(), line_size) {
+                let (piece, tail) = rest.split_at(len);
+                rest = tail;
+                self.record_piece(piece_addr, piece);
             }
-            self.golden
-                .write_bytes(line, (piece_addr - line) as usize, piece);
         }
     }
 
-    /// The golden line containing `addr`, borrowed, and whether it was ever
-    /// written.
-    pub(crate) fn golden_line(&self, addr: u64) -> (&[u8], bool) {
-        self.golden.peek_written(addr)
-    }
-
-    /// The golden bytes of each line-bounded piece of `len` bytes at `addr`,
-    /// borrowed, in address order.
-    fn golden_pieces(&self, addr: u64, len: usize) -> impl Iterator<Item = &[u8]> {
-        split_line_crossers(addr, len, self.golden.line_size()).map(|(piece, n)| {
-            let offset = (piece - self.golden.align(piece)) as usize;
-            &self.golden.peek(piece)[offset..offset + n]
-        })
+    /// [`record_write`](Checker::record_write) of bytes within one line.
+    fn record_piece(&mut self, addr: u64, bytes: &[u8]) {
+        let line = self.golden.image.align(addr);
+        if let Some(log) = &self.log {
+            log.line(line);
+        }
+        self.work.golden_probes += 1;
+        let slot = self
+            .golden
+            .image
+            .write_bytes(line, (addr - line) as usize, bytes);
+        self.golden.memo = Some((line, Some(slot)));
     }
 
     /// The golden bytes at `addr`; the range may span any number of lines.
     #[must_use]
     pub fn golden_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        self.golden.peek_bytes(addr, len)
+        self.golden.image.peek_bytes(addr, len)
     }
 
     /// Checks a completed processor read against the golden image. A match
-    /// allocates nothing, and a read within one line costs one lookup.
+    /// allocates nothing, and a read within one line costs at most one
+    /// lookup, which the access's audit then reuses.
     ///
     /// # Errors
     ///
     /// Returns [`Violation::ReadMismatch`] when the bytes differ.
-    pub fn check_read(&self, cpu: usize, addr: u64, got: &[u8]) -> Result<(), Violation> {
-        let offset = (addr - self.golden.align(addr)) as usize;
-        let matches = if offset + got.len() <= self.golden.line_size() {
-            self.golden.peek(addr)[offset..offset + got.len()] == *got
+    pub fn check_read(&mut self, cpu: usize, addr: u64, got: &[u8]) -> Result<(), Violation> {
+        let image = &self.golden.image;
+        let line = image.align(addr);
+        let offset = (addr - line) as usize;
+        let matches = if offset + got.len() <= image.line_size() {
+            let slot = self.golden.slot(line, &mut self.work.golden_probes);
+            self.golden.memo = Some((line, slot));
+            image.slot_line(slot)[offset..offset + got.len()] == *got
         } else {
             let mut rest = got;
-            self.golden_pieces(addr, got.len()).all(|golden| {
-                let (head, tail) = rest.split_at(golden.len());
-                rest = tail;
-                head == golden
-            })
+            let mut probes = 0;
+            let matches =
+                split_line_crossers(addr, got.len(), image.line_size()).all(|(piece, n)| {
+                    probes += 1;
+                    let offset = (piece - image.align(piece)) as usize;
+                    let (head, tail) = rest.split_at(n);
+                    rest = tail;
+                    *head == image.peek(piece)[offset..offset + n]
+                });
+            self.work.golden_probes += probes;
+            matches
         };
         if matches {
             Ok(())
@@ -275,15 +335,23 @@ impl Checker {
         }
     }
 
-    /// Starts (or stops) logging the lines [`record_write`] touches, for an
-    /// incremental audit. Changes made while the log was off are unknown, so
-    /// the next [`check_changes`](Checker::check_changes) re-checks every line.
+    /// The work the per-access audits have done so far.
+    #[must_use]
+    pub fn work(&self) -> OracleWork {
+        self.work
+    }
+
+    /// Starts (or stops) logging the lines the machine and
+    /// [`record_write`] change, for an incremental audit; returns the new
+    /// log, for the machine's components. Changes made while the log was off
+    /// are unknown, so the next [`check_changes`](Checker::check_changes)
+    /// re-checks every line.
     ///
     /// [`record_write`]: Checker::record_write
-    pub(crate) fn track_changes(&mut self, on: bool) {
-        self.logging = on;
-        self.audit_lines.clear();
+    pub(crate) fn track_changes(&mut self, on: bool) -> Option<&ChangeLog> {
+        self.log = on.then(ChangeLog::default);
         self.full_audit = true;
+        self.log.as_ref()
     }
 
     /// Makes the next [`check_changes`](Checker::check_changes) a full one.
@@ -296,17 +364,26 @@ impl Checker {
     /// lines the oracle and the machine logged reports exactly what a full
     /// audit would; unloggable changes and a failed audit fall back to the
     /// full one. Debug builds assert as much.
-    /// An access that changed nothing costs a drain of each empty log, and
-    /// every audit, full or not, reuses one list of lines.
+    /// An access that changed nothing costs a drain of the machine's one
+    /// empty log, and every audit, full or not, reuses one list of lines.
+    /// The log skips consecutive repeats, so an access that changed one line
+    /// audits a list of one, unsorted.
     ///
     /// # Errors
     ///
     /// Returns the first violation among the audited lines.
     pub(crate) fn check_changes(&mut self, machine: &mut impl Audited) -> Result<(), Violation> {
-        let mut lines = std::mem::take(&mut self.audit_lines);
-        let full = std::mem::take(&mut self.full_audit) | machine.drain_changed_lines(&mut lines);
+        let Checker {
+            golden,
+            check_exclusive_clean: clean,
+            log,
+            audit_lines: lines,
+            full_audit,
+            work,
+        } = self;
+        let full = std::mem::take(full_audit) | log.as_ref().is_some_and(|l| l.drain_into(lines));
         let verdict = if full {
-            self.check_all(machine, &mut lines)
+            golden.check_all(machine, *clean, lines, work)
         } else if lines.is_empty() {
             Ok(())
         } else {
@@ -314,41 +391,28 @@ impl Checker {
                 lines.sort_unstable();
                 lines.dedup();
             }
-            lines
-                .iter()
-                .try_for_each(|&line| machine.check_line(self, line))
+            golden.check_lines(machine, *clean, lines, work)
         };
         debug_assert_eq!(
             verdict,
-            self.check_all(machine, &mut lines),
+            golden.check_all(machine, *clean, lines, &mut OracleWork::default()),
             "incremental audit diverged"
         );
         lines.clear();
-        self.audit_lines = lines;
-        self.full_audit = verdict.is_err();
+        *full_audit = verdict.is_err();
         verdict
     }
 
-    /// Every invariant of `machine` over every line: each written golden
-    /// line and each line the machine caches or tags, in address order.
-    /// `lines` is scratch.
+    /// Every invariant of `machine` over every line, uncounted.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
-    pub(crate) fn check_all(
-        &self,
-        machine: &impl Audited,
-        lines: &mut Vec<u64>,
-    ) -> Result<(), Violation> {
-        lines.clear();
-        lines.extend(self.golden.lines());
-        machine.resident_lines(lines);
-        lines.sort_unstable();
-        lines.dedup();
-        lines
-            .iter()
-            .try_for_each(|&line| machine.check_line(self, line))
+    /// Returns the first violation found, in line-address order.
+    pub(crate) fn verify_machine(&self, machine: &impl Audited) -> Result<(), Violation> {
+        let clean = self.check_exclusive_clean;
+        let mut work = OracleWork::default();
+        self.golden
+            .check_all(machine, clean, &mut Vec::new(), &mut work)
     }
 
     /// Every invariant of the bus `fabric` over every line.
@@ -357,7 +421,71 @@ impl Checker {
     ///
     /// Returns the first violation found, in line-address order.
     pub fn verify(&self, fabric: &Fabric) -> Result<(), Violation> {
-        self.check_all(fabric, &mut Vec::new())
+        self.verify_machine(fabric)
+    }
+}
+
+impl Golden {
+    /// The golden line `line` (line-aligned), borrowed, and whether it was
+    /// ever written: from the memo when `line` is the last line looked up,
+    /// else by one probe, counted in `probes`.
+    fn line(&self, line: u64, probes: &mut u64) -> (&[u8], bool) {
+        let slot = self.slot(line, probes);
+        (self.image.slot_line(slot), slot.is_some())
+    }
+
+    /// The slot of `line` (`None`: never written), from the memo when
+    /// `line` is the last line looked up, else by one probe, counted in
+    /// `probes`.
+    fn slot(&self, line: u64, probes: &mut u64) -> Option<usize> {
+        match self.memo {
+            Some((memo, slot)) if memo == line => slot,
+            _ => {
+                *probes += 1;
+                self.image.slot(line)
+            }
+        }
+    }
+
+    /// Every invariant of `machine` over every line: each written golden
+    /// line and each line the machine caches or tags, in address order.
+    /// Rule 5 is enforced when `exclusive_clean`; `lines` is scratch; the
+    /// work is added to `work`.
+    fn check_all(
+        &self,
+        machine: &impl Audited,
+        exclusive_clean: bool,
+        lines: &mut Vec<u64>,
+        work: &mut OracleWork,
+    ) -> Result<(), Violation> {
+        lines.clear();
+        lines.extend(self.image.lines());
+        machine.resident_lines(lines);
+        lines.sort_unstable();
+        lines.dedup();
+        self.check_lines(machine, exclusive_clean, lines, work)
+    }
+
+    /// Every invariant of `machine` over `lines`, in their order.
+    fn check_lines(
+        &self,
+        machine: &impl Audited,
+        exclusive_clean: bool,
+        lines: &[u64],
+        work: &mut OracleWork,
+    ) -> Result<(), Violation> {
+        work.audits += u64::from(!lines.is_empty());
+        lines.iter().try_for_each(|&addr| {
+            work.audited_lines += 1;
+            let (golden, written) = self.line(addr, &mut work.golden_probes);
+            let line = AuditLine {
+                addr,
+                golden,
+                written,
+                exclusive_clean,
+            };
+            machine.check_line(line, &mut work.holder_reads)
+        })
     }
 }
 
@@ -377,102 +505,33 @@ pub(crate) trait Holders {
     }
 }
 
-/// The shared-memory-image rule for one line over the holders on one bus
-/// segment: invariants 1–5 and the kind subsets. One pass adds each
-/// holder once and keeps counts and first holders; names are built only
-/// for a violation.
-#[derive(Default)]
-pub(crate) struct LineRule<'a> {
-    line: u64,
-    golden: &'a [u8],
-    /// Whether some holder has the line, in any state.
-    pub(crate) resident: bool,
-    /// Holders with a valid copy.
-    pub(crate) holders: usize,
-    owners: usize,
-    exclusive: Option<usize>,
-    clean_exclusive: Option<usize>,
-    stale: Option<(usize, LineState)>,
-    outside_kind: Option<(usize, LineState)>,
+/// The rule one line breaks on one bus segment, by holder index: the small
+/// code a check carries, named as a [`Violation`] only when a line fails.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Breach {
+    /// Rule 1: more than one holder owns the line.
+    MultipleOwners,
+    /// Rule 2: this holder's M or E copy has company.
+    Exclusivity(usize),
+    /// Rule 3: this holder's valid copy is not golden.
+    StaleCopy(usize),
+    /// Rule 5: this holder's E copy differs from memory.
+    ExclusiveClean(usize),
+    /// Rule 4: no holder owns the line and memory is not golden.
+    StaleMemory,
+    /// This holder has the line in a state outside its kind's.
+    OutsideKind(usize),
+    /// This holder, a bridge, tags the line Invalid over a valid copy below.
+    InclusionHole(usize),
 }
 
-impl<'a> LineRule<'a> {
-    /// The rule for `line`, whose golden bytes are `golden`.
-    pub(crate) fn new(line: u64, golden: &'a [u8]) -> Self {
-        LineRule {
-            line,
-            golden,
-            ..LineRule::default()
-        }
-    }
-
-    /// Adds the `index`-th holder, which has the line in `state` and is of
-    /// `kind`. `data` yields its copy; it is read only for a valid copy
-    /// while no stale one has been met.
-    pub(crate) fn add<'d>(
-        &mut self,
-        index: usize,
-        state: LineState,
-        kind: CacheKind,
-        data: impl FnOnce() -> &'d [u8],
-    ) {
-        self.resident = true;
-        if !state.is_valid() {
-            return;
-        }
-        self.holders += 1;
-        self.owners += usize::from(state.is_owned());
-        if state.is_exclusive() && self.exclusive.is_none() {
-            self.exclusive = Some(index);
-        }
-        if state == LineState::Exclusive && self.clean_exclusive.is_none() {
-            self.clean_exclusive = Some(index);
-        }
-        if self.stale.is_none() && data() != self.golden {
-            self.stale = Some((index, state));
-        }
-        if self.outside_kind.is_none() && !kind.reachable_states().contains(&state) {
-            self.outside_kind = Some((index, state));
-        }
-    }
-
-    /// Adds every cache of `controllers` that has the line, reading each
-    /// entry once; returns the first owned copy's data.
-    pub(crate) fn add_caches<'c>(
-        &mut self,
-        controllers: &'c [CacheController],
-    ) -> Option<&'c [u8]> {
-        let mut owned = None;
-        for (index, ctrl) in controllers.iter().enumerate() {
-            let Some(entry) = ctrl.cache().and_then(|c| c.lookup(self.line)) else {
-                continue;
-            };
-            if entry.state.is_owned() {
-                owned.get_or_insert(entry.data);
-            }
-            self.add(index, entry.state, ctrl.kind(), || entry.data);
-        }
-        owned
-    }
-
-    /// The rule's verdict, with `memory` the segment's own memory. The two
-    /// rules that read memory (4 and 5) are skipped when it is `None`: a
-    /// subtree's memory is authoritative only while the tag above it is
-    /// valid. Memory is read only for the rules that need it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation, in the order below.
-    pub(crate) fn verdict(
-        &self,
-        ck: &Checker,
-        memory: Option<&SparseMemory>,
-        holders: &impl Holders,
-    ) -> Result<(), Violation> {
-        let addr = self.line;
-        // 1. Unique ownership.
-        if self.owners > 1 {
-            return Err(Violation::MultipleOwners {
+impl Breach {
+    /// The violation of line `addr` among `holders`, with their names and
+    /// states read again.
+    pub(crate) fn violation(self, addr: u64, holders: &impl Holders) -> Violation {
+        let state = |index| holders.states(addr).nth(index).expect("a holder");
+        match self {
+            Breach::MultipleOwners => Violation::MultipleOwners {
                 addr,
                 owners: holders
                     .states(addr)
@@ -480,63 +539,243 @@ impl<'a> LineRule<'a> {
                     .filter(|(_, state)| state.is_owned())
                     .map(|(index, _)| holders.name(index))
                     .collect(),
-            });
-        }
-
-        // 2. Exclusivity: the exclusive copy is one of the valid ones.
-        if let Some(excl) = self.exclusive.filter(|_| self.holders > 1) {
-            if let Some((other, _)) = holders
-                .states(addr)
-                .enumerate()
-                .find(|&(index, state)| index != excl && state.is_valid())
-            {
-                return Err(Violation::ExclusivityViolated {
+            },
+            Breach::Exclusivity(excl) => {
+                let other = holders
+                    .states(addr)
+                    .enumerate()
+                    .position(|(index, state)| index != excl && state.is_valid())
+                    .expect("an exclusivity breach has another valid copy");
+                Violation::ExclusivityViolated {
                     addr,
                     exclusive_holder: holders.name(excl),
                     other_holder: holders.name(other),
+                }
+            }
+            Breach::StaleCopy(index) => Violation::StaleCopy {
+                addr,
+                holder: holders.data_name(index),
+                state: state(index),
+            },
+            Breach::ExclusiveClean(index) => Violation::ExclusiveUnmodifiedDiffers {
+                addr,
+                holder: holders.data_name(index),
+            },
+            Breach::StaleMemory => Violation::StaleMemory { addr },
+            Breach::OutsideKind(index) => Violation::IllegalStateForKind {
+                addr,
+                holder: holders.name(index),
+                state: state(index),
+            },
+            Breach::InclusionHole(index) => Violation::InclusionHole {
+                addr,
+                bridge: holders.name(index),
+            },
+        }
+    }
+}
+
+/// `state` as one bit of a state set.
+const fn state_bit(state: LineState) -> u8 {
+    1 << state as u8
+}
+
+/// `states` as a set of [`state_bit`]s.
+const fn state_set(states: &[LineState]) -> u8 {
+    let (mut set, mut i) = (0, 0);
+    while i < states.len() {
+        set |= state_bit(states[i]);
+        i += 1;
+    }
+    set
+}
+
+/// The states a cache of `kind` may hold (§3.3), one constant per kind.
+pub(crate) fn kind_states(kind: CacheKind) -> u8 {
+    match kind {
+        CacheKind::CopyBack => const { state_set(CacheKind::CopyBack.reachable_states()) },
+        CacheKind::WriteThrough => const { state_set(CacheKind::WriteThrough.reachable_states()) },
+        CacheKind::NonCaching => const { state_set(CacheKind::NonCaching.reachable_states()) },
+    }
+}
+
+/// Whether two lines hold the same bytes. The standard line sizes (§5.1)
+/// compare as fixed-size arrays, which compile to a few wide loads and no
+/// call; any other size compares as slices.
+fn same_line(a: &[u8], b: &[u8]) -> bool {
+    fn fixed<const N: usize>(a: &[u8], b: &[u8]) -> Option<bool> {
+        Some(<&[u8; N]>::try_from(a).ok()? == <&[u8; N]>::try_from(b).ok()?)
+    }
+    fixed::<32>(a, b)
+        .or_else(|| fixed::<64>(a, b))
+        .or_else(|| fixed::<16>(a, b))
+        .unwrap_or_else(|| a == b)
+}
+
+/// No holder yet: the first-holder fields' empty value.
+const NONE: usize = usize::MAX;
+
+/// The first holder index among `first` and `index`, where `index` counts
+/// only when `hit`: a select, not a branch.
+fn first(first: usize, index: usize, hit: bool) -> usize {
+    first.min(if hit { index } else { NONE })
+}
+
+/// A segment memory's copy of the audited line, read at most once.
+#[derive(Clone, Copy)]
+pub(crate) struct MemoryLine<'a> {
+    memory: &'a SparseMemory,
+    bytes: Option<&'a [u8]>,
+}
+
+impl<'a> MemoryLine<'a> {
+    /// `memory`'s line, not read yet.
+    pub(crate) fn new(memory: &'a SparseMemory) -> Self {
+        MemoryLine {
+            memory,
+            bytes: None,
+        }
+    }
+
+    /// The line at `addr`, read (and counted in `reads`) on the first call.
+    pub(crate) fn get(&mut self, addr: u64, reads: &mut u64) -> &'a [u8] {
+        self.bytes.get_or_insert_with(|| {
+            *reads += 1;
+            self.memory.peek(addr)
+        })
+    }
+}
+
+/// The shared-memory-image rule for one line over the holders on one bus
+/// segment: invariants 1–5 and the kind subsets. Adding a holder is flat
+/// integer work — counts, state-bit tests and first-holder selects, plus
+/// one line compare — so a passing line takes no data-dependent branch;
+/// the verdict is a [`Breach`] code.
+#[derive(Clone, Copy)]
+pub(crate) struct LineRule<'a> {
+    golden: &'a [u8],
+    /// The state bits of every holder that has the line, in any state.
+    seen: u8,
+    /// Holders with a valid copy.
+    pub(crate) holders: usize,
+    owners: usize,
+    /// The first holders with an M or E copy, with an E copy, with a stale
+    /// copy, and with a copy outside its kind's states ([`NONE`]: none).
+    exclusive: usize,
+    clean_exclusive: usize,
+    stale: usize,
+    outside_kind: usize,
+}
+
+/// The valid states, the owned ones (M, O) and the exclusive ones (M, E).
+const VALID: u8 = !state_bit(LineState::Invalid);
+const OWNED: u8 = state_set(&[LineState::Modified, LineState::Owned]);
+const EXCLUSIVE: u8 = state_set(&[LineState::Modified, LineState::Exclusive]);
+
+impl<'a> LineRule<'a> {
+    /// The rule for a line whose golden bytes are `golden`.
+    pub(crate) fn new(golden: &'a [u8]) -> Self {
+        LineRule {
+            golden,
+            seen: 0,
+            holders: 0,
+            owners: 0,
+            exclusive: NONE,
+            clean_exclusive: NONE,
+            stale: NONE,
+            outside_kind: NONE,
+        }
+    }
+
+    /// Whether some holder has the line, in any state.
+    pub(crate) fn resident(&self) -> bool {
+        self.seen != 0
+    }
+
+    /// Adds the `index`-th holder, which has the line in `state` with the
+    /// bytes `data` and may hold the states in `kind_states`. An Invalid
+    /// holder's bytes are not compared.
+    #[inline]
+    pub(crate) fn add(&mut self, index: usize, state: LineState, kind_states: u8, data: &[u8]) {
+        let bit = state_bit(state);
+        let valid = bit & VALID != 0;
+        self.seen |= bit;
+        self.holders += usize::from(valid);
+        self.owners += usize::from(bit & OWNED != 0);
+        self.exclusive = first(self.exclusive, index, bit & EXCLUSIVE != 0);
+        self.clean_exclusive = first(self.clean_exclusive, index, state == LineState::Exclusive);
+        self.stale = first(self.stale, index, valid & !same_line(data, self.golden));
+        self.outside_kind = first(self.outside_kind, index, bit & VALID & !kind_states != 0);
+    }
+
+    /// Adds every cache of `controllers` that has line `addr`, reading each
+    /// entry once (counted in `reads`); returns the first owned copy's data.
+    pub(crate) fn add_caches<'c>(
+        &mut self,
+        controllers: &'c [CacheController],
+        addr: u64,
+        reads: &mut u64,
+    ) -> Option<&'c [u8]> {
+        // A local copy stays in registers across the lookups.
+        let (mut rule, mut owned, mut lookups) = (*self, None, 0);
+        for (index, ctrl) in controllers.iter().enumerate() {
+            let Some(cache) = ctrl.cache() else {
+                continue;
+            };
+            lookups += 1;
+            let Some(entry) = cache.lookup(addr) else {
+                continue;
+            };
+            if owned.is_none() && entry.state.is_owned() {
+                owned = Some(entry.data);
+            }
+            rule.add(index, entry.state, kind_states(ctrl.kind()), entry.data);
+        }
+        *self = rule;
+        *reads += lookups;
+        owned
+    }
+
+    /// The rule's verdict on `line`, with `memory` the segment's own
+    /// memory. The two rules that read memory (4 and 5) are skipped when it
+    /// is `None`: a subtree's memory is authoritative only while the tag
+    /// above it is valid. Memory is read only for the rules that need it,
+    /// and at most once.
+    pub(crate) fn verdict(
+        &self,
+        line: &AuditLine<'_>,
+        memory: Option<&mut MemoryLine<'_>>,
+        reads: &mut u64,
+    ) -> Option<Breach> {
+        // 1. Unique ownership.
+        if self.owners > 1 {
+            return Some(Breach::MultipleOwners);
+        }
+        // 2. Exclusivity: the exclusive copy is one of the valid ones.
+        if self.exclusive != NONE && self.holders > 1 {
+            return Some(Breach::Exclusivity(self.exclusive));
+        }
+        // 3. Every valid copy equals the golden image.
+        if self.stale != NONE {
+            return Some(Breach::StaleCopy(self.stale));
+        }
+        // 5. Exclusive-unmodified copies match memory (checked before the
+        // default-owner rule so the more specific violation is reported),
+        // then 4. memory is the default owner.
+        let clean_exclusive =
+            Some(self.clean_exclusive).filter(|&i| i != NONE && line.exclusive_clean);
+        if let Some(memory) = memory {
+            if (clean_exclusive.is_some() || self.owners == 0)
+                && !same_line(memory.get(line.addr, reads), line.golden)
+            {
+                return Some(match clean_exclusive {
+                    Some(index) => Breach::ExclusiveClean(index),
+                    None => Breach::StaleMemory,
                 });
             }
         }
-
-        // 3. Every valid copy equals the golden image.
-        if let Some((index, state)) = self.stale {
-            return Err(Violation::StaleCopy {
-                addr,
-                holder: holders.data_name(index),
-                state,
-            });
-        }
-
-        if let Some(memory) = memory {
-            let memory_stale = || memory.peek(addr) != self.golden;
-
-            // 5. Exclusive-unmodified copies match memory (checked before
-            // the default-owner rule so the more specific violation is
-            // reported).
-            if let Some(index) = self.clean_exclusive {
-                if ck.check_exclusive_clean && memory_stale() {
-                    return Err(Violation::ExclusiveUnmodifiedDiffers {
-                        addr,
-                        holder: holders.data_name(index),
-                    });
-                }
-            }
-
-            // 4. Memory is the default owner.
-            if self.owners == 0 && memory_stale() {
-                return Err(Violation::StaleMemory { addr });
-            }
-        }
-
         // Kind subsets: write-through never owns, non-caching never holds.
-        if let Some((index, state)) = self.outside_kind {
-            return Err(Violation::IllegalStateForKind {
-                addr,
-                holder: holders.name(index),
-                state,
-            });
-        }
-        Ok(())
+        (self.outside_kind != NONE).then_some(Breach::OutsideKind(self.outside_kind))
     }
 }
 
@@ -565,23 +804,28 @@ impl Holders for Caches<'_> {
 /// One bus: a segment whose holders are its caches and whose memory is main
 /// memory.
 impl Audited for Fabric {
-    fn drain_changed_lines(&mut self, out: &mut Vec<u64>) -> bool {
-        self.drain_changes(out)
-    }
-
-    fn check_line(&self, ck: &Checker, line: u64) -> Result<(), Violation> {
-        debug_assert_eq!(line, self.line_addr(line), "audited lines are aligned");
-        let (golden, written) = ck.golden_line(line);
-        let mut rule = LineRule::new(line, golden);
-        rule.add_caches(self.controllers());
-        if !written && !rule.resident {
+    fn check_line(&self, line: AuditLine<'_>, reads: &mut u64) -> Result<(), Violation> {
+        debug_assert_eq!(
+            line.addr,
+            self.line_addr(line.addr),
+            "audited lines are aligned"
+        );
+        let mut rule = LineRule::new(line.golden);
+        rule.add_caches(self.controllers(), line.addr, reads);
+        if !line.written && !rule.resident() {
             return Ok(());
         }
-        let caches = Caches {
-            controllers: self.controllers(),
-            bridge: None,
-        };
-        rule.verdict(ck, Some(self.bus().memory()), &caches)
+        let mut memory = MemoryLine::new(self.bus().memory());
+        match rule.verdict(&line, Some(&mut memory), reads) {
+            None => Ok(()),
+            Some(breach) => Err(breach.violation(
+                line.addr,
+                &Caches {
+                    controllers: self.controllers(),
+                    bridge: None,
+                },
+            )),
+        }
     }
 
     fn resident_lines(&self, out: &mut Vec<u64>) {
@@ -646,8 +890,8 @@ mod tests {
         ck.record_write(0x26, &[7, 8]);
         let mut line = [0u8; 16];
         line[6..8].copy_from_slice(&[7, 8]);
-        assert_eq!(ck.golden_line(0x20), (&line[..], true));
-        assert_eq!(ck.golden_line(0x30), (&[0u8; 16][..], false));
+        assert_eq!(ck.golden.line(0x20, &mut 0), (&line[..], true));
+        assert_eq!(ck.golden.line(0x30, &mut 0), (&[0u8; 16][..], false));
         ck.record_write(0x2F, &[9]);
         line[15] = 9;
         assert_eq!(ck.golden_bytes(0x20, 16), line, "rewrites keep the rest");
@@ -678,12 +922,11 @@ mod tests {
 
     #[test]
     fn the_audit_sees_golden_writes_the_machine_never_logged() {
-        // The oracle's own writes reach the audit list whatever the
-        // machine logs, so a write the machine lost is still audited.
+        // The oracle logs its own writes whatever the machine logs, so a
+        // write the machine lost is still audited.
         let mut fabric = Fabric::new(16, futurebus::TimingConfig::default(), vec![ctrl(0)]);
-        fabric.track_changes(true);
         let mut ck = Checker::new(16);
-        ck.track_changes(true);
+        ck.track_changes(true); // the fabric is never handed the log
         assert_eq!(
             ck.check_changes(&mut fabric),
             Ok(()),
@@ -694,6 +937,76 @@ mod tests {
             ck.check_changes(&mut fabric),
             Err(Violation::StaleMemory { addr: 0x100 })
         );
+    }
+
+    #[test]
+    fn a_line_logged_again_after_its_audit_is_audited_again() {
+        let mut fabric = Fabric::new(16, futurebus::TimingConfig::default(), vec![ctrl(0)]);
+        let mut ck = Checker::new(16);
+        fabric.track_changes(ck.track_changes(true));
+        assert_eq!(
+            ck.check_changes(&mut fabric),
+            Ok(()),
+            "the first, full audit"
+        );
+        // A, A, B, A: only the repeat is skipped, and the audit re-checks
+        // each distinct line once.
+        for line in [0x100, 0x100, 0x200, 0x100] {
+            fabric.bus_mut().memory_mut().write_line(line, &[0; 16]);
+        }
+        assert_eq!(ck.check_changes(&mut fabric), Ok(()));
+        assert_eq!(ck.work().audited_lines, 2);
+        // Drained, then logged again: audited again.
+        fabric.bus_mut().memory_mut().write_line(0x100, &[0; 16]);
+        assert_eq!(ck.check_changes(&mut fabric), Ok(()));
+        assert_eq!(
+            ck.work(),
+            OracleWork {
+                audits: 2,
+                audited_lines: 3,
+                golden_probes: 3,
+                holder_reads: 3,
+            },
+            "a written-nowhere line costs a golden probe and a cache lookup"
+        );
+    }
+
+    #[test]
+    fn an_access_and_its_audit_share_one_golden_probe() {
+        let mut fabric = Fabric::new(16, futurebus::TimingConfig::default(), vec![ctrl(0)]);
+        let mut ck = Checker::new(16);
+        fabric.track_changes(ck.track_changes(true));
+        assert_eq!(
+            ck.check_changes(&mut fabric),
+            Ok(()),
+            "the first, full audit"
+        );
+        ck.record_write(0x104, &[1]);
+        fabric.bus_mut().memory_mut().write_bytes(0x100, 4, &[1]);
+        assert_eq!(ck.check_changes(&mut fabric), Ok(()));
+        assert_eq!(
+            ck.work().golden_probes,
+            1,
+            "the audit reused the write's lookup"
+        );
+        // A read of another line moves the memo there; the next audit of
+        // the written line probes for it again, and still finds it golden.
+        assert_eq!(ck.check_read(0, 0x200, &[0]), Ok(()));
+        fabric.bus_mut().memory_mut().write_bytes(0x100, 4, &[1]);
+        assert_eq!(ck.check_changes(&mut fabric), Ok(()));
+        assert_eq!(ck.work().golden_probes, 3);
+        // An unwritten line's memo says so: memory holding anything but
+        // zeros there is stale.
+        assert_eq!(ck.check_read(0, 0x300, &[0]), Ok(()));
+        fabric.bus_mut().memory_mut().write_bytes(0x300, 0, &[5]);
+        fabric
+            .controller_mut(0)
+            .fill(0x300, LineState::Shareable, &[0; 16], &mut Vec::new());
+        assert_eq!(
+            ck.check_changes(&mut fabric),
+            Err(Violation::StaleMemory { addr: 0x300 })
+        );
+        assert_eq!(ck.work().golden_probes, 4);
     }
 
     #[test]

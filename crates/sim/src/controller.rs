@@ -194,9 +194,7 @@ impl CacheController {
     /// most-recently-used (hit path); `None` on a miss.
     #[must_use]
     pub fn read_cached(&mut self, addr: u64, len: usize) -> Option<&[u8]> {
-        let cache = self.cache.as_mut()?;
-        cache.touch(addr);
-        cache.read(addr, len)
+        self.cache.as_mut()?.touch_read(addr, len)
     }
 
     /// The dataless hit probe: if the line containing `addr` is resident,
@@ -250,7 +248,7 @@ impl CacheController {
             victim_data,
         );
         self.log_change(addr);
-        if let (Some(log), Some(v)) = (&mut self.changes, &victim) {
+        if let (Some(log), Some(v)) = (&self.changes, &victim) {
             log.line(v.addr);
         }
         victim
@@ -275,23 +273,17 @@ impl CacheController {
             .map_or(addr, |c| c.map().line_addr(addr))
     }
 
-    /// Starts (or stops) logging the lines whose state or data changes, for
-    /// an incremental consistency audit.
-    pub(crate) fn track_changes(&mut self, on: bool) {
-        self.changes = on.then(ChangeLog::default);
-    }
-
-    /// Moves the lines changed since the last drain into `out`; true when
-    /// the whole cache changed at once (the node was retired).
-    pub(crate) fn drain_changes(&mut self, out: &mut Vec<u64>) -> bool {
-        self.changes.as_mut().is_some_and(|log| log.drain_into(out))
+    /// Logs the lines whose state or data changes in `log` (none for
+    /// `None`), for an incremental consistency audit.
+    pub(crate) fn track_changes(&mut self, log: Option<&ChangeLog>) {
+        self.changes = log.cloned();
     }
 
     /// Logs the line containing `addr`. Only a node with a cache can change
     /// a line, and the cache's map gives the aligned address; a cacheless
     /// node's `line_addr` would return `addr` unaligned.
     fn log_change(&mut self, addr: u64) {
-        if let (Some(log), Some(cache)) = (&mut self.changes, &self.cache) {
+        if let (Some(log), Some(cache)) = (&self.changes, &self.cache) {
             log.line(cache.map().line_addr(addr));
         }
     }
@@ -369,7 +361,7 @@ impl BusModule for CacheController {
         // lent to the bus for the push. `addr` is a bus address, so aligned.
         let kept = (push.result != LineState::Invalid).then_some(push.result);
         let data = self.cache.as_mut()?.update(addr, kept)?;
-        if let Some(log) = &mut self.changes {
+        if let Some(log) = &self.changes {
             log.line(addr);
         }
         self.stats.pushes += 1;
@@ -382,7 +374,7 @@ impl BusModule for CacheController {
 
     fn retire(&mut self, salvage: bool) -> RetireReport {
         self.pending = None;
-        if let Some(log) = &mut self.changes {
+        if let Some(log) = &self.changes {
             log.wholesale();
         }
         let mut report = RetireReport::default();

@@ -1,6 +1,6 @@
 //! The cycle-stamped discrete-event core that runs every machine: a
 //! [`System`](crate::System), one bus or a fabric tree, drives its lanes
-//! through [`drive`].
+//! through `drive`.
 //!
 //! The engine models the machine as a set of *lanes* (one per processor),
 //! each with a private cycle clock, coupled only through the shared bus. The

@@ -8,7 +8,7 @@
 //! [`Bridge`](crate::hierarchy::Bridge) fronts one with a cluster directory.
 
 use cache_array::{split_line_crossers, Victim};
-use futurebus::{Futurebus, TimingConfig, TransactionOutcome, TransactionRequest};
+use futurebus::{ChangeLog, Futurebus, TimingConfig, TransactionOutcome, TransactionRequest};
 use moesi::{BusOp, LineState, LocalAction, LocalEvent};
 use std::fmt;
 use std::ops::Range;
@@ -127,23 +127,14 @@ impl Fabric {
         &self.controllers
     }
 
-    /// Starts (or stops) logging, in every controller and in memory, the
-    /// lines whose audited state changes — the incremental audit's input.
-    pub(crate) fn track_changes(&mut self, on: bool) {
-        self.bus.memory_mut().track_changes(on);
+    /// Logs in `log` (none for `None`), from every controller and memory,
+    /// the lines whose audited state changes — the incremental audit's
+    /// input.
+    pub(crate) fn track_changes(&mut self, log: Option<&ChangeLog>) {
+        self.bus.memory_mut().track_changes(log);
         for ctrl in &mut self.controllers {
-            ctrl.track_changes(on);
+            ctrl.track_changes(log);
         }
-    }
-
-    /// Moves every line changed since the last drain into `out`; true when
-    /// some change was wholesale (a controller retired).
-    pub(crate) fn drain_changes(&mut self, out: &mut Vec<u64>) -> bool {
-        let mut wholesale = self.bus.memory_mut().drain_changes(out);
-        for ctrl in &mut self.controllers {
-            wholesale |= ctrl.drain_changes(out);
-        }
-        wholesale
     }
 
     /// The line-aligned address containing `addr`.

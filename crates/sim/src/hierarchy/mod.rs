@@ -37,9 +37,7 @@
 //! — while the consistency oracle's invariants keep holding globally.
 
 use futurebus::fault::InjectedFault;
-use futurebus::{
-    BusError, BusStats, Discipline, LineAddr, Phase, SparseMemory, TransactionRequest,
-};
+use futurebus::{BusError, BusStats, Discipline, LineAddr, Phase, TransactionRequest};
 use moesi::{CacheKind, LineState, MasterSignals};
 use std::fmt;
 
@@ -49,7 +47,10 @@ mod node;
 pub use builder::{TreeBuilder, TreeSpec};
 pub use node::{Bridge, BridgeStats, FabricNode, Segment};
 
-use crate::checker::{cached_lines, Audited, Caches, Checker, Holders, LineRule, Violation};
+use crate::checker::{
+    cached_lines, kind_states, AuditLine, Audited, Breach, Caches, Holders, LineRule, MemoryLine,
+    Violation,
+};
 use crate::system::{bridge_in, for_each_bridge, root_bridges_mut, System};
 
 /// perfbench's name for [`System`]; the next benchmark change drops it.
@@ -422,13 +423,9 @@ impl System {
 
 /// The root node audits the whole machine, its memory as true main memory.
 impl Audited for FabricNode {
-    fn drain_changed_lines(&mut self, out: &mut Vec<u64>) -> bool {
-        self.drain_changes(out)
-    }
-
     /// A single bus's rule is [`Fabric`](crate::Fabric)'s. A tree's is every invariant for
-    /// one line, in one descent that reads each cache entry and each
-    /// inclusion tag once:
+    /// one line, in one descent that reads each cache entry, inclusion tag
+    /// and memory line once:
     ///
     /// 1. the per-line rule ([`LineRule`]) on every segment, the root first
     ///    and then in pre-order: a leaf's holders are its caches, an interior
@@ -436,17 +433,29 @@ impl Audited for FabricNode {
     ///    the tag above it is valid; the root's is true main memory;
     /// 2. the inclusion invariant the snoop filter is sound against, at
     ///    every bridge in pre-order.
-    fn check_line(&self, ck: &Checker, line: u64) -> Result<(), Violation> {
+    ///
+    /// The descent carries [`Breach`] codes; only a failing line walks the
+    /// tree again to name its holders.
+    fn check_line(&self, line: AuditLine<'_>, reads: &mut u64) -> Result<(), Violation> {
         let seg = match self {
-            FabricNode::Leaf(fabric) => return fabric.check_line(ck, line),
+            FabricNode::Leaf(fabric) => return fabric.check_line(line, reads),
             FabricNode::Interior(seg) => seg,
         };
-        let (golden, written) = ck.golden_line(line);
-        let tree = LineCheck { ck, line, golden }.segment(seg, None, true);
-        if !written && !tree.tracked {
+        let mut check = LineCheck {
+            line,
+            reads: 0,
+            segments: 0,
+        };
+        let tree = check.segment(seg, true);
+        *reads += check.reads;
+        if !line.written && !tree.tracked {
             return Ok(());
         }
-        tree.rules.and(tree.holes)
+        match tree.rules.or(tree.holes) {
+            None => Ok(()),
+            Some((at, breach)) => Err(name_breach(self, None, &mut 0, at, breach, line.addr)
+                .expect("a breach names a segment of the tree")),
+        }
     }
 
     /// Every line in a directory or cached anywhere.
@@ -480,12 +489,18 @@ impl fmt::Display for Label<'_> {
     }
 }
 
-/// The oracle, one line and its golden bytes, for one descent.
-struct LineCheck<'c> {
-    ck: &'c Checker,
-    line: u64,
-    golden: &'c [u8],
+/// One line's descent: the line, and what the descent has counted.
+struct LineCheck<'g> {
+    line: AuditLine<'g>,
+    /// Cache entries, tags and memory lines read.
+    reads: u64,
+    /// Segments entered so far: the next one's pre-order number.
+    segments: u32,
 }
+
+/// A breach and the pre-order number of the segment whose holders it
+/// names (the root is 0).
+type Located = Option<(u32, Breach)>;
 
 /// What the check of one segment's subtree learns for one line.
 struct Subtree<'a> {
@@ -497,10 +512,10 @@ struct Subtree<'a> {
     holds_valid: bool,
     /// The subtree's authoritative data ([`Bridge::authoritative_line`]).
     authority: Authority<'a>,
-    /// The rule's verdict on every segment of the subtree, in pre-order.
-    rules: Result<(), Violation>,
+    /// The first rule breach among the subtree's segments, in pre-order.
+    rules: Located,
     /// The first inclusion hole among the subtree's bridges, in pre-order.
-    holes: Result<(), Violation>,
+    holes: Located,
 }
 
 /// Where a subtree's authoritative copy of a line lives.
@@ -508,91 +523,117 @@ struct Subtree<'a> {
 enum Authority<'a> {
     /// An owning cache's copy.
     Cache(&'a [u8]),
-    /// A mirror memory's copy, looked up only when needed.
-    Mirror(&'a SparseMemory),
-}
-
-impl<'a> Authority<'a> {
-    fn data(self, line: u64) -> &'a [u8] {
-        match self {
-            Authority::Cache(data) => data,
-            Authority::Mirror(memory) => memory.peek(line),
-        }
-    }
+    /// The subtree's mirror memory's copy, read at most once.
+    Mirror(MemoryLine<'a>),
 }
 
 impl LineCheck<'_> {
-    /// Checks the interior segment `seg`, below the bridge labelled `label`
-    /// (`None` at the root): the rule over its child bridges, their tags
-    /// the holders' states and their subtrees' authorities the holders'
-    /// data, with the segment memory when `live`.
-    fn segment<'a>(&self, seg: &'a Segment, label: Option<&Label<'_>>, live: bool) -> Subtree<'a> {
-        let bridges = Bridges { seg, parent: label };
-        let mut rule = LineRule::new(self.line, self.golden);
-        let (mut holds_valid, mut owner, mut below, mut holes) = (false, None, Ok(()), Ok(()));
+    /// The pre-order number of the segment being entered.
+    fn enter(&mut self) -> u32 {
+        self.segments += 1;
+        self.segments - 1
+    }
+
+    /// Checks the interior segment `seg`: the rule over its child bridges,
+    /// their tags the holders' states and their subtrees' authorities the
+    /// holders' data, with the segment memory when `live`.
+    fn segment<'a>(&mut self, seg: &'a Segment, live: bool) -> Subtree<'a> {
+        let at = self.enter();
+        let addr = self.line.addr;
+        let mut rule = LineRule::new(self.line.golden);
+        let (mut holds_valid, mut owner, mut below, mut holes) = (false, None, None, None);
         for (index, child) in seg.children.iter().enumerate() {
-            let tag = child.cluster_state(self.line);
-            let child_label = bridges.label(index);
-            let sub = self.node(&child.node, &child_label, tag.is_valid());
+            let tag = child.cluster_state(addr);
+            self.reads += 1;
+            let mut sub = self.node(&child.node, tag.is_valid());
             if sub.tracked || tag.is_valid() {
-                rule.add(index, tag, CacheKind::CopyBack, || {
-                    sub.authority.data(self.line)
-                });
+                // Only a valid tag's authority is compared, so only it is read.
+                let data = match &mut sub.authority {
+                    _ if !tag.is_valid() => self.line.golden,
+                    Authority::Cache(data) => data,
+                    Authority::Mirror(memory) => memory.get(addr, &mut self.reads),
+                };
+                rule.add(index, tag, kind_states(CacheKind::CopyBack), data);
             }
             if tag.is_owned() {
                 owner.get_or_insert(sub.authority);
             }
             holds_valid |= sub.holds_valid;
-            if below.is_ok() {
-                below = sub.rules;
-            }
-            if holes.is_ok() {
+            below = below.or(sub.rules);
+            if holes.is_none() {
                 // No valid copy cached below an Invalid tag.
                 holes = if !tag.is_valid() && sub.holds_valid {
-                    let bridge = child_label.to_string();
-                    Err(Violation::InclusionHole {
-                        addr: self.line,
-                        bridge,
-                    })
+                    Some((at, Breach::InclusionHole(index)))
                 } else {
                     sub.holes
                 };
             }
         }
-        let memory = seg.bus.memory();
+        let mut memory = MemoryLine::new(seg.bus.memory());
+        let verdict = rule.verdict(&self.line, live.then_some(&mut memory), &mut self.reads);
         Subtree {
-            tracked: rule.resident,
+            tracked: rule.resident(),
             holds_valid,
             authority: owner.unwrap_or(Authority::Mirror(memory)),
-            rules: rule
-                .verdict(self.ck, live.then_some(memory), &bridges)
-                .and(below),
+            rules: verdict.map(|breach| (at, breach)).or(below),
             holes,
         }
     }
 
-    /// Checks the segment below the bridge labelled `label`, whose tag is
-    /// valid when `live`. A leaf is the flat bus's one-segment case: its
-    /// caches are the holders and its mirror the memory.
-    fn node<'a>(&self, node: &'a FabricNode, label: &Label<'_>, live: bool) -> Subtree<'a> {
+    /// Checks the node below a bridge whose tag is valid when `live`. A
+    /// leaf is the flat bus's one-segment case: its caches are the holders
+    /// and its mirror the memory.
+    fn node<'a>(&mut self, node: &'a FabricNode, live: bool) -> Subtree<'a> {
         let fabric = match node {
-            FabricNode::Interior(seg) => return self.segment(seg, Some(label), live),
+            FabricNode::Interior(seg) => return self.segment(seg, live),
             FabricNode::Leaf(fabric) => fabric,
         };
-        let memory = fabric.bus().memory();
-        let mut rule = LineRule::new(self.line, self.golden);
-        let owned = rule.add_caches(fabric.controllers());
-        let caches = Caches {
-            controllers: fabric.controllers(),
-            bridge: Some(label),
-        };
+        let at = self.enter();
+        let mut rule = LineRule::new(self.line.golden);
+        let owned = rule.add_caches(fabric.controllers(), self.line.addr, &mut self.reads);
+        let mut memory = MemoryLine::new(fabric.bus().memory());
+        let verdict = rule.verdict(&self.line, live.then_some(&mut memory), &mut self.reads);
         Subtree {
-            tracked: rule.resident,
+            tracked: rule.resident(),
             holds_valid: rule.holders > 0,
             authority: owned.map_or(Authority::Mirror(memory), Authority::Cache),
-            rules: rule.verdict(self.ck, live.then_some(memory), &caches),
-            holes: Ok(()),
+            rules: verdict.map(|breach| (at, breach)),
+            holes: None,
         }
+    }
+}
+
+/// The violation `breach` at the `at`-th segment in pre-order, counting
+/// from `n` at `node` (below the bridge `label`, `None` at the root): the
+/// slow path of a failing line, which names the segment's holders.
+fn name_breach(
+    node: &FabricNode,
+    label: Option<&Label<'_>>,
+    n: &mut u32,
+    at: u32,
+    breach: Breach,
+    addr: u64,
+) -> Option<Violation> {
+    let here = *n == at;
+    *n += 1;
+    match node {
+        FabricNode::Leaf(fabric) => here.then(|| {
+            let caches = Caches {
+                controllers: fabric.controllers(),
+                bridge: label.map(|l| l as &dyn fmt::Display),
+            };
+            breach.violation(addr, &caches)
+        }),
+        FabricNode::Interior(seg) if here => {
+            Some(breach.violation(addr, &Bridges { seg, parent: label }))
+        }
+        FabricNode::Interior(seg) => seg.children.iter().enumerate().find_map(|(index, child)| {
+            let label = Label {
+                parent: label,
+                index,
+            };
+            name_breach(&child.node, Some(&label), n, at, breach, addr)
+        }),
     }
 }
 
@@ -603,22 +644,17 @@ struct Bridges<'a> {
     parent: Option<&'a Label<'a>>,
 }
 
-impl Bridges<'_> {
-    fn label(&self, index: usize) -> Label<'_> {
-        Label {
-            parent: self.parent,
-            index,
-        }
-    }
-}
-
 impl Holders for Bridges<'_> {
     fn states(&self, line: u64) -> impl Iterator<Item = LineState> {
         self.seg.children.iter().map(move |b| b.cluster_state(line))
     }
 
     fn name(&self, index: usize) -> String {
-        self.label(index).to_string()
+        Label {
+            parent: self.parent,
+            index,
+        }
+        .to_string()
     }
 
     fn data_name(&self, index: usize) -> String {
@@ -1627,6 +1663,76 @@ mod tests {
                 holder: "cluster1 (authoritative)".into(),
                 state: LineState::Shareable,
             })
+        );
+    }
+
+    #[test]
+    fn every_tree_breach_kind_renders_its_message() {
+        // One violation of each kind a tree reports, rendered in full: the
+        // breach code a descent carries names exactly these holders.
+        let render = |sys: &System| sys.verify().expect_err("a violation").to_string();
+        let mut sys = two_by_two();
+        sys.bridge_mut(0)
+            .set_cluster_state(0x100, LineState::Modified);
+        sys.bridge_mut(1).set_cluster_state(0x100, LineState::Owned);
+        assert_eq!(
+            render(&sys),
+            "line 0x100 owned by multiple caches: [\"cluster0\", \"cluster1\"]"
+        );
+
+        let mut sys = two_by_two();
+        sys.bridge_mut(1)
+            .set_cluster_state(0x100, LineState::Exclusive);
+        plant(&mut sys, 1, 0, LineState::Exclusive, 0);
+        plant(&mut sys, 1, 1, LineState::Shareable, 0);
+        assert_eq!(render(&sys), "line 0x100: cluster1/cpu0:MOESI claims exclusivity but cluster1/cpu1:MOESI holds a copy");
+
+        let mut sys = two_by_two();
+        sys.bridge_mut(1)
+            .set_cluster_state(0x100, LineState::Shareable);
+        sys.leaf_fabric_mut(1)
+            .bus_mut()
+            .memory_mut()
+            .write_line(0x100, &[7; 32]);
+        assert_eq!(
+            render(&sys),
+            "line 0x100: cluster1 (authoritative) holds a stale S copy"
+        );
+
+        let mut sys = two_by_two();
+        sys.bridge_mut(1)
+            .set_cluster_state(0x100, LineState::Shareable);
+        sys.bus_mut().memory_mut().write_line(0x100, &[7; 32]);
+        assert_eq!(render(&sys), "line 0x100: unowned but memory is stale");
+
+        let mut sys = two_by_two();
+        sys.bridge_mut(1)
+            .set_cluster_state(0x100, LineState::Exclusive);
+        sys.bus_mut().memory_mut().write_line(0x100, &[7; 32]);
+        assert_eq!(
+            render(&sys),
+            "line 0x100: E copy at cluster1 (authoritative) differs from memory"
+        );
+
+        let mut sys = TreeBuilder::new(32)
+            .child(moesi_leaf(2))
+            .child(moesi_leaf(1).cache(Box::new(moesi::protocols::write_through()), cfg()))
+            .checking(true)
+            .build();
+        sys.bridge_mut(1).set_cluster_state(0x100, LineState::Owned);
+        plant(&mut sys, 1, 1, LineState::Owned, 0);
+        assert_eq!(
+            render(&sys),
+            "line 0x100: cluster1/cpu1:write-through holds it in O, outside its kind's states"
+        );
+
+        let mut sys = deep_two_two_two();
+        sys.bridge_at_mut(&[0])
+            .set_cluster_state(0x100, LineState::Shareable);
+        plant(&mut sys, 1, 0, LineState::Shareable, 0);
+        assert_eq!(
+            render(&sys),
+            "line 0x100: cached below cluster0.1 but its inclusion tag is invalid"
         );
     }
 

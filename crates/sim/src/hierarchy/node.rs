@@ -184,21 +184,12 @@ impl FabricNode {
         }
     }
 
-    /// Starts (or stops) change logging in every bridge, cache and memory
-    /// at or below this node.
-    pub(crate) fn track_changes(&mut self, on: bool) {
+    /// Logs in `log` (none for `None`) the changes of every bridge, cache
+    /// and memory at or below this node.
+    pub(crate) fn track_changes(&mut self, log: Option<&ChangeLog>) {
         match self {
-            FabricNode::Leaf(fabric) => fabric.track_changes(on),
-            FabricNode::Interior(seg) => seg.track_changes(on),
-        }
-    }
-
-    /// Moves every line changed at or below this node since the last drain
-    /// into `out`; true when some change was wholesale.
-    pub(crate) fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
-        match self {
-            FabricNode::Leaf(fabric) => fabric.drain_changes(out),
-            FabricNode::Interior(seg) => seg.drain_changes(out),
+            FabricNode::Leaf(fabric) => fabric.track_changes(log),
+            FabricNode::Interior(seg) => seg.track_changes(log),
         }
     }
 }
@@ -253,23 +244,13 @@ impl Segment {
         self.children.len()
     }
 
-    /// Starts (or stops) change logging in this segment's memory and in
-    /// every bridge, cache and memory below it.
-    fn track_changes(&mut self, on: bool) {
-        self.bus.memory_mut().track_changes(on);
+    /// Logs in `log` the changes of this segment's memory and of every
+    /// bridge, cache and memory below it.
+    fn track_changes(&mut self, log: Option<&ChangeLog>) {
+        self.bus.memory_mut().track_changes(log);
         for child in &mut self.children {
-            child.track_changes(on);
+            child.track_changes(log);
         }
-    }
-
-    /// Moves every line changed in this subtree since the last drain into
-    /// `out`; true when some change was wholesale.
-    fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
-        let mut wholesale = self.bus.memory_mut().drain_changes(out);
-        for child in &mut self.children {
-            wholesale |= child.drain_changes(out);
-        }
-        wholesale
     }
 
     /// Gates an access descending into `child` on the cluster-level
@@ -554,7 +535,7 @@ impl Bridge {
         } else {
             self.directory.insert(line, state);
         }
-        if let Some(log) = &mut self.changes {
+        if let Some(log) = &self.changes {
             log.line(line);
         }
     }
@@ -562,23 +543,16 @@ impl Bridge {
     /// Drops every inclusion tag at once: a wholesale change.
     fn clear_directory(&mut self) {
         self.directory.clear();
-        if let Some(log) = &mut self.changes {
+        if let Some(log) = &self.changes {
             log.wholesale();
         }
     }
 
-    /// Starts (or stops) change logging in this bridge's directory and in
+    /// Logs in `log` the changes of this bridge's directory and of
     /// everything below it.
-    fn track_changes(&mut self, on: bool) {
-        self.changes = on.then(ChangeLog::default);
-        self.node.track_changes(on);
-    }
-
-    /// Moves every line changed at or below this bridge since the last
-    /// drain into `out`; true when some change was wholesale.
-    fn drain_changes(&mut self, out: &mut Vec<LineAddr>) -> bool {
-        let wholesale = self.changes.as_mut().is_some_and(|log| log.drain_into(out));
-        self.node.drain_changes(out) | wholesale
+    fn track_changes(&mut self, log: Option<&ChangeLog>) {
+        self.changes = log.cloned();
+        self.node.track_changes(log);
     }
 
     /// This bridge's mirror memory: the leaf fabric's bus memory, or the

@@ -42,7 +42,7 @@ mod system;
 pub mod workload;
 
 pub use campaign::{default_jobs, merge_phase_histograms, run_jobs, SHARD_REGIONS};
-pub use checker::{Checker, Violation};
+pub use checker::{Checker, OracleWork, Violation};
 pub use controller::CacheController;
 pub use fabric::Fabric;
 pub use faults::{

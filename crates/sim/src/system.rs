@@ -365,7 +365,7 @@ impl System {
     /// [`verify`](System::verify) against an oracle the caller keeps: a
     /// fault campaign's, which reconciles reported damage in it.
     pub(crate) fn verify_against(&self, ck: &Checker) -> Result<(), Violation> {
-        ck.check_all(&self.root, &mut Vec::new())
+        ck.verify_machine(&self.root)
     }
 
     /// Switches fault-tolerant mode on or off, for every leaf bus and the
@@ -463,7 +463,7 @@ impl System {
         self.root
             .read(path, cpu, addr, len, 0, &mut self.parent_errors, Some(out));
         self.hoist_forward_errors();
-        if let (Some(ck), false) = (&self.checker, self.tolerant) {
+        if let (Some(ck), false) = (&mut self.checker, self.tolerant) {
             if let Err(mut v) = ck.check_read(cpu, addr, &out[start..]) {
                 if let Violation::ReadMismatch { cpu: lane, .. } = &mut v {
                     *lane = self
@@ -610,14 +610,13 @@ impl System {
         self.bus().trace()
     }
 
-    /// Issues one workload access from processor `lane`: the engine's
-    /// `issue`. Writes carry the deterministic sequence-number payload, so
+    /// Issues one workload access from processor `cpu` of leaf `leaf`: the
+    /// engine's `issue`. Writes carry the deterministic sequence-number payload, so
     /// the oracle can detect lost or reordered updates; when no oracle is
     /// attached a read takes the dataless fabric paths, which have
     /// byte-identical observable effects, and otherwise lands in one reused
     /// buffer, so a read hit allocates nothing.
-    fn issue(&mut self, lane: usize, access: &Access) {
-        let (leaf, cpu) = self.lanes[lane];
+    fn issue(&mut self, leaf: usize, cpu: usize, access: &Access) {
         if access.is_write {
             self.write_seq = self.write_seq.wrapping_add(1);
             let mut payload = WritePayload::new();
@@ -662,7 +661,8 @@ impl System {
             self.nodes(),
             next,
             |lane, access| {
-                self.issue(lane, access);
+                let (leaf, cpu) = lanes[lane];
+                self.issue(leaf, cpu, access);
                 0
             },
             1,
@@ -729,14 +729,18 @@ impl System {
             matches!(self.root, FabricNode::Leaf(_)),
             "a timed run needs one bus: fabric trees run untimed"
         );
+        // On one bus, lane `lane` is cpu `lane` of leaf 0.
+        let bus_ns = |root: &FabricNode, cpu: usize| match root {
+            FabricNode::Leaf(fabric) => fabric.controller(cpu).stats().bus_ns,
+            FabricNode::Interior(_) => unreachable!("checked above"),
+        };
         let report = engine::drive(
             self.nodes(),
             next,
             |lane, access| {
-                let bus_ns = |sys: &System| sys.fabric().controller(lane).stats().bus_ns;
-                let bus_before = bus_ns(self);
-                self.issue(lane, access);
-                bus_ns(self) - bus_before
+                let bus_before = bus_ns(&self.root, lane);
+                self.issue(0, lane, access);
+                bus_ns(&self.root, lane) - bus_before
             },
             cpu_work_ns,
         );
@@ -749,10 +753,8 @@ impl System {
     /// Starts (or stops) logging changed lines in the oracle and in every
     /// bridge, cache and memory of the machine.
     fn track_changes(&mut self, on: bool) {
-        if let Some(ck) = &mut self.checker {
-            ck.track_changes(on);
-        }
-        self.root.track_changes(on);
+        let log = self.checker.as_mut().and_then(|ck| ck.track_changes(on));
+        self.root.track_changes(log);
     }
 
     /// The per-access audit (see [`Checker::check_changes`]); skipped while

@@ -16,7 +16,7 @@
 //!
 //! Each subcommand lives in its own module — config struct, argument
 //! parser, usage text and runner together: [`simulate`] (the default,
-//! flag-driven simulation), [`verify`], [`faults`], [`bench`], [`synth`]
+//! flag-driven simulation), [`verify`], [`faults`], [`bench`](mod@bench), [`synth`]
 //! and [`table`]. [`chrome`] holds the shared Chrome-trace writer.
 
 /// `print!` for the subcommands' reports: see [`out`].

@@ -17,8 +17,8 @@ use moesi::{
 };
 use mpsim::hierarchy::{TreeBuilder, TreeSpec};
 use mpsim::{
-    Access, Checker, DuboisBriggs, RefStream, SharingModel, System, SystemBuilder, TraceReplay,
-    Violation,
+    Access, Checker, DuboisBriggs, OracleWork, RefStream, SharingModel, System, SystemBuilder,
+    TraceReplay, Violation,
 };
 
 const LINE: usize = 32;
@@ -569,4 +569,77 @@ fn single_cell_mutants_break_the_tree_audit() {
         .filter(|&table| tree_audit_catches(table))
         .count();
     assert!(caught >= 14, "only {caught} mutants broke a tree invariant");
+}
+
+/// The default sharing model at 32-byte lines: the oracle-checked
+/// benchmark's reference streams.
+const SHARING: SharingModel = SharingModel {
+    shared_lines: 16,
+    private_lines: 64,
+    p_shared: 0.2,
+    p_write: 0.3,
+    p_rereference: 0.5,
+    line_size: LINE as u64,
+};
+
+/// The oracle's work on MOESI machines with empty 4 KiB 2-way caches, one
+/// seed-7 stream per processor: a flat 4-cache bus for 200 timed steps,
+/// and a 2×2 tree for 100 untimed ones.
+fn seeded_oracle_work() -> [OracleWork; 2] {
+    let cfg = CacheConfig::new(4096, LINE, 2, ReplacementKind::Lru);
+    let protocol = |id: usize| by_name("moesi", 1000 + id as u64).expect("shipped");
+    let stream =
+        |id: usize| -> Box<dyn RefStream + Send> { Box::new(DuboisBriggs::new(id, SHARING, 7)) };
+
+    let mut flat = SystemBuilder::new(LINE).checking(true);
+    for id in 0..4 {
+        flat = flat.cache(protocol(id), cfg);
+    }
+    let mut flat = flat.build();
+    let mut streams: Vec<_> = (0..4).map(stream).collect();
+    flat.run_timed(&mut streams, 200, 50);
+
+    let mut tree = TreeBuilder::uniform(LINE, 2, 2, 1, 2, |leaf, cpu| {
+        (protocol(leaf * 2 + cpu), Some(cfg))
+    })
+    .seed(7)
+    .checking(true)
+    .build();
+    let mut streams: Vec<Vec<_>> = (0..2)
+        .map(|leaf| (0..2).map(|cpu| stream(leaf * 2 + cpu)).collect())
+        .collect();
+    tree.run(&mut streams, 100);
+
+    [flat, tree].map(|sys| sys.checker().expect("oracle on").work())
+}
+
+#[test]
+fn the_oracle_work_at_seed_7_is_pinned() {
+    // Exact, so a change to how much the oracle reads shows as a diff here.
+    // Every audit re-checks the one line its access changed, and finds its
+    // golden bytes where the access's own lookup left them: at most one
+    // golden probe per access, none for a read of the line the previous
+    // access looked up (frequent in the timed flat run, where a processor
+    // often issues twice in a row).
+    let [flat, tree] = seeded_oracle_work();
+    assert_eq!(
+        flat,
+        OracleWork {
+            audits: 432,
+            audited_lines: 432,
+            golden_probes: 634,
+            holder_reads: 1881,
+        },
+        "flat bus, 800 accesses"
+    );
+    assert_eq!(
+        tree,
+        OracleWork {
+            audits: 235,
+            audited_lines: 235,
+            golden_probes: 400,
+            holder_reads: 1629,
+        },
+        "2x2 tree, 400 accesses"
+    );
 }
