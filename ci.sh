@@ -36,6 +36,9 @@ for workload in flat-read flat-write tree checked; do
   esac
 done
 
+echo "==> perfbench's own tests (reference digests at both recorded seeds, forwarding wrappers, conservation laws)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # A traced run counts heap allocations per reference: the simulator's
 # (mpsim.allocs_per_op) and, for the oracle-checked workload, the oracle's
 # own (checker.allocs_per_op, the checked run's count less its unchecked

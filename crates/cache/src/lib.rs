@@ -32,6 +32,6 @@ mod config;
 mod sector;
 
 pub use address::{split_line_crossers, AddressMap};
-pub use array::{CacheArray, Entry, Victim};
+pub use array::{CacheArray, Entry, LineSlot, Victim};
 pub use config::{CacheConfig, ReplacementKind};
 pub use sector::{SectorCache, SectorProbe};

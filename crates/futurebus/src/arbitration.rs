@@ -11,7 +11,8 @@
 //!
 //! Each [`Futurebus`](crate::Futurebus) segment owns its discipline's state
 //! privately: the rotating token for round-robin, the request queue for
-//! FCFS.
+//! FCFS (with a membership bit per module, so a contender's "already
+//! queued?" test is one bit, not a queue scan).
 //!
 //! [`Phase::Arbitrate`]: crate::Phase::Arbitrate
 
@@ -83,9 +84,11 @@ pub(crate) enum Arbitration {
     RoundRobin {
         last: Option<usize>,
     },
-    /// Queued requesters, head first.
+    /// Queued requesters, head first, and the same set as one bit per
+    /// module index (grown to the largest index seen).
     Fcfs {
         queue: VecDeque<usize>,
+        queued: Vec<u64>,
     },
 }
 
@@ -97,6 +100,7 @@ impl Arbitration {
             Discipline::RoundRobin => Arbitration::RoundRobin { last: None },
             Discipline::Fcfs => Arbitration::Fcfs {
                 queue: VecDeque::new(),
+                queued: Vec::new(),
             },
         }
     }
@@ -136,10 +140,15 @@ impl Arbitration {
                 *last = Some(master);
                 waited
             }
-            Arbitration::Fcfs { queue } => {
+            Arbitration::Fcfs { queue, queued } => {
                 // Simultaneous arrivals join the tail in index order.
                 for m in live {
-                    if !queue.contains(&m) {
+                    let (word, bit) = (m / 64, 1u64 << (m % 64));
+                    if word >= queued.len() {
+                        queued.resize(word + 1, 0);
+                    }
+                    if queued[word] & bit == 0 {
+                        queued[word] |= bit;
                         queue.push_back(m);
                     }
                 }
@@ -149,7 +158,9 @@ impl Arbitration {
                     .expect("the master contends");
                 // Everyone ahead of the master is served first, one slot
                 // each; then the master's own grant slot.
-                queue.drain(..=pos);
+                for m in queue.drain(..=pos) {
+                    queued[m / 64] &= !(1u64 << (m % 64));
+                }
                 pos + 1
             }
         };
@@ -232,6 +243,50 @@ mod tests {
         // 2 queued before 0 arrived, so 0 waits behind it.
         assert_eq!(a.slots_to_grant(0, [0, 2]), 2);
         assert_eq!(a.slots_to_grant(2, [2]), 1, "2 was served ahead of 0");
+    }
+
+    /// The FCFS grant as first written: a `VecDeque::contains` scan per
+    /// contender. The membership bits must reproduce it slot for slot.
+    fn fcfs_by_queue_scan(queue: &mut VecDeque<usize>, master: usize, live: &[usize]) -> u32 {
+        for &m in live {
+            if !queue.contains(&m) {
+                queue.push_back(m);
+            }
+        }
+        let pos = queue.iter().position(|&m| m == master).unwrap();
+        queue.drain(..=pos);
+        u32::try_from(pos + 1).unwrap()
+    }
+
+    #[test]
+    fn fcfs_membership_bits_match_the_queue_scan() {
+        let mut rng = moesi::rng::SmallRng::seed_from_u64(29);
+        // Bus sizes on both sides of one and two 64-bit words.
+        for modules in [1usize, 2, 4, 63, 64, 65, 130] {
+            let mut fast = state(Discipline::Fcfs);
+            let mut reference = VecDeque::new();
+            for round in 0..400 {
+                // Index `modules` is an external master (a bridge's own
+                // transaction), which contends without being a module.
+                let master = rng.gen_range(0..modules + 1);
+                // A random ascending contender set that holds the master.
+                let live: Vec<usize> = (0..=modules)
+                    .filter(|&m| m == master || (m < modules && rng.gen_range(0..4u32) != 0))
+                    .collect();
+                let want = fcfs_by_queue_scan(&mut reference, master, &live);
+                let got = fast.slots_to_grant(master, live.iter().copied());
+                assert_eq!(got, want, "{modules} modules, round {round}");
+                let Arbitration::Fcfs { queue, queued } = &fast else {
+                    unreachable!()
+                };
+                assert_eq!(queue, &reference, "{modules} modules, round {round}");
+                let members = queued
+                    .iter()
+                    .map(|w| w.count_ones() as usize)
+                    .sum::<usize>();
+                assert_eq!(members, queue.len(), "one bit per queued module");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The Futurebus transaction engine.
 //!
-//! [`Futurebus::execute`] runs one transaction end-to-end by driving a
-//! [`TxnContext`](crate::phases) through the explicit phase pipeline of
-//! [`crate::phases`] — `Arbitrate → AddressBroadcast → SnoopResolve →
-//! AbortBackoff → DataTransfer → Commit`, mirroring the paper's staged
+//! [`Futurebus::execute`] runs one transaction end-to-end in one straight
+//! pass through the explicit phase pipeline of [`crate::phases`] —
+//! `Arbitrate → AddressBroadcast → SnoopResolve → AbortBackoff →
+//! DataTransfer → Commit`, mirroring the paper's staged
 //! handshake: the broadcast address cycle (every attached module snoops,
 //! §2.1), wired-OR combination of the response lines, BS abort-push-restart
 //! for the adapted protocols, the data phase (memory, or an intervening
@@ -144,13 +144,15 @@ pub struct Futurebus {
     arbitration: Arbitration,
     pending_stall: Option<(usize, bool)>,
     histograms: PhaseHistograms,
+    /// Abort counts of the transactions that suffered any; the zeros are
+    /// derived from the phase histograms' transaction count on read.
     retry_hist: LatencyHistogram,
     liveness: Option<LivenessMonitor>,
     phase_events: Option<Vec<TxnPhases>>,
-    /// The reply buffer lent to each transaction's [`TxnContext`] and
-    /// reclaimed afterwards, so the address-broadcast phase never allocates
-    /// on the steady state.
-    reply_scratch: Vec<(usize, ResponseSignals)>,
+    /// Each snooper's response lines from the current address cycle, in
+    /// module order; kept for its capacity, so the address-broadcast phase
+    /// never allocates on the steady state.
+    pub(crate) replies: Vec<(usize, ResponseSignals)>,
     /// The bus line buffer: a read's data phase copies the delivered line
     /// here (from memory or the intervening owner), and the outcome lends it
     /// to the master until the next transaction.
@@ -182,7 +184,7 @@ impl Futurebus {
             retry_hist: LatencyHistogram::new(),
             liveness: None,
             phase_events: None,
-            reply_scratch: Vec::new(),
+            replies: Vec::new(),
             line: vec![0; line_size].into_boxed_slice(),
             candidate_scratch: Vec::new(),
         }
@@ -238,8 +240,9 @@ impl Futurebus {
         // Every module the watchdog has not retired contends, and so does the
         // master itself, ascending.
         let retired = &self.retired;
+        let any_retired = !retired.is_empty();
         let live = (0..modules.max(master + 1))
-            .filter(|&i| i == master || (i < modules && !retired.contains(&i)));
+            .filter(|&i| i == master || (i < modules && !(any_retired && retired.contains(&i))));
         self.arbitration.slots_to_grant(master, live)
     }
 
@@ -270,7 +273,8 @@ impl Futurebus {
     }
 
     /// Per-phase latency histograms: one sample per phase per transaction
-    /// (errored transactions included — their burned time is observed too).
+    /// (errored transactions included — their burned time is observed too;
+    /// a phase's zeros are derived from the transaction count).
     #[must_use]
     pub fn phase_histograms(&self) -> &PhaseHistograms {
         &self.histograms
@@ -280,10 +284,11 @@ impl Futurebus {
     /// (errored included), whose value is the transaction's *abort count* —
     /// the buckets hold counts, not nanoseconds. The long tail of this
     /// distribution is where starvation shows before the liveness deadline
-    /// fires.
+    /// fires. Only non-zero counts are recorded; the zero bucket is derived
+    /// from the transaction count.
     #[must_use]
-    pub fn retry_histogram(&self) -> &LatencyHistogram {
-        &self.retry_hist
+    pub fn retry_histogram(&self) -> LatencyHistogram {
+        self.retry_hist.with_zeros(self.histograms.transactions())
     }
 
     /// Arms the liveness watchdog: `deadline` consecutive retry-cutoff
@@ -320,11 +325,12 @@ impl Futurebus {
 
     /// Flushes one finished transaction's observations: folds its duration
     /// into `busy_ns` and the per-phase breakdown into `phase_ns` (keeping
-    /// the sum invariant by construction), records one histogram sample per
-    /// phase, and — when the transaction committed and event collection is
-    /// on — appends a [`TxnPhases`] record aligned 1:1 with the trace's
-    /// final READ/WRITE/INVAL records. Called from exactly two places: the
-    /// commit phase and the `execute` error path.
+    /// the sum invariant by construction), records it in the phase and
+    /// retry histograms (a sample per charged phase, and one for a
+    /// transaction that aborted), and — when the transaction committed and
+    /// event collection is on — appends a [`TxnPhases`] record aligned 1:1
+    /// with the trace's final READ/WRITE/INVAL records. Called from exactly
+    /// two places: the commit phase and the `execute` error path.
     pub(crate) fn seal_observation(&mut self, ctx: &TxnContext<'_>, completed: Option<TraceKind>) {
         let start_ns = self.stats.busy_ns;
         self.stats.busy_ns += ctx.duration;
@@ -332,8 +338,11 @@ impl Futurebus {
             *total += charged;
         }
         self.histograms.record_txn(&ctx.phase_ns);
-        self.retry_hist.record(u64::from(ctx.aborts));
-        self.stats.max_txn_aborts = self.stats.max_txn_aborts.max(u64::from(ctx.aborts));
+        if ctx.aborts > 0 {
+            let aborts = u64::from(ctx.aborts);
+            self.retry_hist.record(aborts);
+            self.stats.max_txn_aborts = self.stats.max_txn_aborts.max(aborts);
+        }
         if let (Some(kind), Some(events)) = (completed, self.phase_events.as_mut()) {
             events.push(TxnPhases {
                 master: ctx.req.master,
@@ -416,8 +425,8 @@ impl Futurebus {
         req: &TransactionRequest<'_>,
         modules: &mut [&mut dyn BusModule],
     ) -> Result<TransactionOutcome<'_>, BusError> {
-        let out = self.transact(req, modules)?;
-        Ok(self.lend_line(req, out))
+        let ctx = self.transact(req, modules)?;
+        Ok(self.outcome(&ctx))
     }
 
     /// [`Futurebus::execute`] for a caller that survives bus errors: a
@@ -442,39 +451,42 @@ impl Futurebus {
         req: &TransactionRequest<'_>,
         modules: &mut [M],
     ) -> (TransactionOutcome<'_>, Option<BusError>) {
-        let (out, error) = match self.transact(req, modules) {
-            Ok(out) => (out, None),
+        match self.transact(req, modules) {
+            Ok(ctx) => (self.outcome(&ctx), None),
             Err(e) => (self.degrade(req), Some(e)),
-        };
-        (self.lend_line(req, out), error)
+        }
     }
 
-    /// Lends a read's outcome the line its data phase left in the line
-    /// buffer.
-    fn lend_line<'s>(
-        &'s self,
-        req: &TransactionRequest<'_>,
-        mut out: TransactionOutcome<'s>,
-    ) -> TransactionOutcome<'s> {
-        if matches!(req.kind, TransactionKind::Read) {
-            out.data = Some(&self.line);
+    /// The outcome of the committed transaction `ctx`; a read borrows the
+    /// line its data phase left in the line buffer.
+    fn outcome(&self, ctx: &TxnContext<'_>) -> TransactionOutcome<'_> {
+        TransactionOutcome {
+            data: matches!(ctx.req.kind, TransactionKind::Read).then_some(&*self.line),
+            responses: ctx.combined,
+            ch_seen: ctx.combined.ch,
+            source: ctx.source,
+            duration: ctx.duration,
+            aborts: ctx.aborts,
         }
-        out
     }
 
     /// The memory-direct completion of a failed transaction (see
     /// [`Futurebus::execute_or_degrade`]).
-    fn degrade(&mut self, req: &TransactionRequest<'_>) -> TransactionOutcome<'static> {
+    fn degrade(&mut self, req: &TransactionRequest<'_>) -> TransactionOutcome<'_> {
         let line = self.memory.align(req.addr);
-        match req.kind {
-            TransactionKind::Read => self.line.copy_from_slice(self.memory.peek(line)),
+        let read = match req.kind {
+            TransactionKind::Read => {
+                self.line.copy_from_slice(self.memory.peek(line));
+                true
+            }
             TransactionKind::Write { offset, bytes } => {
                 self.memory.write_bytes(line, offset, bytes);
+                false
             }
-            TransactionKind::AddressOnly => {}
-        }
+            TransactionKind::AddressOnly => false,
+        };
         TransactionOutcome {
-            data: None,
+            data: read.then_some(&*self.line),
             responses: ResponseSignals::NONE,
             ch_seen: true,
             source: DataSource::Memory,
@@ -483,25 +495,21 @@ impl Futurebus {
         }
     }
 
-    /// Runs the pipeline for `req`; the outcome lends no line yet.
-    fn transact<M: BusModule>(
+    /// Runs the pipeline for `req` and returns the committed context.
+    fn transact<'r, M: BusModule>(
         &mut self,
-        req: &TransactionRequest<'_>,
+        req: &'r TransactionRequest<'r>,
         modules: &mut [M],
-    ) -> Result<TransactionOutcome<'static>, BusError> {
+    ) -> Result<TxnContext<'r>, BusError> {
         self.validate(req, modules.len())?;
         let faults = self.decide_faults(req, modules.len());
         let mut ctx = TxnContext::new(req, self.memory.line_size(), faults);
-        ctx.replies = std::mem::take(&mut self.reply_scratch);
-        let run = self.run_pipeline(&mut ctx, modules);
-        self.reply_scratch = std::mem::take(&mut ctx.replies);
-        self.reply_scratch.clear();
-        match run {
+        match self.run_pipeline(&mut ctx, modules) {
             Ok(()) => {
                 if let Some(mon) = self.liveness.as_mut() {
                     mon.record_commit(req.master);
                 }
-                Ok(ctx.into_outcome())
+                Ok(ctx)
             }
             Err(err) => {
                 // Every error path still accounts (and observes) the bus
@@ -1241,6 +1249,36 @@ mod tests {
         assert_eq!(bus.retry_histogram().samples(), 1);
         assert_eq!(bus.retry_histogram().sum_ns(), u64::from(aborts));
         assert_eq!(bus.stats().max_txn_aborts, u64::from(aborts));
+    }
+
+    #[test]
+    fn the_retry_histogram_matches_an_eager_record_of_every_transaction() {
+        // Storms on a third of the transactions, some outlasting the retry
+        // budget: the derived zeros must equal recording every count.
+        let mut bus = bus();
+        bus.inject_faults(FaultPlan::new(FaultConfig {
+            storm_rate: 0.3,
+            max_storm_rounds: 24,
+            ..FaultConfig::default()
+        }));
+        let mut eager = LatencyHistogram::new();
+        let mut quiet = Mock::quiet();
+        let mut mods: Vec<&mut dyn BusModule> = vec![&mut quiet];
+        for i in 0..300u64 {
+            let req = TransactionRequest::read(1, (i % 8) * 16, MasterSignals::CA);
+            let aborts = match bus.execute(&req, &mut mods) {
+                Ok(out) => out.aborts,
+                Err(BusError::TooManyRetries(n)) => n,
+                Err(e) => panic!("{e:?}"),
+            };
+            eager.record(u64::from(aborts));
+        }
+        assert!(
+            eager.counts()[0] > 0 && eager.sum_ns() > 0,
+            "both kinds ran"
+        );
+        assert_eq!(bus.retry_histogram(), eager);
+        assert_eq!(bus.phase_histograms().transactions(), 300);
     }
 
     #[test]

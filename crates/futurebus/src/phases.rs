@@ -4,8 +4,8 @@
 //! the broadcast address cycle with wired-OR snoop responses (Figures 1–2),
 //! the BS abort-and-push restart (§3.2.2), the data transfer, and the
 //! completion handshake in which every snooper commits its transition. The
-//! engine mirrors that structure literally — [`Futurebus::execute`] walks a
-//! `TxnContext` through the six [`Phase`]s in order, and every recovery
+//! engine mirrors that structure literally — [`Futurebus::execute`] runs one
+//! straight pass through the six [`Phase`]s in order, and every recovery
 //! concern from the fault model lives inside exactly one phase:
 //!
 //! * [`Phase::Arbitrate`] — bus acquisition; the watchdog times out a stalled
@@ -26,18 +26,23 @@
 //!   commits its state transition; post-transaction soft errors land, the
 //!   stats and trace are sealed.
 //!
-//! A phase returns `Step::Restart` to re-enter arbitration (watchdog
-//! recovery, BS abort) and `Step::Advance` to proceed; errors abort the
-//! pipeline with the bus time burned still accounted by the caller.
+//! The pass runs the phases in sequence. Only a watchdog stall in
+//! arbitration or a BS abort or storm round in abort-backoff goes back to
+//! arbitration; an error ends the pass, with the bus time burned still
+//! accounted by the caller. The fault-only work (a stall, a glitch, a storm
+//! round, a soft error, a retired module to skip) is tested once per pass,
+//! not once per module, so a clean transaction pays for none of it.
+//!
+//! Every nanosecond is charged to one phase; the bus's
+//! [`PhaseHistograms`](crate::PhaseHistograms) record a sample only for a
+//! phase that charged time and derive the zeros from the transaction count.
 
 use crate::bus::Futurebus;
 use crate::fault::{InjectedFault, TxnFaults};
 use crate::module::{BusModule, BusObservation};
 use crate::timing::{DataSourceLatency, Nanos};
 use crate::trace::{TraceKind, TraceRecord};
-use crate::transaction::{
-    BusError, DataSource, TransactionKind, TransactionOutcome, TransactionRequest,
-};
+use crate::transaction::{BusError, DataSource, TransactionKind, TransactionRequest};
 use moesi::{MasterSignals, ResponseSignals};
 use std::fmt;
 
@@ -68,19 +73,6 @@ impl Phase {
         Phase::DataTransfer,
         Phase::Commit,
     ];
-
-    /// The phase after this one (`None` after [`Phase::Commit`]).
-    #[must_use]
-    pub fn next(self) -> Option<Phase> {
-        match self {
-            Phase::Arbitrate => Some(Phase::AddressBroadcast),
-            Phase::AddressBroadcast => Some(Phase::SnoopResolve),
-            Phase::SnoopResolve => Some(Phase::AbortBackoff),
-            Phase::AbortBackoff => Some(Phase::DataTransfer),
-            Phase::DataTransfer => Some(Phase::Commit),
-            Phase::Commit => None,
-        }
-    }
 }
 
 impl fmt::Display for Phase {
@@ -96,19 +88,12 @@ impl fmt::Display for Phase {
     }
 }
 
-/// What a phase tells the pipeline driver to do next.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// Proceed to the next phase in [`Phase::PIPELINE`] order.
-    Advance,
-    /// Re-enter arbitration (watchdog recovery, BS abort, storm round).
-    Restart,
-}
-
-/// Everything one in-flight transaction accumulates while it walks the
-/// pipeline: the request, the per-snooper replies and their wired-OR
-/// combination, the fault decisions still pending, and the bus time burned
-/// so far. Sealed into a [`TransactionOutcome`] after [`Phase::Commit`].
+/// Everything one in-flight transaction accumulates while it runs the
+/// pipeline: the request, the wired-OR combination of the snoopers'
+/// responses (the per-snooper replies stay in the bus's own buffer), the
+/// fault decisions still pending, and the bus time burned so far. The
+/// caller builds the [`TransactionOutcome`](crate::TransactionOutcome) from
+/// it once the pass commits.
 #[derive(Debug)]
 pub(crate) struct TxnContext<'r> {
     /// The request being executed.
@@ -132,12 +117,9 @@ pub(crate) struct TxnContext<'r> {
     pub(crate) storm_left: u32,
     /// Whether the storm has already been logged to the fault plan.
     pub(crate) storm_recorded: bool,
-    /// Per-snooper response lines from the current address cycle.
-    pub(crate) replies: Vec<(usize, ResponseSignals)>,
-    /// Wired-OR of `replies` after the settle window.
+    /// Wired-OR of the current address cycle's replies after the settle
+    /// window.
     pub(crate) combined: ResponseSignals,
-    /// The unique DI responder, resolved in the data phase.
-    pub(crate) intervener: Option<usize>,
     /// Who served the data phase.
     pub(crate) source: DataSource,
 }
@@ -158,9 +140,7 @@ impl<'r> TxnContext<'r> {
             storm_left: faults.storm_rounds,
             storm_recorded: false,
             faults,
-            replies: Vec::new(),
             combined: ResponseSignals::NONE,
-            intervener: None,
             source: DataSource::None,
         }
     }
@@ -172,24 +152,13 @@ impl<'r> TxnContext<'r> {
         self.duration += ns;
         self.phase_ns[phase as usize] += ns;
     }
-
-    /// Seals the context into the outcome handed back to the master; the
-    /// caller lends a read its line.
-    pub(crate) fn into_outcome(self) -> TransactionOutcome<'static> {
-        TransactionOutcome {
-            data: None,
-            responses: self.combined,
-            ch_seen: self.combined.ch,
-            source: self.source,
-            duration: self.duration,
-            aborts: self.aborts,
-        }
-    }
 }
 
 impl Futurebus {
-    /// Drives `ctx` through the pipeline until [`Phase::Commit`] completes.
-    /// The caller accounts `ctx.duration` into the stats on error.
+    /// Runs `ctx` through the pipeline in one straight pass, until
+    /// [`Phase::Commit`] completes. A watchdog stall and a BS abort or storm
+    /// round go back to arbitration; nothing else repeats a phase. The
+    /// caller accounts `ctx.duration` into the stats on error.
     ///
     /// Generic over the module type: callers holding a concrete component
     /// array (`&mut [CacheController]`) get a statically dispatched pipeline
@@ -201,120 +170,101 @@ impl Futurebus {
         ctx: &mut TxnContext<'_>,
         modules: &mut [M],
     ) -> Result<(), BusError> {
-        let mut phase = Phase::Arbitrate;
         loop {
-            match self.run_phase(phase, ctx, modules)? {
-                Step::Restart => phase = Phase::Arbitrate,
-                Step::Advance => match phase.next() {
-                    Some(next) => phase = next,
-                    None => return Ok(()),
-                },
+            // Phase::Arbitrate. A stalled snooper never completes the
+            // connection handshake, so the watchdog times it out here,
+            // retires it from the snoop set, and the master re-arbitrates.
+            if let Some((victim, salvage)) = ctx.faults.stall.take() {
+                let cost = self.retire_module(victim, salvage, ctx, modules);
+                ctx.charge(Phase::Arbitrate, cost);
+                continue;
+            }
+            self.arbitrate(ctx, modules.len());
+            self.address_broadcast(ctx, modules);
+            if ctx.faults.glitch {
+                self.filter_glitch(ctx);
+            }
+            if !(ctx.combined.bs || ctx.storm_left > 0) || !self.abort_backoff(ctx, modules)? {
+                break;
             }
         }
+        self.data_transfer(ctx, modules)?;
+        self.commit(ctx, modules);
+        Ok(())
     }
 
-    fn run_phase<M: BusModule>(
-        &mut self,
-        phase: Phase,
-        ctx: &mut TxnContext<'_>,
-        modules: &mut [M],
-    ) -> Result<Step, BusError> {
-        match phase {
-            Phase::Arbitrate => Ok(self.arbitrate(ctx, modules)),
-            Phase::AddressBroadcast => Ok(self.address_broadcast(ctx, modules)),
-            Phase::SnoopResolve => Ok(self.snoop_resolve(ctx)),
-            Phase::AbortBackoff => self.abort_backoff(ctx, modules),
-            Phase::DataTransfer => self.data_transfer(ctx, modules),
-            Phase::Commit => Ok(self.commit(ctx, modules)),
-        }
-    }
-
-    /// Bus acquisition. A stalled snooper never completes the connection
-    /// handshake, so the watchdog times it out *here*, retires it from the
-    /// snoop set, and the master re-arbitrates.
-    fn arbitrate<M: BusModule>(&mut self, ctx: &mut TxnContext<'_>, modules: &mut [M]) -> Step {
-        if let Some((victim, salvage)) = ctx.faults.stall.take() {
-            let cost = self.retire_module(victim, salvage, ctx, modules);
-            ctx.charge(Phase::Arbitrate, cost);
-            return Step::Restart;
-        }
-        // Queueing under the segment's service discipline: the master pays
-        // one arbitration slot per contender served ahead of it. The first
-        // slot is already in the base transaction cost, so the combinational
-        // default charges nothing here and stays byte-identical.
-        let slots = self.queue_slots(ctx.req.master, modules.len());
+    /// Bus acquisition: queueing under the segment's service discipline.
+    /// The master pays one arbitration slot per contender served ahead of
+    /// it. The first slot is already in the base transaction cost, so the
+    /// combinational default charges nothing here and stays byte-identical.
+    fn arbitrate(&mut self, ctx: &mut TxnContext<'_>, modules: usize) {
+        let slots = self.queue_slots(ctx.req.master, modules);
         if slots > 1 {
             ctx.charge(
                 Phase::Arbitrate,
                 Nanos::from(slots - 1) * self.timing.arbitration_ns,
             );
         }
-        Step::Advance
     }
 
     /// Broadcast address cycle: every other live module snoops the request
     /// and drives its response lines.
-    fn address_broadcast<M: BusModule>(
-        &mut self,
-        ctx: &mut TxnContext<'_>,
-        modules: &mut [M],
-    ) -> Step {
-        ctx.replies.clear();
-        ctx.combined = ResponseSignals::NONE;
+    fn address_broadcast<M: BusModule>(&mut self, ctx: &mut TxnContext<'_>, modules: &mut [M]) {
+        self.replies.clear();
+        let mut combined = ResponseSignals::NONE;
+        // The retired set is empty unless the watchdog has fired.
+        let any_retired = !self.retired.is_empty();
         for (idx, module) in modules.iter_mut().enumerate() {
-            if idx == ctx.req.master || self.retired.contains(&idx) {
+            if idx == ctx.req.master || (any_retired && self.retired.contains(&idx)) {
                 continue;
             }
             let r = module.snoop(ctx.req);
-            ctx.combined = ctx.combined.or(r);
-            ctx.replies.push((idx, r));
+            combined = combined.or(r);
+            self.replies.push((idx, r));
         }
-        Step::Advance
+        ctx.combined = combined;
     }
 
-    /// Wired-OR settle: an injected consistency-line glitch bounces before
-    /// the settle window and the inertial-delay filter absorbs it (§2.2) at
-    /// the cost of one settle delay. The *true* values proceed.
-    fn snoop_resolve(&mut self, ctx: &mut TxnContext<'_>) -> Step {
-        if ctx.faults.glitch {
-            ctx.faults.glitch = false;
-            if let Some(plan) = self.faults.as_mut() {
-                let fault = plan.glitch_spec(ctx.combined);
-                let settle = self.timing.broadcast_penalty_ns;
-                ctx.charge(Phase::SnoopResolve, settle);
-                self.stats.glitches_filtered += 1;
-                self.stats.settle_ns += settle;
-                let perturbed = match &fault {
-                    InjectedFault::Glitch { line, spurious } => {
-                        ctx.combined.with_line(*line, *spurious)
-                    }
-                    _ => ctx.combined,
-                };
-                self.trace.push(TraceRecord {
-                    responses: perturbed,
-                    duration: settle,
-                    aborts: ctx.aborts,
-                    ..TraceRecord::for_txn(ctx, TraceKind::Glitch)
-                });
-                plan.record(ctx.req.master, ctx.req.addr, fault, settle);
-            }
+    /// Wired-OR settle ([`Phase::SnoopResolve`]) of a glitched pass: the
+    /// injected consistency-line glitch bounces before the settle window and
+    /// the inertial-delay filter absorbs it (§2.2) at the cost of one settle
+    /// delay. The *true* values proceed.
+    fn filter_glitch(&mut self, ctx: &mut TxnContext<'_>) {
+        ctx.faults.glitch = false;
+        if let Some(plan) = self.faults.as_mut() {
+            let fault = plan.glitch_spec(ctx.combined);
+            let settle = self.timing.broadcast_penalty_ns;
+            ctx.charge(Phase::SnoopResolve, settle);
+            self.stats.glitches_filtered += 1;
+            self.stats.settle_ns += settle;
+            let perturbed = match &fault {
+                InjectedFault::Glitch { line, spurious } => {
+                    ctx.combined.with_line(*line, *spurious)
+                }
+                _ => ctx.combined,
+            };
+            self.trace.push(TraceRecord {
+                responses: perturbed,
+                duration: settle,
+                aborts: ctx.aborts,
+                ..TraceRecord::for_txn(ctx, TraceKind::Glitch)
+            });
+            plan.record(ctx.req.master, ctx.req.addr, fault, settle);
         }
-        Step::Advance
     }
 
     /// BS: abort, push, restart (§3.2.2) — plus injected abort storms,
     /// phantom BS rounds with nobody pushing. Both drain under the capped
     /// exponential retry policy; the aborted address cycle and the backoff
-    /// wait are charged to the transaction.
+    /// wait are charged to the transaction. Called only for a pass with BS
+    /// asserted or storm rounds left; returns whether the pass restarts at
+    /// arbitration (false: priority aging let it through).
     fn abort_backoff<M: BusModule>(
         &mut self,
         ctx: &mut TxnContext<'_>,
         modules: &mut [M],
-    ) -> Result<Step, BusError> {
+    ) -> Result<bool, BusError> {
         let genuine_bs = ctx.combined.bs;
-        if !genuine_bs && ctx.storm_left == 0 {
-            return Ok(Step::Advance);
-        }
         if !genuine_bs {
             if self.retry.aging_rounds > 0 && ctx.aborts >= self.retry.aging_rounds {
                 // Priority aging: after enough consecutive losses the
@@ -323,7 +273,7 @@ impl Futurebus {
                 // never bypassed — a real owner's push is required.
                 ctx.storm_left = 0;
                 self.stats.aging_promotions += 1;
-                return Ok(Step::Advance);
+                return Ok(false);
             }
             if !self.retry.flat_retry {
                 // Capped exponential backoff desynchronises the retries
@@ -361,7 +311,7 @@ impl Futurebus {
         if genuine_bs {
             self.execute_pushes(ctx, modules)?;
         }
-        Ok(Step::Restart)
+        Ok(true)
     }
 
     /// Runs the push write-back of every BS-asserting snooper: the pusher
@@ -373,8 +323,8 @@ impl Futurebus {
         modules: &mut [M],
     ) -> Result<(), BusError> {
         let line_size = ctx.line_size;
-        for reply in 0..ctx.replies.len() {
-            let (idx, r) = ctx.replies[reply];
+        for reply in 0..self.replies.len() {
+            let (idx, r) = self.replies[reply];
             if !r.bs {
                 continue;
             }
@@ -427,26 +377,30 @@ impl Futurebus {
         &mut self,
         ctx: &mut TxnContext<'_>,
         modules: &mut [M],
-    ) -> Result<Step, BusError> {
-        let mut di_count = 0usize;
-        let mut first_di = None;
-        for (idx, r) in &ctx.replies {
-            if r.di {
-                di_count += 1;
-                first_di.get_or_insert(*idx);
-            }
-        }
-        if di_count > 1 {
-            // Only the error path pays for materialising the offender list.
-            let interveners: Vec<usize> = ctx
+    ) -> Result<(), BusError> {
+        // The wired-OR says whether anyone intervened; only then find who.
+        let intervener = if ctx.combined.di {
+            let mut di = self
                 .replies
                 .iter()
                 .filter(|(_, r)| r.di)
-                .map(|(idx, _)| *idx)
-                .collect();
-            return Err(BusError::MultipleInterveners(interveners));
-        }
-        ctx.intervener = first_di;
+                .map(|(idx, _)| *idx);
+            let first = di.next();
+            if di.next().is_some() {
+                // Only the error path pays for materialising the offender
+                // list.
+                let interveners: Vec<usize> = self
+                    .replies
+                    .iter()
+                    .filter(|(_, r)| r.di)
+                    .map(|(idx, _)| *idx)
+                    .collect();
+                return Err(BusError::MultipleInterveners(interveners));
+            }
+            first
+        } else {
+            None
+        };
 
         let line_size = ctx.line_size;
         let broadcast = ctx.req.signals.bc;
@@ -454,7 +408,7 @@ impl Futurebus {
             TransactionKind::Read => {
                 // The line moves into the bus's own line buffer, which the
                 // master borrows from the outcome.
-                let (source, latency) = match ctx.intervener {
+                let (source, latency) = match intervener {
                     Some(idx) => {
                         // A module that asserts DI must be able to supply
                         // the line; one that declines (or supplies a short
@@ -508,7 +462,7 @@ impl Futurebus {
                     // snoopers are updated in the completion phase.
                     self.memory.write_bytes(ctx.req.addr, offset, bytes);
                     self.stats.memory_writes += 1;
-                } else if ctx.intervener.is_some() {
+                } else if intervener.is_some() {
                     // The owner captures the write; memory is preempted.
                     self.stats.captures += 1;
                 } else {
@@ -521,7 +475,7 @@ impl Futurebus {
                 ctx.charge(Phase::DataTransfer, cost);
                 self.stats.writes += 1;
                 self.stats.bytes_moved += bytes.len() as u64;
-                ctx.source = match ctx.intervener {
+                ctx.source = match intervener {
                     Some(idx) if !broadcast => DataSource::Intervention(idx),
                     _ => DataSource::Memory,
                 };
@@ -536,14 +490,14 @@ impl Futurebus {
         if broadcast {
             self.stats.broadcasts += 1;
         }
-        Ok(Step::Advance)
+        Ok(())
     }
 
     /// Completion handshake: every snooper commits its state transition with
     /// the resolved CH observation (and the write payload, when SL- or
     /// DI-connected). Post-transaction soft errors land here, then the stats
     /// and trace are sealed.
-    fn commit<M: BusModule>(&mut self, ctx: &mut TxnContext<'_>, modules: &mut [M]) -> Step {
+    fn commit<M: BusModule>(&mut self, ctx: &mut TxnContext<'_>, modules: &mut [M]) {
         let payload = match ctx.req.kind {
             TransactionKind::Write { offset, bytes } => Some((offset, bytes)),
             _ => None,
@@ -552,8 +506,8 @@ impl Futurebus {
         // "CH asserted by someone else" per snooper, without rescanning the
         // reply list for each: others hold CH iff the total count exceeds
         // this snooper's own contribution.
-        let ch_count = ctx.replies.iter().filter(|(_, r)| r.ch).count();
-        for (idx, r) in &ctx.replies {
+        let ch_count = self.replies.iter().filter(|(_, r)| r.ch).count();
+        for (idx, r) in &self.replies {
             let ch_others = ch_count > usize::from(r.ch);
             let delivers = payload.is_some() && (r.sl || (r.di && !broadcast));
             if r.sl && payload.is_some() {
@@ -610,7 +564,6 @@ impl Futurebus {
             aborts: ctx.aborts,
             ..TraceRecord::for_txn(ctx, kind)
         });
-        Step::Advance
     }
 
     /// Times out and retires a non-responding snooper: salvages its dirty
@@ -714,12 +667,12 @@ mod tests {
 
     #[test]
     fn pipeline_order_is_the_paper_handshake() {
-        let mut walked = vec![Phase::PIPELINE[0]];
-        while let Some(next) = walked.last().unwrap().next() {
-            walked.push(next);
+        // A phase's charges land at its own index of the breakdown.
+        for (index, phase) in Phase::PIPELINE.into_iter().enumerate() {
+            assert_eq!(phase as usize, index, "{phase}");
         }
-        assert_eq!(walked, Phase::PIPELINE);
-        assert_eq!(Phase::Commit.next(), None);
+        assert_eq!(Phase::PIPELINE[0], Phase::Arbitrate);
+        assert_eq!(Phase::PIPELINE[5], Phase::Commit);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use moesi::{BusOp, LineState, LocalAction, LocalEvent};
 use std::fmt;
 use std::ops::Range;
 
-use crate::controller::CacheController;
+use crate::controller::{CacheController, Held};
 
 /// One bus with its controllers and the access sequencing logic.
 #[derive(Debug)]
@@ -176,10 +176,17 @@ impl Fabric {
         self.errors.push(format!("cpu {cpu}: {what}"));
     }
 
-    /// Consults `cpu`'s protocol for `event` on `line`; a `—` cell (an
-    /// [`moesi::IllegalCell`]) is a [`fault`](Fabric::fault), and `None`.
-    fn try_decide(&mut self, cpu: usize, line: u64, event: LocalEvent) -> Option<LocalAction> {
-        match self.controllers[cpu].try_decide_local(line, event) {
+    /// Consults `cpu`'s protocol for `event` on `line`, which `held` says
+    /// how the node holds; a `—` cell (an [`moesi::IllegalCell`]) is a
+    /// [`fault`](Fabric::fault), and `None`.
+    fn try_decide(
+        &mut self,
+        cpu: usize,
+        line: u64,
+        held: Option<Held>,
+        event: LocalEvent,
+    ) -> Option<LocalAction> {
+        match self.controllers[cpu].try_decide_held(line, held, event) {
             Ok(action) => Some(action),
             Err(e) => {
                 self.fault(cpu, e);
@@ -190,8 +197,8 @@ impl Fabric {
 
     /// [`try_decide`](Fabric::try_decide) for a read miss, whose action must
     /// be a bus read; any other is a fault.
-    fn decide_read(&mut self, cpu: usize, line: u64) -> Option<LocalAction> {
-        let action = self.try_decide(cpu, line, LocalEvent::Read)?;
+    fn decide_read(&mut self, cpu: usize, line: u64, held: Option<Held>) -> Option<LocalAction> {
+        let action = self.try_decide(cpu, line, held, LocalEvent::Read)?;
         if action.bus_op != BusOp::Read {
             let what = format!("read miss on {line:#x} chose `{action}`, not a bus read");
             self.fault(cpu, what);
@@ -222,11 +229,11 @@ impl Fabric {
     /// note 3). No-op unless node `cpu` holds the line in an owned state.
     pub fn pass(&mut self, cpu: usize, addr: u64) -> bool {
         let line = self.line_addr(addr);
-        let state = self.controllers[cpu].state_of(line);
-        if !state.is_owned() {
+        let held = self.controllers[cpu].held(line);
+        if !held.is_some_and(|h| h.state.is_owned()) {
             return false;
         }
-        let Some(action) = self.try_decide(cpu, line, LocalEvent::Pass) else {
+        let Some(action) = self.try_decide(cpu, line, held, LocalEvent::Pass) else {
             return false;
         };
         // Every permitted pass pushes; an action without a bus write (a
@@ -247,11 +254,12 @@ impl Fabric {
     /// from node `cpu`'s cache (Table 1, note 4). No-op when not resident.
     pub fn flush(&mut self, cpu: usize, addr: u64) -> bool {
         let line = self.line_addr(addr);
-        let state = self.controllers[cpu].state_of(line);
-        if !state.is_valid() {
+        // Resident lines are always valid.
+        let held = self.controllers[cpu].held(line);
+        if held.is_none() {
             return false;
         }
-        let Some(action) = self.try_decide(cpu, line, LocalEvent::Flush) else {
+        let Some(action) = self.try_decide(cpu, line, held, LocalEvent::Flush) else {
             return false;
         };
         if action.bus_op == BusOp::Write {
@@ -349,7 +357,8 @@ impl Fabric {
             return;
         }
         let line = self.line_addr(addr);
-        let Some(action) = self.decide_read(cpu, line) else {
+        // The probe just missed, so the line is not held.
+        let Some(action) = self.decide_read(cpu, line, None) else {
             // Degraded: the copying path serves from memory without caching;
             // with nobody consuming the bytes there is nothing to do.
             return;
@@ -369,7 +378,8 @@ impl Fabric {
         let line = self.line_addr(addr);
         let offset = (addr - line) as usize;
         let range = offset..offset + len;
-        let Some(action) = self.decide_read(cpu, line) else {
+        // The hit path just missed, so the line is not held.
+        let Some(action) = self.decide_read(cpu, line, None) else {
             // Degraded: serve from memory without caching the line.
             out.extend_from_slice(&self.bus.memory().peek(line)[range]);
             return;
@@ -433,34 +443,54 @@ impl Fabric {
     }
 
     fn write_piece(&mut self, cpu: usize, addr: u64, bytes: &[u8]) {
-        self.controllers[cpu].stats_mut().writes += 1;
         let line = self.line_addr(addr);
-        if self.controllers[cpu].state_of(line).is_valid() {
-            self.controllers[cpu].stats_mut().write_hits += 1;
+        let ctrl = &mut self.controllers[cpu];
+        // One tag scan finds the line for the hit count, the decision and
+        // the write; resident lines are always valid.
+        let held = ctrl.held(line);
+        let stats = ctrl.stats_mut();
+        stats.writes += 1;
+        if held.is_some() {
+            stats.write_hits += 1;
         }
-        self.write_piece_inner(cpu, addr, bytes, false);
+        self.write_piece_inner(cpu, addr, bytes, held, false);
     }
 
-    /// Writes `bytes` into the resident line at `addr`; a line the action
-    /// should have left resident but did not is a fault `what`, and the write
-    /// goes memory-direct.
-    fn write_resident(&mut self, cpu: usize, addr: u64, bytes: &[u8], what: &str) -> bool {
-        if self.controllers[cpu].write_cached(addr, bytes) {
-            return true;
+    /// Writes `bytes` into the line at `addr` that `held` found, setting its
+    /// state to `state` in the same step; a line the action should have left
+    /// resident but did not is a fault `what`, and the write goes
+    /// memory-direct.
+    fn write_held(
+        &mut self,
+        cpu: usize,
+        held: Option<Held>,
+        addr: u64,
+        bytes: &[u8],
+        state: LineState,
+        what: &str,
+    ) {
+        if !self.controllers[cpu].write_held(held, addr, bytes, state) {
+            self.fault(cpu, format_args!("{what} needs line {addr:#x} resident"));
+            let line = self.line_addr(addr);
+            let offset = (addr - line) as usize;
+            self.bus.memory_mut().write_bytes(line, offset, bytes);
         }
-        self.fault(cpu, format_args!("{what} needs line {addr:#x} resident"));
-        let line = self.line_addr(addr);
-        let offset = (addr - line) as usize;
-        self.bus.memory_mut().write_bytes(line, offset, bytes);
-        false
     }
 
-    /// One write decision; `redecided` marks the re-decision after a
-    /// `Read>Write` cell's read, which must not be `Read>Write` again.
-    fn write_piece_inner(&mut self, cpu: usize, addr: u64, bytes: &[u8], redecided: bool) {
+    /// One write decision on the line as `held` found it; `redecided` marks
+    /// the re-decision after a `Read>Write` cell's read, which must not be
+    /// `Read>Write` again.
+    fn write_piece_inner(
+        &mut self,
+        cpu: usize,
+        addr: u64,
+        bytes: &[u8],
+        held: Option<Held>,
+        redecided: bool,
+    ) {
         let line = self.line_addr(addr);
         let offset = (addr - line) as usize;
-        let Some(action) = self.try_decide(cpu, line, LocalEvent::Write) else {
+        let Some(action) = self.try_decide(cpu, line, held, LocalEvent::Write) else {
             // Degraded: absorb the write into memory, bypassing the cache.
             self.bus.memory_mut().write_bytes(line, offset, bytes);
             return;
@@ -468,33 +498,33 @@ impl Fabric {
         match action.bus_op {
             // A silent write: M stays M, E upgrades to M.
             BusOp::None => {
-                if self.write_resident(cpu, addr, bytes, "a silent write") {
-                    self.controllers[cpu].apply_state(line, action.result.resolve(false));
-                }
+                let result = action.result.resolve(false);
+                self.write_held(cpu, held, addr, bytes, result, "a silent write");
             }
-            // Write-through, broadcast update, or write-past.
+            // Write-through, broadcast update, or write-past. The master's
+            // own transaction leaves its copy where it was (a fault that
+            // drops it is caught by the slot's check), so the write that
+            // follows scans nothing.
             BusOp::Write => {
                 let req = TransactionRequest::write(cpu, line, action.signals, offset, bytes);
                 let out = self.run_txn(&req);
                 let result = action.result.resolve(out.ch_seen);
-                if self.controllers[cpu].write_cached(addr, bytes) {
-                    self.controllers[cpu].apply_state(line, result);
-                }
+                self.controllers[cpu].write_held(held, addr, bytes, result);
             }
             // Address-only invalidate, then write locally (O/S → M).
             BusOp::AddressOnly => {
                 let req = TransactionRequest::address_only(cpu, line, action.signals);
                 let out = self.run_txn(&req);
                 let result = action.result.resolve(out.ch_seen);
-                if self.write_resident(cpu, addr, bytes, "an invalidate-write") {
-                    self.controllers[cpu].apply_state(line, result);
-                }
+                self.write_held(cpu, held, addr, bytes, result, "an invalidate-write");
             }
             // Read-for-modify: one transaction reads the line and invalidates
             // other copies, then the write happens locally.
             BusOp::Read => {
                 self.execute_read_action(cpu, line, &action, None);
-                self.write_resident(cpu, addr, bytes, "a read-for-modify");
+                let held = self.controllers[cpu].held(line);
+                let state = held.map_or(LineState::Invalid, |h| h.state);
+                self.write_held(cpu, held, addr, bytes, state, "a read-for-modify");
             }
             // Two transactions: a read per the protocol's I/Read row, then
             // the write is re-decided from the new state.
@@ -503,14 +533,15 @@ impl Fabric {
                     self.fault(cpu, "a re-decided write chose `Read>Write` again");
                     None
                 } else {
-                    self.decide_read(cpu, line)
+                    self.decide_read(cpu, line, held)
                 };
                 let Some(read_action) = read_action else {
                     self.bus.memory_mut().write_bytes(line, offset, bytes);
                     return;
                 };
                 self.execute_read_action(cpu, line, &read_action, None);
-                self.write_piece_inner(cpu, addr, bytes, true);
+                let held = self.controllers[cpu].held(line);
+                self.write_piece_inner(cpu, addr, bytes, held, true);
             }
         }
     }
@@ -573,6 +604,33 @@ mod tests {
         assert_eq!(f.read(0, 0x100, 4), vec![9; 4]);
         assert_eq!(f.read(1, 0x100, 4), vec![9; 4]);
         assert_eq!(&f.bus().memory().peek(0x100)[..4], &[9; 4]);
+    }
+
+    #[test]
+    fn a_write_hit_and_a_snooper_commit_log_their_line() {
+        // Each change below goes through one logging point only: a silent
+        // write hit through the writer's one-step write, and an external
+        // read's demotion through the snooper's commit (intervention leaves
+        // memory alone).
+        let mut f = fabric(2);
+        let log = ChangeLog::default();
+        f.track_changes(Some(&log));
+        let mut lines = Vec::new();
+        f.write_fast(0, 0x100, &[7; 4]);
+        assert_eq!(f.controller(0).state_of(0x100), LineState::Modified);
+        log.drain_into(&mut lines);
+        lines.clear();
+
+        f.write_fast(0, 0x104, &[8; 4]);
+        assert!(!log.drain_into(&mut lines));
+        assert_eq!(lines, [0x100], "the silent write hit");
+        lines.clear();
+
+        let req = TransactionRequest::read(f.external_master(), 0x100, MasterSignals::CA);
+        f.run_txn(&req);
+        assert_eq!(f.controller(0).state_of(0x100), LineState::Owned);
+        assert!(!log.drain_into(&mut lines));
+        assert_eq!(lines, [0x100], "the snooper's commit");
     }
 
     #[test]

@@ -405,7 +405,10 @@ pub struct Bridge {
     pub(super) level: usize,
     pub(crate) node: FabricNode,
     pub(super) directory: LineMap<LineState>,
-    pub(super) pending: Option<(LineAddr, Option<BusReaction>)>,
+    /// A snoop's decision for the completion handshake: the line, the
+    /// inclusion tag the snoop read, and the reaction (`None` for a miss
+    /// forwarded with the filter off).
+    pub(super) pending: Option<(LineAddr, LineState, Option<BusReaction>)>,
     pub(super) stats: BridgeStats,
     pub(super) degraded: bool,
     pub(super) filter: bool,
@@ -803,7 +806,7 @@ impl BusModule for Bridge {
             // Filter disabled: forward blindly into the subtree with no
             // response and no state change.
             self.stats.forwarded += 1;
-            self.pending = Some((req.addr, None));
+            self.pending = Some((req.addr, ext, None));
             return ResponseSignals::NONE;
         }
         self.stats.filter_hits += 1;
@@ -829,7 +832,7 @@ impl BusModule for Bridge {
                     self.id
                 )
             });
-        self.pending = Some((req.addr, Some(reaction)));
+        self.pending = Some((req.addr, ext, Some(reaction)));
         ResponseSignals {
             ch: reaction.ch,
             di: reaction.di,
@@ -844,7 +847,7 @@ impl BusModule for Bridge {
     }
 
     fn complete(&mut self, req: &TransactionRequest, obs: &BusObservation<'_>) {
-        let Some((line, reaction)) = self.pending.take() else {
+        let Some((line, ext, reaction)) = self.pending.take() else {
             return;
         };
         if line != req.addr {
@@ -904,10 +907,14 @@ impl BusModule for Bridge {
         }
 
         // A filtered-off miss forwarded the event but changes no tag: a
-        // snooped transaction must never allocate an inclusion entry.
+        // snooped transaction must never allocate an inclusion entry. The
+        // tag the snoop read still stands (forwarding changes only what is
+        // below this bridge), so a tag the reaction keeps needs no write.
         if let Some(reaction) = reaction {
             let new_ext = reaction.result.resolve(obs.ch_others);
-            self.set_cluster_state(line, new_ext);
+            if new_ext != ext {
+                self.set_cluster_state(line, new_ext);
+            }
         }
     }
 
