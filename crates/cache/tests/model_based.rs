@@ -136,7 +136,10 @@ fn cache_array_agrees_with_the_reference_model() {
                 }
                 Op::Write { line, offset, byte } => {
                     let addr = line * LINE as u64 + offset as u64;
-                    let ok = cache.write(addr, &[byte]);
+                    let write = Some((offset, &[byte][..]));
+                    let ok = cache.locate(addr).is_some_and(|(at, state, _)| {
+                        cache.commit_at(at, addr, write, false, Some(state))
+                    });
                     let base = line * LINE as u64;
                     match model.lines.get_mut(&base) {
                         Some((_, data)) => {

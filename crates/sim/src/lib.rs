@@ -43,7 +43,7 @@ pub mod workload;
 
 pub use campaign::{default_jobs, merge_phase_histograms, run_jobs, SHARD_REGIONS};
 pub use checker::{Checker, OracleWork, Violation};
-pub use controller::CacheController;
+pub use controller::{CacheController, Held};
 pub use fabric::Fabric;
 pub use faults::{
     campaign_report_json, liveness_probe_json, run_campaign, run_liveness_probe, CampaignConfig,

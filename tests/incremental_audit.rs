@@ -159,9 +159,13 @@ fn each_flat_logging_point_reaches_the_next_audit() {
     };
     let cases: [(&str, Step, Step, &str); 4] = [
         (
-            "write_cached",
+            "write_held",
             owned,
-            |sys| assert!(sys.fabric_mut().controller_mut(0).write_cached(0x100, &[9])),
+            |sys| {
+                let cpu0 = sys.fabric_mut().controller_mut(0);
+                let held = cpu0.held(0x100);
+                assert!(cpu0.write_held(held, 0x100, &[9], LineState::Modified));
+            },
             "cpu0:MOESI holds a stale M copy",
         ),
         (
