@@ -46,7 +46,7 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # deterministic: a steady-state bus transaction allocates nothing, neither
 # does feeding a reference from its stream to the machine, and the golden
 # image grows one slab instead of allocating per line.
-for gate in tree:mpsim:0.05 flat-write:mpsim:0.02 flat-read:mpsim:0.01 checked:checker:0.06; do
+for gate in tree:mpsim:0.03 flat-write:mpsim:0.02 flat-read:mpsim:0.01 checked:checker:0.03; do
   workload="${gate%%:*}"
   bound="${gate##*:}"
   metric="${gate#*:}"

@@ -359,18 +359,6 @@ impl<S: Copy> CacheArray<S> {
         self.update(addr, Some(state)).is_some()
     }
 
-    /// Single-pass hit probe: if the line containing `addr` is resident,
-    /// marks it most-recently-used and returns its state. Equivalent to
-    /// `state_of` followed by `touch`, in one tag scan — the engine's
-    /// dataless read-hit path.
-    pub fn touch_state(&mut self, addr: u64) -> Option<S> {
-        let slot = self.find(addr)?;
-        if self.config.replacement == ReplacementKind::Lru {
-            self.promote(slot);
-        }
-        self.slots[slot].state
-    }
-
     /// A resident line's state, recency rank and slot, in one tag scan: for
     /// a caller that consults its protocol on the line and then changes it
     /// without scanning for it again.
@@ -419,54 +407,41 @@ impl<S: Copy> CacheArray<S> {
         true
     }
 
-    /// The slab range of the `len` bytes at `addr`, when the line is
-    /// resident.
+    /// The `len` bytes at `addr` in a resident line, borrowed, marking the
+    /// line most-recently-used, in one tag scan; `None` on a miss. The
+    /// read-hit path: it lends the bytes and copies none.
     ///
     /// # Panics
     ///
-    /// Panics if the access crosses the end of the line.
-    fn bytes_at(&self, addr: u64, len: usize) -> Option<(usize, Range<usize>)> {
+    /// Panics if the access crosses the end of the line — split line
+    /// crossers first ([`split_line_crossers`](crate::split_line_crossers)).
+    #[inline]
+    pub fn touch_read(&mut self, addr: u64, len: usize) -> Option<&[u8]> {
         let (tag, set, offset) = self.map.split(addr);
         assert!(
             offset + len <= self.config.line_size,
             "read crosses line boundary; split it first"
         );
         let slot = self.slot_of(tag, set)?;
-        let start = self.span(slot).start + offset;
-        Some((slot, start..start + len))
-    }
-
-    /// The `len` bytes at `addr` in a resident line, borrowed; `None` on a
-    /// miss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access crosses the end of the line — split line
-    /// crossers first ([`split_line_crossers`](crate::split_line_crossers)).
-    #[must_use]
-    pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
-        let (_, range) = self.bytes_at(addr, len)?;
-        Some(&self.data[range])
-    }
-
-    /// [`touch`](CacheArray::touch) then [`read`](CacheArray::read), in one
-    /// tag scan: the copying read-hit path.
-    ///
-    /// # Panics
-    ///
-    /// As [`read`](CacheArray::read).
-    pub fn touch_read(&mut self, addr: u64, len: usize) -> Option<&[u8]> {
-        let (slot, range) = self.bytes_at(addr, len)?;
         if self.config.replacement == ReplacementKind::Lru {
             self.promote(slot);
         }
-        Some(&self.data[range])
+        // `get`, not indexing: the span lies in the slab, and with no panic
+        // to keep, a caller that ignores the bytes builds no slice at all.
+        let start = self.span(slot).start + offset;
+        self.data.get(start..start + len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `len` bytes at `addr` in a resident line, without touching it.
+    fn peek(c: &CacheArray<char>, addr: u64, len: usize) -> Option<&[u8]> {
+        let (_, _, offset) = c.map().split(addr);
+        c.lookup(addr).map(|e| &e.data[offset..offset + len])
+    }
 
     fn small() -> CacheArray<char> {
         // 4 sets, 2 ways, 16B lines.
@@ -493,7 +468,7 @@ mod tests {
         assert!(fill(&mut c, 0x100, 'M', line(1)).is_none());
         assert_eq!(c.state_of(0x100), Some('M'));
         assert_eq!(c.state_of(0x10F), Some('M'), "same line");
-        assert_eq!(c.read(0x104, 4), Some(&[1; 4][..]));
+        assert_eq!(peek(&c, 0x104, 4), Some(&[1; 4][..]));
         assert_eq!(c.len(), 1);
     }
 
@@ -503,7 +478,7 @@ mod tests {
         fill(&mut c, 0x100, 'S', line(1));
         assert!(fill(&mut c, 0x100, 'M', line(2)).is_none());
         assert_eq!(c.len(), 1);
-        assert_eq!(c.read(0x100, 1), Some(&[2][..]));
+        assert_eq!(peek(&c, 0x100, 1), Some(&[2][..]));
     }
 
     #[test]
@@ -587,8 +562,8 @@ mod tests {
         fill(&mut c, 0x200, 'M', line(0));
         let (at, state, _) = c.locate(0x204).unwrap();
         assert!(c.commit_at(at, 0x204, Some((4, &[0xAA, 0xBB])), false, Some(state)));
-        assert_eq!(c.read(0x204, 2), Some(&[0xAA, 0xBB][..]));
-        assert_eq!(c.read(0x200, 4), Some(&[0; 4][..]), "the rest is kept");
+        assert_eq!(peek(&c, 0x204, 2), Some(&[0xAA, 0xBB][..]));
+        assert_eq!(peek(&c, 0x200, 4), Some(&[0; 4][..]), "the rest is kept");
         assert!(c.locate(0x300).is_none(), "a miss locates nothing");
     }
 
@@ -622,7 +597,7 @@ mod tests {
         let scans = c.tag_scans();
         assert!(c.commit_at(at, 0x000, Some((4, &[9, 9])), true, Some('M')));
         assert_eq!(c.tag_scans(), scans, "a current slot scans nothing");
-        assert_eq!(c.read(0x004, 2), Some(&[9, 9][..]));
+        assert_eq!(peek(&c, 0x004, 2), Some(&[9, 9][..]));
         assert_eq!(
             (c.state_of(0x000), c.recency_rank(0x000)),
             (Some('M'), Some(0))
@@ -650,7 +625,7 @@ mod tests {
         // The slot now holds 0x040, so 0x000 is found by a scan.
         assert!(c.commit_at(at, 0x000, Some((0, &[7])), false, Some('S')));
         assert_eq!(c.state_of(0x000), Some('S'));
-        assert_eq!(c.read(0x000, 1), Some(&[7][..]));
+        assert_eq!(peek(&c, 0x000, 1), Some(&[7][..]));
         assert_eq!(
             c.state_of(0x040),
             Some('b'),
@@ -666,7 +641,7 @@ mod tests {
         let _ = c.state_of(0x100); // 2
         let _ = c.lookup(0x100); // 3
         let _ = c.locate(0x100); // 4
-        let _ = c.touch_state(0x104); // 5
+        c.touch(0x104); // 5
         let _ = c.touch_read(0x104, 1); // 6
         let _ = c.iter().count(); // not a scan
         assert_eq!(c.tag_scans(), 6);
@@ -684,6 +659,6 @@ mod tests {
     fn crossing_reads_are_rejected() {
         let mut c = small();
         fill(&mut c, 0, 'x', line(0));
-        let _ = c.read(12, 8);
+        let _ = c.touch_read(12, 8);
     }
 }

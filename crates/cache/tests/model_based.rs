@@ -151,7 +151,7 @@ fn cache_array_agrees_with_the_reference_model() {
                 }
                 Op::Read { line, offset } => {
                     let addr = line * LINE as u64 + offset as u64;
-                    let got = cache.read(addr, 1).map(<[u8]>::to_vec);
+                    let got = cache.lookup(addr).map(|e| e.data[offset..=offset].to_vec());
                     let base = line * LINE as u64;
                     let expect = model.lines.get(&base).map(|(_, d)| vec![d[offset]]);
                     assert_eq!(got, expect, "case {case}");
@@ -169,7 +169,7 @@ fn cache_array_agrees_with_the_reference_model() {
             assert_eq!(cache.len(), model.lines.len(), "case {case}");
             for (&addr, (state, data)) in &model.lines {
                 assert_eq!(cache.state_of(addr), Some(*state), "case {case}");
-                let cached = cache.read(addr, LINE);
+                let cached = cache.lookup(addr).map(|e| e.data);
                 assert_eq!(cached, Some(data.as_slice()), "case {case}");
             }
             // Recency ranks agree with the reference LRU order.

@@ -114,42 +114,33 @@ impl Arbitration {
     }
 
     /// How many arbitration slots `master` waits before winning the bus when
-    /// every index in `live` is contending. `live` must be ascending and
-    /// contain `master`; priority never reads it.
-    pub(crate) fn slots_to_grant(
-        &mut self,
-        master: usize,
-        live: impl IntoIterator<Item = usize>,
-    ) -> u32 {
+    /// every module in `live` is contending: one bit per module index, the
+    /// master's among them. Priority never reads it; the other disciplines
+    /// count from its words, not by walking its members.
+    pub(crate) fn slots_to_grant(&mut self, master: usize, live: &[u64]) -> u32 {
         let slots = match self {
             Arbitration::Priority => 1,
             Arbitration::RoundRobin { last } => {
                 // The token serves contenders in ascending index order after
                 // the previous winner, wrapping round: one slot per grant up
                 // to and including the master's own.
-                let after = |m: usize| last.is_none_or(|l| m > l);
-                let waited = if after(master) {
-                    live.into_iter()
-                        .filter(|&m| after(m) && m <= master)
-                        .count()
-                } else {
-                    live.into_iter()
-                        .filter(|&m| after(m) || m <= master)
-                        .count()
+                let waited = match *last {
+                    None => members(live, 0, master + 1),
+                    Some(l) if master > l => members(live, l + 1, master + 1),
+                    Some(l) => members(live, l + 1, usize::MAX) + members(live, 0, master + 1),
                 };
                 *last = Some(master);
                 waited
             }
             Arbitration::Fcfs { queue, queued } => {
                 // Simultaneous arrivals join the tail in index order.
-                for m in live {
-                    let (word, bit) = (m / 64, 1u64 << (m % 64));
-                    if word >= queued.len() {
-                        queued.resize(word + 1, 0);
-                    }
-                    if queued[word] & bit == 0 {
-                        queued[word] |= bit;
-                        queue.push_back(m);
+                queued.resize(queued.len().max(live.len()), 0);
+                for (w, (&bits, queued)) in live.iter().zip(queued.iter_mut()).enumerate() {
+                    let mut joiners = bits & !*queued;
+                    *queued |= joiners;
+                    while joiners != 0 {
+                        queue.push_back(w * 64 + joiners.trailing_zeros() as usize);
+                        joiners &= joiners - 1;
                     }
                 }
                 let pos = queue
@@ -168,6 +159,25 @@ impl Arbitration {
     }
 }
 
+/// The bits of the `w`-th word of a module set whose indices lie below
+/// `bound`.
+pub(crate) fn below(w: usize, bound: usize) -> u64 {
+    match bound.saturating_sub(w * 64) {
+        0 => 0,
+        n if n >= 64 => u64::MAX,
+        n => (1 << n) - 1,
+    }
+}
+
+/// How many members of `live` (one bit per module index) lie in
+/// `from..to`: a population count per word.
+fn members(live: &[u64], from: usize, to: usize) -> usize {
+    let words = live.iter().enumerate();
+    words
+        .map(|(w, &bits)| (bits & below(w, to) & !below(w, from)).count_ones() as usize)
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,11 +186,21 @@ mod tests {
         Arbitration::new(discipline)
     }
 
+    /// `members` as a contender set, one bit per module index.
+    fn set(members: impl IntoIterator<Item = usize>) -> Vec<u64> {
+        let mut set = Vec::new();
+        for m in members {
+            set.resize(set.len().max(m / 64 + 1), 0);
+            set[m / 64] |= 1 << (m % 64);
+        }
+        set
+    }
+
     #[test]
     fn priority_grants_in_one_slot_for_everyone() {
         let mut a = state(Discipline::Priority);
         for master in 0..4 {
-            assert_eq!(a.slots_to_grant(master, [0, 1, 2, 3]), 1);
+            assert_eq!(a.slots_to_grant(master, &set([0, 1, 2, 3])), 1);
         }
     }
 
@@ -189,24 +209,28 @@ mod tests {
         let mut a = state(Discipline::RoundRobin);
         // Each master is next in turn, so each waits only its own slot.
         for master in [0, 1, 2] {
-            assert_eq!(a.slots_to_grant(master, [0, 1, 2]), 1);
+            assert_eq!(a.slots_to_grant(master, &set([0, 1, 2])), 1);
         }
-        assert_eq!(a.slots_to_grant(0, [0, 1, 2]), 1, "wraps around");
+        assert_eq!(a.slots_to_grant(0, &set([0, 1, 2])), 1, "wraps around");
     }
 
     #[test]
     fn round_robin_skips_non_requesters() {
         let mut a = state(Discipline::RoundRobin);
-        assert_eq!(a.slots_to_grant(1, [1]), 1);
-        assert_eq!(a.slots_to_grant(3, [0, 3]), 1, "next after 1 among {{0,3}}");
-        assert_eq!(a.slots_to_grant(0, [0, 3]), 1);
+        assert_eq!(a.slots_to_grant(1, &set([1])), 1);
+        assert_eq!(
+            a.slots_to_grant(3, &set([0, 3])),
+            1,
+            "next after 1 among {{0,3}}"
+        );
+        assert_eq!(a.slots_to_grant(0, &set([0, 3])), 1);
     }
 
     #[test]
     fn round_robin_serves_everyone_within_one_rotation() {
         let mut a = state(Discipline::RoundRobin);
         for master in [5, 2, 7, 7, 0, 3, 6, 1, 4] {
-            let slots = a.slots_to_grant(master, 0..8);
+            let slots = a.slots_to_grant(master, &set(0..8));
             assert!((1..=8).contains(&slots), "master {master}: {slots}");
         }
     }
@@ -215,11 +239,11 @@ mod tests {
     fn round_robin_charges_the_token_distance() {
         let mut a = state(Discipline::RoundRobin);
         // Token starts before module 0: master 2 waits for 0 and 1.
-        assert_eq!(a.slots_to_grant(2, [0, 1, 2, 3]), 3);
+        assert_eq!(a.slots_to_grant(2, &set([0, 1, 2, 3])), 3);
         // Token now at 2; master 3 is next in turn.
-        assert_eq!(a.slots_to_grant(3, [0, 1, 2, 3]), 1);
+        assert_eq!(a.slots_to_grant(3, &set([0, 1, 2, 3])), 1);
         // Wrapping: master 3 again pays a full rotation.
-        assert_eq!(a.slots_to_grant(3, [0, 1, 2, 3]), 4);
+        assert_eq!(a.slots_to_grant(3, &set([0, 1, 2, 3])), 4);
     }
 
     #[test]
@@ -227,22 +251,26 @@ mod tests {
         let mut a = state(Discipline::Fcfs);
         // All four arrive together (index order breaks the tie); master 1 is
         // second in line.
-        assert_eq!(a.slots_to_grant(1, [0, 1, 2, 3]), 2);
+        assert_eq!(a.slots_to_grant(1, &set([0, 1, 2, 3])), 2);
         // 2 and 3 are still queued from the first round; master 0 re-arrives
         // behind them.
-        assert_eq!(a.slots_to_grant(0, [0, 1, 2, 3]), 3);
+        assert_eq!(a.slots_to_grant(0, &set([0, 1, 2, 3])), 3);
         // Only 1 left queued; 0, 2 and 3 re-arrive behind it in index order,
         // so master 3 sits at the tail of a four-deep queue.
-        assert_eq!(a.slots_to_grant(3, [0, 1, 2, 3]), 4);
+        assert_eq!(a.slots_to_grant(3, &set([0, 1, 2, 3])), 4);
     }
 
     #[test]
     fn fcfs_serves_the_longest_waiter_first() {
         let mut a = state(Discipline::Fcfs);
-        assert_eq!(a.slots_to_grant(1, [1, 2]), 1, "index order on arrival");
+        assert_eq!(
+            a.slots_to_grant(1, &set([1, 2])),
+            1,
+            "index order on arrival"
+        );
         // 2 queued before 0 arrived, so 0 waits behind it.
-        assert_eq!(a.slots_to_grant(0, [0, 2]), 2);
-        assert_eq!(a.slots_to_grant(2, [2]), 1, "2 was served ahead of 0");
+        assert_eq!(a.slots_to_grant(0, &set([0, 2])), 2);
+        assert_eq!(a.slots_to_grant(2, &set([2])), 1, "2 was served ahead of 0");
     }
 
     /// The FCFS grant as first written: a `VecDeque::contains` scan per
@@ -274,7 +302,7 @@ mod tests {
                     .filter(|&m| m == master || (m < modules && rng.gen_range(0..4u32) != 0))
                     .collect();
                 let want = fcfs_by_queue_scan(&mut reference, master, &live);
-                let got = fast.slots_to_grant(master, live.iter().copied());
+                let got = fast.slots_to_grant(master, &set(live.iter().copied()));
                 assert_eq!(got, want, "{modules} modules, round {round}");
                 let Arbitration::Fcfs { queue, queued } = &fast else {
                     unreachable!()
@@ -304,7 +332,7 @@ mod tests {
         for d in Discipline::ALL {
             let mut a = state(d);
             assert_eq!(a.discipline(), d);
-            assert!(a.slots_to_grant(0, [0, 1]) >= 1, "{d}");
+            assert!(a.slots_to_grant(0, &set([0, 1])) >= 1, "{d}");
         }
     }
 }

@@ -30,7 +30,7 @@
 //! and retires it from the snoop set — it is treated thereafter as a
 //! non-caching processor, which the class explicitly supports (§3.3).
 
-use crate::arbitration::{Arbitration, Discipline};
+use crate::arbitration::{below, Arbitration, Discipline};
 use crate::fault::{FaultPlan, TxnFaults};
 use crate::memory::SparseMemory;
 use crate::module::BusModule;
@@ -142,6 +142,9 @@ pub struct Futurebus {
     pub(crate) faults: Option<FaultPlan>,
     pub(crate) retired: BTreeSet<usize>,
     arbitration: Arbitration,
+    /// The contenders of the grant being arbitrated, one bit per module
+    /// index; kept for its capacity.
+    contenders: Vec<u64>,
     pending_stall: Option<(usize, bool)>,
     histograms: PhaseHistograms,
     /// Abort counts of the transactions that suffered any; the zeros are
@@ -157,6 +160,9 @@ pub struct Futurebus {
     /// here (from memory or the intervening owner), and the outcome lends it
     /// to the master until the next transaction.
     pub(crate) line: Box<[u8]>,
+    /// The data beats of one line: a bus's line size and width never
+    /// change, so a whole-line transfer is costed without a division.
+    pub(crate) line_beats: u64,
     /// The stall-candidate buffer lent to the fault plan's roll, so a bus
     /// with a plan installed does not allocate per transaction either.
     candidate_scratch: Vec<usize>,
@@ -167,7 +173,8 @@ impl Futurebus {
     ///
     /// # Panics
     ///
-    /// Panics unless `line_size` is a non-zero power of two.
+    /// Panics unless `line_size` is a non-zero power of two, or if the
+    /// timing model's bus is zero bytes wide.
     #[must_use]
     pub fn new(line_size: usize, timing: TimingConfig) -> Self {
         Futurebus {
@@ -179,6 +186,7 @@ impl Futurebus {
             faults: None,
             retired: BTreeSet::new(),
             arbitration: Arbitration::new(Discipline::default()),
+            contenders: Vec::new(),
             pending_stall: None,
             histograms: PhaseHistograms::new(),
             retry_hist: LatencyHistogram::new(),
@@ -186,6 +194,7 @@ impl Futurebus {
             phase_events: None,
             replies: Vec::new(),
             line: vec![0; line_size].into_boxed_slice(),
+            line_beats: timing.beats_for(line_size),
             candidate_scratch: Vec::new(),
         }
     }
@@ -228,6 +237,9 @@ impl Futurebus {
     /// fixed-cost arbitration model.
     pub fn set_discipline(&mut self, discipline: Discipline) {
         self.arbitration = Arbitration::new(discipline);
+        // Room for the contenders of a bus of up to 64 modules, so a grant
+        // allocates nothing.
+        self.contenders.reserve(1);
     }
 
     /// Queueing delay (in arbitration slots) `master` pays for the bus under
@@ -237,12 +249,18 @@ impl Futurebus {
     ///
     /// [`Phase::Arbitrate`]: crate::Phase::Arbitrate
     pub(crate) fn queue_slots(&mut self, master: usize, modules: usize) -> u32 {
+        if let Arbitration::Priority = self.arbitration {
+            return 1; // combinational: nobody's contention is counted
+        }
         // Every module the watchdog has not retired contends, and so does the
-        // master itself, ascending.
-        let retired = &self.retired;
-        let any_retired = !retired.is_empty();
-        let live = (0..modules.max(master + 1))
-            .filter(|&i| i == master || (i < modules && !(any_retired && retired.contains(&i))));
+        // master itself.
+        let live = &mut self.contenders;
+        live.clear();
+        live.extend((0..modules.max(master + 1).div_ceil(64)).map(|w| below(w, modules)));
+        for &m in &self.retired {
+            live[m / 64] &= !(1 << (m % 64));
+        }
+        live[master / 64] |= 1 << (master % 64);
         self.arbitration.slots_to_grant(master, live)
     }
 
@@ -261,15 +279,6 @@ impl Futurebus {
     #[must_use]
     pub fn stats(&self) -> &BusStats {
         &self.stats
-    }
-
-    /// Resets the statistics, phase histograms and retry histogram (memory
-    /// contents, the liveness ledgers and any collected phase events are
-    /// kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = BusStats::new();
-        self.histograms = PhaseHistograms::new();
-        self.retry_hist = LatencyHistogram::new();
     }
 
     /// Per-phase latency histograms: one sample per phase per transaction
@@ -663,6 +672,83 @@ mod tests {
 
     fn bus() -> Futurebus {
         Futurebus::new(16, TimingConfig::default())
+    }
+
+    /// The grant as first written: a walk over every module index, the
+    /// contenders filtered from it, the round-robin count a filter over the
+    /// walk and the FCFS joiners pushed one by one. `last` and `queue` are
+    /// its round-robin and FCFS state.
+    fn slots_by_walk(
+        discipline: Discipline,
+        last: &mut Option<usize>,
+        queue: &mut std::collections::VecDeque<usize>,
+        master: usize,
+        modules: usize,
+        retired: &[usize],
+    ) -> u32 {
+        let live: Vec<usize> = (0..modules.max(master + 1))
+            .filter(|&i| i == master || (i < modules && !retired.contains(&i)))
+            .collect();
+        let slots = match discipline {
+            Discipline::Priority => 1,
+            Discipline::RoundRobin => {
+                let after = |m: usize| last.is_none_or(|l| m > l);
+                let waited = live
+                    .iter()
+                    .filter(|&&m| {
+                        if after(master) {
+                            after(m) && m <= master
+                        } else {
+                            after(m) || m <= master
+                        }
+                    })
+                    .count();
+                *last = Some(master);
+                waited
+            }
+            Discipline::Fcfs => {
+                for &m in &live {
+                    if !queue.contains(&m) {
+                        queue.push_back(m);
+                    }
+                }
+                let pos = queue.iter().position(|&m| m == master).unwrap();
+                queue.drain(..=pos);
+                pos + 1
+            }
+        };
+        u32::try_from(slots).unwrap()
+    }
+
+    #[test]
+    fn grants_counted_from_the_live_set_match_a_walk_over_every_module() {
+        let mut rng = moesi::rng::SmallRng::seed_from_u64(31);
+        // Buses on both sides of one and two 64-bit words.
+        for modules in [1usize, 3, 4, 63, 64, 65, 100, 130] {
+            for discipline in Discipline::ALL {
+                let mut bus = bus();
+                bus.set_discipline(discipline);
+                let (mut last, mut queue) = (None, std::collections::VecDeque::new());
+                let mut retired = Vec::new();
+                for round in 0..300 {
+                    if rng.gen_range(0..40u32) == 0 {
+                        let victim = rng.gen_range(0..modules);
+                        bus.retired.insert(victim);
+                        retired.push(victim);
+                    }
+                    // Index `modules` is the external master (a bridge's
+                    // own transaction), one past the children.
+                    let master = rng.gen_range(0..modules + 1);
+                    let want =
+                        slots_by_walk(discipline, &mut last, &mut queue, master, modules, &retired);
+                    assert_eq!(
+                        bus.queue_slots(master, modules),
+                        want,
+                        "{discipline}, {modules} modules, round {round}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::Arc;
 
 /// A multiplicative hasher for line addresses. Line lookups sit on the
-/// per-access paths (memory on every transaction, bridge directories on every
-/// snoop, the oracle's golden image on every checked access), where the
+/// per-access paths (bridge directories on every snoop), where the
 /// default SipHash costs more than the table probe itself; a Fibonacci
 /// multiply with an avalanche shift is plenty for keys that differ only in
 /// their upper (line-number) bits. Unlike SipHash it has no per-process
@@ -95,6 +94,14 @@ impl ChangeLog {
         }
     }
 
+    /// Whether nothing was logged since the last drain: no line, and no
+    /// wholesale change.
+    #[inline]
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.len.load(Relaxed) == 0 && !self.0.wholesale.load(Relaxed)
+    }
+
     /// Records a change too broad to list line by line.
     pub fn wholesale(&self) {
         self.0.wholesale.store(true, Relaxed);
@@ -102,6 +109,7 @@ impl ChangeLog {
 
     /// Appends the logged lines to `out`, in logging order, and empties the
     /// log. Returns true when a wholesale change was logged.
+    #[inline]
     pub fn drain_into(&self, out: &mut Vec<LineAddr>) -> bool {
         let log = &*self.0;
         let len = log.len.load(Relaxed);
@@ -115,12 +123,15 @@ impl ChangeLog {
     }
 }
 
+/// The bytes of a slab entry's line address, ahead of the line's bytes.
+const KEY: usize = 8;
+
 /// A sparse, line-granular main memory. Untouched lines read as zero.
 ///
-/// Written lines live in one growable byte slab, `line_size` bytes each in
-/// first-write order, found through a [`LineMap`] of slab offsets: a write
-/// overwrites its line in place, and only a line's first write grows the
-/// slab.
+/// Written lines live in one growable byte slab, in first-write order, each
+/// entry its line's address and then its `line_size` bytes, found through
+/// an index of entry numbers: a write overwrites its line in place, and
+/// only a line's first write grows the slab.
 ///
 /// # Examples
 ///
@@ -135,10 +146,17 @@ impl ChangeLog {
 #[derive(Clone, Debug)]
 pub struct SparseMemory {
     line_size: usize,
-    /// Where each written line starts in `slab`.
-    index: LineMap<usize>,
-    /// The written lines' bytes.
+    /// The index of written lines: a power-of-two number of places (none
+    /// until the first line), each 0 (free) or `n`, for slab entry `n - 1`.
+    places: Vec<u32>,
+    /// `64 - log2(places.len())`: the shift that keeps a hash's top bits.
+    shift: u32,
+    /// How many places the first write gives the index.
+    first_places: usize,
+    /// The written lines: each one's address, then its bytes.
     slab: Vec<u8>,
+    /// Lines written: the slab's entries.
+    lines: usize,
     /// What an untouched line reads as, so peeks can always lend a slice.
     zero: Box<[u8]>,
     reads: u64,
@@ -155,14 +173,31 @@ impl SparseMemory {
     /// §5.1 standard-line-size requirement presumes conventional sizes).
     #[must_use]
     pub fn new(line_size: usize) -> Self {
+        Self::with_capacity(line_size, 0)
+    }
+
+    /// An empty memory whose index, once the first line is written, has
+    /// room for `lines` lines before it grows again. Nothing is allocated
+    /// before that write, so building the memory costs no more. The slab
+    /// still grows with the lines written: presizing it too measured
+    /// slower.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](SparseMemory::new).
+    #[must_use]
+    pub fn with_capacity(line_size: usize, lines: usize) -> Self {
         assert!(
             line_size.is_power_of_two(),
             "line size must be a power of two, got {line_size}"
         );
         SparseMemory {
             line_size,
-            index: LineMap::default(),
+            places: Vec::new(),
+            shift: 0,
+            first_places: (2 * lines).next_power_of_two().max(16),
             slab: Vec::new(),
+            lines: 0,
             zero: vec![0; line_size].into_boxed_slice(),
             reads: 0,
             writes: 0,
@@ -178,6 +213,7 @@ impl SparseMemory {
 
     /// Aligns an arbitrary byte address down to its line address.
     #[must_use]
+    #[inline]
     pub fn align(&self, addr: u64) -> LineAddr {
         addr & !(self.line_size as u64 - 1)
     }
@@ -203,6 +239,7 @@ impl SparseMemory {
     /// Borrows the line containing `addr` without counting a memory access
     /// (for checkers and fallbacks). Untouched lines read as zero.
     #[must_use]
+    #[inline]
     pub fn peek(&self, addr: u64) -> &[u8] {
         self.slot_line(self.slot(addr))
     }
@@ -212,13 +249,61 @@ impl SparseMemory {
     /// its first write on, so a caller may keep the slot instead of probing
     /// again.
     #[must_use]
+    #[inline]
     pub fn slot(&self, addr: u64) -> Option<usize> {
-        self.index.get(&self.align(addr)).copied()
+        if self.lines == 0 {
+            return None;
+        }
+        self.probe(self.align(addr)).ok()
+    }
+
+    /// Where the bytes of `line` start in the slab, or else the free place
+    /// of the index where it would go. The index is open-addressed and at
+    /// most half full: a probe starts at the line's Fibonacci hash and
+    /// walks on one place at a time. Each slab entry starts with its line's
+    /// address, so the key a probe compares sits right beside the bytes the
+    /// lookup reads next; no control bytes, no second key array.
+    #[inline]
+    fn probe(&self, line: LineAddr) -> Result<usize, usize> {
+        let mask = self.places.len() - 1;
+        let mut at = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let entry = match self.places[at] {
+                0 => return Err(at),
+                n => (n as usize - 1) * (KEY + self.line_size),
+            };
+            if self.key(entry) == line {
+                return Ok(entry + KEY);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The line address of the slab entry at `entry`.
+    #[inline]
+    fn key(&self, entry: usize) -> LineAddr {
+        let bytes = self.slab[entry..entry + KEY].try_into();
+        LineAddr::from_ne_bytes(bytes.expect("a slab entry starts with its address"))
+    }
+
+    /// Rebuilds the index with `size` places (a power of two) and places
+    /// every written line in it. Its layout depends on nothing but the
+    /// lines written, in order, so it repeats exactly from run to run.
+    fn reindex(&mut self, size: usize) {
+        self.places = vec![0; size];
+        self.shift = 64 - size.trailing_zeros();
+        let stride = KEY + self.line_size;
+        for n in 1..=self.lines {
+            let line = self.key((n - 1) * stride);
+            let free = self.probe(line).expect_err("written lines are distinct");
+            self.places[free] = n as u32; // checked when the line was added
+        }
     }
 
     /// The line in `slot` (see [`slot`](SparseMemory::slot)), borrowed;
     /// `None` is an unwritten line, all zero.
     #[must_use]
+    #[inline]
     pub fn slot_line(&self, slot: Option<usize>) -> &[u8] {
         match slot {
             Some(start) => &self.slab[start..start + self.line_size],
@@ -229,11 +314,20 @@ impl SparseMemory {
     /// The bytes of the line at `addr` for writing, and its slot, giving a
     /// line its slab space (zeroed) on its first write.
     fn line_mut(&mut self, addr: LineAddr) -> (&mut [u8], usize) {
-        let end = self.slab.len();
-        let start = *self.index.entry(addr).or_insert(end);
-        if start == end {
-            self.slab.resize(end + self.line_size, 0);
+        if 2 * (self.lines + 1) > self.places.len() {
+            self.reindex((2 * self.places.len()).max(self.first_places));
         }
+        let start = match self.probe(addr) {
+            Ok(start) => start,
+            Err(free) => {
+                self.lines += 1;
+                self.places[free] = u32::try_from(self.lines).expect("under 2^32 lines");
+                self.slab.extend_from_slice(&addr.to_ne_bytes());
+                let start = self.slab.len();
+                self.slab.resize(start + self.line_size, 0);
+                start
+            }
+        };
         (&mut self.slab[start..start + self.line_size], start)
     }
 
@@ -316,18 +410,18 @@ impl SparseMemory {
     /// Number of distinct lines ever written.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.index.len()
+        self.lines
     }
 
-    /// Addresses of every resident line, in map order: for callers that
-    /// sort what they collect anyway.
+    /// Addresses of every resident line, in first-write order: for callers
+    /// that sort what they collect anyway.
     pub fn lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.index.keys().copied()
+        let stride = KEY + self.line_size;
+        (0..self.lines).map(move |entry| self.key(entry * stride))
     }
 
-    /// Addresses of every resident line, sorted ascending. The underlying
-    /// map iterates in hash order, so callers that need determinism (fault
-    /// injection, checkers) must go through this.
+    /// Addresses of every resident line, sorted ascending: for callers that
+    /// need address order (fault injection, checkers).
     #[must_use]
     pub fn line_addrs(&self) -> Vec<LineAddr> {
         let mut addrs: Vec<LineAddr> = self.lines().collect();
@@ -374,10 +468,44 @@ mod tests {
         mem.write_line(0x10, &[2; 8]);
         mem.write_bytes(0x20, 3, &[6]);
         assert_eq!(mem.resident_lines(), 2);
-        assert_eq!(mem.slab.len(), 16, "only first writes grow the slab");
+        assert_eq!(
+            mem.slab.len(),
+            2 * (KEY + 8),
+            "only first writes grow the slab"
+        );
         assert_eq!(mem.peek(0x10), &[2; 8]);
         assert_eq!(mem.peek(0x20), &[0, 0, 5, 6, 0, 0, 0, 0]);
         assert_eq!(mem.peek(0x30), &[0; 8], "untouched");
+    }
+
+    #[test]
+    fn lines_are_found_through_index_growth_and_collisions() {
+        let mut mem = SparseMemory::new(32);
+        // Lines a table size apart share their low bits; the hash spreads
+        // them, and linear probing resolves what collides.
+        let lines: Vec<LineAddr> = (0..300u64).map(|i| (i * 0x1000) ^ (i % 7) << 5).collect();
+        for (n, &line) in lines.iter().enumerate() {
+            assert_eq!(mem.slot(line), None, "{line:#x} is not written yet");
+            mem.write_bytes(line, 0, &[n as u8]);
+            assert!(2 * mem.lines <= mem.places.len(), "at most half full");
+        }
+        for (n, &line) in lines.iter().enumerate() {
+            assert_eq!(mem.peek(line)[0], n as u8);
+            assert_eq!(
+                mem.slot(line),
+                Some(n * (KEY + 32) + KEY),
+                "first-write order"
+            );
+        }
+        assert_eq!(mem.resident_lines(), lines.len());
+        assert!(
+            mem.lines().eq(lines.iter().copied()),
+            "listed in write order"
+        );
+        let mut presized = SparseMemory::with_capacity(32, 300);
+        assert!(presized.places.is_empty(), "nothing before the first write");
+        presized.write_bytes(0, 0, &[1]);
+        assert!(presized.places.len() >= 600, "room for 300 lines");
     }
 
     #[test]

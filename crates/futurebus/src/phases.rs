@@ -348,9 +348,11 @@ impl Futurebus {
             // The push is itself a write transaction on the bus. No third
             // party needs to snoop it: the pusher held the only owned copy,
             // and unowned S copies are unaffected by a CA,~IM write-back.
-            let push_cost =
-                self.timing
-                    .transaction(line_size, DataSourceLatency::Master, push.signals.bc);
+            let push_cost = self.timing.transaction_beats(
+                self.line_beats,
+                DataSourceLatency::Master,
+                push.signals.bc,
+            );
             ctx.charge(Phase::AbortBackoff, push_cost);
             self.stats.pushes += 1;
             self.stats.transactions += 1;
@@ -450,7 +452,9 @@ impl Futurebus {
                         (DataSource::Memory, DataSourceLatency::Memory)
                     }
                 };
-                let cost = self.timing.transaction(line_size, latency, broadcast);
+                let cost = self
+                    .timing
+                    .transaction_beats(self.line_beats, latency, broadcast);
                 ctx.charge(Phase::DataTransfer, cost);
                 self.stats.reads += 1;
                 self.stats.bytes_moved += line_size as u64;
@@ -469,9 +473,15 @@ impl Futurebus {
                     self.memory.write_bytes(ctx.req.addr, offset, bytes);
                     self.stats.memory_writes += 1;
                 }
+                // A write-back moves a whole line, whose beats are known.
+                let beats = if bytes.len() == line_size {
+                    self.line_beats
+                } else {
+                    self.timing.beats_for(bytes.len())
+                };
                 let cost =
                     self.timing
-                        .transaction(bytes.len(), DataSourceLatency::Master, broadcast);
+                        .transaction_beats(beats, DataSourceLatency::Master, broadcast);
                 ctx.charge(Phase::DataTransfer, cost);
                 self.stats.writes += 1;
                 self.stats.bytes_moved += bytes.len() as u64;
@@ -585,9 +595,9 @@ impl Futurebus {
         let mut salvaged_addrs = Vec::with_capacity(report.salvaged.len());
         for (addr, data) in &report.salvaged {
             self.memory.write_line(*addr, data);
-            cost += self
-                .timing
-                .transaction(line_size, DataSourceLatency::Master, false);
+            cost +=
+                self.timing
+                    .transaction_beats(self.line_beats, DataSourceLatency::Master, false);
             self.stats.transactions += 1;
             self.stats.writes += 1;
             self.stats.memory_writes += 1;

@@ -95,20 +95,9 @@ impl TimingConfig {
         (bytes.div_ceil(self.bus_word_bytes)) as u64
     }
 
-    /// Cost of a block transfer of `bytes` bytes from the given source,
-    /// excluding arbitration and the address cycle.
-    #[must_use]
-    pub fn transfer(&self, bytes: usize, source: DataSourceLatency, broadcast: bool) -> Nanos {
-        let latency = match source {
-            DataSourceLatency::Memory => self.memory_latency_ns,
-            DataSourceLatency::Intervention => self.intervention_latency_ns,
-            DataSourceLatency::Master => 0,
-        };
-        latency + self.beats_for(bytes) * self.data_beat(broadcast)
-    }
-
-    /// Cost of a full transaction: arbitration, address cycle, and (for
-    /// data-bearing transactions) the transfer.
+    /// Cost of a full transaction moving `payload_bytes` bytes:
+    /// arbitration, address cycle, and (for data-bearing transactions) the
+    /// transfer from the given source.
     #[must_use]
     pub fn transaction(
         &self,
@@ -116,10 +105,32 @@ impl TimingConfig {
         source: DataSourceLatency,
         broadcast: bool,
     ) -> Nanos {
-        let data = if payload_bytes == 0 {
+        let beats = if payload_bytes == 0 {
             0
         } else {
-            self.transfer(payload_bytes, source, broadcast)
+            self.beats_for(payload_bytes)
+        };
+        self.transaction_beats(beats, source, broadcast)
+    }
+
+    /// [`transaction`](TimingConfig::transaction) moving `beats` data beats
+    /// (none: address only), for a caller that knows the count: a bus
+    /// counts a whole line's beats once.
+    pub(crate) fn transaction_beats(
+        &self,
+        beats: u64,
+        source: DataSourceLatency,
+        broadcast: bool,
+    ) -> Nanos {
+        let latency = match source {
+            DataSourceLatency::Memory => self.memory_latency_ns,
+            DataSourceLatency::Intervention => self.intervention_latency_ns,
+            DataSourceLatency::Master => 0,
+        };
+        let data = if beats == 0 {
+            0
+        } else {
+            latency + beats * self.data_beat(broadcast)
         };
         self.arbitration_ns + self.address_cycle_ns + data
     }
@@ -169,10 +180,31 @@ mod tests {
     }
 
     #[test]
+    fn a_transfer_costed_by_its_beats_costs_what_its_bytes_cost() {
+        let t = TimingConfig::default();
+        for bytes in 0..=64 {
+            let beats = t.beats_for(bytes);
+            for source in [
+                DataSourceLatency::Memory,
+                DataSourceLatency::Intervention,
+                DataSourceLatency::Master,
+            ] {
+                for broadcast in [false, true] {
+                    assert_eq!(
+                        t.transaction_beats(beats, source, broadcast),
+                        t.transaction(bytes, source, broadcast),
+                        "{bytes} bytes from {source}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn intervention_is_cheaper_than_memory_by_default() {
         let t = TimingConfig::default();
-        let from_mem = t.transfer(32, DataSourceLatency::Memory, false);
-        let from_cache = t.transfer(32, DataSourceLatency::Intervention, false);
+        let from_mem = t.transaction(32, DataSourceLatency::Memory, false);
+        let from_cache = t.transaction(32, DataSourceLatency::Intervention, false);
         assert!(from_cache < from_mem);
         assert_eq!(from_mem - from_cache, 200);
     }

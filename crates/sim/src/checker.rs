@@ -241,9 +241,20 @@ impl Checker {
     /// Panics unless `line_size` is a non-zero power of two.
     #[must_use]
     pub fn new(line_size: usize) -> Self {
+        Self::with_capacity(line_size, 0)
+    }
+
+    /// [`new`](Checker::new), with room in the golden image's index for
+    /// `lines` written lines before it grows past its first size.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Checker::new).
+    #[must_use]
+    pub(crate) fn with_capacity(line_size: usize, lines: usize) -> Self {
         Checker {
             golden: Golden {
-                image: SparseMemory::new(line_size),
+                image: SparseMemory::with_capacity(line_size, lines),
                 memo: None,
             },
             check_exclusive_clean: true,
@@ -302,36 +313,27 @@ impl Checker {
     ///
     /// Returns [`Violation::ReadMismatch`] when the bytes differ.
     pub fn check_read(&mut self, cpu: usize, addr: u64, got: &[u8]) -> Result<(), Violation> {
-        let image = &self.golden.image;
-        let line = image.align(addr);
-        let offset = (addr - line) as usize;
-        let matches = if offset + got.len() <= image.line_size() {
-            let slot = self.golden.slot(line, &mut self.work.golden_probes);
-            self.golden.memo = Some((line, slot));
-            image.slot_line(slot)[offset..offset + got.len()] == *got
-        } else {
-            let mut rest = got;
-            let mut probes = 0;
-            let matches =
-                split_line_crossers(addr, got.len(), image.line_size()).all(|(piece, n)| {
-                    probes += 1;
-                    let offset = (piece - image.align(piece)) as usize;
-                    let (head, tail) = rest.split_at(n);
-                    rest = tail;
-                    *head == image.peek(piece)[offset..offset + n]
-                });
-            self.work.golden_probes += probes;
-            matches
-        };
-        if matches {
-            Ok(())
-        } else {
-            Err(Violation::ReadMismatch {
-                cpu,
-                addr,
-                got: got.to_vec(),
-                expected: self.golden_bytes(addr, got.len()),
-            })
+        let line_size = self.golden.image.line_size();
+        let (mut check, mut rest) = (self.read_check(addr), got);
+        for (_, len) in split_line_crossers(addr, got.len(), line_size) {
+            let (piece, tail) = rest.split_at(len);
+            rest = tail;
+            check.take(piece);
+        }
+        check.finish(cpu)
+    }
+
+    /// The check of a read at `addr`, to be fed the bytes it returns piece
+    /// by piece, in address order, where they land. Each piece's line is
+    /// looked up through the memo, which it leaves there for the access's
+    /// audit.
+    pub(crate) fn read_check(&mut self, addr: u64) -> ReadCheck<'_> {
+        ReadCheck {
+            golden: &mut self.golden,
+            probes: &mut self.work.golden_probes,
+            addr,
+            taken: 0,
+            got: None,
         }
     }
 
@@ -364,15 +366,27 @@ impl Checker {
     /// lines the oracle and the machine logged reports exactly what a full
     /// audit would; unloggable changes and a failed audit fall back to the
     /// full one. Debug builds assert as much.
-    /// An access that changed nothing costs a drain of the machine's one
-    /// empty log, and every audit, full or not, reuses one list of lines.
-    /// The log skips consecutive repeats, so an access that changed one line
-    /// audits a list of one, unsorted.
+    /// An access that changed nothing costs a look at the machine's one
+    /// empty log, inlined into the caller, and every audit, full or not,
+    /// reuses one list of lines. The log skips consecutive repeats, so an
+    /// access that changed one line audits a list of one, unsorted.
     ///
     /// # Errors
     ///
     /// Returns the first violation among the audited lines.
+    #[inline]
     pub(crate) fn check_changes(&mut self, machine: &mut impl Audited) -> Result<(), Violation> {
+        // Debug builds always take the full path: its assertion holds the
+        // incremental audit to a full one after every access.
+        let unchanged = !self.full_audit && self.log.as_ref().is_some_and(ChangeLog::is_empty);
+        if unchanged && !cfg!(debug_assertions) {
+            return Ok(());
+        }
+        self.audit_changes(machine)
+    }
+
+    /// [`check_changes`](Checker::check_changes) past its no-change exit.
+    fn audit_changes(&mut self, machine: &mut impl Audited) -> Result<(), Violation> {
         let Checker {
             golden,
             check_exclusive_clean: clean,
@@ -425,10 +439,65 @@ impl Checker {
     }
 }
 
+/// The oracle's check of one processor read, fed the bytes the read
+/// returns piece by piece where they land — a cache line or the bus line
+/// buffer — so a read is never copied to be checked.
+pub(crate) struct ReadCheck<'c> {
+    golden: &'c mut Golden,
+    probes: &'c mut u64,
+    addr: u64,
+    /// The bytes taken so far: the whole read's once it is done.
+    taken: usize,
+    /// What the read got, from its first mismatching piece on (`None` while
+    /// every piece matched). The pieces before it matched, so they are the
+    /// golden bytes there.
+    got: Option<Vec<u8>>,
+}
+
+impl ReadCheck<'_> {
+    /// Compares the read's next piece, `bytes`, with the golden image.
+    pub(crate) fn take(&mut self, bytes: &[u8]) {
+        let (before, piece) = (self.taken, self.addr + self.taken as u64);
+        self.taken += bytes.len();
+        if let Some(got) = &mut self.got {
+            got.extend_from_slice(bytes);
+            return;
+        }
+        let line = self.golden.image.align(piece);
+        let slot = self.golden.slot(line, self.probes);
+        self.golden.memo = Some((line, slot));
+        let offset = (piece - line) as usize;
+        let golden = &self.golden.image.slot_line(slot)[offset..offset + bytes.len()];
+        if !same_bytes(golden, bytes) {
+            let mut got = self.golden.image.peek_bytes(self.addr, before);
+            got.extend_from_slice(bytes);
+            self.got = Some(got);
+        }
+    }
+
+    /// The verdict on the whole read by processor `cpu`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Violation::ReadMismatch`] when some piece differed.
+    pub(crate) fn finish(self, cpu: usize) -> Result<(), Violation> {
+        match self.got {
+            None => Ok(()),
+            Some(got) => Err(Violation::ReadMismatch {
+                cpu,
+                addr: self.addr,
+                got,
+                expected: self.golden.image.peek_bytes(self.addr, self.taken),
+            }),
+        }
+    }
+}
+
 impl Golden {
     /// The golden line `line` (line-aligned), borrowed, and whether it was
     /// ever written: from the memo when `line` is the last line looked up,
     /// else by one probe, counted in `probes`.
+    #[inline]
     fn line(&self, line: u64, probes: &mut u64) -> (&[u8], bool) {
         let slot = self.slot(line, probes);
         (self.image.slot_line(slot), slot.is_some())
@@ -599,17 +668,46 @@ pub(crate) fn kind_states(kind: CacheKind) -> u8 {
     }
 }
 
-/// Whether two lines hold the same bytes. The standard line sizes (§5.1)
-/// compare as fixed-size arrays, which compile to a few wide loads and no
-/// call; any other size compares as slices.
-fn same_line(a: &[u8], b: &[u8]) -> bool {
-    fn fixed<const N: usize>(a: &[u8], b: &[u8]) -> Option<bool> {
-        Some(<&[u8; N]>::try_from(a).ok()? == <&[u8; N]>::try_from(b).ok()?)
+/// Whether `a` and `b` hold the same bytes, compared as fixed-width words
+/// with no library call: a line of a standard size (§5.1) 8 bytes at a
+/// time, an access of up to 8 bytes as two overlapping loads. Any other
+/// length compares as slices.
+#[inline(always)]
+pub(crate) fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    /// The `N` bytes at `i` of `a` XOR those of `b`, as one word.
+    #[inline(always)]
+    fn xor<const N: usize>(a: &[u8], b: &[u8], i: usize) -> u64 {
+        let word = |s: &[u8]| {
+            let mut w = [0; 8];
+            w[..N].copy_from_slice(&s[i..i + N]);
+            u64::from_ne_bytes(w)
+        };
+        word(a) ^ word(b)
     }
-    fixed::<32>(a, b)
-        .or_else(|| fixed::<64>(a, b))
-        .or_else(|| fixed::<16>(a, b))
-        .unwrap_or_else(|| a == b)
+    /// The first `W` words of `a` XOR those of `b`, ORed together.
+    #[inline(always)]
+    fn words<const W: usize>(a: &[u8], b: &[u8]) -> u64 {
+        let (mut diff, mut w) = (0, 0);
+        while w < W {
+            diff |= xor::<8>(a, b, 8 * w);
+            w += 1;
+        }
+        diff
+    }
+    let n = a.len();
+    let diff = match n {
+        _ if n != b.len() => return false,
+        0 => 0,
+        1 => xor::<1>(a, b, 0),
+        2..=3 => xor::<2>(a, b, 0) | xor::<2>(a, b, n - 2),
+        4..=7 => xor::<4>(a, b, 0) | xor::<4>(a, b, n - 4),
+        8 => words::<1>(a, b),
+        16 => words::<2>(a, b),
+        32 => words::<4>(a, b),
+        64 => words::<8>(a, b),
+        _ => return a == b,
+    };
+    diff == 0
 }
 
 /// No holder yet: the first-holder fields' empty value.
@@ -655,7 +753,9 @@ impl<'a> MemoryLine<'a> {
 pub(crate) struct LineRule<'a> {
     golden: &'a [u8],
     /// The state bits of every holder that has the line, in any state.
-    seen: u8,
+    /// A full word: the rule is built and then copied whole, and a copy
+    /// that reads a narrower store back stalls.
+    seen: usize,
     /// Holders with a valid copy.
     pub(crate) holders: usize,
     owners: usize,
@@ -699,17 +799,18 @@ impl<'a> LineRule<'a> {
     pub(crate) fn add(&mut self, index: usize, state: LineState, kind_states: u8, data: &[u8]) {
         let bit = state_bit(state);
         let valid = bit & VALID != 0;
-        self.seen |= bit;
+        self.seen |= usize::from(bit);
         self.holders += usize::from(valid);
         self.owners += usize::from(bit & OWNED != 0);
         self.exclusive = first(self.exclusive, index, bit & EXCLUSIVE != 0);
         self.clean_exclusive = first(self.clean_exclusive, index, state == LineState::Exclusive);
-        self.stale = first(self.stale, index, valid & !same_line(data, self.golden));
+        self.stale = first(self.stale, index, valid & !same_bytes(data, self.golden));
         self.outside_kind = first(self.outside_kind, index, bit & VALID & !kind_states != 0);
     }
 
     /// Adds every cache of `controllers` that has line `addr`, reading each
     /// entry once (counted in `reads`); returns the first owned copy's data.
+    #[inline]
     pub(crate) fn add_caches<'c>(
         &mut self,
         controllers: &'c [CacheController],
@@ -741,6 +842,7 @@ impl<'a> LineRule<'a> {
     /// is `None`: a subtree's memory is authoritative only while the tag
     /// above it is valid. Memory is read only for the rules that need it,
     /// and at most once.
+    #[inline]
     pub(crate) fn verdict(
         &self,
         line: &AuditLine<'_>,
@@ -766,7 +868,7 @@ impl<'a> LineRule<'a> {
             Some(self.clean_exclusive).filter(|&i| i != NONE && line.exclusive_clean);
         if let Some(memory) = memory {
             if (clean_exclusive.is_some() || self.owners == 0)
-                && !same_line(memory.get(line.addr, reads), line.golden)
+                && !same_bytes(memory.get(line.addr, reads), line.golden)
             {
                 return Some(match clean_exclusive {
                     Some(index) => Breach::ExclusiveClean(index),

@@ -180,19 +180,8 @@ impl CacheController {
     }
 
     /// Consults the protocol for an event on a line in an explicit state —
-    /// used for victims that have already left the cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a `—` cell; [`CacheController::try_decide_for`] is the
-    /// fallible form the fabric uses.
-    #[must_use]
-    pub fn decide_for(&mut self, state: LineState, event: LocalEvent) -> LocalAction {
-        self.try_decide_for(state, event)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`CacheController::decide_for`].
+    /// used for victims that have already left the cache. A `—` cell is a
+    /// structured [`IllegalCell`] error.
     pub fn try_decide_for(
         &mut self,
         state: LineState,
@@ -205,27 +194,9 @@ impl CacheController {
     /// The bytes at `addr` in the resident line, borrowed, marking the line
     /// most-recently-used (hit path); `None` on a miss.
     #[must_use]
+    #[inline]
     pub fn read_cached(&mut self, addr: u64, len: usize) -> Option<&[u8]> {
         self.cache.as_mut()?.touch_read(addr, len)
-    }
-
-    /// The dataless hit probe: if the line containing `addr` is resident,
-    /// marks it most-recently-used (same recency effect as
-    /// [`CacheController::read_cached`], no copy) and reports the hit in a
-    /// single tag scan. Resident lines are always in a valid state — the
-    /// fabric removes a line whenever its state becomes Invalid — so
-    /// residency alone decides the hit.
-    pub fn probe_touch(&mut self, addr: u64) -> bool {
-        match self.cache.as_mut() {
-            Some(cache) => match cache.touch_state(addr) {
-                Some(state) => {
-                    debug_assert!(state.is_valid(), "resident lines are valid");
-                    true
-                }
-                None => false,
-            },
-            None => false,
-        }
     }
 
     /// A write hit on a line [`held`](CacheController::held) found: writes

@@ -15,6 +15,10 @@ use std::ops::Range;
 
 use crate::controller::{CacheController, Held};
 
+/// The read sink that ignores the bytes: a read that only drives the
+/// machine.
+pub(crate) fn discard(_: &[u8]) {}
+
 /// One bus with its controllers and the access sequencing logic.
 #[derive(Debug)]
 pub struct Fabric {
@@ -208,20 +212,37 @@ impl Fabric {
     }
 
     /// Reads `len` bytes at `addr` for processor `cpu`, splitting line
-    /// crossers (§5.1). [`Fabric::read_into`] into a fresh `Vec`.
+    /// crossers (§5.1), into a fresh `Vec`.
     pub fn read(&mut self, cpu: usize, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        self.read_into(cpu, addr, len, &mut out);
+        self.read_into(cpu, addr, len, &mut |bytes: &[u8]| {
+            out.extend_from_slice(bytes)
+        });
         out
     }
 
     /// Reads `len` bytes at `addr` for processor `cpu`, splitting line
-    /// crossers, and appends them to `out`. A caller that reuses `out` makes
-    /// a read hit allocate nothing: the bytes are copied straight from the
-    /// cache entry.
-    pub fn read_into(&mut self, cpu: usize, addr: u64, len: usize, out: &mut Vec<u8>) {
+    /// crossers (§5.1), and lends each line's piece to `sink` where it
+    /// lands: in the cache line on a hit, in the bus line buffer on a miss
+    /// (before any victim write-back), in memory when the read degrades. A
+    /// sink that ignores the bytes ([`discard`]) makes a hit one tag scan and
+    /// an LRU touch, with nothing copied.
+    pub(crate) fn read_into(
+        &mut self,
+        cpu: usize,
+        addr: u64,
+        len: usize,
+        sink: &mut impl FnMut(&[u8]),
+    ) {
+        let line = self.line_addr(addr);
+        // Single-line accesses (the overwhelmingly common case) skip the
+        // crosser split entirely.
+        if addr - line + len as u64 <= self.line_size as u64 {
+            self.read_piece(cpu, addr, len, sink);
+            return;
+        }
         for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size) {
-            self.read_piece(cpu, piece_addr, piece_len, out);
+            self.read_piece(cpu, piece_addr, piece_len, sink);
         }
     }
 
@@ -311,24 +332,6 @@ impl Fabric {
         self.outgoing.extend_from_slice(bytes);
     }
 
-    /// [`Fabric::read`] without materialising the bytes: the event engine's
-    /// hot path for workload driving, where the caller discards the data
-    /// anyway. Stats, LRU recency, cache state, memory image and bus traffic
-    /// are byte-identical to [`Fabric::read`] — the only difference is that
-    /// no `Vec` is built for the result and a hit copies nothing.
-    pub fn read_dataless(&mut self, cpu: usize, addr: u64, len: usize) {
-        let line = self.line_addr(addr);
-        // Single-line accesses (the overwhelmingly common case) skip the
-        // crosser split entirely.
-        if addr - line + len as u64 <= self.line_size as u64 {
-            self.read_piece_dataless(cpu, addr, len);
-            return;
-        }
-        for (piece_addr, piece_len) in split_line_crossers(addr, len, self.line_size) {
-            self.read_piece_dataless(cpu, piece_addr, piece_len);
-        }
-    }
-
     /// Writes `bytes` at `addr` for processor `cpu`, splitting line crossers,
     /// with the single-line case short-circuited. An oracle records the
     /// whole write before it is issued
@@ -346,32 +349,12 @@ impl Fabric {
         }
     }
 
-    fn read_piece_dataless(&mut self, cpu: usize, addr: u64, len: usize) {
-        let _ = len;
-        let ctrl = &mut self.controllers[cpu];
-        ctrl.stats_mut().reads += 1;
-        // Single-pass hit probe: same residency check and LRU effect as the
-        // copying hit path, minus the copy and the second tag scan.
-        if ctrl.probe_touch(addr) {
-            ctrl.stats_mut().read_hits += 1;
-            return;
-        }
-        let line = self.line_addr(addr);
-        // The probe just missed, so the line is not held.
-        let Some(action) = self.decide_read(cpu, line, None) else {
-            // Degraded: the copying path serves from memory without caching;
-            // with nobody consuming the bytes there is nothing to do.
-            return;
-        };
-        self.execute_read_action(cpu, line, &action, None);
-    }
-
-    fn read_piece(&mut self, cpu: usize, addr: u64, len: usize, out: &mut Vec<u8>) {
+    fn read_piece(&mut self, cpu: usize, addr: u64, len: usize, sink: &mut impl FnMut(&[u8])) {
         let ctrl = &mut self.controllers[cpu];
         ctrl.stats_mut().reads += 1;
         // Resident lines are always valid, so residency decides the hit.
         if let Some(bytes) = ctrl.read_cached(addr, len) {
-            out.extend_from_slice(bytes);
+            sink(bytes);
             ctrl.stats_mut().read_hits += 1;
             return;
         }
@@ -381,34 +364,32 @@ impl Fabric {
         // The hit path just missed, so the line is not held.
         let Some(action) = self.decide_read(cpu, line, None) else {
             // Degraded: serve from memory without caching the line.
-            out.extend_from_slice(&self.bus.memory().peek(line)[range]);
+            sink(&self.bus.memory().peek(line)[range]);
             return;
         };
-        self.execute_read_action(cpu, line, &action, Some((out, range)));
+        self.execute_read_action(cpu, line, &action, sink, range);
     }
 
     /// Runs a read-typed local action (a miss): the bus read, the fill, and
-    /// any victim write-back. The fill copies the line the bus lends; when
-    /// `copy` names a buffer, the bytes at its range within the line are
-    /// appended to it first, straight from the bus line buffer. (Copying out
-    /// of the cache afterwards would be wrong: under faults, the victim
-    /// write-back can invalidate the filled line, e.g. when a snooper killed
-    /// mid-transaction loses it.)
+    /// any victim write-back. The fill copies the line the bus lends; the
+    /// bytes at `range` within it go to `sink` first, straight from the bus
+    /// line buffer. (Reading the cache afterwards would be wrong: under
+    /// faults, the victim write-back can invalidate the filled line, e.g.
+    /// when a snooper killed mid-transaction loses it.)
     fn execute_read_action(
         &mut self,
         cpu: usize,
         line: u64,
         action: &LocalAction,
-        copy: Option<(&mut Vec<u8>, Range<usize>)>,
+        sink: &mut impl FnMut(&[u8]),
+        range: Range<usize>,
     ) {
         debug_assert_eq!(action.bus_op, BusOp::Read, "read path expects an R action");
         let req = TransactionRequest::read(cpu, line, action.signals);
         let log = self.tolerate.then_some(&mut self.errors);
         let out = transact(&mut self.bus, &mut self.controllers, log, &req);
         let data = out.data.expect("reads return data");
-        if let Some((buf, range)) = copy {
-            buf.extend_from_slice(&data[range]);
-        }
+        sink(&data[range]);
         let result = action.result.resolve(out.ch_seen);
         if result.is_valid() {
             if let Some(v) = self.controllers[cpu].fill(line, result, data, &mut self.outgoing) {
@@ -521,7 +502,7 @@ impl Fabric {
             // Read-for-modify: one transaction reads the line and invalidates
             // other copies, then the write happens locally.
             BusOp::Read => {
-                self.execute_read_action(cpu, line, &action, None);
+                self.execute_read_action(cpu, line, &action, &mut discard, 0..0);
                 let held = self.controllers[cpu].held(line);
                 let state = held.map_or(LineState::Invalid, |h| h.state);
                 self.write_held(cpu, held, addr, bytes, state, "a read-for-modify");
@@ -539,7 +520,7 @@ impl Fabric {
                     self.bus.memory_mut().write_bytes(line, offset, bytes);
                     return;
                 };
-                self.execute_read_action(cpu, line, &read_action, None);
+                self.execute_read_action(cpu, line, &read_action, &mut discard, 0..0);
                 let held = self.controllers[cpu].held(line);
                 self.write_piece_inner(cpu, addr, bytes, held, true);
             }
@@ -770,10 +751,10 @@ mod tests {
         let mut f = corrupted(&[(LocalEvent::Read, silent)]);
         f.bus_mut().memory_mut().write_bytes(0x100, 0, &[7; 4]);
         assert_eq!(f.read(0, 0x100, 4), vec![7; 4], "memory-direct read");
-        f.read_dataless(0, 0x100, 4);
+        f.read_into(0, 0x100, 4, &mut discard);
         assert_eq!(f.controller(0).state_of(0x100), LineState::Invalid);
         let errors = f.drain_bus_errors();
-        assert_eq!(errors.len(), 2, "both read paths report it: {errors:?}");
+        assert_eq!(errors.len(), 2, "every read reports it: {errors:?}");
         assert!(errors[0].contains("not a bus read"), "{errors:?}");
     }
 

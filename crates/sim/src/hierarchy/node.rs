@@ -80,12 +80,11 @@ pub enum FabricNode {
 
 impl FabricNode {
     /// Processor `cpu` of the leaf at `path` below this node reads `len`
-    /// bytes at `addr`, appending them to `out` — or, without `out`, on the
-    /// leaf fabric's dataless path, whose effects are the same. A segment
-    /// on the way splits the access at line boundaries (§5.1); per line, a
-    /// dead child's bridge reads memory-direct and a live one gates the
-    /// access on its cluster-level protocol before it descends. `depth` is
-    /// this node's bus level.
+    /// bytes at `addr`, lending each line's piece to `sink` where it lands
+    /// ([`Fabric::read_into`]). A segment on the way splits the access at
+    /// line boundaries (§5.1); per line, a dead child's bridge reads
+    /// memory-direct and a live one gates the access on its cluster-level
+    /// protocol before it descends. `depth` is this node's bus level.
     ///
     /// # Panics
     ///
@@ -101,15 +100,10 @@ impl FabricNode {
         len: usize,
         depth: usize,
         errors: &mut Vec<ParentError>,
-        mut out: Option<&mut Vec<u8>>,
+        sink: &mut impl FnMut(&[u8]),
     ) {
         let seg = match self {
-            FabricNode::Leaf(fabric) => {
-                return match out {
-                    Some(out) => fabric.read_into(cpu, addr, len, out),
-                    None => fabric.read_dataless(cpu, addr, len),
-                }
-            }
+            FabricNode::Leaf(fabric) => return fabric.read_into(cpu, addr, len, sink),
             FabricNode::Interior(seg) => seg,
         };
         let (&child, below) = path
@@ -120,20 +114,12 @@ impl FabricNode {
             if seg.children[child].degraded() {
                 let offset = (piece_addr - line) as usize;
                 let range = offset..offset + piece_len;
-                seg.degraded_read(child, line, range, depth, errors, out.as_deref_mut());
+                seg.degraded_read(child, line, range, depth, errors, sink);
                 continue;
             }
             seg.ensure(child, line, None, depth, errors);
             let node = &mut seg.children[child].node;
-            node.read(
-                below,
-                cpu,
-                piece_addr,
-                piece_len,
-                depth + 1,
-                errors,
-                out.as_deref_mut(),
-            );
+            node.read(below, cpu, piece_addr, piece_len, depth + 1, errors, sink);
         }
     }
 
@@ -294,7 +280,7 @@ impl Segment {
     /// goes straight onto this segment's bus as an uncached read (no CA —
     /// Table 2 column 7). A live sibling that owns the line intervenes and
     /// supplies current data; otherwise segment memory answers. The bytes
-    /// at `range` within the line are appended to `out`, if given.
+    /// at `range` within the line go to `sink`.
     fn degraded_read(
         &mut self,
         child: usize,
@@ -302,15 +288,12 @@ impl Segment {
         range: Range<usize>,
         depth: usize,
         errors: &mut Vec<ParentError>,
-        out: Option<&mut Vec<u8>>,
+        sink: &mut impl FnMut(&[u8]),
     ) {
         self.children[child].stats.degraded_accesses += 1;
         let req = TransactionRequest::read(child, line, MasterSignals::NONE);
         let (done, error) = self.bus.execute_or_degrade(&req, &mut self.children);
-        let data = done.data.expect("reads return a line");
-        if let Some(out) = out {
-            out.extend_from_slice(&data[range]);
-        }
+        sink(&done.data.expect("reads return a line")[range]);
         if let Some(error) = error {
             errors.push(ParentError::new(
                 child,

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use crate::checker::{Checker, Violation};
 use crate::controller::CacheController;
 use crate::engine;
-use crate::fabric::Fabric;
+use crate::fabric::{discard, Fabric};
 use crate::hierarchy::{Bridge, FabricNode, ParentError, TreeBuilder, TreeSpec};
 use crate::metrics::CpuStats;
 use crate::workload::{Access, RefStream, WritePayload};
@@ -133,8 +133,6 @@ pub struct System {
     tolerant: bool,
     /// The sequence number of the last workload write.
     write_seq: u32,
-    /// The buffer checked workload reads land in, kept for its capacity.
-    read_buf: Vec<u8>,
     /// Raised by any bridge that logs a forward error (every bridge holds a
     /// clone), so the errors are collected only after an access logged one.
     /// Relaxed ordering suffices: the flag is raised and lowered only under
@@ -155,16 +153,24 @@ impl System {
     ) -> Self {
         let mut sys = System {
             root,
-            checker: checking.then(|| Checker::new(line_size)),
+            checker: None,
             line_size,
             paths,
             lanes,
             parent_errors: Vec::new(),
             tolerant: false,
             write_seq: 0,
-            read_buf: Vec::new(),
             forward_logged,
         };
+        if checking {
+            // Room in the golden index for as many lines as the caches
+            // hold at once: a run whose written lines fit never rehashes it.
+            let lines = (0..sys.leaves())
+                .flat_map(|leaf| sys.leaf_fabric(leaf).controllers())
+                .filter_map(|ctrl| Some(ctrl.cache()?.config().lines()))
+                .sum();
+            sys.checker = Some(Checker::with_capacity(line_size, lines));
+        }
         sys.track_changes(checking);
         sys
     }
@@ -391,7 +397,9 @@ impl System {
     pub fn read(&mut self, lane: usize, addr: u64, len: usize) -> Vec<u8> {
         let (leaf, cpu) = self.lanes[lane];
         let mut out = Vec::with_capacity(len);
-        self.read_leaf(leaf, cpu, addr, len, &mut out);
+        self.read_leaf(leaf, cpu, addr, len, &mut |bytes: &[u8]| {
+            out.extend_from_slice(bytes);
+        });
         out
     }
 
@@ -423,7 +431,9 @@ impl System {
         out: &mut Vec<u8>,
     ) {
         let leaf = self.leaf_of(path);
-        self.read_leaf(leaf, cpu, addr, len, out);
+        self.read_leaf(leaf, cpu, addr, len, &mut |bytes: &[u8]| {
+            out.extend_from_slice(bytes);
+        });
     }
 
     /// Processor `lane` writes `bytes` at `addr`.
@@ -455,25 +465,43 @@ impl System {
             .unwrap_or_else(|| panic!("access path {path:?} does not reach a leaf"))
     }
 
-    /// Processor `cpu` of leaf `leaf` reads `len` bytes at `addr`, appending
-    /// them to `out`.
-    fn read_leaf(&mut self, leaf: usize, cpu: usize, addr: u64, len: usize, out: &mut Vec<u8>) {
-        let start = out.len();
+    /// Processor `cpu` of leaf `leaf` reads `len` bytes at `addr`, lending
+    /// each line's piece to `sink` where it lands. The oracle, unless it
+    /// tolerates faults, checks each piece there too, and a mismatch is
+    /// reported once the access completes.
+    fn read_leaf(
+        &mut self,
+        leaf: usize,
+        cpu: usize,
+        addr: u64,
+        len: usize,
+        sink: &mut impl FnMut(&[u8]),
+    ) {
         let path = &self.paths[leaf];
-        self.root
-            .read(path, cpu, addr, len, 0, &mut self.parent_errors, Some(out));
+        let errors = &mut self.parent_errors;
+        let Some(ck) = self.checker.as_mut().filter(|_| !self.tolerant) else {
+            // Nothing checks the read, and nothing audits it.
+            self.root.read(path, cpu, addr, len, 0, errors, sink);
+            self.hoist_forward_errors();
+            return;
+        };
+        let mut check = ck.read_check(addr);
+        let mut both = |bytes: &[u8]| {
+            sink(bytes);
+            check.take(bytes);
+        };
+        self.root.read(path, cpu, addr, len, 0, errors, &mut both);
+        let verdict = check.finish(cpu);
         self.hoist_forward_errors();
-        if let (Some(ck), false) = (&mut self.checker, self.tolerant) {
-            if let Err(mut v) = ck.check_read(cpu, addr, &out[start..]) {
-                if let Violation::ReadMismatch { cpu: lane, .. } = &mut v {
-                    *lane = self
-                        .lanes
-                        .iter()
-                        .position(|&l| l == (leaf, cpu))
-                        .expect("a lane");
-                }
-                panic!("consistency violation: {v}");
+        if let Err(mut v) = verdict {
+            if let Violation::ReadMismatch { cpu: lane, .. } = &mut v {
+                *lane = self
+                    .lanes
+                    .iter()
+                    .position(|&l| l == (leaf, cpu))
+                    .expect("a lane");
             }
+            panic!("consistency violation: {v}");
         }
         self.audit();
     }
@@ -611,29 +639,18 @@ impl System {
     }
 
     /// Issues one workload access from processor `cpu` of leaf `leaf`: the
-    /// engine's `issue`. Writes carry the deterministic sequence-number payload, so
-    /// the oracle can detect lost or reordered updates; when no oracle is
-    /// attached a read takes the dataless fabric paths, which have
-    /// byte-identical observable effects, and otherwise lands in one reused
-    /// buffer, so a read hit allocates nothing.
+    /// engine's `issue`. Writes carry the deterministic sequence-number
+    /// payload, so the oracle can detect lost or reordered updates. A read
+    /// keeps no bytes: only the oracle, when attached, looks at them, where
+    /// they land, so a read hit copies and allocates nothing.
     fn issue(&mut self, leaf: usize, cpu: usize, access: &Access) {
         if access.is_write {
             self.write_seq = self.write_seq.wrapping_add(1);
             let mut payload = WritePayload::new();
             let bytes = payload.fill(self.write_seq, access.size);
             self.write_leaf(leaf, cpu, access.addr, bytes);
-        } else if self.checker.is_none() {
-            // Nothing checks the bytes: the read only drives the machine.
-            let path = &self.paths[leaf];
-            let errors = &mut self.parent_errors;
-            self.root
-                .read(path, cpu, access.addr, access.size, 0, errors, None);
-            self.hoist_forward_errors();
         } else {
-            let mut buf = std::mem::take(&mut self.read_buf);
-            buf.clear();
-            self.read_leaf(leaf, cpu, access.addr, access.size, &mut buf);
-            self.read_buf = buf;
+            self.read_leaf(leaf, cpu, access.addr, access.size, &mut discard);
         }
     }
 
